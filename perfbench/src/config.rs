@@ -1,7 +1,9 @@
 //! Workload knobs, read from `perfbench/config.json` (embedded at build
 //! time). The engine's offered rates are absolute and fixed here: a run never
 //! derives its load from its own measured capacity, so two commits are always
-//! offered the same load.
+//! offered the same load. The file holds the engine's load shape and the
+//! sizes the smoke tests shrink; values nothing ever varies are constants of
+//! the workload modules.
 
 use serde::Deserialize;
 
@@ -27,8 +29,6 @@ pub struct ClassShape {
     pub horizon: u32,
     /// Jobs.
     pub jobs: usize,
-    /// Restart (wake) cost of one awake interval.
-    pub restart: f64,
 }
 
 /// `offline_solve` sizing.
@@ -77,15 +77,9 @@ pub struct ReplayConfig {
     pub horizon: u32,
     /// Jobs per trace (target).
     pub jobs: usize,
-    /// Restart cost of the affine model.
-    pub restart: f64,
-    /// Window slack past each job's home slot.
-    pub slack: u32,
     /// Advance notice: jobs are released this many slots before their
     /// window opens.
     pub lead: u32,
-    /// Re-solve period of the `resolve:K:warm` policy.
-    pub period: u32,
 }
 
 impl Config {

