@@ -61,10 +61,12 @@ pub const CLASSES: [&str; 3] = ["affine", "hetero", "dvfs"];
 /// `engine_diurnal`, and a re-solving `decide` call on `online_replay`. A run
 /// repeats every operation several times and each operation's best repeat
 /// stands for it (see [`crate::stats`]); latency percentiles are over
-/// operations.
+/// operations. Solves, replays and `decide` calls run on one thread and are
+/// timed on its CPU clock (see [`crate::clock`]); a request is timed on the
+/// wall clock from its due time.
 ///
-/// Throughput counts solves and replayed slots over one pass at those best
-/// times. On the open loop it is answered requests per second, which sits at
+/// Throughput counts solves and replayed slots per CPU-second over one pass
+/// at those best times. On the open loop it is answered requests per second, which sits at
 /// the configured offered rate unless the server saturates: there it shows
 /// saturation only, and a faster server leaves it unchanged. Failed
 /// operations are the run's `failed` count over `attempted`; an error rate
@@ -82,19 +84,19 @@ pub fn end_to_end() -> Vec<MetricSpec> {
             "throughput_per_s",
             "1/s",
             Higher,
-            "cold solves/s or replayed slots/s (one pass at best times); answered requests/s on engine_diurnal, which only shows saturation",
+            "cold solves or replayed slots per CPU-second (one pass at best times); answered requests/s on engine_diurnal, which only shows saturation",
         ),
         spec(
             "latency_us_p50",
             "us",
             Lower,
-            "p50 over operations of each one's best latency (request: from its due time)",
+            "p50 over operations of each one's best latency (solve, decide: CPU time; request: wall time from its due time)",
         ),
         spec(
             "latency_us_p99",
             "us",
             Lower,
-            "p99 over operations of each one's best latency (request: from its due time)",
+            "p99 over operations of each one's best latency (solve, decide: CPU time; request: wall time from its due time)",
         ),
         spec(
             "energy_per_job",

@@ -116,7 +116,7 @@ enum Kind {
 }
 
 impl Kind {
-    /// Percent of the mix below which each kind is drawn. The shares are a
+    /// Percent of the mix below which each kind lies. The shares are a
     /// judgement, not a measurement (no traffic record exists): most
     /// requests small, a quarter evolving, the rest split over the four
     /// minority kinds with the costliest (exact, n64) kept smallest.
@@ -142,6 +142,13 @@ struct Stream {
 struct RequestGen {
     rng: StdRng,
     streams: Vec<Stream>,
+    /// Kinds still to draw from the current block of 100. Each block holds
+    /// every kind in exactly its [`Kind::MIX`] share, in seeded order, so
+    /// seeds differ in where the costly kinds land, not in how many there
+    /// are.
+    deck: Vec<Kind>,
+    /// Grid of the last small request: small requests alternate grids.
+    small_on_mixed: bool,
     seen: HashSet<u64>,
     next_id: u64,
 }
@@ -190,9 +197,28 @@ impl RequestGen {
         Self {
             rng,
             streams,
+            deck: Vec::new(),
+            small_on_mixed: false,
             seen: HashSet::new(),
             next_id: 0,
         }
+    }
+
+    /// The next kind from the shuffled block, dealing a new block when the
+    /// last one is spent.
+    fn next_kind(&mut self) -> Kind {
+        if self.deck.is_empty() {
+            let mut from = 0;
+            for &(below, kind) in &Kind::MIX {
+                self.deck.extend((from..below).map(|_| kind));
+                from = below;
+            }
+            for i in (1..self.deck.len()).rev() {
+                let j = self.rng.gen_range(0..=i);
+                self.deck.swap(i, j);
+            }
+        }
+        self.deck.pop().expect("a dealt block is not empty")
     }
 
     fn fresh(&mut self, shape: Shape) -> Instance {
@@ -228,21 +254,14 @@ impl RequestGen {
         Instance::new(LOADGEN.processors, LOADGEN.horizon, jobs)
     }
 
-    fn draw(&mut self, id: u64) -> (Kind, SolveRequest) {
-        let u = self.rng.gen_range(0..100u32);
-        let kind = Kind::MIX
-            .iter()
-            .find(|(below, _)| u < *below)
-            .map_or(Kind::Small, |(_, k)| *k);
+    fn draw(&mut self, kind: Kind, id: u64) -> SolveRequest {
         let affine =
             |inst, shape: Shape| SolveRequest::builder(id, inst).affine(shape.restart, 1.0);
-        let req = match kind {
+        match kind {
             Kind::Small => {
-                let shape = if self.rng.gen_bool(0.5) {
-                    LOADGEN
-                } else {
-                    MIXED
-                };
+                // alternate, so both grids keep exactly half the small share
+                self.small_on_mixed = !self.small_on_mixed;
+                let shape = if self.small_on_mixed { MIXED } else { LOADGEN };
                 affine(self.fresh(shape), shape).build()
             }
             Kind::Evolve => {
@@ -277,16 +296,16 @@ impl RequestGen {
                     .build()
             }
             Kind::Medium => affine(self.fresh(MEDIUM), MEDIUM).build(),
-        };
-        (kind, req)
+        }
     }
 
     /// The next request; its instance differs from every earlier one.
     fn next_request(&mut self) -> (Kind, SolveRequest) {
         let id = self.next_id;
         self.next_id += 1;
+        let kind = self.next_kind();
         loop {
-            let (kind, req) = self.draw(id);
+            let req = self.draw(kind, id);
             if !req.instance.jobs.is_empty() && self.seen.insert(instance_key(kind, &req.instance))
             {
                 return (kind, req);
@@ -956,7 +975,7 @@ mod tests {
         let mut a = RequestGen::new(9);
         let mut b = RequestGen::new(9);
         let mut keys = HashSet::new();
-        let mut kinds = HashSet::new();
+        let mut kinds = Vec::new();
         for _ in 0..600 {
             let (ka, ra) = a.next_request();
             let (kb, rb) = b.next_request();
@@ -967,9 +986,18 @@ mod tests {
                 keys.insert(format!("{:?}", ra.instance)),
                 "repeated instance"
             );
-            kinds.insert(ka);
+            kinds.push(ka);
         }
-        assert_eq!(kinds.len(), 6, "every kind of the mix appears");
+        // every block of 100 holds each kind in exactly its share
+        for block in kinds.chunks(100) {
+            let mut from = 0;
+            for &(below, kind) in &Kind::MIX {
+                let n = block.iter().filter(|&&k| k == kind).count();
+                assert_eq!(n as u32, below - from, "{kind:?}");
+                from = below;
+            }
+        }
+        assert_ne!(kinds[..100], kinds[100..200], "blocks are shuffled");
     }
 
     #[test]

@@ -19,6 +19,7 @@
 //! table goes to stderr, and any failed check makes the exit code nonzero.
 
 pub mod catalog;
+pub mod clock;
 pub mod config;
 pub mod engine_diurnal;
 pub mod offline_solve;

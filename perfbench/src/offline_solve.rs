@@ -9,7 +9,8 @@
 //!
 //! The traced run replaces each entry point with its public pieces, timing
 //! each (see [`solve_traced`]), and checks that the result is bit-identical
-//! to the untraced entry point's.
+//! to the untraced entry point's. Solves and layers are timed on the
+//! thread's CPU clock (see [`crate::clock`]).
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -28,6 +29,7 @@ use workloads::planted::PlantedCostModel;
 use workloads::{dvfs_instance, planted_instance, DvfsConfig, PlantedConfig};
 
 use crate::catalog::CLASSES;
+use crate::clock::{thread_cpu, CpuTimer};
 use crate::config::{ClassShape, OfflineConfig};
 use crate::report::Outcome;
 use crate::stats::{per_op_best, MIN_REPEATS};
@@ -246,14 +248,14 @@ fn greedy_stages(
     acc: &mut Layers,
     counts: &mut Counts,
 ) -> Result<Schedule, String> {
-    let t0 = Instant::now();
+    let t0 = thread_cpu();
     let red = ScheduleReduction::build(inst, cands);
-    let t1 = Instant::now();
+    let t1 = thread_cpu();
     let mut obj = ScheduleObjective::new_cardinality(&red);
     let mut scratch = ObjectiveScratch::default();
     let mut gains = Vec::new();
     obj.scan_gains(false, &mut scratch, &mut gains);
-    let t2 = Instant::now();
+    let t2 = thread_cpu();
     let n = inst.num_jobs() as f64;
     let opts = SolveOptions::default();
     let out = budgeted_greedy_with(
@@ -266,12 +268,12 @@ fn greedy_stages(
         },
         &mut scratch,
     );
-    let t3 = Instant::now();
+    let t3 = thread_cpu();
     if !out.reached_target {
         return Err(format!("greedy stalled at utility {}", out.utility));
     }
     let schedule = obj.extract_schedule(inst, cands, &out.chosen);
-    let t4 = Instant::now();
+    let t4 = thread_cpu();
     acc.reduction += t1 - t0;
     acc.first_scan += t2 - t1;
     acc.greedy += t3 - t2;
@@ -303,14 +305,14 @@ impl Pools {
     ) -> Result<Solved, String> {
         if class == 2 {
             let d = self.dvfs[k].clone();
-            let t0 = Instant::now();
+            let t0 = thread_cpu();
             let compiled = d.compile().map_err(|e| e.to_string())?;
-            let t1 = Instant::now();
+            let t1 = thread_cpu();
             acc.compile += t1 - t0;
             let s = greedy_stages(&compiled.instance, &compiled.candidates, acc, counts)?;
-            let t2 = Instant::now();
+            let t2 = thread_cpu();
             let out = compiled.decompile(&s);
-            let t3 = Instant::now();
+            let t3 = thread_cpu();
             acc.decompile += t3 - t2;
             acc.total += t3 - t0;
             acc.solves += 1;
@@ -318,12 +320,12 @@ impl Pools {
         }
         let (src, cost) = self.plain(class, k);
         let inst = Instance::new(src.num_processors, src.horizon, src.jobs.clone());
-        let t0 = Instant::now();
+        let t0 = thread_cpu();
         let cands = enumerate_candidates(&inst, cost, CandidatePolicy::All);
-        let t1 = Instant::now();
+        let t1 = thread_cpu();
         acc.candidates += t1 - t0;
         let s = greedy_stages(&inst, &cands, acc, counts)?;
-        acc.total += t0.elapsed();
+        acc.total += thread_cpu() - t0;
         acc.solves += 1;
         Ok(Solved::Plain(s))
     }
@@ -364,7 +366,7 @@ pub fn run(cfg: &OfflineConfig, args: &RunArgs, setup_repeats: usize) -> Outcome
         let slot = class * pools.pool_len() + k;
         ops += 1;
         out.attempted += 1;
-        let t = Instant::now();
+        let t = CpuTimer::start();
         let r = black_box(pools.solve_cold(class, k));
         let dt = t.elapsed();
         let s = match r {
@@ -434,7 +436,7 @@ fn traced_pass(
         let (class, k) = pools.op(i);
         let slot = class * pools.pool_len() + k;
         out.attempted += 1;
-        let t = Instant::now();
+        let t = CpuTimer::start();
         let r = pools.solve_traced(class, k, &mut layers[class], &mut counts[slot]);
         traced += t.elapsed();
         match r {

@@ -7,7 +7,8 @@
 //! `offline_solve`. This is also the only workload that runs the simulator's
 //! own slot loop. A [`TimedPolicy`] around the boxed policy times every
 //! `decide` call and tells re-solving calls from plain ones by whether the
-//! policy's `events()` advanced.
+//! policy's `events()` advanced. Replays and `decide` calls are timed on the
+//! thread's CPU clock (see [`crate::clock`]).
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -19,19 +20,20 @@ use sched_core::trace::ArrivalTrace;
 use sched_sim::{replay, Policy, PolicyKind, ResolveStats, SlotDecision, SlotView};
 use workloads::{generate_trace, ArrivalConfig, TraceKind};
 
+use crate::clock::CpuTimer;
 use crate::config::ReplayConfig;
 use crate::report::Outcome;
 use crate::stats::{mean, per_op_best, percentile, sorted, MIN_REPEATS};
 use crate::{setup_phase, sub_seed, RunArgs};
 
-/// Times every `decide` call of the wrapped policy, filing it as a
-/// re-solve when the policy's event counter advanced during the call.
-/// Forwards everything else unchanged.
+/// Times every `decide` call of the wrapped policy on the thread's CPU
+/// clock, filing it as a re-solve when the policy's event counter advanced
+/// during the call. Forwards everything else unchanged.
 pub struct TimedPolicy {
     inner: Box<dyn Policy>,
-    /// Wall time of each re-solving `decide` call, nanoseconds.
+    /// CPU time of each re-solving `decide` call, nanoseconds.
     pub resolve_ns: Vec<u64>,
-    /// Wall time of each other `decide` call, nanoseconds.
+    /// CPU time of each other `decide` call, nanoseconds.
     pub plain_ns: Vec<u64>,
 }
 
@@ -53,7 +55,7 @@ impl Policy for TimedPolicy {
 
     fn decide(&mut self, view: &SlotView<'_>) -> SlotDecision {
         let events = self.inner.events();
-        let t = Instant::now();
+        let t = CpuTimer::start();
         let decision = self.inner.decide(view);
         let ns = t.elapsed().as_nanos() as u64;
         if self.inner.events() != events {
@@ -108,7 +110,7 @@ fn build_traces(cfg: &ReplayConfig, seed: u64) -> Vec<ArrivalTrace> {
 struct Replayed {
     cost: f64,
     scheduled: usize,
-    wall: Duration,
+    cpu: Duration,
     policy: TimedPolicy,
     stats: Option<ResolveStats>,
     dropped: usize,
@@ -116,9 +118,9 @@ struct Replayed {
 
 fn replay_once(trace: &ArrivalTrace, kind: &PolicyKind) -> Result<Replayed, String> {
     let mut policy = TimedPolicy::new(kind.build(None));
-    let t = Instant::now();
+    let t = CpuTimer::start();
     let outcome = replay(trace, &mut policy).map_err(|e| e.to_string())?;
-    let wall = t.elapsed();
+    let cpu = t.elapsed();
     let v = validate_schedule(&trace.to_instance(), &outcome.schedule);
     if !v.is_empty() {
         return Err(format!("invalid online schedule: {:?}", v[0]));
@@ -126,7 +128,7 @@ fn replay_once(trace: &ArrivalTrace, kind: &PolicyKind) -> Result<Replayed, Stri
     Ok(Replayed {
         cost: outcome.schedule.total_cost,
         scheduled: outcome.schedule.scheduled_count,
-        wall,
+        cpu,
         policy,
         stats: outcome.resolve_stats,
         dropped: outcome.dropped.len(),
@@ -154,7 +156,7 @@ pub fn run(cfg: &ReplayConfig, args: &RunArgs, setup_repeats: usize) -> Outcome 
     // host may stretch the run past its seconds: every trace gets its
     // repeats.
     let mut first: Vec<Option<(u64, usize)>> = vec![None; traces.len()];
-    let mut walls: Vec<Vec<f64>> = vec![Vec::new(); traces.len()];
+    let mut cpus: Vec<Vec<f64>> = vec![Vec::new(); traces.len()];
     let mut resolve_us: Vec<Vec<Vec<f64>>> = vec![Vec::new(); traces.len()];
     let mut replaying = Duration::ZERO;
     let mut ops = 0usize;
@@ -170,8 +172,8 @@ pub fn run(cfg: &ReplayConfig, args: &RunArgs, setup_repeats: usize) -> Outcome 
                 continue;
             }
         };
-        replaying += r.wall;
-        walls[k].push(r.wall.as_secs_f64());
+        replaying += r.cpu;
+        cpus[k].push(r.cpu.as_secs_f64());
         let per_resolve = &mut resolve_us[k];
         if per_resolve.is_empty() {
             per_resolve.resize(r.policy.resolve_ns.len(), Vec::new());
@@ -204,8 +206,8 @@ pub fn run(cfg: &ReplayConfig, args: &RunArgs, setup_repeats: usize) -> Outcome 
     out.put("setup_s", setup_s, Some(setup_repeats));
     // One pass over the pool at each trace's best replay time.
     let slots: u32 = traces.iter().map(|t| t.horizon).sum();
-    let wall: f64 = per_op_best(&walls).iter().sum();
-    out.put("throughput_per_s", f64::from(slots) / wall, Some(ops));
+    let cpu: f64 = per_op_best(&cpus).iter().sum();
+    out.put("throughput_per_s", f64::from(slots) / cpu, Some(ops));
     let resolves: Vec<Vec<f64>> = resolve_us.into_iter().flatten().collect();
     out.put_latencies(&resolves);
     let (cost, jobs) = first
@@ -236,14 +238,14 @@ fn traced_pass(
     sched_obs::set_thread(Some(Arc::clone(&registry)));
     let mut plain_us = Vec::new();
     let mut self_ms = Vec::new();
-    let mut wall = Duration::ZERO;
+    let mut cpu = Duration::ZERO;
     let (mut warm, mut count, mut dropped) = (0u64, 0u64, 0u64);
     for i in 0..ops {
         let k = i % traces.len();
         out.attempted += 1;
-        let t = Instant::now();
+        let t = CpuTimer::start();
         let r = replay_once(&traces[k], kind);
-        wall += t.elapsed();
+        cpu += t.elapsed();
         let r = match r {
             Ok(r) => r,
             Err(e) => {
@@ -252,7 +254,7 @@ fn traced_pass(
             }
         };
         let decide: u64 = r.policy.resolve_ns.iter().chain(&r.policy.plain_ns).sum();
-        self_ms.push((r.wall.as_nanos() as f64 - decide as f64) / 1e6);
+        self_ms.push((r.cpu.as_nanos() as f64 - decide as f64) / 1e6);
         plain_us.extend(r.policy.plain_ns.iter().map(|&ns| ns as f64 / 1e3));
         dropped += r.dropped as u64;
         if r.dropped > 0 {
@@ -266,7 +268,7 @@ fn traced_pass(
 
     out.put(
         "trace.overhead",
-        wall.as_secs_f64() / untraced.as_secs_f64(),
+        cpu.as_secs_f64() / untraced.as_secs_f64(),
         Some(ops),
     );
     let decide = percentile(&sorted(&plain_us), 0.5);
