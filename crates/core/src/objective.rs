@@ -26,12 +26,18 @@
 //!   incremental [`bmatch::MatchingOracle::gain_prefixes`] pass (`O(L)` slot
 //!   augmentations for `L` nested candidates instead of `O(L²)`), emitting
 //!   bit-identical gains.
+//! * **Runs are the lazy greedy's groups** — [`ScheduleObjective`] declares
+//!   its runs through [`BudgetedObjective::groups`], so the lazy heap holds
+//!   one entry per run, keyed by its best member. A stale pop refreshes all
+//!   run-mates with one pass and re-keys the run once, instead of sending
+//!   each run-mate through the heap to replay its memoized gain.
 //! * **Component-memoized gains** — slots are partitioned into connected
 //!   components of the slot–job graph. The matching-rank utility decomposes
-//!   over components, so a candidate's exact gain can only change when a
-//!   commit touches one of *its* components. [`ScheduleObjective`] version-
-//!   stamps components on mutation and replays cached gains for untouched
-//!   ones — sound, and bit-identical by construction.
+//!   over components, so a run's exact gains can only change when a commit
+//!   touches one of *its* components. [`ScheduleObjective`] version-stamps
+//!   components on mutation and replays a run's cached gains when no stamp
+//!   on the run moved since its last pass — sound, and bit-identical by
+//!   construction.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -320,10 +326,10 @@ pub struct ObjectiveScratch {
     gain: GainScratch,
     /// Objective token the memo below was filled against.
     memo_token: u64,
-    /// Version at which candidate `i` was last evaluated (0 = never).
-    memo_eval: Vec<u64>,
-    /// Cached raw gain of candidate `i` (valid iff `memo_eval[i]` covers
-    /// the candidate's latest component stamp).
+    /// Version at which run `r` was last evaluated (0 = never).
+    run_eval: Vec<u64>,
+    /// Cached raw gain of candidate `i` (valid iff its run's `run_eval`
+    /// covers the run's latest component stamp).
     memo_val: Vec<f64>,
     /// Cumulative-gain buffer for prefix scans.
     cum: Vec<f64>,
@@ -339,7 +345,7 @@ impl Default for ObjectiveScratch {
         Self {
             gain: GainScratch::new(),
             memo_token: 0,
-            memo_eval: Vec::new(),
+            run_eval: Vec::new(),
             memo_val: Vec::new(),
             cum: Vec::new(),
             memo_hits: 0,
@@ -355,14 +361,24 @@ impl ObjectiveScratch {
         (self.memo_hits, self.memo_misses)
     }
 
-    fn ensure(&mut self, token: u64, m: usize) {
-        if self.memo_token != token || self.memo_val.len() != m {
-            self.memo_token = token;
-            self.memo_eval.clear();
-            self.memo_eval.resize(m, 0);
-            self.memo_val.clear();
-            self.memo_val.resize(m, 0.0);
+    /// Sizes the memo for `red` and forgets it if it was filled against
+    /// another objective.
+    fn ensure(&mut self, token: u64, red: &ScheduleReduction) {
+        if self.memo_token != token
+            || self.memo_val.len() != red.num_candidates()
+            || self.run_eval.len() != red.runs().len()
+        {
+            self.reset(token, red);
         }
+    }
+
+    /// Forgets every memoized gain and sizes the memo for `red`.
+    fn reset(&mut self, token: u64, red: &ScheduleReduction) {
+        self.memo_token = token;
+        self.run_eval.clear();
+        self.run_eval.resize(red.runs().len(), 0);
+        self.memo_val.clear();
+        self.memo_val.resize(red.num_candidates(), 0.0);
     }
 }
 
@@ -406,8 +422,8 @@ impl<'r> ScheduleObjective<'r> {
         &self.oracle
     }
 
-    /// Latest version stamped on any component of the whole run `r` — an
-    /// upper bound on every member's own stamp.
+    /// Latest version stamped on any component of run `r`: the run's memo
+    /// entry, evaluated at version `≥` this, is still exact.
     #[inline]
     fn stamp_of_run(&self, r: usize) -> u64 {
         self.red
@@ -418,24 +434,10 @@ impl<'r> ScheduleObjective<'r> {
             .unwrap_or(0)
     }
 
-    /// Latest version stamped on any of candidate `i`'s own components: a
-    /// memo entry evaluated at version `≥` this is still exact.
-    #[inline]
-    fn stamp_of(&self, i: usize) -> u64 {
-        self.red
-            .comps_of(i)
-            .iter()
-            .map(|&c| self.comp_version[c as usize])
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Re-evaluates every candidate of run `r` with one incremental overlay
-    /// pass over the run's longest member and memoizes the results. Batch
-    /// refresh pays double: a full scan gets each run in `O(L)` instead of
-    /// `O(L²)` slot augmentations, and a single stale lazy-heap entry
-    /// refreshes all its run-mates (the likeliest next pops) for the price
-    /// of one pass.
+    /// pass over the run's longest member and memoizes the results: `O(L)`
+    /// slot augmentations for the run's `L` nested candidates instead of
+    /// `O(L²)`.
     fn refresh_run(&self, r: usize, scratch: &mut ObjectiveScratch) {
         let (lo, hi) = self.red.runs()[r];
         let (lo, hi) = (lo as usize, hi as usize);
@@ -446,15 +448,30 @@ impl<'r> ScheduleObjective<'r> {
         for j in lo..hi {
             let len = self.red.slots_of(j).len();
             scratch.memo_val[j] = if len == 0 { 0.0 } else { cum[len - 1] };
-            scratch.memo_eval[j] = self.version;
         }
+        scratch.run_eval[r] = self.version;
         scratch.cum = cum;
     }
 
-    /// Pre-seeds `scratch`'s gain memo: candidate `i` with `clean[i]` set is
-    /// stamped as already evaluated with value `vals[i]`; the rest stay
-    /// unevaluated. A subsequent [`BudgetedObjective::scan_gains`] then
-    /// replays the seeded values and recomputes only the unseeded ones — the
+    /// Brings run `r`'s memoized gains up to date: replays them when no
+    /// component stamp on the run moved since its last pass, else runs one
+    /// pass. Every member counts as one memo hit or miss.
+    fn fresh_run(&self, r: usize, scratch: &mut ObjectiveScratch) {
+        let (lo, hi) = self.red.runs()[r];
+        let members = u64::from(hi - lo);
+        let eval = scratch.run_eval[r];
+        if eval != 0 && eval >= self.stamp_of_run(r) {
+            scratch.memo_hits += members;
+        } else {
+            scratch.memo_misses += members;
+            self.refresh_run(r, scratch);
+        }
+    }
+
+    /// Pre-seeds `scratch`'s gain memo: every run whose members are all
+    /// `clean` is stamped as already evaluated with values `vals`; the rest
+    /// stay unevaluated. A subsequent [`BudgetedObjective::scan_gains`] then
+    /// replays the seeded runs and recomputes only the others — the
     /// warm-start path of incremental re-solving.
     ///
     /// Only sound on a *fresh* objective (no commits yet): the seed is
@@ -467,15 +484,12 @@ impl<'r> ScheduleObjective<'r> {
         debug_assert_eq!(vals.len(), m);
         debug_assert_eq!(clean.len(), m);
         debug_assert_eq!(self.version, 1, "seeding requires a fresh objective");
-        scratch.memo_token = self.token;
-        scratch.memo_eval.clear();
-        scratch.memo_eval.resize(m, 0);
-        scratch.memo_val.clear();
-        scratch.memo_val.resize(m, 0.0);
-        for i in 0..m {
-            if clean[i] {
-                scratch.memo_eval[i] = self.version;
-                scratch.memo_val[i] = vals[i];
+        scratch.reset(self.token, self.red);
+        for (r, &(lo, hi)) in self.red.runs().iter().enumerate() {
+            let (lo, hi) = (lo as usize, hi as usize);
+            if clean[lo..hi].iter().all(|&c| c) {
+                scratch.run_eval[r] = self.version;
+                scratch.memo_val[lo..hi].copy_from_slice(&vals[lo..hi]);
             }
         }
     }
@@ -524,14 +538,21 @@ impl BudgetedObjective for ScheduleObjective<'_> {
     }
 
     fn gain(&self, i: usize, scratch: &mut Self::Scratch) -> f64 {
-        scratch.ensure(self.token, self.red.num_candidates());
-        if scratch.memo_eval[i] == 0 || scratch.memo_eval[i] < self.stamp_of(i) {
-            scratch.memo_misses += 1;
-            self.refresh_run(self.red.run_of[i] as usize, scratch);
-        } else {
-            scratch.memo_hits += 1;
-        }
+        scratch.ensure(self.token, self.red);
+        self.fresh_run(self.red.run_of[i] as usize, scratch);
         scratch.memo_val[i]
+    }
+
+    fn groups(&self) -> &[(u32, u32)] {
+        self.red.runs()
+    }
+
+    fn group_gains(&self, lo: usize, scratch: &mut Self::Scratch, out: &mut [f64]) {
+        scratch.ensure(self.token, self.red);
+        let r = self.red.run_of[lo] as usize;
+        debug_assert_eq!(self.red.runs()[r], (lo as u32, (lo + out.len()) as u32));
+        self.fresh_run(r, scratch);
+        out.copy_from_slice(&scratch.memo_val[lo..lo + out.len()]);
     }
 
     fn commit(&mut self, i: usize) -> f64 {
@@ -570,40 +591,26 @@ impl BudgetedObjective for ScheduleObjective<'_> {
 
     fn scan_gains(&self, parallel: bool, scratch: &mut Self::Scratch, out: &mut Vec<f64>) {
         let _span = sched_obs::span!("core.objective.scan_gains_ns");
-        let m = self.red.num_candidates();
         out.clear();
-        out.resize(m, 0.0);
         if parallel {
             use rayon::prelude::*;
             let runs = self.red.runs();
             let chunks: Vec<Vec<f64>> = (0..runs.len())
                 .into_par_iter()
                 .map_init(ObjectiveScratch::default, |s, r| {
-                    s.ensure(self.token, m);
+                    s.ensure(self.token, self.red);
                     self.refresh_run(r, s);
                     let (lo, hi) = (runs[r].0 as usize, runs[r].1 as usize);
                     s.memo_val[lo..hi].to_vec()
                 })
                 .collect();
-            for (&(lo, hi), chunk) in runs.iter().zip(chunks) {
-                out[lo as usize..hi as usize].copy_from_slice(&chunk);
-            }
+            out.extend(chunks.into_iter().flatten());
         } else {
-            scratch.ensure(self.token, m);
+            scratch.ensure(self.token, self.red);
             for r in 0..self.red.runs().len() {
-                let (lo, hi) = self.red.runs()[r];
-                let (lo, hi) = (lo as usize, hi as usize);
-                // conservative whole-run fast path: if every member's memo
-                // covers even the run-wide stamp, replay without a pass
-                let stamp = self.stamp_of_run(r);
-                if !(lo..hi).all(|j| scratch.memo_eval[j] != 0 && scratch.memo_eval[j] >= stamp) {
-                    scratch.memo_misses += (hi - lo) as u64;
-                    self.refresh_run(r, scratch);
-                } else {
-                    scratch.memo_hits += (hi - lo) as u64;
-                }
-                out[lo..hi].copy_from_slice(&scratch.memo_val[lo..hi]);
+                self.fresh_run(r, scratch);
             }
+            out.extend_from_slice(&scratch.memo_val);
         }
     }
 }
@@ -710,24 +717,55 @@ mod tests {
         let on_p0 = (0..cands.len()).find(|&i| cands[i].proc == 0).unwrap();
         let run_p0 = red.run_of[on_p0] as usize;
         let run_p1 = red.run_of[on_p1] as usize;
-        let g0_before = obj.gain(on_p0, &mut scratch);
+        obj.gain(on_p0, &mut scratch);
         let g1_before = obj.gain(on_p1, &mut scratch);
-        // commit on processor 0: processor 1 candidates keep their memo
+        // commit on processor 0: processor 1's run keeps its memo
         obj.commit(on_p0);
-        let _ = (run_p0, run_p1);
         assert!(
-            scratch.memo_eval[on_p1] >= obj.stamp_of(on_p1),
+            scratch.run_eval[run_p1] >= obj.stamp_of_run(run_p1),
             "p1 memo valid"
         );
         assert!(
-            scratch.memo_eval[on_p0] < obj.stamp_of(on_p0),
+            scratch.run_eval[run_p0] < obj.stamp_of_run(run_p0),
             "p0 memo stale"
         );
+        let misses = scratch.memo_counts().1;
         assert_eq!(obj.gain(on_p1, &mut scratch), g1_before);
+        assert_eq!(scratch.memo_counts().1, misses, "p1 replayed, no pass");
         // and the replayed value matches a fresh evaluation
         let mut fresh = ObjectiveScratch::default();
         assert_eq!(obj.gain(on_p1, &mut fresh), g1_before);
-        let _ = (g0_before, g1_before);
+    }
+
+    #[test]
+    fn group_gains_match_individual_gains_after_commits() {
+        let inst = Instance::new(
+            2,
+            6,
+            vec![
+                Job::window(1.0, 0, 0, 3),
+                Job::window(1.0, 0, 2, 5),
+                Job::window(1.0, 1, 1, 4),
+                Job::window(1.0, 1, 3, 6),
+            ],
+        );
+        let cands = enumerate_candidates(&inst, &AffineCost::new(2.0, 1.0), CandidatePolicy::All);
+        let red = ScheduleReduction::build(&inst, &cands);
+        let mut obj = ScheduleObjective::new_cardinality(&red);
+        assert_eq!(obj.groups(), red.runs());
+        let mut scratch = ObjectiveScratch::default();
+        for round in 0..3 {
+            for &(lo, hi) in red.runs() {
+                let (lo, hi) = (lo as usize, hi as usize);
+                let mut group = vec![0.0; hi - lo];
+                obj.group_gains(lo, &mut scratch, &mut group);
+                let mut fresh = ObjectiveScratch::default();
+                for (k, &g) in group.iter().enumerate() {
+                    assert_eq!(g, obj.gain(lo + k, &mut fresh), "round {round}");
+                }
+            }
+            obj.commit(round * 5 % cands.len());
+        }
     }
 
     #[test]

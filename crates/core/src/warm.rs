@@ -39,11 +39,14 @@
 //! performance knob: even a "wrong" pairing only shrinks the clean set it
 //! could have kept, never admits a stale gain.
 //!
-//! Seeded solves replay clean gains and recompute dirty ones in one explicit
-//! initial scan, then run the same lazy greedy on the same scratch; all
-//! subsequent gain refreshes are driven by the component-versioned memo
+//! The memo is kept per nested-prefix run, so a run is seeded only when
+//! every member is clean; a run with any dirty member is recomputed whole
+//! (one pass). Seeded solves replay clean runs and recompute the others in
+//! one explicit initial scan, then run the same lazy greedy on the same
+//! scratch. The greedy keys one heap entry per run and refreshes a stale run
+//! in one pass, or replays it when no component stamp on the run moved —
 //! exactly as in a cold solve. The result is bit-identical to
-//! [`crate::schedule_all`] (and hence to `crate::naive`) by construction.
+//! [`crate::schedule_all()`] (and hence to `crate::naive`) by construction.
 //!
 //! # Checksum fallback
 //!

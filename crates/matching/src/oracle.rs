@@ -123,13 +123,12 @@ impl GainScratch {
     }
 
     fn ensure(&mut self, nx: usize, ny: usize) {
-        if self.mx_ver.len() != nx {
+        // Restarting the epoch must clear *every* stamp array: a surviving
+        // stamp from the old epochs would read as current again.
+        if self.mx_ver.len() != nx || self.my_ver.len() != ny {
             self.mx_ov = vec![NONE; nx];
             self.mx_ver = vec![0; nx];
             self.added_ver = vec![0; nx];
-            self.ep = 0;
-        }
-        if self.my_ver.len() != ny {
             self.my_ov = vec![NONE; ny];
             self.my_ver = vec![0; ny];
             self.ep = 0;

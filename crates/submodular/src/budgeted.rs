@@ -24,11 +24,32 @@
 //! # Lazy evaluation
 //!
 //! Because `F` is submodular and the clamp `min(x, ·)` only tightens as
-//! `F(S)` grows, each candidate's ratio is non-increasing over the run; stale
-//! heap entries are therefore valid upper bounds, and the classical
-//! lazy-greedy (re-evaluate the top of the heap until the top is fresh) makes
-//! exactly the same choices as the eager scan up to ties, which we break
-//! deterministically by `(ratio, cost, index)`.
+//! `F(S)` grows, each candidate's clamped ratio is non-increasing over the
+//! run, so a ratio computed in an earlier round is an upper bound on the
+//! current one. The lazy greedy exploits this per **group**: a set of
+//! consecutive candidates whose gains one evaluation pass computes together
+//! ([`BudgetedObjective::groups`]; `sched-core` declares its nested-prefix
+//! runs). The heap holds one entry per group, keyed by the group's best
+//! member under the order `(ratio desc, cost asc, index asc)`.
+//!
+//! * **Stale keys stay upper bounds.** A member's current key is at most its
+//!   stored one, and the stored best member's key is at least every stored
+//!   member key. On an exact ratio tie the stored best already wins on
+//!   `(cost, index)`, which never change, so a stale group key bounds every
+//!   member's current key under the full order.
+//! * **Refresh.** Popping a stale group re-evaluates all its members with one
+//!   [`BudgetedObjective::group_gains`] call and re-keys the group. If the
+//!   refreshed best ratio is strictly above the next heap key it is the
+//!   exact argmax and is committed directly; otherwise the group goes back
+//!   with a fresh key, and a fresh key at the top is the exact argmax.
+//! * **After a commit** the committed member's gain is exactly 0 (its
+//!   subset now lies inside `S`), so its ratio becomes 0 and the group is
+//!   re-keyed by its best remaining member. A group whose best ratio is 0
+//!   can never rise again and leaves the heap.
+//!
+//! Every pick is therefore the exact argmax the eager scan makes, ties
+//! included. Objectives that declare no groups get singleton groups, which
+//! is the classical per-candidate lazy greedy.
 
 use rayon::prelude::*;
 use std::cmp::Ordering;
@@ -83,6 +104,27 @@ pub trait BudgetedObjective: Sync {
             out.extend(gains);
         } else {
             out.extend((0..m).map(|i| self.gain(i, scratch)));
+        }
+    }
+
+    /// Groups of subsets whose gains one evaluation pass computes together,
+    /// as consecutive index ranges `[lo, hi)` that partition `0..m` in
+    /// order. The lazy greedy keeps one heap entry per group and refreshes a
+    /// stale group with one [`BudgetedObjective::group_gains`] call.
+    ///
+    /// The default (empty) declares no groups: every subset is its own
+    /// group.
+    fn groups(&self) -> &[(u32, u32)] {
+        &[]
+    }
+
+    /// Raw marginal gains of the group members `lo..lo + out.len()` against
+    /// the current solution, written into `out`. The default calls
+    /// [`BudgetedObjective::gain`] once per member; overrides must return
+    /// bit-identical values.
+    fn group_gains(&self, lo: usize, scratch: &mut Self::Scratch, out: &mut [f64]) {
+        for (k, g) in out.iter_mut().enumerate() {
+            *g = self.gain(lo + k, scratch);
         }
     }
 }
@@ -148,8 +190,10 @@ pub struct GreedyOutcome {
     pub utility: f64,
     /// Whether utility ≥ `(1−ε)·target` was reached.
     pub reached_target: bool,
-    /// Number of exact gain evaluations performed (lazy-greedy effectiveness
-    /// metric).
+    /// Number of gain evaluations performed (lazy-greedy effectiveness
+    /// metric): `m` per full scan (the eager loop scans every iteration),
+    /// plus one per group refresh in the lazy loop. With singleton groups a
+    /// refresh is one candidate's gain.
     pub evaluations: usize,
     /// Per-iteration trace.
     pub trace: Vec<IterRecord>,
@@ -324,11 +368,15 @@ fn better<O: BudgetedObjective>(
     }
 }
 
+/// The lazy heap's entry for one group, keyed by the group's best member.
 #[derive(PartialEq)]
 struct HeapEntry {
     ratio: f64,
     cost: f64,
+    /// The best member: the candidate the key belongs to.
     idx: usize,
+    group: usize,
+    /// Commit round in which the group was last evaluated.
     round: usize,
 }
 
@@ -356,6 +404,41 @@ impl PartialOrd for HeapEntry {
     }
 }
 
+/// The objective's groups as `[lo, hi)` ranges; singletons when it declares
+/// none.
+///
+/// # Panics
+/// Panics if the declared groups do not partition `0..m` into consecutive
+/// non-empty ranges.
+fn group_ranges<O: BudgetedObjective>(obj: &O) -> Vec<(usize, usize)> {
+    let m = obj.num_subsets();
+    let declared = obj.groups();
+    if declared.is_empty() {
+        return (0..m).map(|i| (i, i + 1)).collect();
+    }
+    let mut next = 0;
+    for &(lo, hi) in declared {
+        assert!(
+            lo as usize == next && hi > lo,
+            "groups must partition 0..{m} into consecutive non-empty ranges"
+        );
+        next = hi as usize;
+    }
+    assert_eq!(next, m, "groups must cover all {m} subsets");
+    declared
+        .iter()
+        .map(|&(lo, hi)| (lo as usize, hi as usize))
+        .collect()
+}
+
+/// The best member of `lo..hi` under the greedy's order.
+fn best_member<O: BudgetedObjective>(obj: &O, ratio: &[f64], lo: usize, hi: usize) -> usize {
+    let none = (f64::NEG_INFINITY, 0.0, usize::MAX);
+    (lo..hi)
+        .fold(none, |best, i| better(best, (ratio[i], 0.0, i), obj))
+        .2
+}
+
 fn lazy_loop<O: BudgetedObjective>(
     obj: &mut O,
     cfg: GreedyConfig,
@@ -364,94 +447,103 @@ fn lazy_loop<O: BudgetedObjective>(
     out: &mut GreedyOutcome,
 ) {
     let m = obj.num_subsets();
-    let mut round = 0usize;
-    let cur0 = out.utility;
+    let groups = group_ranges(obj);
+    // Raw gains -> clamped ratios, in place, for the members from `lo` on.
+    let to_ratios = |obj: &O, ratio: &mut [f64], lo: usize, current: f64| {
+        for (k, r) in ratio.iter_mut().enumerate() {
+            *r = clamp_gain(*r, current, cfg.target) / obj.cost(lo + k);
+        }
+    };
+    // The group's entry, keyed by its best member and stamped with `round`;
+    // `None` when that member's ratio is 0: ratios never rise, so such a
+    // group can never be picked again.
+    let key = |obj: &O, ratio: &[f64], group: usize, round: usize| {
+        let (lo, hi) = groups[group];
+        let idx = best_member(obj, ratio, lo, hi);
+        (ratio[idx] > 0.0).then(|| HeapEntry {
+            ratio: ratio[idx],
+            cost: obj.cost(idx),
+            idx,
+            group,
+            round,
+        })
+    };
 
     // Initial evaluation of every candidate in one structured scan
     // (optionally parallel) — on run-structured objectives this is O(m)
-    // oracle work instead of O(m · |T|).
-    let mut initial: Vec<f64> = Vec::new();
-    obj.scan_gains(cfg.parallel, scratch, &mut initial);
+    // oracle work instead of O(m · |T|). From here on `ratio[i]` holds
+    // candidate i's clamped ratio as of its group's last evaluation.
+    let mut ratio: Vec<f64> = Vec::new();
+    obj.scan_gains(cfg.parallel, scratch, &mut ratio);
     out.evaluations += m;
-
-    let mut heap: BinaryHeap<HeapEntry> = initial
-        .into_iter()
-        .enumerate()
-        .map(|(idx, raw)| {
-            let cost = obj.cost(idx);
-            HeapEntry {
-                ratio: clamp_gain(raw, cur0, cfg.target) / cost,
-                cost,
-                idx,
-                round: 0,
-            }
-        })
+    to_ratios(obj, &mut ratio, 0, out.utility);
+    let mut heap: BinaryHeap<HeapEntry> = (0..groups.len())
+        .filter_map(|g| key(obj, &ratio, g, 0))
         .collect();
 
-    // Re-evaluations since the last commit; reported in the decision log so
+    let mut round = 0usize;
+    // Group refreshes since the last commit; reported in the decision log so
     // a trace shows how hard the lazy heap worked for each pick.
-    let mut reevals_since_commit = 0u64;
-    // The runner-up at a lazy commit is the next heap key: a *stale upper
-    // bound* on the true second-best ratio, which is exactly the certificate
-    // the lazy rule used to justify the pick.
-    let runner_up_of = |heap: &BinaryHeap<HeapEntry>| {
-        heap.peek()
-            .map(|next| (next.idx, next.ratio, next.ratio * next.cost))
-    };
+    let mut refreshes_since_commit = 0u64;
     while out.utility < goal {
         let Some(top) = heap.pop() else { break };
-        if top.ratio <= 0.0 {
-            break; // every remaining candidate has zero clamped gain
-        }
-        if top.round == round {
+        let (lo, hi) = groups[top.group];
+        let pick = if top.round == round {
             // fresh: this is the true argmax
-            let trace = PickTrace {
-                runner_up: runner_up_of(&heap),
-                reevals: reevals_since_commit,
-            };
-            commit_pick(obj, cfg, top.idx, out, trace);
-            reevals_since_commit = 0;
-            round += 1;
+            top
         } else {
-            // stale: re-evaluate against the current solution (cheap for
-            // memo-clean candidates, one batched run pass otherwise)
-            let g = clamp_gain(obj.gain(top.idx, scratch), out.utility, cfg.target);
+            // stale: refresh the whole group in one pass and re-key it
+            obj.group_gains(lo, scratch, &mut ratio[lo..hi]);
+            to_ratios(obj, &mut ratio[lo..hi], lo, out.utility);
             out.evaluations += 1;
-            reevals_since_commit += 1;
-            let ratio = g / top.cost;
-            // Every other entry's true ratio is bounded above by its stale
-            // heap key; if the refreshed ratio still strictly beats the next
-            // key, this candidate is the unique argmax — commit directly
-            // instead of cycling it through the heap.
-            if g > 0.0 && heap.peek().is_none_or(|next| ratio > next.ratio) {
-                let trace = PickTrace {
-                    runner_up: runner_up_of(&heap),
-                    reevals: reevals_since_commit,
-                };
-                commit_pick(obj, cfg, top.idx, out, trace);
-                reevals_since_commit = 0;
-                round += 1;
-            } else {
-                heap.push(HeapEntry {
-                    ratio,
-                    cost: top.cost,
-                    idx: top.idx,
-                    round,
-                });
+            refreshes_since_commit += 1;
+            let Some(fresh) = key(obj, &ratio, top.group, round) else {
+                continue;
+            };
+            // Every other group's members are bounded above by its stale
+            // key; if the refreshed best strictly beats the next key, it is
+            // the unique argmax — commit directly instead of cycling the
+            // group through the heap.
+            if heap.peek().is_some_and(|next| fresh.ratio <= next.ratio) {
+                heap.push(fresh);
+                continue;
             }
-        }
+            fresh
+        };
+        // The committed member's gain is now exactly 0; the rest of its
+        // group keeps its (now stale) ratios.
+        ratio[pick.idx] = 0.0;
+        let rest = key(obj, &ratio, pick.group, round);
+        // The runner-up is the better of the next heap key (a stale upper
+        // bound on its group, which is the certificate the lazy rule used)
+        // and the committed group's best remaining member.
+        let runner_up = heap
+            .peek()
+            .into_iter()
+            .chain(rest.as_ref())
+            .max()
+            .map(|e| (e.idx, e.ratio, e.ratio * e.cost));
+        let trace = PickTrace {
+            runner_up,
+            reevals: refreshes_since_commit,
+        };
+        commit_pick(obj, cfg, pick.idx, out, trace);
+        heap.extend(rest);
+        refreshes_since_commit = 0;
+        round += 1;
     }
     out.reached_target = out.utility >= goal;
 }
 
-/// Decision-log context for one committed pick. Populated only when a tracer
+/// Decision-log context for one committed pick. Emitted only when a tracer
 /// is ambiently installed; carrying it through [`commit_pick`] keeps the
 /// event emission in one place without touching the pick loops' hot paths.
 struct PickTrace {
     /// Runner-up candidate as `(idx, ratio, gain)`. Exact second-best in
-    /// eager mode; the next (stale upper-bound) heap key in lazy mode.
+    /// eager mode; in lazy mode the better of the next (stale upper-bound)
+    /// heap key and the committed group's best remaining member.
     runner_up: Option<(usize, f64, f64)>,
-    /// Lazy-heap re-evaluations spent since the previous commit.
+    /// Lazy-heap group refreshes spent since the previous commit.
     reevals: u64,
 }
 

@@ -1,12 +1,187 @@
 //! Property tests for the budgeted greedy across objective implementations:
-//! lazy ≡ eager ≡ parallel, fast coverage objective ≡ generic objective,
-//! trace/accounting invariants, and Lemma 2.1.1 (the paper's key lemma).
+//! lazy ≡ eager ≡ parallel, grouped lazy keys ≡ singleton keys, fast
+//! coverage objective ≡ generic objective, trace/accounting invariants, and
+//! Lemma 2.1.1 (the paper's key lemma).
 
 use proptest::prelude::*;
+use submodular::budgeted::SetSystemScratch;
 use submodular::functions::CoverageFn;
 use submodular::{
-    budgeted_greedy, BitSet, CoverageObjective, GreedyConfig, SetFn, SetSystemObjective,
+    budgeted_greedy, BitSet, BudgetedObjective, CoverageObjective, GreedyConfig, GreedyOutcome,
+    SetFn, SetSystemObjective,
 };
+
+/// A set system that declares consecutive groups of its subsets, so the
+/// lazy greedy keeps one heap entry per group and refreshes a group's
+/// members together.
+struct Grouped<'f> {
+    inner: SetSystemObjective<'f, CoverageFn>,
+    groups: Vec<(u32, u32)>,
+}
+
+impl BudgetedObjective for Grouped<'_> {
+    type Scratch = SetSystemScratch;
+
+    fn num_subsets(&self) -> usize {
+        self.inner.num_subsets()
+    }
+
+    fn cost(&self, i: usize) -> f64 {
+        self.inner.cost(i)
+    }
+
+    fn current(&self) -> f64 {
+        self.inner.current()
+    }
+
+    fn gain(&self, i: usize, scratch: &mut Self::Scratch) -> f64 {
+        self.inner.gain(i, scratch)
+    }
+
+    fn commit(&mut self, i: usize) -> f64 {
+        self.inner.commit(i)
+    }
+
+    fn groups(&self) -> &[(u32, u32)] {
+        &self.groups
+    }
+}
+
+/// Splits `0..m` into consecutive groups, cutting after every `i` with
+/// `cuts[i]` set.
+fn groups_from_cuts(m: usize, cuts: &[bool]) -> Vec<(u32, u32)> {
+    let mut groups = Vec::new();
+    let mut lo = 0;
+    for i in 0..m {
+        if i + 1 == m || cuts[i % cuts.len()] {
+            groups.push((lo as u32, i as u32 + 1));
+            lo = i + 1;
+        }
+    }
+    groups
+}
+
+/// Runs the greedy on `subsets`, eagerly or lazily, with the given groups
+/// (`None`: the plain set system, whose groups are singletons).
+fn run_grouped(
+    f: &CoverageFn,
+    subsets: &[Vec<u32>],
+    costs: &[f64],
+    cfg: GreedyConfig,
+    groups: Option<Vec<(u32, u32)>>,
+) -> GreedyOutcome {
+    let mut inner = SetSystemObjective::new(f, subsets.to_vec(), costs.to_vec());
+    match groups {
+        Some(groups) => budgeted_greedy(&mut Grouped { inner, groups }, cfg),
+        None => budgeted_greedy(&mut inner, cfg),
+    }
+}
+
+/// Runs one identity-coverage instance (every subset is a set of items)
+/// eagerly, lazily with singleton groups, and lazily with `groups`, and
+/// checks all three pick `expected`.
+fn assert_tie_order(
+    items: usize,
+    subsets: &[Vec<u32>],
+    costs: &[f64],
+    groups: &[(u32, u32)],
+    expected: &[usize],
+) {
+    let f = CoverageFn::unweighted(items, (0..items).map(|i| vec![i as u32]).collect());
+    let (target, eps) = (items as f64, 0.5 / items as f64);
+    let lazy = GreedyConfig::lazy(target, eps);
+    let grouped = run_grouped(&f, subsets, costs, lazy, Some(groups.to_vec()));
+    let singles = run_grouped(&f, subsets, costs, lazy, None);
+    let eager = run_grouped(&f, subsets, costs, GreedyConfig::new(target, eps), None);
+    assert_eq!(eager.chosen, expected, "eager");
+    assert_eq!(singles.chosen, expected, "singleton groups");
+    assert_eq!(grouped.chosen, expected, "declared groups");
+}
+
+#[test]
+fn grouped_keys_break_exact_ties_by_cost_then_index() {
+    // Every subset starts at ratio 1, so each pick is decided by the
+    // (cost, index) tie-break, inside a group and across the groups [0, 3)
+    // and [3, 5).
+    let subsets = [
+        vec![0, 1],    // cost 2
+        vec![2],       // cost 1: ties subset 3 on cost, wins on index
+        vec![3, 4, 5], // cost 3
+        vec![6],       // cost 1
+        vec![0, 6, 7], // cost 3
+    ];
+    let costs = [2.0, 1.0, 3.0, 1.0, 3.0];
+    assert_tie_order(8, &subsets, &costs, &[(0, 3), (3, 5)], &[1, 3, 0, 2, 4]);
+}
+
+#[test]
+fn refreshed_group_that_only_ties_the_next_key_waits_its_turn() {
+    // After subset 0 is picked, its group's stale key (subset 1, ratio 1.5)
+    // tops the heap. The refresh drops subset 1 to ratio 1, a tie with the
+    // other group's key (subset 2, ratio 1) that subset 2 wins on cost, so
+    // the refreshed group must go back to the heap, not be committed.
+    let subsets = [
+        vec![0, 1],    // cost 1: ratio 2
+        vec![1, 2, 3], // cost 2: ratio 1.5, then 1 once item 1 is covered
+        vec![4],       // cost 1: ratio 1
+    ];
+    let costs = [1.0, 2.0, 1.0];
+    assert_tie_order(5, &subsets, &costs, &[(0, 2), (2, 3)], &[0, 2, 1]);
+}
+
+#[test]
+fn decision_log_counts_group_refreshes_and_names_the_runner_up() {
+    use sched_obs::trace::{self, ArgValue, Tracer};
+    use std::sync::Arc;
+
+    // The instance above: pick 0 needs no refresh, and its runner-up is its
+    // own group's remaining member (stale ratio 1.5 beats the other group's
+    // key 1). Pick 2 takes two refreshes (both groups tie at ratio 1) and
+    // its runner-up is the next heap key. Pick 1 takes one refresh and has
+    // no runner-up left.
+    let f = CoverageFn::unweighted(5, (0..5).map(|i| vec![i as u32]).collect());
+    let subsets = [vec![0, 1], vec![1, 2, 3], vec![4]];
+    let tracer = Arc::new(Tracer::new());
+    trace::set_thread(Some(Arc::clone(&tracer)));
+    let out = run_grouped(
+        &f,
+        &subsets,
+        &[1.0, 2.0, 1.0],
+        GreedyConfig::lazy(5.0, 0.1),
+        Some(vec![(0, 2), (2, 3)]),
+    );
+    trace::set_thread(None);
+    assert_eq!(out.chosen, vec![0, 2, 1]);
+
+    let num = |args: &[(&str, ArgValue)], key: &str| {
+        args.iter().find(|(k, _)| *k == key).map(|(_, v)| match v {
+            ArgValue::U64(x) => *x as f64,
+            ArgValue::F64(x) => *x,
+            other => panic!("{key} is not a number: {other:?}"),
+        })
+    };
+    let log: Vec<_> = tracer
+        .events()
+        .into_iter()
+        .filter(|e| e.name == "submodular.greedy.pick")
+        .map(|e| {
+            (
+                num(&e.args, "chosen"),
+                num(&e.args, "reevals"),
+                num(&e.args, "runner_up"),
+                num(&e.args, "runner_up_ratio"),
+            )
+        })
+        .collect();
+    assert_eq!(
+        log,
+        vec![
+            (Some(0.0), Some(0.0), Some(1.0), Some(1.5)),
+            (Some(2.0), Some(2.0), Some(1.0), Some(1.0)),
+            (Some(1.0), Some(1.0), None, None),
+        ]
+    );
+}
 
 #[derive(Debug, Clone)]
 struct Inst {
@@ -71,6 +246,33 @@ proptest! {
         let fast_out = budgeted_greedy(&mut fast, GreedyConfig { target, epsilon: eps, lazy: false, parallel: false });
         prop_assert_eq!(&eager.chosen, &fast_out.chosen);
         prop_assert!((eager.utility - fast_out.utility).abs() < 1e-9);
+    }
+
+    #[test]
+    fn grouped_lazy_matches_eager_and_singleton_groups(
+        inst in instance_strategy(),
+        cuts in proptest::collection::vec(any::<bool>(), 1..8),
+        eps_exp in 1i32..6,
+        target_frac in 0.1f64..1.0,
+    ) {
+        let f = CoverageFn::unweighted(inst.universe, inst.covers.clone());
+        let full = f.eval(&BitSet::full(f.ground_size()));
+        let target = full * target_frac;
+        let eps = 2f64.powi(-eps_exp);
+        let groups = groups_from_cuts(inst.subsets.len(), &cuts);
+
+        let run = |lazy: bool, groups: Option<Vec<(u32, u32)>>| {
+            let cfg = GreedyConfig { target, epsilon: eps, lazy, parallel: false };
+            run_grouped(&f, &inst.subsets, &inst.costs, cfg, groups)
+        };
+        let eager = run(false, None);
+        let singles = run(true, None);
+        let grouped = run(true, Some(groups));
+        prop_assert_eq!(&grouped.chosen, &eager.chosen);
+        prop_assert_eq!(&grouped.chosen, &singles.chosen);
+        prop_assert_eq!(grouped.total_cost, eager.total_cost);
+        prop_assert_eq!(grouped.utility, eager.utility);
+        prop_assert!(grouped.evaluations <= eager.evaluations);
     }
 
     #[test]

@@ -584,7 +584,7 @@ fn event_num(e: &obs::trace::TraceEvent, key: &str) -> f64 {
 
 /// `explain INSTANCE.json`: runs the same solve as `solve`, with the tracer
 /// installed, and narrates the greedy's decision log pick by pick — winner
-/// vs runner-up gains, lazy re-evaluations, budget remaining — followed by
+/// vs runner-up gains, lazy group refreshes, budget remaining — followed by
 /// a span-time summary. `--trace-out FILE` additionally exports the full
 /// timeline for Perfetto.
 fn cmd_explain(args: &[String]) -> Result<(), String> {
@@ -638,8 +638,10 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
                 event_num(e, "runner_up_ratio")
             );
         }
+        // `reevals` counts lazy-heap group refreshes (one pass over a
+        // nested-prefix run each) spent on this pick.
         if reevals > 0.0 {
-            print!("  [{reevals} lazy re-evals]");
+            print!("  [{reevals} group refreshes]");
         }
         println!();
     }

@@ -125,3 +125,31 @@ fn gain_scratch_shared_across_different_oracles() {
         assert_eq!(g2a, g2b, "scratch crosstalk on oracle 2");
     }
 }
+
+#[test]
+fn gain_scratch_reuse_when_only_the_job_side_resizes() {
+    // Same slot count, more jobs: the slot-side stamps of the first oracle's
+    // evaluation must not survive into the second one's epochs.
+    let small = BipartiteGraph::from_edges(2, 1, &[(0, 0), (1, 0)]);
+    let large = BipartiteGraph::from_edges(2, 2, &[(0, 0), (1, 1)]);
+    let mut scratch = GainScratch::new();
+    MatchingOracle::new_cardinality(&small).gain_of(&[0, 1], &mut scratch);
+    let oracle = MatchingOracle::new_cardinality(&large);
+    let fresh = oracle.gain_of(&[0, 1], &mut GainScratch::new());
+    assert_eq!(fresh, 2.0);
+    assert_eq!(oracle.gain_of(&[0, 1], &mut scratch), fresh);
+}
+
+#[test]
+fn gain_scratch_reuse_when_only_the_slot_side_resizes() {
+    // Same job count, more slots: the job-side stamps of the first oracle's
+    // evaluation must not survive into the second one's epochs.
+    let small = BipartiteGraph::from_edges(1, 2, &[(0, 0)]);
+    let large = BipartiteGraph::from_edges(2, 2, &[(0, 0), (1, 1)]);
+    let mut scratch = GainScratch::new();
+    MatchingOracle::new_cardinality(&small).gain_of(&[0], &mut scratch);
+    let oracle = MatchingOracle::new_cardinality(&large);
+    let fresh = oracle.gain_of(&[0, 1], &mut GainScratch::new());
+    assert_eq!(fresh, 2.0);
+    assert_eq!(oracle.gain_of(&[0, 1], &mut scratch), fresh);
+}
