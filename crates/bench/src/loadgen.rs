@@ -365,7 +365,7 @@ pub fn run(options: LoadOptions) -> LoadReport {
     );
     let binary = closed_loop_row(
         &addr,
-        Transport::Framed(WireFormat::Binary),
+        Transport::Binary,
         &pool,
         closed_total,
         3,

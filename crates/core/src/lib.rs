@@ -62,7 +62,6 @@
 //!   frequency ladder, compiled onto the classical machinery via a
 //!   lane-expanded virtual grid;
 //! * [`candidates`] — awake-interval candidate generation policies;
-//! * [`bitset`] — `u64`-word slot bitsets used throughout the hot path;
 //! * [`objective`] — the matching-rank [`submodular::BudgetedObjective`]
 //!   adapter driving the greedy (flat CSR slot lists, nested-prefix run
 //!   scans, component-memoized gains);
@@ -76,7 +75,6 @@
 //! * [`mod@schedule_all`], [`mod@prize_collecting`] — the two headline
 //!   algorithms.
 
-pub mod bitset;
 pub mod candidates;
 pub mod cost;
 pub mod dvfs;
@@ -91,7 +89,6 @@ pub mod solver;
 pub mod trace;
 pub mod warm;
 
-pub use bitset::SlotSet;
 pub use candidates::{enumerate_candidates, CandidateInterval, CandidatePolicy};
 pub use cost::{
     AffineCost, ConvexCost, EnergyCost, PerProcessorAffine, TableCost, TimeVaryingCost,

@@ -17,7 +17,7 @@
 //!   arena (`slot_arena` + `slot_off`), not `Vec<Vec<u32>>`: one allocation,
 //!   contiguous iteration, no per-candidate pointer chase.
 //! * **Interesting-slot bitset** — slots adjacent to at least one job are
-//!   precomputed into a [`SlotSet`] once, so filtering a candidate's slots is
+//!   precomputed into a [`BitSet`] once, so filtering a candidate's slots is
 //!   a bit test instead of a CSR degree lookup per (candidate × slot).
 //! * **Prefix runs** — enumerated families arrive grouped by (processor,
 //!   start) with increasing end, so consecutive candidates' slot lists are
@@ -42,9 +42,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use bmatch::{BipartiteGraph, BipartiteGraphBuilder, GainScratch, MatchingOracle};
-use submodular::BudgetedObjective;
+use submodular::{BitSet, BudgetedObjective};
 
-use crate::bitset::SlotSet;
 use crate::candidates::CandidateInterval;
 use crate::model::{Instance, Schedule, SlotRef};
 
@@ -185,7 +184,7 @@ impl ScheduleReduction {
 
         // interesting slots (degree > 0), tested once per dense slot id
         let nx = graph.nx() as usize;
-        let mut interesting = SlotSet::new(nx);
+        let mut interesting = BitSet::new(nx);
         for x in 0..graph.nx() {
             if graph.deg_x(x) > 0 {
                 interesting.insert(x);

@@ -8,8 +8,8 @@
 //! tests use it as an independent cross-check of schedule accounting.
 
 use serde::{Deserialize, Serialize};
+use submodular::BitSet;
 
-use crate::bitset::SlotSet;
 use crate::model::{Instance, Schedule};
 use crate::profile::{PowerProfile, SleepChoice};
 
@@ -135,13 +135,13 @@ pub fn simulate(inst: &Instance, schedule: &Schedule) -> PowerTrace {
     // Merge awake intervals into per-processor slot bitsets first: marking an
     // interval is a handful of masked word stores, and the awake count is a
     // popcount — the per-slot state rows are materialized once at the end.
-    let mut awake = vec![SlotSet::new(t); p];
+    let mut awake = vec![BitSet::new(t); p];
     let mut restarts = vec![0usize; p];
     for iv in &schedule.awake {
         awake[iv.proc as usize].set_range(iv.start, iv.end);
         restarts[iv.proc as usize] += 1;
     }
-    let mut busy = vec![SlotSet::new(t); p];
+    let mut busy = vec![BitSet::new(t); p];
     for asg in schedule.assignments.iter().flatten() {
         busy[asg.proc as usize].insert(asg.time);
     }
@@ -171,7 +171,7 @@ pub fn simulate(inst: &Instance, schedule: &Schedule) -> PowerTrace {
             aw.count()
         })
         .collect();
-    let busy_slots: Vec<usize> = busy.iter().map(SlotSet::count).collect();
+    let busy_slots: Vec<usize> = busy.iter().map(BitSet::count).collect();
 
     PowerTrace {
         states,
@@ -235,7 +235,7 @@ pub fn profile_energy(
     assert_eq!(p, profiles.len(), "one profile per processor required");
     let t = inst.horizon as usize;
 
-    let mut awake = vec![SlotSet::new(t); p];
+    let mut awake = vec![BitSet::new(t); p];
     for iv in &schedule.awake {
         awake[iv.proc as usize].set_range(iv.start, iv.end);
     }

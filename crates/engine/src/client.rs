@@ -2,13 +2,13 @@
 //! shared by `power-sched batch --connect`, the e2e test suites, and the
 //! load generator (`bench::loadgen`).
 //!
-//! A client picks a [`Transport`] up front: v3 frames carrying binary or
-//! JSON payloads (the default is binary — see [`Transport::default`]), or
-//! the legacy JSONL line protocol for talking to old servers and for
-//! debug parity with `nc`. The server negotiates by sniffing the first
-//! byte, so no handshake round-trip is required; callers that want an
-//! explicit negotiation use [`EngineClient::hello`] to fetch the server's
-//! capability card before sending work.
+//! A client picks a [`Transport`] up front: v3 binary frames (the default
+//! — see [`Transport::default`]), or the legacy JSONL line protocol for
+//! talking to old servers and for debug parity with `nc`. The server
+//! negotiates by sniffing the first byte, so no handshake round-trip is
+//! required; callers that want an explicit negotiation use
+//! [`EngineClient::hello`] to fetch the server's capability card before
+//! sending work.
 //!
 //! Two usage shapes:
 //!
@@ -30,19 +30,13 @@ use crate::codec::{self, FrameError, WireFormat};
 use crate::protocol::{ControlRequest, HelloInfo, SolveRequest, SolveResponse, PROTOCOL_VERSION};
 
 /// Which wire transport the client speaks for the whole connection.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Transport {
     /// Legacy JSONL lines (protocol v1/v2 compatible).
     Jsonl,
-    /// v3 length-prefixed frames with the given payload format.
-    Framed(WireFormat),
-}
-
-impl Default for Transport {
-    /// Binary frames — the v3 default.
-    fn default() -> Self {
-        Transport::Framed(WireFormat::Binary)
-    }
+    /// v3 length-prefixed frames with binary payloads (the default).
+    #[default]
+    Binary,
 }
 
 impl std::str::FromStr for Transport {
@@ -50,10 +44,9 @@ impl std::str::FromStr for Transport {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "jsonl" => Ok(Transport::Jsonl),
-            "json" => Ok(Transport::Framed(WireFormat::Json)),
-            "binary" => Ok(Transport::Framed(WireFormat::Binary)),
+            "binary" => Ok(Transport::Binary),
             other => Err(format!(
-                "unknown format '{other}' (expected binary, json, or jsonl)"
+                "unknown format '{other}' (expected binary or jsonl)"
             )),
         }
     }
@@ -63,8 +56,7 @@ impl std::fmt::Display for Transport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
             Transport::Jsonl => "jsonl",
-            Transport::Framed(WireFormat::Json) => "json",
-            Transport::Framed(WireFormat::Binary) => "binary",
+            Transport::Binary => "binary",
         })
     }
 }
@@ -138,21 +130,12 @@ impl EngineClient {
     }
 
     /// Queues one raw JSONL request line, whatever transport is in use.
-    /// On a framed transport the line is re-encoded into a frame; a line
-    /// that is not valid JSON is forwarded as a JSON-format frame verbatim,
-    /// so the *server* still produces its structured `Parse` failure —
-    /// byte-stream and framed batches fail identically.
+    /// Over binary frames the line is re-encoded; a line that is not valid
+    /// JSON is framed verbatim, so the *server* still produces its
+    /// structured `Parse` failure — line and framed batches fail
+    /// identically.
     pub fn send_line(&mut self, line: &str) -> io::Result<()> {
-        match self.transport {
-            Transport::Jsonl => writeln!(self.writer, "{line}"),
-            Transport::Framed(format) => match serde_json::from_str::<Value>(line) {
-                Ok(v) => {
-                    let payload = codec::value_to_payload(format, &v).map_err(invalid)?;
-                    codec::write_frame(&mut self.writer, format, &payload)
-                }
-                Err(_) => codec::write_frame(&mut self.writer, WireFormat::Json, line.as_bytes()),
-            },
-        }
+        write_line(&mut self.writer, self.transport, line)
     }
 
     /// Flushes buffered requests to the socket.
@@ -191,19 +174,7 @@ impl EngineClient {
         std::thread::scope(|scope| {
             let sender = scope.spawn(move || -> io::Result<()> {
                 for line in sent {
-                    match transport {
-                        Transport::Jsonl => writeln!(writer, "{line}")?,
-                        Transport::Framed(format) => match serde_json::from_str::<Value>(line) {
-                            Ok(v) => {
-                                let payload =
-                                    codec::value_to_payload(format, &v).map_err(invalid)?;
-                                codec::write_frame(writer, format, &payload)?;
-                            }
-                            Err(_) => {
-                                codec::write_frame(writer, WireFormat::Json, line.as_bytes())?
-                            }
-                        },
-                    }
+                    write_line(writer, transport, line)?;
                 }
                 if shutdown {
                     let ctl = ControlRequest {
@@ -246,10 +217,24 @@ fn write_serialized<T: Serialize>(
             let line = serde_json::to_string(t).map_err(invalid)?;
             writeln!(writer, "{line}")
         }
-        Transport::Framed(format) => {
-            let payload = codec::value_to_payload(format, t).map_err(invalid)?;
-            codec::write_frame(writer, format, &payload)
-        }
+        Transport::Binary => codec::write_frame(writer, WireFormat::Binary, &codec::to_binary(t)),
+    }
+}
+
+/// Writes one raw JSONL request line in the transport's encoding (see
+/// [`EngineClient::send_line`]). A line framed verbatim never decodes: text
+/// does not begin with a binary value tag (`0x00..=0x08`).
+fn write_line(
+    writer: &mut BufWriter<TcpStream>,
+    transport: Transport,
+    line: &str,
+) -> io::Result<()> {
+    match transport {
+        Transport::Jsonl => writeln!(writer, "{line}"),
+        Transport::Binary => match serde_json::from_str::<Value>(line) {
+            Ok(v) => write_serialized(writer, transport, &v),
+            Err(_) => codec::write_frame(writer, WireFormat::Binary, line.as_bytes()),
+        },
     }
 }
 
@@ -273,7 +258,7 @@ fn recv_value_from<R: Read>(
             }
             serde_json::from_str(line.trim()).map(Some).map_err(invalid)
         }
-        Transport::Framed(_) => match codec::read_frame(reader) {
+        Transport::Binary => match codec::read_frame(reader) {
             Ok(None) => Ok(None),
             Ok(Some((format, payload))) => codec::payload_to_value(format, &payload)
                 .map(Some)
@@ -307,12 +292,8 @@ mod tests {
     }
 
     #[test]
-    fn all_three_transports_negotiate_hello_and_solve() {
-        for transport in [
-            Transport::Jsonl,
-            Transport::Framed(WireFormat::Json),
-            Transport::Framed(WireFormat::Binary),
-        ] {
+    fn both_transports_negotiate_hello_and_solve() {
+        for transport in [Transport::Jsonl, Transport::Binary] {
             with_server(|addr| {
                 let mut client = EngineClient::connect(addr, transport).unwrap();
                 let hello = client.hello().unwrap();
@@ -335,7 +316,7 @@ mod tests {
 
     #[test]
     fn pipeline_preserves_order_and_server_side_parse_errors() {
-        for transport in [Transport::Jsonl, Transport::Framed(WireFormat::Binary)] {
+        for transport in [Transport::Jsonl, Transport::Binary] {
             with_server(|addr| {
                 let mut client = EngineClient::connect(addr, transport).unwrap();
                 let lines = vec![

@@ -7,7 +7,7 @@
 //! ```text
 //! ┌────────────┬──────────────┬───────────────┬──────────────┐
 //! │ magic (2B) │ len (u32 LE) │ format tag 1B │ payload len B│
-//! │ B3 50      │ payload len  │ 1=JSON 2=bin  │              │
+//! │ B3 50      │ payload len  │ 2 = binary    │              │
 //! └────────────┴──────────────┴───────────────┴──────────────┘
 //! ```
 //!
@@ -19,21 +19,17 @@
 //! `Read::take`, so even an accepted length only allocates as bytes
 //! actually arrive.
 //!
-//! # Payload formats
+//! # Payload format
 //!
-//! * [`WireFormat::Json`] (tag 1) — the payload is the UTF-8 JSON text of
-//!   the same object a JSONL line would carry. Zero re-encoding cost for
-//!   clients that already hold JSON; keeps `nc`-style debugging possible
-//!   inside frames.
-//! * [`WireFormat::Binary`] (tag 2) — the default: a compact field-tagged
-//!   binary encoding of the serde value tree. Well-known protocol field
-//!   names ([`FIELD_NAMES`]) are one byte on the wire; unknown keys fall
-//!   back to inline strings, so *additive* protocol fields need no codec
-//!   bump. Numbers are LEB128 varints when integral (the common case:
-//!   ids, slot indices, versions) and raw `f64` bits otherwise.
-//!
-//! Responses are always encoded in the format of the request frame they
-//! answer, so a mixed-format connection never surprises its client.
+//! [`WireFormat::Binary`] (tag 2) is the one payload format: a compact
+//! field-tagged binary encoding of the serde value tree. Well-known
+//! protocol field names ([`FIELD_NAMES`]) are one byte on the wire; unknown
+//! keys fall back to inline strings, so *additive* protocol fields need no
+//! codec bump. Numbers are LEB128 varints when integral (the common case:
+//! ids, slot indices, versions) and raw `f64` bits otherwise. Tag 1 (JSON
+//! text) is withdrawn: a tag-1 frame reads as
+//! [`FrameError::UnknownFormat`]. Clients that want JSON text speak the
+//! JSONL line transport instead.
 //!
 //! The decoder is hardened against hostile bytes: every length and count
 //! is bounds-checked against the remaining input before use, recursion is
@@ -52,12 +48,11 @@ pub const MAGIC: [u8; 2] = [0xB3, 0x50];
 /// allocation; larger declarations are rejected as [`FrameError::Oversized`].
 pub const MAX_FRAME_LEN: u32 = 64 * 1024 * 1024;
 
-/// How a frame's payload bytes are encoded.
+/// How a frame's payload bytes are encoded. One variant: the tag byte is
+/// kept on the wire so a future format can be added without a new magic.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WireFormat {
-    /// Tag 1: UTF-8 JSON text of the request/response object.
-    Json,
-    /// Tag 2: the compact field-tagged binary encoding (the v3 default).
+    /// Tag 2: the compact field-tagged binary encoding.
     Binary,
 }
 
@@ -65,7 +60,6 @@ impl WireFormat {
     /// The on-wire format tag byte.
     pub fn tag(self) -> u8 {
         match self {
-            WireFormat::Json => 1,
             WireFormat::Binary => 2,
         }
     }
@@ -73,37 +67,9 @@ impl WireFormat {
     /// Parses a format tag byte.
     pub fn from_tag(tag: u8) -> Option<Self> {
         match tag {
-            1 => Some(WireFormat::Json),
             2 => Some(WireFormat::Binary),
             _ => None,
         }
-    }
-
-    /// The names accepted by `--format` and the `hello` negotiation.
-    pub fn name(self) -> &'static str {
-        match self {
-            WireFormat::Json => "json",
-            WireFormat::Binary => "binary",
-        }
-    }
-}
-
-impl std::str::FromStr for WireFormat {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "json" => Ok(WireFormat::Json),
-            "binary" => Ok(WireFormat::Binary),
-            other => Err(format!(
-                "unknown wire format '{other}' (expected jsonl, json, or binary)"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for WireFormat {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
     }
 }
 
@@ -550,25 +516,18 @@ pub fn from_binary<T: Deserialize>(bytes: &[u8]) -> Result<T, serde::Error> {
 
 /// Decodes a frame payload into a value tree per its format tag.
 pub fn payload_to_value(format: WireFormat, payload: &[u8]) -> Result<Value, serde::Error> {
-    match format {
-        WireFormat::Json => {
-            let text = std::str::from_utf8(payload)
-                .map_err(|_| serde::Error("JSON payload is not UTF-8".into()))?;
-            serde_json::from_str(text)
-        }
-        WireFormat::Binary => decode_value(payload),
-    }
+    let WireFormat::Binary = format;
+    decode_value(payload)
 }
 
 /// Encodes a wire struct as a frame payload in the requested format.
+/// Binary encoding cannot fail; the `Result` keeps the frame API stable.
 pub fn value_to_payload<T: Serialize + ?Sized>(
     format: WireFormat,
     t: &T,
 ) -> Result<Vec<u8>, serde::Error> {
-    match format {
-        WireFormat::Json => serde_json::to_string(t).map(String::into_bytes),
-        WireFormat::Binary => Ok(to_binary(t)),
-    }
+    let WireFormat::Binary = format;
+    Ok(to_binary(t))
 }
 
 #[cfg(test)]
@@ -694,18 +653,16 @@ mod tests {
     }
 
     #[test]
-    fn frames_round_trip_both_formats() {
-        for format in [WireFormat::Json, WireFormat::Binary] {
-            let payload = b"payload bytes".to_vec();
-            let mut wire = Vec::new();
-            write_frame(&mut wire, format, &payload).unwrap();
-            let mut reader = wire.as_slice();
-            let (got_format, got) = read_frame(&mut reader).unwrap().expect("one frame");
-            assert_eq!(got_format, format);
-            assert_eq!(got, payload);
-            // clean EOF after the frame
-            assert!(read_frame(&mut reader).unwrap().is_none());
-        }
+    fn frames_round_trip() {
+        let payload = b"payload bytes".to_vec();
+        let mut wire = Vec::new();
+        write_frame(&mut wire, WireFormat::Binary, &payload).unwrap();
+        let mut reader = wire.as_slice();
+        let (got_format, got) = read_frame(&mut reader).unwrap().expect("one frame");
+        assert_eq!(got_format, WireFormat::Binary);
+        assert_eq!(got, payload);
+        // clean EOF after the frame
+        assert!(read_frame(&mut reader).unwrap().is_none());
     }
 
     #[test]
@@ -727,12 +684,17 @@ mod tests {
             matches!(err, FrameError::Oversized { declared: u32::MAX }),
             "{err}"
         );
-        // unknown format tag
-        let mut unknown = Vec::from(MAGIC);
-        unknown.extend_from_slice(&0u32.to_le_bytes());
-        unknown.push(9);
-        let err = read_frame(&mut unknown.as_slice()).unwrap_err();
-        assert!(matches!(err, FrameError::UnknownFormat(9)), "{err}");
+        // unknown format tags, including the withdrawn JSON tag 1
+        for tag in [1u8, 9] {
+            let mut unknown = Vec::from(MAGIC);
+            unknown.extend_from_slice(&0u32.to_le_bytes());
+            unknown.push(tag);
+            let err = read_frame(&mut unknown.as_slice()).unwrap_err();
+            assert!(
+                matches!(err, FrameError::UnknownFormat(t) if t == tag),
+                "{err}"
+            );
+        }
         // truncated payload: header promises 8, stream carries 3
         let mut short = Vec::from(MAGIC);
         short.extend_from_slice(&8u32.to_le_bytes());

@@ -37,8 +37,8 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use sched_core::{
-    content_keys, validate_profiles, AffineCost, CandidatePolicy, DvfsCost, DvfsInstance,
-    EnergyCost, ProfileCost, SolveOptions, Solver, WarmHandle,
+    content_keys, validate_profiles, AffineCost, CandidatePolicy, CompiledDvfs, DvfsCost,
+    DvfsInstance, EnergyCost, FreqLadder, Instance, ProfileCost, SolveOptions, Solver, WarmHandle,
 };
 use sched_obs::{Gauge, Registry, Snapshot};
 
@@ -835,14 +835,22 @@ fn serve_request_planned(
         Ok(p) => p,
         Err(e) => return SolveResponse::failure(req.id, e),
     };
-    if req.freq_ladder.is_some() {
-        return serve_dvfs_request(worker_id, cache_capacity, cache, req, &plan);
-    }
+    // A DVFS request solves its compiled speed-scaling virtual grid, priced
+    // by `DvfsCost`; every other request solves its own instance.
+    let dvfs = match req
+        .freq_ladder
+        .as_ref()
+        .map(|l| compile_dvfs(req, l))
+        .transpose()
+    {
+        Ok(dvfs) => dvfs,
+        Err(e) => return SolveResponse::failure(req.id, e),
+    };
 
-    // Profiled pricing ignores restart/rate entirely, so their bits are
-    // normalized out of the key — otherwise two clients sending the same
-    // fleet with different (ignored) affine fields would re-enumerate and
-    // double-occupy the bounded cache for one identical family.
+    // Pricing parameters a request's model ignores are normalized out of
+    // the key — profiled requests ignore restart/rate, DVFS requests ignore
+    // rate — otherwise two clients sending the same family with different
+    // ignored fields would re-enumerate and double-occupy the bounded cache.
     let key = CacheKey {
         processors: req.instance.num_processors,
         horizon: req.instance.horizon,
@@ -851,7 +859,7 @@ fn serve_request_planned(
         } else {
             req.restart.to_bits()
         },
-        rate_bits: if req.profiles.is_some() {
+        rate_bits: if req.profiles.is_some() || req.freq_ladder.is_some() {
             0
         } else {
             req.rate.to_bits()
@@ -861,13 +869,24 @@ fn serve_request_planned(
                 .map(|p| (p.wake_cost.to_bits(), p.busy_rate.to_bits()))
                 .collect()
         }),
-        ladder_bits: None,
+        ladder_bits: req.freq_ladder.as_ref().map(|ladder| {
+            (
+                ladder.alpha.to_bits(),
+                ladder.beta.to_bits(),
+                ladder.gamma.to_bits(),
+                ladder.freqs.clone(),
+            )
+        }),
         policy: plan.policy.into(),
     };
     // plan() has vetted the parameters, so neither constructor can assert
-    let cost: Box<dyn EnergyCost> = match &req.profiles {
-        Some(profiles) => Box::new(ProfileCost::new(profiles)),
-        None => Box::new(AffineCost::new(req.restart, req.rate)),
+    let (instance, cost): (&Instance, Box<dyn EnergyCost>) = match (&dvfs, &req.profiles) {
+        (Some((dvfs, compiled)), _) => (&compiled.instance, Box::new(DvfsCost::new(dvfs))),
+        (None, Some(profiles)) => (&req.instance, Box::new(ProfileCost::new(profiles))),
+        (None, None) => (
+            &req.instance,
+            Box::new(AffineCost::new(req.restart, req.rate)),
+        ),
     };
     let options = SolveOptions {
         lazy: plan.lazy,
@@ -892,8 +911,10 @@ fn serve_request_planned(
     handle.set_options(options);
     // Identical cost bits are part of the key, so on a hit the handle's
     // checksum always matches and this returns the cached family without
-    // re-enumerating.
-    let family = handle.family(&req.instance, cost.as_ref());
+    // re-enumerating. On the compiled DVFS grid, enumerating with
+    // `DvfsCost` reproduces the explicit compiled family bit for bit
+    // (proved in sched-core).
+    let family = handle.family(instance, cost.as_ref());
 
     let t0 = Instant::now();
     let outcome = match plan.goal {
@@ -901,15 +922,15 @@ fn serve_request_planned(
         // the reduction and every gain whose window content did not change.
         // Job content hashes are the pairing keys (wire requests carry no
         // stable job identity).
-        Goal::All => handle.solve(&req.instance, &content_keys(&req.instance), cost.as_ref()),
+        Goal::All => handle.solve(instance, &content_keys(instance), cost.as_ref()),
         Goal::Prize { target, epsilon } => {
-            Solver::with_shared_candidates(&req.instance, Arc::clone(&family))
+            Solver::with_shared_candidates(instance, Arc::clone(&family))
                 .lazy(plan.lazy)
                 .parallel(plan.parallel)
                 .prize_collecting(target, epsilon)
         }
         Goal::PrizeExact { target } => {
-            Solver::with_shared_candidates(&req.instance, Arc::clone(&family))
+            Solver::with_shared_candidates(instance, Arc::clone(&family))
                 .lazy(plan.lazy)
                 .parallel(plan.parallel)
                 .prize_collecting_exact(target)
@@ -917,35 +938,38 @@ fn serve_request_planned(
     };
     let solve_micros = t0.elapsed().as_micros() as u64;
 
-    match outcome {
-        Ok(schedule) => SolveResponse::success(
-            req.id,
-            schedule,
-            SolveMetrics {
-                solve_micros,
-                candidates: family.len() as u64,
-                worker: worker_id,
-                cache_hit,
-            },
-        ),
+    let schedule = match outcome {
+        Ok(schedule) => schedule,
         Err(e) => {
-            SolveResponse::failure(req.id, WireError::new(ErrorKind::Infeasible, e.to_string()))
+            return SolveResponse::failure(
+                req.id,
+                WireError::new(ErrorKind::Infeasible, e.to_string()),
+            )
+        }
+    };
+    let metrics = SolveMetrics {
+        solve_micros,
+        candidates: family.len() as u64,
+        worker: worker_id,
+        cache_hit,
+    };
+    match &dvfs {
+        None => SolveResponse::success(req.id, schedule, metrics),
+        Some((_, compiled)) => {
+            let (physical, freq_levels) =
+                compiled.to_physical_schedule(&compiled.decompile(&schedule));
+            let mut resp = SolveResponse::success(req.id, physical, metrics);
+            resp.freq_levels = Some(freq_levels);
+            resp
         }
     }
 }
 
-/// The DVFS solve path: compiles the request into the speed-scaling
-/// virtual grid, solves it through the same warm-start candidate cache
-/// (keyed by the ladder's parameter bits), and answers with the physical
-/// schedule plus per-interval `freq_levels`.
-fn serve_dvfs_request(
-    worker_id: u32,
-    cache_capacity: usize,
-    cache: &mut CandidateCache,
+/// Compiles a DVFS request onto the speed-scaling virtual grid.
+fn compile_dvfs(
     req: &SolveRequest,
-    plan: &Plan,
-) -> SolveResponse {
-    let ladder = req.freq_ladder.as_ref().expect("caller checked");
+    ladder: &FreqLadder,
+) -> Result<(DvfsInstance, CompiledDvfs), WireError> {
     let dvfs = DvfsInstance {
         num_processors: req.instance.num_processors,
         horizon: req.instance.horizon,
@@ -953,84 +977,10 @@ fn serve_dvfs_request(
         ladder: ladder.clone(),
         jobs: req.instance.jobs.clone(),
     };
-    let compiled = match dvfs.compile() {
-        Ok(c) => c,
-        Err(e) => {
-            return SolveResponse::failure(
-                req.id,
-                WireError::new(ErrorKind::BadRequest, e.to_string()),
-            )
-        }
-    };
-    let key = CacheKey {
-        processors: req.instance.num_processors,
-        horizon: req.instance.horizon,
-        restart_bits: req.restart.to_bits(),
-        rate_bits: 0,
-        profile_bits: None,
-        ladder_bits: Some((
-            ladder.alpha.to_bits(),
-            ladder.beta.to_bits(),
-            ladder.gamma.to_bits(),
-            ladder.freqs.clone(),
-        )),
-        policy: PolicyKey::All,
-    };
-    let options = SolveOptions {
-        lazy: plan.lazy,
-        parallel: plan.parallel,
-    };
-    let cache_hit = cache.contains_key(&key);
-    sched_obs::counter_add(
-        if cache_hit {
-            "engine.cache.hits"
-        } else {
-            "engine.cache.misses"
-        },
-        1,
-    );
-    if !cache_hit {
-        if cache.len() >= cache_capacity {
-            cache.clear();
-        }
-        cache.insert(
-            key.clone(),
-            WarmHandle::with_options(CandidatePolicy::All, options),
-        );
-    }
-    let handle = cache.get_mut(&key).expect("just inserted");
-    handle.set_options(options);
-    // Enumerating the compiled grid with the DvfsCost oracle reproduces the
-    // explicit candidate family bit for bit (proved in sched-core), so the
-    // cached family is interchangeable with `compiled.candidates`.
-    let cost = DvfsCost::new(&dvfs);
-    let family = handle.family(&compiled.instance, &cost);
-
-    let t0 = Instant::now();
-    let outcome = handle.solve(&compiled.instance, &content_keys(&compiled.instance), &cost);
-    let solve_micros = t0.elapsed().as_micros() as u64;
-
-    match outcome {
-        Ok(schedule) => {
-            let (physical, freq_levels) =
-                compiled.to_physical_schedule(&compiled.decompile(&schedule));
-            let mut resp = SolveResponse::success(
-                req.id,
-                physical,
-                SolveMetrics {
-                    solve_micros,
-                    candidates: family.len() as u64,
-                    worker: worker_id,
-                    cache_hit,
-                },
-            );
-            resp.freq_levels = Some(freq_levels);
-            resp
-        }
-        Err(e) => {
-            SolveResponse::failure(req.id, WireError::new(ErrorKind::Infeasible, e.to_string()))
-        }
-    }
+    let compiled = dvfs
+        .compile()
+        .map_err(|e| WireError::new(ErrorKind::BadRequest, e.to_string()))?;
+    Ok((dvfs, compiled))
 }
 
 #[cfg(test)]
@@ -1280,14 +1230,22 @@ mod tests {
             ],
         );
         let ladder = FreqLadder::new(1.0, 0.0, 2.0, vec![1, 2]);
-        let req = |id: u64| {
+        let req = |id: u64, rate: f64| {
             SolveRequest::builder(id, instance.clone())
-                .affine(1.0, 0.0)
+                .affine(1.0, rate)
                 .freq_ladder(ladder.clone())
                 .build()
         };
-        let responses = engine.solve_batch(vec![req(1), req(2)]);
-        for resp in &responses {
+        // Same grid and restart, no ladder: rate 0 makes every affine key
+        // field equal to the DVFS key's, so only the ladder tells them apart.
+        let affine = schedule_all(
+            4,
+            Instance::new(1, 3, instance.jobs[1..].to_vec()),
+            1.0,
+            0.0,
+        );
+        let responses = engine.solve_batch(vec![req(1, 0.0), req(2, 0.0), req(3, 7.5), affine]);
+        for resp in &responses[..3] {
             assert!(resp.ok, "{:?}", resp.error);
             let schedule = resp.schedule.as_ref().unwrap();
             assert_eq!(schedule.total_cost, 9.0);
@@ -1296,12 +1254,15 @@ mod tests {
             assert_eq!(levels.len(), schedule.awake.len());
             assert!(levels.iter().all(|&l| l < 2));
         }
-        // identical grid + ladder: the compiled family is cached
+        assert!(responses[3].ok, "{:?}", responses[3].error);
+        assert!(responses[3].freq_levels.is_none());
+        // identical grid + ladder: the compiled family is cached, whatever
+        // the (ignored) rate; a ladder-free request never shares it
         let hits: Vec<bool> = responses
             .iter()
             .map(|r| r.metrics.unwrap().cache_hit)
             .collect();
-        assert_eq!(hits, vec![false, true]);
+        assert_eq!(hits, vec![false, true, true, false]);
         // direct solve agrees with the engine's decompiled answer
         let dvfs = DvfsInstance {
             num_processors: 1,

@@ -25,20 +25,20 @@
 //! ```text
 //! ┌──────────┬────────────┬──────────┬───────────────┐
 //! │ magic    │ len: u32   │ tag: u8  │ payload       │
-//! │ B3 50    │ LE, payload│ 1=json   │ (len bytes)   │
-//! │          │ bytes      │ 2=binary │               │
+//! │ B3 50    │ LE, payload│ 2=binary │ (len bytes)   │
+//! │          │ bytes      │          │               │
 //! └──────────┴────────────┴──────────┴───────────────┘
 //! ```
 //!
-//! The payload is one request/response object, encoded either as JSON text
-//! (tag 1) or with the compact field-tagged binary codec in [`codec`]
-//! (tag 2). The server *negotiates per connection by sniffing the first
-//! byte* — `0xB3` never begins a JSONL line, so framed and line clients
-//! share one port — and each response echoes the format of the frame that
-//! carried its request. The `hello` control verb returns a capability card
-//! ([`HelloInfo`]) for clients that want explicit negotiation. Legacy JSONL
-//! (v1/v2) remains fully supported: one JSON object per line, one response
-//! line per request line, in request order — handy with `nc` for debugging.
+//! The payload is one request/response object, encoded with the compact
+//! field-tagged binary codec in [`codec`]. The server *negotiates per
+//! connection by sniffing the first byte* — `0xB3` never begins a JSONL
+//! line, so framed and line clients share one port — and answers in the
+//! connection's transport. The `hello` control verb returns a capability
+//! card ([`HelloInfo`]) for clients that want explicit negotiation. Legacy
+//! JSONL (v1/v2) remains fully supported: one JSON object per line, one
+//! response line per request line, in request order — handy with `nc` for
+//! debugging.
 //! See [`protocol`] for the schema, versioning, and the compatibility
 //! policy, and [`client::EngineClient`] for the canonical client.
 //!
@@ -95,4 +95,4 @@ pub use protocol::{
     parse_line, parse_value, ControlRequest, ErrorKind, HelloInfo, SolveMetrics, SolveMode,
     SolveRequest, SolveRequestBuilder, SolveResponse, WireError, WireRequest, PROTOCOL_VERSION,
 };
-pub use server::{serve, serve_with_metrics, serve_with_options, ServeOptions};
+pub use server::{serve, serve_with_options, ServeOptions};

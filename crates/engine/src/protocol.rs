@@ -8,9 +8,10 @@
 //!
 //! * **v3 frames** (the default for `batch --connect` and
 //!   [`crate::client::EngineClient`]): `magic | u32 len | u8 format-tag |
-//!   payload`, where the payload is the request object in either compact
-//!   binary (tag 2) or JSON text (tag 1). The magic byte `0xB3` is outside
-//!   ASCII, so no JSONL line can be mistaken for a frame.
+//!   payload`, where the payload is the request object in compact binary
+//!   (tag 2; the JSON-text tag 1 is withdrawn and answered with a `Parse`
+//!   failure). The magic byte `0xB3` is outside ASCII, so no JSONL line can
+//!   be mistaken for a frame.
 //! * **JSONL** (versions 1/2, kept byte-compatible for `nc`/debug use):
 //!   one JSON object per line, one response line per request line, in
 //!   request order.
@@ -76,9 +77,9 @@
 //!    carries [`HelloInfo`] — the server's version window and supported
 //!    payload formats — so a cautious client can downgrade before sending
 //!    work. Clients that already know the server skip this round-trip.
-//! 3. Every response is encoded in the format of the request frame it
-//!    answers (JSONL requests get JSONL lines), so mixed-format
-//!    connections and pipelining stay unambiguous.
+//! 3. Every response is encoded in the connection's transport (JSONL
+//!    requests get JSONL lines, frames get frames), so pipelining stays
+//!    unambiguous.
 
 use sched_core::{FreqLadder, Instance, PowerProfile, Schedule};
 use sched_obs::Snapshot;
@@ -308,8 +309,8 @@ pub struct HelloInfo {
     pub protocol: u32,
     /// Oldest version still accepted ([`MIN_PROTOCOL_VERSION`]).
     pub min_protocol: u32,
-    /// Payload encodings the server accepts: frame formats plus `"jsonl"`
-    /// for the legacy line transport.
+    /// Payload encodings the server accepts: `"binary"` frames plus
+    /// `"jsonl"` for the legacy line transport.
     pub formats: Vec<String>,
 }
 
@@ -319,7 +320,7 @@ impl HelloInfo {
         Self {
             protocol: PROTOCOL_VERSION,
             min_protocol: MIN_PROTOCOL_VERSION,
-            formats: vec!["binary".into(), "json".into(), "jsonl".into()],
+            formats: vec!["binary".into(), "jsonl".into()],
         }
     }
 }
@@ -735,8 +736,7 @@ mod tests {
         let hello = back.hello.expect("hello info");
         assert_eq!(hello.protocol, PROTOCOL_VERSION);
         assert_eq!(hello.min_protocol, MIN_PROTOCOL_VERSION);
-        assert!(hello.formats.iter().any(|f| f == "binary"));
-        assert!(hello.formats.iter().any(|f| f == "jsonl"));
+        assert_eq!(hello.formats, ["binary", "jsonl"]);
     }
 
     #[test]

@@ -1,14 +1,13 @@
-//! A `std::net` TCP server speaking the v3 framed protocol *and* the
+//! A `std::net` TCP server speaking the v3 binary-framed protocol *and* the
 //! legacy JSONL transport, negotiated per connection.
 //!
 //! **Content negotiation** happens on the first byte of each connection,
 //! peeked without consuming: `0xB3` (the frame magic, outside ASCII) means
-//! the whole connection is framed — `magic | u32 len | u8 format-tag |
-//! payload`, responses echoing each request's payload format — while
-//! anything else falls back to JSONL lines exactly as protocol v1/v2
-//! shipped them, so `nc` and old clients keep working byte-for-byte. A
-//! `hello` control verb answers with the server's capability card
-//! ([`crate::protocol::HelloInfo`]).
+//! the whole connection is binary frames — `magic | u32 len | u8 format-tag
+//! | payload`, requests and responses alike — while anything else falls
+//! back to JSONL lines exactly as protocol v1/v2 shipped them, so `nc` and
+//! old clients keep working byte-for-byte. A `hello` control verb answers
+//! with the server's capability card ([`crate::protocol::HelloInfo`]).
 //!
 //! One OS thread per connection pair: a **reader** parses requests and
 //! hands them to the shared [`Engine`], while the connection's **writer**
@@ -32,7 +31,7 @@
 //! shutdown, ending with a metrics flush: a text summary on stderr and,
 //! if requested, the JSON snapshot to a file).
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -65,23 +64,6 @@ pub struct ServeOptions<'a> {
 /// process alive.
 pub fn serve(listener: TcpListener, config: EngineConfig) -> std::io::Result<()> {
     serve_with_options(listener, config, ServeOptions::default())
-}
-
-/// [`serve`], optionally writing the final merged `obs/v1` metrics
-/// snapshot to `metrics_out` after the graceful shutdown drain.
-pub fn serve_with_metrics(
-    listener: TcpListener,
-    config: EngineConfig,
-    metrics_out: Option<&Path>,
-) -> std::io::Result<()> {
-    serve_with_options(
-        listener,
-        config,
-        ServeOptions {
-            metrics_out,
-            shed_policy: None,
-        },
-    )
 }
 
 /// [`serve`] with the full option set ([`ServeOptions`]).
@@ -206,16 +188,6 @@ enum Pending {
     InFlight(Ticket),
 }
 
-/// How a pending response must be written back: the transport/format of
-/// the request it answers.
-#[derive(Clone, Copy)]
-enum Encoding {
-    /// Legacy transport: one JSON line.
-    Jsonl,
-    /// v3 frame in the given payload format.
-    Frame(WireFormat),
-}
-
 struct Dispatch {
     pending: Pending,
     /// A `shutdown` verb was handled: stop reading after answering it.
@@ -301,7 +273,7 @@ fn handle_connection(
     // stalls on the socket, this queue fills, the reader blocks here and
     // stops consuming requests — backpressure reaches the client's send
     // buffer instead of responses piling up in server memory.
-    let (tx, rx) = mpsc::sync_channel::<(Pending, Encoding)>(64);
+    let (tx, rx) = mpsc::sync_channel::<Pending>(64);
 
     std::thread::scope(|scope| {
         scope.spawn(move || {
@@ -313,27 +285,18 @@ fn handle_connection(
             // tx drops here: the writer drains what remains, then ends.
         });
 
-        for (pending, encoding) in rx {
+        for pending in rx {
             let response = match pending {
                 Pending::Ready(r) => *r,
                 Pending::InFlight(ticket) => ticket.wait(),
             };
-            match encoding {
-                Encoding::Jsonl => {
-                    let line = serde_json::to_string(&response)
-                        .unwrap_or_else(|e| format!("{{\"version\":1,\"id\":0,\"ok\":false,\"error\":{{\"kind\":\"Internal\",\"message\":\"serialize: {e}\"}}}}"));
-                    writeln!(writer, "{line}")?;
-                }
-                Encoding::Frame(format) => {
-                    let payload = codec::value_to_payload(format, &response).unwrap_or_else(|e| {
-                        let fallback = SolveResponse::failure(
-                            response.id,
-                            WireError::new(ErrorKind::Internal, format!("serialize: {e}")),
-                        );
-                        codec::value_to_payload(format, &fallback).unwrap_or_default()
-                    });
-                    codec::write_frame(&mut writer, format, &payload)?;
-                }
+            if framed {
+                let payload = codec::to_binary(&response);
+                codec::write_frame(&mut writer, WireFormat::Binary, &payload)?;
+            } else {
+                let line = serde_json::to_string(&response)
+                    .unwrap_or_else(|e| format!("{{\"version\":1,\"id\":0,\"ok\":false,\"error\":{{\"kind\":\"Internal\",\"message\":\"serialize: {e}\"}}}}"));
+                writeln!(writer, "{line}")?;
             }
             writer.flush()?;
         }
@@ -341,29 +304,59 @@ fn handle_connection(
     })
 }
 
-/// Reader half of a legacy JSONL connection (protocol v1/v2, unchanged).
+/// Reader half of a legacy JSONL connection (protocol v1/v2). Every line
+/// gets one response: a line that is not UTF-8 is answered with a `Parse`
+/// failure and reading resumes at the next `\n`. Lines are capped like
+/// frames: one longer than [`codec::MAX_FRAME_LEN`] bytes is answered with
+/// one `Parse` failure and the connection is closed, with at most one byte
+/// past the cap buffered.
 fn read_lines(
-    reader: BufReader<TcpStream>,
+    mut reader: BufReader<TcpStream>,
     engine: &Engine,
     shutdown: &AtomicBool,
     local: SocketAddr,
     shed_policy: Option<ShedPolicy>,
-    tx: &mpsc::SyncSender<(Pending, Encoding)>,
+    tx: &mpsc::SyncSender<Pending>,
 ) {
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
-            continue;
+    let cap = u64::from(codec::MAX_FRAME_LEN);
+    loop {
+        let mut buf = Vec::new();
+        match reader.by_ref().take(cap + 1).read_until(b'\n', &mut buf) {
+            Ok(0) | Err(_) => break, // EOF or transport died
+            Ok(_) => {}
         }
-        let dispatch = dispatch_request(
-            parse_line(&line),
-            line_correlation(&line),
-            engine,
-            shutdown,
-            local,
-            shed_policy,
-        );
-        if tx.send((dispatch.pending, Encoding::Jsonl)).is_err() {
+        let line = buf.strip_suffix(b"\n").unwrap_or(&buf);
+        if line.len() as u64 > cap {
+            let resp = SolveResponse::failure(
+                0,
+                WireError::new(
+                    ErrorKind::Parse,
+                    format!("request line exceeds the {cap}-byte cap"),
+                ),
+            );
+            let _ = tx.send(Pending::Ready(Box::new(resp)));
+            break; // as for an oversized frame: the next `\n` may never come
+        }
+        let line = line.strip_suffix(b"\r").unwrap_or(line);
+        let dispatch = match std::str::from_utf8(line) {
+            Ok(line) if line.trim().is_empty() => continue,
+            Ok(line) => dispatch_request(
+                parse_line(line),
+                line_correlation(line),
+                engine,
+                shutdown,
+                local,
+                shed_policy,
+            ),
+            Err(e) => Dispatch {
+                pending: Pending::Ready(Box::new(SolveResponse::failure(
+                    0,
+                    WireError::new(ErrorKind::Parse, format!("request line is not UTF-8: {e}")),
+                ))),
+                stop: false,
+            },
+        };
+        if tx.send(dispatch.pending).is_err() {
             break; // writer gone (client stopped reading)
         }
         if dispatch.stop {
@@ -383,16 +376,12 @@ fn read_frames(
     shutdown: &AtomicBool,
     local: SocketAddr,
     shed_policy: Option<ShedPolicy>,
-    tx: &mpsc::SyncSender<(Pending, Encoding)>,
+    tx: &mpsc::SyncSender<Pending>,
 ) {
-    // format of the most recent well-formed frame: the best guess for
-    // encoding a framing-error response the client will understand
-    let mut last_format = WireFormat::Binary;
     loop {
         match codec::read_frame(&mut reader) {
             Ok(None) => break, // clean EOF between frames
             Ok(Some((format, payload))) => {
-                last_format = format;
                 let (parsed, correlation) = match codec::payload_to_value(format, &payload) {
                     Ok(value) => (parse_value(&value), value_correlation(&value)),
                     Err(e) => (
@@ -405,10 +394,7 @@ fn read_frames(
                 };
                 let dispatch =
                     dispatch_request(parsed, correlation, engine, shutdown, local, shed_policy);
-                if tx
-                    .send((dispatch.pending, Encoding::Frame(format)))
-                    .is_err()
-                {
+                if tx.send(dispatch.pending).is_err() {
                     break;
                 }
                 if dispatch.stop {
@@ -419,7 +405,7 @@ fn read_frames(
             Err(e) => {
                 let resp =
                     SolveResponse::failure(0, WireError::new(ErrorKind::Parse, e.to_string()));
-                let _ = tx.send((Pending::Ready(Box::new(resp)), Encoding::Frame(last_format)));
+                let _ = tx.send(Pending::Ready(Box::new(resp)));
                 break;
             }
         }

@@ -1,7 +1,8 @@
-//! Hostile-input tests for the v3 framed transport: truncated headers,
-//! lying length prefixes, unknown format tags, and random byte salads must
-//! all produce one structured `Parse` failure (or a clean close) — never a
-//! panic, never a hung connection, and never a poisoned accept loop.
+//! Hostile-input tests for the v3 framed transport and the JSONL reader:
+//! truncated headers, lying length prefixes, unknown format tags, non-UTF-8
+//! or over-long lines, and random byte salads must all produce structured
+//! `Parse` failures (or a clean close) — never a panic, never a hung
+//! connection, and never a poisoned accept loop.
 
 use proptest::{proptest, ProptestConfig};
 use sched_core::{Instance, Job, SlotRef};
@@ -22,13 +23,15 @@ fn spawn_server() -> SocketAddr {
     addr
 }
 
+fn tiny_request(id: u64) -> SolveRequest {
+    let inst = Instance::new(1, 4, vec![Job::unit(vec![SlotRef::new(0, 1)])]);
+    SolveRequest::builder(id, inst).affine(3.0, 1.0).build()
+}
+
 /// Proof of life: the server still solves on a fresh connection.
 fn assert_server_alive(addr: SocketAddr) {
     let mut client = EngineClient::connect(addr, Transport::default()).expect("connect");
-    let inst = Instance::new(1, 4, vec![Job::unit(vec![SlotRef::new(0, 1)])]);
-    client
-        .send(&SolveRequest::builder(7, inst).affine(3.0, 1.0).build())
-        .unwrap();
+    client.send(&tiny_request(7)).unwrap();
     client.flush().unwrap();
     let resp = client.recv().unwrap().expect("response");
     assert!(resp.ok, "{:?}", resp.error);
@@ -113,13 +116,76 @@ fn oversized_declared_length_is_rejected_without_buffering() {
 #[test]
 fn unknown_format_tag_yields_structured_parse_failure() {
     let addr = spawn_server();
-    let mut bytes = Vec::new();
-    bytes.extend_from_slice(&MAGIC);
-    bytes.extend_from_slice(&2u32.to_le_bytes());
-    bytes.push(9); // no such format
-    bytes.extend_from_slice(b"{}");
-    let resp = sole_failure(&poke(addr, &bytes));
-    assert_eq!(resp.error.unwrap().kind, ErrorKind::Parse);
+    // 9 was never a format; 1 (JSON text) is withdrawn, so even a valid
+    // JSON request in a tag-1 frame is refused rather than served.
+    let json = serde_json::to_string(&tiny_request(1)).unwrap();
+    for (tag, payload) in [(9u8, "{}"), (1, json.as_str())] {
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&MAGIC);
+        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        bytes.push(tag);
+        bytes.extend_from_slice(payload.as_bytes());
+        let resp = sole_failure(&poke(addr, &bytes));
+        let err = resp.error.unwrap();
+        assert_eq!(err.kind, ErrorKind::Parse, "tag {tag}");
+        assert!(err.message.contains("format tag"), "{}", err.message);
+    }
+    assert_server_alive(addr);
+}
+
+/// Decodes every JSONL response line `poke` got back.
+fn jsonl_replies(reply: Vec<u8>) -> Vec<SolveResponse> {
+    String::from_utf8(reply)
+        .expect("JSONL replies are UTF-8")
+        .lines()
+        .map(|line| serde_json::from_str(line).expect("reply line is a response"))
+        .collect()
+}
+
+/// A JSONL line that is not UTF-8 gets its own `Parse` failure and the
+/// lines after it are still served: one response per request line.
+#[test]
+fn non_utf8_jsonl_line_is_answered_and_reading_resumes() {
+    let addr = spawn_server();
+    let line = |id| serde_json::to_string(&tiny_request(id)).unwrap() + "\n";
+    let mut bytes = line(1).into_bytes();
+    bytes.extend_from_slice(b"{\"id\":2,\xff\xfe}\n");
+    bytes.extend_from_slice(line(3).as_bytes());
+    let responses = jsonl_replies(poke(addr, &bytes));
+    assert_eq!(responses.len(), 3, "one response per line: {responses:?}");
+    assert!(responses[0].ok && responses[0].id == 1);
+    assert_eq!(responses[1].error.as_ref().unwrap().kind, ErrorKind::Parse);
+    assert!(responses[2].ok && responses[2].id == 3);
+    assert_server_alive(addr);
+}
+
+/// A JSONL line longer than the frame cap is refused like an oversized
+/// frame: one `Parse` failure, then close — once the cap is buffered, not
+/// after waiting for a newline that may never come.
+#[test]
+fn over_long_jsonl_line_is_refused_at_the_frame_cap() {
+    let addr = spawn_server();
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    // One byte past the cap, no newline, and the write side left open.
+    let chunk = vec![b'x'; 1 << 20];
+    let mut left = MAX_FRAME_LEN as usize + 1;
+    while left > 0 {
+        let n = left.min(chunk.len());
+        writer.write_all(&chunk[..n]).unwrap();
+        left -= n;
+    }
+    writer.flush().unwrap();
+    let mut reply = Vec::new();
+    BufReader::new(stream)
+        .read_to_end(&mut reply)
+        .expect("server answers and closes without waiting for a newline");
+    let responses = jsonl_replies(reply);
+    assert_eq!(responses.len(), 1, "{responses:?}");
+    assert_eq!(responses[0].error.as_ref().unwrap().kind, ErrorKind::Parse);
     assert_server_alive(addr);
 }
 

@@ -1,8 +1,9 @@
 //! Dense fixed-capacity bitset over `u64` blocks.
 //!
-//! The canonical subset representation used by the set-function library and
-//! the budgeted greedy. All bulk operations (`union_with`, `count`,
-//! `intersection_count`) run a word at a time.
+//! The canonical subset representation used by the set-function library,
+//! the budgeted greedy, and `sched-core`'s slot grids (interesting slots,
+//! awake/busy rows). All bulk operations (`union_with`, `count`,
+//! `intersection_count`, `set_range`) run a word at a time.
 
 /// A set of `u32` element ids drawn from `0..capacity`.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -23,9 +24,7 @@ impl BitSet {
     /// Creates a set containing every id in `0..capacity`.
     pub fn full(capacity: usize) -> Self {
         let mut s = Self::new(capacity);
-        for i in 0..capacity {
-            s.insert(i as u32);
-        }
+        s.set_range(0, capacity as u32);
         s
     }
 
@@ -59,6 +58,32 @@ impl BitSet {
         let was = self.blocks[b] & m != 0;
         self.blocks[b] |= m;
         !was
+    }
+
+    /// Inserts every id in `[start, end)` with masked whole-word stores.
+    /// An empty range (`start >= end`) is a no-op wherever it lies.
+    ///
+    /// # Panics
+    /// Panics if `end > capacity` on a non-empty range.
+    pub fn set_range(&mut self, start: u32, end: u32) {
+        if start >= end {
+            return;
+        }
+        assert!(
+            end as usize <= self.capacity,
+            "range end {end} out of capacity {}",
+            self.capacity
+        );
+        let (first, last) = (start as usize / 64, (end - 1) as usize / 64);
+        let lo = !0u64 << (start % 64);
+        let hi = !0u64 >> (63 - (end - 1) % 64);
+        if first == last {
+            self.blocks[first] |= lo & hi;
+        } else {
+            self.blocks[first] |= lo;
+            self.blocks[first + 1..last].fill(!0);
+            self.blocks[last] |= hi;
+        }
     }
 
     /// Removes `id`; returns whether it was present.
@@ -251,5 +276,109 @@ mod tests {
         let b = BitSet::from_iter(10, [7]);
         a.copy_from(&b);
         assert_eq!(a.iter().collect::<Vec<_>>(), vec![7]);
+    }
+
+    #[test]
+    fn union_and_iter_order() {
+        let mut a = BitSet::from_iter(100, [2, 65]);
+        a.union_with(&BitSet::from_iter(100, [64, 99]));
+        assert_eq!(a.iter().collect::<Vec<_>>(), vec![2, 64, 65, 99]);
+    }
+
+    /// Capacities straddling the u64 word size: 63, 64, 65 — the boundary
+    /// cases where a range mask must not leak into (or miss) the next word.
+    #[test]
+    fn word_boundary_horizons() {
+        for horizon in [63u32, 64, 65] {
+            let mut s = BitSet::new(horizon as usize);
+            s.set_range(0, horizon);
+            assert_eq!(s, BitSet::full(horizon as usize), "horizon {horizon}");
+            assert_eq!(s.count(), horizon as usize, "horizon {horizon}");
+            assert!((0..horizon).all(|t| s.contains(t)), "horizon {horizon}");
+
+            // last id alone: the highest valid bit, possibly first of word 2
+            let mut last = BitSet::new(horizon as usize);
+            last.set_range(horizon - 1, horizon);
+            assert_eq!(last.iter().collect::<Vec<_>>(), vec![horizon - 1]);
+        }
+    }
+
+    #[test]
+    fn set_range_spanning_words() {
+        let mut s = BitSet::new(200);
+        s.set_range(60, 140);
+        assert_eq!(s.count(), 80);
+        assert!(!s.contains(59) && s.contains(60) && s.contains(139) && !s.contains(140));
+        assert_eq!(s.iter().collect::<Vec<_>>(), (60..140).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn set_range_within_one_word() {
+        let mut s = BitSet::new(64);
+        s.set_range(3, 7);
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![3, 4, 5, 6]);
+    }
+
+    /// Empty ranges are no-ops anywhere, including past the capacity and on
+    /// a zero-capacity set.
+    #[test]
+    fn degenerate_ranges_and_zero_universe() {
+        let mut s = BitSet::new(64);
+        s.set_range(64, 64);
+        s.set_range(100, 100);
+        s.set_range(7, 3);
+        assert!(s.is_empty());
+
+        let mut z = BitSet::new(0);
+        z.set_range(0, 0);
+        assert!(z.is_empty());
+        assert_eq!(BitSet::full(0), z);
+        z.union_with(&BitSet::new(0));
+        assert_eq!(z.iter().count(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of capacity")]
+    fn out_of_range_set_range_panics() {
+        BitSet::new(65).set_range(60, 66);
+    }
+
+    #[test]
+    fn matches_naive_reference_on_random_ops() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(77);
+        for _ in 0..30 {
+            let n = rng.gen_range(1..=150usize);
+            let mut fast = BitSet::new(n);
+            let mut naive = vec![false; n];
+            for _ in 0..60 {
+                match rng.gen_range(0..4) {
+                    0 => {
+                        let i = rng.gen_range(0..n as u32);
+                        assert_eq!(fast.insert(i), !naive[i as usize]);
+                        naive[i as usize] = true;
+                    }
+                    1 => {
+                        let i = rng.gen_range(0..n as u32);
+                        assert_eq!(fast.remove(i), naive[i as usize]);
+                        naive[i as usize] = false;
+                    }
+                    2 => {
+                        let s = rng.gen_range(0..=n as u32);
+                        let e = rng.gen_range(s..=n as u32);
+                        fast.set_range(s, e);
+                        naive[s as usize..e as usize].fill(true);
+                    }
+                    _ => {
+                        let i = rng.gen_range(0..n as u32);
+                        assert_eq!(fast.contains(i), naive[i as usize]);
+                    }
+                }
+            }
+            assert_eq!(fast.count(), naive.iter().filter(|&&b| b).count());
+            let ids: Vec<u32> = fast.iter().collect();
+            let want: Vec<u32> = (0..n as u32).filter(|&i| naive[i as usize]).collect();
+            assert_eq!(ids, want);
+        }
     }
 }

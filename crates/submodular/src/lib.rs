@@ -16,7 +16,7 @@
 //!
 //! Modules:
 //! * [`bitset`] — dense fixed-capacity bitset used as the canonical subset
-//!   representation;
+//!   representation (and by `sched-core` for its slot grids);
 //! * [`functions`] — a library of set functions (coverage, facility location,
 //!   budget-additive, cuts, …) with explicit monotonicity/submodularity
 //!   metadata, shared with the secretary crate;

@@ -28,7 +28,7 @@
 //! default transport is length-prefixed binary frames, negotiated per
 //! connection, while the legacy JSONL line protocol (one request object per
 //! line, one response line per request, in input order) remains accepted on
-//! the same port — pick one with `--format binary|json|jsonl`. `batch
+//! the same port — pick one with `--format binary|jsonl`. `batch
 //! --connect` turns the same subcommand into a TCP client, which is how
 //! scripts drive (and gracefully shut down, via `--shutdown`) a running
 //! `serve` instance; `serve --queue-depth D --shed-policy reject|oldest`
@@ -87,7 +87,7 @@ fn main() -> ExitCode {
                  \n  explain INSTANCE.json [solve flags] [--trace-out FILE]\
                  \n  validate INSTANCE.json SCHEDULE.json [--freq-ladder FILE]\
                  \n  batch [REQUESTS.jsonl|-] [--workers N] [--queue-depth D] [--out FILE] [--metrics-out FILE]\
-                 \n  batch [REQUESTS.jsonl|-] --connect HOST:PORT [--format binary|json|jsonl] [--shutdown] [--out FILE]\
+                 \n  batch [REQUESTS.jsonl|-] --connect HOST:PORT [--format binary|jsonl] [--shutdown] [--out FILE]\
                  \n  serve --addr HOST:PORT [--workers N] [--queue-depth D] [--shed-policy reject|oldest]\
                  \n        [--metrics-out FILE] [--flight-recorder]\
                  \n  replay [TRACE.json|DIR] [--gen [poisson|diurnal|cliffs] --count N --seed S --hetero LEVELS ...]\

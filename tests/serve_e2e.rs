@@ -9,7 +9,7 @@
 //! [`EngineClient`], the shared client the CLI itself uses.
 
 use power_scheduling::engine::{
-    EngineClient, ErrorKind, SolveRequest, SolveResponse, Transport, WireFormat, PROTOCOL_VERSION,
+    EngineClient, ErrorKind, SolveRequest, SolveResponse, Transport, PROTOCOL_VERSION,
 };
 use power_scheduling::prelude::*;
 use std::io::{BufRead, BufReader, Write};
@@ -145,7 +145,7 @@ fn metrics_verb_returns_an_obs_snapshot_over_binary_frames() {
     let mut server = ServerGuard::spawn(2);
     let mut client =
         EngineClient::connect(&*server.addr, Transport::default()).expect("connect framed binary");
-    assert_eq!(client.transport(), Transport::Framed(WireFormat::Binary));
+    assert_eq!(client.transport(), Transport::Binary);
 
     // A few solves so the counters are nonzero; workers bump their metrics
     // *before* resolving each ticket, so once the responses are read the
@@ -199,8 +199,8 @@ fn metrics_verb_returns_an_obs_snapshot_over_binary_frames() {
 }
 
 /// The compatibility matrix the protocol docs promise: v1 and v2 JSONL
-/// clients, a v3 JSON-framed client, and a v3 binary client all get served
-/// by one v3 server — on the same port, negotiated per connection.
+/// clients and a v3 binary-framed client all get served by one v3 server —
+/// on the same port, negotiated per connection.
 #[test]
 fn protocol_version_matrix_v1_v2_v3_clients_against_one_server() {
     let mut server = ServerGuard::spawn(2);
@@ -228,15 +228,14 @@ fn protocol_version_matrix_v1_v2_v3_clients_against_one_server() {
         );
     }
 
-    // v3 clients: framed JSON and framed binary, with explicit negotiation.
-    for transport in [
-        Transport::Framed(WireFormat::Json),
-        Transport::Framed(WireFormat::Binary),
-    ] {
-        let mut client = EngineClient::connect(&*server.addr, transport).expect("connect framed");
+    // v3 client: binary frames, with explicit negotiation.
+    {
+        let mut client =
+            EngineClient::connect(&*server.addr, Transport::Binary).expect("connect framed");
         let hello = client.hello().expect("hello negotiation");
         assert_eq!(hello.protocol, PROTOCOL_VERSION);
         assert_eq!(hello.min_protocol, 1, "v1 clients stay supported");
+        assert_eq!(hello.formats, ["binary", "jsonl"]);
         client.send(&request(7, 1)).unwrap();
         client.flush().unwrap();
         let resp = client.recv().unwrap().expect("framed response");
