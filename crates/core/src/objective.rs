@@ -360,6 +360,13 @@ impl ObjectiveScratch {
         (self.memo_hits, self.memo_misses)
     }
 
+    /// Lifetime count of adjacency entries examined by the matching
+    /// searches of gain evaluations run with this scratch (see
+    /// [`GainScratch::edge_visits`]).
+    pub fn edge_visits(&self) -> u64 {
+        self.gain.edge_visits()
+    }
+
     /// Sizes the memo for `red` and forgets it if it was filled against
     /// another objective.
     fn ensure(&mut self, token: u64, red: &ScheduleReduction) {

@@ -24,6 +24,41 @@
 //! on an epoch-versioned overlay ([`GainScratch`]) without touching the
 //! committed state, so candidate evaluation takes `&self` and parallelizes
 //! with one scratch per thread.
+//!
+//! # Dead jobs and early exit
+//!
+//! Most searches in a gain scan fail: the new slot reaches only saturated
+//! jobs. The jobs `D` a failed search reaches are each matched to a slot the
+//! search enqueued, and every job adjacent to one of those slots is in `D`,
+//! retired, or already dead. So `D` is *closed*: an alternating walk that
+//! enters `D` stays among `D` and its matched slots and never ends at an
+//! unsaturated job. The search marks `D` dead, and later searches skip dead
+//! jobs. Skipping them changes neither which live jobs a search reaches nor
+//! the slot it first reaches each one from, because the slots matched into
+//! `D` are adjacent to no live job. No later operation reopens `D`:
+//!
+//! * **slot insertion** adds no edge at a slot matched into `D`, and the new
+//!   slot's own search sees `D` closed like any other;
+//! * **augmentation** flips a path that ends at an unsaturated job, so the
+//!   path never enters `D` and `D`'s matched edges never flip;
+//! * **[`MatchingOracle::retract`]** of a job outside `D` frees a slot
+//!   outside `D` and re-augments as above; retracting a job of `D` retires
+//!   it and leaves the rest of `D` matched into slots whose neighbours are
+//!   in `D` or retired, so what remains of `D` is still closed.
+//!
+//! A retired job is simply one more dead job, so the search tests one skip
+//! mark. Committed marks live in the oracle until
+//! [`MatchingOracle::reset`]; marks set by overlay searches live in the
+//! [`GainScratch`] for one pass, because that pass's matching is thrown
+//! away.
+//!
+//! Overlay searches also stop at the first unsaturated job worth the
+//! largest job value, since no job can add more. The overlay may then hold
+//! a different maximum matching than the exhaustive search would build, but
+//! each increment `F(S ∪ Pₖ₊₁) − F(S ∪ Pₖ)` depends on the slot sets, not on
+//! the matching, so every gain keeps its bits. Committed searches stay
+//! exhaustive with the smallest-index tie-break: the committed matching, and
+//! every assignment read from it, is the one the plain search builds.
 
 use crate::graph::BipartiteGraph;
 
@@ -40,6 +75,8 @@ struct BfsScratch {
     prev_slot: Vec<u32>,
     /// Slot frontier.
     queue: Vec<u32>,
+    /// Lifetime count of adjacency entries the searches examined.
+    edge_visits: u64,
 }
 
 impl BfsScratch {
@@ -62,18 +99,23 @@ impl BfsScratch {
     }
 }
 
-/// Read/write access to a matching state; lets the committed path and the
-/// overlay path share one augmentation routine.
+/// Read/write access to a matching state and its dead-job marks; lets the
+/// committed path and the overlay path share one augmentation routine.
 trait MatchView {
     fn mx(&self, x: u32) -> u32;
     fn my(&self, y: u32) -> u32;
     fn set_mx(&mut self, x: u32, y: u32);
     fn set_my(&mut self, y: u32, x: u32);
+    /// Is job `y` retired or in a closed, fully matched set (see the
+    /// module docs)?
+    fn is_dead(&self, y: u32) -> bool;
+    fn mark_dead(&mut self, y: u32);
 }
 
 struct DirectView<'a> {
     match_x: &'a mut [u32],
     match_y: &'a mut [u32],
+    dead: &'a mut [bool],
 }
 
 impl MatchView for DirectView<'_> {
@@ -93,6 +135,14 @@ impl MatchView for DirectView<'_> {
     fn set_my(&mut self, y: u32, x: u32) {
         self.match_y[y as usize] = x;
     }
+    #[inline]
+    fn is_dead(&self, y: u32) -> bool {
+        self.dead[y as usize]
+    }
+    #[inline]
+    fn mark_dead(&mut self, y: u32) {
+        self.dead[y as usize] = true;
+    }
 }
 
 /// Epoch-versioned copy-on-write overlay over the committed matching.
@@ -102,7 +152,9 @@ impl MatchView for DirectView<'_> {
 /// Reusing one `GainScratch` across evaluations costs O(touched entries) per
 /// evaluation instead of O(V). Duplicate slots within one evaluation are
 /// detected with the same epoch trick (`added_ver`), so an evaluation costs
-/// O(|T|) bookkeeping instead of the O(|T|²) of a linear `contains` scan.
+/// O(|T|) bookkeeping instead of the O(|T|²) of a linear `contains` scan,
+/// and jobs a failed search proves dead stay dead for the rest of the pass
+/// (`dead_ver`).
 #[derive(Clone, Debug, Default)]
 pub struct GainScratch {
     ep: u32,
@@ -110,6 +162,9 @@ pub struct GainScratch {
     mx_ver: Vec<u32>,
     my_ov: Vec<u32>,
     my_ver: Vec<u32>,
+    /// Per-job tag: `== ep` when a failed search in this epoch marked the
+    /// job dead.
+    dead_ver: Vec<u32>,
     bfs: BfsScratch,
     /// Per-slot tag: `== ep` when the slot was already added in this epoch.
     added_ver: Vec<u32>,
@@ -131,6 +186,7 @@ impl GainScratch {
             self.added_ver = vec![0; nx];
             self.my_ov = vec![NONE; ny];
             self.my_ver = vec![0; ny];
+            self.dead_ver = vec![0; ny];
             self.ep = 0;
         }
         self.bfs.ensure(nx, ny);
@@ -140,22 +196,33 @@ impl GainScratch {
         if self.ep == u32::MAX {
             self.mx_ver.fill(0);
             self.my_ver.fill(0);
+            self.dead_ver.fill(0);
             self.added_ver.fill(0);
             self.ep = 0;
         }
         self.ep += 1;
         self.ep
     }
+
+    /// Lifetime count of adjacency entries examined by the alternating-path
+    /// searches of gain evaluations run with this scratch. A plain field:
+    /// telemetry and work-bound tests read it once per solve.
+    #[inline]
+    pub fn edge_visits(&self) -> u64 {
+        self.bfs.edge_visits
+    }
 }
 
 struct OverlayView<'a> {
     base_x: &'a [u32],
     base_y: &'a [u32],
+    base_dead: &'a [bool],
     ep: u32,
     mx_ov: &'a mut [u32],
     mx_ver: &'a mut [u32],
     my_ov: &'a mut [u32],
     my_ver: &'a mut [u32],
+    dead_ver: &'a mut [u32],
 }
 
 impl MatchView for OverlayView<'_> {
@@ -185,6 +252,14 @@ impl MatchView for OverlayView<'_> {
         self.my_ov[y as usize] = x;
         self.my_ver[y as usize] = self.ep;
     }
+    #[inline]
+    fn is_dead(&self, y: u32) -> bool {
+        self.base_dead[y as usize] || self.dead_ver[y as usize] == self.ep
+    }
+    #[inline]
+    fn mark_dead(&mut self, y: u32) {
+        self.dead_ver[y as usize] = self.ep;
+    }
 }
 
 /// Incremental maximum-weight matching-rank oracle over a fixed bipartite
@@ -193,10 +268,15 @@ impl MatchView for OverlayView<'_> {
 pub struct MatchingOracle<'g> {
     g: &'g BipartiteGraph,
     values: Vec<f64>,
+    /// Largest job value: an overlay search stops at the first unsaturated
+    /// job worth this much.
+    max_value: f64,
     allowed: Vec<bool>,
-    /// Jobs removed by [`MatchingOracle::retract`]; they no longer
-    /// participate in augmentations or gain evaluations.
-    retired: Vec<bool>,
+    /// Jobs every search skips (see the module docs): those removed by
+    /// [`MatchingOracle::retract`], which are unmatched, plus the closed
+    /// sets failed committed searches reached, which stay matched. A job is
+    /// therefore retired exactly when it is dead and unmatched.
+    dead: Vec<bool>,
     match_x: Vec<u32>,
     match_y: Vec<u32>,
     total: f64,
@@ -227,11 +307,13 @@ impl<'g> MatchingOracle<'g> {
         }
         let mut bfs = BfsScratch::default();
         bfs.ensure(g.nx() as usize, g.ny() as usize);
+        let max_value = values.iter().copied().fold(0.0, f64::max);
         Self {
             g,
             values,
+            max_value,
             allowed: vec![false; g.nx() as usize],
-            retired: vec![false; g.ny() as usize],
+            dead: vec![false; g.ny() as usize],
             match_x: vec![NONE; g.nx() as usize],
             match_y: vec![NONE; g.ny() as usize],
             total: 0.0,
@@ -334,6 +416,7 @@ impl<'g> MatchingOracle<'g> {
         let mut view = DirectView {
             match_x: &mut self.match_x,
             match_y: &mut self.match_y,
+            dead: &mut self.dead,
         };
         let gain = best_augment(
             self.g,
@@ -341,7 +424,7 @@ impl<'g> MatchingOracle<'g> {
             &mut view,
             &mut self.bfs,
             &self.values,
-            &self.retired,
+            f64::INFINITY,
         );
         if gain > 0.0 {
             self.revision += 1;
@@ -375,10 +458,10 @@ impl<'g> MatchingOracle<'g> {
     /// unsaturated, since its departure can still lower future marginal
     /// gains.
     pub fn retract(&mut self, y: u32) -> f64 {
-        if self.retired[y as usize] {
+        if self.is_retired(y) {
             return 0.0;
         }
-        self.retired[y as usize] = true;
+        self.dead[y as usize] = true;
         self.revision += 1;
         self.retract_ops += 1;
         let x = self.match_y[y as usize];
@@ -392,6 +475,7 @@ impl<'g> MatchingOracle<'g> {
         let mut view = DirectView {
             match_x: &mut self.match_x,
             match_y: &mut self.match_y,
+            dead: &mut self.dead,
         };
         let regained = best_augment(
             self.g,
@@ -399,7 +483,7 @@ impl<'g> MatchingOracle<'g> {
             &mut view,
             &mut self.bfs,
             &self.values,
-            &self.retired,
+            f64::INFINITY,
         );
         self.total += regained;
         regained - lost
@@ -414,10 +498,19 @@ impl<'g> MatchingOracle<'g> {
         (self.augment_ops, self.retract_ops)
     }
 
+    /// Lifetime count of adjacency entries examined by the committed
+    /// searches of [`MatchingOracle::add_slot`] and
+    /// [`MatchingOracle::retract`]; [`GainScratch::edge_visits`] counts the
+    /// speculative ones.
+    #[inline]
+    pub fn edge_visits(&self) -> u64 {
+        self.bfs.edge_visits
+    }
+
     /// Has job `y` been retired by [`MatchingOracle::retract`]?
     #[inline]
     pub fn is_retired(&self, y: u32) -> bool {
-        self.retired[y as usize]
+        self.dead[y as usize] && self.match_y[y as usize] == NONE
     }
 
     /// Evaluates `F(S ∪ T) − F(S)` exactly for `T = slots`, *without*
@@ -464,11 +557,13 @@ impl<'g> MatchingOracle<'g> {
                 let mut view = OverlayView {
                     base_x: &self.match_x,
                     base_y: &self.match_y,
+                    base_dead: &self.dead,
                     ep,
                     mx_ov: &mut scratch.mx_ov,
                     mx_ver: &mut scratch.mx_ver,
                     my_ov: &mut scratch.my_ov,
                     my_ver: &mut scratch.my_ver,
+                    dead_ver: &mut scratch.dead_ver,
                 };
                 gain += best_augment(
                     self.g,
@@ -476,7 +571,7 @@ impl<'g> MatchingOracle<'g> {
                     &mut view,
                     &mut scratch.bfs,
                     &self.values,
-                    &self.retired,
+                    self.max_value,
                 );
             }
             emit(k, gain);
@@ -487,7 +582,7 @@ impl<'g> MatchingOracle<'g> {
     /// Clears `S` back to the empty set and un-retires every job.
     pub fn reset(&mut self) {
         self.allowed.fill(false);
-        self.retired.fill(false);
+        self.dead.fill(false);
         self.match_x.fill(NONE);
         self.match_y.fill(NONE);
         self.total = 0.0;
@@ -499,15 +594,18 @@ impl<'g> MatchingOracle<'g> {
 /// Finds the maximum-value unsaturated job reachable from the newly-allowed,
 /// unmatched slot `v` by an alternating path, flips that path, and returns the
 /// gained value (0 if none reachable). Ties broken toward the smallest job
-/// index for determinism. Retired jobs are invisible: never matched (they are
-/// unmatched by construction) and never chosen as the augmenting endpoint.
+/// index for determinism, unless a job worth at least `stop_at` turns up: the
+/// search then stops there (overlay searches pass the largest job value,
+/// committed ones `f64::INFINITY`). Dead jobs, retired ones included, are
+/// skipped; a search that reaches no unsaturated job marks every job it
+/// reached dead (see the module docs).
 fn best_augment(
     g: &BipartiteGraph,
     v: u32,
     view: &mut impl MatchView,
     bfs: &mut BfsScratch,
     values: &[f64],
-    retired: &[bool],
+    stop_at: f64,
 ) -> f64 {
     debug_assert_eq!(view.mx(v), NONE, "newly added slot must be unmatched");
     let ep = bfs.next_epoch();
@@ -515,13 +613,15 @@ fn best_augment(
     bfs.queue.push(v);
     let mut best_y = NONE;
     let mut best_val = 0.0f64;
+    let mut visits = 0u64;
 
     let mut head = 0;
-    while head < bfs.queue.len() {
+    'search: while head < bfs.queue.len() {
         let x = bfs.queue[head];
         head += 1;
         for &y in g.adj_x(x) {
-            if retired[y as usize] || bfs.job_seen[y as usize] == ep {
+            visits += 1;
+            if view.is_dead(y) || bfs.job_seen[y as usize] == ep {
                 continue;
             }
             bfs.job_seen[y as usize] = ep;
@@ -532,6 +632,9 @@ fn best_augment(
                 if val > best_val || (val == best_val && best_y != NONE && y < best_y) {
                     best_val = val;
                     best_y = y;
+                    if val >= stop_at {
+                        break 'search;
+                    }
                 }
             } else {
                 // The matched partner slot is explored next; it is enqueued at
@@ -540,8 +643,14 @@ fn best_augment(
             }
         }
     }
+    bfs.edge_visits += visits;
 
     if best_y == NONE {
+        // Every job reached is matched to a slot after `v` on the queue.
+        for &x in &bfs.queue[1..] {
+            let y = view.mx(x);
+            view.mark_dead(y);
+        }
         return 0.0;
     }
 
@@ -954,6 +1063,260 @@ mod tests {
         o.reset();
         assert!(!o.is_retired(0));
         assert_eq!(o.add_slot(0), 1.0);
+    }
+
+    /// The exhaustive search without dead-job pruning or early exit, kept as
+    /// the identity reference: it tests `retired` directly and walks every
+    /// reachable job on every search.
+    #[derive(Clone)]
+    struct Reference<'g> {
+        g: &'g BipartiteGraph,
+        values: Vec<f64>,
+        allowed: Vec<bool>,
+        retired: Vec<bool>,
+        match_x: Vec<u32>,
+        match_y: Vec<u32>,
+        total: f64,
+    }
+
+    impl<'g> Reference<'g> {
+        fn new(g: &'g BipartiteGraph, values: Vec<f64>) -> Self {
+            Self {
+                g,
+                values,
+                allowed: vec![false; g.nx() as usize],
+                retired: vec![false; g.ny() as usize],
+                match_x: vec![NONE; g.nx() as usize],
+                match_y: vec![NONE; g.ny() as usize],
+                total: 0.0,
+            }
+        }
+
+        fn augment(&mut self, v: u32) -> f64 {
+            let ny = self.g.ny() as usize;
+            let mut seen = vec![false; ny];
+            let mut prev_slot = vec![NONE; ny];
+            let mut queue = vec![v];
+            let (mut best_y, mut best_val) = (NONE, 0.0f64);
+            let mut head = 0;
+            while head < queue.len() {
+                let x = queue[head];
+                head += 1;
+                for &y in self.g.adj_x(x) {
+                    if self.retired[y as usize] || seen[y as usize] {
+                        continue;
+                    }
+                    seen[y as usize] = true;
+                    prev_slot[y as usize] = x;
+                    let m = self.match_y[y as usize];
+                    if m == NONE {
+                        let val = self.values[y as usize];
+                        if val > best_val || (val == best_val && best_y != NONE && y < best_y) {
+                            best_val = val;
+                            best_y = y;
+                        }
+                    } else {
+                        queue.push(m);
+                    }
+                }
+            }
+            if best_y == NONE {
+                return 0.0;
+            }
+            let mut y = best_y;
+            loop {
+                let s = prev_slot[y as usize];
+                let prev_job = self.match_x[s as usize];
+                self.match_y[y as usize] = s;
+                self.match_x[s as usize] = y;
+                if prev_job == NONE {
+                    break;
+                }
+                y = prev_job;
+            }
+            best_val
+        }
+
+        fn add_slot(&mut self, v: u32) -> f64 {
+            if self.allowed[v as usize] {
+                return 0.0;
+            }
+            self.allowed[v as usize] = true;
+            let gain = self.augment(v);
+            self.total += gain;
+            gain
+        }
+
+        fn retract(&mut self, y: u32) -> f64 {
+            if self.retired[y as usize] {
+                return 0.0;
+            }
+            self.retired[y as usize] = true;
+            let x = self.match_y[y as usize];
+            if x == NONE {
+                return 0.0;
+            }
+            self.match_y[y as usize] = NONE;
+            self.match_x[x as usize] = NONE;
+            let lost = self.values[y as usize];
+            self.total -= lost;
+            let regained = self.augment(x);
+            self.total += regained;
+            regained - lost
+        }
+
+        /// Cumulative gains of adding `slots` one by one to a copy.
+        fn prefix_gains(&self, slots: &[u32]) -> Vec<f64> {
+            let mut copy = self.clone();
+            let mut cum = 0.0;
+            slots
+                .iter()
+                .map(|&v| {
+                    cum += copy.add_slot(v);
+                    cum
+                })
+                .collect()
+        }
+    }
+
+    fn shuffle<T>(rng: &mut impl Rng, items: &mut [T]) {
+        for i in (1..items.len()).rev() {
+            items.swap(i, rng.gen_range(0..=i));
+        }
+    }
+
+    /// A random graph whose slots and jobs come in groups of twins with
+    /// identical adjacency: the shapes DVFS lanes (twin slots) and sub-jobs
+    /// (twin jobs, each worth `value / work`) compile to. Ids are shuffled
+    /// in half the draws, so twins are not always neighbours.
+    fn twin_graph(rng: &mut impl Rng, weighted: bool) -> (BipartiteGraph, Vec<f64>) {
+        let base_x = rng.gen_range(1..=8u32);
+        let base_y = rng.gen_range(1..=6u32);
+        let expand = |rng: &mut _, n: u32| -> Vec<u32> {
+            let mut of: Vec<u32> = (0..n)
+                .flat_map(|b| std::iter::repeat_n(b, Rng::gen_range(rng, 1..=3)))
+                .collect();
+            if Rng::gen_bool(rng, 0.5) {
+                shuffle(rng, &mut of);
+            }
+            of
+        };
+        let slot_base = expand(rng, base_x);
+        let job_base = expand(rng, base_y);
+        let base = random_graph(rng, base_x, base_y, 0.4);
+        let mut edges = Vec::new();
+        for (x, &bx) in slot_base.iter().enumerate() {
+            for (y, &by) in job_base.iter().enumerate() {
+                if base.adj_x(bx).contains(&by) {
+                    edges.push((x as u32, y as u32));
+                }
+            }
+        }
+        let g = BipartiteGraph::from_edges(slot_base.len() as u32, job_base.len() as u32, &edges);
+        let values = if weighted {
+            let base_values: Vec<f64> = (0..base_y).map(|_| rng.gen_range(1..=12) as f64).collect();
+            let work: Vec<usize> = (0..base_y)
+                .map(|b| job_base.iter().filter(|&&j| j == b).count())
+                .collect();
+            job_base
+                .iter()
+                .map(|&b| base_values[b as usize] / work[b as usize] as f64)
+                .collect()
+        } else {
+            vec![1.0; job_base.len()]
+        };
+        (g, values)
+    }
+
+    fn assert_same_state(o: &MatchingOracle<'_>, r: &Reference<'_>, ctx: &str) {
+        assert_eq!(o.match_x, r.match_x, "match_x diverged {ctx}");
+        assert_eq!(o.match_y, r.match_y, "match_y diverged {ctx}");
+        assert_eq!(o.total.to_bits(), r.total.to_bits(), "total diverged {ctx}");
+        let retired: Vec<bool> = (0..o.g.ny()).map(|y| o.is_retired(y)).collect();
+        assert_eq!(retired, r.retired, "retirement diverged {ctx}");
+    }
+
+    #[test]
+    fn pruned_search_is_identical_to_the_exhaustive_reference() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x7D1E);
+        // one scratch across every oracle and pass, as a worker thread uses it
+        let mut scratch = GainScratch::new();
+        let mut cum = Vec::new();
+        let mut failed_searches = 0;
+        for trial in 0..160 {
+            let (g, values) = twin_graph(&mut rng, trial % 2 == 1);
+            let (nx, ny) = (g.nx(), g.ny());
+            let mut o = MatchingOracle::new(&g, values.clone());
+            let mut r = Reference::new(&g, values);
+            let mut order: Vec<u32> = (0..nx).collect();
+            shuffle(&mut rng, &mut order);
+            for (step, &v) in order.iter().enumerate() {
+                let ctx = format!("(trial {trial}, step {step})");
+                if rng.gen_bool(0.25) {
+                    let y = rng.gen_range(0..ny);
+                    let (got, want) = (o.retract(y), r.retract(y));
+                    assert_eq!(got.to_bits(), want.to_bits(), "retract({y}) {ctx}");
+                    assert_same_state(&o, &r, &ctx);
+                }
+                let (got, want) = (o.add_slot(v), r.add_slot(v));
+                assert_eq!(got.to_bits(), want.to_bits(), "add_slot({v}) {ctx}");
+                if got == 0.0 {
+                    failed_searches += 1;
+                }
+                assert_same_state(&o, &r, &ctx);
+
+                // a long probe: unadded twins of added slots, repeats and
+                // already-allowed slots, so most of its searches fail
+                let mut probe: Vec<u32> = (0..nx).chain(0..nx / 2).collect();
+                shuffle(&mut rng, &mut probe);
+                probe.truncate(rng.gen_range(1..=probe.len()));
+                let want = r.prefix_gains(&probe);
+                o.gain_prefixes(&probe, &mut scratch, &mut cum);
+                let bits = |v: &[f64]| v.iter().map(|g| g.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&cum), bits(&want), "gain_prefixes {probe:?} {ctx}");
+                let last = *want.last().unwrap();
+                let single = o.gain_of(&probe, &mut scratch);
+                assert_eq!(single.to_bits(), last.to_bits(), "gain_of {ctx}");
+                assert_same_state(&o, &r, &ctx);
+            }
+        }
+        assert!(failed_searches > 500, "too few failed searches exercised");
+    }
+
+    #[test]
+    fn failed_searches_skip_the_closed_set_they_reached() {
+        // slots 0..4 share one job; after slot 0 takes it, each later slot's
+        // search fails, and from the second one on it finds the job dead and
+        // examines only its own adjacency entry
+        let g = BipartiteGraph::from_edges(4, 1, &[(0, 0), (1, 0), (2, 0), (3, 0)]);
+        let mut o = MatchingOracle::new_cardinality(&g);
+        assert_eq!(o.add_slot(0), 1.0);
+        assert_eq!(o.edge_visits(), 1);
+        assert_eq!(o.add_slot(1), 0.0);
+        assert_eq!(o.edge_visits(), 3, "slot 1 walks job 0 back to slot 0");
+        assert_eq!(o.add_slot(2), 0.0);
+        assert_eq!(o.edge_visits(), 4, "job 0 is dead: one entry");
+        // the overlay sees the committed mark too
+        let mut s = GainScratch::new();
+        assert_eq!(o.gain_of(&[3], &mut s), 0.0);
+        assert_eq!(s.edge_visits(), 1);
+        // reset revives it
+        o.reset();
+        assert_eq!(o.add_slot(3), 1.0);
+    }
+
+    #[test]
+    fn epoch_wrap_clears_every_stamp() {
+        // slots 0 and 1 share job 0: the first pass (epoch 1) adds both
+        // slots, matches the job and marks it dead; a pass that wraps the
+        // epoch counter back to 1 must not read any of those stamps
+        let g = BipartiteGraph::from_edges(2, 1, &[(0, 0), (1, 0)]);
+        let o = MatchingOracle::new_cardinality(&g);
+        let mut s = GainScratch::new();
+        assert_eq!(o.gain_of(&[0, 1], &mut s), 1.0);
+        assert_eq!(s.dead_ver[0], 1);
+        s.ep = u32::MAX;
+        assert_eq!(o.gain_of(&[1], &mut s), 1.0);
     }
 
     #[test]

@@ -1,10 +1,15 @@
 //! Larger randomized stress tests for the incremental matching-rank oracle —
 //! the load-bearing component of the whole reduction. Cross-checks hundreds
 //! of random insertion schedules against Hopcroft–Karp and the weighted
-//! reference at sizes well beyond the unit tests.
+//! reference at sizes well beyond the unit tests, checks scratch reuse
+//! across oracles, and bounds the search work of a pinned DVFS gain scan.
 
 use power_scheduling::matching::oracle::weighted_rank_reference;
 use power_scheduling::matching::{hopcroft_karp, BipartiteGraph, GainScratch, MatchingOracle};
+use power_scheduling::scheduling::objective::ObjectiveScratch;
+use power_scheduling::scheduling::{ScheduleObjective, ScheduleReduction};
+use power_scheduling::submodular::BudgetedObjective;
+use power_scheduling::workloads::{dvfs_instance, DvfsConfig};
 use rand::{Rng, SeedableRng};
 
 fn random_graph(rng: &mut impl Rng, nx: u32, ny: u32, deg: usize) -> BipartiteGraph {
@@ -152,4 +157,55 @@ fn gain_scratch_reuse_when_only_the_slot_side_resizes() {
     let fresh = oracle.gain_of(&[0, 1], &mut GainScratch::new());
     assert_eq!(fresh, 2.0);
     assert_eq!(oracle.gain_of(&[0, 1], &mut scratch), fresh);
+}
+
+#[test]
+fn gain_scratch_reuse_after_a_failed_search_with_a_new_job_count() {
+    // Two slots share one job, so the second slot's search fails and marks
+    // job 0 dead for that pass. The next oracle has more jobs and restarts
+    // the scratch's epochs: a dead mark surviving the resize would read as
+    // current and hide its job 0.
+    let small = BipartiteGraph::from_edges(2, 1, &[(0, 0), (1, 0)]);
+    let large = BipartiteGraph::from_edges(2, 3, &[(0, 0), (1, 1), (1, 2)]);
+    let mut scratch = GainScratch::new();
+    let first = MatchingOracle::new_cardinality(&small);
+    assert_eq!(first.gain_of(&[0, 1], &mut scratch), 1.0, "slot 1 fails");
+    let oracle = MatchingOracle::new_cardinality(&large);
+    let fresh = oracle.gain_of(&[0, 1], &mut GainScratch::new());
+    assert_eq!(fresh, 2.0);
+    assert_eq!(oracle.gain_of(&[0, 1], &mut scratch), fresh);
+    // and back to the smaller job count
+    assert_eq!(first.gain_of(&[0, 1], &mut scratch), 1.0);
+}
+
+/// Upper bound on the adjacency entries the first gain scan of the pinned
+/// DVFS shape may examine, about twice the count measured when it was set.
+/// The count is machine-portable, and the fast≡naive speedup gate cannot
+/// see oracle changes because both paths share the oracle.
+const DVFS_FIRST_SCAN_EDGE_VISITS_MAX: u64 = 140_000;
+
+#[test]
+fn dvfs_first_scan_edge_visits_stay_bounded() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+    let dvfs = dvfs_instance(
+        &DvfsConfig {
+            num_processors: 4,
+            horizon: 32,
+            target_jobs: 64,
+            ..DvfsConfig::default()
+        },
+        &mut rng,
+    );
+    let compiled = dvfs.compile().expect("generated DVFS instances compile");
+    let red = ScheduleReduction::build(&compiled.instance, &compiled.candidates);
+    let obj = ScheduleObjective::new_cardinality(&red);
+    let mut scratch = ObjectiveScratch::default();
+    let mut gains = Vec::new();
+    obj.scan_gains(false, &mut scratch, &mut gains);
+    assert_eq!(gains.len(), compiled.candidates.len());
+    let visits = scratch.edge_visits();
+    assert!(
+        visits <= DVFS_FIRST_SCAN_EDGE_VISITS_MAX,
+        "first scan examined {visits} adjacency entries, bound {DVFS_FIRST_SCAN_EDGE_VISITS_MAX}"
+    );
 }
