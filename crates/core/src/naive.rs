@@ -61,8 +61,10 @@ impl NaiveReduction {
 }
 
 /// The seed objective: candidate-by-candidate gain evaluation, no
-/// memoization, no structured scans (it deliberately does **not** override
-/// [`BudgetedObjective::scan_gains`]).
+/// memoization, no structured scans, no bounded first keys (it deliberately
+/// overrides neither [`BudgetedObjective::scan_gains`] nor
+/// [`BudgetedObjective::first_values`], so its lazy greedy opens with a full
+/// scan).
 pub struct NaiveObjective<'r> {
     red: &'r NaiveReduction,
     oracle: MatchingOracle<'r>,

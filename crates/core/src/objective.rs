@@ -38,6 +38,13 @@
 //!   components on mutation and replays a run's cached gains when no stamp
 //!   on the run moved since its last pass — sound, and bit-identical by
 //!   construction.
+//! * **Bounded first keys** — the greedy's first keys read the memo where a
+//!   run's memo is current (a warm solve's seeded scan leaves every run
+//!   current). Every other candidate's first key is an upper bound read
+//!   from its slot window: `|slots_of(i)|` times the oracle's largest job
+//!   value. So a cold solve runs no full gain scan, and a run is evaluated
+//!   only when its bound reaches the top of the lazy heap (see
+//!   `submodular::budgeted`, "Initial keys may be upper bounds").
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -459,14 +466,21 @@ impl<'r> ScheduleObjective<'r> {
         scratch.cum = cum;
     }
 
+    /// Whether run `r`'s memoized gains are exact: the run was evaluated
+    /// and no component stamp on it moved since.
+    #[inline]
+    fn memo_current(&self, r: usize, scratch: &ObjectiveScratch) -> bool {
+        let eval = scratch.run_eval[r];
+        eval != 0 && eval >= self.stamp_of_run(r)
+    }
+
     /// Brings run `r`'s memoized gains up to date: replays them when no
     /// component stamp on the run moved since its last pass, else runs one
     /// pass. Every member counts as one memo hit or miss.
     fn fresh_run(&self, r: usize, scratch: &mut ObjectiveScratch) {
         let (lo, hi) = self.red.runs()[r];
         let members = u64::from(hi - lo);
-        let eval = scratch.run_eval[r];
-        if eval != 0 && eval >= self.stamp_of_run(r) {
+        if self.memo_current(r, scratch) {
             scratch.memo_hits += members;
         } else {
             scratch.memo_misses += members;
@@ -477,8 +491,9 @@ impl<'r> ScheduleObjective<'r> {
     /// Pre-seeds `scratch`'s gain memo: every run whose members are all
     /// `clean` is stamped as already evaluated with values `vals`; the rest
     /// stay unevaluated. A subsequent [`BudgetedObjective::scan_gains`] then
-    /// replays the seeded runs and recomputes only the others — the
-    /// warm-start path of incremental re-solving.
+    /// replays the seeded runs and recomputes only the others, and the
+    /// greedy's first keys read the memo — the warm-start path of
+    /// incremental re-solving.
     ///
     /// Only sound on a *fresh* objective (no commits yet): the seed is
     /// stamped at the initial version, and the caller must guarantee each
@@ -597,26 +612,69 @@ impl BudgetedObjective for ScheduleObjective<'_> {
 
     fn scan_gains(&self, parallel: bool, scratch: &mut Self::Scratch, out: &mut Vec<f64>) {
         let _span = sched_obs::span!("core.objective.scan_gains_ns");
-        out.clear();
+        scratch.ensure(self.token, self.red);
+        let runs = self.red.runs();
         if parallel {
+            // Replay the runs whose memo is current, refresh the others on
+            // per-thread scratches, and write them back into the memo: the
+            // same memo state the sequential scan leaves.
             use rayon::prelude::*;
-            let runs = self.red.runs();
-            let chunks: Vec<Vec<f64>> = (0..runs.len())
+            let stale: Vec<usize> = (0..runs.len())
+                .filter(|&r| !self.memo_current(r, scratch))
+                .collect();
+            let fresh: Vec<Vec<f64>> = (0..stale.len())
                 .into_par_iter()
-                .map_init(ObjectiveScratch::default, |s, r| {
+                .map_init(ObjectiveScratch::default, |s, k| {
+                    let r = stale[k];
                     s.ensure(self.token, self.red);
                     self.refresh_run(r, s);
                     let (lo, hi) = (runs[r].0 as usize, runs[r].1 as usize);
                     s.memo_val[lo..hi].to_vec()
                 })
                 .collect();
-            out.extend(chunks.into_iter().flatten());
+            let mut refreshed = 0;
+            for (&r, vals) in stale.iter().zip(fresh) {
+                let lo = runs[r].0 as usize;
+                scratch.memo_val[lo..lo + vals.len()].copy_from_slice(&vals);
+                scratch.run_eval[r] = self.version;
+                refreshed += vals.len() as u64;
+            }
+            scratch.memo_misses += refreshed;
+            scratch.memo_hits += self.red.num_candidates() as u64 - refreshed;
         } else {
-            scratch.ensure(self.token, self.red);
-            for r in 0..self.red.runs().len() {
+            for r in 0..runs.len() {
                 self.fresh_run(r, scratch);
             }
-            out.extend_from_slice(&scratch.memo_val);
+        }
+        out.clear();
+        out.extend_from_slice(&scratch.memo_val);
+    }
+
+    /// Exact memoized gains for the runs whose memo is current, and
+    /// `|slots_of(i)| ×` [`MatchingOracle::max_value`] for every other
+    /// candidate: each slot raises the matching rank by at most one job's
+    /// value. Reads no matching, so `parallel` has nothing to split.
+    fn first_values(
+        &self,
+        _parallel: bool,
+        scratch: &mut Self::Scratch,
+        out: &mut Vec<f64>,
+        bounded: &mut Vec<u32>,
+    ) {
+        scratch.ensure(self.token, self.red);
+        let max_value = self.oracle.max_value();
+        out.clear();
+        out.reserve(self.red.num_candidates());
+        bounded.clear();
+        for (r, &(lo, hi)) in self.red.runs().iter().enumerate() {
+            let (lo, hi) = (lo as usize, hi as usize);
+            if self.memo_current(r, scratch) {
+                scratch.memo_hits += (hi - lo) as u64;
+                out.extend_from_slice(&scratch.memo_val[lo..hi]);
+            } else {
+                out.extend((lo..hi).map(|i| self.red.slots_of(i).len() as f64 * max_value));
+                bounded.push(r as u32);
+            }
         }
     }
 }
@@ -771,6 +829,86 @@ mod tests {
                 }
             }
             obj.commit(round * 5 % cands.len());
+        }
+    }
+
+    #[test]
+    fn parallel_scan_replays_the_callers_memo() {
+        let inst = Instance::new(
+            2,
+            6,
+            vec![
+                Job::window(1.0, 0, 0, 3),
+                Job::window(1.0, 0, 2, 5),
+                Job::window(1.0, 1, 1, 4),
+            ],
+        );
+        let cands = enumerate_candidates(&inst, &AffineCost::new(2.0, 1.0), CandidatePolicy::All);
+        let red = ScheduleReduction::build(&inst, &cands);
+        let obj = ScheduleObjective::new_cardinality(&red);
+        let mut exact = Vec::new();
+        obj.scan_gains(false, &mut ObjectiveScratch::default(), &mut exact);
+
+        // Seed every run but the first: the parallel scan must replay the
+        // seeded runs from this scratch, refresh only the first, and leave
+        // the memo as current as the sequential scan does.
+        let m = cands.len();
+        let first_run = red.runs()[0].1 as usize;
+        let clean: Vec<bool> = (0..m).map(|i| i >= first_run).collect();
+        let mut scratch = ObjectiveScratch::default();
+        obj.seed_memo(&mut scratch, &exact, &clean);
+        let mut par = Vec::new();
+        obj.scan_gains(true, &mut scratch, &mut par);
+        assert_eq!(par, exact);
+        let refreshed = first_run as u64;
+        assert_eq!(scratch.memo_counts(), (m as u64 - refreshed, refreshed));
+        let (mut again, mut bounded) = (Vec::new(), Vec::new());
+        obj.first_values(false, &mut scratch, &mut again, &mut bounded);
+        assert_eq!(again, exact);
+        assert!(bounded.is_empty(), "every run's memo is current");
+    }
+
+    #[test]
+    fn first_values_bound_the_runs_without_a_current_memo() {
+        let inst = Instance::new(
+            2,
+            6,
+            vec![
+                Job::window(3.0, 0, 0, 3),
+                Job::window(1.0, 0, 2, 5),
+                Job::window(2.0, 1, 1, 4),
+            ],
+        );
+        let cands = enumerate_candidates(&inst, &AffineCost::new(2.0, 1.0), CandidatePolicy::All);
+        let red = ScheduleReduction::build(&inst, &cands);
+        let values = inst.jobs.iter().map(|j| j.value).collect();
+        let mut obj = ScheduleObjective::new_weighted(&red, values);
+        let mut scratch = ObjectiveScratch::default();
+        let (mut vals, mut bounded) = (Vec::new(), Vec::new());
+        obj.first_values(false, &mut scratch, &mut vals, &mut bounded);
+        let every_run: Vec<u32> = (0..red.runs().len() as u32).collect();
+        assert_eq!(bounded, every_run, "a cold scratch has no memo");
+        for (i, &v) in vals.iter().enumerate() {
+            assert_eq!(v, red.slots_of(i).len() as f64 * 3.0, "candidate {i}");
+        }
+        assert_eq!(scratch.memo_counts(), (0, 0), "bounds evaluate nothing");
+
+        // After a commit on processor 0, the run evaluated on processor 1
+        // keeps its exact values, and every other first value still bounds
+        // the current gain.
+        let on_p1 = (0..cands.len()).find(|&i| cands[i].proc == 1).unwrap();
+        let run_p1 = red.run_of[on_p1];
+        let g = obj.gain(on_p1, &mut scratch);
+        obj.commit((0..cands.len()).find(|&i| cands[i].proc == 0).unwrap());
+        obj.first_values(false, &mut scratch, &mut vals, &mut bounded);
+        assert!(!bounded.contains(&run_p1), "the evaluated run is exact");
+        assert_eq!(vals[on_p1], g);
+        let mut fresh = ObjectiveScratch::default();
+        for &r in &bounded {
+            let (lo, hi) = red.runs()[r as usize];
+            for (i, &v) in vals.iter().enumerate().take(hi as usize).skip(lo as usize) {
+                assert!(v >= obj.gain(i, &mut fresh), "candidate {i}");
+            }
         }
     }
 

@@ -36,7 +36,7 @@ pub fn schedule_all(
         return Ok(empty_schedule());
     }
     // The span covers the reduction build too, so a trace shows
-    // solve ⊃ reduction ⊃ scan_gains on a cold solve.
+    // solve ⊃ reduction on a cold solve.
     let _span = sched_obs::span!("core.solve.schedule_all_ns");
     let red = ScheduleReduction::build(inst, candidates);
     schedule_all_with(inst, &red, candidates, opts)
@@ -115,10 +115,12 @@ pub(crate) struct WarmSeed<'s> {
 /// (`S = ∅`) gain into `init_out` — the seed for the *next* warm solve.
 ///
 /// With `seed = None` this makes exactly the same greedy decisions as
-/// [`schedule_all_with`]: the explicit initial scan fills the memo with the
-/// very values the greedy's own first scan would compute, and the greedy then
-/// replays them. With a seed, clean candidates replay carried-over values
-/// (provably equal to a fresh evaluation) and only dirty runs are recomputed.
+/// [`schedule_all_with`]: the explicit initial scan leaves every run's memo
+/// current, so the greedy's first keys read the memo and are all exact,
+/// where [`schedule_all_with`] starts from upper bounds; the lazy loop picks
+/// the same argmax from either. With a seed, clean candidates replay
+/// carried-over values (provably equal to a fresh evaluation) and only dirty
+/// runs are recomputed.
 pub(crate) fn schedule_all_seeded(
     inst: &Instance,
     red: &ScheduleReduction,
@@ -151,8 +153,9 @@ pub(crate) fn schedule_all_seeded(
         obj.seed_memo(&mut scratch, seed.vals, seed.clean);
     }
     // One explicit sequential scan: recomputes dirty runs, replays seeded
-    // ones, and leaves the memo fully fresh — the greedy's own initial scan
-    // then replays it wholesale.
+    // ones, and leaves the memo fully fresh — the greedy's first keys then
+    // read it wholesale. The scan stays, unlike in a cold solve, because it
+    // captures every candidate's `S = ∅` gain: the next solve's seed.
     obj.scan_gains(false, &mut scratch, init_out);
 
     let x = n as f64;

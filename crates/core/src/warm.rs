@@ -43,9 +43,10 @@
 //! every member is clean; a run with any dirty member is recomputed whole
 //! (one pass). Seeded solves replay clean runs and recompute the others in
 //! one explicit initial scan, then run the same lazy greedy on the same
-//! scratch. The greedy keys one heap entry per run and refreshes a stale run
-//! in one pass, or replays it when no component stamp on the run moved —
-//! exactly as in a cold solve. The result is bit-identical to
+//! scratch, whose first keys read the memo. The greedy keys one heap entry
+//! per run and refreshes a stale run in one pass, or replays it when no
+//! component stamp on the run moved — exactly as in a cold solve, which
+//! starts from upper-bound keys instead. The result is bit-identical to
 //! [`crate::schedule_all()`] (and hence to `crate::naive`) by construction.
 //!
 //! # Checksum fallback
@@ -124,9 +125,11 @@ impl WarmHandle {
 
     /// New handle with explicit solve options.
     ///
-    /// Note the seeded path always scans sequentially (the replay-vs-refresh
-    /// decision is per-run state), so `options.parallel` only affects solves
-    /// that fall back to the cold constructor inside the handle.
+    /// Every solve, warm or cold, runs one sequential gain scan that captures
+    /// the next solve's seed, and the lazy greedy's first keys read the memo
+    /// that scan leaves. So `options.parallel` only parallelizes the scans
+    /// of the eager loop (`options.lazy == false`), which replay every run
+    /// whose memo is current.
     pub fn with_options(policy: CandidatePolicy, options: SolveOptions) -> Self {
         Self {
             policy,
@@ -593,6 +596,56 @@ mod tests {
         let stats = h.stats();
         assert_eq!(stats.cold, 1, "only the first solve is cold");
         assert_eq!(stats.warm, 3);
+    }
+
+    #[test]
+    fn parallel_warm_solves_scan_once_each() {
+        // Each solve runs exactly one gain scan, the seeded one that captures
+        // the next seed, also with `parallel` set: the lazy greedy's first
+        // keys read the memo that scan leaves instead of scanning again.
+        use std::sync::Arc;
+        let c = cost();
+        let mut h = WarmHandle::with_options(
+            CandidatePolicy::All,
+            SolveOptions {
+                lazy: true,
+                parallel: true,
+            },
+        );
+        let steps: [(Vec<u64>, Vec<Job>); 3] = [
+            (
+                vec![1, 2],
+                vec![Job::window(1.0, 0, 0, 4), Job::window(1.0, 1, 2, 6)],
+            ),
+            (
+                vec![1, 2, 3],
+                vec![
+                    Job::window(1.0, 0, 1, 4),
+                    Job::window(1.0, 1, 2, 6),
+                    Job::window(1.0, 0, 6, 10),
+                ],
+            ),
+            (
+                vec![2, 3],
+                vec![Job::window(1.0, 1, 3, 6), Job::window(1.0, 0, 6, 10)],
+            ),
+        ];
+        let registry = Arc::new(sched_obs::Registry::new());
+        sched_obs::set_thread(Some(Arc::clone(&registry)));
+        let results: Vec<_> = steps
+            .iter()
+            .map(|(keys, jobs)| {
+                let i = inst(jobs.clone());
+                (h.solve(&i, keys, &c), i)
+            })
+            .collect();
+        sched_obs::set_thread(None);
+        for (warm, i) in &results {
+            assert_same(warm, &cold(i));
+        }
+        assert_eq!(h.stats(), WarmStats { warm: 2, cold: 1 });
+        let scans = registry.histogram("core.objective.scan_gains_ns").count();
+        assert_eq!(scans, 3, "one gain scan per solve");
     }
 
     #[test]

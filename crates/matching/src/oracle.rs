@@ -364,6 +364,14 @@ impl<'g> MatchingOracle<'g> {
         &self.values
     }
 
+    /// The largest job value (0 with no jobs). Adding one slot `x` to `S`
+    /// raises `F` by at most this much: dropping the job matched to `x` from
+    /// a best matching of `S ∪ {x}` leaves a matching of `S`.
+    #[inline]
+    pub fn max_value(&self) -> f64 {
+        self.max_value
+    }
+
     /// Is slot `x` currently in `S`?
     #[inline]
     pub fn is_allowed(&self, x: u32) -> bool {

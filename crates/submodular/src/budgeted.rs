@@ -50,6 +50,22 @@
 //! Every pick is therefore the exact argmax the eager scan makes, ties
 //! included. Objectives that declare no groups get singleton groups, which
 //! is the classical per-candidate lazy greedy.
+//!
+//! # Initial keys may be upper bounds
+//!
+//! The argument above never uses that a stale key was once exact, only that
+//! it bounds every member's current key from above. So a group's first key
+//! may come from any upper bound on its members' gains; this is Minoux's
+//! accelerated greedy (1978). [`BudgetedObjective::first_values`] supplies
+//! the first values, each either an exact gain or a bound. A group with a
+//! bounded member carries a round stamp no commit round reaches, so its key
+//! is never taken as fresh: the group is evaluated once its key reaches the
+//! top of the heap, and is never picked on a bound. The greedy makes only a
+//! handful of picks, so a group whose bound never reaches the top is never
+//! evaluated at all. `sched-core`'s scheduling objective bounds a
+//! candidate's matching-rank gain by its number of job-adjacent slots times
+//! the largest job value, which a cold solve reads straight from its slot
+//! windows instead of scanning every candidate.
 
 use rayon::prelude::*;
 use std::cmp::Ordering;
@@ -127,6 +143,30 @@ pub trait BudgetedObjective: Sync {
             *g = self.gain(lo + k, scratch);
         }
     }
+
+    /// The lazy greedy's first value for every subset: its raw marginal gain
+    /// against the current solution, or an upper bound on that gain. Writes
+    /// the values into `out` (cleared and resized to
+    /// [`BudgetedObjective::num_subsets`]) and, into `bounded` (cleared
+    /// first), the index of every group whose values include a bound — a
+    /// subset index when the objective declares no groups. Every value
+    /// outside those groups is the exact gain.
+    ///
+    /// The default is [`BudgetedObjective::scan_gains`] with every value
+    /// exact. An override may return any bound that is cheaper to read than
+    /// the gain: the lazy loop never picks a group on a bound (see the
+    /// [module docs](self)). A bound below the true gain breaks the greedy's
+    /// picks; exact values must be bit-identical to the default's.
+    fn first_values(
+        &self,
+        parallel: bool,
+        scratch: &mut Self::Scratch,
+        out: &mut Vec<f64>,
+        bounded: &mut Vec<u32>,
+    ) {
+        self.scan_gains(parallel, scratch, out);
+        bounded.clear();
+    }
 }
 
 /// Configuration for [`budgeted_greedy`].
@@ -139,8 +179,10 @@ pub struct GreedyConfig {
     pub epsilon: f64,
     /// Use the lazy-greedy heap instead of full scans.
     pub lazy: bool,
-    /// Parallelize full candidate scans with rayon (only affects the
-    /// non-lazy path and the initial heap build).
+    /// Parallelize full candidate scans with rayon: every scan of the eager
+    /// loop, and the lazy loop's first values when the objective computes
+    /// them with a full scan (the default
+    /// [`BudgetedObjective::first_values`]). Never changes a pick.
     pub parallel: bool,
 }
 
@@ -191,9 +233,11 @@ pub struct GreedyOutcome {
     /// Whether utility ≥ `(1−ε)·target` was reached.
     pub reached_target: bool,
     /// Number of gain evaluations performed (lazy-greedy effectiveness
-    /// metric): `m` per full scan (the eager loop scans every iteration),
-    /// plus one per group refresh in the lazy loop. With singleton groups a
-    /// refresh is one candidate's gain.
+    /// metric): `m` per full scan in the eager loop, which scans every
+    /// iteration; in the lazy loop, the number of exact first values plus
+    /// one per group refresh. With singleton groups a refresh is one
+    /// candidate's gain. A lazy run whose first values are all bounds
+    /// reports its refreshes only.
     pub evaluations: usize,
     /// Per-iteration trace.
     pub trace: Vec<IterRecord>,
@@ -217,9 +261,9 @@ pub fn budgeted_greedy<O: BudgetedObjective>(obj: &mut O, cfg: GreedyConfig) -> 
 ///
 /// The scratch is the per-thread gain-evaluation workspace; objectives that
 /// memoize evaluations in it (like `sched-core`'s scheduling objective) can
-/// pre-seed the memo before the run so the greedy's initial full scan replays
-/// cached values instead of recomputing them — the warm-start path of
-/// incremental re-solving. With a default-constructed scratch this is exactly
+/// pre-seed the memo before the run so the greedy's first keys read the
+/// memo instead of recomputing gains — the warm-start path of incremental
+/// re-solving. With a default-constructed scratch this is exactly
 /// [`budgeted_greedy`].
 pub fn budgeted_greedy_with<O: BudgetedObjective>(
     obj: &mut O,
@@ -319,7 +363,12 @@ fn eager_loop<O: BudgetedObjective>(
         if idx == usize::MAX || gain <= 0.0 {
             break; // stalled
         }
-        let runner_up = (second.2 != usize::MAX).then_some((second.2, second.0, second.1));
+        let runner_up = (second.2 != usize::MAX).then_some(RunnerUp {
+            idx: second.2,
+            ratio: second.0,
+            gain: second.1,
+            bound: false,
+        });
         commit_pick(
             obj,
             cfg,
@@ -376,9 +425,14 @@ struct HeapEntry {
     /// The best member: the candidate the key belongs to.
     idx: usize,
     group: usize,
-    /// Commit round in which the group was last evaluated.
+    /// Commit round in which the group was last evaluated, or
+    /// [`NEVER_EVALUATED`].
     round: usize,
 }
+
+/// The round stamp of a group whose key is still a first-value bound. No
+/// commit round reaches it, so such a key is never taken as fresh.
+const NEVER_EVALUATED: usize = usize::MAX;
 
 impl Eq for HeapEntry {}
 
@@ -469,16 +523,31 @@ fn lazy_loop<O: BudgetedObjective>(
         })
     };
 
-    // Initial evaluation of every candidate in one structured scan
-    // (optionally parallel) — on run-structured objectives this is O(m)
-    // oracle work instead of O(m · |T|). From here on `ratio[i]` holds
-    // candidate i's clamped ratio as of its group's last evaluation.
+    // First values: exact gains or upper bounds (see the module docs). A
+    // group with a bounded member starts stale and stays so until it is
+    // refreshed. From here on `ratio[i]` holds candidate i's clamped ratio
+    // as of its group's last evaluation, or its first-value bound.
     let mut ratio: Vec<f64> = Vec::new();
-    obj.scan_gains(cfg.parallel, scratch, &mut ratio);
-    out.evaluations += m;
+    let mut bounded: Vec<u32> = Vec::new();
+    obj.first_values(cfg.parallel, scratch, &mut ratio, &mut bounded);
+    assert_eq!(
+        ratio.len(),
+        m,
+        "first_values must give one value per subset"
+    );
+    let mut first_round = vec![0; groups.len()];
+    for &g in &bounded {
+        first_round[g as usize] = NEVER_EVALUATED;
+    }
+    out.evaluations += groups
+        .iter()
+        .zip(&first_round)
+        .filter(|&(_, &r)| r == 0)
+        .map(|(&(lo, hi), _)| hi - lo)
+        .sum::<usize>();
     to_ratios(obj, &mut ratio, 0, out.utility);
     let mut heap: BinaryHeap<HeapEntry> = (0..groups.len())
-        .filter_map(|g| key(obj, &ratio, g, 0))
+        .filter_map(|g| key(obj, &ratio, g, first_round[g]))
         .collect();
 
     let mut round = 0usize;
@@ -522,7 +591,12 @@ fn lazy_loop<O: BudgetedObjective>(
             .into_iter()
             .chain(rest.as_ref())
             .max()
-            .map(|e| (e.idx, e.ratio, e.ratio * e.cost));
+            .map(|e| RunnerUp {
+                idx: e.idx,
+                ratio: e.ratio,
+                gain: e.ratio * e.cost,
+                bound: e.round == NEVER_EVALUATED,
+            });
         let trace = PickTrace {
             runner_up,
             reevals: refreshes_since_commit,
@@ -539,12 +613,22 @@ fn lazy_loop<O: BudgetedObjective>(
 /// is ambiently installed; carrying it through [`commit_pick`] keeps the
 /// event emission in one place without touching the pick loops' hot paths.
 struct PickTrace {
-    /// Runner-up candidate as `(idx, ratio, gain)`. Exact second-best in
-    /// eager mode; in lazy mode the better of the next (stale upper-bound)
-    /// heap key and the committed group's best remaining member.
-    runner_up: Option<(usize, f64, f64)>,
+    /// Exact second-best in eager mode; in lazy mode the better of the next
+    /// (stale upper-bound) heap key and the committed group's best remaining
+    /// member.
+    runner_up: Option<RunnerUp>,
     /// Lazy-heap group refreshes spent since the previous commit.
     reevals: u64,
+}
+
+/// The runner-up candidate of one pick, for the decision log.
+struct RunnerUp {
+    idx: usize,
+    ratio: f64,
+    gain: f64,
+    /// The key is a first-value bound of a group never evaluated, not a
+    /// ratio the candidate ever had.
+    bound: bool,
 }
 
 fn commit_pick<O: BudgetedObjective>(
@@ -579,10 +663,11 @@ fn commit_pick<O: BudgetedObjective>(
             ("remaining", (cfg.target - out.utility).max(0.0).into()),
             ("reevals", trace.reevals.into()),
         ];
-        if let Some((ru_idx, ru_ratio, ru_gain)) = trace.runner_up {
-            args.push(("runner_up", ru_idx.into()));
-            args.push(("runner_up_ratio", ru_ratio.into()));
-            args.push(("runner_up_gain", ru_gain.into()));
+        if let Some(ru) = trace.runner_up {
+            args.push(("runner_up", ru.idx.into()));
+            args.push(("runner_up_ratio", ru.ratio.into()));
+            args.push(("runner_up_gain", ru.gain.into()));
+            args.push(("runner_up_bound", u64::from(ru.bound).into()));
         }
         sched_obs::trace::instant("submodular.greedy.pick", args);
     }

@@ -1,7 +1,7 @@
 //! Property tests for the budgeted greedy across objective implementations:
-//! lazy ≡ eager ≡ parallel, grouped lazy keys ≡ singleton keys, fast
-//! coverage objective ≡ generic objective, trace/accounting invariants, and
-//! Lemma 2.1.1 (the paper's key lemma).
+//! lazy ≡ eager ≡ parallel, grouped lazy keys ≡ singleton keys, upper-bound
+//! first keys ≡ exact ones, fast coverage objective ≡ generic objective,
+//! trace/accounting invariants, and Lemma 2.1.1 (the paper's key lemma).
 
 use proptest::prelude::*;
 use submodular::budgeted::SetSystemScratch;
@@ -13,10 +13,38 @@ use submodular::{
 
 /// A set system that declares consecutive groups of its subsets, so the
 /// lazy greedy keeps one heap entry per group and refreshes a group's
-/// members together.
+/// members together. The groups flagged in `bounded` give the lazy loop an
+/// upper bound as their members' first values instead of the exact gains.
 struct Grouped<'f> {
     inner: SetSystemObjective<'f, CoverageFn>,
     groups: Vec<(u32, u32)>,
+    bounded: Vec<bool>,
+    /// The largest total item weight one ground element covers: no ground
+    /// element adds more to the coverage, so `|Sᵢ|` times this bounds the
+    /// gain of subset `i` against any solution.
+    max_cover: f64,
+}
+
+impl<'f> Grouped<'f> {
+    fn new(
+        f: &'f CoverageFn,
+        subsets: &[Vec<u32>],
+        costs: &[f64],
+        groups: Vec<(u32, u32)>,
+        bounded: &[bool],
+    ) -> Self {
+        let max_cover = (0..f.ground_size())
+            .map(|e| f.covers(e).iter().map(|&u| f.weight(u)).sum::<f64>())
+            .fold(0.0, f64::max);
+        Self {
+            inner: SetSystemObjective::new(f, subsets.to_vec(), costs.to_vec()),
+            bounded: (0..groups.len())
+                .map(|g| bounded.get(g) == Some(&true))
+                .collect(),
+            groups,
+            max_cover,
+        }
+    }
 }
 
 impl BudgetedObjective for Grouped<'_> {
@@ -45,6 +73,29 @@ impl BudgetedObjective for Grouped<'_> {
     fn groups(&self) -> &[(u32, u32)] {
         &self.groups
     }
+
+    fn first_values(
+        &self,
+        _parallel: bool,
+        scratch: &mut Self::Scratch,
+        out: &mut Vec<f64>,
+        bounded: &mut Vec<u32>,
+    ) {
+        out.clear();
+        bounded.clear();
+        for (g, &(lo, hi)) in self.groups.iter().enumerate() {
+            for i in lo as usize..hi as usize {
+                out.push(if self.bounded[g] {
+                    self.inner.subsets()[i].len() as f64 * self.max_cover
+                } else {
+                    self.inner.gain(i, scratch)
+                });
+            }
+            if self.bounded[g] {
+                bounded.push(g as u32);
+            }
+        }
+    }
 }
 
 /// Splits `0..m` into consecutive groups, cutting after every `i` with
@@ -62,40 +113,53 @@ fn groups_from_cuts(m: usize, cuts: &[bool]) -> Vec<(u32, u32)> {
 }
 
 /// Runs the greedy on `subsets`, eagerly or lazily, with the given groups
-/// (`None`: the plain set system, whose groups are singletons).
+/// (`None`: the plain set system, whose groups are singletons), bounding
+/// the first values of the groups flagged in `bounded`.
 fn run_grouped(
     f: &CoverageFn,
     subsets: &[Vec<u32>],
     costs: &[f64],
     cfg: GreedyConfig,
     groups: Option<Vec<(u32, u32)>>,
+    bounded: &[bool],
 ) -> GreedyOutcome {
-    let mut inner = SetSystemObjective::new(f, subsets.to_vec(), costs.to_vec());
     match groups {
-        Some(groups) => budgeted_greedy(&mut Grouped { inner, groups }, cfg),
-        None => budgeted_greedy(&mut inner, cfg),
+        Some(groups) => budgeted_greedy(&mut Grouped::new(f, subsets, costs, groups, bounded), cfg),
+        None => budgeted_greedy(
+            &mut SetSystemObjective::new(f, subsets.to_vec(), costs.to_vec()),
+            cfg,
+        ),
     }
 }
 
-/// Runs one identity-coverage instance (every subset is a set of items)
-/// eagerly, lazily with singleton groups, and lazily with `groups`, and
-/// checks all three pick `expected`.
+/// Identity coverage over `items`: ground element `i` covers item `i`, so a
+/// subset is a set of items.
+fn identity(items: usize) -> CoverageFn {
+    CoverageFn::unweighted(items, (0..items).map(|i| vec![i as u32]).collect())
+}
+
+/// Runs one instance to full coverage eagerly, lazily with singleton
+/// groups, and lazily with `groups`, exact and with the `bounded` groups'
+/// first values bounded, and checks all four pick `expected`.
 fn assert_tie_order(
-    items: usize,
+    f: &CoverageFn,
     subsets: &[Vec<u32>],
     costs: &[f64],
     groups: &[(u32, u32)],
+    bounded: &[bool],
     expected: &[usize],
 ) {
-    let f = CoverageFn::unweighted(items, (0..items).map(|i| vec![i as u32]).collect());
-    let (target, eps) = (items as f64, 0.5 / items as f64);
+    let target = f.eval(&BitSet::full(f.ground_size()));
+    let eps = 0.5 / target;
     let lazy = GreedyConfig::lazy(target, eps);
-    let grouped = run_grouped(&f, subsets, costs, lazy, Some(groups.to_vec()));
-    let singles = run_grouped(&f, subsets, costs, lazy, None);
-    let eager = run_grouped(&f, subsets, costs, GreedyConfig::new(target, eps), None);
+    let grouped = run_grouped(f, subsets, costs, lazy, Some(groups.to_vec()), &[]);
+    let with_bounds = run_grouped(f, subsets, costs, lazy, Some(groups.to_vec()), bounded);
+    let singles = run_grouped(f, subsets, costs, lazy, None, &[]);
+    let eager = run_grouped(f, subsets, costs, GreedyConfig::new(target, eps), None, &[]);
     assert_eq!(eager.chosen, expected, "eager");
     assert_eq!(singles.chosen, expected, "singleton groups");
     assert_eq!(grouped.chosen, expected, "declared groups");
+    assert_eq!(with_bounds.chosen, expected, "declared groups with bounds");
 }
 
 #[test]
@@ -111,7 +175,41 @@ fn grouped_keys_break_exact_ties_by_cost_then_index() {
         vec![0, 6, 7], // cost 3
     ];
     let costs = [2.0, 1.0, 3.0, 1.0, 3.0];
-    assert_tie_order(8, &subsets, &costs, &[(0, 3), (3, 5)], &[1, 3, 0, 2, 4]);
+    let groups = [(0, 3), (3, 5)];
+    // Under identity coverage a bound, `|Sᵢ|` times 1, is the gain at
+    // `S = ∅`, so bounding the first group leaves every key's ratio at 1:
+    // its bound keys and the second group's exact keys tie on ratio, and the
+    // same (cost, index) order decides.
+    assert_tie_order(
+        &identity(8),
+        &subsets,
+        &costs,
+        &groups,
+        &[true, false],
+        &[1, 3, 0, 2, 4],
+    );
+}
+
+#[test]
+fn bound_key_that_ties_an_exact_key_is_evaluated_before_either_is_picked() {
+    // Ground element 0 covers items {0, 1}, so a bound is twice the number
+    // of ground elements. Subset 1's bound key (ratio 2, cost 1) ties
+    // subset 0's exact key (ratio 2, cost 2) on ratio and wins on cost, so
+    // it tops the heap despite its higher index. Its evaluation drops it to
+    // ratio 1, and subset 0 is picked first, as the eager greedy does.
+    let f = CoverageFn::unweighted(5, vec![vec![0, 1], vec![2], vec![3, 4]]);
+    let subsets = [
+        vec![0, 2], // cost 2: gain 4, ratio 2
+        vec![1],    // cost 1: bound 2, ratio 2; gain 1, ratio 1
+    ];
+    assert_tie_order(
+        &f,
+        &subsets,
+        &[2.0, 1.0],
+        &[(0, 1), (1, 2)],
+        &[false, true],
+        &[0, 1],
+    );
 }
 
 #[test]
@@ -126,12 +224,19 @@ fn refreshed_group_that_only_ties_the_next_key_waits_its_turn() {
         vec![4],       // cost 1: ratio 1
     ];
     let costs = [1.0, 2.0, 1.0];
-    assert_tie_order(5, &subsets, &costs, &[(0, 2), (2, 3)], &[0, 2, 1]);
+    assert_tie_order(
+        &identity(5),
+        &subsets,
+        &costs,
+        &[(0, 2), (2, 3)],
+        &[false, true],
+        &[0, 2, 1],
+    );
 }
 
 #[test]
 fn decision_log_counts_group_refreshes_and_names_the_runner_up() {
-    use sched_obs::trace::{self, ArgValue, Tracer};
+    use sched_obs::trace::{self, Tracer};
     use std::sync::Arc;
 
     // The instance above: pick 0 needs no refresh, and its runner-up is its
@@ -149,10 +254,35 @@ fn decision_log_counts_group_refreshes_and_names_the_runner_up() {
         &[1.0, 2.0, 1.0],
         GreedyConfig::lazy(5.0, 0.1),
         Some(vec![(0, 2), (2, 3)]),
+        &[],
     );
     trace::set_thread(None);
     assert_eq!(out.chosen, vec![0, 2, 1]);
 
+    // Every runner-up key here was evaluated, so none is flagged a bound.
+    assert_eq!(
+        pick_log(&tracer),
+        vec![
+            (Some(0.0), Some(0.0), Some(1.0), Some(1.5), Some(0.0)),
+            (Some(2.0), Some(2.0), Some(1.0), Some(1.0), Some(0.0)),
+            (Some(1.0), Some(1.0), None, None, None),
+        ]
+    );
+}
+
+/// The decision log's picks as `(chosen, reevals, runner_up,
+/// runner_up_ratio, runner_up_bound)`.
+#[allow(clippy::type_complexity)]
+fn pick_log(
+    tracer: &sched_obs::trace::Tracer,
+) -> Vec<(
+    Option<f64>,
+    Option<f64>,
+    Option<f64>,
+    Option<f64>,
+    Option<f64>,
+)> {
+    use sched_obs::trace::ArgValue;
     let num = |args: &[(&str, ArgValue)], key: &str| {
         args.iter().find(|(k, _)| *k == key).map(|(_, v)| match v {
             ArgValue::U64(x) => *x as f64,
@@ -160,7 +290,7 @@ fn decision_log_counts_group_refreshes_and_names_the_runner_up() {
             other => panic!("{key} is not a number: {other:?}"),
         })
     };
-    let log: Vec<_> = tracer
+    tracer
         .events()
         .into_iter()
         .filter(|e| e.name == "submodular.greedy.pick")
@@ -170,15 +300,44 @@ fn decision_log_counts_group_refreshes_and_names_the_runner_up() {
                 num(&e.args, "reevals"),
                 num(&e.args, "runner_up"),
                 num(&e.args, "runner_up_ratio"),
+                num(&e.args, "runner_up_bound"),
             )
         })
-        .collect();
+        .collect()
+}
+
+#[test]
+fn decision_log_flags_a_runner_up_that_is_still_a_bound() {
+    use sched_obs::trace::{self, Tracer};
+    use std::sync::Arc;
+
+    // Ground element 0 covers items {0, 1}, so subset 1's bound is 2 × 2 = 4
+    // (ratio 4/3) while its gain is 2 (ratio 2/3). Pick 0 takes no refresh,
+    // and its runner-up is subset 1's bound, never evaluated. Pick 2
+    // refreshes subset 1 (down to 2/3) and then itself; its runner-up is
+    // subset 1's evaluated key. Pick 1 takes one refresh. Evaluations are
+    // the two exact first values plus the three refreshes.
+    let f = CoverageFn::unweighted(5, vec![vec![0, 1], vec![2], vec![3], vec![4]]);
+    let subsets = [vec![0], vec![1, 2], vec![3]];
+    let tracer = Arc::new(Tracer::new());
+    trace::set_thread(Some(Arc::clone(&tracer)));
+    let out = run_grouped(
+        &f,
+        &subsets,
+        &[1.0, 3.0, 1.0],
+        GreedyConfig::lazy(5.0, 0.1),
+        Some(vec![(0, 1), (1, 2), (2, 3)]),
+        &[false, true, false],
+    );
+    trace::set_thread(None);
+    assert_eq!(out.chosen, vec![0, 2, 1]);
+    assert_eq!(out.evaluations, 5);
     assert_eq!(
-        log,
+        pick_log(&tracer),
         vec![
-            (Some(0.0), Some(0.0), Some(1.0), Some(1.5)),
-            (Some(2.0), Some(2.0), Some(1.0), Some(1.0)),
-            (Some(1.0), Some(1.0), None, None),
+            (Some(0.0), Some(0.0), Some(1.0), Some(4.0 / 3.0), Some(1.0)),
+            (Some(2.0), Some(2.0), Some(1.0), Some(2.0 / 3.0), Some(0.0)),
+            (Some(1.0), Some(1.0), None, None, None),
         ]
     );
 }
@@ -263,7 +422,7 @@ proptest! {
 
         let run = |lazy: bool, groups: Option<Vec<(u32, u32)>>| {
             let cfg = GreedyConfig { target, epsilon: eps, lazy, parallel: false };
-            run_grouped(&f, &inst.subsets, &inst.costs, cfg, groups)
+            run_grouped(&f, &inst.subsets, &inst.costs, cfg, groups, &[])
         };
         let eager = run(false, None);
         let singles = run(true, None);
@@ -273,6 +432,36 @@ proptest! {
         prop_assert_eq!(grouped.total_cost, eager.total_cost);
         prop_assert_eq!(grouped.utility, eager.utility);
         prop_assert!(grouped.evaluations <= eager.evaluations);
+    }
+
+    #[test]
+    fn bounded_first_keys_match_eager_and_singleton_groups(
+        inst in instance_strategy(),
+        cuts in proptest::collection::vec(any::<bool>(), 1..8),
+        bounded in proptest::collection::vec(any::<bool>(), 7),
+        weights in proptest::collection::vec(1u32..5, 20),
+        eps_exp in 1i32..6,
+        target_frac in 0.1f64..1.0,
+    ) {
+        // weighted items, so the largest cover weight is not a cover size
+        let weights: Vec<f64> = weights[..inst.universe].iter().map(|&w| w as f64).collect();
+        let f = CoverageFn::new(inst.universe, inst.covers.clone(), weights);
+        let full = f.eval(&BitSet::full(f.ground_size()));
+        let target = full * target_frac;
+        let eps = 2f64.powi(-eps_exp);
+        let groups = groups_from_cuts(inst.subsets.len(), &cuts);
+
+        let run = |lazy: bool, groups: Option<Vec<(u32, u32)>>, bounded: &[bool]| {
+            let cfg = GreedyConfig { target, epsilon: eps, lazy, parallel: false };
+            run_grouped(&f, &inst.subsets, &inst.costs, cfg, groups, bounded)
+        };
+        let eager = run(false, None, &[]);
+        let singles = run(true, None, &[]);
+        let bounds = run(true, Some(groups), &bounded);
+        prop_assert_eq!(&bounds.chosen, &eager.chosen);
+        prop_assert_eq!(&bounds.chosen, &singles.chosen);
+        prop_assert_eq!(bounds.total_cost, eager.total_cost);
+        prop_assert_eq!(bounds.utility, eager.utility);
     }
 
     #[test]

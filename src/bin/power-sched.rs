@@ -584,8 +584,9 @@ fn event_num(e: &obs::trace::TraceEvent, key: &str) -> f64 {
 
 /// `explain INSTANCE.json`: runs the same solve as `solve`, with the tracer
 /// installed, and narrates the greedy's decision log pick by pick — winner
-/// vs runner-up gains, lazy group refreshes, budget remaining — followed by
-/// a span-time summary. `--trace-out FILE` additionally exports the full
+/// vs runner-up gains (a runner-up never evaluated shows its upper bound as
+/// `ratio ≤ x (bound)`), lazy group refreshes, budget remaining — followed
+/// by a span-time summary. `--trace-out FILE` additionally exports the full
 /// timeline for Perfetto.
 fn cmd_explain(args: &[String]) -> Result<(), String> {
     let path = args.first().ok_or("missing INSTANCE.json")?;
@@ -633,10 +634,14 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
             event_num(e, "remaining"),
         );
         if let Some(ru) = event_arg(e, "runner_up") {
-            print!(
-                "  (runner-up cand {ru} ratio {:.3})",
-                event_num(e, "runner_up_ratio")
-            );
+            // A runner-up whose key is still a first-value bound was never
+            // evaluated: its ratio is at most the key, not equal to it.
+            let ratio = event_num(e, "runner_up_ratio");
+            if event_num(e, "runner_up_bound") == 1.0 {
+                print!("  (runner-up cand {ru} ratio ≤ {ratio:.3} (bound))");
+            } else {
+                print!("  (runner-up cand {ru} ratio {ratio:.3})");
+            }
         }
         // `reevals` counts lazy-heap group refreshes (one pass over a
         // nested-prefix run each) spent on this pick.

@@ -167,3 +167,42 @@ fn unknown_subcommand_exits_with_usage() {
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("usage"));
 }
+
+#[test]
+fn explain_marks_a_runner_up_that_is_still_a_bound() {
+    // A cold solve keys most runs by upper bounds, so a pick's runner-up is
+    // often a run never evaluated: `explain` must show that key as a bound
+    // on the ratio, and every other runner-up as its ratio. This seed's
+    // four picks have runner-ups of both kinds.
+    let dir = temp_dir("explain");
+    let inst_path = generate(&dir, 42, 8);
+    let out = run_ok(bin().args([
+        "explain",
+        inst_path.to_str().unwrap(),
+        "--restart",
+        "3",
+        "--rate",
+        "1",
+    ]));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let runner_ups: Vec<&str> = stdout
+        .lines()
+        .filter_map(|l| l.split_once("(runner-up cand ").map(|(_, r)| r))
+        .collect();
+    let bounds = runner_ups
+        .iter()
+        .filter(|r| r.contains(" (bound))"))
+        .count();
+    assert!(
+        bounds > 0 && bounds < runner_ups.len(),
+        "expected runner-ups of both kinds: {stdout}"
+    );
+    for r in &runner_ups {
+        assert_eq!(
+            r.contains("ratio ≤ "),
+            r.contains(" (bound))"),
+            "a bound must read as `ratio ≤ x (bound)`: {r}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

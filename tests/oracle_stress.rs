@@ -2,12 +2,17 @@
 //! the load-bearing component of the whole reduction. Cross-checks hundreds
 //! of random insertion schedules against Hopcroft–Karp and the weighted
 //! reference at sizes well beyond the unit tests, checks scratch reuse
-//! across oracles, and bounds the search work of a pinned DVFS gain scan.
+//! across oracles, and bounds the search work of a pinned DVFS gain scan
+//! and of a whole cold solve of the same shape.
+
+use std::sync::Arc;
 
 use power_scheduling::matching::oracle::weighted_rank_reference;
 use power_scheduling::matching::{hopcroft_karp, BipartiteGraph, GainScratch, MatchingOracle};
+use power_scheduling::obs::{self, Registry};
+use power_scheduling::scheduling::dvfs::CompiledDvfs;
 use power_scheduling::scheduling::objective::ObjectiveScratch;
-use power_scheduling::scheduling::{ScheduleObjective, ScheduleReduction};
+use power_scheduling::scheduling::{ScheduleObjective, ScheduleReduction, Solver};
 use power_scheduling::submodular::BudgetedObjective;
 use power_scheduling::workloads::{dvfs_instance, DvfsConfig};
 use rand::{Rng, SeedableRng};
@@ -178,14 +183,9 @@ fn gain_scratch_reuse_after_a_failed_search_with_a_new_job_count() {
     assert_eq!(first.gain_of(&[0, 1], &mut scratch), 1.0);
 }
 
-/// Upper bound on the adjacency entries the first gain scan of the pinned
-/// DVFS shape may examine, about twice the count measured when it was set.
-/// The count is machine-portable, and the fast≡naive speedup gate cannot
-/// see oracle changes because both paths share the oracle.
-const DVFS_FIRST_SCAN_EDGE_VISITS_MAX: u64 = 140_000;
-
-#[test]
-fn dvfs_first_scan_edge_visits_stay_bounded() {
+/// The pinned DVFS shape the work bounds below are measured on: the
+/// seed-11 `dvfs_instance` at n64/p4/t32, compiled.
+fn pinned_dvfs_shape() -> CompiledDvfs {
     let mut rng = rand::rngs::StdRng::seed_from_u64(11);
     let dvfs = dvfs_instance(
         &DvfsConfig {
@@ -196,7 +196,18 @@ fn dvfs_first_scan_edge_visits_stay_bounded() {
         },
         &mut rng,
     );
-    let compiled = dvfs.compile().expect("generated DVFS instances compile");
+    dvfs.compile().expect("generated DVFS instances compile")
+}
+
+/// Upper bound on the adjacency entries the first gain scan of the pinned
+/// DVFS shape may examine, about twice the count measured when it was set.
+/// The count is machine-portable, and the fast≡naive speedup gate cannot
+/// see oracle changes because both paths share the oracle.
+const DVFS_FIRST_SCAN_EDGE_VISITS_MAX: u64 = 140_000;
+
+#[test]
+fn dvfs_first_scan_edge_visits_stay_bounded() {
+    let compiled = pinned_dvfs_shape();
     let red = ScheduleReduction::build(&compiled.instance, &compiled.candidates);
     let obj = ScheduleObjective::new_cardinality(&red);
     let mut scratch = ObjectiveScratch::default();
@@ -207,5 +218,40 @@ fn dvfs_first_scan_edge_visits_stay_bounded() {
     assert!(
         visits <= DVFS_FIRST_SCAN_EDGE_VISITS_MAX,
         "first scan examined {visits} adjacency entries, bound {DVFS_FIRST_SCAN_EDGE_VISITS_MAX}"
+    );
+}
+
+/// Upper bounds on the work of one cold solve of the pinned DVFS shape,
+/// about twice the counts measured when they were set: adjacency entries
+/// examined by every matching search of the solve, and the greedy's gain
+/// evaluations. A cold solve keys its lazy heap by upper bounds instead of
+/// scanning every candidate first, so bringing the scan back, or loosening
+/// the bounds until most runs reach the heap top, fails here.
+const DVFS_WHOLE_SOLVE_EDGE_VISITS_MAX: u64 = 7_000;
+const DVFS_WHOLE_SOLVE_EVALUATIONS_MAX: u64 = 70;
+
+#[test]
+fn dvfs_whole_solve_edge_visits_stay_bounded() {
+    let compiled = pinned_dvfs_shape();
+    let registry = Arc::new(Registry::new());
+    obs::set_thread(Some(Arc::clone(&registry)));
+    let solved =
+        Solver::with_candidates(&compiled.instance, compiled.candidates.as_slice()).schedule_all();
+    obs::set_thread(None);
+    solved.expect("the pinned shape is feasible");
+
+    let visits = registry.counter("matching.oracle.edge_visits").get();
+    let evaluations = registry.counter("submodular.greedy.evaluations").get();
+    assert!(
+        visits > 0 && evaluations > 0,
+        "the solve flushed its counters"
+    );
+    assert!(
+        visits <= DVFS_WHOLE_SOLVE_EDGE_VISITS_MAX,
+        "the solve examined {visits} adjacency entries, bound {DVFS_WHOLE_SOLVE_EDGE_VISITS_MAX}"
+    );
+    assert!(
+        evaluations <= DVFS_WHOLE_SOLVE_EVALUATIONS_MAX,
+        "the solve made {evaluations} gain evaluations, bound {DVFS_WHOLE_SOLVE_EVALUATIONS_MAX}"
     );
 }
