@@ -11,9 +11,9 @@
 //! * [`max_value_with_budget`] — an exact solver enumerating awake-run
 //!   structures with matching-oracle leaves, enforcing the busy-when-awake
 //!   constraint (every awake slot hosts a job). Exact for the moderate
-//!   horizons the experiments use; the paper's `O(n·p⁵·g)` DP is the
-//!   asymptotically-polynomial version of the same computation — see
-//!   DESIGN.md's substitution note.
+//!   horizons the experiments use. It stands in for the paper's
+//!   `O(n·p⁵·g)` DP, the asymptotically polynomial version of the same
+//!   computation, because both return the exact optimum.
 //! * [`value_of_awake_set`] — max total value schedulable in a fixed awake
 //!   set (idling allowed; Chapter 2's relaxed semantics), used by tests and
 //!   the exact solver's relaxation bound.

@@ -4,8 +4,8 @@
 //! requires the true optimum. Prior work's exact algorithms (Baptiste 2006's
 //! DP and its multiprocessor extension) cover only the one-interval
 //! `α + length` special case and are cited, not contributed; for ratio
-//! measurement any exact solver works, so we use a pruned branch-and-bound
-//! over candidate intervals ([`exact`]) — see DESIGN.md's substitution note.
+//! measurement any exact solver works, so we substitute a pruned
+//! branch-and-bound over candidate intervals ([`exact`]) for them.
 //!
 //! [`heuristics`] adds the comparison strawmen the experiments report
 //! alongside the greedy: keep-everything-awake, conflict-blind per-job set

@@ -1,6 +1,6 @@
 //! Criterion benches for the Lemma 2.1.2 budgeted greedy: eager vs lazy vs
-//! parallel candidate scans on coverage set systems (the ablation DESIGN.md
-//! calls out).
+//! parallel candidate scans on coverage set systems (the lazy-vs-eager
+//! ablation of experiment E14).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::{Rng, SeedableRng};

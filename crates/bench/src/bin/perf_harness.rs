@@ -6,7 +6,7 @@
 //! ```
 //!
 //! Runs pinned solve / engine / replay workloads and emits the
-//! `bench-solver/v1` JSON report (see `bench::perf` for the schema).
+//! `bench-solver/v2` JSON report (see `bench::perf` for the schema).
 //! With `--baseline`, compares the fresh run against a committed report and
 //! exits nonzero on regression beyond the tolerance — the CI perf gate.
 //! The same harness is reachable as `power-sched perf`.

@@ -1,4 +1,4 @@
-//! E14 — ablations of the design choices DESIGN.md calls out:
+//! E14 — ablations of three design choices:
 //!
 //! * **candidate policy** — full `O(T²)` interval family vs length-bounded
 //!   vs single slots. Single slots degenerate toward per-slot set cover

@@ -1,5 +1,7 @@
-//! Per-theorem experiments (see DESIGN.md §3 for the index and
-//! EXPERIMENTS.md for recorded outputs).
+//! Per-theorem experiments E1–E15, one module per experiment except that
+//! E4 runs inside the E3 module and E13 inside the E5 module.
+//! [`EXPERIMENTS`] names the modules for the `exp` binary, and each
+//! module's docs state the claim it checks.
 
 pub mod e01_schedule_all;
 pub mod e02_budgeted;
@@ -15,19 +17,22 @@ pub mod e12_submodularity;
 pub mod e14_ablation;
 pub mod e15_gap_budget;
 
-/// Runs every experiment in sequence (the `exp_all` binary).
-pub fn run_all(seed: u64, quick: bool) {
-    e01_schedule_all::run(seed, quick);
-    e02_budgeted::run(seed, quick);
-    e03_prize_collecting::run(seed, quick);
-    e05_setcover_hard::run(seed, quick);
-    e06_secretary_monotone::run(seed, quick);
-    e07_secretary_nonmonotone::run(seed, quick);
-    e08_secretary_matroid::run(seed, quick);
-    e09_secretary_knapsack::run(seed, quick);
-    e10_subadditive::run(seed, quick);
-    e11_bottleneck::run(seed, quick);
-    e12_submodularity::run(seed, quick);
-    e14_ablation::run(seed, quick);
-    e15_gap_budget::run(seed, quick);
-}
+/// An experiment's entry point, `run(seed, quick)`.
+pub type Run = fn(u64, bool);
+
+/// Every experiment under its `exp` name, in suite order.
+pub const EXPERIMENTS: &[(&str, Run)] = &[
+    ("schedule_all", e01_schedule_all::run),
+    ("budgeted_greedy", e02_budgeted::run),
+    ("prize_collecting", e03_prize_collecting::run),
+    ("setcover_hard", e05_setcover_hard::run),
+    ("secretary_monotone", e06_secretary_monotone::run),
+    ("secretary_nonmonotone", e07_secretary_nonmonotone::run),
+    ("secretary_matroid", e08_secretary_matroid::run),
+    ("secretary_knapsack", e09_secretary_knapsack::run),
+    ("subadditive", e10_subadditive::run),
+    ("bottleneck", e11_bottleneck::run),
+    ("submodularity_check", e12_submodularity::run),
+    ("ablation", e14_ablation::run),
+    ("gap_budget", e15_gap_budget::run),
+];

@@ -1,9 +1,9 @@
-//! Experiment harness: one module per experiment in DESIGN.md's index
-//! (E1–E13), each printing the paper-claim-vs-measured table recorded in
-//! EXPERIMENTS.md, plus small table-formatting utilities.
+//! Experiment harness: one module per paper-claim experiment (E1–E15; see
+//! [`experiments`]), each printing its paper-claim-vs-measured table, plus
+//! small table-formatting utilities.
 //!
 //! Every experiment takes an explicit seed and a `quick` flag (smaller
-//! sweeps for CI); binaries under `src/bin/` are thin wrappers. Criterion
+//! sweeps for CI); the `exp` binary runs one by name, or all. Criterion
 //! performance benches live in `benches/`, and the machine-readable perf
 //! harness (`perf_harness`, `power-sched perf`, `BENCH_solver.json`) in
 //! [`perf`].

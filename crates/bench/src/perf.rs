@@ -3,69 +3,79 @@
 //!
 //! Runs pinned, deterministic workloads through the three hot paths
 //! (direct solve, engine batch, online replay) and emits a stable JSON
-//! report (`BENCH_solver.json` schema `bench-solver/v1`):
+//! report (`BENCH_solver.json`, schema `bench-solver/v2`):
 //!
 //! ```json
 //! {
-//!   "schema": "bench-solver/v1",
+//!   "schema": "bench-solver/v2",
 //!   "mode": "full",
 //!   "workloads": [
-//!     {"name": "solve_schedule_all_n64_p4_t32", "path": "fast",
+//!     {"name": "solve_schedule_all_n64_p4_t32", "variant": "fast",
 //!      "ops": 20, "ns_per_op": 450000.0, "ops_per_sec": 2200.0,
 //!      "peak_candidates": 2112},
 //!     ...
 //!   ],
-//!   "speedups": [{"workload": "solve_schedule_all_n64_p4_t32",
-//!                 "fast_over_naive": 2.3}, ...]
+//!   "ratios": [{"workload": "solve_schedule_all_n64_p4_t32",
+//!               "variant": "fast", "baseline": "naive", "ratio": 2.3}, ...]
 //! }
 //! ```
 //!
-//! * `path` is `"fast"` (the production bitset/arena solve path), `"naive"`
-//!   (the retained seed implementation in `sched_core::naive`, proven
-//!   bit-identical by the equivalence proptests), or `"n/a"` for workloads
-//!   without a naive twin (engine, replay).
-//! * `ops_per_sec` is the headline throughput (solves/sec, requests/sec, or
-//!   traces/sec); `ns_per_op` its inverse; `peak_candidates` the largest
-//!   candidate family any solve in the workload optimized over.
-//! * `speedups` pairs each fast row with its naive twin — the
-//!   machine-portable form of the hot-path speedup claim.
+//! * A pair times the same operations two ways, one row per `variant`:
+//!   `fast`/`naive` (the production solve path against the seed
+//!   implementation retained in `sched_core::naive`, proven bit-identical
+//!   by the equivalence proptests), `warm`/`cold` re-solves, or `off`/`on`
+//!   (a solve with no ambient registry or tracer installed, and with one).
+//!   The engine and replay workloads have no twin; their rows read `n/a`.
+//! * `ops_per_sec` is the headline throughput (solves, requests, re-solves
+//!   or traces per second); `ns_per_op` its inverse; `peak_candidates` the
+//!   largest candidate family any solve in the workload optimized over.
+//! * A ratio is `variant.ops_per_sec / baseline.ops_per_sec` within a
+//!   pair. `fast`/`naive` and `warm`/`cold` record one, a speedup. `off`/`on`
+//!   pairs sit near parity and record both directions: `on`/`off` falls
+//!   when recording gets costlier, `off`/`on` when the bare path does.
 //!
 //! Timing is best-of-`rounds` wall clock over whole workload passes (the
 //! same convention as the vendored criterion), so one noisy scheduler tick
 //! cannot poison a row. `--baseline FILE` compares a fresh run against a
-//! committed report and fails on regression beyond the given tolerance —
-//! the CI perf gate.
+//! committed report and fails when any ratio (or, without
+//! `--relative-only`, any row's throughput) falls more than the tolerance
+//! below it — the CI perf gate.
 
+use std::hint::black_box;
+use std::sync::Arc;
 use std::time::Instant;
 
 use rand::SeedableRng;
 use sched_core::naive::naive_schedule_all;
 use sched_core::{
-    enumerate_candidates, schedule_all, solve_dvfs, solve_dvfs_naive, CandidatePolicy,
-    PowerProfile, ProfileCost, SolveOptions,
+    enumerate_candidates, schedule_all, solve_dvfs, solve_dvfs_naive, ArrivalTrace,
+    CandidateInterval, CandidatePolicy, Instance, PowerProfile, ProfileCost, SolveOptions,
 };
 use sched_engine::{Engine, EngineConfig, SolveRequest};
+use sched_obs::trace::Tracer;
+use sched_obs::Registry;
 use sched_sim::{replay, replay_fleet, FleetOptions, OfflineRef, PolicyKind};
 use serde::{Deserialize, Serialize};
 use workloads::planted::PlantedCostModel;
 use workloads::{
     dvfs_instance, generate_trace, planted_instance, ArrivalConfig, DvfsConfig, PlantedConfig,
-    TraceKind,
+    PlantedInstance, TraceKind,
 };
 
 use crate::Table;
 
 /// Report schema identifier; bump when the JSON layout changes.
-pub const SCHEMA: &str = "bench-solver/v1";
+pub const SCHEMA: &str = "bench-solver/v2";
 
 /// One measured workload row.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct WorkloadResult {
     /// Workload identifier (stable across runs).
     pub name: String,
-    /// `fast`, `naive`, or `n/a` (no naive twin).
-    pub path: String,
-    /// Operations (solves / requests / traces) per timed pass.
+    /// The side of its pair the row times (`fast`/`naive`, `warm`/`cold`,
+    /// `off`/`on`), or `n/a` for a workload without a twin.
+    pub variant: String,
+    /// Operations (solves / requests / re-solves / traces) per timed pass.
     pub ops: u64,
     /// Nanoseconds per operation (best pass).
     pub ns_per_op: f64,
@@ -75,13 +85,17 @@ pub struct WorkloadResult {
     pub peak_candidates: u64,
 }
 
-/// One fast-vs-naive pairing.
+/// One gated throughput ratio between the two rows of a pair.
 #[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct Speedup {
+pub struct Ratio {
     /// Workload the pair belongs to.
     pub workload: String,
-    /// `fast.ops_per_sec / naive.ops_per_sec`.
-    pub fast_over_naive: f64,
+    /// Variant of the numerator row.
+    pub variant: String,
+    /// Variant of the denominator row.
+    pub baseline: String,
+    /// `variant.ops_per_sec / baseline.ops_per_sec`.
+    pub ratio: f64,
 }
 
 /// The full report (`BENCH_solver.json`).
@@ -93,426 +107,410 @@ pub struct PerfReport {
     pub mode: String,
     /// Measured rows.
     pub workloads: Vec<WorkloadResult>,
-    /// Fast-vs-naive pairings.
-    pub speedups: Vec<Speedup>,
+    /// Ratios within pairs; these are what `--relative-only` gates.
+    pub ratios: Vec<Ratio>,
 }
 
 /// Harness sizing.
 #[derive(Clone, Copy, Debug)]
 pub struct PerfOptions {
-    /// Smaller instances and fewer passes — the CI configuration.
+    /// Fewer passes over the same workloads — the CI configuration.
     pub quick: bool,
 }
 
-fn time_best<F: FnMut()>(rounds: usize, mut pass: F) -> u64 {
-    let mut best = u64::MAX;
-    for _ in 0..rounds {
-        let t0 = Instant::now();
-        pass();
-        best = best.min(t0.elapsed().as_nanos() as u64);
-    }
-    best
+/// Solves per timed pass of every solve pair, in both modes, so a quick
+/// run stays per-op comparable with a full-mode baseline.
+const SOLVES: u64 = 20;
+
+const SOLVES_OK: &str = "pinned shape solves";
+
+/// One timed pass: runs a workload's operations once and returns the
+/// nanoseconds they took.
+type Pass<'a> = Box<dyn FnMut() -> u64 + 'a>;
+
+/// One pinned workload of the table [`run`] measures.
+struct Workload<'a> {
+    name: String,
+    /// Operations per pass.
+    ops: u64,
+    peak_candidates: u64,
+    /// One labelled pass per variant: two for a pair, whose first-over-
+    /// second ratio is gated, or one for a workload without a twin.
+    variants: Vec<(&'static str, Pass<'a>)>,
+    /// Gate second over first as well: set on pairs expected near parity,
+    /// so that either side getting costlier fails.
+    both_ways: bool,
 }
 
-fn row(name: &str, path: &str, ops: u64, total_ns: u64, peak_candidates: u64) -> WorkloadResult {
-    let ns_per_op = total_ns as f64 / ops as f64;
-    WorkloadResult {
-        name: name.into(),
-        path: path.into(),
-        ops,
-        ns_per_op,
-        ops_per_sec: 1e9 / ns_per_op,
-        peak_candidates,
+/// Nanoseconds one call of `pass` takes.
+fn time(pass: impl FnOnce()) -> u64 {
+    let t0 = Instant::now();
+    pass();
+    t0.elapsed().as_nanos() as u64
+}
+
+/// A pass of [`SOLVES`] back-to-back calls of `solve`.
+fn solves<'a, T>(mut solve: impl FnMut() -> T + 'a) -> Pass<'a> {
+    Box::new(move || {
+        time(|| {
+            for _ in 0..SOLVES {
+                black_box(solve());
+            }
+        })
+    })
+}
+
+/// Awake intervals a `p`-processor, `t`-slot instance can choose from.
+fn all_intervals(p: u32, t: u32) -> u64 {
+    let t = t as u64;
+    p as u64 * t * (t + 1) / 2
+}
+
+/// The pinned planted shape every classical solve workload draws from.
+fn planted(n: usize, p: u32, t: u32) -> PlantedInstance {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+    planted_instance(
+        &PlantedConfig {
+            num_processors: p,
+            horizon: t,
+            target_jobs: n,
+            decoy_prob: 0.3,
+            max_value: 1,
+            cost_model: PlantedCostModel::Affine { restart: 3.0 },
+            policy: CandidatePolicy::All,
+        },
+        &mut rng,
+    )
+}
+
+/// A `fast`/`naive` pair of schedule-all solves over one instance.
+fn solve_pair<'a>(
+    name: String,
+    inst: &'a Instance,
+    cands: &'a [CandidateInterval],
+) -> Workload<'a> {
+    let opts = SolveOptions::default();
+    Workload {
+        name,
+        ops: SOLVES,
+        peak_candidates: cands.len() as u64,
+        variants: vec![
+            (
+                "fast",
+                solves(move || schedule_all(inst, cands, &opts).expect(SOLVES_OK)),
+            ),
+            (
+                "naive",
+                solves(move || naive_schedule_all(inst, cands, &opts).expect(SOLVES_OK)),
+            ),
+        ],
+        both_ways: false,
     }
+}
+
+/// An `off`/`on` pair of `solve` passes, gated both ways: `off` runs with
+/// nothing installed, `on` between `install(true)` and `install(false)`.
+fn overhead_pair<'a, T>(
+    name: String,
+    peak_candidates: u64,
+    solve: impl FnMut() -> T + Copy + 'a,
+    mut install: impl FnMut(bool) + 'a,
+) -> Workload<'a> {
+    let mut on = solves(solve);
+    Workload {
+        name,
+        ops: SOLVES,
+        peak_candidates,
+        variants: vec![
+            ("off", solves(solve)),
+            (
+                "on",
+                Box::new(move || {
+                    install(true);
+                    let ns = on();
+                    install(false);
+                    ns
+                }),
+            ),
+        ],
+        both_ways: true,
+    }
+}
+
+/// One pass of a warm or cold `PeriodicResolve` replay: `(re-solves,
+/// their summed nanoseconds, total cost bits)`.
+fn resolve_pass(trace: &ArrivalTrace, period: u32, warm: bool) -> (u64, u64, u64) {
+    let mut policy = PolicyKind::Resolve { period, warm }.build(None);
+    let out = replay(trace, policy.as_mut()).expect("pinned trace replays");
+    let rs = out
+        .resolve_stats
+        .expect("resolve policy reports per-re-solve timing");
+    (rs.count, rs.total_ns, out.schedule.total_cost.to_bits())
+}
+
+/// The timed side of a warm-vs-cold pair: one replay's re-solve
+/// nanoseconds, after checking that it reproduced the `pinned` re-solve
+/// count and cost bits.
+fn resolve_variant(trace: &ArrivalTrace, period: u32, warm: bool, pinned: (u64, u64)) -> Pass<'_> {
+    Box::new(move || {
+        let (count, ns, bits) = resolve_pass(trace, period, warm);
+        assert_eq!(
+            (count, bits),
+            pinned,
+            "k={period} replay (warm: {warm}) diverged from the cold replay"
+        );
+        ns
+    })
 }
 
 /// Runs every workload and assembles the report.
 pub fn run(opts: PerfOptions) -> PerfReport {
     let rounds = if opts.quick { 3 } else { 7 };
-    // pass size stays identical across modes so per-op throughput is
-    // comparable between a quick CI run and the committed full baseline
-    let mut workloads = Vec::new();
-    let mut speedups = Vec::new();
 
-    // --- direct solve workloads: fast vs naive on identical instances ---
-    // quick mode runs the *same* shapes with fewer passes, so every row
-    // keeps its name and stays comparable against a committed full-mode
-    // baseline (ops_per_sec is per-solve, independent of the pass size)
-    let solve_shapes: &[(usize, u32, u32, u64)] =
-        &[(24, 2, 16, 11), (64, 4, 32, 11), (128, 4, 48, 11)];
-    for &(n, p, t, seed) in solve_shapes {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let inst = planted_instance(
-            &PlantedConfig {
-                num_processors: p,
-                horizon: t,
-                target_jobs: n,
-                decoy_prob: 0.3,
-                max_value: 1,
-                cost_model: PlantedCostModel::Affine { restart: 3.0 },
-                policy: CandidatePolicy::All,
-            },
-            &mut rng,
-        );
-        let name = format!("solve_schedule_all_n{n}_p{p}_t{t}");
-        let solves: u64 = 20;
-        let opts_solve = SolveOptions::default();
-        let peak = inst.candidates.len() as u64;
-
-        // interleave fast and naive passes so clock drift, thermal state,
-        // and scheduler noise hit both paths alike
-        let (mut fast_ns, mut naive_ns) = (u64::MAX, u64::MAX);
-        for _ in 0..rounds {
-            let t0 = Instant::now();
-            for _ in 0..solves {
-                std::hint::black_box(
-                    schedule_all(&inst.instance, &inst.candidates, &opts_solve).unwrap(),
-                );
-            }
-            fast_ns = fast_ns.min(t0.elapsed().as_nanos() as u64);
-            let t0 = Instant::now();
-            for _ in 0..solves {
-                std::hint::black_box(
-                    naive_schedule_all(&inst.instance, &inst.candidates, &opts_solve).unwrap(),
-                );
-            }
-            naive_ns = naive_ns.min(t0.elapsed().as_nanos() as u64);
-        }
-        let fast = row(&name, "fast", solves, fast_ns, peak);
-        let naive = row(&name, "naive", solves, naive_ns, peak);
-        speedups.push(Speedup {
-            workload: name.clone(),
-            fast_over_naive: fast.ops_per_sec / naive.ops_per_sec,
-        });
-        workloads.push(fast);
-        workloads.push(naive);
-    }
-
-    // --- heterogeneous solve workload: per-processor profiles ---
-    // same planted shape as the n64 row, re-priced under a fixed
-    // heterogeneous fleet, so the gate catches a hot-path regression that
-    // only bites when per-processor costs differ
-    {
-        let (n, p, t, seed) = (64usize, 4u32, 32u32, 11u64);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let planted = planted_instance(
-            &PlantedConfig {
-                num_processors: p,
-                horizon: t,
-                target_jobs: n,
-                decoy_prob: 0.3,
-                max_value: 1,
-                cost_model: PlantedCostModel::Affine { restart: 3.0 },
-                policy: CandidatePolicy::All,
-            },
-            &mut rng,
-        );
-        let fleet: Vec<PowerProfile> = (0..p)
-            .map(|proc| PowerProfile::affine(2.0 + 1.5 * proc as f64, 0.75 + 0.5 * proc as f64))
-            .collect();
-        let cost = ProfileCost::new(&fleet);
-        let cands = enumerate_candidates(&planted.instance, &cost, CandidatePolicy::All);
-        let name = format!("solve_schedule_all_hetero_n{n}_p{p}_t{t}");
-        let solves: u64 = 20;
-        let opts_solve = SolveOptions::default();
-        let (mut fast_ns, mut naive_ns) = (u64::MAX, u64::MAX);
-        for _ in 0..rounds {
-            let t0 = Instant::now();
-            for _ in 0..solves {
-                std::hint::black_box(schedule_all(&planted.instance, &cands, &opts_solve).unwrap());
-            }
-            fast_ns = fast_ns.min(t0.elapsed().as_nanos() as u64);
-            let t0 = Instant::now();
-            for _ in 0..solves {
-                std::hint::black_box(
-                    naive_schedule_all(&planted.instance, &cands, &opts_solve).unwrap(),
-                );
-            }
-            naive_ns = naive_ns.min(t0.elapsed().as_nanos() as u64);
-        }
-        let fast = row(&name, "fast", solves, fast_ns, cands.len() as u64);
-        let naive = row(&name, "naive", solves, naive_ns, cands.len() as u64);
-        speedups.push(Speedup {
-            workload: name.clone(),
-            fast_over_naive: fast.ops_per_sec / naive.ops_per_sec,
-        });
-        workloads.push(fast);
-        workloads.push(naive);
-    }
-
-    // --- DVFS solve workload: speed-scaling compile → solve → decompile ---
-    // the n64 shape with planted work requirements over a three-rung
-    // quadratic ladder; fast and naive run the identical pipeline end to
-    // end (compilation included — it is part of every real DVFS solve), so
-    // the speedup isolates the solver paths on the lane-expanded grid
-    {
-        let (n, p, t, seed) = (64usize, 4u32, 32u32, 11u64);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let dvfs = dvfs_instance(
-            &DvfsConfig {
-                num_processors: p,
-                horizon: t,
-                target_jobs: n,
-                ..DvfsConfig::default()
-            },
-            &mut rng,
-        );
-        let name = format!("solve_dvfs_n{n}_p{p}_t{t}");
-        let solves: u64 = 20;
-        let peak = dvfs
-            .compile()
-            .expect("pinned DVFS shape compiles")
-            .candidates
-            .len() as u64;
-        let (mut fast_ns, mut naive_ns) = (u64::MAX, u64::MAX);
-        for _ in 0..rounds {
-            let t0 = Instant::now();
-            for _ in 0..solves {
-                std::hint::black_box(solve_dvfs(&dvfs).unwrap());
-            }
-            fast_ns = fast_ns.min(t0.elapsed().as_nanos() as u64);
-            let t0 = Instant::now();
-            for _ in 0..solves {
-                std::hint::black_box(solve_dvfs_naive(&dvfs).unwrap());
-            }
-            naive_ns = naive_ns.min(t0.elapsed().as_nanos() as u64);
-        }
-        let fast = row(&name, "fast", solves, fast_ns, peak);
-        let naive = row(&name, "naive", solves, naive_ns, peak);
-        speedups.push(Speedup {
-            workload: name.clone(),
-            fast_over_naive: fast.ops_per_sec / naive.ops_per_sec,
-        });
-        workloads.push(fast);
-        workloads.push(naive);
-    }
-
-    // --- engine batch workload: the `bench_engine_throughput` shape ---
-    let requests = engine_workload(64);
-    let peak = requests
+    // --- inputs, all pinned and seeded ---
+    let shapes = [(24, 2, 16), (64, 4, 32), (128, 4, 48)];
+    let classical: Vec<_> = shapes
         .iter()
-        .map(|r| {
-            let p = r.instance.num_processors as u64;
-            let t = r.instance.horizon as u64;
-            p * t * (t + 1) / 2
-        })
-        .max()
-        .unwrap_or(0);
-    for &workers in &[1usize, 4] {
-        let name = format!("engine_mixed{}_w{workers}", requests.len());
-        let ns = time_best(rounds, || {
-            let engine = Engine::new(EngineConfig::with_workers(workers));
-            let responses = engine.solve_batch(requests.iter().cloned());
-            assert!(responses.iter().all(|r| r.ok), "engine workload failed");
-        });
-        workloads.push(row(&name, "n/a", requests.len() as u64, ns, peak));
-    }
-
-    // --- online replay workload: trace replays through the simulator ---
+        .map(|&(n, p, t)| (format!("n{n}_p{p}_t{t}"), planted(n, p, t)))
+        .collect();
+    let (n64_shape, n64) = (&classical[1].0, &classical[1].1);
+    // the n64 instance re-priced under a fixed heterogeneous fleet, so the
+    // gate catches a hot-path regression that only bites when
+    // per-processor costs differ
+    let fleet: Vec<PowerProfile> = (0..n64.instance.num_processors)
+        .map(|proc| PowerProfile::affine(2.0 + 1.5 * proc as f64, 0.75 + 0.5 * proc as f64))
+        .collect();
+    let cost = ProfileCost::new(&fleet);
+    let hetero = enumerate_candidates(&n64.instance, &cost, CandidatePolicy::All);
+    // the n64 shape with planted work requirements over a three-rung
+    // quadratic ladder; both sides run compile → solve → decompile
+    // (compilation is part of every real DVFS solve), so the ratio isolates
+    // the solver paths on the lane-expanded grid
+    let dvfs = &dvfs_instance(
+        &DvfsConfig {
+            num_processors: 4,
+            horizon: 32,
+            target_jobs: 64,
+            ..DvfsConfig::default()
+        },
+        &mut rand::rngs::StdRng::seed_from_u64(11),
+    );
+    let requests = &engine_workload(64);
     let cfg = ArrivalConfig::default();
-    let count = 8;
-    let traces: Vec<_> = (0..count)
+    let replay_traces: &Vec<_> = &(0..8)
         .map(|i| {
             let mut rng = rand::rngs::StdRng::seed_from_u64(100 + i);
             generate_trace(TraceKind::PoissonBursts, &cfg, &mut rng)
         })
         .collect();
-    let peak = traces
+    let resolve_traces: Vec<(u32, ArrivalTrace)> = [(1, 1234), (4, 4321)]
+        .into_iter()
+        .map(|(period, seed)| (period, advance_notice_trace(seed)))
+        .collect();
+    let registry = Arc::new(Registry::new());
+    let tracer = Arc::new(Tracer::new());
+
+    // --- the table: every pinned workload, in report order ---
+    let mut table: Vec<Workload> = classical
         .iter()
-        .map(|tr| {
-            let p = tr.num_processors as u64;
-            let t = tr.horizon as u64;
-            p * t * (t + 1) / 2
+        .map(|(shape, inst)| {
+            solve_pair(
+                format!("solve_schedule_all_{shape}"),
+                &inst.instance,
+                &inst.candidates,
+            )
         })
+        .collect();
+    table.push(solve_pair(
+        format!("solve_schedule_all_hetero_{n64_shape}"),
+        &n64.instance,
+        &hetero,
+    ));
+    table.push(Workload {
+        name: format!("solve_dvfs_{n64_shape}"),
+        ops: SOLVES,
+        peak_candidates: dvfs
+            .compile()
+            .expect("pinned DVFS shape compiles")
+            .candidates
+            .len() as u64,
+        variants: vec![
+            ("fast", solves(move || solve_dvfs(dvfs).expect(SOLVES_OK))),
+            (
+                "naive",
+                solves(move || solve_dvfs_naive(dvfs).expect(SOLVES_OK)),
+            ),
+        ],
+        both_ways: false,
+    });
+    let engine_peak = requests
+        .iter()
+        .map(|r| all_intervals(r.instance.num_processors, r.instance.horizon))
         .max()
         .unwrap_or(0);
-    let fleet = FleetOptions {
-        workers: 1,
-        offline: OfflineRef::Greedy,
-    };
-    let name = format!("replay_poisson_x{count}_greedy");
-    let ns = time_best(rounds, || {
-        let reports = replay_fleet(&traces, &PolicyKind::Greedy, &fleet);
-        assert!(reports.iter().all(|r| r.is_ok()), "replay workload failed");
-    });
-    workloads.push(row(&name, "n/a", count, ns, peak));
-
-    // --- warm-start re-solve workloads: PeriodicResolve warm vs cold ---
-    // One pinned Poisson trace per period; both variants replay the whole
-    // trace and the row times the *re-solves only* (the policy's own
-    // per-re-solve wall clocks, summed), so the speedup isolates exactly
-    // what the warm handle accelerates. `fast` = warm-start on, `naive` =
-    // cold re-solves, mirroring the fast/naive pairing of the solve rows;
-    // the Speedup row is the warm-over-cold ratio the CI gate pins.
-    for &(period, seed) in &[(1u32, 1234u64), (4u32, 4321u64)] {
-        let cfg = ArrivalConfig {
-            num_processors: 2,
-            horizon: 192,
-            target_jobs: 28,
-            restart: 3.0,
-            rate: 1.0,
-            max_value: 1,
-            slack: 2,
-        };
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut trace = generate_trace(TraceKind::PoissonBursts, &cfg, &mut rng);
-        // Advance-notice arrivals: announce every job `LEAD` ticks before
-        // its window opens (releasing earlier only relaxes the instance, so
-        // the trace stays feasible). A k=1 re-solver then sees long quiet
-        // stretches where the pending set's windows are untouched — the
-        // memoized-solve fast path of the warm handle — interleaved with
-        // arrival/service ticks that exercise the delta path. This is the
-        // advance-reservation shape warm-starting targets: re-solve every
-        // tick, change rarely.
-        const LEAD: u32 = 24;
-        for job in &mut trace.jobs {
-            job.release = job.release.saturating_sub(LEAD);
-        }
-        let peak = {
-            let t = trace.horizon as u64;
-            trace.num_processors as u64 * t * (t + 1) / 2
-        };
-        let name = format!("resolve_warm_vs_cold_k{period}");
-        let run_once = |warm: bool| -> (u64, u64, u64) {
-            let mut policy = PolicyKind::Resolve { period, warm }.build(None);
-            let out = replay(&trace, policy.as_mut()).expect("pinned trace replays");
-            let rs = out
-                .resolve_stats
-                .expect("resolve policy reports per-re-solve timing");
-            (rs.count, rs.total_ns, out.schedule.total_cost.to_bits())
-        };
-        // interleave warm and cold passes so clock drift and scheduler
-        // noise hit both paths alike
-        let (mut warm_ns, mut cold_ns) = (u64::MAX, u64::MAX);
-        let (mut resolves, mut warm_bits, mut cold_bits) = (0, 0, 0);
-        for _ in 0..rounds {
-            let (count, ns, bits) = run_once(true);
-            warm_ns = warm_ns.min(ns);
-            (resolves, warm_bits) = (count, bits);
-            let (count, ns, bits) = run_once(false);
-            cold_ns = cold_ns.min(ns);
-            assert_eq!(count, resolves, "warm must not change the cadence");
-            cold_bits = bits;
-        }
-        assert_eq!(
-            warm_bits, cold_bits,
-            "warm replay diverged from cold on {name}"
-        );
-        let fast = row(&name, "fast", resolves, warm_ns, peak);
-        let naive = row(&name, "naive", resolves, cold_ns, peak);
-        speedups.push(Speedup {
-            workload: name.clone(),
-            fast_over_naive: fast.ops_per_sec / naive.ops_per_sec,
+    for workers in [1usize, 4] {
+        table.push(Workload {
+            name: format!("engine_mixed{}_w{workers}", requests.len()),
+            ops: requests.len() as u64,
+            peak_candidates: engine_peak,
+            variants: vec![(
+                "n/a",
+                Box::new(move || {
+                    time(|| {
+                        let engine = Engine::new(EngineConfig::with_workers(workers));
+                        let responses = engine.solve_batch(requests.iter().cloned());
+                        assert!(responses.iter().all(|r| r.ok), "engine workload failed");
+                    })
+                }),
+            )],
+            both_ways: false,
         });
-        workloads.push(fast);
-        workloads.push(naive);
     }
-
-    // --- telemetry overhead workload: ambient registry off vs on ---
-    // The n64 solve shape again, once with no ambient registry (`fast` —
-    // spans disarm at creation, counters vanish in `with_active`) and once
-    // with a thread-local registry installed (`naive` — every span,
-    // histogram, and counter lands). The pinned Speedup row is the
-    // zero-cost-when-disabled claim in machine-readable form: the ratio
-    // must stay ≈1.0 within the CI tolerance.
-    {
-        let (n, p, t, seed) = (64usize, 4u32, 32u32, 11u64);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let inst = planted_instance(
-            &PlantedConfig {
-                num_processors: p,
-                horizon: t,
-                target_jobs: n,
-                decoy_prob: 0.3,
-                max_value: 1,
-                cost_model: PlantedCostModel::Affine { restart: 3.0 },
-                policy: CandidatePolicy::All,
-            },
-            &mut rng,
-        );
-        let name = format!("obs_overhead_n{n}_p{p}_t{t}");
-        let solves: u64 = 20;
-        let opts_solve = SolveOptions::default();
-        let peak = inst.candidates.len() as u64;
-        let registry = std::sync::Arc::new(sched_obs::Registry::new());
-        // interleaved, like every other fast/naive pair; the thread-local
-        // is reset between passes (and left unset afterwards)
-        let (mut off_ns, mut on_ns) = (u64::MAX, u64::MAX);
-        for _ in 0..rounds {
-            sched_obs::set_thread(None);
-            let t0 = Instant::now();
-            for _ in 0..solves {
-                std::hint::black_box(
-                    schedule_all(&inst.instance, &inst.candidates, &opts_solve).unwrap(),
-                );
-            }
-            off_ns = off_ns.min(t0.elapsed().as_nanos() as u64);
-            sched_obs::set_thread(Some(std::sync::Arc::clone(&registry)));
-            let t0 = Instant::now();
-            for _ in 0..solves {
-                std::hint::black_box(
-                    schedule_all(&inst.instance, &inst.candidates, &opts_solve).unwrap(),
-                );
-            }
-            on_ns = on_ns.min(t0.elapsed().as_nanos() as u64);
-            sched_obs::set_thread(None);
-        }
-        let fast = row(&name, "fast", solves, off_ns, peak);
-        let naive = row(&name, "naive", solves, on_ns, peak);
-        speedups.push(Speedup {
-            workload: name.clone(),
-            fast_over_naive: fast.ops_per_sec / naive.ops_per_sec,
+    table.push(Workload {
+        name: format!("replay_poisson_x{}_greedy", replay_traces.len()),
+        ops: replay_traces.len() as u64,
+        peak_candidates: replay_traces
+            .iter()
+            .map(|tr| all_intervals(tr.num_processors, tr.horizon))
+            .max()
+            .unwrap_or(0),
+        variants: vec![(
+            "n/a",
+            Box::new(move || {
+                let fleet = FleetOptions {
+                    workers: 1,
+                    offline: OfflineRef::Greedy,
+                };
+                time(|| {
+                    let reports = replay_fleet(replay_traces, &PolicyKind::Greedy, &fleet);
+                    assert!(reports.iter().all(|r| r.is_ok()), "replay workload failed");
+                })
+            }),
+        )],
+        both_ways: false,
+    });
+    // Warm vs cold re-solves: both variants replay the whole trace, and a
+    // row times the re-solves only (the policy's own per-re-solve wall
+    // clocks, summed), so the ratio isolates exactly what the warm handle
+    // accelerates. One untimed cold replay pins the re-solve count and the
+    // cost bits every timed pass must reproduce.
+    for &(period, ref trace) in &resolve_traces {
+        let (resolves, _, cost_bits) = resolve_pass(trace, period, false);
+        let pinned = (resolves, cost_bits);
+        table.push(Workload {
+            name: format!("resolve_warm_vs_cold_k{period}"),
+            ops: resolves,
+            peak_candidates: all_intervals(trace.num_processors, trace.horizon),
+            variants: vec![
+                ("warm", resolve_variant(trace, period, true, pinned)),
+                ("cold", resolve_variant(trace, period, false, pinned)),
+            ],
+            both_ways: false,
         });
-        workloads.push(fast);
-        workloads.push(naive);
-
-        // --- tracing overhead: same shape, ambient tracer off vs on ---
-        // With the tracer installed every span becomes a ring-buffer event
-        // and the greedy emits its per-pick decision log. The pinned row
-        // bounds that cost: `fast` (no tracer) over `naive` (thread-local
-        // tracer) must stay ≈1.0 — the record path formats nothing and
-        // takes one short lock per event.
-        let name = format!("trace_overhead_n{n}_p{p}_t{t}");
-        let tracer = std::sync::Arc::new(sched_obs::trace::Tracer::new());
-        let (mut off_ns, mut on_ns) = (u64::MAX, u64::MAX);
-        for _ in 0..rounds {
-            sched_obs::trace::set_thread(None);
-            let t0 = Instant::now();
-            for _ in 0..solves {
-                std::hint::black_box(
-                    schedule_all(&inst.instance, &inst.candidates, &opts_solve).unwrap(),
-                );
-            }
-            off_ns = off_ns.min(t0.elapsed().as_nanos() as u64);
-            sched_obs::trace::set_thread(Some(std::sync::Arc::clone(&tracer)));
-            let t0 = Instant::now();
-            for _ in 0..solves {
-                std::hint::black_box(
-                    schedule_all(&inst.instance, &inst.candidates, &opts_solve).unwrap(),
-                );
-            }
-            on_ns = on_ns.min(t0.elapsed().as_nanos() as u64);
-            sched_obs::trace::set_thread(None);
-            // bounded ring: clearing between rounds keeps eviction churn
+    }
+    // Telemetry overhead: the n64 solve with nothing installed (`off`:
+    // spans disarm at creation, counters vanish in `with_active`) and with
+    // a thread-local registry, then tracer, installed (`on`: every span,
+    // histogram and counter lands; with the tracer every span becomes a
+    // ring-buffer event and the greedy logs each pick).
+    let solve_opts = SolveOptions::default();
+    let solve_n64 =
+        move || schedule_all(&n64.instance, &n64.candidates, &solve_opts).expect(SOLVES_OK);
+    let peak_n64 = n64.candidates.len() as u64;
+    table.push(overhead_pair(
+        format!("obs_overhead_{n64_shape}"),
+        peak_n64,
+        solve_n64,
+        move |on| sched_obs::set_thread(on.then(|| Arc::clone(&registry))),
+    ));
+    table.push(overhead_pair(
+        format!("trace_overhead_{n64_shape}"),
+        peak_n64,
+        solve_n64,
+        move |on| {
+            sched_obs::trace::set_thread(on.then(|| Arc::clone(&tracer)));
+            // bounded ring: clearing between passes keeps eviction churn
             // out of the measurement's steady state
             tracer.clear();
+        },
+    ));
+
+    // --- the one timing loop ---
+    let mut workloads = Vec::new();
+    let mut ratios = Vec::new();
+    for mut w in table {
+        // interleave a pair's variants round by round, so clock drift,
+        // thermal state and scheduler noise hit both alike
+        let mut best = vec![u64::MAX; w.variants.len()];
+        for _ in 0..rounds {
+            for ((_, pass), best) in w.variants.iter_mut().zip(&mut best) {
+                *best = (*best).min(pass());
+            }
         }
-        let fast = row(&name, "fast", solves, off_ns, peak);
-        let naive = row(&name, "naive", solves, on_ns, peak);
-        speedups.push(Speedup {
-            workload: name.clone(),
-            fast_over_naive: fast.ops_per_sec / naive.ops_per_sec,
-        });
-        workloads.push(fast);
-        workloads.push(naive);
+        let rows: Vec<WorkloadResult> = w
+            .variants
+            .iter()
+            .zip(best)
+            .map(|((variant, _), ns)| {
+                let ns_per_op = ns as f64 / w.ops as f64;
+                WorkloadResult {
+                    name: w.name.clone(),
+                    variant: variant.to_string(),
+                    ops: w.ops,
+                    ns_per_op,
+                    ops_per_sec: 1e9 / ns_per_op,
+                    peak_candidates: w.peak_candidates,
+                }
+            })
+            .collect();
+        let ratio = |a: &WorkloadResult, b: &WorkloadResult| Ratio {
+            workload: w.name.clone(),
+            variant: a.variant.clone(),
+            baseline: b.variant.clone(),
+            ratio: a.ops_per_sec / b.ops_per_sec,
+        };
+        if let [a, b] = &rows[..] {
+            ratios.push(ratio(a, b));
+            if w.both_ways {
+                ratios.push(ratio(b, a));
+            }
+        }
+        workloads.extend(rows);
     }
 
     PerfReport {
         schema: SCHEMA.into(),
         mode: if opts.quick { "quick" } else { "full" }.into(),
         workloads,
-        speedups,
+        ratios,
     }
+}
+
+/// The pinned re-solve trace: a Poisson trace announcing every job `LEAD`
+/// ticks before its window opens.
+fn advance_notice_trace(seed: u64) -> ArrivalTrace {
+    let cfg = ArrivalConfig {
+        num_processors: 2,
+        horizon: 192,
+        target_jobs: 28,
+        restart: 3.0,
+        rate: 1.0,
+        max_value: 1,
+        slack: 2,
+    };
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut trace = generate_trace(TraceKind::PoissonBursts, &cfg, &mut rng);
+    // Releasing earlier only relaxes the instance, so the trace stays
+    // feasible. A k=1 re-solver then sees long quiet stretches where the
+    // pending set's windows are untouched — the memoized-solve fast path
+    // of the warm handle — interleaved with arrival/service ticks that
+    // exercise the delta path. This is the advance-reservation shape
+    // warm-starting targets: re-solve every tick, change rarely.
+    const LEAD: u32 = 24;
+    for job in &mut trace.jobs {
+        job.release = job.release.saturating_sub(LEAD);
+    }
+    trace
 }
 
 /// The deterministic mixed-mode engine workload (the shape
@@ -555,11 +553,18 @@ fn engine_workload(count: usize) -> Vec<SolveRequest> {
 
 /// Renders the report as the human table printed to stderr.
 pub fn render_table(report: &PerfReport) -> String {
-    let mut table = Table::new(&["workload", "path", "ops", "ns/op", "ops/sec", "peak cands"]);
+    let mut table = Table::new(&[
+        "workload",
+        "variant",
+        "ops",
+        "ns/op",
+        "ops/sec",
+        "peak cands",
+    ]);
     for w in &report.workloads {
         table.row(vec![
             w.name.clone(),
-            w.path.clone(),
+            w.variant.clone(),
             w.ops.to_string(),
             format!("{:.0}", w.ns_per_op),
             format!("{:.1}", w.ops_per_sec),
@@ -567,25 +572,25 @@ pub fn render_table(report: &PerfReport) -> String {
         ]);
     }
     let mut out = table.render();
-    for s in &report.speedups {
+    for r in &report.ratios {
         out.push_str(&format!(
-            "speedup {}: fast is {:.2}x naive\n",
-            s.workload, s.fast_over_naive
+            "ratio {}: {} is {:.2}x {}\n",
+            r.workload, r.variant, r.ratio, r.baseline
         ));
     }
     out
 }
 
 /// Compares a fresh run against a committed baseline. Returns the list of
-/// regressions: fast-over-naive speedups that decayed below
-/// `baseline · (1 − tolerance)`, plus — unless `relative_only` is set —
-/// workloads whose absolute throughput fell below the same floor.
+/// regressions: ratios that fell below `baseline · (1 − tolerance)`, plus —
+/// unless `relative_only` is set — rows whose absolute throughput fell
+/// below the same floor.
 ///
-/// The speedup ratios are machine-portable (both paths ran on the same
+/// The ratios are machine-portable (both rows of a pair ran on the same
 /// machine in the same process), so they are what CI gates on; absolute
 /// `ops_per_sec` comparisons are only meaningful when fresh run and
-/// baseline come from comparable hardware. Workloads present in only one
-/// report are ignored (schemas must match, though).
+/// baseline come from comparable hardware. Rows and ratios present in only
+/// one report are ignored (schemas must match, though).
 pub fn compare(
     fresh: &PerfReport,
     baseline: &PerfReport,
@@ -600,39 +605,42 @@ pub fn compare(
         ));
         return problems;
     }
-    for b in &baseline.workloads {
-        if relative_only {
-            break;
-        }
+    let floor = |base: f64| base * (1.0 - tolerance);
+    for b in baseline.workloads.iter().filter(|_| !relative_only) {
         let Some(f) = fresh
             .workloads
             .iter()
-            .find(|f| f.name == b.name && f.path == b.path)
+            .find(|f| f.name == b.name && f.variant == b.variant)
         else {
             continue;
         };
-        let floor = b.ops_per_sec * (1.0 - tolerance);
-        if f.ops_per_sec < floor {
+        if f.ops_per_sec < floor(b.ops_per_sec) {
             problems.push(format!(
                 "{} [{}]: {:.1} ops/sec < floor {:.1} (baseline {:.1}, tolerance {:.0}%)",
                 b.name,
-                b.path,
+                b.variant,
                 f.ops_per_sec,
-                floor,
+                floor(b.ops_per_sec),
                 b.ops_per_sec,
                 tolerance * 100.0
             ));
         }
     }
-    for b in &baseline.speedups {
-        let Some(f) = fresh.speedups.iter().find(|f| f.workload == b.workload) else {
+    for b in &baseline.ratios {
+        let Some(f) = fresh.ratios.iter().find(|f| {
+            f.workload == b.workload && f.variant == b.variant && f.baseline == b.baseline
+        }) else {
             continue;
         };
-        let floor = b.fast_over_naive * (1.0 - tolerance);
-        if f.fast_over_naive < floor {
+        if f.ratio < floor(b.ratio) {
             problems.push(format!(
-                "{} speedup: {:.2}x < floor {:.2}x (baseline {:.2}x)",
-                b.workload, f.fast_over_naive, floor, b.fast_over_naive
+                "{} {}/{}: {:.2}x < floor {:.2}x (baseline {:.2}x)",
+                b.workload,
+                b.variant,
+                b.baseline,
+                f.ratio,
+                floor(b.ratio),
+                b.ratio
             ));
         }
     }
@@ -643,9 +651,9 @@ pub fn compare(
 ///
 /// Flags: `--quick`, `--out FILE` (default stdout), `--baseline FILE`
 /// (enables the regression gate), `--tolerance F` (default 0.25),
-/// `--relative-only` (gate only on the machine-portable fast-over-naive
-/// speedups — the CI configuration, where runner hardware differs from
-/// the machine that recorded the baseline).
+/// `--relative-only` (gate only on the machine-portable ratios — the CI
+/// configuration, where runner hardware differs from the machine that
+/// recorded the baseline).
 pub fn cli(args: &[String]) -> Result<(), String> {
     let quick = args.iter().any(|a| a == "--quick");
     let relative_only = args.iter().any(|a| a == "--relative-only");
@@ -697,22 +705,28 @@ pub fn cli(args: &[String]) -> Result<(), String> {
 mod tests {
     use super::*;
 
+    fn ratio(variant: &str, baseline: &str, ratio: f64) -> Ratio {
+        Ratio {
+            workload: "w".into(),
+            variant: variant.into(),
+            baseline: baseline.into(),
+            ratio,
+        }
+    }
+
     fn tiny_report(ops_per_sec: f64, speedup: f64) -> PerfReport {
         PerfReport {
             schema: SCHEMA.into(),
             mode: "quick".into(),
             workloads: vec![WorkloadResult {
                 name: "w".into(),
-                path: "fast".into(),
+                variant: "fast".into(),
                 ops: 1,
                 ns_per_op: 1e9 / ops_per_sec,
                 ops_per_sec,
                 peak_candidates: 10,
             }],
-            speedups: vec![Speedup {
-                workload: "w".into(),
-                fast_over_naive: speedup,
-            }],
+            ratios: vec![ratio("fast", "naive", speedup)],
         }
     }
 
@@ -731,10 +745,10 @@ mod tests {
         // missing workloads are ignored, schema mismatch is fatal
         let mut other = tiny_report(100.0, 1.0);
         other.workloads[0].name = "other".into();
-        other.speedups[0].workload = "other".into();
+        other.ratios[0].workload = "other".into();
         assert!(compare(&other, &base, 0.25, false).is_empty());
         let mut bad = tiny_report(1000.0, 2.5);
-        bad.schema = "bench-solver/v0".into();
+        bad.schema = "bench-solver/v1".into();
         assert_eq!(compare(&bad, &base, 0.25, false).len(), 1);
     }
 
@@ -751,6 +765,22 @@ mod tests {
     }
 
     #[test]
+    fn costlier_recording_fails_the_on_over_off_ratio() {
+        // the `on` side of an overhead pair got twice as slow: `off`/`on`
+        // rose, which its floor cannot catch, and `on`/`off` fell to 0.5
+        let pair = |off_over_on: f64| PerfReport {
+            ratios: vec![
+                ratio("off", "on", off_over_on),
+                ratio("on", "off", 1.0 / off_over_on),
+            ],
+            ..tiny_report(1000.0, 1.0)
+        };
+        let problems = compare(&pair(2.0), &pair(1.0), 0.25, true);
+        assert_eq!(problems.len(), 1, "{problems:?}");
+        assert!(problems[0].starts_with("w on/off: 0.50x"), "{problems:?}");
+    }
+
+    #[test]
     fn report_serde_round_trip() {
         let r = tiny_report(123.0, 2.0);
         let json = serde_json::to_string(&r).unwrap();
@@ -758,7 +788,7 @@ mod tests {
         assert_eq!(back.schema, SCHEMA);
         assert_eq!(back.workloads.len(), 1);
         assert_eq!(back.workloads[0].ops_per_sec, 123.0);
-        assert_eq!(back.speedups[0].fast_over_naive, 2.0);
+        assert_eq!(back.ratios[0].ratio, 2.0);
     }
 
     #[test]
@@ -766,38 +796,34 @@ mod tests {
         let report = run(PerfOptions { quick: true });
         assert_eq!(report.schema, SCHEMA);
         assert_eq!(report.mode, "quick");
-        // (3 solve shapes + 1 hetero shape + 1 DVFS shape + 2 warm-vs-cold
-        // shapes + 1 telemetry-overhead shape + 1 tracing-overhead shape)
-        // × 2 paths + 2 engine rows + 1 replay row
-        assert_eq!(report.workloads.len(), 21);
-        assert_eq!(report.speedups.len(), 9);
-        assert!(report
-            .speedups
-            .iter()
-            .any(|s| s.workload == "resolve_warm_vs_cold_k1"));
-        assert!(report
-            .speedups
-            .iter()
-            .any(|s| s.workload == "obs_overhead_n64_p4_t32"));
-        assert!(report
-            .speedups
-            .iter()
-            .any(|s| s.workload == "trace_overhead_n64_p4_t32"));
-        assert!(report
-            .workloads
-            .iter()
-            .any(|w| w.name.contains("hetero") && w.path == "fast"));
-        assert!(report
-            .workloads
-            .iter()
-            .any(|w| w.name == "solve_dvfs_n64_p4_t32" && w.path == "naive"));
-        assert!(report
-            .speedups
-            .iter()
-            .any(|s| s.workload == "solve_dvfs_n64_p4_t32"));
         for w in &report.workloads {
             assert!(w.ops_per_sec > 0.0, "{}", w.name);
             assert!(w.ns_per_op > 0.0, "{}", w.name);
         }
+        // the gate skips rows and ratios missing from either report, so the
+        // committed baseline must hold exactly the ones a run emits
+        let baseline: PerfReport =
+            serde_json::from_str(include_str!("../../../BENCH_solver.json")).unwrap();
+        let rows = |r: &PerfReport| -> Vec<String> {
+            r.workloads
+                .iter()
+                .map(|w| format!("{} {}", w.name, w.variant))
+                .collect()
+        };
+        let ratios = |r: &PerfReport| -> Vec<String> {
+            r.ratios
+                .iter()
+                .map(|q| format!("{} {}/{}", q.workload, q.variant, q.baseline))
+                .collect()
+        };
+        assert_eq!(rows(&report), rows(&baseline));
+        assert_eq!(ratios(&report), ratios(&baseline));
+        // (3 solve shapes + hetero + DVFS + 2 warm-vs-cold + 2 overhead)
+        // pairs + 2 engine rows + 1 replay row; one ratio per pair, two per
+        // overhead pair
+        assert_eq!(report.workloads.len(), 21);
+        assert_eq!(report.ratios.len(), 11);
+        assert!(ratios(&report).contains(&"trace_overhead_n64_p4_t32 on/off".to_string()));
+        assert!(ratios(&report).contains(&"obs_overhead_n64_p4_t32 off/on".to_string()));
     }
 }

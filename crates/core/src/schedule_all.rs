@@ -182,16 +182,15 @@ pub(crate) fn schedule_all_seeded(
 }
 
 /// Flushes the per-solve batched counters (gain-memo hits/misses, oracle
-/// augment/retract operations, search edge visits) to the ambient registry.
+/// augments, search edge visits) to the ambient registry.
 /// The hot loops only bump plain integers; this is the single point where
 /// they become metrics.
 fn flush_solve_telemetry(obj: &ScheduleObjective<'_>, scratch: &ObjectiveScratch) {
     let (hits, misses) = scratch.memo_counts();
     sched_obs::counter_add("core.gain_memo.hits", hits);
     sched_obs::counter_add("core.gain_memo.misses", misses);
-    let (augments, retracts) = obj.oracle().op_counts();
+    let (augments, _) = obj.oracle().op_counts();
     sched_obs::counter_add("matching.oracle.augments", augments);
-    sched_obs::counter_add("matching.oracle.retracts", retracts);
     sched_obs::counter_add(
         "matching.oracle.edge_visits",
         scratch.edge_visits() + obj.oracle().edge_visits(),

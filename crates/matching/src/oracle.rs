@@ -29,26 +29,21 @@
 //!
 //! Most searches in a gain scan fail: the new slot reaches only saturated
 //! jobs. The jobs `D` a failed search reaches are each matched to a slot the
-//! search enqueued, and every job adjacent to one of those slots is in `D`,
-//! retired, or already dead. So `D` is *closed*: an alternating walk that
-//! enters `D` stays among `D` and its matched slots and never ends at an
-//! unsaturated job. The search marks `D` dead, and later searches skip dead
-//! jobs. Skipping them changes neither which live jobs a search reaches nor
-//! the slot it first reaches each one from, because the slots matched into
-//! `D` are adjacent to no live job. No later operation reopens `D`:
+//! search enqueued, and every job adjacent to one of those slots is in `D`
+//! or already dead. So `D` is *closed*: an alternating walk that enters `D`
+//! stays among `D` and its matched slots and never ends at an unsaturated
+//! job. The search marks `D` dead, and later searches skip dead jobs.
+//! Skipping them changes neither which live jobs a search reaches nor the
+//! slot it first reaches each one from, because the slots matched into `D`
+//! are adjacent to no live job. No later operation reopens `D`:
 //!
 //! * **slot insertion** adds no edge at a slot matched into `D`, and the new
 //!   slot's own search sees `D` closed like any other;
 //! * **augmentation** flips a path that ends at an unsaturated job, so the
-//!   path never enters `D` and `D`'s matched edges never flip;
-//! * **[`MatchingOracle::retract`]** of a job outside `D` frees a slot
-//!   outside `D` and re-augments as above; retracting a job of `D` retires
-//!   it and leaves the rest of `D` matched into slots whose neighbours are
-//!   in `D` or retired, so what remains of `D` is still closed.
+//!   path never enters `D` and `D`'s matched edges never flip.
 //!
-//! A retired job is simply one more dead job, so the search tests one skip
-//! mark. Committed marks live in the oracle until
-//! [`MatchingOracle::reset`]; marks set by overlay searches live in the
+//! So a dead job is always matched. Committed marks live in the oracle
+//! until [`MatchingOracle::reset`]; marks set by overlay searches live in the
 //! [`GainScratch`] for one pass, because that pass's matching is thrown
 //! away.
 //!
@@ -106,8 +101,7 @@ trait MatchView {
     fn my(&self, y: u32) -> u32;
     fn set_mx(&mut self, x: u32, y: u32);
     fn set_my(&mut self, y: u32, x: u32);
-    /// Is job `y` retired or in a closed, fully matched set (see the
-    /// module docs)?
+    /// Is job `y` in a closed, fully matched set (see the module docs)?
     fn is_dead(&self, y: u32) -> bool;
     fn mark_dead(&mut self, y: u32);
 }
@@ -272,10 +266,8 @@ pub struct MatchingOracle<'g> {
     /// job worth this much.
     max_value: f64,
     allowed: Vec<bool>,
-    /// Jobs every search skips (see the module docs): those removed by
-    /// [`MatchingOracle::retract`], which are unmatched, plus the closed
-    /// sets failed committed searches reached, which stay matched. A job is
-    /// therefore retired exactly when it is dead and unmatched.
+    /// Jobs every search skips: the closed sets failed committed searches
+    /// reached, which stay matched (see the module docs).
     dead: Vec<bool>,
     match_x: Vec<u32>,
     match_y: Vec<u32>,
@@ -286,7 +278,6 @@ pub struct MatchingOracle<'g> {
     // no dependency on any metrics crate) that callers read out once per
     // solve via [`MatchingOracle::op_counts`].
     augment_ops: u64,
-    retract_ops: u64,
     bfs: BfsScratch,
 }
 
@@ -320,7 +311,6 @@ impl<'g> MatchingOracle<'g> {
             n_allowed: 0,
             revision: 0,
             augment_ops: 0,
-            retract_ops: 0,
             bfs,
         }
     }
@@ -450,75 +440,23 @@ impl<'g> MatchingOracle<'g> {
         gain
     }
 
-    /// Retires job `y` — the delta operation for a job leaving the instance.
-    ///
-    /// The job is removed from the committed matching (if saturated) and
-    /// excluded from every future augmentation and gain evaluation. The slot
-    /// it occupied is re-augmented locally: a single alternating-path search
-    /// from the freed slot restores a maximum-weight matching over the
-    /// surviving jobs, because the only new source of augmenting paths after
-    /// deleting one matched pair is that freed slot (every other free slot
-    /// already had no augmenting path, and the retired job cannot terminate
-    /// one). Returns the exact change `F_after − F_before` (always ≤ 0).
-    ///
-    /// Retiring an already-retired job is a no-op returning 0. Any retract of
-    /// a live job bumps [`MatchingOracle::revision`] — even when the job was
-    /// unsaturated, since its departure can still lower future marginal
-    /// gains.
-    pub fn retract(&mut self, y: u32) -> f64 {
-        if self.is_retired(y) {
-            return 0.0;
-        }
-        self.dead[y as usize] = true;
-        self.revision += 1;
-        self.retract_ops += 1;
-        let x = self.match_y[y as usize];
-        if x == NONE {
-            return 0.0;
-        }
-        self.match_y[y as usize] = NONE;
-        self.match_x[x as usize] = NONE;
-        let lost = self.values[y as usize];
-        self.total -= lost;
-        let mut view = DirectView {
-            match_x: &mut self.match_x,
-            match_y: &mut self.match_y,
-            dead: &mut self.dead,
-        };
-        let regained = best_augment(
-            self.g,
-            x,
-            &mut view,
-            &mut self.bfs,
-            &self.values,
-            f64::INFINITY,
-        );
-        self.total += regained;
-        regained - lost
-    }
-
-    /// Lifetime `(augment, retract)` committed-operation counts: augmenting
-    /// searches run by [`MatchingOracle::add_slot`] and live-job retracts
-    /// run by [`MatchingOracle::retract`]. Speculative gain evaluations are
-    /// not counted. Telemetry layers read this once per solve.
+    /// Lifetime committed-operation counts as `(augments, 0)`: the
+    /// augmenting searches run by [`MatchingOracle::add_slot`]. Speculative
+    /// gain evaluations are not counted. The second value is always 0,
+    /// because the oracle never deletes a job (there is no `retract` or
+    /// `is_retired`); the pair keeps its shape for callers that destructure
+    /// it. Telemetry layers read this once per solve.
     #[inline]
     pub fn op_counts(&self) -> (u64, u64) {
-        (self.augment_ops, self.retract_ops)
+        (self.augment_ops, 0)
     }
 
     /// Lifetime count of adjacency entries examined by the committed
-    /// searches of [`MatchingOracle::add_slot`] and
-    /// [`MatchingOracle::retract`]; [`GainScratch::edge_visits`] counts the
-    /// speculative ones.
+    /// searches of [`MatchingOracle::add_slot`];
+    /// [`GainScratch::edge_visits`] counts the speculative ones.
     #[inline]
     pub fn edge_visits(&self) -> u64 {
         self.bfs.edge_visits
-    }
-
-    /// Has job `y` been retired by [`MatchingOracle::retract`]?
-    #[inline]
-    pub fn is_retired(&self, y: u32) -> bool {
-        self.dead[y as usize] && self.match_y[y as usize] == NONE
     }
 
     /// Evaluates `F(S ∪ T) − F(S)` exactly for `T = slots`, *without*
@@ -587,7 +525,7 @@ impl<'g> MatchingOracle<'g> {
         gain
     }
 
-    /// Clears `S` back to the empty set and un-retires every job.
+    /// Clears `S` back to the empty set and revives every dead job.
     pub fn reset(&mut self) {
         self.allowed.fill(false);
         self.dead.fill(false);
@@ -604,9 +542,9 @@ impl<'g> MatchingOracle<'g> {
 /// gained value (0 if none reachable). Ties broken toward the smallest job
 /// index for determinism, unless a job worth at least `stop_at` turns up: the
 /// search then stops there (overlay searches pass the largest job value,
-/// committed ones `f64::INFINITY`). Dead jobs, retired ones included, are
-/// skipped; a search that reaches no unsaturated job marks every job it
-/// reached dead (see the module docs).
+/// committed ones `f64::INFINITY`). Dead jobs are skipped; a search that
+/// reaches no unsaturated job marks every job it reached dead (see the
+/// module docs).
 fn best_augment(
     g: &BipartiteGraph,
     v: u32,
@@ -994,94 +932,13 @@ mod tests {
         let _ = MatchingOracle::new(&g, vec![0.0]);
     }
 
-    #[test]
-    fn retract_reaugments_locally() {
-        // slots {0,1}, jobs {0,1}; slot 0 adj both jobs, slot 1 adj job 0.
-        // Commit both slots: total 2. Retract job 0 (wherever it sits): the
-        // freed slot must re-augment so the surviving job stays matched.
-        let g = BipartiteGraph::from_edges(2, 2, &[(0, 0), (0, 1), (1, 0)]);
-        let mut o = MatchingOracle::new_cardinality(&g);
-        o.commit(&[0, 1]);
-        assert_eq!(o.total(), 2.0);
-        let r = o.revision();
-        assert_eq!(o.retract(0), -1.0);
-        assert_eq!(o.total(), 1.0);
-        assert!(o.is_retired(0));
-        assert_eq!(o.matched_job(0), Some(1), "slot 0 must rebind to job 1");
-        assert!(o.revision() > r);
-        // idempotent
-        assert_eq!(o.retract(0), 0.0);
-        assert_eq!(o.total(), 1.0);
-    }
-
-    #[test]
-    fn retract_excludes_job_from_future_gains() {
-        let g = BipartiteGraph::from_edges(2, 1, &[(0, 0), (1, 0)]);
-        let mut o = MatchingOracle::new_cardinality(&g);
-        let r = o.revision();
-        // job 0 unsaturated; retiring it must still bump revision because
-        // memoized gains (which could have matched it) are now stale.
-        assert_eq!(o.retract(0), 0.0);
-        assert!(o.revision() > r);
-        let mut s = GainScratch::new();
-        assert_eq!(o.gain_of(&[0, 1], &mut s), 0.0);
-        assert_eq!(o.add_slot(0), 0.0, "retired job must not be matched");
-        assert_eq!(o.matched_job(0), None);
-    }
-
-    #[test]
-    fn retract_matches_reference_randomized() {
-        // Interleave slot additions and job retractions; after each step the
-        // oracle total must equal the reference rank over surviving jobs.
-        let mut rng = rand::rngs::StdRng::seed_from_u64(42);
-        for _ in 0..40 {
-            let nx = rng.gen_range(2..=10u32);
-            let ny = rng.gen_range(2..=8u32);
-            let g = random_graph(&mut rng, nx, ny, 0.35);
-            let values: Vec<f64> = (0..ny).map(|_| rng.gen_range(1..=9) as f64).collect();
-            let mut o = MatchingOracle::new(&g, values.clone());
-            let mut inserted = vec![false; nx as usize];
-            let mut gone = vec![false; ny as usize];
-            for _ in 0..(nx + ny) {
-                if rng.gen_bool(0.6) {
-                    let v = rng.gen_range(0..nx);
-                    o.add_slot(v);
-                    inserted[v as usize] = true;
-                } else {
-                    let y = rng.gen_range(0..ny);
-                    o.retract(y);
-                    gone[y as usize] = true;
-                }
-                // reference: same graph minus the retired jobs' edges
-                let live: Vec<(u32, u32)> = g.edges().filter(|&(_, y)| !gone[y as usize]).collect();
-                let gl = BipartiteGraph::from_edges(nx, ny, &live);
-                let want = weighted_rank_reference(&gl, &values, |x| inserted[x as usize]);
-                assert_eq!(o.total(), want, "rank mismatch after delta sequence");
-            }
-        }
-    }
-
-    #[test]
-    fn reset_clears_retirement() {
-        let g = BipartiteGraph::from_edges(1, 1, &[(0, 0)]);
-        let mut o = MatchingOracle::new_cardinality(&g);
-        o.add_slot(0);
-        o.retract(0);
-        assert_eq!(o.total(), 0.0);
-        o.reset();
-        assert!(!o.is_retired(0));
-        assert_eq!(o.add_slot(0), 1.0);
-    }
-
     /// The exhaustive search without dead-job pruning or early exit, kept as
-    /// the identity reference: it tests `retired` directly and walks every
-    /// reachable job on every search.
+    /// the identity reference: it walks every reachable job on every search.
     #[derive(Clone)]
     struct Reference<'g> {
         g: &'g BipartiteGraph,
         values: Vec<f64>,
         allowed: Vec<bool>,
-        retired: Vec<bool>,
         match_x: Vec<u32>,
         match_y: Vec<u32>,
         total: f64,
@@ -1093,7 +950,6 @@ mod tests {
                 g,
                 values,
                 allowed: vec![false; g.nx() as usize],
-                retired: vec![false; g.ny() as usize],
                 match_x: vec![NONE; g.nx() as usize],
                 match_y: vec![NONE; g.ny() as usize],
                 total: 0.0,
@@ -1111,7 +967,7 @@ mod tests {
                 let x = queue[head];
                 head += 1;
                 for &y in self.g.adj_x(x) {
-                    if self.retired[y as usize] || seen[y as usize] {
+                    if seen[y as usize] {
                         continue;
                     }
                     seen[y as usize] = true;
@@ -1153,24 +1009,6 @@ mod tests {
             let gain = self.augment(v);
             self.total += gain;
             gain
-        }
-
-        fn retract(&mut self, y: u32) -> f64 {
-            if self.retired[y as usize] {
-                return 0.0;
-            }
-            self.retired[y as usize] = true;
-            let x = self.match_y[y as usize];
-            if x == NONE {
-                return 0.0;
-            }
-            self.match_y[y as usize] = NONE;
-            self.match_x[x as usize] = NONE;
-            let lost = self.values[y as usize];
-            self.total -= lost;
-            let regained = self.augment(x);
-            self.total += regained;
-            regained - lost
         }
 
         /// Cumulative gains of adding `slots` one by one to a copy.
@@ -1240,8 +1078,6 @@ mod tests {
         assert_eq!(o.match_x, r.match_x, "match_x diverged {ctx}");
         assert_eq!(o.match_y, r.match_y, "match_y diverged {ctx}");
         assert_eq!(o.total.to_bits(), r.total.to_bits(), "total diverged {ctx}");
-        let retired: Vec<bool> = (0..o.g.ny()).map(|y| o.is_retired(y)).collect();
-        assert_eq!(retired, r.retired, "retirement diverged {ctx}");
     }
 
     #[test]
@@ -1253,19 +1089,13 @@ mod tests {
         let mut failed_searches = 0;
         for trial in 0..160 {
             let (g, values) = twin_graph(&mut rng, trial % 2 == 1);
-            let (nx, ny) = (g.nx(), g.ny());
+            let nx = g.nx();
             let mut o = MatchingOracle::new(&g, values.clone());
             let mut r = Reference::new(&g, values);
             let mut order: Vec<u32> = (0..nx).collect();
             shuffle(&mut rng, &mut order);
             for (step, &v) in order.iter().enumerate() {
                 let ctx = format!("(trial {trial}, step {step})");
-                if rng.gen_bool(0.25) {
-                    let y = rng.gen_range(0..ny);
-                    let (got, want) = (o.retract(y), r.retract(y));
-                    assert_eq!(got.to_bits(), want.to_bits(), "retract({y}) {ctx}");
-                    assert_same_state(&o, &r, &ctx);
-                }
                 let (got, want) = (o.add_slot(v), r.add_slot(v));
                 assert_eq!(got.to_bits(), want.to_bits(), "add_slot({v}) {ctx}");
                 if got == 0.0 {

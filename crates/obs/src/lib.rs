@@ -18,15 +18,13 @@
 //!    otherwise nowhere (each helper is a cheap thread-local check and an
 //!    early return). Deep library code — the solver hot path, the greedy
 //!    loop — uses only the ambient API, so it needs no plumbed-through
-//!    handles and costs nothing when no registry is installed. Compiling
-//!    this crate with `--no-default-features` (dropping the `enabled`
-//!    feature) turns the whole ambient API into no-ops at compile time.
+//!    handles and costs nothing when no registry is installed.
 //! 4. **Tracing** — the [`trace`] module adds the causal timeline the
 //!    registry cannot express: an ambiently installed [`trace::Tracer`]
 //!    receives a [`trace::TraceEvent`] from every [`span!`] drop and every
 //!    explicit decision point, stamped with the thread's trace id, and
-//!    exports `trace/v1` JSONL or Chrome trace-event JSON. Same
-//!    thread-shadows-global install rules, same `enabled` feature gate.
+//!    exports `trace/v1` JSONL or Chrome trace-event JSON, with the same
+//!    thread-shadows-global install rules.
 //!
 //! # Histogram buckets and percentiles
 //!
@@ -52,7 +50,6 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
-#[cfg(feature = "enabled")]
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
@@ -509,10 +506,9 @@ impl Snapshot {
 }
 
 // ---------------------------------------------------------------------------
-// Ambient API (feature `enabled`)
+// Ambient API
 // ---------------------------------------------------------------------------
 
-#[cfg(feature = "enabled")]
 mod ambient {
     use super::*;
     use std::cell::RefCell;
@@ -559,11 +555,9 @@ mod ambient {
     }
 }
 
-#[cfg(feature = "enabled")]
 pub use ambient::{active, global, install_global, set_thread, with_active};
 
 /// Adds `v` to the ambient counter `name` (no-op without a registry).
-#[cfg(feature = "enabled")]
 pub fn counter_add(name: &str, v: u64) {
     if v > 0 {
         with_active(|r| r.counter(name).add(v));
@@ -571,7 +565,6 @@ pub fn counter_add(name: &str, v: u64) {
 }
 
 /// Adds `delta` to the ambient gauge `name` (no-op without a registry).
-#[cfg(feature = "enabled")]
 pub fn gauge_add(name: &str, delta: i64) {
     with_active(|r| r.gauge(name).add(delta));
 }
@@ -579,7 +572,6 @@ pub fn gauge_add(name: &str, delta: i64) {
 /// Records `ns` into the ambient histogram `name` (no-op without a
 /// registry). By convention every duration histogram in the workspace is
 /// in nanoseconds and named `*_ns`.
-#[cfg(feature = "enabled")]
 pub fn record_ns(name: &str, ns: u64) {
     with_active(|r| r.histogram(name).record(ns));
 }
@@ -589,21 +581,18 @@ pub fn record_ns(name: &str, ns: u64) {
 #[must_use = "a span records on drop; binding it to _ drops immediately"]
 #[derive(Debug)]
 pub struct Span {
-    #[cfg(feature = "enabled")]
     armed: Option<(&'static str, Instant)>,
 }
 
 /// Starts a span timer for histogram `name`. When neither a registry nor a
 /// tracer (see [`trace`]) is active at creation the span is disarmed and
 /// drop does nothing (the clock is never read).
-#[cfg(feature = "enabled")]
 pub fn span(name: &'static str) -> Span {
     Span {
         armed: (ambient::active() || trace::enabled()).then(|| (name, Instant::now())),
     }
 }
 
-#[cfg(feature = "enabled")]
 impl Drop for Span {
     fn drop(&mut self) {
         if let Some((name, start)) = self.armed.take() {
@@ -613,48 +602,6 @@ impl Drop for Span {
         }
     }
 }
-
-// Disabled ambient API: every helper is an empty inlineable stub, so
-// instrumented call sites compile to nothing.
-#[cfg(not(feature = "enabled"))]
-mod disabled {
-    use super::*;
-
-    /// No-op (built without the `enabled` feature).
-    pub fn install_global(_r: Arc<Registry>) -> bool {
-        false
-    }
-    /// No-op (built without the `enabled` feature).
-    pub fn global() -> Option<Arc<Registry>> {
-        None
-    }
-    /// No-op (built without the `enabled` feature).
-    pub fn set_thread(_r: Option<Arc<Registry>>) {}
-    /// No-op (built without the `enabled` feature).
-    pub fn with_active<R>(_f: impl FnOnce(&Registry) -> R) -> Option<R> {
-        None
-    }
-    /// No-op (built without the `enabled` feature).
-    pub fn active() -> bool {
-        false
-    }
-    /// No-op (built without the `enabled` feature).
-    pub fn counter_add(_name: &str, _v: u64) {}
-    /// No-op (built without the `enabled` feature).
-    pub fn gauge_add(_name: &str, _delta: i64) {}
-    /// No-op (built without the `enabled` feature).
-    pub fn record_ns(_name: &str, _ns: u64) {}
-    /// No-op (built without the `enabled` feature).
-    pub fn span(_name: &'static str) -> Span {
-        Span {}
-    }
-}
-
-#[cfg(not(feature = "enabled"))]
-pub use disabled::{
-    active, counter_add, gauge_add, global, install_global, record_ns, set_thread, span,
-    with_active,
-};
 
 /// Starts an RAII span timer recording into the named ambient histogram:
 /// `let _span = sched_obs::span!("core.reduction.build_ns");`
@@ -861,7 +808,6 @@ mod tests {
         assert_eq!(Snapshot::default().render_text(), "(no metrics recorded)\n");
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn ambient_thread_registry_scopes_recording() {
         // Thread registry shadows global; clearing it restores fallback.
@@ -880,7 +826,6 @@ mod tests {
         assert_eq!(r.histogram("timed_ns").count(), 1);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn spans_are_disarmed_without_a_registry() {
         // No thread registry on this test thread and we never rely on the

@@ -40,14 +40,6 @@
 //! [`Tracer::dump_to_stderr`] prints them (as `trace/v1` JSONL behind a
 //! `# flight-recorder` header line) on request failure, accept-loop error
 //! bursts, and graceful shutdown.
-//!
-//! # Feature gating
-//!
-//! The ambient layer ([`install_global`], [`set_thread`], [`set_trace_id`],
-//! [`enabled`], [`instant`], and the span hook) compiles to no-ops without
-//! the crate's `enabled` feature, like the rest of the ambient API. The
-//! types and the explicit-handle [`Tracer`] API stay available in both
-//! modes so code holding an `Option<Arc<Tracer>>` compiles unchanged.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
@@ -491,10 +483,9 @@ fn escape_json(s: &str, out: &mut String) {
 }
 
 // ---------------------------------------------------------------------------
-// Ambient tracer + trace-id context (feature `enabled`)
+// Ambient tracer + trace-id context
 // ---------------------------------------------------------------------------
 
-#[cfg(feature = "enabled")]
 mod ambient {
     use super::*;
     use std::cell::RefCell;
@@ -578,48 +569,8 @@ mod ambient {
     }
 }
 
-#[cfg(feature = "enabled")]
 pub(crate) use ambient::emit_span;
-#[cfg(feature = "enabled")]
 pub use ambient::{
-    active_tracer, current_trace_id, enabled, global, install_global, instant, set_thread,
-    set_trace_id,
-};
-
-#[cfg(not(feature = "enabled"))]
-mod disabled {
-    use super::*;
-
-    /// No-op (built without the `enabled` feature).
-    pub fn install_global(_t: Arc<Tracer>) -> bool {
-        false
-    }
-    /// No-op (built without the `enabled` feature).
-    pub fn global() -> Option<Arc<Tracer>> {
-        None
-    }
-    /// No-op (built without the `enabled` feature).
-    pub fn set_thread(_t: Option<Arc<Tracer>>) {}
-    /// No-op (built without the `enabled` feature).
-    pub fn active_tracer() -> Option<Arc<Tracer>> {
-        None
-    }
-    /// No-op (built without the `enabled` feature).
-    pub fn enabled() -> bool {
-        false
-    }
-    /// No-op (built without the `enabled` feature).
-    pub fn set_trace_id(_id: Option<&str>) {}
-    /// No-op (built without the `enabled` feature).
-    pub fn current_trace_id() -> Option<Arc<str>> {
-        None
-    }
-    /// No-op (built without the `enabled` feature).
-    pub fn instant(_name: &'static str, _args: Vec<(&'static str, ArgValue)>) {}
-}
-
-#[cfg(not(feature = "enabled"))]
-pub use disabled::{
     active_tracer, current_trace_id, enabled, global, install_global, instant, set_thread,
     set_trace_id,
 };
@@ -657,7 +608,6 @@ mod tests {
         assert_eq!(kept, vec![2, 3, 4]);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn ambient_thread_tracer_records_spans_and_instants() {
         let t = Arc::new(Tracer::new());
@@ -692,7 +642,6 @@ mod tests {
         assert!(pick.ts_ns >= outer.ts_ns && pick.ts_ns <= outer.ts_ns + outer.dur_ns);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn spans_stay_disarmed_without_tracer_or_registry() {
         if crate::global().is_some() || global().is_some() {
@@ -745,7 +694,6 @@ mod tests {
         assert!(chrome.ends_with("],\"displayTimeUnit\":\"ns\"}"));
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn trace_id_scopes_to_the_thread() {
         let t = Arc::new(Tracer::new());

@@ -10,9 +10,9 @@
 //! best item via the 1/e rule (covers the case of one dominant item).
 //! *Tails*: observe the first half, compute a constant-factor offline
 //! estimate `ÔPT` of the knapsack optimum on it (density greedy ∨ best
-//! single item — our substitution for the Lee et al. solver, see DESIGN.md),
-//! then greedily take second-half items whose marginal density beats
-//! `ÔPT/6` while they fit.
+//! single item, in place of the Lee et al. solver the paper cites: the
+//! analysis needs only a constant-factor estimate), then greedily take
+//! second-half items whose marginal density beats `ÔPT/6` while they fit.
 
 use rand::Rng;
 use submodular::{BitSet, SetFn};

@@ -7,7 +7,7 @@ use submodular::{BitSet, SetFn};
 /// Cardinality-constrained offline greedy: `k` rounds of best-marginal-gain.
 /// For monotone submodular `f` this is the classical `(1−1/e)`-approximation
 /// (Nemhauser–Wolsey–Fisher); we use it as the reference "OPT" proxy for
-/// larger instances and say so in EXPERIMENTS.md.
+/// larger instances, and the experiments' tables label it "offline ref".
 pub fn offline_greedy<F: SetFn + ?Sized>(f: &F, k: usize) -> (Vec<u32>, f64) {
     let n = f.ground_size();
     let mut set = BitSet::new(n);
