@@ -84,7 +84,7 @@ fn exact_min_cost(
     let mut suffix_slots: Vec<Vec<u32>> = vec![Vec::new(); order.len() + 1];
     for i in (0..order.len()).rev() {
         let mut s = suffix_slots[i + 1].clone();
-        s.extend_from_slice(red.slots_of(order[i]));
+        s.extend_from_slice(red.interval_slots(&candidates[order[i]]));
         suffix_slots[i] = s;
     }
 
@@ -119,13 +119,13 @@ fn exact_min_cost(
             continue;
         }
         let cand = order[i];
-        let c = red.cost_of(cand);
+        let c = candidates[cand].cost;
 
         // exclude branch pushed first so the include branch is explored
         // first (cheap candidates early → good incumbents fast)
         stack.push((i + 1, o.clone(), picked.clone(), cost));
         if cost + c < best_cost {
-            o.commit(red.slots_of(cand));
+            o.commit(red.interval_slots(&candidates[cand]));
             let mut p2 = picked;
             p2.push(cand);
             stack.push((i + 1, o, p2, cost + c));

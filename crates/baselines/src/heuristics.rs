@@ -84,7 +84,7 @@ pub fn cover_each_job_greedy(
     let red = ScheduleReduction::build(inst, candidates);
     let mut oracle = MatchingOracle::new_cardinality(&red.graph);
     for &i in &chosen {
-        oracle.commit(red.slots_of(i));
+        oracle.commit(red.interval_slots(&candidates[i]));
     }
     let feasible = oracle.total() as usize == n;
     (chosen, total_cost, feasible)

@@ -111,4 +111,4 @@ pub use schedule_all::{schedule_all, schedule_all_with};
 pub use simulate::{profile_energy, simulate, PowerTrace, ProfileEnergy, SlotState};
 pub use solver::Solver;
 pub use trace::{ArrivalTrace, TimedJob, TraceError};
-pub use warm::{content_keys, WarmHandle, WarmStats};
+pub use warm::{WarmHandle, WarmStats};

@@ -13,18 +13,32 @@
 //! The reduction is built for the greedy's access pattern, not for
 //! readability of the intermediate state:
 //!
-//! * **Flat CSR slot lists** — per-candidate slot ids live in one row-major
-//!   arena (`slot_arena` + `slot_off`), not `Vec<Vec<u32>>`: one allocation,
-//!   contiguous iteration, no per-candidate pointer chase.
-//! * **Interesting-slot bitset** — slots adjacent to at least one job are
-//!   precomputed into a [`BitSet`] once, so filtering a candidate's slots is
-//!   a bit test instead of a CSR degree lookup per (candidate × slot).
-//! * **Prefix runs** — enumerated families arrive grouped by (processor,
-//!   start) with increasing end, so consecutive candidates' slot lists are
-//!   nested prefixes. [`ScheduleReduction::runs`] records those maximal
-//!   chains; a full candidate scan then evaluates each chain with **one**
-//!   incremental [`bmatch::MatchingOracle::gain_prefixes`] pass (`O(L)` slot
-//!   augmentations for `L` nested candidates instead of `O(L²)`), emitting
+//! * **Windows of one slot arena** — the *interesting* slots (adjacent to at
+//!   least one job) live in one increasing arena, and a prefix count over
+//!   dense slot ids maps an interval `[s, e)` to its window of that arena
+//!   with two loads. Degree-0 slots can never change the matching, so they
+//!   are never evaluated; an interval's *cost* still covers them.
+//! * **Window subsets** — the greedy's index space is not the candidate
+//!   family but one *subset* per distinct nonempty window. By Lemma 2.2.2 a
+//!   candidate's marginal gain is the matching rank its window adds, so
+//!   candidates with equal windows always have equal gains, and the greedy's
+//!   order `(ratio desc, cost asc, index asc)` can only ever pick the
+//!   cheapest, then lowest-index, member of such a class: for a positive
+//!   gain `g`, `g / c` never rises as `c` grows, and equal costs fall to the
+//!   index. This holds for any costs (Definition 2). A candidate with an
+//!   empty window has gain 0 forever and is never picked. So each subset is
+//!   represented by that member ([`ScheduleReduction::candidate_of`]), and
+//!   subsets are kept in increasing candidate order, so every tie between
+//!   classes breaks as it would between their members. The greedy over
+//!   subsets picks exactly the candidates the greedy over the whole family
+//!   picks. On the online path's 131,584-interval grid a few hundred
+//!   windows are distinct.
+//! * **Prefix runs** — subsets whose windows start at the same interesting
+//!   slot, in increasing length, are nested prefixes.
+//!   [`ScheduleReduction::runs`] records those maximal chains; a full scan
+//!   then evaluates each chain with **one** incremental
+//!   [`bmatch::MatchingOracle::gain_prefixes`] pass (`O(L)` slot
+//!   augmentations for `L` nested subsets instead of `O(L²)`), emitting
 //!   bit-identical gains.
 //! * **Runs are the lazy greedy's groups** — [`ScheduleObjective`] declares
 //!   its runs through [`BudgetedObjective::groups`], so the lazy heap holds
@@ -39,27 +53,27 @@
 //!   on the run moved since its last pass — sound, and bit-identical by
 //!   construction.
 //! * **Bounded first keys** — the greedy's first keys read the memo where a
-//!   run's memo is current (a warm solve's seeded scan leaves every run
-//!   current). Every other candidate's first key is an upper bound read
-//!   from its slot window: `|slots_of(i)|` times the oracle's largest job
-//!   value. So a cold solve runs no full gain scan, and a run is evaluated
+//!   run's memo is current. Every other subset's first key is an upper
+//!   bound read from its window: `|slots_of(k)|` times the oracle's largest
+//!   job value. So no solve runs a full gain scan, and a run is evaluated
 //!   only when its bound reaches the top of the lazy heap (see
 //!   `submodular::budgeted`, "Initial keys may be upper bounds").
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use bmatch::{BipartiteGraph, BipartiteGraphBuilder, GainScratch, MatchingOracle};
-use submodular::{BitSet, BudgetedObjective};
+use submodular::BudgetedObjective;
 
 use crate::candidates::CandidateInterval;
-use crate::model::{Instance, Schedule, SlotRef};
+use crate::model::{Instance, Schedule};
 
 /// Distinguishes objectives so a reused scratch never replays memoized gains
 /// computed against a different objective.
 static OBJECTIVE_TOKENS: AtomicU64 = AtomicU64::new(1);
 
-/// The slot–job bipartite graph plus per-candidate slot lists in flat CSR
-/// form (see the [module docs](self) for the layout rationale).
+/// The slot–job bipartite graph plus one subset per distinct nonempty
+/// candidate window (see the [module docs](self) for the layout and the
+/// exactness argument).
 ///
 /// Built once per solve (or once per [`crate::Solver`], which caches it
 /// across goal calls); borrowed by [`ScheduleObjective`].
@@ -67,119 +81,113 @@ static OBJECTIVE_TOKENS: AtomicU64 = AtomicU64::new(1);
 pub struct ScheduleReduction {
     /// `X` = dense slot ids (`proc · horizon + time`), `Y` = jobs.
     pub graph: BipartiteGraph,
+    /// Slots per processor row of the dense slot ids.
+    horizon: u32,
     /// All *interesting* slot ids (degree > 0) in increasing dense order —
-    /// the single shared arena every candidate's slot list is a window of.
-    /// Degree-0 slots can never change the matching, so they are omitted
-    /// from gain evaluation; an interval's *cost* still covers them.
+    /// the single shared arena every window is a range of.
     islots: Vec<u32>,
-    /// Per-candidate window `[off, off + len)` into `islots`. Nested
-    /// candidates share storage: `[s, e′)` with `e′ > e` has the same `off`
-    /// and a larger `len`, so no per-candidate slot copying happens at all.
-    slot_win: Vec<(u32, u32)>,
-    /// Candidate costs.
+    /// `prefix[x]` = number of interesting slots with dense id `< x`, for
+    /// `x` in `0..=nx`: interval `[s, e)` on processor `p` has the window
+    /// `prefix[p·T + s]..prefix[p·T + e]` of `islots`.
+    prefix: Vec<u32>,
+    /// Candidate index of each subset: the cheapest, then lowest-index,
+    /// candidate with the subset's window. Strictly increasing.
+    cand: Vec<u32>,
+    /// Cost of each subset (its candidate's).
     costs: Vec<f64>,
-    /// Run index of each candidate.
-    run_of: Vec<u32>,
-    /// Maximal candidate ranges `[lo, hi)` whose slot lists form nested
-    /// prefixes (same processor and start, increasing end).
+    /// Window length of each subset; the window starts at its run's offset.
+    len: Vec<u32>,
+    /// Maximal subset ranges `[lo, hi)` whose windows form nested prefixes
+    /// (same first interesting slot, increasing length).
     runs: Vec<(u32, u32)>,
-    /// Row-major arena of per-run connected-component ids, in first-slot
-    /// order and deduped — every candidate's component set is a **prefix**
-    /// of its run's sequence (its window is a prefix of the run's longest).
-    run_comp_arena: Vec<u32>,
-    /// CSR offsets into `run_comp_arena`, one per run plus a sentinel.
-    run_comp_off: Vec<u32>,
-    /// Per-candidate prefix length into its run's component sequence.
+    /// Per run: the offset of its windows into `islots`, and the start of
+    /// its component sequence in `comp_arena`.
+    run_base: Vec<(u32, u32)>,
+    /// Row-major arena of connected-component ids, one sequence per window
+    /// group in first-slot order and deduped — every subset's component set
+    /// is a **prefix** of its run's sequence (its window is a prefix of the
+    /// group's longest).
+    comp_arena: Vec<u32>,
+    /// Per-subset prefix length into its run's component sequence.
     comp_len: Vec<u32>,
     /// Number of distinct connected components.
     num_comps: u32,
-    /// Retained union-find / densification buffers for
-    /// [`ScheduleReduction::apply_delta`].
+    /// Size of the candidate family the subsets were drawn from.
+    num_candidates: usize,
+    /// Retained union-find, densification and grouping buffers, so
+    /// [`ScheduleReduction::apply_delta`] reuses the allocations of the
+    /// previous build.
     scratch: RebuildScratch,
 }
 
-/// Working buffers for the job-state rebuild, retained across deltas so a
-/// re-solve reuses the allocations of the previous one.
+/// Working buffers for the rebuild, retained across deltas.
 #[derive(Clone, Debug, Default)]
 struct RebuildScratch {
     uf: Vec<u32>,
-    comp_of_slot: Vec<u32>,
     dense: Vec<u32>,
+    /// Component id of each interesting slot, by its position in `islots`.
+    comp_of_islot: Vec<u32>,
+    /// Group epoch at which each component was last pushed to the arena.
     comp_seen: Vec<u32>,
+    /// Subset of the current window group with each window length, or
+    /// `u32::MAX`; all `u32::MAX` between groups.
+    by_len: Vec<u32>,
+    /// Subset rows of a group that came out of candidate order:
+    /// `(candidate, cost, length, component prefix)`.
+    sort_buf: Vec<(u32, f64, u32, u32)>,
 }
 
 impl ScheduleReduction {
     /// Builds the reduction for `inst` and the given candidate family.
     pub fn build(inst: &Instance, candidates: &[CandidateInterval]) -> Self {
         let _span = sched_obs::span!("core.reduction.build_ns");
-        // Candidate-dependent state first: costs and the maximal
-        // nested-prefix runs over the candidate order. Both survive job
-        // deltas untouched — the candidate family is job-independent.
-        let mut runs: Vec<(u32, u32)> = Vec::new();
-        let mut run_of = Vec::with_capacity(candidates.len());
-        let mut lo = 0usize;
-        for i in 1..=candidates.len() {
-            let chained = i < candidates.len() && {
-                let (a, b) = (&candidates[i - 1], &candidates[i]);
-                a.proc == b.proc && a.start == b.start && a.end < b.end
-            };
-            if !chained {
-                for _ in lo..i {
-                    run_of.push(runs.len() as u32);
-                }
-                runs.push((lo as u32, i as u32));
-                lo = i;
-            }
-        }
-        let costs = candidates.iter().map(|iv| iv.cost).collect();
-
         let mut red = Self {
             graph: BipartiteGraphBuilder::new(0, 0).build(),
+            horizon: 0,
             islots: Vec::new(),
-            slot_win: Vec::new(),
-            costs,
-            run_of,
-            runs,
-            run_comp_arena: Vec::new(),
-            run_comp_off: Vec::new(),
+            prefix: Vec::new(),
+            cand: Vec::new(),
+            costs: Vec::new(),
+            len: Vec::new(),
+            runs: Vec::new(),
+            run_base: Vec::new(),
+            comp_arena: Vec::new(),
             comp_len: Vec::new(),
             num_comps: 0,
+            num_candidates: 0,
             scratch: RebuildScratch::default(),
         };
-        red.rebuild_job_state(inst, candidates);
+        red.rebuild(inst, candidates);
         red
     }
 
-    /// Applies a job delta: rebuilds every job-dependent structure (graph,
-    /// interesting-slot arena, candidate windows, connected components) for
-    /// the new instance **in place**, reusing the retained allocations and
-    /// leaving the candidate-dependent rows (`costs`, `runs`, `run_of`)
-    /// untouched. Arrivals and expiries are implied by the new instance; the
-    /// caller (the warm handle) diffs instances to find what changed.
+    /// Applies a job delta: rebuilds the reduction for the new instance
+    /// **in place**, reusing the retained allocations. Subsets depend on
+    /// which slots are job-adjacent, so every row is rebuilt; arrivals and
+    /// expiries are implied by the new instance.
     ///
     /// The result is field-for-field identical to
     /// `ScheduleReduction::build(inst, candidates)` — both paths run the same
     /// rebuild — so correctness never depends on the delta being small.
     ///
     /// # Panics
-    /// Panics (debug) if `candidates` is not the family this reduction was
-    /// built with: windows are recomputed against it, and costs/runs are
-    /// assumed to still match.
+    /// Panics (debug) if `candidates` is not the size of the family this
+    /// reduction was built with.
     pub fn apply_delta(&mut self, inst: &Instance, candidates: &[CandidateInterval]) {
         let _span = sched_obs::span!("core.reduction.apply_delta_ns");
         debug_assert_eq!(
             candidates.len(),
-            self.costs.len(),
+            self.num_candidates,
             "apply_delta requires the original candidate family"
         );
-        self.rebuild_job_state(inst, candidates);
+        self.rebuild(inst, candidates);
     }
 
-    /// The shared job-state rebuild behind [`ScheduleReduction::build`] and
-    /// [`ScheduleReduction::apply_delta`]: graph, interesting slots,
-    /// per-candidate windows, and connected components, written into the
-    /// retained buffers.
-    fn rebuild_job_state(&mut self, inst: &Instance, candidates: &[CandidateInterval]) {
+    /// The shared rebuild behind [`ScheduleReduction::build`] and
+    /// [`ScheduleReduction::apply_delta`]: graph, interesting slots and
+    /// their prefix counts, connected components, and the subsets, written
+    /// into the retained buffers.
+    fn rebuild(&mut self, inst: &Instance, candidates: &[CandidateInterval]) {
         let mut b = BipartiteGraphBuilder::new(inst.num_slots(), inst.num_jobs() as u32);
         for (jid, job) in inst.jobs.iter().enumerate() {
             for &s in &job.allowed {
@@ -187,19 +195,22 @@ impl ScheduleReduction {
             }
         }
         self.graph = b.build();
+        self.horizon = inst.horizon;
+        self.num_candidates = candidates.len();
         let graph = &self.graph;
 
-        // interesting slots (degree > 0), tested once per dense slot id
+        // interesting slots (degree > 0) and their prefix counts
         let nx = graph.nx() as usize;
-        let mut interesting = BitSet::new(nx);
+        self.islots.clear();
+        self.prefix.clear();
+        self.prefix.reserve(nx + 1);
         for x in 0..graph.nx() {
+            self.prefix.push(self.islots.len() as u32);
             if graph.deg_x(x) > 0 {
-                interesting.insert(x);
+                self.islots.push(x);
             }
         }
-        self.islots.clear();
-        self.islots.extend(interesting.iter());
-        let islots = &self.islots;
+        self.prefix.push(self.islots.len() as u32);
 
         // connected components of the slot–job graph, via union-find over
         // each job's adjacent slots
@@ -230,99 +241,236 @@ impl ScheduleReduction {
             }
         }
         // densify component ids over interesting slots
-        let comp_of_slot = &mut self.scratch.comp_of_slot;
-        comp_of_slot.clear();
-        comp_of_slot.resize(nx, u32::MAX);
         let dense = &mut self.scratch.dense;
         dense.clear();
         dense.resize(nx, u32::MAX);
+        let comp_of_islot = &mut self.scratch.comp_of_islot;
+        comp_of_islot.clear();
         let mut num_comps = 0u32;
-        for &x in islots {
+        for &x in &self.islots {
             let root = find(uf, x);
             if dense[root as usize] == u32::MAX {
                 dense[root as usize] = num_comps;
                 num_comps += 1;
             }
-            comp_of_slot[x as usize] = dense[root as usize];
+            comp_of_islot.push(dense[root as usize]);
         }
         self.num_comps = num_comps;
 
-        // per-candidate windows into `islots`, walked incrementally per run
-        // (ends increase, so the window only ever grows), plus per-run
-        // component sequences in first-slot order (epoch-deduped) with each
-        // candidate recording its prefix length into the sequence
-        self.slot_win.clear();
-        self.slot_win.reserve(candidates.len());
-        self.comp_len.clear();
-        self.comp_len.reserve(candidates.len());
-        self.run_comp_arena.clear();
-        self.run_comp_off.clear();
-        self.run_comp_off.reserve(self.runs.len() + 1);
-        self.run_comp_off.push(0);
-        let comp_seen = &mut self.scratch.comp_seen;
-        comp_seen.clear();
-        comp_seen.resize(num_comps as usize, u32::MAX);
-        for (run_idx, &(rlo, rhi)) in self.runs.iter().enumerate() {
-            let run_base = self.run_comp_arena.len();
-            let first = &candidates[rlo as usize];
-            let base_id = inst.slot_id(SlotRef::new(first.proc, first.start));
-            let off = islots.partition_point(|&s| s < base_id);
-            let mut cursor = off;
-            for cand in &candidates[rlo as usize..rhi as usize] {
-                let end_id = inst.slot_id(SlotRef::new(cand.proc, 0)) + cand.end;
-                while cursor < islots.len() && islots[cursor] < end_id {
-                    let c = comp_of_slot[islots[cursor] as usize];
-                    if comp_seen[c as usize] != run_idx as u32 {
-                        comp_seen[c as usize] = run_idx as u32;
-                        self.run_comp_arena.push(c);
-                    }
-                    cursor += 1;
-                }
-                self.slot_win.push((off as u32, (cursor - off) as u32));
-                self.comp_len
-                    .push((self.run_comp_arena.len() - run_base) as u32);
-            }
-            self.run_comp_off.push(self.run_comp_arena.len() as u32);
+        self.build_subsets(candidates);
+        sched_obs::counter_add("core.reduction.subsets", self.cand.len() as u64);
+        if sched_obs::trace::enabled() {
+            sched_obs::trace::instant(
+                "core.reduction.subsets",
+                vec![
+                    ("candidates", candidates.len().into()),
+                    ("subsets", self.cand.len().into()),
+                ],
+            );
         }
     }
 
-    /// Number of candidates in the reduction.
-    #[inline]
-    pub fn num_candidates(&self) -> usize {
-        self.costs.len()
+    /// One pass over the candidates, one *window group* at a time: the
+    /// consecutive candidates on one processor whose windows start at the
+    /// same interesting slot. A window length met for the first time emits
+    /// a subset; a cheaper twin re-points it in place. One walk over the
+    /// group's longest window then records its component sequence and
+    /// every subset's prefix of it. A group whose subsets came out of
+    /// candidate order (costs that fall along a run, families with holes)
+    /// is sorted and split into nested-prefix runs; any other group is one
+    /// run.
+    fn build_subsets(&mut self, candidates: &[CandidateInterval]) {
+        let Self {
+            horizon,
+            islots,
+            prefix,
+            cand,
+            costs,
+            len: lens,
+            runs,
+            run_base,
+            comp_arena,
+            comp_len,
+            num_comps,
+            scratch,
+            ..
+        } = self;
+        let RebuildScratch {
+            comp_of_islot,
+            comp_seen,
+            by_len,
+            sort_buf,
+            ..
+        } = scratch;
+        // Distinct nonempty windows: at most one per (offset, length) pair.
+        let k = islots.len();
+        let cap = candidates.len().min(k * (k + 1) / 2);
+        cand.clear();
+        cand.reserve(cap);
+        costs.clear();
+        costs.reserve(cap);
+        lens.clear();
+        lens.reserve(cap);
+        comp_len.clear();
+        comp_len.reserve(cap);
+        runs.clear();
+        run_base.clear();
+        comp_arena.clear();
+        comp_seen.clear();
+        comp_seen.resize(*num_comps as usize, u32::MAX);
+        by_len.clear();
+        by_len.resize(k + 1, u32::MAX);
+
+        let mut group = 0u32;
+        let mut i = 0;
+        while i < candidates.len() {
+            let first = &candidates[i];
+            let row = (first.proc * *horizon) as usize;
+            let off = prefix[row + first.start as usize];
+            let lo = cand.len();
+            let mut max_len = 0;
+            while let Some(c) = candidates.get(i) {
+                if c.proc != first.proc || prefix[row + c.start as usize] != off {
+                    break;
+                }
+                let l = prefix[row + c.end as usize] - off;
+                if l > 0 {
+                    let s = &mut by_len[l as usize];
+                    if *s == u32::MAX {
+                        *s = cand.len() as u32;
+                        cand.push(i as u32);
+                        costs.push(c.cost);
+                        lens.push(l);
+                        comp_len.push(0);
+                        max_len = max_len.max(l);
+                    } else if c.cost < costs[*s as usize] {
+                        cand[*s as usize] = i as u32;
+                        costs[*s as usize] = c.cost;
+                    }
+                }
+                i += 1;
+            }
+            let hi = cand.len();
+            if hi == lo {
+                continue;
+            }
+
+            // Walk the group's longest window once. Visiting lengths in
+            // increasing order also checks that the group is in candidate
+            // order: subset indices and candidates must both increase.
+            let comp_base = comp_arena.len() as u32;
+            let mut next = lo;
+            let mut in_order = true;
+            for p in 0..max_len {
+                let c = comp_of_islot[(off + p) as usize];
+                if comp_seen[c as usize] != group {
+                    comp_seen[c as usize] = group;
+                    comp_arena.push(c);
+                }
+                let s = std::mem::replace(&mut by_len[p as usize + 1], u32::MAX);
+                if s != u32::MAX {
+                    let s = s as usize;
+                    comp_len[s] = comp_arena.len() as u32 - comp_base;
+                    in_order &= s == next && (s == lo || cand[s - 1] < cand[s]);
+                    next += 1;
+                }
+            }
+            group += 1;
+
+            if in_order {
+                runs.push((lo as u32, hi as u32));
+                run_base.push((off, comp_base));
+                continue;
+            }
+            sort_buf.clear();
+            sort_buf.extend((lo..hi).map(|s| (cand[s], costs[s], lens[s], comp_len[s])));
+            sort_buf.sort_unstable_by_key(|row| row.0);
+            for (s, &(c, cost, l, cl)) in (lo..hi).zip(sort_buf.iter()) {
+                cand[s] = c;
+                costs[s] = cost;
+                lens[s] = l;
+                comp_len[s] = cl;
+            }
+            let mut run_lo = lo;
+            for s in lo + 1..=hi {
+                if s == hi || lens[s] <= lens[s - 1] {
+                    runs.push((run_lo as u32, s as u32));
+                    run_base.push((off, comp_base));
+                    run_lo = s;
+                }
+            }
+        }
     }
 
-    /// The (job-adjacent) slot ids contributed by candidate `i`.
+    /// Number of subsets: distinct nonempty candidate windows.
     #[inline]
-    pub fn slots_of(&self, i: usize) -> &[u32] {
-        let (off, len) = self.slot_win[i];
-        &self.islots[off as usize..(off + len) as usize]
+    pub fn num_subsets(&self) -> usize {
+        self.cand.len()
     }
 
-    /// Cost of candidate `i`.
+    /// The candidate subset `k` stands for: the cheapest, then
+    /// lowest-index, candidate with its window. Strictly increasing in `k`.
     #[inline]
-    pub fn cost_of(&self, i: usize) -> f64 {
-        self.costs[i]
+    pub fn candidate_of(&self, k: usize) -> usize {
+        self.cand[k] as usize
     }
 
-    /// Connected-component ids touched by any candidate of run `r`.
+    /// The (job-adjacent) slot ids of subset `k`'s window, shared by every
+    /// candidate of its class.
     #[inline]
-    fn comps_of_run(&self, r: usize) -> &[u32] {
-        &self.run_comp_arena[self.run_comp_off[r] as usize..self.run_comp_off[r + 1] as usize]
+    pub fn slots_of(&self, k: usize) -> &[u32] {
+        self.window_in_run(self.run_of(k), k)
     }
 
-    /// Connected-component ids candidate `i`'s slots touch — the length-
-    /// `comp_len[i]` prefix of its run's component sequence.
+    /// Cost of subset `k`: the cost of [`ScheduleReduction::candidate_of`].
     #[inline]
-    fn comps_of(&self, i: usize) -> &[u32] {
-        let base = self.run_comp_off[self.run_of[i] as usize] as usize;
-        &self.run_comp_arena[base..base + self.comp_len[i] as usize]
+    pub fn cost_of(&self, k: usize) -> f64 {
+        self.costs[k]
     }
 
-    /// Maximal nested-prefix candidate ranges (see the module docs).
+    /// The (job-adjacent) slot ids of any interval on this reduction's grid,
+    /// read from the prefix counts — the per-candidate view, for callers
+    /// that index the candidate family rather than the subsets.
+    #[inline]
+    pub fn interval_slots(&self, iv: &CandidateInterval) -> &[u32] {
+        let row = (iv.proc * self.horizon) as usize;
+        let lo = self.prefix[row + iv.start as usize] as usize;
+        let hi = self.prefix[row + iv.end as usize] as usize;
+        &self.islots[lo..hi]
+    }
+
+    /// Maximal nested-prefix subset ranges (see the module docs).
     #[inline]
     pub fn runs(&self) -> &[(u32, u32)] {
         &self.runs
+    }
+
+    /// The run containing subset `k`.
+    #[inline]
+    fn run_of(&self, k: usize) -> usize {
+        self.runs.partition_point(|&(_, hi)| hi as usize <= k)
+    }
+
+    /// The window of subset `k` of run `r`.
+    #[inline]
+    fn window_in_run(&self, r: usize, k: usize) -> &[u32] {
+        let off = self.run_base[r].0 as usize;
+        &self.islots[off..off + self.len[k] as usize]
+    }
+
+    /// Connected-component ids touched by any subset of run `r` — the
+    /// prefix its longest member touches.
+    #[inline]
+    fn comps_of_run(&self, r: usize) -> &[u32] {
+        self.comps_in_run(r, self.runs[r].1 as usize - 1)
+    }
+
+    /// Connected-component ids subset `k` of run `r` touches — the
+    /// length-`comp_len[k]` prefix of the run's component sequence.
+    #[inline]
+    fn comps_in_run(&self, r: usize, k: usize) -> &[u32] {
+        let base = self.run_base[r].1 as usize;
+        &self.comp_arena[base..base + self.comp_len[k] as usize]
     }
 }
 
@@ -334,12 +482,12 @@ pub struct ObjectiveScratch {
     memo_token: u64,
     /// Version at which run `r` was last evaluated (0 = never).
     run_eval: Vec<u64>,
-    /// Cached raw gain of candidate `i` (valid iff its run's `run_eval`
+    /// Cached raw gain of subset `k` (valid iff its run's `run_eval`
     /// covers the run's latest component stamp).
     memo_val: Vec<f64>,
     /// Cumulative-gain buffer for prefix scans.
     cum: Vec<f64>,
-    /// Memo telemetry: candidates served from the memo vs. recomputed, as
+    /// Memo telemetry: subsets served from the memo vs. recomputed, as
     /// plain fields so the hot loops pay no atomics. Flushed to the
     /// ambient registry once per solve by `schedule_all`.
     memo_hits: u64,
@@ -361,8 +509,8 @@ impl Default for ObjectiveScratch {
 }
 
 impl ObjectiveScratch {
-    /// Lifetime `(hits, misses)` of the gain memo: candidates whose gain
-    /// was replayed from the memo vs. recomputed through the oracle.
+    /// Lifetime `(hits, misses)` of the gain memo: subsets whose gain was
+    /// replayed from the memo vs. recomputed through the oracle.
     pub fn memo_counts(&self) -> (u64, u64) {
         (self.memo_hits, self.memo_misses)
     }
@@ -378,25 +526,22 @@ impl ObjectiveScratch {
     /// another objective.
     fn ensure(&mut self, token: u64, red: &ScheduleReduction) {
         if self.memo_token != token
-            || self.memo_val.len() != red.num_candidates()
+            || self.memo_val.len() != red.num_subsets()
             || self.run_eval.len() != red.runs().len()
         {
-            self.reset(token, red);
+            self.memo_token = token;
+            self.run_eval.clear();
+            self.run_eval.resize(red.runs().len(), 0);
+            self.memo_val.clear();
+            self.memo_val.resize(red.num_subsets(), 0.0);
         }
-    }
-
-    /// Forgets every memoized gain and sizes the memo for `red`.
-    fn reset(&mut self, token: u64, red: &ScheduleReduction) {
-        self.memo_token = token;
-        self.run_eval.clear();
-        self.run_eval.resize(red.runs().len(), 0);
-        self.memo_val.clear();
-        self.memo_val.resize(red.num_candidates(), 0.0);
     }
 }
 
 /// [`BudgetedObjective`] over the matching rank: `F(S)` = maximum (weighted)
-/// value of jobs matchable into the union of committed candidate intervals.
+/// value of jobs matchable into the union of committed subset windows.
+/// Indices are subsets of the [`ScheduleReduction`]; a chosen subset maps
+/// back to its interval through [`ScheduleReduction::candidate_of`].
 pub struct ScheduleObjective<'r> {
     red: &'r ScheduleReduction,
     oracle: MatchingOracle<'r>,
@@ -447,20 +592,22 @@ impl<'r> ScheduleObjective<'r> {
             .unwrap_or(0)
     }
 
-    /// Re-evaluates every candidate of run `r` with one incremental overlay
-    /// pass over the run's longest member and memoizes the results: `O(L)`
-    /// slot augmentations for the run's `L` nested candidates instead of
+    /// Re-evaluates every subset of run `r` with one incremental overlay
+    /// pass over the run's longest window and memoizes the results: `O(L)`
+    /// slot augmentations for the run's `L` nested subsets instead of
     /// `O(L²)`.
     fn refresh_run(&self, r: usize, scratch: &mut ObjectiveScratch) {
         let (lo, hi) = self.red.runs()[r];
         let (lo, hi) = (lo as usize, hi as usize);
-        let slots = self.red.slots_of(hi - 1);
         let mut cum = std::mem::take(&mut scratch.cum);
+        let longest = self.red.window_in_run(r, hi - 1);
         self.oracle
-            .gain_prefixes(slots, &mut scratch.gain, &mut cum);
-        for j in lo..hi {
-            let len = self.red.slots_of(j).len();
-            scratch.memo_val[j] = if len == 0 { 0.0 } else { cum[len - 1] };
+            .gain_prefixes(longest, &mut scratch.gain, &mut cum);
+        for (val, &len) in scratch.memo_val[lo..hi]
+            .iter_mut()
+            .zip(&self.red.len[lo..hi])
+        {
+            *val = cum[len as usize - 1];
         }
         scratch.run_eval[r] = self.version;
         scratch.cum = cum;
@@ -488,42 +635,20 @@ impl<'r> ScheduleObjective<'r> {
         }
     }
 
-    /// Pre-seeds `scratch`'s gain memo: every run whose members are all
-    /// `clean` is stamped as already evaluated with values `vals`; the rest
-    /// stay unevaluated. A subsequent [`BudgetedObjective::scan_gains`] then
-    /// replays the seeded runs and recomputes only the others, and the
-    /// greedy's first keys read the memo — the warm-start path of
-    /// incremental re-solving.
-    ///
-    /// Only sound on a *fresh* objective (no commits yet): the seed is
-    /// stamped at the initial version, and the caller must guarantee each
-    /// seeded value equals what a fresh evaluation against `S = ∅` would
-    /// return — the warm handle derives this from its instance diff and
-    /// falls back to a cold solve when it cannot.
-    pub(crate) fn seed_memo(&self, scratch: &mut ObjectiveScratch, vals: &[f64], clean: &[bool]) {
-        let m = self.red.num_candidates();
-        debug_assert_eq!(vals.len(), m);
-        debug_assert_eq!(clean.len(), m);
-        debug_assert_eq!(self.version, 1, "seeding requires a fresh objective");
-        scratch.reset(self.token, self.red);
-        for (r, &(lo, hi)) in self.red.runs().iter().enumerate() {
-            let (lo, hi) = (lo as usize, hi as usize);
-            if clean[lo..hi].iter().all(|&c| c) {
-                scratch.run_eval[r] = self.version;
-                scratch.memo_val[lo..hi].copy_from_slice(&vals[lo..hi]);
-            }
-        }
-    }
-
-    /// Extracts the schedule corresponding to the chosen candidate indices
-    /// and the oracle's current maximum matching.
+    /// Extracts the schedule corresponding to the chosen subset indices
+    /// (each mapped to its candidate through
+    /// [`ScheduleReduction::candidate_of`]) and the oracle's current
+    /// maximum matching.
     pub fn extract_schedule(
         &self,
         inst: &Instance,
         candidates: &[CandidateInterval],
         chosen: &[usize],
     ) -> Schedule {
-        let awake: Vec<CandidateInterval> = chosen.iter().map(|&i| candidates[i]).collect();
+        let awake: Vec<CandidateInterval> = chosen
+            .iter()
+            .map(|&k| candidates[self.red.candidate_of(k)])
+            .collect();
         let mut assignments = vec![None; inst.num_jobs()];
         let mut value = 0.0;
         let mut count = 0usize;
@@ -547,7 +672,7 @@ impl BudgetedObjective for ScheduleObjective<'_> {
     type Scratch = ObjectiveScratch;
 
     fn num_subsets(&self) -> usize {
-        self.red.num_candidates()
+        self.red.num_subsets()
     }
 
     fn cost(&self, i: usize) -> f64 {
@@ -560,7 +685,7 @@ impl BudgetedObjective for ScheduleObjective<'_> {
 
     fn gain(&self, i: usize, scratch: &mut Self::Scratch) -> f64 {
         scratch.ensure(self.token, self.red);
-        self.fresh_run(self.red.run_of[i] as usize, scratch);
+        self.fresh_run(self.red.run_of(i), scratch);
         scratch.memo_val[i]
     }
 
@@ -570,33 +695,35 @@ impl BudgetedObjective for ScheduleObjective<'_> {
 
     fn group_gains(&self, lo: usize, scratch: &mut Self::Scratch, out: &mut [f64]) {
         scratch.ensure(self.token, self.red);
-        let r = self.red.run_of[lo] as usize;
+        let r = self.red.run_of(lo);
         debug_assert_eq!(self.red.runs()[r], (lo as u32, (lo + out.len()) as u32));
         self.fresh_run(r, scratch);
         out.copy_from_slice(&scratch.memo_val[lo..lo + out.len()]);
     }
 
     fn commit(&mut self, i: usize) -> f64 {
+        let r = self.red.run_of(i);
         let before = self.oracle.revision();
-        let gain = self.oracle.commit(self.red.slots_of(i));
+        let gain = self.oracle.commit(self.red.window_in_run(r, i));
         let mutated = self.oracle.revision() != before;
+        let comps = self.red.comps_in_run(r, i);
         if mutated {
-            // the matching mutated: gains of candidates sharing a component
+            // the matching mutated: gains of subsets sharing a component
             // may have changed; everyone else's memo stays exact (the
             // matching rank decomposes over components, and zero-mutation
             // growth of S provably never moves any gain — see
             // `MatchingOracle::revision`)
             self.version += 1;
-            for &c in self.red.comps_of(i) {
+            for &c in comps {
                 self.comp_version[c as usize] = self.version;
             }
         }
         if sched_obs::trace::enabled() {
-            let comps = self.red.comps_of(i);
             sched_obs::trace::instant(
                 "core.commit",
                 vec![
-                    ("cand", i.into()),
+                    ("cand", self.red.candidate_of(i).into()),
+                    ("subset", i.into()),
                     ("gain", gain.into()),
                     ("mutated", u64::from(mutated).into()),
                     (
@@ -640,7 +767,7 @@ impl BudgetedObjective for ScheduleObjective<'_> {
                 refreshed += vals.len() as u64;
             }
             scratch.memo_misses += refreshed;
-            scratch.memo_hits += self.red.num_candidates() as u64 - refreshed;
+            scratch.memo_hits += self.red.num_subsets() as u64 - refreshed;
         } else {
             for r in 0..runs.len() {
                 self.fresh_run(r, scratch);
@@ -651,8 +778,8 @@ impl BudgetedObjective for ScheduleObjective<'_> {
     }
 
     /// Exact memoized gains for the runs whose memo is current, and
-    /// `|slots_of(i)| ×` [`MatchingOracle::max_value`] for every other
-    /// candidate: each slot raises the matching rank by at most one job's
+    /// `|slots_of(k)| ×` [`MatchingOracle::max_value`] for every other
+    /// subset: each slot raises the matching rank by at most one job's
     /// value. Reads no matching, so `parallel` has nothing to split.
     fn first_values(
         &self,
@@ -664,7 +791,7 @@ impl BudgetedObjective for ScheduleObjective<'_> {
         scratch.ensure(self.token, self.red);
         let max_value = self.oracle.max_value();
         out.clear();
-        out.reserve(self.red.num_candidates());
+        out.reserve(self.red.num_subsets());
         bounded.clear();
         for (r, &(lo, hi)) in self.red.runs().iter().enumerate() {
             let (lo, hi) = (lo as usize, hi as usize);
@@ -672,7 +799,7 @@ impl BudgetedObjective for ScheduleObjective<'_> {
                 scratch.memo_hits += (hi - lo) as u64;
                 out.extend_from_slice(&scratch.memo_val[lo..hi]);
             } else {
-                out.extend((lo..hi).map(|i| self.red.slots_of(i).len() as f64 * max_value));
+                out.extend(self.red.len[lo..hi].iter().map(|&l| l as f64 * max_value));
                 bounded.push(r as u32);
             }
         }
@@ -702,8 +829,11 @@ mod tests {
         let red = ScheduleReduction::build(&inst, &cands);
         assert_eq!(red.graph.nx(), 4);
         assert_eq!(red.graph.ny(), 2);
-        assert_eq!(red.num_candidates(), cands.len());
-        // enumerated families group by start: one run per (proc, start)
+        // every slot is job-adjacent, so every interval's window is
+        // distinct: one subset per candidate, in candidate order
+        assert_eq!(red.num_subsets(), cands.len());
+        assert!((0..cands.len()).all(|k| red.candidate_of(k) == k));
+        // one run per first interesting slot
         assert_eq!(red.runs().len(), 4);
         assert_eq!(
             red.runs()
@@ -760,7 +890,7 @@ mod tests {
             let mut par = Vec::new();
             obj.scan_gains(true, &mut ObjectiveScratch::default(), &mut par);
             assert_eq!(par, scanned, "parallel scan diverged at round {round}");
-            obj.commit(round * 7 % cands.len());
+            obj.commit(round * 7 % red.num_subsets());
         }
     }
 
@@ -777,10 +907,14 @@ mod tests {
         assert_eq!(red.num_comps, 2);
         let mut obj = ScheduleObjective::new_cardinality(&red);
         let mut scratch = ObjectiveScratch::default();
-        let on_p1 = (0..cands.len()).find(|&i| cands[i].proc == 1).unwrap();
-        let on_p0 = (0..cands.len()).find(|&i| cands[i].proc == 0).unwrap();
-        let run_p0 = red.run_of[on_p0] as usize;
-        let run_p1 = red.run_of[on_p1] as usize;
+        let on_proc = |p: u32| {
+            (0..red.num_subsets())
+                .find(|&k| cands[red.candidate_of(k)].proc == p)
+                .unwrap()
+        };
+        let (on_p0, on_p1) = (on_proc(0), on_proc(1));
+        let run_p0 = red.run_of(on_p0);
+        let run_p1 = red.run_of(on_p1);
         obj.gain(on_p0, &mut scratch);
         let g1_before = obj.gain(on_p1, &mut scratch);
         // commit on processor 0: processor 1's run keeps its memo
@@ -828,7 +962,7 @@ mod tests {
                     assert_eq!(g, obj.gain(lo + k, &mut fresh), "round {round}");
                 }
             }
-            obj.commit(round * 5 % cands.len());
+            obj.commit(round * 5 % red.num_subsets());
         }
     }
 
@@ -846,25 +980,29 @@ mod tests {
         let cands = enumerate_candidates(&inst, &AffineCost::new(2.0, 1.0), CandidatePolicy::All);
         let red = ScheduleReduction::build(&inst, &cands);
         let obj = ScheduleObjective::new_cardinality(&red);
-        let mut exact = Vec::new();
-        obj.scan_gains(false, &mut ObjectiveScratch::default(), &mut exact);
+        let m = red.num_subsets() as u64;
 
-        // Seed every run but the first: the parallel scan must replay the
-        // seeded runs from this scratch, refresh only the first, and leave
-        // the memo as current as the sequential scan does.
-        let m = cands.len();
-        let first_run = red.runs()[0].1 as usize;
-        let clean: Vec<bool> = (0..m).map(|i| i >= first_run).collect();
-        let mut scratch = ObjectiveScratch::default();
-        obj.seed_memo(&mut scratch, &exact, &clean);
-        let mut par = Vec::new();
-        obj.scan_gains(true, &mut scratch, &mut par);
-        assert_eq!(par, exact);
-        let refreshed = first_run as u64;
-        assert_eq!(scratch.memo_counts(), (m as u64 - refreshed, refreshed));
+        // Evaluate only the last run, then scan: the parallel scan must
+        // replay that run from this scratch, refresh only the others, and
+        // leave the memo as current as the sequential scan does.
+        let partial = || {
+            let mut scratch = ObjectiveScratch::default();
+            let last = red.runs().len() - 1;
+            obj.gain(red.runs()[last].0 as usize, &mut scratch);
+            scratch
+        };
+        let (mut seq_scratch, mut par_scratch) = (partial(), partial());
+        let evaluated = seq_scratch.memo_counts().1;
+        assert!(evaluated > 0 && evaluated < m, "a partial memo");
+        let (mut seq, mut par) = (Vec::new(), Vec::new());
+        obj.scan_gains(false, &mut seq_scratch, &mut seq);
+        obj.scan_gains(true, &mut par_scratch, &mut par);
+        assert_eq!(par, seq);
+        assert_eq!(par_scratch.memo_counts(), seq_scratch.memo_counts());
+        assert_eq!(par_scratch.memo_counts(), (evaluated, m));
         let (mut again, mut bounded) = (Vec::new(), Vec::new());
-        obj.first_values(false, &mut scratch, &mut again, &mut bounded);
-        assert_eq!(again, exact);
+        obj.first_values(false, &mut par_scratch, &mut again, &mut bounded);
+        assert_eq!(again, seq);
         assert!(bounded.is_empty(), "every run's memo is current");
     }
 
@@ -888,18 +1026,23 @@ mod tests {
         obj.first_values(false, &mut scratch, &mut vals, &mut bounded);
         let every_run: Vec<u32> = (0..red.runs().len() as u32).collect();
         assert_eq!(bounded, every_run, "a cold scratch has no memo");
-        for (i, &v) in vals.iter().enumerate() {
-            assert_eq!(v, red.slots_of(i).len() as f64 * 3.0, "candidate {i}");
+        for (k, &v) in vals.iter().enumerate() {
+            assert_eq!(v, red.slots_of(k).len() as f64 * 3.0, "subset {k}");
         }
         assert_eq!(scratch.memo_counts(), (0, 0), "bounds evaluate nothing");
 
         // After a commit on processor 0, the run evaluated on processor 1
         // keeps its exact values, and every other first value still bounds
         // the current gain.
-        let on_p1 = (0..cands.len()).find(|&i| cands[i].proc == 1).unwrap();
-        let run_p1 = red.run_of[on_p1];
+        let on_proc = |p: u32| {
+            (0..red.num_subsets())
+                .find(|&k| cands[red.candidate_of(k)].proc == p)
+                .unwrap()
+        };
+        let on_p1 = on_proc(1);
+        let run_p1 = red.run_of(on_p1) as u32;
         let g = obj.gain(on_p1, &mut scratch);
-        obj.commit((0..cands.len()).find(|&i| cands[i].proc == 0).unwrap());
+        obj.commit(on_proc(0));
         obj.first_values(false, &mut scratch, &mut vals, &mut bounded);
         assert!(!bounded.contains(&run_p1), "the evaluated run is exact");
         assert_eq!(vals[on_p1], g);
@@ -907,7 +1050,7 @@ mod tests {
         for &r in &bounded {
             let (lo, hi) = red.runs()[r as usize];
             for (i, &v) in vals.iter().enumerate().take(hi as usize).skip(lo as usize) {
-                assert!(v >= obj.gain(i, &mut fresh), "candidate {i}");
+                assert!(v >= obj.gain(i, &mut fresh), "subset {i}");
             }
         }
     }

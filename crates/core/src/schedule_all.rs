@@ -8,7 +8,7 @@
 //! is read straight out of the incremental oracle.
 
 use bmatch::hall_violator;
-use submodular::{budgeted_greedy_with, BudgetedObjective, GreedyConfig};
+use submodular::{budgeted_greedy_with, GreedyConfig};
 
 use crate::candidates::CandidateInterval;
 use crate::model::{Instance, Schedule, ScheduleError, SolveOptions};
@@ -43,7 +43,13 @@ pub fn schedule_all(
 }
 
 /// [`schedule_all`] over a prebuilt [`ScheduleReduction`] (which must have
-/// been built for exactly this `inst` + `candidates` pair).
+/// been built, or last [`ScheduleReduction::apply_delta`]-ed, for exactly
+/// this `inst` + `candidates` pair).
+///
+/// The greedy runs over the reduction's window subsets, starting its lazy
+/// heap from upper bounds, with no full gain scan; every chosen subset is
+/// reported as the candidate it stands for. This is the one solve behind
+/// [`crate::Solver::schedule_all`], the warm handle and the engine.
 pub fn schedule_all_with(
     inst: &Instance,
     red: &ScheduleReduction,
@@ -69,8 +75,8 @@ pub fn schedule_all_with(
     }
 
     // No span here: the public entry points ([`schedule_all`],
-    // [`crate::Solver::schedule_all`], [`schedule_all_seeded`]) each open
-    // the `core.solve.schedule_all_ns` span so it also covers their
+    // [`crate::Solver::schedule_all`], [`crate::WarmHandle::solve`]) each
+    // open the `core.solve.schedule_all_ns` span so it also covers their
     // reduction builds; opening another one would double-count the solve.
     let mut obj = ScheduleObjective::new_cardinality(red);
     let mut scratch = ObjectiveScratch::default();
@@ -87,88 +93,6 @@ pub fn schedule_all_with(
     flush_solve_telemetry(&obj, &scratch);
 
     // Integral utility: reaching (1 − 1/(n+1))·n > n−1 means all n jobs.
-    if !out.reached_target {
-        let certificate = hall_violator(obj.oracle()).unwrap_or_default();
-        return Err(ScheduleError::Infeasible {
-            certificate,
-            achieved_value: out.utility,
-        });
-    }
-    debug_assert_eq!(out.utility, x, "integral utility must hit n exactly");
-
-    Ok(obj.extract_schedule(inst, candidates, &out.chosen))
-}
-
-/// Warm-start seed for [`schedule_all_seeded`]: per-candidate initial gains
-/// carried over from the previous solve, plus the mask of candidates whose
-/// slot neighbourhood the instance delta provably left untouched.
-pub(crate) struct WarmSeed<'s> {
-    /// Initial (`S = ∅`) gain of each candidate, from the previous solve.
-    pub vals: &'s [f64],
-    /// `clean[i]`: no dirty slot intersects candidate `i`'s window, so
-    /// `vals[i]` is still exact.
-    pub clean: &'s [bool],
-}
-
-/// [`schedule_all_with`] with warm-start plumbing: optionally pre-seeds the
-/// gain memo from `seed`, and always captures every candidate's initial
-/// (`S = ∅`) gain into `init_out` — the seed for the *next* warm solve.
-///
-/// With `seed = None` this makes exactly the same greedy decisions as
-/// [`schedule_all_with`]: the explicit initial scan leaves every run's memo
-/// current, so the greedy's first keys read the memo and are all exact,
-/// where [`schedule_all_with`] starts from upper bounds; the lazy loop picks
-/// the same argmax from either. With a seed, clean candidates replay
-/// carried-over values (provably equal to a fresh evaluation) and only dirty
-/// runs are recomputed.
-pub(crate) fn schedule_all_seeded(
-    inst: &Instance,
-    red: &ScheduleReduction,
-    candidates: &[CandidateInterval],
-    opts: &SolveOptions,
-    seed: Option<WarmSeed<'_>>,
-    init_out: &mut Vec<f64>,
-) -> Result<Schedule, ScheduleError> {
-    let n = inst.num_jobs();
-    init_out.clear();
-    if n == 0 {
-        return Ok(empty_schedule());
-    }
-    if let Some((jid, _)) = inst
-        .jobs
-        .iter()
-        .enumerate()
-        .find(|(_, j)| j.allowed.is_empty())
-    {
-        return Err(ScheduleError::Infeasible {
-            certificate: vec![jid as u32],
-            achieved_value: 0.0,
-        });
-    }
-
-    let _span = sched_obs::span!("core.solve.schedule_all_ns");
-    let mut obj = ScheduleObjective::new_cardinality(red);
-    let mut scratch = ObjectiveScratch::default();
-    if let Some(seed) = seed {
-        obj.seed_memo(&mut scratch, seed.vals, seed.clean);
-    }
-    // One explicit sequential scan: recomputes dirty runs, replays seeded
-    // ones, and leaves the memo fully fresh — the greedy's first keys then
-    // read it wholesale. The scan stays, unlike in a cold solve, because it
-    // captures every candidate's `S = ∅` gain: the next solve's seed.
-    obj.scan_gains(false, &mut scratch, init_out);
-
-    let x = n as f64;
-    let eps = 1.0 / (x + 1.0);
-    let cfg = GreedyConfig {
-        target: x,
-        epsilon: eps,
-        lazy: opts.lazy,
-        parallel: opts.parallel,
-    };
-    let out = budgeted_greedy_with(&mut obj, cfg, &mut scratch);
-    flush_solve_telemetry(&obj, &scratch);
-
     if !out.reached_target {
         let certificate = hall_violator(obj.oracle()).unwrap_or_default();
         return Err(ScheduleError::Infeasible {

@@ -238,6 +238,11 @@ impl<'a> Solver<'a> {
     /// The bipartite reduction over the cached candidate family, built on
     /// first use and shared by every goal method (and by clones): sweeping a
     /// target or an `ε` schedule re-reduces nothing.
+    ///
+    /// The greedy indexes its window subsets, not the family: an index in a
+    /// decision log (`submodular.greedy.pick`'s `chosen` and `runner_up`)
+    /// maps back to its candidate interval through
+    /// [`ScheduleReduction::candidate_of`].
     pub fn reduction(&self) -> &ScheduleReduction {
         self.reduction
             .get_or_init(|| Arc::new(ScheduleReduction::build(self.instance, self.candidates())))

@@ -7,47 +7,20 @@
 //! * the enumerated candidate family (job-independent: it depends only on the
 //!   grid dimensions, the candidate policy, and the cost model), shared as an
 //!   `Arc<[CandidateInterval]>`;
-//! * the flat CSR [`ScheduleReduction`], whose candidate-dependent arrays
-//!   (costs, nested-prefix runs) survive deltas verbatim while the
-//!   job-dependent arrays are rebuilt in place via
-//!   [`ScheduleReduction::apply_delta`];
-//! * the initial (`S = ∅`) gain vector of the previous solve, replayed as a
-//!   memo seed for every candidate whose window provably did not change.
+//! * the [`ScheduleReduction`]'s buffers, rebuilt in place for each new
+//!   instance by [`ScheduleReduction::apply_delta`];
+//! * the previous instance and its result, returned as-is when the next
+//!   instance is identical (the solver is deterministic).
 //!
-//! # Soundness
-//!
-//! The warm path is restricted to the `schedule_all` goal, whose objective is
-//! the *cardinality* matching rank (every job value contributes exactly `1.0`
-//! to a gain). A candidate's empty-set gain is the maximum-matching rank of
-//! the bipartite subgraph induced by its window; that rank depends only on
-//! the *content* of the window — which interesting slots it spans and which
-//! job edge sets touch them — never on job indices or values. The delta layer
-//! therefore marks a slot **dirty** whenever its adjacency could have
-//! changed:
-//!
-//! * every allowed slot of a job present only in the old instance (expiry) or
-//!   only in the new one (arrival);
-//! * for a job paired across the two instances (by caller key, FIFO per key),
-//!   the symmetric difference of its old and new allowed sets.
-//!
-//! A candidate is *clean* iff no dirty slot lies in its `[start, end)` range
-//! on its processor. Within a clean window the induced subgraphs of the old
-//! and new instances are content-identical (any job touching a clean slot is
-//! paired, and its membership on every clean slot is unchanged), so the old
-//! gain — an exactly-representable small-integer `f64` — is bit-identical to
-//! what a fresh evaluation would produce. Pairing quality is purely a
-//! performance knob: even a "wrong" pairing only shrinks the clean set it
-//! could have kept, never admits a stale gain.
-//!
-//! The memo is kept per nested-prefix run, so a run is seeded only when
-//! every member is clean; a run with any dirty member is recomputed whole
-//! (one pass). Seeded solves replay clean runs and recompute the others in
-//! one explicit initial scan, then run the same lazy greedy on the same
-//! scratch, whose first keys read the memo. The greedy keys one heap entry
-//! per run and refreshes a stale run in one pass, or replays it when no
-//! component stamp on the run moved — exactly as in a cold solve, which
-//! starts from upper-bound keys instead. The result is bit-identical to
-//! [`crate::schedule_all()`] (and hence to `crate::naive`) by construction.
+//! A warm re-solve is `apply_delta` followed by the same lazy greedy a cold
+//! [`crate::schedule_all_with`] runs: first keys from upper bounds, no full
+//! gain scan. The reduction's window subsets (see [`crate::objective`])
+//! change with every job delta, so no gain is carried across solves; the
+//! subsets themselves are what keeps a re-solve small — a few hundred
+//! distinct windows on a grid of a hundred thousand intervals. The result
+//! is bit-identical to [`crate::schedule_all()`] (and hence to
+//! `crate::naive`) by construction: `apply_delta` and `build` run the same
+//! rebuild.
 //!
 //! # Checksum fallback
 //!
@@ -57,44 +30,38 @@
 //! sampled candidates — and compares it to the checksum recorded at
 //! enumeration time. Any divergence (resized grid, swapped power profiles,
 //! perturbed restart cost) triggers a full cold rebuild: re-enumerate,
-//! re-price, rebuild the reduction, drop all seeds. Cold solves are counted
-//! in [`WarmStats::cold`]; callers never observe a stale family.
+//! re-price, rebuild the reduction. Cold solves are counted in
+//! [`WarmStats::cold`]; callers never observe a stale family.
 
-use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use crate::candidates::{enumerate_candidates, CandidateInterval, CandidatePolicy};
 use crate::cost::EnergyCost;
-use crate::model::{Instance, Schedule, ScheduleError, SlotRef, SolveOptions};
+use crate::model::{Instance, Schedule, ScheduleError, SolveOptions};
 use crate::objective::ScheduleReduction;
-use crate::schedule_all::{schedule_all_seeded, WarmSeed};
+use crate::schedule_all::schedule_all_with;
 
 /// Warm/cold re-solve counters kept by a [`WarmHandle`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WarmStats {
-    /// Solves served from the delta path (or the instance-identity fast
-    /// path): candidate family, reduction arrays, and clean gains reused.
+    /// Solves that reused the cached candidate family: the delta path (the
+    /// reduction rebuilt in place) and the identical-instance path.
     pub warm: u64,
-    /// Solves that rebuilt state from scratch: the first solve, any solve
-    /// after a checksum divergence, and solves with no usable seed.
+    /// Solves that enumerated the family from scratch: the first solve and
+    /// any solve after a checksum divergence.
     pub cold: u64,
 }
 
-/// Everything remembered from the previous successful solve on this grid.
+/// The previous solve on this grid, for the identical-instance path.
 struct PrevSolve {
-    /// The instance that was solved (owned; compared and diffed against the
-    /// next one).
+    /// The instance that was solved (owned; compared against the next one).
     instance: Instance,
-    /// Caller-provided stable job identities, parallel to `instance.jobs`.
-    keys: Vec<u64>,
     /// The solve result, returned verbatim when the next instance is
     /// identical (the solver is deterministic).
     result: Result<Schedule, ScheduleError>,
-    /// Initial (`S = ∅`) gains of every candidate, the memo seed.
-    init: Vec<f64>,
 }
 
-/// Per-grid cached state: candidate family, checksum, reduction, seeds.
+/// Per-grid cached state: candidate family, checksum, reduction.
 struct GridState {
     num_processors: u32,
     horizon: u32,
@@ -123,13 +90,11 @@ impl WarmHandle {
         Self::with_options(policy, SolveOptions::default())
     }
 
-    /// New handle with explicit solve options.
-    ///
-    /// Every solve, warm or cold, runs one sequential gain scan that captures
-    /// the next solve's seed, and the lazy greedy's first keys read the memo
-    /// that scan leaves. So `options.parallel` only parallelizes the scans
-    /// of the eager loop (`options.lazy == false`), which replay every run
-    /// whose memo is current.
+    /// New handle with explicit solve options, passed to every solve's
+    /// greedy exactly as [`crate::schedule_all_with`] takes them: warm or
+    /// cold, the lazy greedy starts from upper bounds and runs no full
+    /// scan, so `options.parallel` only parallelizes the scans of the
+    /// eager loop (`options.lazy == false`).
     pub fn with_options(policy: CandidatePolicy, options: SolveOptions) -> Self {
         Self {
             policy,
@@ -161,7 +126,7 @@ impl WarmHandle {
 
     /// Replaces the solve options for subsequent solves. Safe at any point:
     /// options steer evaluation order only (lazy/eager, scan parallelism),
-    /// never the result, so cached seeds stay valid.
+    /// never the result, so a cached result stays valid.
     pub fn set_options(&mut self, options: SolveOptions) {
         self.options = options;
     }
@@ -180,27 +145,19 @@ impl WarmHandle {
         )
     }
 
-    /// Solves `schedule_all` for `inst`, reusing as much prior state as the
-    /// delta rules allow. Bit-identical to [`crate::schedule_all_with`] with
+    /// Solves `schedule_all` for `inst`, reusing the cached family and
+    /// reduction buffers. Bit-identical to [`crate::schedule_all_with`] with
     /// the same options.
-    ///
-    /// `keys` are stable per-job identities parallel to `inst.jobs` (e.g.
-    /// trace job ids, or [`content_keys`] when no external identity exists).
-    /// They only steer the old↔new job pairing, which is a performance
-    /// heuristic — collisions or churn cannot affect the result, only how
-    /// much is recomputed.
     pub fn solve(
         &mut self,
         inst: &Instance,
-        keys: &[u64],
         cost: &dyn EnergyCost,
     ) -> Result<Schedule, ScheduleError> {
-        debug_assert_eq!(keys.len(), inst.num_jobs(), "one key per job");
         let _span = sched_obs::span!("core.warm.solve_ns");
         let rebuilt = self.ensure_grid(inst, cost);
         let grid = self.grid.as_mut().expect("ensure_grid populated");
 
-        // One decision event per solve: which of the four warm/cold paths
+        // One decision event per solve: which of the three warm/cold paths
         // this call took and why, so a trace can narrate the handle's
         // behavior next to the greedy's pick log.
         let decision = |path: &'static str, reason: &'static str| {
@@ -212,93 +169,35 @@ impl WarmHandle {
             }
         };
 
-        let mut init = Vec::new();
-        let result = if rebuilt {
+        if rebuilt {
+            // `ensure_grid` built the reduction for `inst`.
             self.stats.cold += 1;
             sched_obs::counter_add("core.warm.solves.cold", 1);
             decision("cold", "family-rebuilt");
-            schedule_all_seeded(
-                inst,
-                &grid.reduction,
-                &grid.candidates,
-                &self.options,
-                None,
-                &mut init,
-            )
         } else {
-            match grid.prev.take() {
-                Some(prev) if prev.instance == *inst => {
-                    // Identical instance: the solver is deterministic, so the
-                    // previous result (and its seeds) stand as-is.
-                    self.stats.warm += 1;
-                    sched_obs::counter_add("core.warm.solves.warm", 1);
-                    decision("cached", "identical-instance");
-                    let result = prev.result.clone();
-                    grid.prev = Some(prev);
-                    return result;
-                }
-                Some(prev) => {
-                    self.stats.warm += 1;
-                    sched_obs::counter_add("core.warm.solves.warm", 1);
-                    decision("warm", "delta-seeded");
-                    let dirty = dirty_times_per_proc(
-                        &prev.instance,
-                        &prev.keys,
-                        inst,
-                        keys,
-                        inst.num_processors,
-                    );
-                    let clean = clean_mask(&grid.candidates, &dirty);
-                    grid.reduction.apply_delta(inst, &grid.candidates);
-                    schedule_all_seeded(
-                        inst,
-                        &grid.reduction,
-                        &grid.candidates,
-                        &self.options,
-                        Some(WarmSeed {
-                            vals: &prev.init,
-                            clean: &clean,
-                        }),
-                        &mut init,
-                    )
-                }
-                None => {
-                    // Family reusable but no seed (first solve on this grid
-                    // ended before producing gains): full gain recompute.
-                    self.stats.cold += 1;
-                    sched_obs::counter_add("core.warm.solves.cold", 1);
-                    decision("cold", "no-seed");
-                    grid.reduction.apply_delta(inst, &grid.candidates);
-                    schedule_all_seeded(
-                        inst,
-                        &grid.reduction,
-                        &grid.candidates,
-                        &self.options,
-                        None,
-                        &mut init,
-                    )
-                }
+            self.stats.warm += 1;
+            sched_obs::counter_add("core.warm.solves.warm", 1);
+            if let Some(prev) = grid.prev.as_ref().filter(|p| p.instance == *inst) {
+                decision("cached", "identical-instance");
+                return prev.result.clone();
             }
-        };
-
-        // An early return (empty instance, or a job with an empty allowed
-        // set) never reaches the gain scan; without gains there is nothing to
-        // seed from, so drop the prev state rather than store a short vector.
-        if init.len() == grid.candidates.len() {
-            grid.prev = Some(PrevSolve {
-                instance: inst.clone(),
-                keys: keys.to_vec(),
-                result: result.clone(),
-                init,
-            });
-        } else {
-            grid.prev = None;
+            decision("warm", "delta");
+            grid.reduction.apply_delta(inst, &grid.candidates);
         }
+        let result = {
+            let _span = sched_obs::span!("core.solve.schedule_all_ns");
+            schedule_all_with(inst, &grid.reduction, &grid.candidates, &self.options)
+        };
+        grid.prev = Some(PrevSolve {
+            instance: inst.clone(),
+            result: result.clone(),
+        });
         result
     }
 
     /// Ensures the cached family matches `inst`'s grid and `cost`'s pricing.
-    /// Returns `true` if a full rebuild happened (seeds were dropped).
+    /// Returns `true` if a full rebuild happened (the reduction was built
+    /// for `inst` and the previous solve dropped).
     fn ensure_grid(&mut self, inst: &Instance, cost: &dyn EnergyCost) -> bool {
         let ok = match &self.grid {
             Some(g) => {
@@ -339,26 +238,6 @@ impl WarmHandle {
     }
 }
 
-/// Deterministic content-derived job keys for callers without stable external
-/// identities (hashes value bits and the allowed-slot list). Collisions are
-/// harmless — keys only steer pairing, never correctness.
-pub fn content_keys(inst: &Instance) -> Vec<u64> {
-    use std::collections::hash_map::DefaultHasher;
-    use std::hash::{Hash, Hasher};
-    inst.jobs
-        .iter()
-        .map(|j| {
-            let mut h = DefaultHasher::new();
-            j.value.to_bits().hash(&mut h);
-            for s in &j.allowed {
-                s.proc.hash(&mut h);
-                s.time.hash(&mut h);
-            }
-            h.finish()
-        })
-        .collect()
-}
-
 /// FNV-1a over grid dimensions, family size, and up to ~16 sampled candidate
 /// costs priced through `price`. At enumeration time `price` reads the stored
 /// cost; at check time it re-prices through the live cost oracle, so any
@@ -394,136 +273,11 @@ fn family_checksum(
     h
 }
 
-/// Sorted, deduplicated dirty slot times per processor for the transition
-/// `(prev_inst, prev_keys) → (inst, keys)`, per the rules in the module docs.
-fn dirty_times_per_proc(
-    prev_inst: &Instance,
-    prev_keys: &[u64],
-    inst: &Instance,
-    keys: &[u64],
-    num_processors: u32,
-) -> Vec<Vec<u32>> {
-    let mut dirty: Vec<Vec<u32>> = vec![Vec::new(); num_processors as usize];
-    let mark = |dirty: &mut Vec<Vec<u32>>, s: &SlotRef| {
-        dirty[s.proc as usize].push(s.time);
-    };
-
-    // FIFO pairing per key keeps the pairing deterministic under duplicates.
-    let mut by_key: HashMap<u64, VecDeque<u32>> = HashMap::new();
-    for (i, &k) in prev_keys.iter().enumerate() {
-        by_key.entry(k).or_default().push_back(i as u32);
-    }
-    let mut paired = vec![false; prev_inst.num_jobs()];
-    for (j, job) in inst.jobs.iter().enumerate() {
-        match by_key.get_mut(&keys[j]).and_then(|q| q.pop_front()) {
-            Some(i) => {
-                paired[i as usize] = true;
-                let prev_job = &prev_inst.jobs[i as usize];
-                if prev_job.allowed != job.allowed {
-                    mark_sym_diff(&prev_job.allowed, &job.allowed, &mut dirty);
-                }
-            }
-            None => {
-                for s in &job.allowed {
-                    mark(&mut dirty, s);
-                }
-            }
-        }
-    }
-    for (i, prev_job) in prev_inst.jobs.iter().enumerate() {
-        if !paired[i] {
-            for s in &prev_job.allowed {
-                mark(&mut dirty, s);
-            }
-        }
-    }
-    for d in &mut dirty {
-        d.sort_unstable();
-        d.dedup();
-    }
-    dirty
-}
-
-/// `clean[i]` ⇔ no dirty time on `candidates[i]`'s processor falls inside its
-/// `[start, end)` range (binary search per candidate).
-/// Marks the symmetric difference of two allowed-slot lists into `dirty`,
-/// by a two-pointer sweep over sorted views (trace windows are stored in
-/// increasing time order; anything else falls back to sorted copies).
-/// Duplicate slots within one list may over-mark relative to a set
-/// difference — harmless, since extra dirty times only cost performance.
-fn mark_sym_diff(a: &[SlotRef], b: &[SlotRef], dirty: &mut [Vec<u32>]) {
-    let is_sorted = |v: &[SlotRef]| v.windows(2).all(|w| w[0] <= w[1]);
-    let (sa, sb);
-    let (a, b): (&[SlotRef], &[SlotRef]) = if is_sorted(a) && is_sorted(b) {
-        (a, b)
-    } else {
-        sa = {
-            let mut v = a.to_vec();
-            v.sort_unstable();
-            v
-        };
-        sb = {
-            let mut v = b.to_vec();
-            v.sort_unstable();
-            v
-        };
-        (&sa, &sb)
-    };
-    let (mut i, mut j) = (0, 0);
-    loop {
-        match (a.get(i), b.get(j)) {
-            (Some(&x), Some(&y)) if x == y => {
-                i += 1;
-                j += 1;
-            }
-            (Some(&x), Some(&y)) if x < y => {
-                dirty[x.proc as usize].push(x.time);
-                i += 1;
-            }
-            (Some(&x), None) => {
-                dirty[x.proc as usize].push(x.time);
-                i += 1;
-            }
-            (_, Some(&y)) => {
-                dirty[y.proc as usize].push(y.time);
-                j += 1;
-            }
-            (None, None) => break,
-        }
-    }
-}
-
-fn clean_mask(candidates: &[CandidateInterval], dirty: &[Vec<u32>]) -> Vec<bool> {
-    // Enumerated families group candidates into runs sharing (proc, start)
-    // with strictly increasing ends, so one binary search per group finds
-    // the first dirty time at or past `start`; within the group, clean is
-    // just `end <= that time`. Candidates outside that layout still get the
-    // right answer — the group degenerates to a single member.
-    let mut clean = vec![false; candidates.len()];
-    let mut i = 0;
-    while i < candidates.len() {
-        let c = &candidates[i];
-        let d = &dirty[c.proc as usize];
-        let k = d.partition_point(|&t| t < c.start);
-        let limit = d.get(k).copied().unwrap_or(u32::MAX);
-        let mut j = i;
-        while j < candidates.len() && candidates[j].proc == c.proc && candidates[j].start == c.start
-        {
-            // half-open window [start, end): dirty time `limit` is outside
-            // exactly when end <= limit
-            clean[j] = candidates[j].end <= limit;
-            j += 1;
-        }
-        i = j;
-    }
-    clean
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cost::AffineCost;
-    use crate::model::Job;
+    use crate::model::{Job, SlotRef};
     use crate::naive::naive_schedule_all;
     use crate::solver::Solver;
 
@@ -559,32 +313,23 @@ mod tests {
         let c = cost();
         let mut h = WarmHandle::new(CandidatePolicy::All);
         // A rolling window of jobs: arrivals, expiries, and window shrinks.
-        let steps: Vec<(Vec<u64>, Vec<Job>)> = vec![
-            (
-                vec![1, 2],
-                vec![Job::window(1.0, 0, 0, 4), Job::window(1.0, 1, 2, 6)],
-            ),
-            (
-                vec![1, 2, 3],
-                vec![
-                    Job::window(1.0, 0, 1, 4), // job 1 window shrank
-                    Job::window(1.0, 1, 2, 6),
-                    Job::window(1.0, 0, 6, 10), // arrival
-                ],
-            ),
-            (
-                vec![2, 3, 4],
-                vec![
-                    Job::window(1.0, 1, 3, 6), // shrank again
-                    Job::window(1.0, 0, 6, 10),
-                    Job::window(1.0, 1, 8, 12), // arrival
-                ],
-            ),
-            (vec![4], vec![Job::window(1.0, 1, 9, 12)]),
+        let steps: Vec<Vec<Job>> = vec![
+            vec![Job::window(1.0, 0, 0, 4), Job::window(1.0, 1, 2, 6)],
+            vec![
+                Job::window(1.0, 0, 1, 4), // job 1 window shrank
+                Job::window(1.0, 1, 2, 6),
+                Job::window(1.0, 0, 6, 10), // arrival
+            ],
+            vec![
+                Job::window(1.0, 1, 3, 6), // shrank again
+                Job::window(1.0, 0, 6, 10),
+                Job::window(1.0, 1, 8, 12), // arrival
+            ],
+            vec![Job::window(1.0, 1, 9, 12)],
         ];
-        for (keys, jobs) in steps {
+        for jobs in steps {
             let i = inst(jobs);
-            let warm = h.solve(&i, &keys, &c);
+            let warm = h.solve(&i, &c);
             assert_same(&warm, &cold(&i));
             if let Ok(s) = &warm {
                 let cands = enumerate_candidates(&i, &c, CandidatePolicy::All);
@@ -599,10 +344,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_warm_solves_scan_once_each() {
-        // Each solve runs exactly one gain scan, the seeded one that captures
-        // the next seed, also with `parallel` set: the lazy greedy's first
-        // keys read the memo that scan leaves instead of scanning again.
+    fn warm_delta_solves_run_no_full_scan() {
+        // A warm re-solve rebuilds the reduction in place and runs the cold
+        // lazy greedy from upper bounds: no solve scans every subset, also
+        // with `parallel` set.
         use std::sync::Arc;
         let c = cost();
         let mut h = WarmHandle::with_options(
@@ -612,31 +357,22 @@ mod tests {
                 parallel: true,
             },
         );
-        let steps: [(Vec<u64>, Vec<Job>); 3] = [
-            (
-                vec![1, 2],
-                vec![Job::window(1.0, 0, 0, 4), Job::window(1.0, 1, 2, 6)],
-            ),
-            (
-                vec![1, 2, 3],
-                vec![
-                    Job::window(1.0, 0, 1, 4),
-                    Job::window(1.0, 1, 2, 6),
-                    Job::window(1.0, 0, 6, 10),
-                ],
-            ),
-            (
-                vec![2, 3],
-                vec![Job::window(1.0, 1, 3, 6), Job::window(1.0, 0, 6, 10)],
-            ),
+        let steps: [Vec<Job>; 3] = [
+            vec![Job::window(1.0, 0, 0, 4), Job::window(1.0, 1, 2, 6)],
+            vec![
+                Job::window(1.0, 0, 1, 4),
+                Job::window(1.0, 1, 2, 6),
+                Job::window(1.0, 0, 6, 10),
+            ],
+            vec![Job::window(1.0, 1, 3, 6), Job::window(1.0, 0, 6, 10)],
         ];
         let registry = Arc::new(sched_obs::Registry::new());
         sched_obs::set_thread(Some(Arc::clone(&registry)));
         let results: Vec<_> = steps
             .iter()
-            .map(|(keys, jobs)| {
+            .map(|jobs| {
                 let i = inst(jobs.clone());
-                (h.solve(&i, keys, &c), i)
+                (h.solve(&i, &c), i)
             })
             .collect();
         sched_obs::set_thread(None);
@@ -645,7 +381,9 @@ mod tests {
         }
         assert_eq!(h.stats(), WarmStats { warm: 2, cold: 1 });
         let scans = registry.histogram("core.objective.scan_gains_ns").count();
-        assert_eq!(scans, 3, "one gain scan per solve");
+        assert_eq!(scans, 0, "no full gain scan in any solve");
+        let deltas = registry.histogram("core.reduction.apply_delta_ns").count();
+        assert_eq!(deltas, 2, "each warm solve rebuilds the reduction in place");
     }
 
     #[test]
@@ -653,8 +391,8 @@ mod tests {
         let c = cost();
         let mut h = WarmHandle::new(CandidatePolicy::All);
         let i = inst(vec![Job::window(1.0, 0, 0, 5), Job::window(1.0, 1, 1, 7)]);
-        let first = h.solve(&i, &[7, 9], &c);
-        let second = h.solve(&i, &[7, 9], &c);
+        let first = h.solve(&i, &c);
+        let second = h.solve(&i, &c);
         assert_same(&first, &second);
         assert_eq!(h.stats(), WarmStats { warm: 1, cold: 1 });
     }
@@ -665,14 +403,14 @@ mod tests {
         let mut h = WarmHandle::new(CandidatePolicy::All);
         let i = inst(vec![Job::window(1.0, 0, 0, 5)]);
         let sum0 = {
-            h.solve(&i, &[1], &c).expect("feasible");
+            h.solve(&i, &c).expect("feasible");
             h.checksum().expect("family cached")
         };
         // Same grid, different pricing: checksum must diverge and the handle
         // must fall back to a cold rebuild — with the correct new costs.
         let c2 = AffineCost::new(5.0, 2.0);
         let i2 = inst(vec![Job::window(1.0, 0, 0, 5), Job::window(1.0, 1, 3, 8)]);
-        let warm = h.solve(&i2, &[1, 2], &c2);
+        let warm = h.solve(&i2, &c2);
         assert_ne!(h.checksum().expect("family cached"), sum0);
         let expected = Solver::new(&i2, &c2).schedule_all();
         assert_same(&warm, &expected);
@@ -684,9 +422,9 @@ mod tests {
         let c = cost();
         let mut h = WarmHandle::new(CandidatePolicy::All);
         let i = inst(vec![Job::window(1.0, 0, 0, 5)]);
-        h.solve(&i, &[1], &c).expect("feasible");
+        h.solve(&i, &c).expect("feasible");
         let i2 = Instance::new(3, 16, vec![Job::window(1.0, 2, 4, 9)]);
-        let warm = h.solve(&i2, &[1], &c);
+        let warm = h.solve(&i2, &c);
         let expected = Solver::new(&i2, &c).schedule_all();
         assert_same(&warm, &expected);
         assert_eq!(h.stats(), WarmStats { warm: 0, cold: 2 });
@@ -697,8 +435,8 @@ mod tests {
         let c = cost();
         let mut h = WarmHandle::new(CandidatePolicy::All);
         let feasible = inst(vec![Job::window(1.0, 0, 0, 4)]);
-        h.solve(&feasible, &[1], &c).expect("feasible");
-        // A job with an empty allowed set returns early (no gain scan).
+        h.solve(&feasible, &c).expect("feasible");
+        // A job with an empty allowed set returns early, before the greedy.
         let broken = inst(vec![
             Job::window(1.0, 0, 0, 4),
             Job {
@@ -707,15 +445,15 @@ mod tests {
                 work: None,
             },
         ]);
-        let r = h.solve(&broken, &[1, 2], &c);
+        let r = h.solve(&broken, &c);
         assert!(matches!(r, Err(ScheduleError::Infeasible { .. })));
-        // Over-subscribed slot: greedy-infeasible, but gains were produced.
+        // Over-subscribed slot: greedy-infeasible after a full greedy run.
         let tight = inst(vec![Job::unit(vec![SlotRef::new(0, 0)]); 3]);
-        let r = h.solve(&tight, &[1, 2, 3], &c);
+        let r = h.solve(&tight, &c);
         assert_same(&r, &cold(&tight));
         // And a feasible follow-up still matches cold exactly.
         let next = inst(vec![Job::window(1.0, 0, 2, 6), Job::window(1.0, 1, 0, 9)]);
-        assert_same(&h.solve(&next, &[1, 2], &c), &cold(&next));
+        assert_same(&h.solve(&next, &c), &cold(&next));
     }
 
     #[test]
@@ -723,78 +461,10 @@ mod tests {
         let c = cost();
         let mut h = WarmHandle::new(CandidatePolicy::All);
         let empty = inst(vec![]);
-        let r = h.solve(&empty, &[], &c).expect("trivially feasible");
+        let r = h.solve(&empty, &c).expect("trivially feasible");
         assert_eq!(r.scheduled_count, 0);
         assert!(r.awake.is_empty());
         let next = inst(vec![Job::window(1.0, 0, 0, 4)]);
-        assert_same(&h.solve(&next, &[1], &c), &cold(&next));
-    }
-
-    #[test]
-    fn content_keys_are_deterministic_and_content_sensitive() {
-        let a = inst(vec![Job::window(1.0, 0, 0, 4), Job::window(1.0, 1, 2, 6)]);
-        let b = inst(vec![Job::window(1.0, 0, 0, 4), Job::window(1.0, 1, 2, 6)]);
-        assert_eq!(content_keys(&a), content_keys(&b));
-        let c = inst(vec![Job::window(1.0, 0, 0, 5), Job::window(1.0, 1, 2, 6)]);
-        assert_ne!(content_keys(&a)[0], content_keys(&c)[0]);
-        assert_eq!(content_keys(&a)[1], content_keys(&c)[1]);
-    }
-
-    #[test]
-    fn mispaired_keys_stay_bit_identical() {
-        // Deliberately reuse one key for totally different jobs each step:
-        // pairing is wrong every time, results must still match cold.
-        let c = cost();
-        let mut h = WarmHandle::new(CandidatePolicy::All);
-        let steps = [
-            inst(vec![Job::window(1.0, 0, 0, 4)]),
-            inst(vec![Job::window(1.0, 1, 5, 11)]),
-            inst(vec![Job::window(1.0, 0, 7, 12), Job::window(1.0, 1, 0, 3)]),
-        ];
-        for (k, i) in steps.iter().enumerate() {
-            let keys = vec![42u64; i.num_jobs()];
-            assert_same(&h.solve(i, &keys, &c), &cold(i));
-            if k > 0 {
-                assert!(h.stats().warm as usize >= k, "delta path should engage");
-            }
-        }
-    }
-
-    #[test]
-    fn dirty_marking_covers_churn() {
-        let prev = inst(vec![Job::window(1.0, 0, 0, 3), Job::window(1.0, 1, 4, 6)]);
-        let next = inst(vec![Job::window(1.0, 0, 1, 3), Job::window(1.0, 1, 8, 10)]);
-        // Key 1 pairs (window shrank by slot 0), key 2 expires, key 3 arrives.
-        let dirty = dirty_times_per_proc(&prev, &[1, 2], &next, &[1, 3], 2);
-        assert_eq!(dirty[0], vec![0]);
-        assert_eq!(dirty[1], vec![4, 5, 8, 9]);
-    }
-
-    #[test]
-    fn clean_mask_respects_half_open_ranges() {
-        let cands = vec![
-            CandidateInterval {
-                proc: 0,
-                start: 0,
-                end: 3,
-                cost: 1.0,
-            },
-            CandidateInterval {
-                proc: 0,
-                start: 3,
-                end: 6,
-                cost: 1.0,
-            },
-            CandidateInterval {
-                proc: 1,
-                start: 0,
-                end: 6,
-                cost: 1.0,
-            },
-        ];
-        let dirty = vec![vec![3], vec![]];
-        // Dirty time 3 on proc 0: [0,3) stays clean, [3,6) does not; proc 1
-        // is untouched.
-        assert_eq!(clean_mask(&cands, &dirty), vec![true, false, true]);
+        assert_same(&h.solve(&next, &c), &cold(&next));
     }
 }

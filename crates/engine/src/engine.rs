@@ -20,11 +20,11 @@
 //!   Each worker keeps a small keyed cache of [`sched_core::WarmHandle`]s,
 //!   so a stream of requests over the same grid skips enumeration entirely —
 //!   [`SolveMetrics::cache_hit`] reports this per response. `schedule_all`
-//!   requests additionally ride the handle's incremental warm path
-//!   (reduction arrays and clean gains carried between consecutive requests
-//!   on the same grid, keyed by job content; bit-identical to a cold solve
-//!   by construction); other goals borrow the family via
-//!   [`Solver::with_shared_candidates`] as before.
+//!   requests additionally ride the handle's incremental warm path (the
+//!   reduction rebuilt in place between consecutive requests on the same
+//!   grid, and an identical request answered from the previous result;
+//!   bit-identical to a cold solve by construction); other goals borrow
+//!   the family via [`Solver::with_shared_candidates`] as before.
 //! * **Ordering** — [`Engine::submit`] returns a [`Ticket`] per request;
 //!   [`Engine::solve_batch`] / [`Engine::process_lines`] collect tickets in
 //!   submission order, so batch output order always matches input order no
@@ -37,8 +37,8 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use sched_core::{
-    content_keys, validate_profiles, AffineCost, CandidatePolicy, CompiledDvfs, DvfsCost,
-    DvfsInstance, EnergyCost, FreqLadder, Instance, ProfileCost, SolveOptions, Solver, WarmHandle,
+    validate_profiles, AffineCost, CandidatePolicy, CompiledDvfs, DvfsCost, DvfsInstance,
+    EnergyCost, FreqLadder, Instance, ProfileCost, SolveOptions, Solver, WarmHandle,
 };
 use sched_obs::{Gauge, Registry, Snapshot};
 
@@ -919,10 +919,8 @@ fn serve_request_planned(
     let t0 = Instant::now();
     let outcome = match plan.goal {
         // The warm path: consecutive schedule_all requests on one grid reuse
-        // the reduction and every gain whose window content did not change.
-        // Job content hashes are the pairing keys (wire requests carry no
-        // stable job identity).
-        Goal::All => handle.solve(instance, &content_keys(instance), cost.as_ref()),
+        // the candidate family and the reduction's buffers.
+        Goal::All => handle.solve(instance, cost.as_ref()),
         Goal::Prize { target, epsilon } => {
             Solver::with_shared_candidates(instance, Arc::clone(&family))
                 .lazy(plan.lazy)

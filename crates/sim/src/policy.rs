@@ -409,8 +409,8 @@ pub struct PeriodicResolve {
     resolver: Resolver,
     /// Incremental warm-start state; when present, suffix solves go through
     /// [`WarmHandle::solve`] (inline, bypassing any engine) so consecutive
-    /// re-solves reuse the candidate family, reduction arrays, and clean
-    /// gains. Bit-identical to the cold path by construction.
+    /// re-solves reuse the candidate family and the reduction's buffers.
+    /// Bit-identical to the cold path by construction.
     warm: Option<WarmHandle>,
     next_resolve: u32,
     plan_awake: Vec<CandidateInterval>,
@@ -455,8 +455,8 @@ impl PeriodicResolve {
     }
 
     /// Same policy, with incremental warm-start re-solving: a private
-    /// [`WarmHandle`] carries the candidate family, reduction, and gain
-    /// seeds from one checkpoint to the next. Decisions are bit-identical
+    /// [`WarmHandle`] carries the candidate family and the reduction's
+    /// buffers from one checkpoint to the next. Decisions are bit-identical
     /// to [`PeriodicResolve::new`].
     pub fn new_warm(period: u32) -> Self {
         Self {
@@ -567,12 +567,10 @@ impl PeriodicResolve {
         let solved = match (&mut self.warm, &self.resolver) {
             (Some(handle), _) => {
                 // Warm path: solve through the handle so the candidate
-                // family, reduction arrays, and clean gains carry over from
-                // the previous checkpoint. Trace job ids are the stable keys
-                // steering the old↔new pairing.
+                // family and the reduction's buffers carry over from the
+                // previous checkpoint.
                 let cost = ProfileCost::new(view.profiles);
-                let keys: Vec<u64> = ids.iter().map(|&id| id as u64).collect();
-                handle.solve(&inst, &keys, &cost).ok()
+                handle.solve(&inst, &cost).ok()
             }
             (None, Resolver::Inline) => {
                 // Per-processor profile pricing; bit-identical to the affine

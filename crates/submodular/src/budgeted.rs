@@ -261,10 +261,10 @@ pub fn budgeted_greedy<O: BudgetedObjective>(obj: &mut O, cfg: GreedyConfig) -> 
 ///
 /// The scratch is the per-thread gain-evaluation workspace; objectives that
 /// memoize evaluations in it (like `sched-core`'s scheduling objective) can
-/// pre-seed the memo before the run so the greedy's first keys read the
-/// memo instead of recomputing gains — the warm-start path of incremental
-/// re-solving. With a default-constructed scratch this is exactly
-/// [`budgeted_greedy`].
+/// fill the memo before the run, with an explicit
+/// [`BudgetedObjective::scan_gains`] for instance, so the greedy's first
+/// keys read the memo instead of recomputing gains. With a
+/// default-constructed scratch this is exactly [`budgeted_greedy`].
 pub fn budgeted_greedy_with<O: BudgetedObjective>(
     obj: &mut O,
     cfg: GreedyConfig,

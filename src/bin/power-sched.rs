@@ -584,7 +584,8 @@ fn event_num(e: &obs::trace::TraceEvent, key: &str) -> f64 {
 
 /// `explain INSTANCE.json`: runs the same solve as `solve`, with the tracer
 /// installed, and narrates the greedy's decision log pick by pick — winner
-/// vs runner-up gains (a runner-up never evaluated shows its upper bound as
+/// vs runner-up gains, each named as its enumerated candidate and interval
+/// (`cand 12 p0 [3,7)`; a runner-up never evaluated shows its upper bound as
 /// `ratio ≤ x (bound)`), lazy group refreshes, budget remaining — followed
 /// by a span-time summary. `--trace-out FILE` additionally exports the full
 /// timeline for Perfetto.
@@ -620,27 +621,37 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
         inst.num_processors,
         inst.horizon
     );
+    // The greedy's indices are window subsets of the solver's reduction;
+    // name the enumerated candidate each one stands for, and its interval.
+    let red = solver.reduction();
+    let cands = solver.candidates();
+    let interval = |subset: f64| {
+        let k = red.candidate_of(subset as usize);
+        let iv = &cands[k];
+        format!("cand {k} p{} [{},{})", iv.proc, iv.start, iv.end)
+    };
     let events = tracer.events();
     for e in events.iter().filter(|e| e.name == "submodular.greedy.pick") {
         let reevals = event_num(e, "reevals");
         print!(
-            "  pick {:>3}: cand {} gain {:.3} cost {:.3} ratio {:.3}  utility {:.3} remaining {:.3}",
+            "  pick {:>3}: {} gain {:.3} cost {:.3} ratio {:.3}  utility {:.3} remaining {:.3}",
             event_num(e, "iter"),
-            event_num(e, "chosen"),
+            interval(event_num(e, "chosen")),
             event_num(e, "gain"),
             event_num(e, "cost"),
             event_num(e, "ratio"),
             event_num(e, "utility_after"),
             event_num(e, "remaining"),
         );
-        if let Some(ru) = event_arg(e, "runner_up") {
+        if event_arg(e, "runner_up").is_some() {
             // A runner-up whose key is still a first-value bound was never
             // evaluated: its ratio is at most the key, not equal to it.
+            let ru = interval(event_num(e, "runner_up"));
             let ratio = event_num(e, "runner_up_ratio");
             if event_num(e, "runner_up_bound") == 1.0 {
-                print!("  (runner-up cand {ru} ratio ≤ {ratio:.3} (bound))");
+                print!("  (runner-up {ru} ratio ≤ {ratio:.3} (bound))");
             } else {
-                print!("  (runner-up cand {ru} ratio {ratio:.3})");
+                print!("  (runner-up {ru} ratio {ratio:.3})");
             }
         }
         // `reevals` counts lazy-heap group refreshes (one pass over a

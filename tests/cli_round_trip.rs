@@ -206,3 +206,43 @@ fn explain_marks_a_runner_up_that_is_still_a_bound() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn explain_names_enumerated_candidates_not_subset_indices() {
+    // One processor, horizon 4, jobs only at slots 1 and 3. The greedy runs
+    // over one subset per distinct window — {1}, {1,3} and {3}, standing
+    // for candidates 4 = [1,2), 6 = [1,4) and 9 = [3,4) — so its indices
+    // are 0, 1 and 2. `explain` must name the enumerated candidates and
+    // their intervals.
+    let dir = temp_dir("explain-subsets");
+    let inst_path = dir.join("inst.json");
+    let inst = Instance::new(
+        1,
+        4,
+        vec![
+            Job::unit(vec![SlotRef::new(0, 3)]),
+            Job::unit(vec![SlotRef::new(0, 1)]),
+        ],
+    );
+    std::fs::write(&inst_path, serde_json::to_string(&inst).unwrap()).unwrap();
+    let out = run_ok(bin().args([
+        "explain",
+        inst_path.to_str().unwrap(),
+        "--restart",
+        "3",
+        "--rate",
+        "1",
+    ]));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let picks: Vec<&str> = stdout.lines().filter(|l| l.contains("pick ")).collect();
+    assert_eq!(picks.len(), 1, "one pick covers both jobs: {stdout}");
+    assert!(
+        picks[0].contains("pick   0: cand 6 p0 [1,4) gain 2.000 cost 6.000"),
+        "the pick is candidate 6, not subset 1: {stdout}"
+    );
+    assert!(
+        picks[0].contains("(runner-up cand 4 p0 [1,2) ratio 0.250)"),
+        "the runner-up is candidate 4, not subset 0: {stdout}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -2,8 +2,8 @@
 //! the load-bearing component of the whole reduction. Cross-checks hundreds
 //! of random insertion schedules against Hopcroft–Karp and the weighted
 //! reference at sizes well beyond the unit tests, checks scratch reuse
-//! across oracles, and bounds the search work of a pinned DVFS gain scan
-//! and of a whole cold solve of the same shape.
+//! across oracles, and bounds the search work of a pinned DVFS gain scan,
+//! of a whole cold solve of the same shape, and of a warm online replay.
 
 use std::sync::Arc;
 
@@ -13,8 +13,11 @@ use power_scheduling::obs::{self, Registry};
 use power_scheduling::scheduling::dvfs::CompiledDvfs;
 use power_scheduling::scheduling::objective::ObjectiveScratch;
 use power_scheduling::scheduling::{ScheduleObjective, ScheduleReduction, Solver};
+use power_scheduling::sim::{replay, PolicyKind};
 use power_scheduling::submodular::BudgetedObjective;
-use power_scheduling::workloads::{dvfs_instance, DvfsConfig};
+use power_scheduling::workloads::{
+    dvfs_instance, generate_trace, ArrivalConfig, DvfsConfig, TraceKind,
+};
 use rand::{Rng, SeedableRng};
 
 fn random_graph(rng: &mut impl Rng, nx: u32, ny: u32, deg: usize) -> BipartiteGraph {
@@ -213,7 +216,7 @@ fn dvfs_first_scan_edge_visits_stay_bounded() {
     let mut scratch = ObjectiveScratch::default();
     let mut gains = Vec::new();
     obj.scan_gains(false, &mut scratch, &mut gains);
-    assert_eq!(gains.len(), compiled.candidates.len());
+    assert_eq!(gains.len(), red.num_subsets());
     let visits = scratch.edge_visits();
     assert!(
         visits <= DVFS_FIRST_SCAN_EDGE_VISITS_MAX,
@@ -253,5 +256,78 @@ fn dvfs_whole_solve_edge_visits_stay_bounded() {
     assert!(
         evaluations <= DVFS_WHOLE_SOLVE_EVALUATIONS_MAX,
         "the solve made {evaluations} gain evaluations, bound {DVFS_WHOLE_SOLVE_EVALUATIONS_MAX}"
+    );
+}
+
+/// Upper bounds on the work of one `resolve:1:warm` replay of the pinned
+/// advance-notice trace below, about twice the counts measured when they
+/// were set: adjacency entries examined by every matching search of every
+/// re-solve, and subsets built over all re-solves (each re-solve carries
+/// the trace's whole 131,584-interval grid). A warm re-solve that scans
+/// every subset, or a reduction that stops collapsing equal windows, fails
+/// here.
+const WARM_REPLAY_EDGE_VISITS_MAX: u64 = 260_000;
+const WARM_REPLAY_SUBSETS_MAX: u64 = 70_000;
+
+#[test]
+fn warm_replay_edge_visits_stay_bounded() {
+    // The `online_replay` shape: p4/T256, 96 jobs, each released 24 slots
+    // before its window opens.
+    let arrivals = ArrivalConfig {
+        num_processors: 4,
+        horizon: 256,
+        target_jobs: 96,
+        ..ArrivalConfig::default()
+    };
+    let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+    let mut trace = generate_trace(TraceKind::PoissonBursts, &arrivals, &mut rng);
+    for job in &mut trace.jobs {
+        job.release = job.release.saturating_sub(24);
+    }
+
+    let registry = Arc::new(Registry::new());
+    obs::set_thread(Some(Arc::clone(&registry)));
+    let warm = replay(
+        &trace,
+        PolicyKind::Resolve {
+            period: 1,
+            warm: true,
+        }
+        .build(None)
+        .as_mut(),
+    );
+    obs::set_thread(None);
+    let warm = warm.expect("the pinned trace replays");
+    let cold = replay(
+        &trace,
+        PolicyKind::Resolve {
+            period: 1,
+            warm: false,
+        }
+        .build(None)
+        .as_mut(),
+    )
+    .expect("the pinned trace replays");
+    assert_eq!(warm.schedule.awake, cold.schedule.awake);
+    assert_eq!(warm.schedule.assignments, cold.schedule.assignments);
+    assert_eq!(
+        warm.schedule.total_cost.to_bits(),
+        cold.schedule.total_cost.to_bits()
+    );
+
+    let resolves = registry.counter("core.warm.solves.warm").get();
+    let visits = registry.counter("matching.oracle.edge_visits").get();
+    let subsets = registry.counter("core.reduction.subsets").get();
+    assert!(
+        resolves > 0 && visits > 0 && subsets > 0,
+        "the replay re-solved warm and flushed its counters"
+    );
+    assert!(
+        visits <= WARM_REPLAY_EDGE_VISITS_MAX,
+        "the replay examined {visits} adjacency entries, bound {WARM_REPLAY_EDGE_VISITS_MAX}"
+    );
+    assert!(
+        subsets <= WARM_REPLAY_SUBSETS_MAX,
+        "the replay built {subsets} subsets, bound {WARM_REPLAY_SUBSETS_MAX}"
     );
 }

@@ -330,22 +330,22 @@ proptest! {
 #[test]
 fn warm_handle_checksum_divergence_recovers_cold() {
     let mut handle = WarmHandle::new(CandidatePolicy::All);
-    let steps: Vec<(Vec<u64>, Instance)> = (0..6)
+    let steps: Vec<Instance> = (0..6)
         .map(|i| {
             let jobs = vec![
                 Job::window(1.0, 0, i, i + 4),
                 Job::window(1.0, 1, i + 2, i + 7),
             ];
-            (vec![1, 2], Instance::new(2, 16, jobs))
+            Instance::new(2, 16, jobs)
         })
         .collect();
     let cheap = AffineCost::new(3.0, 1.0);
     let pricey = AffineCost::new(7.0, 2.0);
-    for (i, (keys, inst)) in steps.iter().enumerate() {
+    for (i, inst) in steps.iter().enumerate() {
         // Swap the cost model mid-stream: the checksum must catch it.
         let cost: &dyn EnergyCost = if i < 3 { &cheap } else { &pricey };
         let before = handle.stats();
-        let got = handle.solve(inst, keys, cost).unwrap();
+        let got = handle.solve(inst, cost).unwrap();
         let after = handle.stats();
         if i == 0 || i == 3 {
             assert_eq!(

@@ -115,11 +115,11 @@ fn warm_replay_chrome_trace_has_nested_spans_under_one_trace_id() {
     let id = ids.iter().next().unwrap();
     assert!(id.starts_with("replay-"), "replay stamps its ids: {id}");
 
-    // Nesting: every reduction build and every gain scan lies inside some
-    // solve span on the same thread (`ph:"X"` complete events). Cold solves
-    // nest under `core.solve.schedule_all_ns`; the warm handle rebuilds its
-    // reduction inside `core.warm.solve_ns` before entering the seeded
-    // solve, so both count as the enclosing solve.
+    // Nesting: every reduction build and every in-place rebuild lies inside
+    // some solve span on the same thread (`ph:"X"` complete events). Cold
+    // solves nest under `core.solve.schedule_all_ns`; the warm handle builds
+    // or rebuilds its reduction inside `core.warm.solve_ns` before entering
+    // the solve, so both count as the enclosing solve.
     let solves: Vec<&ChromeEvent> = events
         .iter()
         .filter(|e| {
@@ -128,7 +128,15 @@ fn warm_replay_chrome_trace_has_nested_spans_under_one_trace_id() {
         })
         .collect();
     assert!(!solves.is_empty(), "warm replay records solve spans");
-    for inner_name in ["core.reduction.build_ns", "core.objective.scan_gains_ns"] {
+    // Warm re-solves start the lazy greedy from upper bounds, like cold
+    // ones: no solve scans every subset.
+    assert!(
+        !events
+            .iter()
+            .any(|e| e.name == "core.objective.scan_gains_ns"),
+        "a warm replay runs no full gain scan"
+    );
+    for inner_name in ["core.reduction.build_ns", "core.reduction.apply_delta_ns"] {
         let inners: Vec<&ChromeEvent> = events
             .iter()
             .filter(|e| e.ph == "X" && e.name == inner_name)
