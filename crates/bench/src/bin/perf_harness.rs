@@ -3,13 +3,13 @@
 //! ```text
 //! perf_harness [--quick] [--out BENCH_solver.json]
 //!              [--baseline BENCH_solver.json] [--tolerance 0.25]
+//!              [--relative-only]
 //! ```
 //!
 //! Runs pinned solve / engine / replay workloads and emits the
 //! `bench-solver/v2` JSON report (see `bench::perf` for the schema).
 //! With `--baseline`, compares the fresh run against a committed report and
 //! exits nonzero on regression beyond the tolerance — the CI perf gate.
-//! The same harness is reachable as `power-sched perf`.
 
 use std::process::ExitCode;
 

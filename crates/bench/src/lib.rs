@@ -3,13 +3,11 @@
 //! small table-formatting utilities.
 //!
 //! Every experiment takes an explicit seed and a `quick` flag (smaller
-//! sweeps for CI); the `exp` binary runs one by name, or all. Criterion
-//! performance benches live in `benches/`, and the machine-readable perf
-//! harness (`perf_harness`, `power-sched perf`, `BENCH_solver.json`) in
-//! [`perf`].
+//! sweeps for CI); the `exp` binary runs one by name, or all. The
+//! workspace's one timing harness (`perf_harness`, `BENCH_solver.json`,
+//! the CI perf gate) lives in [`perf`].
 
 pub mod experiments;
-pub mod loadgen;
 pub mod perf;
 pub mod table;
 

@@ -1,9 +1,10 @@
-//! The machine-readable perf harness behind `perf_harness` and
-//! `power-sched perf` — the repo's performance trajectory.
+//! The workspace's one timing harness, behind `perf_harness` — the repo's
+//! performance trajectory and its CI perf gate.
 //!
 //! Runs pinned, deterministic workloads through the three hot paths
-//! (direct solve, engine batch, online replay) and emits a stable JSON
-//! report (`BENCH_solver.json`, schema `bench-solver/v2`):
+//! (direct solve, engine requests in-process and over TCP, online replay)
+//! and emits a stable JSON report (`BENCH_solver.json`, schema
+//! `bench-solver/v2`):
 //!
 //! ```json
 //! {
@@ -23,25 +24,29 @@
 //! * A pair times the same operations two ways, one row per `variant`:
 //!   `fast`/`naive` (the production solve path against the seed
 //!   implementation retained in `sched_core::naive`, proven bit-identical
-//!   by the equivalence proptests), `warm`/`cold` re-solves, or `off`/`on`
-//!   (a solve with no ambient registry or tracer installed, and with one).
-//!   The engine and replay workloads have no twin; their rows read `n/a`.
+//!   by the equivalence proptests), `warm`/`cold` re-solves, `off`/`on`
+//!   (a solve with no ambient registry or tracer installed, and with one),
+//!   or `binary`/`jsonl` (the same pipelined requests sent to one
+//!   in-process `serve` over v3 binary frames and over JSONL lines).
+//!   The in-process engine and replay workloads have no twin; their rows
+//!   read `n/a`.
 //! * `ops_per_sec` is the headline throughput (solves, requests, re-solves
 //!   or traces per second); `ns_per_op` its inverse; `peak_candidates` the
 //!   largest candidate family any solve in the workload optimized over.
 //! * A ratio is `variant.ops_per_sec / baseline.ops_per_sec` within a
-//!   pair. `fast`/`naive` and `warm`/`cold` record one, a speedup. `off`/`on`
-//!   pairs sit near parity and record both directions: `on`/`off` falls
-//!   when recording gets costlier, `off`/`on` when the bare path does.
+//!   pair. `fast`/`naive`, `warm`/`cold` and `binary`/`jsonl` record one,
+//!   a speedup. `off`/`on` pairs sit near parity and record both
+//!   directions: `on`/`off` falls when recording gets costlier, `off`/`on`
+//!   when the bare path does.
 //!
-//! Timing is best-of-`rounds` wall clock over whole workload passes (the
-//! same convention as the vendored criterion), so one noisy scheduler tick
-//! cannot poison a row. `--baseline FILE` compares a fresh run against a
-//! committed report and fails when any ratio (or, without
-//! `--relative-only`, any row's throughput) falls more than the tolerance
-//! below it — the CI perf gate.
+//! Timing is best-of-`rounds` wall clock over whole workload passes, so
+//! one noisy scheduler tick cannot poison a row. `--baseline FILE`
+//! compares a fresh run against a committed report and fails when any
+//! ratio (or, without `--relative-only`, any row's throughput) falls more
+//! than the tolerance below it — the CI perf gate.
 
 use std::hint::black_box;
+use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -51,7 +56,7 @@ use sched_core::{
     enumerate_candidates, schedule_all, solve_dvfs, solve_dvfs_naive, ArrivalTrace,
     CandidateInterval, CandidatePolicy, Instance, PowerProfile, ProfileCost, SolveOptions,
 };
-use sched_engine::{Engine, EngineConfig, SolveRequest};
+use sched_engine::{serve, Engine, EngineClient, EngineConfig, SolveRequest, Transport};
 use sched_obs::trace::Tracer;
 use sched_obs::Registry;
 use sched_sim::{replay, replay_fleet, FleetOptions, OfflineRef, PolicyKind};
@@ -263,6 +268,87 @@ fn resolve_variant(trace: &ArrivalTrace, period: u32, warm: bool, pinned: (u64, 
     })
 }
 
+/// Requests per pass of the framing pair, in both modes.
+const FRAMING_OPS: u64 = 1024;
+
+/// Requests a framing pass pipelines before it drains their responses.
+const FRAMING_WINDOW: u64 = 32;
+
+/// The framing pair's pinned request pool: small planted instances, cheap
+/// enough that the wire, not the solver, dominates a pass.
+fn framing_pool() -> Vec<SolveRequest> {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x10AD);
+    (0..64)
+        .map(|i| {
+            let planted = planted_instance(
+                &PlantedConfig {
+                    num_processors: 2,
+                    horizon: 16,
+                    target_jobs: 8 + i % 5,
+                    decoy_prob: 0.2,
+                    max_value: 3,
+                    cost_model: PlantedCostModel::Affine { restart: 4.0 },
+                    policy: CandidatePolicy::All,
+                },
+                &mut rng,
+            );
+            SolveRequest::builder(i as u64, planted.instance)
+                .affine(4.0, 1.0)
+                .build()
+        })
+        .collect()
+}
+
+/// Sends `ops` requests from `pool`, in order and wrapping around, over
+/// `client` with [`FRAMING_WINDOW`] in flight. Panics on a short read or on
+/// any response that is not `ok`, which would time an error path.
+fn framing_pass(client: &mut EngineClient, pool: &[SolveRequest], ops: u64) {
+    let mut sent = 0;
+    while sent < ops {
+        let burst = FRAMING_WINDOW.min(ops - sent);
+        for k in sent..sent + burst {
+            client
+                .send(&pool[k as usize % pool.len()])
+                .expect("send a framing request");
+        }
+        client.flush().expect("flush a framing window");
+        for _ in 0..burst {
+            let resp = client
+                .recv()
+                .expect("read a framing response")
+                .expect("short read: the server closed mid-window");
+            assert!(
+                resp.ok,
+                "framing request {} failed: {:?}",
+                resp.id, resp.error
+            );
+        }
+        sent += burst;
+    }
+}
+
+/// The timed side of the framing pair: one pass over its own connection.
+fn framing_variant(mut client: EngineClient, pool: &[SolveRequest]) -> Pass<'_> {
+    Box::new(move || time(|| framing_pass(&mut client, pool, FRAMING_OPS)))
+}
+
+/// Runs `serve` with two workers on an ephemeral port. Returns its address
+/// and a closure that shuts it down gracefully and joins it.
+fn boot_server() -> (SocketAddr, impl FnOnce()) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind an ephemeral port");
+    let addr = listener.local_addr().expect("bound address");
+    let server = std::thread::spawn(move || serve(listener, EngineConfig::with_workers(2)));
+    let stop = move || {
+        let mut client =
+            EngineClient::connect(addr, Transport::default()).expect("connect for shutdown");
+        client.send_control("shutdown").expect("send shutdown");
+        client.flush().expect("flush shutdown");
+        let _ = client.recv();
+        server.join().expect("serve thread").expect("serve loop");
+    };
+    (addr, stop)
+}
+
 /// Runs every workload and assembles the report.
 pub fn run(opts: PerfOptions) -> PerfReport {
     let rounds = if opts.quick { 3 } else { 7 };
@@ -296,6 +382,7 @@ pub fn run(opts: PerfOptions) -> PerfReport {
         &mut rand::rngs::StdRng::seed_from_u64(11),
     );
     let requests = &engine_workload(64);
+    let framing = &framing_pool();
     let cfg = ArrivalConfig::default();
     let replay_traces: &Vec<_> = &(0..8)
         .map(|i| {
@@ -366,6 +453,23 @@ pub fn run(opts: PerfOptions) -> PerfReport {
             both_ways: false,
         });
     }
+    // The framing pair: one connection per transport to one server, both
+    // open across rounds, after an untimed pass that warms every worker's
+    // candidate cache so neither variant pays enumeration.
+    let (addr, stop_server) = boot_server();
+    let [mut binary, jsonl] = [Transport::Binary, Transport::Jsonl]
+        .map(|t| EngineClient::connect(addr, t).expect("connect to the framing server"));
+    framing_pass(&mut binary, framing, framing.len() as u64);
+    table.push(Workload {
+        name: "engine_framing_closed_loop".into(),
+        ops: FRAMING_OPS,
+        peak_candidates: all_intervals(2, 16),
+        variants: vec![
+            ("binary", framing_variant(binary, framing)),
+            ("jsonl", framing_variant(jsonl, framing)),
+        ],
+        both_ways: false,
+    });
     table.push(Workload {
         name: format!("replay_poisson_x{}_greedy", replay_traces.len()),
         ops: replay_traces.len() as u64,
@@ -477,6 +581,7 @@ pub fn run(opts: PerfOptions) -> PerfReport {
         }
         workloads.extend(rows);
     }
+    stop_server();
 
     PerfReport {
         schema: SCHEMA.into(),
@@ -513,8 +618,9 @@ fn advance_notice_trace(seed: u64) -> ArrivalTrace {
     trace
 }
 
-/// The deterministic mixed-mode engine workload (the shape
-/// `bench_engine_throughput` uses, sized by `count`).
+/// The deterministic mixed-mode engine workload, sized by `count`: a third
+/// each of schedule-all, prize-collecting and exact prize-collecting
+/// requests.
 fn engine_workload(count: usize) -> Vec<SolveRequest> {
     let mut rng = rand::rngs::StdRng::seed_from_u64(0xE16);
     (0..count)
@@ -647,7 +753,7 @@ pub fn compare(
     problems
 }
 
-/// Shared CLI driver for `perf_harness` and `power-sched perf`.
+/// The `perf_harness` entry point.
 ///
 /// Flags: `--quick`, `--out FILE` (default stdout), `--baseline FILE`
 /// (enables the regression gate), `--tolerance F` (default 0.25),
@@ -818,12 +924,55 @@ mod tests {
         };
         assert_eq!(rows(&report), rows(&baseline));
         assert_eq!(ratios(&report), ratios(&baseline));
-        // (3 solve shapes + hetero + DVFS + 2 warm-vs-cold + 2 overhead)
-        // pairs + 2 engine rows + 1 replay row; one ratio per pair, two per
-        // overhead pair
-        assert_eq!(report.workloads.len(), 21);
-        assert_eq!(report.ratios.len(), 11);
+        // (3 solve shapes + hetero + DVFS + framing + 2 warm-vs-cold + 2
+        // overhead) pairs + 2 engine rows + 1 replay row; one ratio per
+        // pair, two per overhead pair
+        assert_eq!(report.workloads.len(), 23);
+        assert_eq!(report.ratios.len(), 12);
         assert!(ratios(&report).contains(&"trace_overhead_n64_p4_t32 on/off".to_string()));
         assert!(ratios(&report).contains(&"obs_overhead_n64_p4_t32 off/on".to_string()));
+        assert!(ratios(&report).contains(&"engine_framing_closed_loop binary/jsonl".to_string()));
+    }
+
+    /// The message of the panic `pass` raises.
+    fn panic_message(pass: impl FnOnce()) -> String {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(pass))
+            .expect_err("the pass must panic");
+        match payload.downcast::<String>() {
+            Ok(msg) => *msg,
+            Err(payload) => payload
+                .downcast::<&str>()
+                .map_or_else(|_| String::new(), |msg| msg.to_string()),
+        }
+    }
+
+    #[test]
+    fn framing_pass_panics_on_a_failed_response() {
+        // a negative restart passes the wire but fails the engine's checks
+        let mut bad = framing_pool().swap_remove(0);
+        bad.restart = -1.0;
+        let (addr, stop) = boot_server();
+        let mut client = EngineClient::connect(addr, Transport::Binary).unwrap();
+        let msg = panic_message(|| framing_pass(&mut client, &[bad], 1));
+        drop(client);
+        stop();
+        assert!(msg.starts_with("framing request 0 failed"), "{msg}");
+    }
+
+    #[test]
+    fn framing_pass_panics_on_a_short_read() {
+        // a peer that reads every request and closes its write side at once
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            stream.shutdown(std::net::Shutdown::Write).unwrap();
+            std::io::copy(&mut stream, &mut std::io::sink()).unwrap();
+        });
+        let mut client = EngineClient::connect(addr, Transport::Jsonl).unwrap();
+        let msg = panic_message(|| framing_pass(&mut client, &framing_pool(), 3));
+        drop(client);
+        peer.join().unwrap();
+        assert!(msg.starts_with("short read"), "{msg}");
     }
 }

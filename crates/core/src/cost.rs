@@ -4,7 +4,7 @@
 //! The paper stresses three generalizations over the classical
 //! `α + length` model, each realized here:
 //!
-//! 1. **Non-identical processors** — [`PerProcessorAffine`];
+//! 1. **Non-identical processors** — [`ProfileCost`](crate::ProfileCost);
 //! 2. **Time-varying energy prices / unavailability** — [`TimeVaryingCost`],
 //!    [`UnavailableSlots`] (infinite cost ⇒ the candidate is dropped);
 //! 3. **Non-affine growth** (e.g. fan cooling) — [`ConvexCost`];
@@ -51,30 +51,6 @@ impl EnergyCost for AffineCost {
     fn cost(&self, _proc: u32, start: u32, end: u32) -> f64 {
         debug_assert!(start < end);
         self.restart + self.rate * (end - start) as f64
-    }
-}
-
-/// Heterogeneous processors: per-processor `(restart, rate)`.
-#[derive(Clone, Debug)]
-pub struct PerProcessorAffine {
-    params: Vec<(f64, f64)>,
-}
-
-impl PerProcessorAffine {
-    /// One `(restart, rate)` pair per processor.
-    pub fn new(params: Vec<(f64, f64)>) -> Self {
-        for &(a, r) in &params {
-            assert!(a >= 0.0 && r >= 0.0 && a + r > 0.0);
-        }
-        Self { params }
-    }
-}
-
-impl EnergyCost for PerProcessorAffine {
-    fn cost(&self, proc: u32, start: u32, end: u32) -> f64 {
-        debug_assert!(start < end);
-        let (a, r) = self.params[proc as usize];
-        a + r * (end - start) as f64
     }
 }
 
@@ -300,7 +276,11 @@ mod tests {
 
     #[test]
     fn per_processor() {
-        let c = PerProcessorAffine::new(vec![(1.0, 1.0), (5.0, 0.5)]);
+        use crate::profile::{PowerProfile, ProfileCost};
+        let c = ProfileCost::new(&[
+            PowerProfile::affine(1.0, 1.0),
+            PowerProfile::affine(5.0, 0.5),
+        ]);
         assert_eq!(c.cost(0, 0, 2), 3.0);
         assert_eq!(c.cost(1, 0, 2), 6.0);
     }

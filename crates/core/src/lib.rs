@@ -90,10 +90,7 @@ pub mod trace;
 pub mod warm;
 
 pub use candidates::{enumerate_candidates, CandidateInterval, CandidatePolicy};
-pub use cost::{
-    AffineCost, ConvexCost, EnergyCost, PerProcessorAffine, TableCost, TimeVaryingCost,
-    UnavailableSlots,
-};
+pub use cost::{AffineCost, ConvexCost, EnergyCost, TableCost, TimeVaryingCost, UnavailableSlots};
 pub use dvfs::{
     solve_dvfs, solve_dvfs_naive, validate_dvfs_schedule, CompiledDvfs, DvfsCost, DvfsError,
     DvfsInstance, DvfsInterval, DvfsQuantum, DvfsSchedule, DvfsSolveError, DvfsViolation,

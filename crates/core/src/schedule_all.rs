@@ -135,8 +135,9 @@ fn empty_schedule() -> Schedule {
 mod tests {
     use super::*;
     use crate::candidates::{enumerate_candidates, CandidatePolicy};
-    use crate::cost::{AffineCost, EnergyCost, PerProcessorAffine, TimeVaryingCost};
+    use crate::cost::{AffineCost, EnergyCost, TimeVaryingCost};
     use crate::model::{validate_schedule, Instance, Job, SlotRef};
+    use crate::profile::{PowerProfile, ProfileCost};
 
     fn solve(
         inst: &Instance,
@@ -262,7 +263,10 @@ mod tests {
             1,
             vec![Job::unit(vec![SlotRef::new(0, 0), SlotRef::new(1, 0)])],
         );
-        let cost = PerProcessorAffine::new(vec![(10.0, 1.0), (0.5, 0.5)]);
+        let cost = ProfileCost::new(&[
+            PowerProfile::affine(10.0, 1.0),
+            PowerProfile::affine(0.5, 0.5),
+        ]);
         let s = solve(&inst, &cost).unwrap();
         assert_eq!(s.assignments[0].unwrap().proc, 1);
         assert_eq!(s.total_cost, 1.0);

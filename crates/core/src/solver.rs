@@ -26,9 +26,7 @@
 //!
 //! Solvers are `Send` and cheap to [`Clone`]: enumerated families live in an
 //! [`Arc`], so a worker pool can enumerate once and hand every worker its
-//! own solver (or share one family via
-//! [`Solver::with_shared_candidates`] / [`Solver::shared_candidates`])
-//! without copying interval data.
+//! own solver without copying interval data.
 
 use std::borrow::Cow;
 use std::cell::OnceCell;
@@ -125,29 +123,11 @@ impl<'a> Solver<'a> {
             Cow::Borrowed(s) => Family::Borrowed(s),
             Cow::Owned(v) => Family::Shared(Arc::from(v)),
         };
-        Self::from_family(instance, family)
-    }
-
-    /// Solver over `instance` using a pre-built candidate family behind an
-    /// [`Arc`] — the zero-copy path for worker pools that cache enumerated
-    /// families across requests (see [`Solver::shared_candidates`]).
-    pub fn with_shared_candidates(
-        instance: &'a Instance,
-        candidates: Arc<[CandidateInterval]>,
-    ) -> Self {
-        Self::from_family(instance, Family::Shared(candidates))
-    }
-
-    fn from_family(instance: &'a Instance, family: Family<'a>) -> Self {
-        let cache = OnceCell::new();
-        if cache.set(family).is_err() {
-            unreachable!("fresh cell");
-        }
         Self {
             instance,
             source: CandidateSource::Explicit,
             options: SolveOptions::default(),
-            cache,
+            cache: OnceCell::from(family),
             reduction: OnceCell::new(),
         }
     }
@@ -189,18 +169,6 @@ impl<'a> Solver<'a> {
         self.family().as_slice()
     }
 
-    /// The candidate family behind an [`Arc`], enumerating first if needed —
-    /// the handle a worker pool stores to reuse one enumeration across many
-    /// requests ([`Solver::with_shared_candidates`] accepts it back without
-    /// copying). A family borrowed via [`Solver::with_candidates`] is copied
-    /// into a fresh `Arc` once here.
-    pub fn shared_candidates(&self) -> Arc<[CandidateInterval]> {
-        match self.family() {
-            Family::Borrowed(s) => Arc::from(*s),
-            Family::Shared(a) => Arc::clone(a),
-        }
-    }
-
     fn family(&self) -> &Family<'a> {
         self.cache.get_or_init(|| match &self.source {
             CandidateSource::Enumerate(cost, policy) => Family::Shared(Arc::from(
@@ -220,19 +188,6 @@ impl<'a> Solver<'a> {
     /// The active option block.
     pub fn solve_options(&self) -> SolveOptions {
         self.options
-    }
-
-    /// A [`WarmHandle`](crate::warm::WarmHandle) configured with this
-    /// solver's candidate policy and options, for callers that re-solve the
-    /// same grid repeatedly and want the incremental path. Explicit-family
-    /// solvers fall back to [`CandidatePolicy::All`] (the handle enumerates
-    /// its own family so it can rebuild after checksum divergence).
-    pub fn warm_handle(&self) -> crate::warm::WarmHandle {
-        let policy = match &self.source {
-            CandidateSource::Enumerate(_, policy) => *policy,
-            CandidateSource::Explicit => CandidatePolicy::All,
-        };
-        crate::warm::WarmHandle::with_options(policy, self.options)
     }
 
     /// The bipartite reduction over the cached candidate family, built on
@@ -381,26 +336,14 @@ mod tests {
         let cost = AffineCost::new(10.0, 1.0);
         let solver = Solver::new(&inst, &cost);
         assert_send(&solver);
-        let family = solver.shared_candidates();
+        let family = solver.candidates().as_ptr();
         let clone = solver.clone();
         // the clone reuses the same allocation, not a re-enumeration
-        assert_eq!(family.as_ptr(), clone.candidates().as_ptr());
+        assert_eq!(family, clone.candidates().as_ptr());
         assert_eq!(
             solver.schedule_all().unwrap().total_cost,
             clone.schedule_all().unwrap().total_cost
         );
-    }
-
-    #[test]
-    fn shared_candidates_round_trip_without_copy() {
-        let inst = inst();
-        let cost = AffineCost::new(10.0, 1.0);
-        let family = Solver::new(&inst, &cost).shared_candidates();
-        let solver = Solver::with_shared_candidates(&inst, Arc::clone(&family));
-        assert_eq!(family.as_ptr(), solver.candidates().as_ptr());
-        let direct = Solver::new(&inst, &cost).schedule_all().unwrap();
-        let shared = solver.schedule_all().unwrap();
-        assert_eq!(direct.total_cost, shared.total_cost);
     }
 
     #[test]

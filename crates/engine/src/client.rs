@@ -1,6 +1,6 @@
 //! `EngineClient` — the one TCP client for the engine wire protocol,
 //! shared by `power-sched batch --connect`, the e2e test suites, and the
-//! load generator (`bench::loadgen`).
+//! perf harness's framing pair (`bench::perf`).
 //!
 //! A client picks a [`Transport`] up front: v3 binary frames (the default
 //! — see [`Transport::default`]), or the legacy JSONL line protocol for
@@ -129,15 +129,6 @@ impl EngineClient {
         write_serialized(&mut self.writer, self.transport, &ctl)
     }
 
-    /// Queues one raw JSONL request line, whatever transport is in use.
-    /// Over binary frames the line is re-encoded; a line that is not valid
-    /// JSON is framed verbatim, so the *server* still produces its
-    /// structured `Parse` failure — line and framed batches fail
-    /// identically.
-    pub fn send_line(&mut self, line: &str) -> io::Result<()> {
-        write_line(&mut self.writer, self.transport, line)
-    }
-
     /// Flushes buffered requests to the socket.
     pub fn flush(&mut self) -> io::Result<()> {
         self.writer.flush()
@@ -221,9 +212,12 @@ fn write_serialized<T: Serialize>(
     }
 }
 
-/// Writes one raw JSONL request line in the transport's encoding (see
-/// [`EngineClient::send_line`]). A line framed verbatim never decodes: text
-/// does not begin with a binary value tag (`0x00..=0x08`).
+/// Writes one raw JSONL request line in the transport's encoding. Over
+/// binary frames the line is re-encoded; a line that is not valid JSON is
+/// framed verbatim, so the *server* still produces its structured `Parse`
+/// failure — line and framed batches fail identically. A line framed
+/// verbatim never decodes: text does not begin with a binary value tag
+/// (`0x00..=0x08`).
 fn write_line(
     writer: &mut BufWriter<TcpStream>,
     transport: Transport,

@@ -24,7 +24,7 @@
 //!   reduction rebuilt in place between consecutive requests on the same
 //!   grid, and an identical request answered from the previous result;
 //!   bit-identical to a cold solve by construction); other goals borrow
-//!   the family via [`Solver::with_shared_candidates`] as before.
+//!   the family via [`Solver::with_candidates`].
 //! * **Ordering** — [`Engine::submit`] returns a [`Ticket`] per request;
 //!   [`Engine::solve_batch`] / [`Engine::process_lines`] collect tickets in
 //!   submission order, so batch output order always matches input order no
@@ -921,18 +921,14 @@ fn serve_request_planned(
         // The warm path: consecutive schedule_all requests on one grid reuse
         // the candidate family and the reduction's buffers.
         Goal::All => handle.solve(instance, cost.as_ref()),
-        Goal::Prize { target, epsilon } => {
-            Solver::with_shared_candidates(instance, Arc::clone(&family))
-                .lazy(plan.lazy)
-                .parallel(plan.parallel)
-                .prize_collecting(target, epsilon)
-        }
-        Goal::PrizeExact { target } => {
-            Solver::with_shared_candidates(instance, Arc::clone(&family))
-                .lazy(plan.lazy)
-                .parallel(plan.parallel)
-                .prize_collecting_exact(target)
-        }
+        Goal::Prize { target, epsilon } => Solver::with_candidates(instance, &family[..])
+            .lazy(plan.lazy)
+            .parallel(plan.parallel)
+            .prize_collecting(target, epsilon),
+        Goal::PrizeExact { target } => Solver::with_candidates(instance, &family[..])
+            .lazy(plan.lazy)
+            .parallel(plan.parallel)
+            .prize_collecting_exact(target),
     };
     let solve_micros = t0.elapsed().as_micros() as u64;
 

@@ -8,7 +8,10 @@ use power_scheduling::prelude::*;
 fn main() {
     // Two processors over a 12-slot horizon. Processor 0 is power-hungry but
     // cheap to wake; processor 1 sips power but has an expensive restart.
-    let cost = PerProcessorAffine::new(vec![(1.0, 2.0), (6.0, 0.5)]);
+    let cost = ProfileCost::new(&[
+        PowerProfile::affine(1.0, 2.0),
+        PowerProfile::affine(6.0, 0.5),
+    ]);
 
     // Six unit jobs. Some are pinned to exact slots, some have flexible
     // windows, one may run on either processor (multi-interval, per-processor

@@ -19,7 +19,6 @@
 //! power-sched replay --gen --policy resolve:4:warm --trace-out trace.json
 //! power-sched explain inst.json --restart 3 --rate 1 [--trace-out trace.json]
 //! power-sched metrics metrics.json
-//! power-sched perf [--quick] [--out BENCH_solver.json] [--baseline BENCH_solver.json]
 //! ```
 //!
 //! Instances and schedules are serialized with serde as plain JSON, so they
@@ -37,10 +36,7 @@
 //! replays timed arrival traces (files, a directory, or generated on the
 //! fly with `--gen`) through an online policy and reports one JSON line per
 //! trace — online cost, offline reference cost, and the empirical
-//! competitive ratio — plus an aggregate table on stderr. `perf` runs the
-//! pinned perf-harness workloads (`bench::perf`) and emits the
-//! `BENCH_solver.json` performance report, optionally gating against a
-//! committed baseline.
+//! competitive ratio — plus an aggregate table on stderr.
 
 use power_scheduling::engine::{
     serve_with_options, Engine, EngineClient, EngineConfig, ServeOptions, ShedPolicy, Transport,
@@ -71,10 +67,9 @@ fn main() -> ExitCode {
         Some("serve") => cmd_serve(&args[1..]),
         Some("replay") => cmd_replay(&args[1..]),
         Some("metrics") => cmd_metrics(&args[1..]),
-        Some("perf") => bench::perf::cli(&args[1..]),
         _ => {
             eprintln!(
-                "usage: power-sched <generate|solve|explain|validate|batch|serve|replay|metrics|perf> ...\n\
+                "usage: power-sched <generate|solve|explain|validate|batch|serve|replay|metrics> ...\n\
                  \n  generate --seed S --processors P --horizon T --jobs N [--values V] --out FILE\
                  \n           [--hetero LEVELS --profiles-out FILE]\
                  \n  generate --trace poisson|diurnal|cliffs --seed S [--processors P --horizon T --jobs N\
@@ -93,8 +88,7 @@ fn main() -> ExitCode {
                  \n  replay [TRACE.json|DIR] [--gen [poisson|diurnal|cliffs] --count N --seed S --hetero LEVELS ...]\
                  \n         [--policy greedy|hiring[:F]|resolve[:K]] [--offline auto|greedy|exact]\
                  \n         [--workers N] [--out FILE] [--metrics-out FILE] [--trace-out FILE] [--verbose]\
-                 \n  metrics SNAPSHOT.json\
-                 \n  perf [--quick] [--out FILE] [--baseline FILE] [--tolerance F]"
+                 \n  metrics SNAPSHOT.json"
             );
             return ExitCode::from(2);
         }
@@ -114,13 +108,45 @@ fn flag(args: &[String], name: &str) -> Option<String> {
         .and_then(|i| args.get(i + 1).cloned())
 }
 
+/// Parses flag `name`, or `None` when it is absent; the error names it.
+fn parse_opt_flag<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, String>
+where
+    T::Err: std::fmt::Display,
+{
+    flag(args, name)
+        .map(|v| v.parse().map_err(|e| format!("bad {name}: {e}")))
+        .transpose()
+}
+
 fn parse_flag<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> Result<T, String>
 where
     T::Err: std::fmt::Display,
 {
-    match flag(args, name) {
-        Some(v) => v.parse().map_err(|e| format!("bad {name}: {e}")),
-        None => Ok(default),
+    Ok(parse_opt_flag(args, name)?.unwrap_or(default))
+}
+
+/// The range `AffineCost::new` asserts (NaN fails it too), checked before
+/// any flag value reaches it.
+fn check_restart_rate(restart: f64, rate: f64) -> Result<(), String> {
+    if restart.is_finite()
+        && rate.is_finite()
+        && restart >= 0.0
+        && rate >= 0.0
+        && restart + rate > 0.0
+    {
+        return Ok(());
+    }
+    Err(format!(
+        "--restart/--rate must be finite, non-negative, and not both zero \
+         (got {restart}, {rate})"
+    ))
+}
+
+/// `--target Z`: prize-collecting to value `Z`, or `None` for schedule-all.
+fn target_flag(args: &[String]) -> Result<Option<f64>, String> {
+    match parse_opt_flag::<f64>(args, "--target")? {
+        Some(z) if !z.is_finite() => Err(format!("--target must be finite, got {z}")),
+        target => Ok(target),
     }
 }
 
@@ -197,18 +223,7 @@ fn arrival_config(args: &[String]) -> Result<ArrivalConfig, String> {
     if cfg.num_processors == 0 || cfg.horizon == 0 {
         return Err("--processors and --horizon must be positive".into());
     }
-    if !(cfg.restart.is_finite()
-        && cfg.rate.is_finite()
-        && cfg.restart >= 0.0
-        && cfg.rate >= 0.0
-        && cfg.restart + cfg.rate > 0.0)
-    {
-        return Err(format!(
-            "--restart/--rate must be finite, non-negative, and not both zero \
-             (got {}, {})",
-            cfg.restart, cfg.rate
-        ));
-    }
+    check_restart_rate(cfg.restart, cfg.rate)?;
     Ok(cfg)
 }
 
@@ -327,27 +342,19 @@ fn generate_dvfs(args: &[String], seed: u64) -> Result<(), String> {
 }
 
 fn cmd_generate(args: &[String]) -> Result<(), String> {
-    let seed: u64 =
-        flag(args, "--seed").map_or(Ok(0), |v| v.parse().map_err(|e| format!("{e}")))?;
-    let processors: u32 =
-        flag(args, "--processors").map_or(Ok(2), |v| v.parse().map_err(|e| format!("{e}")))?;
-    let horizon: u32 =
-        flag(args, "--horizon").map_or(Ok(16), |v| v.parse().map_err(|e| format!("{e}")))?;
-    let jobs: usize =
-        flag(args, "--jobs").map_or(Ok(12), |v| v.parse().map_err(|e| format!("{e}")))?;
-    let values: u32 =
-        flag(args, "--values").map_or(Ok(1), |v| v.parse().map_err(|e| format!("{e}")))?;
+    let seed: u64 = parse_flag(args, "--seed", 0)?;
+    let processors: u32 = parse_flag(args, "--processors", 2)?;
+    let horizon: u32 = parse_flag(args, "--horizon", 16)?;
+    let jobs: usize = parse_flag(args, "--jobs", 12)?;
+    let values: u32 = parse_flag(args, "--values", 1)?;
+    if processors == 0 || horizon == 0 {
+        return Err("--processors and --horizon must be positive".into());
+    }
     if args.iter().any(|a| a == "--dvfs") {
         return generate_dvfs(args, seed);
     }
     let out = flag(args, "--out").ok_or("--out FILE is required")?;
-    let hetero: Option<u32> = match flag(args, "--hetero") {
-        Some(v) => Some(
-            v.parse()
-                .map_err(|e| format!("bad --hetero sleep-level count: {e}"))?,
-        ),
-        None => None,
-    };
+    let hetero: Option<u32> = parse_opt_flag(args, "--hetero")?;
 
     if let Some(kind) = flag(args, "--trace") {
         let kind: TraceKind = kind.parse()?;
@@ -431,10 +438,8 @@ fn load_instance_and_cost(
     path: &str,
     args: &[String],
 ) -> Result<(Instance, Box<dyn EnergyCost>), String> {
-    let restart: f64 =
-        flag(args, "--restart").map_or(Ok(3.0), |v| v.parse().map_err(|e| format!("{e}")))?;
-    let rate: f64 =
-        flag(args, "--rate").map_or(Ok(1.0), |v| v.parse().map_err(|e| format!("{e}")))?;
+    let restart: f64 = parse_flag(args, "--restart", 3.0)?;
+    let rate: f64 = parse_flag(args, "--rate", 1.0)?;
     let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
     let inst: Instance =
         serde_json::from_str(&text).map_err(|e| format!("{path} is not a valid instance: {e}"))?;
@@ -451,7 +456,10 @@ fn load_instance_and_cost(
                 .map_err(|e| format!("{pp} does not fit {path}: {e}"))?;
             Box::new(ProfileCost::new(&fleet))
         }
-        None => Box::new(AffineCost::new(restart, rate)),
+        None => {
+            check_restart_rate(restart, rate)?;
+            Box::new(AffineCost::new(restart, rate))
+        }
     };
     Ok((inst, cost))
 }
@@ -483,8 +491,7 @@ fn solve_dvfs_run(args: &[String], inst_path: &str, ladder_path: &str) -> Result
     if flag(args, "--target").is_some() {
         return Err("--freq-ladder supports schedule-all only (no --target)".into());
     }
-    let restart: f64 =
-        flag(args, "--restart").map_or(Ok(3.0), |v| v.parse().map_err(|e| format!("{e}")))?;
+    let restart: f64 = parse_flag(args, "--restart", 3.0)?;
     let text = std::fs::read_to_string(inst_path).map_err(|e| e.to_string())?;
     let inst: Instance = serde_json::from_str(&text)
         .map_err(|e| format!("{inst_path} is not a valid instance: {e}"))?;
@@ -535,10 +542,7 @@ fn solve_run(args: &[String]) -> Result<(), String> {
     let policy: CandidatePolicy = flag(args, "--policy")
         .unwrap_or_else(|| "all".into())
         .parse()?;
-    let target: Option<f64> = match flag(args, "--target") {
-        Some(v) => Some(v.parse().map_err(|e| format!("{e}"))?),
-        None => None,
-    };
+    let target = target_flag(args)?;
 
     let (inst, cost) = load_instance_and_cost(path, args)?;
     let solver = Solver::new(&inst, cost.as_ref()).policy(policy);
@@ -602,10 +606,7 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
     let policy: CandidatePolicy = flag(args, "--policy")
         .unwrap_or_else(|| "all".into())
         .parse()?;
-    let target: Option<f64> = match flag(args, "--target") {
-        Some(v) => Some(v.parse().map_err(|e| format!("{e}"))?),
-        None => None,
-    };
+    let target = target_flag(args)?;
     let (inst, cost) = load_instance_and_cost(path, args)?;
     let solver = Solver::new(&inst, cost.as_ref()).policy(policy);
     let schedule = match target {
@@ -923,13 +924,7 @@ fn replay_traces(args: &[String]) -> Result<Vec<ArrivalTrace>, String> {
         let kind: TraceKind = kind.parse()?;
         let count: usize = parse_flag(args, "--count", 2)?;
         let seed: u64 = parse_flag(args, "--seed", 0)?;
-        let hetero: Option<u32> = match flag(args, "--hetero") {
-            Some(v) => Some(
-                v.parse()
-                    .map_err(|e| format!("bad --hetero sleep-level count: {e}"))?,
-            ),
-            None => None,
-        };
+        let hetero: Option<u32> = parse_opt_flag(args, "--hetero")?;
         let cfg = arrival_config(args)?;
         for i in 0..count {
             let trace_seed = seed.wrapping_add(i as u64);
@@ -1096,8 +1091,7 @@ fn cmd_validate(args: &[String]) -> Result<(), String> {
     inst.validate()
         .map_err(|e| format!("{inst_path} is not a valid instance: {e}"))?;
     if let Some(ladder_path) = flag(args, "--freq-ladder") {
-        let restart: f64 =
-            flag(args, "--restart").map_or(Ok(3.0), |v| v.parse().map_err(|e| format!("{e}")))?;
+        let restart: f64 = parse_flag(args, "--restart", 3.0)?;
         let dvfs = DvfsInstance {
             num_processors: inst.num_processors,
             horizon: inst.horizon,

@@ -120,9 +120,9 @@ pub mod prelude {
         enumerate_candidates, prize_collecting, prize_collecting_exact, profile_energy,
         schedule_all, solve_dvfs, validate_dvfs_schedule, validate_profiles, AffineCost,
         ArrivalTrace, CandidateInterval, CandidatePolicy, ConvexCost, DvfsInstance, DvfsSchedule,
-        EnergyCost, FreqLadder, Instance, Job, PerProcessorAffine, PowerProfile, ProfileCost,
-        Schedule, ScheduleError, SleepChoice, SleepState, SlotRef, SolveOptions, Solver,
-        TimeVaryingCost, TimedJob, WarmHandle, WarmStats,
+        EnergyCost, FreqLadder, Instance, Job, PowerProfile, ProfileCost, Schedule, ScheduleError,
+        SleepChoice, SleepState, SlotRef, SolveOptions, Solver, TimeVaryingCost, TimedJob,
+        WarmHandle, WarmStats,
     };
     pub use crate::sim::{
         replay_fleet, replay_with_report, FleetOptions, OfflineRef, Policy, PolicyKind,

@@ -80,6 +80,80 @@ fn solve_rejects_non_positive_values_without_panicking() {
 }
 
 #[test]
+fn hostile_numeric_flags_fail_cleanly_and_name_the_flag() {
+    let dir = temp_dir("numeric-flags");
+    let path = dir.join("inst.json");
+    std::fs::write(
+        &path,
+        r#"{"num_processors":1,"horizon":4,"jobs":[{"value":1,"allowed":[{"proc":0,"time":1}]}]}"#,
+    )
+    .unwrap();
+    let inst = path.to_str().unwrap();
+    let out = dir.join("out.json");
+    let out = out.to_str().unwrap();
+    // (arguments, the flag stderr must name); the DVFS cases fail on the
+    // flag before the ladder and schedule files are read
+    let cases: [(&[&str], &str); 17] = [
+        (&["solve", inst, "--restart", "-1"], "--restart"),
+        (&["solve", inst, "--rate", "-1"], "--rate"),
+        (&["solve", inst, "--restart", "nan"], "--restart"),
+        (
+            &["solve", inst, "--restart", "0", "--rate", "0"],
+            "--restart",
+        ),
+        (&["solve", inst, "--rate", "x"], "--rate"),
+        (&["solve", inst, "--target", "nan"], "--target"),
+        (&["explain", inst, "--restart", "-1"], "--restart"),
+        (&["explain", inst, "--target", "x"], "--target"),
+        (
+            &["generate", "--processors", "0", "--out", out],
+            "--processors",
+        ),
+        (&["generate", "--horizon", "0", "--out", out], "--horizon"),
+        (&["generate", "--seed", "x", "--out", out], "--seed"),
+        (&["generate", "--jobs", "-3", "--out", out], "--jobs"),
+        (&["generate", "--values", "x", "--out", out], "--values"),
+        (
+            &["generate", "--processors", "x", "--out", out],
+            "--processors",
+        ),
+        (&["generate", "--horizon", "x", "--out", out], "--horizon"),
+        (
+            &[
+                "solve",
+                inst,
+                "--freq-ladder",
+                "none.json",
+                "--restart",
+                "x",
+            ],
+            "--restart",
+        ),
+        (
+            &[
+                "validate",
+                inst,
+                "none.json",
+                "--freq-ladder",
+                "none.json",
+                "--restart",
+                "x",
+            ],
+            "--restart",
+        ),
+    ];
+    for (args, name) in cases {
+        let run = bin().args(args).output().expect("spawn power-sched");
+        assert_clean_failure(&run);
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert!(
+            stderr.contains(name),
+            "{args:?}: stderr must name {name}: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn replay_rejects_malformed_policy_suffixes_without_panicking() {
     // regression: every malformed --policy suffix must exit nonzero with a
     // parse message, never a panic — including suffixes that parse as the
