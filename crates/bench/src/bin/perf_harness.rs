@@ -1,13 +1,13 @@
 //! `perf_harness` — the repo's machine-readable perf trajectory.
 //!
 //! ```text
-//! perf_harness [--quick] [--out BENCH_solver.json]
+//! perf_harness [--out BENCH_solver.json]
 //!              [--baseline BENCH_solver.json] [--tolerance 0.25]
 //!              [--relative-only]
 //! ```
 //!
 //! Runs pinned solve / engine / replay workloads and emits the
-//! `bench-solver/v2` JSON report (see `bench::perf` for the schema).
+//! `bench-solver/v3` JSON report (see `bench::perf` for the schema).
 //! With `--baseline`, compares the fresh run against a committed report and
 //! exits nonzero on regression beyond the tolerance — the CI perf gate.
 

@@ -4,12 +4,12 @@
 //! Runs pinned, deterministic workloads through the three hot paths
 //! (direct solve, engine requests in-process and over TCP, online replay)
 //! and emits a stable JSON report (`BENCH_solver.json`, schema
-//! `bench-solver/v2`):
+//! `bench-solver/v3`):
 //!
 //! ```json
 //! {
-//!   "schema": "bench-solver/v2",
-//!   "mode": "full",
+//!   "schema": "bench-solver/v3",
+//!   "rounds": 7,
 //!   "workloads": [
 //!     {"name": "solve_schedule_all_n64_p4_t32", "variant": "fast",
 //!      "ops": 20, "ns_per_op": 450000.0, "ops_per_sec": 2200.0,
@@ -39,11 +39,12 @@
 //!   directions: `on`/`off` falls when recording gets costlier, `off`/`on`
 //!   when the bare path does.
 //!
-//! Timing is best-of-`rounds` wall clock over whole workload passes, so
-//! one noisy scheduler tick cannot poison a row. `--baseline FILE`
-//! compares a fresh run against a committed report and fails when any
-//! ratio (or, without `--relative-only`, any row's throughput) falls more
-//! than the tolerance below it — the CI perf gate.
+//! Timing is best-of-[`ROUNDS`] wall clock over whole workload passes, so
+//! one noisy scheduler tick cannot poison a row. Every run takes the same
+//! rounds, so a CI gate's best-of is as noisy as its baseline's.
+//! `--baseline FILE` compares a fresh run against a committed report and
+//! fails when any ratio (or, without `--relative-only`, any row's
+//! throughput) falls more than the tolerance below it — the CI perf gate.
 
 use std::hint::black_box;
 use std::net::{SocketAddr, TcpListener};
@@ -70,7 +71,10 @@ use workloads::{
 use crate::Table;
 
 /// Report schema identifier; bump when the JSON layout changes.
-pub const SCHEMA: &str = "bench-solver/v2";
+pub const SCHEMA: &str = "bench-solver/v3";
+
+/// Timed passes per variant; a row keeps its best.
+pub const ROUNDS: u32 = 7;
 
 /// One measured workload row.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -108,23 +112,16 @@ pub struct Ratio {
 pub struct PerfReport {
     /// Always [`SCHEMA`].
     pub schema: String,
-    /// `quick` (CI gate) or `full`.
-    pub mode: String,
+    /// Timed passes per variant ([`ROUNDS`]); a gate compares only reports
+    /// that took the same number.
+    pub rounds: u32,
     /// Measured rows.
     pub workloads: Vec<WorkloadResult>,
     /// Ratios within pairs; these are what `--relative-only` gates.
     pub ratios: Vec<Ratio>,
 }
 
-/// Harness sizing.
-#[derive(Clone, Copy, Debug)]
-pub struct PerfOptions {
-    /// Fewer passes over the same workloads — the CI configuration.
-    pub quick: bool,
-}
-
-/// Solves per timed pass of every solve pair, in both modes, so a quick
-/// run stays per-op comparable with a full-mode baseline.
+/// Solves per timed pass of every solve pair.
 const SOLVES: u64 = 20;
 
 const SOLVES_OK: &str = "pinned shape solves";
@@ -268,7 +265,7 @@ fn resolve_variant(trace: &ArrivalTrace, period: u32, warm: bool, pinned: (u64, 
     })
 }
 
-/// Requests per pass of the framing pair, in both modes.
+/// Requests per pass of the framing pair.
 const FRAMING_OPS: u64 = 1024;
 
 /// Requests a framing pass pipelines before it drains their responses.
@@ -350,9 +347,12 @@ fn boot_server() -> (SocketAddr, impl FnOnce()) {
 }
 
 /// Runs every workload and assembles the report.
-pub fn run(opts: PerfOptions) -> PerfReport {
-    let rounds = if opts.quick { 3 } else { 7 };
+pub fn run() -> PerfReport {
+    run_rounds(ROUNDS)
+}
 
+/// [`run`] with `rounds` timed passes per variant.
+fn run_rounds(rounds: u32) -> PerfReport {
     // --- inputs, all pinned and seeded ---
     let shapes = [(24, 2, 16), (64, 4, 32), (128, 4, 48)];
     let classical: Vec<_> = shapes
@@ -585,7 +585,7 @@ pub fn run(opts: PerfOptions) -> PerfReport {
 
     PerfReport {
         schema: SCHEMA.into(),
-        mode: if opts.quick { "quick" } else { "full" }.into(),
+        rounds,
         workloads,
         ratios,
     }
@@ -690,7 +690,8 @@ pub fn render_table(report: &PerfReport) -> String {
 /// Compares a fresh run against a committed baseline. Returns the list of
 /// regressions: ratios that fell below `baseline · (1 − tolerance)`, plus —
 /// unless `relative_only` is set — rows whose absolute throughput fell
-/// below the same floor.
+/// below the same floor. Reports of different schemas or rounds do not
+/// compare at all: a best of fewer rounds is noisier than its baseline.
 ///
 /// The ratios are machine-portable (both rows of a pair ran on the same
 /// machine in the same process), so they are what CI gates on; absolute
@@ -708,6 +709,13 @@ pub fn compare(
         problems.push(format!(
             "schema mismatch: fresh {} vs baseline {}",
             fresh.schema, baseline.schema
+        ));
+        return problems;
+    }
+    if fresh.rounds != baseline.rounds {
+        problems.push(format!(
+            "rounds mismatch: fresh best of {} vs baseline best of {}",
+            fresh.rounds, baseline.rounds
         ));
         return problems;
     }
@@ -755,13 +763,12 @@ pub fn compare(
 
 /// The `perf_harness` entry point.
 ///
-/// Flags: `--quick`, `--out FILE` (default stdout), `--baseline FILE`
+/// Flags: `--out FILE` (default stdout), `--baseline FILE`
 /// (enables the regression gate), `--tolerance F` (default 0.25),
 /// `--relative-only` (gate only on the machine-portable ratios — the CI
 /// configuration, where runner hardware differs from the machine that
 /// recorded the baseline).
 pub fn cli(args: &[String]) -> Result<(), String> {
-    let quick = args.iter().any(|a| a == "--quick");
     let relative_only = args.iter().any(|a| a == "--relative-only");
     let flag = |name: &str| {
         args.iter()
@@ -776,7 +783,7 @@ pub fn cli(args: &[String]) -> Result<(), String> {
         return Err(format!("--tolerance must be in [0, 1), got {tolerance}"));
     }
 
-    let report = run(PerfOptions { quick });
+    let report = run();
     eprint!("{}", render_table(&report));
     let json = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
     match flag("--out") {
@@ -823,7 +830,7 @@ mod tests {
     fn tiny_report(ops_per_sec: f64, speedup: f64) -> PerfReport {
         PerfReport {
             schema: SCHEMA.into(),
-            mode: "quick".into(),
+            rounds: ROUNDS,
             workloads: vec![WorkloadResult {
                 name: "w".into(),
                 variant: "fast".into(),
@@ -848,14 +855,19 @@ mod tests {
             compare(&tiny_report(1000.0, 1.5), &base, 0.25, false).len(),
             1
         );
-        // missing workloads are ignored, schema mismatch is fatal
+        // missing workloads are ignored, schema and rounds mismatches are
+        // fatal
         let mut other = tiny_report(100.0, 1.0);
         other.workloads[0].name = "other".into();
         other.ratios[0].workload = "other".into();
         assert!(compare(&other, &base, 0.25, false).is_empty());
         let mut bad = tiny_report(1000.0, 2.5);
-        bad.schema = "bench-solver/v1".into();
+        bad.schema = "bench-solver/v2".into();
         assert_eq!(compare(&bad, &base, 0.25, false).len(), 1);
+        let mut fewer = tiny_report(1000.0, 2.5);
+        fewer.rounds = 3;
+        let problems = compare(&fewer, &base, 0.25, false);
+        assert!(problems[0].starts_with("rounds mismatch"), "{problems:?}");
     }
 
     #[test]
@@ -898,10 +910,12 @@ mod tests {
     }
 
     #[test]
-    fn quick_run_produces_expected_rows() {
-        let report = run(PerfOptions { quick: true });
+    fn run_produces_expected_rows() {
+        // one round keeps this debug test short; the rows and ratios a run
+        // emits do not depend on the rounds
+        let report = run_rounds(1);
         assert_eq!(report.schema, SCHEMA);
-        assert_eq!(report.mode, "quick");
+        assert_eq!(report.rounds, 1);
         for w in &report.workloads {
             assert!(w.ops_per_sec > 0.0, "{}", w.name);
             assert!(w.ns_per_op > 0.0, "{}", w.name);

@@ -114,7 +114,7 @@ pub fn enumerate_candidates(
         for start in 0..t {
             let max_end = match policy {
                 CandidatePolicy::All => t,
-                CandidatePolicy::MaxLength(l) => (start + l).min(t),
+                CandidatePolicy::MaxLength(l) => start.saturating_add(l).min(t),
                 CandidatePolicy::SingleSlots => (start + 1).min(t),
             };
             for end in (start + 1)..=max_end {
@@ -168,6 +168,16 @@ mod tests {
         // lengths 1 (5) + 2 (4) = 9
         assert_eq!(c.len(), 9);
         assert!(c.iter().all(|iv| iv.len() <= 2));
+    }
+
+    #[test]
+    fn max_length_beyond_the_horizon_admits_every_interval() {
+        // `start + K` must not wrap: a cap past the horizon is no cap
+        let i = inst(1, 6);
+        let cost = AffineCost::new(1.0, 1.0);
+        let all = enumerate_candidates(&i, &cost, CandidatePolicy::All);
+        let huge = enumerate_candidates(&i, &cost, CandidatePolicy::MaxLength(u32::MAX));
+        assert_eq!(huge, all);
     }
 
     #[test]

@@ -23,6 +23,19 @@ use std::collections::HashMap;
 pub trait EnergyCost: Sync {
     /// Cost of `[start, end)` on `proc`. `start < end` is required.
     fn cost(&self, proc: u32, start: u32, end: u32) -> f64;
+
+    /// Whether a sub-interval never costs more: `cost(p, s, e) ≥
+    /// cost(p, s', e')`, compared as `f64`, whenever `[s', e') ⊆ [s, e)`,
+    /// with `∞` allowed on either side. False by default.
+    ///
+    /// A `true` here lets a warm re-solve price one interval per slot
+    /// window instead of enumerating the family
+    /// ([`ScheduleReduction::build_windows`](crate::ScheduleReduction::build_windows)),
+    /// so an oracle that declares it without honouring it gets wrong
+    /// schedules, not slow ones.
+    fn inclusion_monotone(&self) -> bool {
+        false
+    }
 }
 
 /// Classical model: `restart + rate · (end − start)`, identical processors.
@@ -51,6 +64,12 @@ impl EnergyCost for AffineCost {
     fn cost(&self, _proc: u32, start: u32, end: u32) -> f64 {
         debug_assert!(start < end);
         self.restart + self.rate * (end - start) as f64
+    }
+
+    /// `rate ≥ 0`, and rounding is monotone: a longer interval never
+    /// prices lower.
+    fn inclusion_monotone(&self) -> bool {
+        true
     }
 }
 
@@ -134,6 +153,14 @@ impl EnergyCost for TimeVaryingCost {
         }
         self.restart + self.prefix[base + end as usize] - self.prefix[base + start as usize]
     }
+
+    /// A super-interval overlaps every blocked slot its sub-interval does,
+    /// and `(restart + P[e]) − P[s]` is monotone in float: the prefix `P`
+    /// is non-decreasing, and rounded addition and subtraction are
+    /// monotone in each argument.
+    fn inclusion_monotone(&self) -> bool {
+        true
+    }
 }
 
 /// Convex growth: `restart + rate·len + quad·len²` — the "fan spins faster
@@ -167,6 +194,12 @@ impl EnergyCost for ConvexCost {
         debug_assert!(start < end);
         let len = (end - start) as f64;
         self.restart + self.rate * len + self.quad * len * len
+    }
+
+    /// Non-negative coefficients: every term is non-decreasing in the
+    /// length, also after rounding.
+    fn inclusion_monotone(&self) -> bool {
+        true
     }
 }
 
@@ -261,10 +294,18 @@ impl<C: EnergyCost> EnergyCost for UnavailableSlots<C> {
         }
         self.inner.cost(proc, start, end)
     }
+
+    /// Blocking only raises super-intervals to `∞`, so the wrapper is
+    /// monotone exactly when its inner model is.
+    fn inclusion_monotone(&self) -> bool {
+        self.inner.inclusion_monotone()
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     #[test]
@@ -331,6 +372,108 @@ mod tests {
         let c = TableCost::new([((0, 0, 3), 7.0)], f64::INFINITY);
         assert_eq!(c.cost(0, 0, 3), 7.0);
         assert!(c.cost(0, 0, 2).is_infinite());
+    }
+
+    #[test]
+    fn monotone_declarations() {
+        let table = || TableCost::new([((0, 0, 1), 9.0)], 1.0);
+        assert!(!table().inclusion_monotone(), "a table is arbitrary");
+        assert!(!UnavailableSlots::new(table(), 1, &[(0, 2)]).inclusion_monotone());
+        let affine = AffineCost::new(1.0, 0.0);
+        assert!(UnavailableSlots::new(affine, 1, &[(0, 2)]).inclusion_monotone());
+    }
+
+    /// Parameter values the monotonicity proptests draw from: zero, small
+    /// and large ones, and a restart so large that adding a few slots'
+    /// rate rounds away.
+    const PARAMS: [f64; 6] = [0.0, 0.25, 1.0, 3.7, 1e17, 1e-300];
+
+    /// Four cut points on a 16-slot row.
+    fn cuts() -> impl Strategy<Value = (u32, u32, u32, u32)> {
+        (0u32..=16, 0u32..=16, 0u32..=16, 0u32..=16)
+    }
+
+    /// Asserts that `cost` declares inclusion-monotonicity and that, with
+    /// `cuts` sorted into `s ≤ s2 < e2 ≤ e`, `[s, e)` on `proc` costs at
+    /// least its sub-interval `[s2, e2)`.
+    fn assert_nested_monotone(
+        cost: &dyn EnergyCost,
+        proc: u32,
+        cuts: (u32, u32, u32, u32),
+    ) -> Result<(), TestCaseError> {
+        let mut v = [cuts.0, cuts.1, cuts.2, cuts.3];
+        v.sort_unstable();
+        let [s, s2, e2, e] = v;
+        prop_assume!(s2 < e2);
+        prop_assert!(cost.inclusion_monotone());
+        let (outer, inner) = (cost.cost(proc, s, e), cost.cost(proc, s2, e2));
+        prop_assert!(
+            outer >= inner,
+            "[{s},{e}) costs {outer}, below its sub-interval [{s2},{e2}) at {inner}"
+        );
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn affine_sub_intervals_never_cost_more(r in 0usize..6, q in 0usize..6, cuts in cuts()) {
+            prop_assume!(PARAMS[r] + PARAMS[q] > 0.0);
+            assert_nested_monotone(&AffineCost::new(PARAMS[r], PARAMS[q]), 0, cuts)?;
+        }
+
+        #[test]
+        fn profile_sub_intervals_never_cost_more(
+            w in (0usize..6, 0usize..6),
+            b in (0usize..6, 0usize..6),
+            proc in 0u32..2,
+            cuts in cuts(),
+        ) {
+            use crate::profile::{PowerProfile, ProfileCost};
+            let fleet = [(w.0, b.0), (w.1, b.1)].map(|(w, b)| (PARAMS[w], PARAMS[b]));
+            prop_assume!(fleet.iter().all(|&(w, b)| w + b > 0.0));
+            let cost = ProfileCost::new(&fleet.map(|(w, b)| PowerProfile::affine(w, b)));
+            assert_nested_monotone(&cost, proc, cuts)?;
+        }
+
+        #[test]
+        fn convex_sub_intervals_never_cost_more(
+            r in 0usize..6,
+            q in 0usize..6,
+            c in 0usize..6,
+            cuts in cuts(),
+        ) {
+            prop_assume!(PARAMS[r] + PARAMS[q] + PARAMS[c] > 0.0);
+            assert_nested_monotone(&ConvexCost::new(PARAMS[r], PARAMS[q], PARAMS[c]), 0, cuts)?;
+        }
+
+        #[test]
+        fn time_varying_sub_intervals_never_cost_more(
+            restart in 0usize..6,
+            prices in proptest::collection::vec(0usize..8, 16),
+            cuts in cuts(),
+        ) {
+            // indices past PARAMS block the slot
+            let row = prices
+                .iter()
+                .map(|&k| PARAMS.get(k).copied().unwrap_or(f64::INFINITY))
+                .collect();
+            assert_nested_monotone(&TimeVaryingCost::new(PARAMS[restart], vec![row]), 0, cuts)?;
+        }
+
+        #[test]
+        fn unavailable_sub_intervals_never_cost_more(
+            r in 0usize..6,
+            q in 0usize..6,
+            blocked in proptest::collection::vec(0u32..16, 0..4),
+            cuts in cuts(),
+        ) {
+            prop_assume!(PARAMS[r] + PARAMS[q] > 0.0);
+            let blocked: Vec<(u32, u32)> = blocked.into_iter().map(|t| (0, t)).collect();
+            let cost = UnavailableSlots::new(AffineCost::new(PARAMS[r], PARAMS[q]), 1, &blocked);
+            assert_nested_monotone(&cost, 0, cuts)?;
+        }
     }
 
     #[test]

@@ -98,7 +98,8 @@ pub use dvfs::{
 pub use model::{Instance, InstanceError, Job, Schedule, ScheduleError, SlotRef, SolveOptions};
 pub use objective::{ScheduleObjective, ScheduleReduction};
 pub use prize_collecting::{
-    prize_collecting, prize_collecting_exact, prize_collecting_exact_with, prize_collecting_with,
+    is_valid_target, prize_collecting, prize_collecting_exact, prize_collecting_exact_with,
+    prize_collecting_with,
 };
 pub use profile::{
     fleet_or_default, validate_profiles, FreqLadder, FreqLadderError, FreqLevel, PowerProfile,

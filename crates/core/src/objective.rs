@@ -27,12 +27,38 @@
 //!   gain `g`, `g / c` never rises as `c` grows, and equal costs fall to the
 //!   index. This holds for any costs (Definition 2). A candidate with an
 //!   empty window has gain 0 forever and is never picked. So each subset is
-//!   represented by that member ([`ScheduleReduction::candidate_of`]), and
-//!   subsets are kept in increasing candidate order, so every tie between
-//!   classes breaks as it would between their members. The greedy over
-//!   subsets picks exactly the candidates the greedy over the whole family
-//!   picks. On the online path's 131,584-interval grid a few hundred
-//!   windows are distinct.
+//!   represented by that member ([`ScheduleReduction::interval_of`], and
+//!   [`ScheduleReduction::candidate_of`] after a family build), and subsets
+//!   are kept in increasing candidate order, so every tie between classes
+//!   breaks as it would between their members. The greedy over subsets
+//!   picks exactly the candidates the greedy over the whole family picks.
+//!   On the online path's 131,584-interval grid a few hundred windows are
+//!   distinct.
+//! * **Window build** — under an
+//!   [`inclusion_monotone`](EnergyCost::inclusion_monotone) cost,
+//!   [`ScheduleReduction::build_windows`] finds the subsets without the
+//!   family. The class of window `a..=b` (interesting slots at times
+//!   `t_a < … < t_b` on one processor) is every interval `[s, e)` with
+//!   `t_{a−1} < s ≤ t_a` and `t_b < e ≤ t_{b+1}` allowed by the policy
+//!   (with `t_{a−1} = −1` and `t_{b+1} = T` at the row's ends).
+//!   Each member contains the tight interval `[t_a, t_b + 1)`, so none
+//!   costs less, and the class is empty when the tight interval is `∞` or
+//!   longer than the policy allows — as is every longer window's, which
+//!   ends the scan of windows from `a`. The representative is the first
+//!   cheapest member in candidate order `(start, end)`: a member with start
+//!   `t_a` and a later end may tie but comes later, and a member starting
+//!   further left contains the left extension `[t_a − 1, t_b + 1)`. One
+//!   call pricing that extension certifies the tight interval when it
+//!   costs strictly more. When it ties (a zero rate or price, a restart so
+//!   large that adding the rate rounds away), cost is non-increasing in
+//!   the start, so the tying starts form a range, and a scan leftwards to
+//!   `t_{a−1} + 1` or the length cap finds its lowest: the representative
+//!   is `[s_min, t_b + 1)`. Windows come out in candidate order except
+//!   after such a tie, where the family build's sort and run split apply.
+//!   The build prices `O(Σₚ kₚ²)` intervals for `kₚ` interesting slots on
+//!   processor `p`, where the family has `O(p·T²)`, and equals
+//!   [`ScheduleReduction::build`] over the enumerated family field for
+//!   field.
 //! * **Prefix runs** — subsets whose windows start at the same interesting
 //!   slot, in increasing length, are nested prefixes.
 //!   [`ScheduleReduction::runs`] records those maximal chains; a full scan
@@ -64,7 +90,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use bmatch::{BipartiteGraph, BipartiteGraphBuilder, GainScratch, MatchingOracle};
 use submodular::BudgetedObjective;
 
-use crate::candidates::CandidateInterval;
+use crate::candidates::{CandidateInterval, CandidatePolicy};
+use crate::cost::EnergyCost;
 use crate::model::{Instance, Schedule};
 
 /// Distinguishes objectives so a reused scratch never replays memoized gains
@@ -76,7 +103,10 @@ static OBJECTIVE_TOKENS: AtomicU64 = AtomicU64::new(1);
 /// exactness argument).
 ///
 /// Built once per solve (or once per [`crate::Solver`], which caches it
-/// across goal calls); borrowed by [`ScheduleObjective`].
+/// across goal calls), from an enumerated family
+/// ([`ScheduleReduction::build`]) or straight from the slot windows under
+/// an inclusion-monotone cost ([`ScheduleReduction::build_windows`]);
+/// borrowed by [`ScheduleObjective`].
 #[derive(Clone, Debug)]
 pub struct ScheduleReduction {
     /// `X` = dense slot ids (`proc · horizon + time`), `Y` = jobs.
@@ -90,11 +120,16 @@ pub struct ScheduleReduction {
     /// `x` in `0..=nx`: interval `[s, e)` on processor `p` has the window
     /// `prefix[p·T + s]..prefix[p·T + e]` of `islots`.
     prefix: Vec<u32>,
-    /// Candidate index of each subset: the cheapest, then lowest-index,
-    /// candidate with the subset's window. Strictly increasing.
+    /// After a family build, the candidate index of each subset: the
+    /// cheapest, then lowest-index, candidate with the subset's window.
+    /// Strictly increasing. Empty after a window build, which has no
+    /// family to index.
     cand: Vec<u32>,
-    /// Cost of each subset (its candidate's).
+    /// Cost of each subset: that of its class's cheapest, then first in
+    /// candidate order, member.
     costs: Vec<f64>,
+    /// `(start, end)` of that member; its processor is its window's.
+    spans: Vec<(u32, u32)>,
     /// Window length of each subset; the window starts at its run's offset.
     len: Vec<u32>,
     /// Maximal subset ranges `[lo, hi)` whose windows form nested prefixes
@@ -112,11 +147,13 @@ pub struct ScheduleReduction {
     comp_len: Vec<u32>,
     /// Number of distinct connected components.
     num_comps: u32,
-    /// Size of the candidate family the subsets were drawn from.
+    /// Size of the candidate family the subsets were drawn from (0 after a
+    /// window build).
     num_candidates: usize,
     /// Retained union-find, densification and grouping buffers, so
-    /// [`ScheduleReduction::apply_delta`] reuses the allocations of the
-    /// previous build.
+    /// [`ScheduleReduction::apply_delta`] and
+    /// [`ScheduleReduction::apply_delta_windows`] reuse the allocations of
+    /// the previous build.
     scratch: RebuildScratch,
 }
 
@@ -129,25 +166,30 @@ struct RebuildScratch {
     comp_of_islot: Vec<u32>,
     /// Group epoch at which each component was last pushed to the arena.
     comp_seen: Vec<u32>,
+    /// Window groups finished so far in this build: the next group's epoch.
+    groups: u32,
     /// Subset of the current window group with each window length, or
     /// `u32::MAX`; all `u32::MAX` between groups.
     by_len: Vec<u32>,
-    /// Subset rows of a group that came out of candidate order:
-    /// `(candidate, cost, length, component prefix)`.
-    sort_buf: Vec<(u32, f64, u32, u32)>,
+    /// Subset rows of a group that came out of candidate order.
+    sort_buf: Vec<SortRow>,
 }
 
+/// A subset row while its group is sorted: `(order key, span, cost,
+/// length, component prefix)`.
+type SortRow = (u64, (u32, u32), f64, u32, u32);
+
 impl ScheduleReduction {
-    /// Builds the reduction for `inst` and the given candidate family.
-    pub fn build(inst: &Instance, candidates: &[CandidateInterval]) -> Self {
-        let _span = sched_obs::span!("core.reduction.build_ns");
-        let mut red = Self {
+    /// A reduction of nothing, for the builds to fill.
+    fn empty() -> Self {
+        Self {
             graph: BipartiteGraphBuilder::new(0, 0).build(),
             horizon: 0,
             islots: Vec::new(),
             prefix: Vec::new(),
             cand: Vec::new(),
             costs: Vec::new(),
+            spans: Vec::new(),
             len: Vec::new(),
             runs: Vec::new(),
             run_base: Vec::new(),
@@ -156,7 +198,13 @@ impl ScheduleReduction {
             num_comps: 0,
             num_candidates: 0,
             scratch: RebuildScratch::default(),
-        };
+        }
+    }
+
+    /// Builds the reduction for `inst` and the given candidate family.
+    pub fn build(inst: &Instance, candidates: &[CandidateInterval]) -> Self {
+        let _span = sched_obs::span!("core.reduction.build_ns");
+        let mut red = Self::empty();
         red.rebuild(inst, candidates);
         red
     }
@@ -183,11 +231,80 @@ impl ScheduleReduction {
         self.rebuild(inst, candidates);
     }
 
+    /// Builds the reduction straight from `inst`'s slot windows, pricing
+    /// one tight interval per window through `cost`: field-for-field what
+    /// [`ScheduleReduction::build`] makes of
+    /// `enumerate_candidates(inst, cost, policy)`, except that no
+    /// [`ScheduleReduction::candidate_of`] column exists. See "Window
+    /// build" in the [module docs](self).
+    ///
+    /// # Panics
+    /// Panics if `cost` does not declare
+    /// [`EnergyCost::inclusion_monotone`], or, as enumeration does, if it
+    /// prices a subset's interval at a non-positive or NaN cost.
+    pub fn build_windows(inst: &Instance, cost: &dyn EnergyCost, policy: CandidatePolicy) -> Self {
+        let _span = sched_obs::span!("core.reduction.build_ns");
+        let mut red = Self::empty();
+        red.rebuild_windows(inst, cost, policy);
+        red
+    }
+
+    /// [`ScheduleReduction::build_windows`] in place, reusing the retained
+    /// allocations: the window twin of [`ScheduleReduction::apply_delta`].
+    /// Every representative is re-priced through `cost`, so nothing from
+    /// the previous build can go stale.
+    pub fn apply_delta_windows(
+        &mut self,
+        inst: &Instance,
+        cost: &dyn EnergyCost,
+        policy: CandidatePolicy,
+    ) {
+        let _span = sched_obs::span!("core.reduction.apply_delta_ns");
+        self.rebuild_windows(inst, cost, policy);
+    }
+
     /// The shared rebuild behind [`ScheduleReduction::build`] and
-    /// [`ScheduleReduction::apply_delta`]: graph, interesting slots and
-    /// their prefix counts, connected components, and the subsets, written
-    /// into the retained buffers.
+    /// [`ScheduleReduction::apply_delta`].
     fn rebuild(&mut self, inst: &Instance, candidates: &[CandidateInterval]) {
+        self.rebuild_graph(inst);
+        self.num_candidates = candidates.len();
+        self.build_subsets(candidates);
+        self.record_build(candidates.len());
+    }
+
+    /// The shared rebuild behind [`ScheduleReduction::build_windows`] and
+    /// [`ScheduleReduction::apply_delta_windows`].
+    fn rebuild_windows(&mut self, inst: &Instance, cost: &dyn EnergyCost, policy: CandidatePolicy) {
+        assert!(
+            cost.inclusion_monotone(),
+            "the window build needs an inclusion-monotone cost"
+        );
+        self.rebuild_graph(inst);
+        self.num_candidates = 0;
+        let priced = self.build_window_subsets(inst.num_processors, cost, policy);
+        self.record_build(priced);
+    }
+
+    /// Counts a finished build: `intervals` is the work it did on the
+    /// interval side, the candidates walked or the oracle calls made.
+    fn record_build(&self, intervals: usize) {
+        sched_obs::counter_add("core.reduction.intervals", intervals as u64);
+        sched_obs::counter_add("core.reduction.subsets", self.costs.len() as u64);
+        if sched_obs::trace::enabled() {
+            sched_obs::trace::instant(
+                "core.reduction.subsets",
+                vec![
+                    ("intervals", intervals.into()),
+                    ("subsets", self.costs.len().into()),
+                ],
+            );
+        }
+    }
+
+    /// The job side of every build: graph, interesting slots and their
+    /// prefix counts, and connected components, written into the retained
+    /// buffers.
+    fn rebuild_graph(&mut self, inst: &Instance) {
         let mut b = BipartiteGraphBuilder::new(inst.num_slots(), inst.num_jobs() as u32);
         for (jid, job) in inst.jobs.iter().enumerate() {
             for &s in &job.allowed {
@@ -196,7 +313,6 @@ impl ScheduleReduction {
         }
         self.graph = b.build();
         self.horizon = inst.horizon;
-        self.num_candidates = candidates.len();
         let graph = &self.graph;
 
         // interesting slots (degree > 0) and their prefix counts
@@ -256,148 +372,252 @@ impl ScheduleReduction {
             comp_of_islot.push(dense[root as usize]);
         }
         self.num_comps = num_comps;
+    }
 
-        self.build_subsets(candidates);
-        sched_obs::counter_add("core.reduction.subsets", self.cand.len() as u64);
-        if sched_obs::trace::enabled() {
-            sched_obs::trace::instant(
-                "core.reduction.subsets",
-                vec![
-                    ("candidates", candidates.len().into()),
-                    ("subsets", self.cand.len().into()),
-                ],
-            );
+    /// Clears the subset columns for a new build and sizes the group
+    /// buffers; `cap` reserves room for that many subsets.
+    fn begin_subsets(&mut self, cap: usize) {
+        let k = self.islots.len();
+        for col in [&mut self.len, &mut self.comp_len] {
+            col.clear();
+            col.reserve(cap);
         }
+        self.cand.clear();
+        self.costs.clear();
+        self.costs.reserve(cap);
+        self.spans.clear();
+        self.spans.reserve(cap);
+        self.runs.clear();
+        self.run_base.clear();
+        self.comp_arena.clear();
+        let scratch = &mut self.scratch;
+        scratch.comp_seen.clear();
+        scratch.comp_seen.resize(self.num_comps as usize, u32::MAX);
+        scratch.groups = 0;
+        scratch.by_len.clear();
+        scratch.by_len.resize(k + 1, u32::MAX);
     }
 
     /// One pass over the candidates, one *window group* at a time: the
     /// consecutive candidates on one processor whose windows start at the
     /// same interesting slot. A window length met for the first time emits
-    /// a subset; a cheaper twin re-points it in place. One walk over the
-    /// group's longest window then records its component sequence and
-    /// every subset's prefix of it. A group whose subsets came out of
-    /// candidate order (costs that fall along a run, families with holes)
-    /// is sorted and split into nested-prefix runs; any other group is one
-    /// run.
+    /// a subset; a cheaper twin re-points it in place. The group is then
+    /// finished by [`ScheduleReduction::finish_group`].
     fn build_subsets(&mut self, candidates: &[CandidateInterval]) {
-        let Self {
-            horizon,
-            islots,
-            prefix,
-            cand,
-            costs,
-            len: lens,
-            runs,
-            run_base,
-            comp_arena,
-            comp_len,
-            num_comps,
-            scratch,
-            ..
-        } = self;
-        let RebuildScratch {
-            comp_of_islot,
-            comp_seen,
-            by_len,
-            sort_buf,
-            ..
-        } = scratch;
         // Distinct nonempty windows: at most one per (offset, length) pair.
-        let k = islots.len();
+        let k = self.islots.len();
         let cap = candidates.len().min(k * (k + 1) / 2);
-        cand.clear();
-        cand.reserve(cap);
-        costs.clear();
-        costs.reserve(cap);
-        lens.clear();
-        lens.reserve(cap);
-        comp_len.clear();
-        comp_len.reserve(cap);
-        runs.clear();
-        run_base.clear();
-        comp_arena.clear();
-        comp_seen.clear();
-        comp_seen.resize(*num_comps as usize, u32::MAX);
-        by_len.clear();
-        by_len.resize(k + 1, u32::MAX);
-
-        let mut group = 0u32;
+        self.begin_subsets(cap);
+        self.cand.reserve(cap);
         let mut i = 0;
         while i < candidates.len() {
+            let Self {
+                horizon,
+                prefix,
+                cand,
+                costs,
+                spans,
+                len: lens,
+                comp_len,
+                scratch,
+                ..
+            } = self;
+            let by_len = &mut scratch.by_len;
             let first = &candidates[i];
-            let row = (first.proc * *horizon) as usize;
-            let off = prefix[row + first.start as usize];
-            let lo = cand.len();
+            let prefix = &prefix[(first.proc * *horizon) as usize..];
+            let off = prefix[first.start as usize];
+            let lo = costs.len();
             let mut max_len = 0;
             while let Some(c) = candidates.get(i) {
-                if c.proc != first.proc || prefix[row + c.start as usize] != off {
+                if c.proc != first.proc || prefix[c.start as usize] != off {
                     break;
                 }
-                let l = prefix[row + c.end as usize] - off;
+                let l = prefix[c.end as usize] - off;
                 if l > 0 {
                     let s = &mut by_len[l as usize];
                     if *s == u32::MAX {
-                        *s = cand.len() as u32;
+                        *s = costs.len() as u32;
                         cand.push(i as u32);
                         costs.push(c.cost);
+                        spans.push((c.start, c.end));
                         lens.push(l);
                         comp_len.push(0);
                         max_len = max_len.max(l);
                     } else if c.cost < costs[*s as usize] {
                         cand[*s as usize] = i as u32;
                         costs[*s as usize] = c.cost;
+                        spans[*s as usize] = (c.start, c.end);
                     }
                 }
                 i += 1;
             }
-            let hi = cand.len();
-            if hi == lo {
-                continue;
+            if costs.len() > lo {
+                self.finish_group(lo, off, max_len);
             }
+        }
+    }
 
-            // Walk the group's longest window once. Visiting lengths in
-            // increasing order also checks that the group is in candidate
-            // order: subset indices and candidates must both increase.
-            let comp_base = comp_arena.len() as u32;
-            let mut next = lo;
-            let mut in_order = true;
-            for p in 0..max_len {
-                let c = comp_of_islot[(off + p) as usize];
-                if comp_seen[c as usize] != group {
-                    comp_seen[c as usize] = group;
-                    comp_arena.push(c);
+    /// The window build: for each processor and each interesting slot `a`
+    /// on it, the windows `a..=b` for `b = a, a + 1, …`, each represented by
+    /// the first in candidate order of its cheapest members (see "Window
+    /// build" in the [module docs](self)). Returns the oracle calls made.
+    fn build_window_subsets(
+        &mut self,
+        num_processors: u32,
+        cost: &dyn EnergyCost,
+        policy: CandidatePolicy,
+    ) -> usize {
+        let t = self.horizon;
+        // the longest interval the policy allows, in slots
+        let cap = match policy {
+            CandidatePolicy::All => t,
+            CandidatePolicy::MaxLength(k) => k,
+            CandidatePolicy::SingleSlots => 1,
+        };
+        self.begin_subsets(0);
+        let mut calls = 0;
+        let mut price = |proc, start, end| {
+            calls += 1;
+            cost.cost(proc, start, end)
+        };
+        for proc in 0..num_processors {
+            let row = proc * t;
+            let first = self.prefix[row as usize];
+            let last = self.prefix[(row + t) as usize];
+            for a in first..last {
+                let start_a = self.islots[a as usize] - row;
+                // the window's class starts past the previous interesting slot
+                let lowest_start = if a > first {
+                    self.islots[a as usize - 1] - row + 1
+                } else {
+                    0
+                };
+                let lo = self.costs.len();
+                for b in a..last {
+                    let end = self.islots[b as usize] - row + 1;
+                    // Every member of this window's class, and of every
+                    // longer window's, contains [start_a, end).
+                    if end - start_a > cap {
+                        break;
+                    }
+                    let c = price(proc, start_a, end);
+                    if c.is_infinite() {
+                        break;
+                    }
+                    assert!(
+                        c > 0.0 && c.is_finite(),
+                        "cost oracle returned invalid cost {c} for ({proc}, [{start_a},{end}))"
+                    );
+                    // Members starting further left contain the left
+                    // extension: they cost more unless it ties.
+                    let mut start = start_a;
+                    while start > lowest_start && end - (start - 1) <= cap {
+                        let left = price(proc, start - 1, end);
+                        debug_assert!(left >= c, "cost is not inclusion-monotone");
+                        if left != c {
+                            break;
+                        }
+                        start -= 1;
+                    }
+                    let l = b - a + 1;
+                    self.scratch.by_len[l as usize] = self.costs.len() as u32;
+                    self.costs.push(c);
+                    self.spans.push((start, end));
+                    self.len.push(l);
+                    self.comp_len.push(0);
                 }
-                let s = std::mem::replace(&mut by_len[p as usize + 1], u32::MAX);
-                if s != u32::MAX {
-                    let s = s as usize;
-                    comp_len[s] = comp_arena.len() as u32 - comp_base;
-                    in_order &= s == next && (s == lo || cand[s - 1] < cand[s]);
-                    next += 1;
+                let len = (self.costs.len() - lo) as u32;
+                if len > 0 {
+                    self.finish_group(lo, a, len);
                 }
             }
-            group += 1;
+        }
+        calls
+    }
 
-            if in_order {
-                runs.push((lo as u32, hi as u32));
+    /// Finishes the window group of subsets `lo..` (windows starting at
+    /// `islots[off]`, the longest `max_len` interesting slots long, and
+    /// `by_len` pointing each length at its subset). One walk over the
+    /// longest window records its component sequence and every subset's
+    /// prefix of it. A group whose subsets came out of candidate order
+    /// (costs that fall along a run, families with holes, ties that move a
+    /// representative's start left) is sorted and split into nested-prefix
+    /// runs; any other group is one run.
+    fn finish_group(&mut self, lo: usize, off: u32, max_len: u32) {
+        let hi = self.costs.len();
+        let Self {
+            cand,
+            costs,
+            spans,
+            len: lens,
+            runs,
+            run_base,
+            comp_arena,
+            comp_len,
+            scratch,
+            ..
+        } = self;
+        let RebuildScratch {
+            comp_of_islot,
+            comp_seen,
+            groups,
+            by_len,
+            sort_buf,
+            ..
+        } = scratch;
+        // Candidate order within the group: the candidate index after a
+        // family build; after a window build (no candidate column), the
+        // interval's (start, end), since a group lies on one processor.
+        let key = |s: usize| match cand.get(s) {
+            Some(&c) => u64::from(c),
+            None => u64::from(spans[s].0) << 32 | u64::from(spans[s].1),
+        };
+
+        // Walk the group's longest window once. Visiting lengths in
+        // increasing order also checks that the group is in candidate
+        // order: subset indices and order keys must both increase.
+        let comp_base = comp_arena.len() as u32;
+        let mut next = lo;
+        let mut in_order = true;
+        for p in 0..max_len {
+            let c = comp_of_islot[(off + p) as usize];
+            if comp_seen[c as usize] != *groups {
+                comp_seen[c as usize] = *groups;
+                comp_arena.push(c);
+            }
+            let s = std::mem::replace(&mut by_len[p as usize + 1], u32::MAX);
+            if s != u32::MAX {
+                let s = s as usize;
+                comp_len[s] = comp_arena.len() as u32 - comp_base;
+                in_order &= s == next && (s == lo || key(s - 1) < key(s));
+                next += 1;
+            }
+        }
+        *groups += 1;
+
+        if in_order {
+            runs.push((lo as u32, hi as u32));
+            run_base.push((off, comp_base));
+            return;
+        }
+        sort_buf.clear();
+        sort_buf.extend((lo..hi).map(|s| (key(s), spans[s], costs[s], lens[s], comp_len[s])));
+        sort_buf.sort_unstable_by_key(|row| row.0);
+        for (s, &(k, span, cost, l, cl)) in (lo..hi).zip(sort_buf.iter()) {
+            if let Some(c) = cand.get_mut(s) {
+                *c = k as u32;
+            }
+            spans[s] = span;
+            costs[s] = cost;
+            lens[s] = l;
+            comp_len[s] = cl;
+        }
+        let mut run_lo = lo;
+        for s in lo + 1..=hi {
+            if s == hi || lens[s] <= lens[s - 1] {
+                runs.push((run_lo as u32, s as u32));
                 run_base.push((off, comp_base));
-                continue;
-            }
-            sort_buf.clear();
-            sort_buf.extend((lo..hi).map(|s| (cand[s], costs[s], lens[s], comp_len[s])));
-            sort_buf.sort_unstable_by_key(|row| row.0);
-            for (s, &(c, cost, l, cl)) in (lo..hi).zip(sort_buf.iter()) {
-                cand[s] = c;
-                costs[s] = cost;
-                lens[s] = l;
-                comp_len[s] = cl;
-            }
-            let mut run_lo = lo;
-            for s in lo + 1..=hi {
-                if s == hi || lens[s] <= lens[s - 1] {
-                    runs.push((run_lo as u32, s as u32));
-                    run_base.push((off, comp_base));
-                    run_lo = s;
-                }
+                run_lo = s;
             }
         }
     }
@@ -405,14 +625,49 @@ impl ScheduleReduction {
     /// Number of subsets: distinct nonempty candidate windows.
     #[inline]
     pub fn num_subsets(&self) -> usize {
-        self.cand.len()
+        self.costs.len()
     }
 
-    /// The candidate subset `k` stands for: the cheapest, then
-    /// lowest-index, candidate with its window. Strictly increasing in `k`.
+    /// The candidate subset `k` stands for, by its index in the family
+    /// this reduction was built from: the cheapest, then lowest-index,
+    /// candidate with its window. Strictly increasing in `k`.
+    ///
+    /// # Panics
+    /// Panics after [`ScheduleReduction::build_windows`], which indexes no
+    /// family; [`ScheduleReduction::interval_of`] names the interval on
+    /// either build.
     #[inline]
     pub fn candidate_of(&self, k: usize) -> usize {
         self.cand[k] as usize
+    }
+
+    /// The interval subset `k` stands for, with its cost: the cheapest,
+    /// then first in candidate order, interval with its window.
+    pub fn interval_of(&self, k: usize) -> CandidateInterval {
+        self.interval_in_run(self.run_of(k), k)
+    }
+
+    /// Every subset's interval ([`ScheduleReduction::interval_of`]), in
+    /// subset order.
+    pub(crate) fn intervals(&self) -> impl Iterator<Item = CandidateInterval> + '_ {
+        self.runs
+            .iter()
+            .enumerate()
+            .flat_map(move |(r, &(lo, hi))| {
+                (lo..hi).map(move |k| self.interval_in_run(r, k as usize))
+            })
+    }
+
+    /// The interval of subset `k` of run `r`: its span, on the processor
+    /// of the run's windows.
+    fn interval_in_run(&self, r: usize, k: usize) -> CandidateInterval {
+        let (start, end) = self.spans[k];
+        CandidateInterval {
+            proc: self.islots[self.run_base[r].0 as usize] / self.horizon,
+            start,
+            end,
+            cost: self.costs[k],
+        }
     }
 
     /// The (job-adjacent) slot ids of subset `k`'s window, shared by every
@@ -422,7 +677,8 @@ impl ScheduleReduction {
         self.window_in_run(self.run_of(k), k)
     }
 
-    /// Cost of subset `k`: the cost of [`ScheduleReduction::candidate_of`].
+    /// Cost of subset `k`: the cost of
+    /// [`ScheduleReduction::interval_of`].
     #[inline]
     pub fn cost_of(&self, k: usize) -> f64 {
         self.costs[k]
@@ -541,7 +797,7 @@ impl ObjectiveScratch {
 /// [`BudgetedObjective`] over the matching rank: `F(S)` = maximum (weighted)
 /// value of jobs matchable into the union of committed subset windows.
 /// Indices are subsets of the [`ScheduleReduction`]; a chosen subset maps
-/// back to its interval through [`ScheduleReduction::candidate_of`].
+/// back to its interval through [`ScheduleReduction::interval_of`].
 pub struct ScheduleObjective<'r> {
     red: &'r ScheduleReduction,
     oracle: MatchingOracle<'r>,
@@ -636,19 +892,21 @@ impl<'r> ScheduleObjective<'r> {
     }
 
     /// Extracts the schedule corresponding to the chosen subset indices
-    /// (each mapped to its candidate through
-    /// [`ScheduleReduction::candidate_of`]) and the oracle's current
+    /// (each mapped to its interval through
+    /// [`ScheduleReduction::interval_of`]) and the oracle's current
     /// maximum matching.
+    ///
+    /// `_candidates` is not read: every subset carries its interval, also
+    /// after a window build. It stays for callers written against the
+    /// family build.
     pub fn extract_schedule(
         &self,
         inst: &Instance,
-        candidates: &[CandidateInterval],
+        _candidates: &[CandidateInterval],
         chosen: &[usize],
     ) -> Schedule {
-        let awake: Vec<CandidateInterval> = chosen
-            .iter()
-            .map(|&k| candidates[self.red.candidate_of(k)])
-            .collect();
+        let awake: Vec<CandidateInterval> =
+            chosen.iter().map(|&k| self.red.interval_of(k)).collect();
         let mut assignments = vec![None; inst.num_jobs()];
         let mut value = 0.0;
         let mut count = 0usize;
@@ -719,11 +977,14 @@ impl BudgetedObjective for ScheduleObjective<'_> {
             }
         }
         if sched_obs::trace::enabled() {
+            let iv = self.red.interval_in_run(r, i);
             sched_obs::trace::instant(
                 "core.commit",
                 vec![
-                    ("cand", self.red.candidate_of(i).into()),
                     ("subset", i.into()),
+                    ("proc", iv.proc.into()),
+                    ("start", iv.start.into()),
+                    ("end", iv.end.into()),
                     ("gain", gain.into()),
                     ("mutated", u64::from(mutated).into()),
                     (
@@ -1099,5 +1360,223 @@ mod tests {
         let out = budgeted_greedy(&mut obj, GreedyConfig::new(8.0, 0.01));
         assert!(out.reached_target);
         assert_eq!(out.utility, 8.0);
+    }
+}
+
+/// The window build against the family build it stands in for, field for
+/// field, on random instances, policies and inclusion-monotone cost models,
+/// including every kind of tie the representative's leftward scan resolves.
+#[cfg(test)]
+mod window_build_tests {
+    use proptest::prelude::*;
+
+    use super::*;
+    use crate::candidates::enumerate_candidates;
+    use crate::cost::{AffineCost, ConvexCost, TableCost, TimeVaryingCost, UnavailableSlots};
+    use crate::model::{Job, SlotRef};
+    use crate::profile::{PowerProfile, ProfileCost};
+
+    /// Strategy: grid size plus jobs, each a window or a sparse slot set.
+    #[allow(clippy::type_complexity)]
+    fn instance_strategy() -> impl Strategy<Value = (u32, u32, Vec<(u32, u32, u32, u32)>)> {
+        (1u32..4, 3u32..14).prop_flat_map(|(p, t)| {
+            let jobs = proptest::collection::vec((0..p, 0..t, 1u32..5, 0u32..3), 1..10);
+            (Just(p), Just(t), jobs)
+        })
+    }
+
+    /// Jobs from the strategy's tuples: `stride` 0 is a window of `len`
+    /// slots, otherwise `len` slots spaced `stride + 1` apart.
+    fn build_instance(p: u32, t: u32, jobs: &[(u32, u32, u32, u32)]) -> Instance {
+        let jobs = jobs
+            .iter()
+            .map(|&(proc, start, len, stride)| {
+                let allowed = (0..len)
+                    .map(|k| start + k * (stride + 1))
+                    .filter(|&time| time < t)
+                    .map(|time| SlotRef::new(proc, time))
+                    .collect();
+                Job {
+                    value: 1.0,
+                    allowed,
+                    work: None,
+                }
+            })
+            .collect();
+        Instance::new(p, t, jobs)
+    }
+
+    /// The monotone cost models, by `pick`. Rate-0 affine, zero-busy
+    /// profiles, a float-saturated restart, zero prices and constant convex
+    /// costs make members of a class tie with its tight interval.
+    fn cost_model(pick: u8, p: u32, t: u32) -> Box<dyn EnergyCost> {
+        match pick % 9 {
+            0 => Box::new(AffineCost::new(3.0, 1.0)),
+            1 => Box::new(AffineCost::new(2.0, 0.0)),
+            // 1e17 + len rounds back to 1e17 for short lengths
+            2 => Box::new(AffineCost::new(1e17, 1.0)),
+            3 => Box::new(ProfileCost::new(
+                &(0..p)
+                    .map(|proc| PowerProfile::affine(1.0 + proc as f64, (proc % 2) as f64 * 0.5))
+                    .collect::<Vec<_>>(),
+            )),
+            4 => Box::new(TimeVaryingCost::new(
+                1.5,
+                (0..p)
+                    .map(|proc| {
+                        (0..t)
+                            .map(|time| match (proc * 7 + time * 3) % 6 {
+                                0 => f64::INFINITY,
+                                1 | 2 => 0.0,
+                                k => k as f64 * 0.5,
+                            })
+                            .collect()
+                    })
+                    .collect(),
+            )),
+            5 => Box::new(UnavailableSlots::new(
+                AffineCost::new(1.5, 0.5),
+                p,
+                &(0..p)
+                    .flat_map(|proc| {
+                        (0..t)
+                            .filter(move |time| (proc + time) % 5 == 2)
+                            .map(move |time| (proc, time))
+                    })
+                    .collect::<Vec<_>>(),
+            )),
+            6 => Box::new(ConvexCost::new(1.0, 0.0, 0.25)),
+            7 => Box::new(ConvexCost::new(2.0, 0.0, 0.0)),
+            _ => Box::new(UnavailableSlots::new(
+                AffineCost::new(2.0, 0.0),
+                p,
+                &[(0, t / 2)],
+            )),
+        }
+    }
+
+    /// The policies, by `pick` in `0..18`, including a cap past any
+    /// horizon.
+    fn policy(pick: u8) -> CandidatePolicy {
+        match pick % 3 {
+            0 => CandidatePolicy::All,
+            1 => CandidatePolicy::MaxLength([1, 2, 3, 5, 8, u32::MAX][pick as usize / 3]),
+            _ => CandidatePolicy::SingleSlots,
+        }
+    }
+
+    /// Asserts two reductions equal field for field: subset intervals with
+    /// their cost bits, window lengths, runs and run bases, the component
+    /// arena and every subset's prefix of it, and the slot arena with its
+    /// prefix counts.
+    fn assert_same_layout(
+        w: &ScheduleReduction,
+        f: &ScheduleReduction,
+    ) -> Result<(), TestCaseError> {
+        let bits = |r: &ScheduleReduction| -> Vec<(u32, u32, u32, u64)> {
+            r.intervals()
+                .map(|iv| (iv.proc, iv.start, iv.end, iv.cost.to_bits()))
+                .collect()
+        };
+        prop_assert_eq!(bits(w), bits(f), "subset intervals and cost bits");
+        prop_assert_eq!(&w.len, &f.len, "window lengths");
+        prop_assert_eq!(&w.runs, &f.runs, "runs");
+        prop_assert_eq!(&w.run_base, &f.run_base, "run bases");
+        prop_assert_eq!(&w.comp_arena, &f.comp_arena, "component arena");
+        prop_assert_eq!(&w.comp_len, &f.comp_len, "component prefixes");
+        prop_assert_eq!(w.num_comps, f.num_comps);
+        prop_assert_eq!(&w.islots, &f.islots, "interesting slots");
+        prop_assert_eq!(&w.prefix, &f.prefix, "slot prefix counts");
+        prop_assert_eq!(w.horizon, f.horizon);
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        #[test]
+        fn window_build_equals_the_family_build(
+            (p, t, jobs) in instance_strategy(),
+            cost_pick in 0u8..9,
+            policy_pick in 0u8..18,
+        ) {
+            let inst = build_instance(p, t, &jobs);
+            let cost = cost_model(cost_pick, p, t);
+            let policy = policy(policy_pick);
+            let family = enumerate_candidates(&inst, cost.as_ref(), policy);
+            let expected = ScheduleReduction::build(&inst, &family);
+            let windows = ScheduleReduction::build_windows(&inst, cost.as_ref(), policy);
+            assert_same_layout(&windows, &expected)?;
+            prop_assert!(windows.cand.is_empty(), "a window build indexes no family");
+
+            // in place over the buffers of another instance's build
+            let first = build_instance(p, t, &jobs[..jobs.len() / 2]);
+            let mut rebuilt = ScheduleReduction::build_windows(&first, cost.as_ref(), policy);
+            rebuilt.apply_delta_windows(&inst, cost.as_ref(), policy);
+            assert_same_layout(&rebuilt, &expected)?;
+        }
+    }
+
+    /// Rate 0: every member of the class of a job at slot 3 of a 4-slot row
+    /// ties with the tight interval [3,4), so the scan moves the
+    /// representative to the lowest start, [0,4), as the family build
+    /// keeps the lowest index.
+    #[test]
+    fn ties_move_the_representative_to_the_lowest_start() {
+        let inst = Instance::new(1, 4, vec![Job::unit(vec![SlotRef::new(0, 3)])]);
+        let red = ScheduleReduction::build_windows(
+            &inst,
+            &AffineCost::new(2.0, 0.0),
+            CandidatePolicy::All,
+        );
+        let iv = red.interval_of(0);
+        assert_eq!((red.num_subsets(), iv.start, iv.end), (1, 0, 4));
+        // a length cap stops the scan: [1,4) is the longest member allowed
+        let capped = ScheduleReduction::build_windows(
+            &inst,
+            &AffineCost::new(2.0, 0.0),
+            CandidatePolicy::MaxLength(3),
+        );
+        assert_eq!(capped.interval_of(0).start, 1);
+    }
+
+    #[test]
+    fn intervals_counter_counts_oracle_calls() {
+        use std::sync::atomic::AtomicUsize;
+        use std::sync::Arc;
+        struct Counting(AffineCost, AtomicUsize);
+        impl EnergyCost for Counting {
+            fn cost(&self, proc: u32, start: u32, end: u32) -> f64 {
+                self.1.fetch_add(1, Ordering::Relaxed);
+                self.0.cost(proc, start, end)
+            }
+            fn inclusion_monotone(&self) -> bool {
+                true
+            }
+        }
+        let inst = Instance::new(
+            2,
+            8,
+            vec![Job::window(1.0, 0, 1, 4), Job::window(1.0, 1, 5, 8)],
+        );
+        let cost = Counting(AffineCost::new(3.0, 1.0), AtomicUsize::new(0));
+        let registry = Arc::new(sched_obs::Registry::new());
+        sched_obs::set_thread(Some(Arc::clone(&registry)));
+        let red = ScheduleReduction::build_windows(&inst, &cost, CandidatePolicy::All);
+        sched_obs::set_thread(None);
+        // 6 windows per processor, one tight interval each, plus a left
+        // extension for the 3 windows per processor whose class reaches
+        // further left (those starting at its first job slot)
+        assert_eq!(red.num_subsets(), 12);
+        assert_eq!(cost.1.load(Ordering::Relaxed), 18);
+        assert_eq!(registry.counter("core.reduction.intervals").get(), 18);
+        assert_eq!(registry.counter("core.reduction.subsets").get(), 12);
+    }
+
+    #[test]
+    #[should_panic(expected = "inclusion-monotone")]
+    fn window_build_refuses_an_undeclared_cost() {
+        let inst = Instance::new(1, 2, vec![Job::window(1.0, 0, 0, 2)]);
+        ScheduleReduction::build_windows(&inst, &TableCost::new([], 1.0), CandidatePolicy::All);
     }
 }

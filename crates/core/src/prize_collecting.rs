@@ -18,6 +18,14 @@ use crate::candidates::CandidateInterval;
 use crate::model::{Instance, Schedule, ScheduleError, SolveOptions};
 use crate::objective::{ScheduleObjective, ScheduleReduction};
 
+/// Whether an entry point accepts `target` as a prize-collecting goal:
+/// finite and positive. The solvers answer a target of zero or below with
+/// an empty schedule; the CLI and the engine reject it instead, both by
+/// this rule.
+pub fn is_valid_target(target: f64) -> bool {
+    target.is_finite() && target > 0.0
+}
+
 /// Schedules jobs of total value at least `(1−ε)·target` at cost within
 /// `O(log 1/ε)` of any schedule achieving value `target` (Theorem 2.3.1).
 ///
@@ -43,15 +51,14 @@ pub fn prize_collecting(
         return Ok(empty_schedule(inst));
     }
     let red = ScheduleReduction::build(inst, candidates);
-    prize_collecting_with(inst, &red, candidates, target, epsilon, opts)
+    prize_collecting_with(inst, &red, target, epsilon, opts)
 }
 
 /// [`prize_collecting`] over a prebuilt [`ScheduleReduction`] (which must
-/// have been built for exactly this `inst` + `candidates` pair).
+/// have been built for exactly this `inst`).
 pub fn prize_collecting_with(
     inst: &Instance,
     red: &ScheduleReduction,
-    candidates: &[CandidateInterval],
     target: f64,
     epsilon: f64,
     opts: &SolveOptions,
@@ -81,7 +88,7 @@ pub fn prize_collecting_with(
             achieved_value: out.utility,
         });
     }
-    Ok(obj.extract_schedule(inst, candidates, &out.chosen))
+    Ok(obj.extract_schedule(inst, &[], &out.chosen))
 }
 
 /// Schedules jobs of total value at least `target` — no `(1−ε)` slack — at
@@ -100,15 +107,14 @@ pub fn prize_collecting_exact(
         return Ok(empty_schedule(inst));
     }
     let red = ScheduleReduction::build(inst, candidates);
-    prize_collecting_exact_with(inst, &red, candidates, target, opts)
+    prize_collecting_exact_with(inst, &red, target, opts)
 }
 
 /// [`prize_collecting_exact`] over a prebuilt [`ScheduleReduction`] (which
-/// must have been built for exactly this `inst` + `candidates` pair).
+/// must have been built for exactly this `inst`).
 pub fn prize_collecting_exact_with(
     inst: &Instance,
     red: &ScheduleReduction,
-    candidates: &[CandidateInterval],
     target: f64,
     opts: &SolveOptions,
 ) -> Result<Schedule, ScheduleError> {
@@ -183,7 +189,7 @@ pub fn prize_collecting_exact_with(
         in_chosen[idx] = true;
     }
 
-    Ok(obj.extract_schedule(inst, candidates, &chosen))
+    Ok(obj.extract_schedule(inst, &[], &chosen))
 }
 
 fn empty_schedule(inst: &Instance) -> Schedule {

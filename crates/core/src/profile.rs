@@ -387,6 +387,12 @@ impl EnergyCost for ProfileCost {
         debug_assert!(start < end);
         self.wake[proc as usize] + self.busy[proc as usize] * (end - start) as f64
     }
+
+    /// Per processor this is an [`AffineCost`](crate::AffineCost), and
+    /// inclusion never crosses processors.
+    fn inclusion_monotone(&self) -> bool {
+        true
+    }
 }
 
 /// Hard cap on the number of frequency levels in a [`FreqLadder`]. The DVFS

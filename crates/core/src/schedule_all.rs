@@ -39,21 +39,20 @@ pub fn schedule_all(
     // solve ⊃ reduction on a cold solve.
     let _span = sched_obs::span!("core.solve.schedule_all_ns");
     let red = ScheduleReduction::build(inst, candidates);
-    schedule_all_with(inst, &red, candidates, opts)
+    schedule_all_with(inst, &red, opts)
 }
 
 /// [`schedule_all`] over a prebuilt [`ScheduleReduction`] (which must have
-/// been built, or last [`ScheduleReduction::apply_delta`]-ed, for exactly
-/// this `inst` + `candidates` pair).
+/// been built, or last rebuilt in place, for exactly this `inst`, from a
+/// candidate family or from the slot windows).
 ///
 /// The greedy runs over the reduction's window subsets, starting its lazy
 /// heap from upper bounds, with no full gain scan; every chosen subset is
-/// reported as the candidate it stands for. This is the one solve behind
+/// reported as the interval it stands for. This is the one solve behind
 /// [`crate::Solver::schedule_all`], the warm handle and the engine.
 pub fn schedule_all_with(
     inst: &Instance,
     red: &ScheduleReduction,
-    candidates: &[CandidateInterval],
     opts: &SolveOptions,
 ) -> Result<Schedule, ScheduleError> {
     let n = inst.num_jobs();
@@ -102,7 +101,7 @@ pub fn schedule_all_with(
     }
     debug_assert_eq!(out.utility, x, "integral utility must hit n exactly");
 
-    Ok(obj.extract_schedule(inst, candidates, &out.chosen))
+    Ok(obj.extract_schedule(inst, &[], &out.chosen))
 }
 
 /// Flushes the per-solve batched counters (gain-memo hits/misses, oracle

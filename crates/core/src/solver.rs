@@ -209,12 +209,7 @@ impl<'a> Solver<'a> {
         // Opened before `reduction()` so a first solve's lazy reduction
         // build nests inside the solve span on the trace timeline.
         let _span = sched_obs::span!("core.solve.schedule_all_ns");
-        schedule_all_with(
-            self.instance,
-            self.reduction(),
-            self.candidates(),
-            &self.options,
-        )
+        schedule_all_with(self.instance, self.reduction(), &self.options)
     }
 
     /// Theorem 2.3.1: schedules value `≥ (1−epsilon)·target` at cost within
@@ -223,7 +218,6 @@ impl<'a> Solver<'a> {
         prize_collecting_with(
             self.instance,
             self.reduction(),
-            self.candidates(),
             target,
             epsilon,
             &self.options,
@@ -233,13 +227,7 @@ impl<'a> Solver<'a> {
     /// Theorem 2.3.3: schedules value `≥ target` exactly, at cost
     /// `O((log n + log Δ)·B)` where `Δ` is the job-value spread.
     pub fn prize_collecting_exact(&self, target: f64) -> Result<Schedule, ScheduleError> {
-        prize_collecting_exact_with(
-            self.instance,
-            self.reduction(),
-            self.candidates(),
-            target,
-            &self.options,
-        )
+        prize_collecting_exact_with(self.instance, self.reduction(), target, &self.options)
     }
 }
 

@@ -1,37 +1,54 @@
 //! Incremental warm-start re-solving for the online path.
 //!
-//! A [`WarmHandle`] keeps the expensive, slowly-changing pieces of a
-//! `schedule_all` solve alive across consecutive re-solves on the same
-//! processor grid:
+//! A [`WarmHandle`] keeps the slowly-changing pieces of a `schedule_all`
+//! solve alive across consecutive re-solves on the same processor grid:
 //!
-//! * the enumerated candidate family (job-independent: it depends only on the
-//!   grid dimensions, the candidate policy, and the cost model), shared as an
-//!   `Arc<[CandidateInterval]>`;
 //! * the [`ScheduleReduction`]'s buffers, rebuilt in place for each new
-//!   instance by [`ScheduleReduction::apply_delta`];
+//!   instance;
 //! * the previous instance and its result, returned as-is when the next
-//!   instance is identical (the solver is deterministic).
+//!   solve would repeat it (the solver is deterministic).
 //!
-//! A warm re-solve is `apply_delta` followed by the same lazy greedy a cold
+//! How a re-solve rebuilds the reduction depends on the cost oracle:
+//!
+//! * **Window path.** Under an
+//!   [`inclusion_monotone`](EnergyCost::inclusion_monotone) cost,
+//!   [`ScheduleReduction::apply_delta_windows`] prices each slot window's
+//!   tightest interval through the live oracle, in
+//!   `O(Σₚ kₚ² + slots + edges)` for `kₚ` job-adjacent slots on processor
+//!   `p` instead of `O(p·T²)`. No candidate family is enumerated or kept,
+//!   so nothing cached can go stale: a changed price is read by the next
+//!   rebuild. The identical-instance path returns the previous result only
+//!   when the rebuilt subsets, intervals and cost bits, equal the previous
+//!   solve's.
+//! * **Family path.** Any other cost enumerates the candidate family once
+//!   and rebuilds with [`ScheduleReduction::apply_delta`]; see "Checksum
+//!   fallback" below.
+//!
+//! A warm re-solve is that rebuild followed by the same lazy greedy a cold
 //! [`crate::schedule_all_with`] runs: first keys from upper bounds, no full
 //! gain scan. The reduction's window subsets (see [`crate::objective`])
 //! change with every job delta, so no gain is carried across solves; the
 //! subsets themselves are what keeps a re-solve small — a few hundred
 //! distinct windows on a grid of a hundred thousand intervals. The result
-//! is bit-identical to [`crate::schedule_all()`] (and hence to
-//! `crate::naive`) by construction: `apply_delta` and `build` run the same
-//! rebuild.
+//! is bit-identical to [`crate::schedule_all()`] over the enumerated
+//! family (and hence to `crate::naive`) by construction: the window build
+//! reproduces the family build field for field, and `apply_delta` and
+//! `build` run the same rebuild.
 //!
-//! # Checksum fallback
+//! # Checksum fallback (family path)
 //!
-//! Reusing the candidate family assumes the grid and the cost model did not
-//! change underneath the handle. Each solve recomputes a structural checksum
-//! — grid dimensions, family size, and the freshly re-priced costs of ~16
-//! sampled candidates — and compares it to the checksum recorded at
-//! enumeration time. Any divergence (resized grid, swapped power profiles,
-//! perturbed restart cost) triggers a full cold rebuild: re-enumerate,
-//! re-price, rebuild the reduction. Cold solves are counted in
-//! [`WarmStats::cold`]; callers never observe a stale family.
+//! Reusing the candidate family assumes the cost model did not change
+//! underneath the handle. Each family-path solve recomputes a structural
+//! checksum — grid dimensions, family size, and the freshly re-priced costs
+//! of ~16 sampled candidates — and compares it to the checksum recorded at
+//! enumeration time. A divergence (swapped power profiles, perturbed
+//! restart cost) re-enumerates the family and rebuilds the reduction from
+//! scratch. The check is a sample: drift confined to unsampled intervals
+//! goes unseen, which is why monotone costs take the window path instead.
+//!
+//! A solve that builds the reduction from scratch is counted in
+//! [`WarmStats::cold`]: the first solve on a grid, a resized grid, a
+//! switch between the window and family paths, or a re-enumerated family.
 
 use std::sync::Arc;
 
@@ -44,11 +61,12 @@ use crate::schedule_all::schedule_all_with;
 /// Warm/cold re-solve counters kept by a [`WarmHandle`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WarmStats {
-    /// Solves that reused the cached candidate family: the delta path (the
-    /// reduction rebuilt in place) and the identical-instance path.
+    /// Solves that rebuilt the reduction in place, or returned the previous
+    /// result for an identical instance.
     pub warm: u64,
-    /// Solves that enumerated the family from scratch: the first solve and
-    /// any solve after a checksum divergence.
+    /// Solves that built the reduction from scratch: the first solve on a
+    /// grid, a resized grid, a switch between the window and family paths,
+    /// or a family re-enumerated after a checksum divergence.
     pub cold: u64,
 }
 
@@ -56,20 +74,75 @@ pub struct WarmStats {
 struct PrevSolve {
     /// The instance that was solved (owned; compared against the next one).
     instance: Instance,
-    /// The solve result, returned verbatim when the next instance is
-    /// identical (the solver is deterministic).
+    /// The window path's subset intervals, compared bit for bit with the
+    /// next rebuild's; empty on the family path, whose checksum vouches for
+    /// the family.
+    subsets: Vec<CandidateInterval>,
+    /// The solve result, returned verbatim when the next solve would
+    /// repeat it.
     result: Result<Schedule, ScheduleError>,
 }
 
-/// Per-grid cached state: candidate family, checksum, reduction.
-struct GridState {
-    num_processors: u32,
-    horizon: u32,
+/// How a cached reduction was built.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Built {
+    /// From the slot windows, under an inclusion-monotone cost.
+    Windows,
+    /// From the cached family of this enumeration epoch.
+    Family(u64),
+}
+
+/// An enumerated candidate family and its checksum.
+struct CachedFamily {
     /// Structural checksum recorded at enumeration; see [`family_checksum`].
     checksum: u64,
     candidates: Arc<[CandidateInterval]>,
-    reduction: ScheduleReduction,
+}
+
+/// Per-grid cached state.
+struct GridState {
+    num_processors: u32,
+    horizon: u32,
+    /// The family, enumerated only for a family-path solve or a
+    /// [`WarmHandle::family`] call.
+    family: Option<CachedFamily>,
+    /// Enumerations of `family` so far, so a family-built reduction can
+    /// tell it was built from an older one.
+    family_epoch: u64,
+    /// The last solve's reduction and how it was built.
+    reduction: Option<(Built, ScheduleReduction)>,
     prev: Option<PrevSolve>,
+}
+
+impl GridState {
+    /// Ensures the cached family matches `cost`'s pricing, enumerating (or
+    /// re-enumerating after a checksum divergence) if needed.
+    fn ensure_family(&mut self, inst: &Instance, cost: &dyn EnergyCost, policy: CandidatePolicy) {
+        if let Some(f) = &self.family {
+            let live = family_checksum(inst.num_processors, inst.horizon, &f.candidates, |c| {
+                cost.cost(c.proc, c.start, c.end).to_bits()
+            });
+            if live == f.checksum {
+                return;
+            }
+            // Worth surfacing: a noisy cost oracle can silently turn every
+            // family-path solve cold.
+            sched_obs::counter_add("core.warm.checksum_divergence", 1);
+        }
+        let candidates: Arc<[CandidateInterval]> = enumerate_candidates(inst, cost, policy).into();
+        let checksum = family_checksum(inst.num_processors, inst.horizon, &candidates, |c| {
+            c.cost.to_bits()
+        });
+        self.family = Some(CachedFamily {
+            checksum,
+            candidates,
+        });
+        self.family_epoch += 1;
+    }
+
+    fn candidates(&self) -> &Arc<[CandidateInterval]> {
+        &self.family.as_ref().expect("family ensured").candidates
+    }
 }
 
 /// A reusable warm-start handle for consecutive `schedule_all` solves.
@@ -104,7 +177,7 @@ impl WarmHandle {
         }
     }
 
-    /// The candidate policy this handle enumerates with.
+    /// The candidate policy this handle solves under.
     pub fn policy(&self) -> CandidatePolicy {
         self.policy
     }
@@ -114,9 +187,10 @@ impl WarmHandle {
         self.stats
     }
 
-    /// Structural checksum of the cached family, if any (for diagnostics).
+    /// Structural checksum of the cached family, if one is cached (for
+    /// diagnostics).
     pub fn checksum(&self) -> Option<u64> {
-        self.grid.as_ref().map(|g| g.checksum)
+        self.grid.as_ref()?.family.as_ref().map(|f| f.checksum)
     }
 
     /// Drops every cached artifact; the next solve is cold.
@@ -132,30 +206,32 @@ impl WarmHandle {
     }
 
     /// The candidate family for `inst`'s grid under `cost`, enumerating (or
-    /// re-enumerating after divergence) if needed. Lets callers that also
-    /// serve non-`schedule_all` goals on the same grid share the family.
+    /// re-enumerating after a checksum divergence) if needed, for callers
+    /// that also serve non-`schedule_all` goals on the same grid. Builds no
+    /// reduction; a window-path solve never reads the family.
     pub fn family(&mut self, inst: &Instance, cost: &dyn EnergyCost) -> Arc<[CandidateInterval]> {
-        self.ensure_grid(inst, cost);
-        Arc::clone(
-            &self
-                .grid
-                .as_ref()
-                .expect("ensure_grid populated")
-                .candidates,
-        )
+        let grid = grid_for(&mut self.grid, inst);
+        grid.ensure_family(inst, cost, self.policy);
+        Arc::clone(grid.candidates())
     }
 
-    /// Solves `schedule_all` for `inst`, reusing the cached family and
-    /// reduction buffers. Bit-identical to [`crate::schedule_all_with`] with
-    /// the same options.
+    /// Solves `schedule_all` for `inst`, rebuilding the cached reduction in
+    /// place. Bit-identical to [`crate::schedule_all_with`] over
+    /// `enumerate_candidates(inst, cost, policy)` with the same options.
     pub fn solve(
         &mut self,
         inst: &Instance,
         cost: &dyn EnergyCost,
     ) -> Result<Schedule, ScheduleError> {
         let _span = sched_obs::span!("core.warm.solve_ns");
-        let rebuilt = self.ensure_grid(inst, cost);
-        let grid = self.grid.as_mut().expect("ensure_grid populated");
+        let policy = self.policy;
+        let grid = grid_for(&mut self.grid, inst);
+        let built = if cost.inclusion_monotone() {
+            Built::Windows
+        } else {
+            grid.ensure_family(inst, cost, policy);
+            Built::Family(grid.family_epoch)
+        };
 
         // One decision event per solve: which of the three warm/cold paths
         // this call took and why, so a trace can narrate the handle's
@@ -169,79 +245,94 @@ impl WarmHandle {
             }
         };
 
-        if rebuilt {
-            // `ensure_grid` built the reduction for `inst`.
+        let cold = match grid.reduction.as_ref().map(|(b, _)| *b) {
+            None => Some("new-grid"),
+            Some(b) if b == built => None,
+            Some(Built::Family(_)) if built != Built::Windows => Some("family-rebuilt"),
+            Some(_) => Some("path-switch"),
+        };
+        if let Some(reason) = cold {
             self.stats.cold += 1;
             sched_obs::counter_add("core.warm.solves.cold", 1);
-            decision("cold", "family-rebuilt");
+            decision("cold", reason);
+            let red = match built {
+                Built::Windows => ScheduleReduction::build_windows(inst, cost, policy),
+                Built::Family(_) => ScheduleReduction::build(inst, grid.candidates()),
+            };
+            grid.reduction = Some((built, red));
         } else {
             self.stats.warm += 1;
             sched_obs::counter_add("core.warm.solves.warm", 1);
-            if let Some(prev) = grid.prev.as_ref().filter(|p| p.instance == *inst) {
+            let prev = grid.prev.as_ref().filter(|p| p.instance == *inst);
+            let (_, red) = grid.reduction.as_mut().expect("matched above");
+            let repeat = match built {
+                // the checksum vouches for the family, so the instance
+                // decides before any rebuild
+                Built::Family(_) => {
+                    let repeat = prev.is_some();
+                    if !repeat {
+                        red.apply_delta(inst, &grid.family.as_ref().expect("ensured").candidates);
+                    }
+                    repeat
+                }
+                Built::Windows => {
+                    red.apply_delta_windows(inst, cost, policy);
+                    prev.is_some_and(|p| same_bits(&p.subsets, red))
+                }
+            };
+            if repeat {
                 decision("cached", "identical-instance");
-                return prev.result.clone();
+                return prev.expect("repeat needs a previous solve").result.clone();
             }
             decision("warm", "delta");
-            grid.reduction.apply_delta(inst, &grid.candidates);
         }
+        let (_, red) = grid.reduction.as_ref().expect("built above");
         let result = {
             let _span = sched_obs::span!("core.solve.schedule_all_ns");
-            schedule_all_with(inst, &grid.reduction, &grid.candidates, &self.options)
+            schedule_all_with(inst, red, &self.options)
         };
         grid.prev = Some(PrevSolve {
             instance: inst.clone(),
+            subsets: match built {
+                Built::Windows => red.intervals().collect(),
+                Built::Family(_) => Vec::new(),
+            },
             result: result.clone(),
         });
         result
     }
+}
 
-    /// Ensures the cached family matches `inst`'s grid and `cost`'s pricing.
-    /// Returns `true` if a full rebuild happened (the reduction was built
-    /// for `inst` and the previous solve dropped).
-    fn ensure_grid(&mut self, inst: &Instance, cost: &dyn EnergyCost) -> bool {
-        let ok = match &self.grid {
-            Some(g) => {
-                g.num_processors == inst.num_processors
-                    && g.horizon == inst.horizon
-                    && g.checksum
-                        == family_checksum(inst.num_processors, inst.horizon, &g.candidates, |c| {
-                            cost.cost(c.proc, c.start, c.end).to_bits()
-                        })
-            }
-            None => false,
-        };
-        if ok {
-            return false;
-        }
-        if self.grid.is_some() {
-            // A cached family existed but no longer matches: resized grid or
-            // checksum drift in the cost model. Either way the warm state is
-            // discarded — worth surfacing, since a noisy cost oracle can
-            // silently turn every "warm" solve cold.
-            sched_obs::counter_add("core.warm.checksum_divergence", 1);
-        }
-        let candidates: Arc<[CandidateInterval]> =
-            enumerate_candidates(inst, cost, self.policy).into();
-        let checksum = family_checksum(inst.num_processors, inst.horizon, &candidates, |c| {
-            c.cost.to_bits()
-        });
-        let reduction = ScheduleReduction::build(inst, &candidates);
-        self.grid = Some(GridState {
+/// The cached state for `inst`'s grid, started afresh when there is none
+/// or the grid was resized.
+fn grid_for<'g>(grid: &'g mut Option<GridState>, inst: &Instance) -> &'g mut GridState {
+    let fits = grid
+        .as_ref()
+        .is_some_and(|g| g.num_processors == inst.num_processors && g.horizon == inst.horizon);
+    if !fits {
+        *grid = Some(GridState {
             num_processors: inst.num_processors,
             horizon: inst.horizon,
-            checksum,
-            candidates,
-            reduction,
+            family: None,
+            family_epoch: 0,
+            reduction: None,
             prev: None,
         });
-        true
     }
+    grid.as_mut().expect("just ensured")
+}
+
+/// Whether `red`'s subsets are `subsets`, costs compared bit for bit.
+fn same_bits(subsets: &[CandidateInterval], red: &ScheduleReduction) -> bool {
+    let key = |c: &CandidateInterval| (c.proc, c.start, c.end, c.cost.to_bits());
+    subsets.len() == red.num_subsets()
+        && red.intervals().zip(subsets).all(|(x, y)| key(&x) == key(y))
 }
 
 /// FNV-1a over grid dimensions, family size, and up to ~16 sampled candidate
 /// costs priced through `price`. At enumeration time `price` reads the stored
-/// cost; at check time it re-prices through the live cost oracle, so any
-/// drift in the cost model (or a resized family) changes the sum.
+/// cost; at check time it re-prices through the live cost oracle, so drift in
+/// the cost model at a sampled interval (or a resized family) changes the sum.
 fn family_checksum(
     num_processors: u32,
     horizon: u32,
@@ -283,6 +374,16 @@ mod tests {
 
     fn cost() -> AffineCost {
         AffineCost::new(3.0, 1.0)
+    }
+
+    /// An oracle that prices like its inner one but does not declare
+    /// itself inclusion-monotone, so a handle takes the family path.
+    struct Opaque<C>(C);
+
+    impl<C: EnergyCost> EnergyCost for Opaque<C> {
+        fn cost(&self, proc: u32, start: u32, end: u32) -> f64 {
+            self.0.cost(proc, start, end)
+        }
     }
 
     fn inst(jobs: Vec<Job>) -> Instance {
@@ -399,7 +500,9 @@ mod tests {
 
     #[test]
     fn cost_model_change_forces_cold_rebuild() {
-        let c = cost();
+        // The family path: an oracle that does not declare itself
+        // inclusion-monotone is priced through the cached family.
+        let c = Opaque(cost());
         let mut h = WarmHandle::new(CandidatePolicy::All);
         let i = inst(vec![Job::window(1.0, 0, 0, 5)]);
         let sum0 = {
@@ -408,13 +511,110 @@ mod tests {
         };
         // Same grid, different pricing: checksum must diverge and the handle
         // must fall back to a cold rebuild — with the correct new costs.
-        let c2 = AffineCost::new(5.0, 2.0);
+        let c2 = Opaque(AffineCost::new(5.0, 2.0));
         let i2 = inst(vec![Job::window(1.0, 0, 0, 5), Job::window(1.0, 1, 3, 8)]);
         let warm = h.solve(&i2, &c2);
         assert_ne!(h.checksum().expect("family cached"), sum0);
         let expected = Solver::new(&i2, &c2).schedule_all();
         assert_same(&warm, &expected);
         assert_eq!(h.stats(), WarmStats { warm: 0, cold: 2 });
+    }
+
+    #[test]
+    fn window_path_prices_a_changed_cost_model_warm() {
+        // A monotone oracle takes the window path: no family is cached, and
+        // a changed model is simply priced by the in-place rebuild.
+        let mut h = WarmHandle::new(CandidatePolicy::All);
+        let i = inst(vec![Job::window(1.0, 0, 0, 5)]);
+        h.solve(&i, &cost()).expect("feasible");
+        assert_eq!(h.checksum(), None, "the window path caches no family");
+        let c2 = AffineCost::new(5.0, 2.0);
+        let i2 = inst(vec![Job::window(1.0, 0, 0, 5), Job::window(1.0, 1, 3, 8)]);
+        assert_same(&h.solve(&i2, &c2), &Solver::new(&i2, &c2).schedule_all());
+        // the same instance under the first model again: the rebuilt
+        // subsets' prices differ, so the previous result is not reused
+        assert_same(&h.solve(&i2, &cost()), &cold(&i2));
+        assert_eq!(h.stats(), WarmStats { warm: 2, cold: 1 });
+    }
+
+    /// `AffineCost(3, 1)`, plus `surcharge` on every processor-0 interval
+    /// of a 16-slot row that covers slot 15. Declares itself
+    /// inclusion-monotone, as it is: a super-interval of a surcharged
+    /// interval is surcharged too.
+    struct LastSlotSurcharge {
+        surcharge: f64,
+    }
+
+    impl EnergyCost for LastSlotSurcharge {
+        fn cost(&self, proc: u32, start: u32, end: u32) -> f64 {
+            let covers_15 = proc == 0 && start <= 15 && 15 < end;
+            3.0 + (end - start) as f64 + if covers_15 { self.surcharge } else { 0.0 }
+        }
+
+        fn inclusion_monotone(&self) -> bool {
+            true
+        }
+    }
+
+    #[test]
+    fn warm_resolve_never_serves_a_stale_price() {
+        // A price change that a sampled checksum cannot see: none of the
+        // ~16 intervals it re-prices on a 2×16 family covers (0, 15). A
+        // handle that reused the family priced under the plain oracle would
+        // pick p0 [15,16) at the stale 4.0, where the live price is 14.0.
+        let mut h = WarmHandle::new(CandidatePolicy::All);
+        let plain = LastSlotSurcharge { surcharge: 0.0 };
+        let first = Instance::new(2, 16, vec![Job::window(1.0, 0, 2, 6)]);
+        h.solve(&first, &plain).expect("feasible");
+        let surcharged = LastSlotSurcharge { surcharge: 10.0 };
+        let last = Instance::new(
+            2,
+            16,
+            vec![Job::unit(vec![SlotRef::new(0, 15), SlotRef::new(1, 15)])],
+        );
+        let warm = h.solve(&last, &surcharged).expect("feasible");
+        let want = Solver::new(&last, &surcharged).schedule_all();
+        assert_same(&Ok(warm.clone()), &want);
+        let picked: Vec<_> = warm
+            .awake
+            .iter()
+            .map(|iv| (iv.proc, iv.start, iv.end, iv.cost))
+            .collect();
+        assert_eq!(picked, vec![(1, 15, 16, 4.0)], "the live price");
+        assert_eq!(h.stats(), WarmStats { warm: 1, cold: 1 });
+    }
+
+    #[test]
+    fn switching_between_window_and_family_paths_rebuilds_cold() {
+        let mut h = WarmHandle::new(CandidatePolicy::All);
+        let monotone = cost();
+        let opaque = Opaque(cost());
+        let steps: [(&dyn EnergyCost, Vec<Job>, bool); 6] = [
+            (&monotone, vec![Job::window(1.0, 0, 0, 4)], true),
+            (&monotone, vec![Job::window(1.0, 0, 1, 5)], false),
+            (&opaque, vec![Job::window(1.0, 0, 1, 5)], true),
+            (&opaque, vec![Job::window(1.0, 1, 2, 7)], false),
+            (&opaque, vec![Job::window(1.0, 1, 2, 7)], false),
+            (&monotone, vec![Job::window(1.0, 1, 2, 7)], true),
+        ];
+        for (k, (c, jobs, is_cold)) in steps.into_iter().enumerate() {
+            let i = inst(jobs);
+            let before = h.stats();
+            assert_same(&h.solve(&i, c), &cold(&i));
+            let after = h.stats();
+            assert_eq!(after.cold - before.cold, u64::from(is_cold), "step {k}");
+            assert_eq!(after.warm - before.warm, u64::from(!is_cold), "step {k}");
+        }
+        // The family the opaque steps enumerated stays cached for
+        // `family()` callers; the window steps never read it.
+        assert!(h.checksum().is_some());
+        let i = inst(vec![Job::window(1.0, 0, 0, 4)]);
+        assert_eq!(
+            &h.family(&i, &monotone)[..],
+            &enumerate_candidates(&i, &monotone, CandidatePolicy::All)[..]
+        );
+        assert_same(&h.solve(&i, &monotone), &cold(&i));
+        assert_eq!(h.stats(), WarmStats { warm: 4, cold: 3 });
     }
 
     #[test]

@@ -22,9 +22,11 @@
 //!   [`SolveMetrics::cache_hit`] reports this per response. `schedule_all`
 //!   requests additionally ride the handle's incremental warm path (the
 //!   reduction rebuilt in place between consecutive requests on the same
-//!   grid, and an identical request answered from the previous result;
-//!   bit-identical to a cold solve by construction); other goals borrow
-//!   the family via [`Solver::with_candidates`].
+//!   grid — from the slot windows under affine and profiled pricing, from
+//!   the family under DVFS pricing — and an identical request answered
+//!   from the previous result; bit-identical to a cold solve by
+//!   construction); other goals borrow the family via
+//!   [`Solver::with_candidates`].
 //! * **Ordering** — [`Engine::submit`] returns a [`Ticket`] per request;
 //!   [`Engine::solve_batch`] / [`Engine::process_lines`] collect tickets in
 //!   submission order, so batch output order always matches input order no
@@ -37,8 +39,8 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use sched_core::{
-    validate_profiles, AffineCost, CandidatePolicy, CompiledDvfs, DvfsCost, DvfsInstance,
-    EnergyCost, FreqLadder, Instance, ProfileCost, SolveOptions, Solver, WarmHandle,
+    is_valid_target, validate_profiles, AffineCost, CandidatePolicy, CompiledDvfs, DvfsCost,
+    DvfsInstance, EnergyCost, FreqLadder, Instance, ProfileCost, SolveOptions, Solver, WarmHandle,
 };
 use sched_obs::{Gauge, Registry, Snapshot};
 
@@ -761,14 +763,12 @@ fn plan(req: &SolveRequest) -> Result<Plan, WireError> {
             .map_err(|e| WireError::new(ErrorKind::BadRequest, e))?,
     };
     let need_target = || {
-        req.target
-            .filter(|t| t.is_finite() && *t > 0.0)
-            .ok_or_else(|| {
-                WireError::new(
-                    ErrorKind::BadRequest,
-                    "prize-collecting modes require a finite positive `target`",
-                )
-            })
+        req.target.filter(|&t| is_valid_target(t)).ok_or_else(|| {
+            WireError::new(
+                ErrorKind::BadRequest,
+                "prize-collecting modes require a finite positive `target`",
+            )
+        })
     };
     let goal = match req.mode {
         SolveMode::ScheduleAll => Goal::All,
@@ -919,7 +919,7 @@ fn serve_request_planned(
     let t0 = Instant::now();
     let outcome = match plan.goal {
         // The warm path: consecutive schedule_all requests on one grid reuse
-        // the candidate family and the reduction's buffers.
+        // the reduction's buffers (and, under DVFS pricing, the family).
         Goal::All => handle.solve(instance, cost.as_ref()),
         Goal::Prize { target, epsilon } => Solver::with_candidates(instance, &family[..])
             .lazy(plan.lazy)

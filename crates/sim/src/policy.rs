@@ -409,7 +409,8 @@ pub struct PeriodicResolve {
     resolver: Resolver,
     /// Incremental warm-start state; when present, suffix solves go through
     /// [`WarmHandle::solve`] (inline, bypassing any engine) so consecutive
-    /// re-solves reuse the candidate family and the reduction's buffers.
+    /// re-solves rebuild the reduction in place from the slot windows
+    /// (profile pricing is inclusion-monotone), enumerating no family.
     /// Bit-identical to the cold path by construction.
     warm: Option<WarmHandle>,
     next_resolve: u32,
@@ -455,9 +456,8 @@ impl PeriodicResolve {
     }
 
     /// Same policy, with incremental warm-start re-solving: a private
-    /// [`WarmHandle`] carries the candidate family and the reduction's
-    /// buffers from one checkpoint to the next. Decisions are bit-identical
-    /// to [`PeriodicResolve::new`].
+    /// [`WarmHandle`] carries the reduction's buffers from one checkpoint to
+    /// the next. Decisions are bit-identical to [`PeriodicResolve::new`].
     pub fn new_warm(period: u32) -> Self {
         Self {
             warm: Some(WarmHandle::new(sched_core::CandidatePolicy::All)),
@@ -566,9 +566,8 @@ impl PeriodicResolve {
         let started = Instant::now();
         let solved = match (&mut self.warm, &self.resolver) {
             (Some(handle), _) => {
-                // Warm path: solve through the handle so the candidate
-                // family and the reduction's buffers carry over from the
-                // previous checkpoint.
+                // Warm path: solve through the handle so the reduction's
+                // buffers carry over from the previous checkpoint.
                 let cost = ProfileCost::new(view.profiles);
                 handle.solve(&inst, &cost).ok()
             }

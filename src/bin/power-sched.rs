@@ -45,7 +45,7 @@ use power_scheduling::obs;
 use power_scheduling::prelude::*;
 use power_scheduling::scheduling::model::validate_schedule;
 use power_scheduling::scheduling::simulate::simulate;
-use power_scheduling::scheduling::{validate_profiles, PowerProfile, ProfileCost};
+use power_scheduling::scheduling::{is_valid_target, validate_profiles, PowerProfile, ProfileCost};
 use power_scheduling::workloads::planted::PlantedCostModel;
 use power_scheduling::workloads::{
     dvfs_instance, dvfs_trace, generate_trace, hetero_profiles, hetero_trace, planted_instance,
@@ -143,9 +143,12 @@ fn check_restart_rate(restart: f64, rate: f64) -> Result<(), String> {
 }
 
 /// `--target Z`: prize-collecting to value `Z`, or `None` for schedule-all.
+/// `Z` must pass the engine's rule too ([`is_valid_target`]).
 fn target_flag(args: &[String]) -> Result<Option<f64>, String> {
     match parse_opt_flag::<f64>(args, "--target")? {
-        Some(z) if !z.is_finite() => Err(format!("--target must be finite, got {z}")),
+        Some(z) if !is_valid_target(z) => {
+            Err(format!("--target must be finite and positive, got {z}"))
+        }
         target => Ok(target),
     }
 }

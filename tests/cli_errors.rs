@@ -153,6 +153,61 @@ fn hostile_numeric_flags_fail_cleanly_and_name_the_flag() {
     }
 }
 
+/// `solve` and `explain` refuse a target of zero or below with exit 1,
+/// as the engine refuses it with `BadRequest`: both go through one rule,
+/// so no target is accepted on one entry point and rejected on another.
+#[test]
+fn non_positive_targets_fail_on_the_cli_as_in_the_engine() {
+    use power_scheduling::engine::{Engine, EngineConfig, SolveRequest};
+    use power_scheduling::prelude::{Instance, Job};
+
+    let dir = temp_dir("targets");
+    let path = dir.join("inst.json");
+    let json =
+        r#"{"num_processors":1,"horizon":4,"jobs":[{"value":1,"allowed":[{"proc":0,"time":1}]}]}"#;
+    std::fs::write(&path, json).unwrap();
+    let inst = path.to_str().unwrap();
+    let engine = Engine::new(EngineConfig::with_workers(1));
+    let targets = ["0", "-1", "-0", "inf", "nan"];
+    for (id, target) in targets.into_iter().enumerate() {
+        for cmd in ["solve", "explain"] {
+            let run = bin()
+                .args([cmd, inst, "--target", target])
+                .output()
+                .expect("spawn power-sched");
+            assert_clean_failure(&run);
+            let stderr = String::from_utf8_lossy(&run.stderr);
+            assert!(
+                stderr.contains("--target must be finite and positive"),
+                "{cmd} --target {target}: {stderr}"
+            );
+        }
+        let req = SolveRequest::builder(
+            id as u64,
+            Instance::new(1, 4, vec![Job::window(1.0, 0, 1, 2)]),
+        )
+        .affine(3.0, 1.0)
+        .prize_collecting_exact(target.parse().unwrap())
+        .build();
+        let resp = engine.submit(req).wait();
+        assert_eq!(
+            resp.error.map(|e| e.kind),
+            Some(ErrorKind::BadRequest),
+            "engine, target {target}"
+        );
+    }
+    // and a positive target passes both
+    let run = bin()
+        .args(["solve", inst, "--target", "1"])
+        .output()
+        .unwrap();
+    assert!(
+        run.status.success(),
+        "{}",
+        String::from_utf8_lossy(&run.stderr)
+    );
+}
+
 #[test]
 fn replay_rejects_malformed_policy_suffixes_without_panicking() {
     // regression: every malformed --policy suffix must exit nonzero with a

@@ -262,12 +262,14 @@ fn dvfs_whole_solve_edge_visits_stay_bounded() {
 /// Upper bounds on the work of one `resolve:1:warm` replay of the pinned
 /// advance-notice trace below, about twice the counts measured when they
 /// were set: adjacency entries examined by every matching search of every
-/// re-solve, and subsets built over all re-solves (each re-solve carries
-/// the trace's whole 131,584-interval grid). A warm re-solve that scans
-/// every subset, or a reduction that stops collapsing equal windows, fails
-/// here.
+/// re-solve, subsets built over all re-solves, and intervals the builds
+/// examined (each re-solve's grid holds 131,584 intervals; the window
+/// build prices a few hundred). A warm re-solve that scans every subset, a
+/// reduction that stops collapsing equal windows, or a warm rebuild that
+/// walks the interval family fails here.
 const WARM_REPLAY_EDGE_VISITS_MAX: u64 = 260_000;
 const WARM_REPLAY_SUBSETS_MAX: u64 = 70_000;
+const WARM_REPLAY_INTERVALS_MAX: u64 = 120_000;
 
 #[test]
 fn warm_replay_edge_visits_stay_bounded() {
@@ -318,8 +320,9 @@ fn warm_replay_edge_visits_stay_bounded() {
     let resolves = registry.counter("core.warm.solves.warm").get();
     let visits = registry.counter("matching.oracle.edge_visits").get();
     let subsets = registry.counter("core.reduction.subsets").get();
+    let intervals = registry.counter("core.reduction.intervals").get();
     assert!(
-        resolves > 0 && visits > 0 && subsets > 0,
+        resolves > 0 && visits > 0 && subsets > 0 && intervals > 0,
         "the replay re-solved warm and flushed its counters"
     );
     assert!(
@@ -329,5 +332,9 @@ fn warm_replay_edge_visits_stay_bounded() {
     assert!(
         subsets <= WARM_REPLAY_SUBSETS_MAX,
         "the replay built {subsets} subsets, bound {WARM_REPLAY_SUBSETS_MAX}"
+    );
+    assert!(
+        intervals <= WARM_REPLAY_INTERVALS_MAX,
+        "the replay's builds examined {intervals} intervals, bound {WARM_REPLAY_INTERVALS_MAX}"
     );
 }

@@ -324,9 +324,20 @@ proptest! {
     }
 }
 
-/// A cost-model change between re-solves must trip the structural checksum:
-/// the handle falls back to a full cold rebuild (counted in `cold`) and the
-/// post-divergence results still match a from-scratch solve exactly.
+/// Prices like `AffineCost` without declaring itself inclusion-monotone,
+/// so a warm handle takes the family path and its checksum.
+struct Opaque(AffineCost);
+
+impl EnergyCost for Opaque {
+    fn cost(&self, proc: u32, start: u32, end: u32) -> f64 {
+        self.0.cost(proc, start, end)
+    }
+}
+
+/// On the family path, a cost-model change between re-solves must trip the
+/// structural checksum: the handle falls back to a full cold rebuild
+/// (counted in `cold`) and the post-divergence results still match a
+/// from-scratch solve exactly.
 #[test]
 fn warm_handle_checksum_divergence_recovers_cold() {
     let mut handle = WarmHandle::new(CandidatePolicy::All);
@@ -339,8 +350,8 @@ fn warm_handle_checksum_divergence_recovers_cold() {
             Instance::new(2, 16, jobs)
         })
         .collect();
-    let cheap = AffineCost::new(3.0, 1.0);
-    let pricey = AffineCost::new(7.0, 2.0);
+    let cheap = Opaque(AffineCost::new(3.0, 1.0));
+    let pricey = Opaque(AffineCost::new(7.0, 2.0));
     for (i, inst) in steps.iter().enumerate() {
         // Swap the cost model mid-stream: the checksum must catch it.
         let cost: &dyn EnergyCost = if i < 3 { &cheap } else { &pricey };
