@@ -2,8 +2,11 @@
 //!
 //! Planted coverage instances: `B` disjoint unit-cost subsets cover the
 //! universe (the optimum), plus decoys. For each ε the greedy must reach
-//! utility `(1−ε)·x` at cost ≤ `2⌈log₂(1/ε)⌉·B`, and the lazy variant must
-//! match the eager pick sequence while evaluating far fewer candidates.
+//! utility `(1−ε)·x` at cost ≤ `2⌈log₂(1/ε)⌉·B`. The table sets the lazy
+//! greedy's gain evaluations beside `m × picks`, the count a full scan of
+//! all `m` subsets per pick makes; the lazy greedy picks exactly what such
+//! a scan picks (checked against a full-scan reference in
+//! `crates/submodular/tests/greedy_properties.rs`).
 
 use crate::table::{section, Table};
 use rand::{Rng, SeedableRng};
@@ -60,15 +63,8 @@ pub fn run(seed: u64, quick: bool) {
     for e in exps {
         let eps = 2f64.powi(-e);
         let x = universe as f64;
-        let run_cfg = |lazy: bool| {
-            let mut obj = SetSystemObjective::new(&f, subsets.clone(), costs.clone());
-            let mut cfg = GreedyConfig::new(x, eps);
-            cfg.lazy = lazy;
-            budgeted_greedy(&mut obj, cfg)
-        };
-        let lazy = run_cfg(true);
-        let eager = run_cfg(false);
-        assert_eq!(lazy.chosen, eager.chosen, "lazy and eager must agree");
+        let mut obj = SetSystemObjective::new(&f, subsets.clone(), costs.clone());
+        let lazy = budgeted_greedy(&mut obj, GreedyConfig::new(x, eps));
         assert!(lazy.reached_target);
         assert!(lazy.utility >= (1.0 - eps) * x - 1e-9);
         let bound = 2.0 * (1.0 / eps).log2().ceil() * b;
@@ -81,9 +77,12 @@ pub fn run(seed: u64, quick: bool) {
             format!("{:.2}", lazy.total_cost),
             format!("{bound:.1}"),
             lazy.evaluations.to_string(),
-            eager.evaluations.to_string(),
+            (subsets.len() * lazy.chosen.len()).to_string(),
         ]);
     }
     t.print();
-    println!("  (B = {b} planted unit-cost sets; lazy/eager pick sequences verified identical)");
+    println!(
+        "  (B = {b} planted unit-cost sets; evals eager = m × picks, m = {} subsets)",
+        subsets.len()
+    );
 }

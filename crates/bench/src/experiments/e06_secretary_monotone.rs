@@ -6,9 +6,9 @@
 //! the true optimum, so the reported ratio *underestimates* competitiveness
 //! against `f(R)` by at most that factor — still far above the bound).
 
+use super::trials;
 use crate::table::{section, Table};
 use rand::SeedableRng;
-use rayon::prelude::*;
 use secretary::{offline_greedy, random_stream, submodular_secretary};
 use submodular::{BitSet, SetFn};
 use workloads::secretary_streams::{random_coverage, random_facility_location};
@@ -18,7 +18,7 @@ pub fn run(seed: u64, quick: bool) {
     section(&format!(
         "E6  Theorem 3.2.5  monotone submodular secretary ≥ (1−1/e)/(7e) ≈ 0.0332   [seed {seed}]"
     ));
-    let trials = if quick { 200 } else { 1000 };
+    let runs = if quick { 200 } else { 1000 };
     let mut t = Table::new(&[
         "utility",
         "n",
@@ -48,18 +48,17 @@ pub fn run(seed: u64, quick: bool) {
                 continue;
             }
             // parallel Monte-Carlo with per-trial derived seeds (reproducible)
-            let total: f64 = (0..trials)
-                .into_par_iter()
-                .map(|trial| {
-                    let mut trng = rand::rngs::StdRng::seed_from_u64(
-                        seed ^ 0xE6 ^ (trial as u64) << 20 ^ (n as u64),
-                    );
-                    let s = random_stream(n, &mut trng);
-                    let hired = submodular_secretary(f.as_ref(), &s, k);
-                    f.eval(&BitSet::from_iter(n, hired))
-                })
-                .sum();
-            let avg = total / trials as f64;
+            let total: f64 = trials(runs, |trial| {
+                let mut trng = rand::rngs::StdRng::seed_from_u64(
+                    seed ^ 0xE6 ^ (trial as u64) << 20 ^ (n as u64),
+                );
+                let s = random_stream(n, &mut trng);
+                let hired = submodular_secretary(f.as_ref(), &s, k);
+                f.eval(&BitSet::from_iter(n, hired))
+            })
+            .into_iter()
+            .sum();
+            let avg = total / runs as f64;
             let ratio = avg / offline;
             assert!(
                 ratio >= bound,
@@ -77,5 +76,5 @@ pub fn run(seed: u64, quick: bool) {
         }
     }
     t.print();
-    println!("  ({trials} Monte-Carlo arrival orders per row; reference = offline greedy)");
+    println!("  ({runs} Monte-Carlo arrival orders per row; reference = offline greedy)");
 }

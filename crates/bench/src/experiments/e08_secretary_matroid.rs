@@ -1,10 +1,10 @@
 //! E8 — Theorem 3.1.2: matroid-constrained submodular secretary,
 //! `O(l log² r)`-competitive, across matroid families and `l ∈ {1,2,3}`.
 
+use super::trials;
 use crate::table::{section, Table};
 use matroid::{GraphicMatroid, LaminarMatroid, Matroid, PartitionMatroid, UniformMatroid};
 use rand::SeedableRng;
-use rayon::prelude::*;
 use secretary::{matroid_submodular_secretary, offline_matroid_greedy, random_stream};
 use submodular::{BitSet, SetFn};
 use workloads::secretary_streams::random_coverage;
@@ -14,7 +14,7 @@ pub fn run(seed: u64, quick: bool) {
     section(&format!(
         "E8  Theorem 3.1.2  matroid submodular secretary, Ω(1/(l log² r))   [seed {seed}]"
     ));
-    let trials = if quick { 200 } else { 800 };
+    let runs = if quick { 200 } else { 800 };
     let n = if quick { 48 } else { 96 };
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xE8);
     let f = random_coverage(n, n / 2, 0.1, &mut rng);
@@ -67,18 +67,16 @@ pub fn run(seed: u64, quick: bool) {
         if offline <= 0.0 {
             continue;
         }
-        let total: f64 = (0..trials)
-            .into_par_iter()
-            .map(|trial| {
-                let mut trng =
-                    rand::rngs::StdRng::seed_from_u64(seed ^ 0x8E ^ (trial as u64) << 12);
-                let s = random_stream(n, &mut trng);
-                let hired = matroid_submodular_secretary(&f, &s, ms, &mut trng);
-                debug_assert!(matroid::independent_in_all(ms, &hired));
-                f.eval(&BitSet::from_iter(n, hired))
-            })
-            .sum();
-        let avg = total / trials as f64;
+        let total: f64 = trials(runs, |trial| {
+            let mut trng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x8E ^ (trial as u64) << 12);
+            let s = random_stream(n, &mut trng);
+            let hired = matroid_submodular_secretary(&f, &s, ms, &mut trng);
+            debug_assert!(matroid::independent_in_all(ms, &hired));
+            f.eval(&BitSet::from_iter(n, hired))
+        })
+        .into_iter()
+        .sum();
+        let avg = total / runs as f64;
         let ratio = avg / offline;
         let nominal = 1.0 / (8.0 * std::f64::consts::E * l * r.log2().max(1.0).powi(2));
         assert!(

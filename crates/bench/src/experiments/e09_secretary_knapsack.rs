@@ -3,9 +3,9 @@
 //! The reduction loses a factor `4l`; the ratio must therefore degrade
 //! roughly linearly in `l`, not faster.
 
+use super::trials;
 use crate::table::{section, Table};
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 use secretary::knapsack::offline_knapsack_estimate;
 use secretary::{knapsack_secretary, random_stream, KnapsackInstance};
 use submodular::{BitSet, SetFn};
@@ -16,7 +16,7 @@ pub fn run(seed: u64, quick: bool) {
     section(&format!(
         "E9  Theorem 3.1.3  l-knapsack secretary, Ω(1/l)   [seed {seed}]"
     ));
-    let trials = if quick { 300 } else { 1200 };
+    let runs = if quick { 300 } else { 1200 };
     let n = if quick { 50 } else { 100 };
     let mut t = Table::new(&["l", "offline ref", "online avg", "ratio", "ratio·l"]);
 
@@ -35,19 +35,17 @@ pub fn run(seed: u64, quick: bool) {
         if offline <= 0.0 {
             continue;
         }
-        let total: f64 = (0..trials)
-            .into_par_iter()
-            .map(|trial| {
-                let mut trng = rand::rngs::StdRng::seed_from_u64(
-                    seed ^ 0x9E ^ (trial as u64) << 14 ^ (l as u64),
-                );
-                let s = random_stream(n, &mut trng);
-                let taken = knapsack_secretary(&f, &inst, &s, &mut trng);
-                debug_assert!(inst.feasible(&taken));
-                f.eval(&BitSet::from_iter(n, taken))
-            })
-            .sum();
-        let avg = total / trials as f64;
+        let total: f64 = trials(runs, |trial| {
+            let mut trng =
+                rand::rngs::StdRng::seed_from_u64(seed ^ 0x9E ^ (trial as u64) << 14 ^ (l as u64));
+            let s = random_stream(n, &mut trng);
+            let taken = knapsack_secretary(&f, &inst, &s, &mut trng);
+            debug_assert!(inst.feasible(&taken));
+            f.eval(&BitSet::from_iter(n, taken))
+        })
+        .into_iter()
+        .sum();
+        let avg = total / runs as f64;
         let ratio = avg / offline;
         ratios.push((l, ratio));
         assert!(

@@ -1,20 +1,20 @@
-//! E14 — ablations of three design choices:
+//! E14 — ablations of two design choices:
 //!
 //! * **candidate policy** — full `O(T²)` interval family vs length-bounded
 //!   vs single slots. Single slots degenerate toward per-slot set cover
 //!   (many restarts); the full family is what lets the algorithm merge awake
 //!   intervals when restarts are expensive (the paper's key modeling point).
-//! * **lazy vs eager** greedy — identical picks, far fewer oracle calls.
-//!   The `parallel` toggle now measures *real* fan-out: the vendored rayon
-//!   fans full scans out over `std::thread::scope`.
 //! * **engine sharding** (E14c) — the same workload through the
-//!   `sched-engine` worker pool at 1/2/4 workers, with
-//!   `SolveOptions { parallel: true }` wired through each worker; costs must
-//!   not depend on the worker count.
+//!   `sched-engine` worker pool at 1/2/4 workers; costs must not depend on
+//!   the worker count.
+//!
+//! The greedy itself has one configuration (lazy, from upper bounds), so
+//! there is no greedy-variant table; E2 reports the evaluations a full scan
+//! per pick would make next to the lazy count.
 
 use crate::table::{section, Table};
 use rand::SeedableRng;
-use sched_core::{CandidatePolicy, SolveOptions, Solver};
+use sched_core::{CandidatePolicy, Solver};
 use sched_engine::{Engine, EngineConfig, SolveRequest};
 use std::time::Instant;
 use workloads::planted::PlantedCostModel;
@@ -66,31 +66,7 @@ pub fn run(seed: u64, quick: bool) {
     t.print();
     println!("  (restart cost 8: single-slot candidates pay one restart per job)");
 
-    section("E14b  ablation: lazy vs eager vs parallel greedy (same instance)");
-    // one Solver across all variants: the candidate cache survives option
-    // changes, so each run differs only in greedy strategy
-    let mut solver = Solver::new(&p.instance, p.cost.as_ref());
-    solver.candidates();
-    let mut t2 = Table::new(&["variant", "cost", "ms"]);
-    for (name, lazy, parallel) in [
-        ("eager", false, false),
-        ("eager+rayon", false, true),
-        ("lazy", true, false),
-    ] {
-        solver = solver.options(SolveOptions { lazy, parallel });
-        let t0 = Instant::now();
-        let s = solver.schedule_all().expect("feasible");
-        let ms = t0.elapsed().as_secs_f64() * 1e3;
-        t2.row(vec![
-            name.to_string(),
-            format!("{:.2}", s.total_cost),
-            format!("{ms:.1}"),
-        ]);
-    }
-    t2.print();
-    println!("  (costs must be identical across variants — asserted in tests)");
-
-    section("E14c  ablation: engine sharding (parallel scans on, 1/2/4 workers)");
+    section("E14c  ablation: engine sharding (1/2/4 workers)");
     // The planted grid is shared by every request, so workers hit their
     // candidate caches after the first enumeration; the ablation isolates
     // the sharding itself.
@@ -99,7 +75,6 @@ pub fn run(seed: u64, quick: bool) {
         .map(|i| {
             SolveRequest::builder(i as u64, p.instance.clone())
                 .affine(8.0, 1.0)
-                .parallel(true) // SolveOptions.parallel through the pool
                 .build()
         })
         .collect();

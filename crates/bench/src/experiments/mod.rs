@@ -17,6 +17,26 @@ pub mod e12_submodularity;
 pub mod e14_ablation;
 pub mod e15_gap_budget;
 
+/// Runs `trial(i)` for `i in 0..n` on `available_parallelism()` scoped
+/// threads, one contiguous chunk of trials each, and returns the results in
+/// trial order. The Monte-Carlo sweeps (E6–E9, E12) reduce the results
+/// sequentially, so their output does not depend on the thread count.
+pub(crate) fn trials<T: Send>(n: usize, trial: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let threads = std::thread::available_parallelism().map_or(1, |t| t.get());
+    let chunk = n.div_ceil(threads).max(1);
+    let trial = &trial;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..n)
+            .step_by(chunk)
+            .map(|lo| scope.spawn(move || (lo..n.min(lo + chunk)).map(trial).collect::<Vec<T>>()))
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
+    })
+}
+
 /// An experiment's entry point, `run(seed, quick)`.
 pub type Run = fn(u64, bool);
 
@@ -36,3 +56,18 @@ pub const EXPERIMENTS: &[(&str, Run)] = &[
     ("ablation", e14_ablation::run),
     ("gap_budget", e15_gap_budget::run),
 ];
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn trials_return_results_in_trial_order() {
+        for n in [0usize, 1, 2, 3, 7, 1000] {
+            let squares: Vec<usize> = super::trials(n, |i| i * i);
+            assert_eq!(
+                squares,
+                (0..n).map(|i| i * i).collect::<Vec<_>>(),
+                "n = {n}"
+            );
+        }
+    }
+}

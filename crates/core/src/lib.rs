@@ -33,8 +33,8 @@
 //! # Entry point
 //!
 //! Applications should use the [`Solver`] builder, which owns the instance,
-//! the cost oracle, the candidate policy, and the [`model::SolveOptions`] in
-//! one place and exposes all three algorithms as goal methods:
+//! the cost oracle and the candidate policy in one place and exposes all
+//! three algorithms as goal methods:
 //!
 //! ```
 //! use sched_core::{AffineCost, Instance, Job, SlotRef, Solver};

@@ -189,12 +189,15 @@ impl Instance {
     }
 }
 
-/// Options controlling the greedy solvers.
+/// Accepted by the free solver functions ([`crate::schedule_all`] and its
+/// siblings) and ignored: every solve runs the one lazy greedy,
+/// sequentially. Both fields are kept only so existing callers keep
+/// compiling; setting them changes no pick and no cost bit.
 #[derive(Clone, Copy, Debug)]
 pub struct SolveOptions {
-    /// Use lazy-greedy candidate selection (recommended).
+    /// Ignored.
     pub lazy: bool,
-    /// Parallelize full candidate scans with rayon.
+    /// Ignored.
     pub parallel: bool,
 }
 

@@ -142,7 +142,7 @@ impl BudgetedObjective for NaiveObjective<'_> {
 pub fn naive_schedule_all(
     inst: &Instance,
     candidates: &[CandidateInterval],
-    opts: &SolveOptions,
+    _opts: &SolveOptions,
 ) -> Result<Schedule, ScheduleError> {
     let n = inst.num_jobs();
     if n == 0 {
@@ -164,14 +164,7 @@ pub fn naive_schedule_all(
     let mut obj = NaiveObjective::new_cardinality(&red);
 
     let x = n as f64;
-    let eps = 1.0 / (x + 1.0);
-    let cfg = GreedyConfig {
-        target: x,
-        epsilon: eps,
-        lazy: opts.lazy,
-        parallel: opts.parallel,
-    };
-    let out = budgeted_greedy(&mut obj, cfg);
+    let out = budgeted_greedy(&mut obj, GreedyConfig::new(x, 1.0 / (x + 1.0)));
     if !out.reached_target {
         let certificate = hall_violator(&obj.oracle).unwrap_or_default();
         return Err(ScheduleError::Infeasible {
@@ -188,7 +181,7 @@ pub fn naive_prize_collecting(
     candidates: &[CandidateInterval],
     target: f64,
     epsilon: f64,
-    opts: &SolveOptions,
+    _opts: &SolveOptions,
 ) -> Result<Schedule, ScheduleError> {
     let total = inst.total_value();
     if target > total {
@@ -201,13 +194,7 @@ pub fn naive_prize_collecting(
     let red = NaiveReduction::build(inst, candidates);
     let values: Vec<f64> = inst.jobs.iter().map(|j| j.value).collect();
     let mut obj = NaiveObjective::new_weighted(&red, values);
-    let cfg = GreedyConfig {
-        target,
-        epsilon,
-        lazy: opts.lazy,
-        parallel: opts.parallel,
-    };
-    let out = budgeted_greedy(&mut obj, cfg);
+    let out = budgeted_greedy(&mut obj, GreedyConfig::new(target, epsilon));
     if !out.reached_target {
         let certificate = hall_violator(&obj.oracle).unwrap_or_default();
         return Err(ScheduleError::Infeasible {
@@ -223,7 +210,7 @@ pub fn naive_prize_collecting_exact(
     inst: &Instance,
     candidates: &[CandidateInterval],
     target: f64,
-    opts: &SolveOptions,
+    _opts: &SolveOptions,
 ) -> Result<Schedule, ScheduleError> {
     let total = inst.total_value();
     if target > total {
@@ -242,13 +229,7 @@ pub fn naive_prize_collecting_exact(
     let red = NaiveReduction::build(inst, candidates);
     let values: Vec<f64> = inst.jobs.iter().map(|j| j.value).collect();
     let mut obj = NaiveObjective::new_weighted(&red, values);
-    let cfg = GreedyConfig {
-        target,
-        epsilon: eps,
-        lazy: opts.lazy,
-        parallel: opts.parallel,
-    };
-    let out = budgeted_greedy(&mut obj, cfg);
+    let out = budgeted_greedy(&mut obj, GreedyConfig::new(target, eps));
     if !out.reached_target {
         let certificate = hall_violator(&obj.oracle).unwrap_or_default();
         return Err(ScheduleError::Infeasible {

@@ -998,41 +998,11 @@ impl BudgetedObjective for ScheduleObjective<'_> {
         gain
     }
 
-    fn scan_gains(&self, parallel: bool, scratch: &mut Self::Scratch, out: &mut Vec<f64>) {
+    fn scan_gains(&self, _parallel: bool, scratch: &mut Self::Scratch, out: &mut Vec<f64>) {
         let _span = sched_obs::span!("core.objective.scan_gains_ns");
         scratch.ensure(self.token, self.red);
-        let runs = self.red.runs();
-        if parallel {
-            // Replay the runs whose memo is current, refresh the others on
-            // per-thread scratches, and write them back into the memo: the
-            // same memo state the sequential scan leaves.
-            use rayon::prelude::*;
-            let stale: Vec<usize> = (0..runs.len())
-                .filter(|&r| !self.memo_current(r, scratch))
-                .collect();
-            let fresh: Vec<Vec<f64>> = (0..stale.len())
-                .into_par_iter()
-                .map_init(ObjectiveScratch::default, |s, k| {
-                    let r = stale[k];
-                    s.ensure(self.token, self.red);
-                    self.refresh_run(r, s);
-                    let (lo, hi) = (runs[r].0 as usize, runs[r].1 as usize);
-                    s.memo_val[lo..hi].to_vec()
-                })
-                .collect();
-            let mut refreshed = 0;
-            for (&r, vals) in stale.iter().zip(fresh) {
-                let lo = runs[r].0 as usize;
-                scratch.memo_val[lo..lo + vals.len()].copy_from_slice(&vals);
-                scratch.run_eval[r] = self.version;
-                refreshed += vals.len() as u64;
-            }
-            scratch.memo_misses += refreshed;
-            scratch.memo_hits += self.red.num_subsets() as u64 - refreshed;
-        } else {
-            for r in 0..runs.len() {
-                self.fresh_run(r, scratch);
-            }
+        for r in 0..self.red.runs().len() {
+            self.fresh_run(r, scratch);
         }
         out.clear();
         out.extend_from_slice(&scratch.memo_val);
@@ -1041,10 +1011,9 @@ impl BudgetedObjective for ScheduleObjective<'_> {
     /// Exact memoized gains for the runs whose memo is current, and
     /// `|slots_of(k)| ×` [`MatchingOracle::max_value`] for every other
     /// subset: each slot raises the matching rank by at most one job's
-    /// value. Reads no matching, so `parallel` has nothing to split.
+    /// value. Reads no matching.
     fn first_values(
         &self,
-        _parallel: bool,
         scratch: &mut Self::Scratch,
         out: &mut Vec<f64>,
         bounded: &mut Vec<u32>,
@@ -1148,9 +1117,12 @@ mod tests {
                     "round {round}, candidate {i}"
                 );
             }
-            let mut par = Vec::new();
-            obj.scan_gains(true, &mut ObjectiveScratch::default(), &mut par);
-            assert_eq!(par, scanned, "parallel scan diverged at round {round}");
+            // the scan leaves every run's memo current: the first values
+            // replay it exactly and bound nothing
+            let (mut first, mut bounded) = (Vec::new(), Vec::new());
+            obj.first_values(&mut scratch, &mut first, &mut bounded);
+            assert_eq!(first, scanned, "round {round}");
+            assert!(bounded.is_empty(), "round {round}");
             obj.commit(round * 7 % red.num_subsets());
         }
     }
@@ -1228,46 +1200,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_scan_replays_the_callers_memo() {
-        let inst = Instance::new(
-            2,
-            6,
-            vec![
-                Job::window(1.0, 0, 0, 3),
-                Job::window(1.0, 0, 2, 5),
-                Job::window(1.0, 1, 1, 4),
-            ],
-        );
-        let cands = enumerate_candidates(&inst, &AffineCost::new(2.0, 1.0), CandidatePolicy::All);
-        let red = ScheduleReduction::build(&inst, &cands);
-        let obj = ScheduleObjective::new_cardinality(&red);
-        let m = red.num_subsets() as u64;
-
-        // Evaluate only the last run, then scan: the parallel scan must
-        // replay that run from this scratch, refresh only the others, and
-        // leave the memo as current as the sequential scan does.
-        let partial = || {
-            let mut scratch = ObjectiveScratch::default();
-            let last = red.runs().len() - 1;
-            obj.gain(red.runs()[last].0 as usize, &mut scratch);
-            scratch
-        };
-        let (mut seq_scratch, mut par_scratch) = (partial(), partial());
-        let evaluated = seq_scratch.memo_counts().1;
-        assert!(evaluated > 0 && evaluated < m, "a partial memo");
-        let (mut seq, mut par) = (Vec::new(), Vec::new());
-        obj.scan_gains(false, &mut seq_scratch, &mut seq);
-        obj.scan_gains(true, &mut par_scratch, &mut par);
-        assert_eq!(par, seq);
-        assert_eq!(par_scratch.memo_counts(), seq_scratch.memo_counts());
-        assert_eq!(par_scratch.memo_counts(), (evaluated, m));
-        let (mut again, mut bounded) = (Vec::new(), Vec::new());
-        obj.first_values(false, &mut par_scratch, &mut again, &mut bounded);
-        assert_eq!(again, seq);
-        assert!(bounded.is_empty(), "every run's memo is current");
-    }
-
-    #[test]
     fn first_values_bound_the_runs_without_a_current_memo() {
         let inst = Instance::new(
             2,
@@ -1284,7 +1216,7 @@ mod tests {
         let mut obj = ScheduleObjective::new_weighted(&red, values);
         let mut scratch = ObjectiveScratch::default();
         let (mut vals, mut bounded) = (Vec::new(), Vec::new());
-        obj.first_values(false, &mut scratch, &mut vals, &mut bounded);
+        obj.first_values(&mut scratch, &mut vals, &mut bounded);
         let every_run: Vec<u32> = (0..red.runs().len() as u32).collect();
         assert_eq!(bounded, every_run, "a cold scratch has no memo");
         for (k, &v) in vals.iter().enumerate() {
@@ -1304,7 +1236,7 @@ mod tests {
         let run_p1 = red.run_of(on_p1) as u32;
         let g = obj.gain(on_p1, &mut scratch);
         obj.commit(on_proc(0));
-        obj.first_values(false, &mut scratch, &mut vals, &mut bounded);
+        obj.first_values(&mut scratch, &mut vals, &mut bounded);
         assert!(!bounded.contains(&run_p1), "the evaluated run is exact");
         assert_eq!(vals[on_p1], g);
         let mut fresh = ObjectiveScratch::default();
@@ -1338,7 +1270,7 @@ mod tests {
         let red = ScheduleReduction::build(&inst, &cands);
         let mut obj = ScheduleObjective::new_cardinality(&red);
         let n = inst.num_jobs() as f64;
-        let out = budgeted_greedy(&mut obj, GreedyConfig::lazy(n, 1.0 / (n + 1.0)));
+        let out = budgeted_greedy(&mut obj, GreedyConfig::new(n, 1.0 / (n + 1.0)));
         assert!(out.reached_target);
         assert_eq!(out.utility, 2.0);
         let sched = obj.extract_schedule(&inst, &cands, &out.chosen);

@@ -35,13 +35,13 @@ pub fn is_valid_target(target: f64) -> bool {
 ///
 /// Builds the bipartite reduction internally; repeated solves should go
 /// through [`crate::Solver`], which caches it and calls
-/// [`prize_collecting_with`].
+/// [`prize_collecting_with`]. `_opts` is ignored (see [`SolveOptions`]).
 pub fn prize_collecting(
     inst: &Instance,
     candidates: &[CandidateInterval],
     target: f64,
     epsilon: f64,
-    opts: &SolveOptions,
+    _opts: &SolveOptions,
 ) -> Result<Schedule, ScheduleError> {
     let total = inst.total_value();
     if target > total {
@@ -51,7 +51,7 @@ pub fn prize_collecting(
         return Ok(empty_schedule(inst));
     }
     let red = ScheduleReduction::build(inst, candidates);
-    prize_collecting_with(inst, &red, target, epsilon, opts)
+    prize_collecting_with(inst, &red, target, epsilon)
 }
 
 /// [`prize_collecting`] over a prebuilt [`ScheduleReduction`] (which must
@@ -61,7 +61,6 @@ pub fn prize_collecting_with(
     red: &ScheduleReduction,
     target: f64,
     epsilon: f64,
-    opts: &SolveOptions,
 ) -> Result<Schedule, ScheduleError> {
     let total = inst.total_value();
     if target > total {
@@ -74,13 +73,7 @@ pub fn prize_collecting_with(
     let values: Vec<f64> = inst.jobs.iter().map(|j| j.value).collect();
     let mut obj = ScheduleObjective::new_weighted(red, values);
 
-    let cfg = GreedyConfig {
-        target,
-        epsilon,
-        lazy: opts.lazy,
-        parallel: opts.parallel,
-    };
-    let out = budgeted_greedy(&mut obj, cfg);
+    let out = budgeted_greedy(&mut obj, GreedyConfig::new(target, epsilon));
     if !out.reached_target {
         let certificate = hall_violator(obj.oracle()).unwrap_or_default();
         return Err(ScheduleError::Infeasible {
@@ -92,12 +85,13 @@ pub fn prize_collecting_with(
 }
 
 /// Schedules jobs of total value at least `target` — no `(1−ε)` slack — at
-/// cost `O((log n + log Δ)·B)` (Theorem 2.3.3).
+/// cost `O((log n + log Δ)·B)` (Theorem 2.3.3). `_opts` is ignored (see
+/// [`SolveOptions`]).
 pub fn prize_collecting_exact(
     inst: &Instance,
     candidates: &[CandidateInterval],
     target: f64,
-    opts: &SolveOptions,
+    _opts: &SolveOptions,
 ) -> Result<Schedule, ScheduleError> {
     let total = inst.total_value();
     if target > total {
@@ -107,7 +101,7 @@ pub fn prize_collecting_exact(
         return Ok(empty_schedule(inst));
     }
     let red = ScheduleReduction::build(inst, candidates);
-    prize_collecting_exact_with(inst, &red, target, opts)
+    prize_collecting_exact_with(inst, &red, target)
 }
 
 /// [`prize_collecting_exact`] over a prebuilt [`ScheduleReduction`] (which
@@ -116,7 +110,6 @@ pub fn prize_collecting_exact_with(
     inst: &Instance,
     red: &ScheduleReduction,
     target: f64,
-    opts: &SolveOptions,
 ) -> Result<Schedule, ScheduleError> {
     let total = inst.total_value();
     if target > total {
@@ -138,13 +131,7 @@ pub fn prize_collecting_exact_with(
     let values: Vec<f64> = inst.jobs.iter().map(|j| j.value).collect();
     let mut obj = ScheduleObjective::new_weighted(red, values);
 
-    let cfg = GreedyConfig {
-        target,
-        epsilon: eps,
-        lazy: opts.lazy,
-        parallel: opts.parallel,
-    };
-    let out = budgeted_greedy(&mut obj, cfg);
+    let out = budgeted_greedy(&mut obj, GreedyConfig::new(target, eps));
     if !out.reached_target {
         let certificate = hall_violator(obj.oracle()).unwrap_or_default();
         return Err(ScheduleError::Infeasible {
@@ -164,7 +151,7 @@ pub fn prize_collecting_exact_with(
     }
     let mut gains: Vec<f64> = Vec::new();
     while obj.current() < target {
-        obj.scan_gains(opts.parallel, &mut scratch, &mut gains);
+        obj.scan_gains(false, &mut scratch, &mut gains);
         let mut best: Option<(f64, usize)> = None;
         for (i, &g) in gains.iter().enumerate() {
             if in_chosen[i] {

@@ -26,11 +26,11 @@ use crate::objective::{ObjectiveScratch, ScheduleObjective, ScheduleReduction};
 /// Builds the bipartite reduction internally; callers that solve the same
 /// instance + family repeatedly (or mix goal methods) should go through
 /// [`crate::Solver`], which builds the reduction once and passes it to
-/// [`schedule_all_with`].
+/// [`schedule_all_with`]. `_opts` is ignored (see [`SolveOptions`]).
 pub fn schedule_all(
     inst: &Instance,
     candidates: &[CandidateInterval],
-    opts: &SolveOptions,
+    _opts: &SolveOptions,
 ) -> Result<Schedule, ScheduleError> {
     if inst.num_jobs() == 0 {
         return Ok(empty_schedule());
@@ -39,7 +39,7 @@ pub fn schedule_all(
     // solve ⊃ reduction on a cold solve.
     let _span = sched_obs::span!("core.solve.schedule_all_ns");
     let red = ScheduleReduction::build(inst, candidates);
-    schedule_all_with(inst, &red, opts)
+    schedule_all_with(inst, &red)
 }
 
 /// [`schedule_all`] over a prebuilt [`ScheduleReduction`] (which must have
@@ -53,7 +53,6 @@ pub fn schedule_all(
 pub fn schedule_all_with(
     inst: &Instance,
     red: &ScheduleReduction,
-    opts: &SolveOptions,
 ) -> Result<Schedule, ScheduleError> {
     let n = inst.num_jobs();
     if n == 0 {
@@ -81,13 +80,7 @@ pub fn schedule_all_with(
     let mut scratch = ObjectiveScratch::default();
 
     let x = n as f64;
-    let eps = 1.0 / (x + 1.0);
-    let cfg = GreedyConfig {
-        target: x,
-        epsilon: eps,
-        lazy: opts.lazy,
-        parallel: opts.parallel,
-    };
+    let cfg = GreedyConfig::new(x, 1.0 / (x + 1.0));
     let out = budgeted_greedy_with(&mut obj, cfg, &mut scratch);
     flush_solve_telemetry(&obj, &scratch);
 
@@ -347,6 +340,8 @@ mod tests {
 
     #[test]
     fn eager_and_lazy_agree() {
+        // `SolveOptions` is ignored: every spelling runs the one lazy
+        // greedy, so all three answers are bit-identical.
         let inst = Instance::new(
             2,
             5,
@@ -375,7 +370,8 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(lazy.total_cost, eager.total_cost);
+        assert_eq!(lazy.total_cost.to_bits(), eager.total_cost.to_bits());
+        assert_eq!(lazy.awake, eager.awake);
         let par = schedule_all(
             &inst,
             &cands,
@@ -385,6 +381,7 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(lazy.total_cost, par.total_cost);
+        assert_eq!(lazy.total_cost.to_bits(), par.total_cost.to_bits());
+        assert_eq!(lazy.awake, par.awake);
     }
 }

@@ -1,9 +1,9 @@
 //! The [`Solver`] builder — the single entry point unifying the three
 //! algorithms of Chapter 2.
 //!
-//! Before this module, every caller had to thread four values through every
-//! call site (instance, cost oracle, candidate enumeration, options) and pick
-//! one of three free functions. The builder owns that state once:
+//! Before this module, every caller had to thread three values through every
+//! call site (instance, cost oracle, candidate enumeration) and pick one of
+//! three free functions. The builder owns that state once:
 //!
 //! ```
 //! use sched_core::{AffineCost, Instance, Job, SlotRef, Solver};
@@ -34,7 +34,7 @@ use std::sync::Arc;
 
 use crate::candidates::{enumerate_candidates, CandidateInterval, CandidatePolicy};
 use crate::cost::EnergyCost;
-use crate::model::{Instance, Schedule, ScheduleError, SolveOptions};
+use crate::model::{Instance, Schedule, ScheduleError};
 use crate::objective::ScheduleReduction;
 use crate::prize_collecting::{prize_collecting_exact_with, prize_collecting_with};
 use crate::schedule_all::schedule_all_with;
@@ -76,7 +76,6 @@ impl Family<'_> {
 pub struct Solver<'a> {
     instance: &'a Instance,
     source: CandidateSource<'a>,
-    options: SolveOptions,
     cache: OnceCell<Family<'a>>,
     /// Bipartite reduction over the cached family, built lazily on the first
     /// goal call and shared by every subsequent one (and by clones).
@@ -84,14 +83,13 @@ pub struct Solver<'a> {
 }
 
 impl Clone for Solver<'_> {
-    /// Cheap: copies references and options, and shares (never copies) an
+    /// Cheap: copies references, and shares (never copies) an
     /// already-enumerated candidate family via its `Arc` — likewise the
     /// already-built reduction.
     fn clone(&self) -> Self {
         Self {
             instance: self.instance,
             source: self.source,
-            options: self.options,
             cache: self.cache.clone(),
             reduction: self.reduction.clone(),
         }
@@ -105,7 +103,6 @@ impl<'a> Solver<'a> {
         Self {
             instance,
             source: CandidateSource::Enumerate(cost, CandidatePolicy::All),
-            options: SolveOptions::default(),
             cache: OnceCell::new(),
             reduction: OnceCell::new(),
         }
@@ -126,7 +123,6 @@ impl<'a> Solver<'a> {
         Self {
             instance,
             source: CandidateSource::Explicit,
-            options: SolveOptions::default(),
             cache: OnceCell::from(family),
             reduction: OnceCell::new(),
         }
@@ -142,24 +138,6 @@ impl<'a> Solver<'a> {
             self.cache = OnceCell::new();
             self.reduction = OnceCell::new();
         }
-        self
-    }
-
-    /// Replaces the whole option block.
-    pub fn options(mut self, options: SolveOptions) -> Self {
-        self.options = options;
-        self
-    }
-
-    /// Toggles lazy-greedy candidate selection (on by default).
-    pub fn lazy(mut self, lazy: bool) -> Self {
-        self.options.lazy = lazy;
-        self
-    }
-
-    /// Toggles parallel full-scan evaluation (off by default).
-    pub fn parallel(mut self, parallel: bool) -> Self {
-        self.options.parallel = parallel;
         self
     }
 
@@ -185,11 +163,6 @@ impl<'a> Solver<'a> {
         self.instance
     }
 
-    /// The active option block.
-    pub fn solve_options(&self) -> SolveOptions {
-        self.options
-    }
-
     /// The bipartite reduction over the cached candidate family, built on
     /// first use and shared by every goal method (and by clones): sweeping a
     /// target or an `ε` schedule re-reduces nothing.
@@ -209,25 +182,19 @@ impl<'a> Solver<'a> {
         // Opened before `reduction()` so a first solve's lazy reduction
         // build nests inside the solve span on the trace timeline.
         let _span = sched_obs::span!("core.solve.schedule_all_ns");
-        schedule_all_with(self.instance, self.reduction(), &self.options)
+        schedule_all_with(self.instance, self.reduction())
     }
 
     /// Theorem 2.3.1: schedules value `≥ (1−epsilon)·target` at cost within
     /// `O(log 1/epsilon)` of any schedule achieving `target`.
     pub fn prize_collecting(&self, target: f64, epsilon: f64) -> Result<Schedule, ScheduleError> {
-        prize_collecting_with(
-            self.instance,
-            self.reduction(),
-            target,
-            epsilon,
-            &self.options,
-        )
+        prize_collecting_with(self.instance, self.reduction(), target, epsilon)
     }
 
     /// Theorem 2.3.3: schedules value `≥ target` exactly, at cost
     /// `O((log n + log Δ)·B)` where `Δ` is the job-value spread.
     pub fn prize_collecting_exact(&self, target: f64) -> Result<Schedule, ScheduleError> {
-        prize_collecting_exact_with(self.instance, self.reduction(), target, &self.options)
+        prize_collecting_exact_with(self.instance, self.reduction(), target)
     }
 }
 
@@ -235,7 +202,7 @@ impl<'a> Solver<'a> {
 mod tests {
     use super::*;
     use crate::cost::AffineCost;
-    use crate::model::{validate_schedule, Job, SlotRef};
+    use crate::model::{validate_schedule, Job, SlotRef, SolveOptions};
     use crate::schedule_all::schedule_all;
 
     fn inst() -> Instance {
@@ -332,38 +299,5 @@ mod tests {
             solver.schedule_all().unwrap().total_cost,
             clone.schedule_all().unwrap().total_cost
         );
-    }
-
-    #[test]
-    fn option_toggles_agree() {
-        let inst = Instance::new(
-            2,
-            5,
-            vec![
-                Job::window(1.0, 0, 0, 3),
-                Job::window(1.0, 0, 2, 5),
-                Job::window(1.0, 1, 1, 4),
-            ],
-        );
-        let cost = AffineCost::new(2.0, 1.0);
-        let lazy = Solver::new(&inst, &cost).schedule_all().unwrap();
-        let eager = Solver::new(&inst, &cost)
-            .lazy(false)
-            .schedule_all()
-            .unwrap();
-        let par = Solver::new(&inst, &cost)
-            .lazy(false)
-            .parallel(true)
-            .schedule_all()
-            .unwrap();
-        assert_eq!(lazy.total_cost, eager.total_cost);
-        assert_eq!(eager.total_cost, par.total_cost);
-        let opts = Solver::new(&inst, &cost)
-            .options(SolveOptions {
-                lazy: false,
-                parallel: false,
-            })
-            .solve_options();
-        assert!(!opts.lazy && !opts.parallel);
     }
 }

@@ -54,7 +54,7 @@ use std::sync::Arc;
 
 use crate::candidates::{enumerate_candidates, CandidateInterval, CandidatePolicy};
 use crate::cost::EnergyCost;
-use crate::model::{Instance, Schedule, ScheduleError, SolveOptions};
+use crate::model::{Instance, Schedule, ScheduleError};
 use crate::objective::ScheduleReduction;
 use crate::schedule_all::schedule_all_with;
 
@@ -152,26 +152,17 @@ impl GridState {
 /// re-solve. The handle owns all cached state; dropping it frees everything.
 pub struct WarmHandle {
     policy: CandidatePolicy,
-    options: SolveOptions,
     grid: Option<GridState>,
     stats: WarmStats,
 }
 
 impl WarmHandle {
-    /// New handle with default [`SolveOptions`].
+    /// New handle solving under `policy`. Every solve runs the greedy
+    /// [`crate::schedule_all_with`] runs: lazy, from upper bounds, with no
+    /// full gain scan.
     pub fn new(policy: CandidatePolicy) -> Self {
-        Self::with_options(policy, SolveOptions::default())
-    }
-
-    /// New handle with explicit solve options, passed to every solve's
-    /// greedy exactly as [`crate::schedule_all_with`] takes them: warm or
-    /// cold, the lazy greedy starts from upper bounds and runs no full
-    /// scan, so `options.parallel` only parallelizes the scans of the
-    /// eager loop (`options.lazy == false`).
-    pub fn with_options(policy: CandidatePolicy, options: SolveOptions) -> Self {
         Self {
             policy,
-            options,
             grid: None,
             stats: WarmStats::default(),
         }
@@ -198,13 +189,6 @@ impl WarmHandle {
         self.grid = None;
     }
 
-    /// Replaces the solve options for subsequent solves. Safe at any point:
-    /// options steer evaluation order only (lazy/eager, scan parallelism),
-    /// never the result, so a cached result stays valid.
-    pub fn set_options(&mut self, options: SolveOptions) {
-        self.options = options;
-    }
-
     /// The candidate family for `inst`'s grid under `cost`, enumerating (or
     /// re-enumerating after a checksum divergence) if needed, for callers
     /// that also serve non-`schedule_all` goals on the same grid. Builds no
@@ -217,7 +201,7 @@ impl WarmHandle {
 
     /// Solves `schedule_all` for `inst`, rebuilding the cached reduction in
     /// place. Bit-identical to [`crate::schedule_all_with`] over
-    /// `enumerate_candidates(inst, cost, policy)` with the same options.
+    /// `enumerate_candidates(inst, cost, policy)`.
     pub fn solve(
         &mut self,
         inst: &Instance,
@@ -289,7 +273,7 @@ impl WarmHandle {
         let (_, red) = grid.reduction.as_ref().expect("built above");
         let result = {
             let _span = sched_obs::span!("core.solve.schedule_all_ns");
-            schedule_all_with(inst, red, &self.options)
+            schedule_all_with(inst, red)
         };
         grid.prev = Some(PrevSolve {
             instance: inst.clone(),
@@ -368,7 +352,7 @@ fn family_checksum(
 mod tests {
     use super::*;
     use crate::cost::AffineCost;
-    use crate::model::{Job, SlotRef};
+    use crate::model::{Job, SlotRef, SolveOptions};
     use crate::naive::naive_schedule_all;
     use crate::solver::Solver;
 
@@ -447,17 +431,10 @@ mod tests {
     #[test]
     fn warm_delta_solves_run_no_full_scan() {
         // A warm re-solve rebuilds the reduction in place and runs the cold
-        // lazy greedy from upper bounds: no solve scans every subset, also
-        // with `parallel` set.
+        // lazy greedy from upper bounds: no solve scans every subset.
         use std::sync::Arc;
         let c = cost();
-        let mut h = WarmHandle::with_options(
-            CandidatePolicy::All,
-            SolveOptions {
-                lazy: true,
-                parallel: true,
-            },
-        );
+        let mut h = WarmHandle::new(CandidatePolicy::All);
         let steps: [Vec<Job>; 3] = [
             vec![Job::window(1.0, 0, 0, 4), Job::window(1.0, 1, 2, 6)],
             vec![

@@ -121,12 +121,11 @@ proptest! {
 
     #[test]
     fn schedule_all_bit_identical((p, t, jobs) in instance_strategy(),
-                                  cost_pick in 0u8..4,
-                                  lazy in any::<bool>()) {
+                                  cost_pick in 0u8..4) {
         let inst = build_instance(p, t, &jobs);
         let cost = cost_model(cost_pick, p, t);
         let cands = enumerate_candidates(&inst, cost.as_ref(), CandidatePolicy::All);
-        let opts = SolveOptions { lazy, parallel: false };
+        let opts = SolveOptions::default();
         let fast = schedule_all(&inst, &cands, &opts);
         let naive = naive_schedule_all(&inst, &cands, &opts);
         assert_identical(&fast, &naive)?;
@@ -135,12 +134,11 @@ proptest! {
     #[test]
     fn prize_collecting_bit_identical((p, t, jobs) in instance_strategy(),
                                       cost_pick in 0u8..4,
-                                      lazy in any::<bool>(),
                                       frac in 1u32..10) {
         let inst = build_instance(p, t, &jobs);
         let cost = cost_model(cost_pick, p, t);
         let cands = enumerate_candidates(&inst, cost.as_ref(), CandidatePolicy::All);
-        let opts = SolveOptions { lazy, parallel: false };
+        let opts = SolveOptions::default();
         let target = inst.total_value() * frac as f64 / 10.0;
 
         let fast = prize_collecting(&inst, &cands, target, 0.25, &opts);
@@ -188,7 +186,6 @@ proptest! {
     fn heterogeneous_profiles_bit_identical(
         (p, t, jobs) in instance_strategy(),
         params in proptest::collection::vec((1u32..12, 1u32..8, 0u32..3), 4),
-        lazy in any::<bool>(),
         frac in 1u32..10,
     ) {
         let inst = build_instance(p, t, &jobs);
@@ -200,7 +197,7 @@ proptest! {
             .collect();
         let cost = ProfileCost::new(&fleet);
         let cands = enumerate_candidates(&inst, &cost, CandidatePolicy::All);
-        let opts = SolveOptions { lazy, parallel: false };
+        let opts = SolveOptions::default();
 
         assert_identical(
             &schedule_all(&inst, &cands, &opts),
@@ -215,17 +212,6 @@ proptest! {
             &prize_collecting_exact(&inst, &cands, target, &opts),
             &naive_prize_collecting_exact(&inst, &cands, target, &opts),
         )?;
-    }
-
-    #[test]
-    fn parallel_scan_bit_identical((p, t, jobs) in instance_strategy(),
-                                   lazy in any::<bool>()) {
-        let inst = build_instance(p, t, &jobs);
-        let cost = AffineCost::new(3.0, 1.0);
-        let cands = enumerate_candidates(&inst, &cost, CandidatePolicy::All);
-        let seq = schedule_all(&inst, &cands, &SolveOptions { lazy, parallel: false });
-        let par = schedule_all(&inst, &cands, &SolveOptions { lazy, parallel: true });
-        assert_identical(&par, &seq)?;
     }
 }
 

@@ -57,7 +57,7 @@ fn assert_first_values_sound(
     }
     for (name, scratch) in [("cold", &mut cold), ("mixed", &mut mixed)] {
         let (mut vals, mut bounded) = (Vec::new(), Vec::new());
-        obj.first_values(false, scratch, &mut vals, &mut bounded);
+        obj.first_values(scratch, &mut vals, &mut bounded);
         prop_assert_eq!(vals.len(), m);
         let mut exact = vec![true; m];
         for &g in &bounded {

@@ -195,12 +195,11 @@ proptest! {
     fn falling_and_equal_costs_stay_bit_identical_to_naive(
         (p, t, jobs) in instance_strategy(),
         equal in any::<bool>(),
-        lazy in any::<bool>(),
         frac in 1u32..10,
     ) {
         let inst = build_instance(p, t, &jobs);
         let cands = family(if equal { 4 } else { 3 }, &inst);
-        let opts = SolveOptions { lazy, parallel: false };
+        let opts = SolveOptions::default();
         assert_identical(
             &schedule_all(&inst, &cands, &opts),
             &naive_schedule_all(&inst, &cands, &opts),

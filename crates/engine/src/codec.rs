@@ -212,6 +212,7 @@ pub const FIELD_NAMES: &[&str] = &[
     "policy",
     "target",
     "epsilon",
+    // retired request toggles: accepted and ignored, ids kept
     "lazy",
     "parallel",
     "trace_id",

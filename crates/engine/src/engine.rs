@@ -40,7 +40,7 @@ use std::time::Instant;
 
 use sched_core::{
     is_valid_target, validate_profiles, AffineCost, CandidatePolicy, CompiledDvfs, DvfsCost,
-    DvfsInstance, EnergyCost, FreqLadder, Instance, ProfileCost, SolveOptions, Solver, WarmHandle,
+    DvfsInstance, EnergyCost, FreqLadder, Instance, ProfileCost, Solver, WarmHandle,
 };
 use sched_obs::{Gauge, Registry, Snapshot};
 
@@ -657,8 +657,6 @@ fn worker_loop(
 /// What a validated request asks the solver to do.
 struct Plan {
     policy: CandidatePolicy,
-    lazy: bool,
-    parallel: bool,
     goal: Goal,
 }
 
@@ -718,8 +716,6 @@ fn plan(req: &SolveRequest) -> Result<Plan, WireError> {
         }
         return Ok(Plan {
             policy: CandidatePolicy::All,
-            lazy: req.lazy.unwrap_or(true),
-            parallel: req.parallel.unwrap_or(false),
             goal: Goal::All,
         });
     }
@@ -789,12 +785,7 @@ fn plan(req: &SolveRequest) -> Result<Plan, WireError> {
             target: need_target()?,
         },
     };
-    Ok(Plan {
-        policy,
-        lazy: req.lazy.unwrap_or(true),
-        parallel: req.parallel.unwrap_or(false),
-        goal,
-    })
+    Ok(Plan { policy, goal })
 }
 
 fn serve_request(
@@ -888,10 +879,6 @@ fn serve_request_planned(
             Box::new(AffineCost::new(req.restart, req.rate)),
         ),
     };
-    let options = SolveOptions {
-        lazy: plan.lazy,
-        parallel: plan.parallel,
-    };
     let cache_hit = cache.contains_key(&key);
     sched_obs::counter_add(
         if cache_hit {
@@ -905,10 +892,9 @@ fn serve_request_planned(
         if cache.len() >= cache_capacity {
             cache.clear(); // simplest bound; capacity is generous
         }
-        cache.insert(key.clone(), WarmHandle::with_options(plan.policy, options));
+        cache.insert(key.clone(), WarmHandle::new(plan.policy));
     }
     let handle = cache.get_mut(&key).expect("just inserted");
-    handle.set_options(options);
     // Identical cost bits are part of the key, so on a hit the handle's
     // checksum always matches and this returns the cached family without
     // re-enumerating. On the compiled DVFS grid, enumerating with
@@ -921,14 +907,12 @@ fn serve_request_planned(
         // The warm path: consecutive schedule_all requests on one grid reuse
         // the reduction's buffers (and, under DVFS pricing, the family).
         Goal::All => handle.solve(instance, cost.as_ref()),
-        Goal::Prize { target, epsilon } => Solver::with_candidates(instance, &family[..])
-            .lazy(plan.lazy)
-            .parallel(plan.parallel)
-            .prize_collecting(target, epsilon),
-        Goal::PrizeExact { target } => Solver::with_candidates(instance, &family[..])
-            .lazy(plan.lazy)
-            .parallel(plan.parallel)
-            .prize_collecting_exact(target),
+        Goal::Prize { target, epsilon } => {
+            Solver::with_candidates(instance, &family[..]).prize_collecting(target, epsilon)
+        }
+        Goal::PrizeExact { target } => {
+            Solver::with_candidates(instance, &family[..]).prize_collecting_exact(target)
+        }
     };
     let solve_micros = t0.elapsed().as_micros() as u64;
 

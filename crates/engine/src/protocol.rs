@@ -24,9 +24,11 @@
 //!   caller-chosen `id` (echoed back), a [`SolveMode`], the [`Instance`],
 //!   and the affine cost parameters `restart`/`rate`. Optional fields —
 //!   `profiles`, `policy` (`"all"` | `"single"` | `"maxlen:K"`),
-//!   `target`/`epsilon` for the prize-collecting modes, `lazy`/`parallel`
-//!   solver toggles, `trace_id` — may be omitted entirely. Construct them
-//!   with [`SolveRequest::builder`].
+//!   `target`/`epsilon` for the prize-collecting modes, `trace_id` — may be
+//!   omitted entirely. Construct them with [`SolveRequest::builder`]. The
+//!   retired `lazy`/`parallel` solver toggles are accepted and ignored on
+//!   both transports: every solve runs the one lazy greedy, and a request
+//!   carrying them gets the same schedule, bit for bit, as one without.
 //! * **control requests** ([`ControlRequest`]) carry a `control` verb:
 //!   `"ping"` (liveness probe), `"hello"` (capability negotiation — the ack
 //!   carries [`HelloInfo`]), `"metrics"` (returns the engine's `obs/v1`
@@ -138,10 +140,6 @@ pub struct SolveRequest {
     pub target: Option<f64>,
     /// `ε ∈ (0, 1)` for [`SolveMode::PrizeCollecting`]; default `0.1`.
     pub epsilon: Option<f64>,
-    /// Lazy-greedy toggle; `None` = solver default (on).
-    pub lazy: Option<bool>,
-    /// Parallel full-scan toggle; `None` = solver default (off).
-    pub parallel: Option<bool>,
     /// Caller-chosen trace id for cross-process tracing. The engine stamps
     /// a deterministic one (`req-<id>`) when absent and echoes it on
     /// success *and* failure responses; worker-side spans and decision
@@ -186,8 +184,6 @@ impl SolveRequest {
                 policy: None,
                 target: None,
                 epsilon: None,
-                lazy: None,
-                parallel: None,
                 trace_id: None,
                 freq_ladder: None,
             },
@@ -257,18 +253,6 @@ impl SolveRequestBuilder {
     /// Sets `ε` for [`SolveMode::PrizeCollecting`].
     pub fn epsilon(mut self, epsilon: f64) -> Self {
         self.req.epsilon = Some(epsilon);
-        self
-    }
-
-    /// Sets the lazy-greedy toggle.
-    pub fn lazy(mut self, lazy: bool) -> Self {
-        self.req.lazy = Some(lazy);
-        self
-    }
-
-    /// Sets the parallel full-scan toggle.
-    pub fn parallel(mut self, parallel: bool) -> Self {
-        self.req.parallel = Some(parallel);
         self
     }
 
@@ -634,7 +618,7 @@ mod tests {
         assert_eq!((req.restart, req.rate), (10.0, 1.0));
         assert!(req.profiles.is_none() && req.policy.is_none());
         assert!(req.target.is_none() && req.epsilon.is_none());
-        assert!(req.lazy.is_none() && req.parallel.is_none() && req.trace_id.is_none());
+        assert!(req.trace_id.is_none() && req.freq_ladder.is_none());
     }
 
     #[test]
@@ -645,7 +629,7 @@ mod tests {
             other => panic!("expected solve, got {other:?}"),
         };
         assert_eq!(req.id, 7);
-        assert!(req.policy.is_none() && req.target.is_none() && req.lazy.is_none());
+        assert!(req.policy.is_none() && req.target.is_none() && req.trace_id.is_none());
     }
 
     #[test]

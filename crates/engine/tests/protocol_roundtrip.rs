@@ -41,13 +41,7 @@ fn request_strategy() -> impl Strategy<Value = SolveRequest> {
     (
         instance_strategy(),
         (0u64..10_000, 0u32..3, 1u32..20, 0u32..4),
-        (
-            any::<bool>(),
-            any::<bool>(),
-            any::<bool>(),
-            1u32..10,
-            1u32..9,
-        ),
+        (1u32..10, 1u32..9),
         // optional heterogeneous fleet: per-request wake/busy scale and
         // ladder depth (profiles are sized to the instance in prop_map)
         (any::<bool>(), 1u32..8, 1u32..4, 0u32..3),
@@ -56,7 +50,7 @@ fn request_strategy() -> impl Strategy<Value = SolveRequest> {
             |(
                 instance,
                 (id, mode, restart, policy),
-                (set_opts, lazy, parallel, target, eps),
+                (target, eps),
                 (profiled, wake, busy, ladder),
             )| {
                 let profiles = profiled.then(|| {
@@ -91,8 +85,6 @@ fn request_strategy() -> impl Strategy<Value = SolveRequest> {
                     },
                     target: (mode != SolveMode::ScheduleAll).then(|| f64::from(target) * 0.5),
                     epsilon: (mode == SolveMode::PrizeCollecting).then(|| f64::from(eps) / 10.0),
-                    lazy: set_opts.then_some(lazy),
-                    parallel: set_opts.then_some(parallel),
                     trace_id: (id % 3 == 0).then(|| format!("trace-{id}")),
                     freq_ladder: None,
                 }

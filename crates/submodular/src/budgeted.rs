@@ -19,7 +19,7 @@
 //! marginal-gain evaluation *without mutation* plus a commit operation. This
 //! lets the identical greedy drive explicit set systems (this module's
 //! [`SetSystemObjective`]) and the incremental matching-rank oracles of the
-//! scheduling reduction (`sched-core`), including lazily and in parallel.
+//! scheduling reduction (`sched-core`).
 //!
 //! # Lazy evaluation
 //!
@@ -47,9 +47,10 @@
 //!   re-keyed by its best remaining member. A group whose best ratio is 0
 //!   can never rise again and leaves the heap.
 //!
-//! Every pick is therefore the exact argmax the eager scan makes, ties
-//! included. Objectives that declare no groups get singleton groups, which
-//! is the classical per-candidate lazy greedy.
+//! Every pick is therefore the exact argmax a full scan of every candidate
+//! would make, ties included; `tests/greedy_properties.rs` checks this
+//! against such a scan. Objectives that declare no groups get singleton
+//! groups, which is the classical per-candidate lazy greedy.
 //!
 //! # Initial keys may be upper bounds
 //!
@@ -67,7 +68,6 @@
 //! the largest job value, which a cold solve reads straight from its slot
 //! windows instead of scanning every candidate.
 
-use rayon::prelude::*;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -79,9 +79,9 @@ use crate::functions::SetFn;
 /// Implementations maintain a current solution set `S` internally; `gain(i)`
 /// must return the exact `F(S ∪ Sᵢ) − F(S)` without changing `S`, and
 /// `commit(i)` must apply `S ← S ∪ Sᵢ` and return the realized gain.
-pub trait BudgetedObjective: Sync {
-    /// Per-thread scratch for gain evaluation.
-    type Scratch: Default + Send;
+pub trait BudgetedObjective {
+    /// Scratch for gain evaluation.
+    type Scratch: Default;
 
     /// Number of allowable subsets `m`.
     fn num_subsets(&self) -> usize;
@@ -102,25 +102,18 @@ pub trait BudgetedObjective: Sync {
     /// current solution, writing into `out` (cleared and resized to
     /// [`BudgetedObjective::num_subsets`]).
     ///
-    /// The default simply loops [`BudgetedObjective::gain`] (in parallel
-    /// with one scratch per thread when `parallel` is set). Objectives with
-    /// structure among their subsets override this: `sched-core`'s
+    /// The default simply loops [`BudgetedObjective::gain`]. Objectives
+    /// with structure among their subsets override this: `sched-core`'s
     /// scheduling objective evaluates each nested-prefix run of awake
-    /// intervals in a single incremental pass, which is where the greedy's
-    /// full-scan cost collapses from `O(m · |T|)` to `O(m)` oracle work.
-    /// Overrides must return bit-identical values to the default.
-    fn scan_gains(&self, parallel: bool, scratch: &mut Self::Scratch, out: &mut Vec<f64>) {
-        let m = self.num_subsets();
+    /// intervals in a single incremental pass, which is where a full scan's
+    /// cost collapses from `O(m · |T|)` to `O(m)` oracle work. Overrides
+    /// must return bit-identical values to the default.
+    ///
+    /// The `bool` is ignored: every scan is sequential. It stays only so
+    /// existing callers keep compiling.
+    fn scan_gains(&self, _parallel: bool, scratch: &mut Self::Scratch, out: &mut Vec<f64>) {
         out.clear();
-        if parallel {
-            let gains: Vec<f64> = (0..m)
-                .into_par_iter()
-                .map_init(Self::Scratch::default, |s, i| self.gain(i, s))
-                .collect();
-            out.extend(gains);
-        } else {
-            out.extend((0..m).map(|i| self.gain(i, scratch)));
-        }
+        out.extend((0..self.num_subsets()).map(|i| self.gain(i, scratch)));
     }
 
     /// Groups of subsets whose gains one evaluation pass computes together,
@@ -159,17 +152,17 @@ pub trait BudgetedObjective: Sync {
     /// picks; exact values must be bit-identical to the default's.
     fn first_values(
         &self,
-        parallel: bool,
         scratch: &mut Self::Scratch,
         out: &mut Vec<f64>,
         bounded: &mut Vec<u32>,
     ) {
-        self.scan_gains(parallel, scratch, out);
+        self.scan_gains(false, scratch, out);
         bounded.clear();
     }
 }
 
-/// Configuration for [`budgeted_greedy`].
+/// Configuration for [`budgeted_greedy`]. Build it with
+/// [`GreedyConfig::new`].
 #[derive(Clone, Copy, Debug)]
 pub struct GreedyConfig {
     /// Utility target `x`.
@@ -177,28 +170,17 @@ pub struct GreedyConfig {
     /// Bicriteria slack `ε ∈ (0, 1)`: the greedy stops at utility
     /// `(1−ε)·target`.
     pub epsilon: f64,
-    /// Use the lazy-greedy heap instead of full scans.
+    /// Ignored: the greedy always runs the lazy loop. Kept only so struct
+    /// literals that name the field keep compiling.
     pub lazy: bool,
-    /// Parallelize full candidate scans with rayon: every scan of the eager
-    /// loop, and the lazy loop's first values when the objective computes
-    /// them with a full scan (the default
-    /// [`BudgetedObjective::first_values`]). Never changes a pick.
+    /// Ignored: every evaluation is sequential. Kept only so struct
+    /// literals that name the field keep compiling.
     pub parallel: bool,
 }
 
 impl GreedyConfig {
-    /// Eager sequential config with the given target and slack.
+    /// The config with the given target and slack.
     pub fn new(target: f64, epsilon: f64) -> Self {
-        Self {
-            target,
-            epsilon,
-            lazy: false,
-            parallel: false,
-        }
-    }
-
-    /// Lazy-greedy config (recommended for large candidate families).
-    pub fn lazy(target: f64, epsilon: f64) -> Self {
         Self {
             target,
             epsilon,
@@ -233,11 +215,10 @@ pub struct GreedyOutcome {
     /// Whether utility ≥ `(1−ε)·target` was reached.
     pub reached_target: bool,
     /// Number of gain evaluations performed (lazy-greedy effectiveness
-    /// metric): `m` per full scan in the eager loop, which scans every
-    /// iteration; in the lazy loop, the number of exact first values plus
-    /// one per group refresh. With singleton groups a refresh is one
-    /// candidate's gain. A lazy run whose first values are all bounds
-    /// reports its refreshes only.
+    /// metric): the number of exact first values plus one per group
+    /// refresh. With singleton groups a refresh is one candidate's gain. A
+    /// run whose first values are all bounds reports its refreshes only. A
+    /// full scan every iteration would make `m` evaluations per pick.
     pub evaluations: usize,
     /// Per-iteration trace.
     pub trace: Vec<IterRecord>,
@@ -302,17 +283,7 @@ pub fn budgeted_greedy_with<O: BudgetedObjective>(
         return out;
     }
 
-    if cfg.lazy {
-        lazy_loop(obj, cfg, goal, scratch, &mut out);
-    } else {
-        eager_loop(obj, cfg, goal, scratch, &mut out);
-    }
-    let mode = if cfg.lazy {
-        "submodular.greedy.lazy.iterations"
-    } else {
-        "submodular.greedy.eager.iterations"
-    };
-    sched_obs::counter_add(mode, out.trace.len() as u64);
+    lazy_loop(obj, cfg, goal, scratch, &mut out);
     sched_obs::counter_add("submodular.greedy.iterations", out.trace.len() as u64);
     sched_obs::counter_add("submodular.greedy.evaluations", out.evaluations as u64);
     out
@@ -322,99 +293,6 @@ pub fn budgeted_greedy_with<O: BudgetedObjective>(
 #[inline]
 fn clamp_gain(raw: f64, current: f64, target: f64) -> f64 {
     raw.min(target - current).max(0.0)
-}
-
-fn eager_loop<O: BudgetedObjective>(
-    obj: &mut O,
-    cfg: GreedyConfig,
-    goal: f64,
-    scratch: &mut O::Scratch,
-    out: &mut GreedyOutcome,
-) {
-    let m = obj.num_subsets();
-    let mut gains: Vec<f64> = Vec::new();
-    // Runner-up tracking exists only for the decision log; the untraced
-    // fold below stays exactly the seed-shaped single-argmax pass.
-    let traced = sched_obs::trace::enabled();
-    while out.utility < goal {
-        let cur = out.utility;
-        obj.scan_gains(cfg.parallel, scratch, &mut gains);
-        let obj_ref: &O = obj;
-        let mut best = (f64::NEG_INFINITY, 0.0, usize::MAX);
-        let mut second = (f64::NEG_INFINITY, 0.0, usize::MAX);
-        if traced {
-            for (i, &raw) in gains.iter().enumerate() {
-                let g = clamp_gain(raw, cur, cfg.target);
-                let cand = (g / obj_ref.cost(i), g, i);
-                let next = better(best, cand, obj_ref);
-                // whichever of {best, cand} lost competes for second place
-                let loser = if next.2 == cand.2 { best } else { cand };
-                second = better(second, loser, obj_ref);
-                best = next;
-            }
-        } else {
-            for (i, &raw) in gains.iter().enumerate() {
-                let g = clamp_gain(raw, cur, cfg.target);
-                best = better(best, (g / obj_ref.cost(i), g, i), obj_ref);
-            }
-        }
-        out.evaluations += m;
-        let (_, gain, idx) = best;
-        if idx == usize::MAX || gain <= 0.0 {
-            break; // stalled
-        }
-        let runner_up = (second.2 != usize::MAX).then_some(RunnerUp {
-            idx: second.2,
-            ratio: second.0,
-            gain: second.1,
-            bound: false,
-        });
-        commit_pick(
-            obj,
-            cfg,
-            idx,
-            out,
-            PickTrace {
-                runner_up,
-                reevals: 0,
-            },
-        );
-    }
-    out.reached_target = out.utility >= goal;
-}
-
-/// Deterministic argmax: higher ratio wins; ties broken by lower cost, then
-/// lower index — associative, so safe as a parallel reduction.
-#[inline]
-fn better<O: BudgetedObjective>(
-    a: (f64, f64, usize),
-    b: (f64, f64, usize),
-    obj: &O,
-) -> (f64, f64, usize) {
-    if b.2 == usize::MAX {
-        return a;
-    }
-    if a.2 == usize::MAX {
-        return b;
-    }
-    match a.0.partial_cmp(&b.0).unwrap_or(Ordering::Equal) {
-        Ordering::Less => b,
-        Ordering::Greater => a,
-        Ordering::Equal => {
-            let (ca, cb) = (obj.cost(a.2), obj.cost(b.2));
-            match ca.partial_cmp(&cb).unwrap_or(Ordering::Equal) {
-                Ordering::Less => a,
-                Ordering::Greater => b,
-                Ordering::Equal => {
-                    if a.2 <= b.2 {
-                        a
-                    } else {
-                        b
-                    }
-                }
-            }
-        }
-    }
 }
 
 /// The lazy heap's entry for one group, keyed by the group's best member.
@@ -485,12 +363,23 @@ fn group_ranges<O: BudgetedObjective>(obj: &O) -> Vec<(usize, usize)> {
         .collect()
 }
 
-/// The best member of `lo..hi` under the greedy's order.
+/// The best member of the non-empty range `lo..hi` under the greedy's
+/// order: higher ratio, then lower cost, then lower index.
 fn best_member<O: BudgetedObjective>(obj: &O, ratio: &[f64], lo: usize, hi: usize) -> usize {
-    let none = (f64::NEG_INFINITY, 0.0, usize::MAX);
-    (lo..hi)
-        .fold(none, |best, i| better(best, (ratio[i], 0.0, i), obj))
-        .2
+    (lo + 1..hi).fold(lo, |best, i| {
+        let order = ratio[i]
+            .partial_cmp(&ratio[best])
+            .unwrap_or(Ordering::Equal)
+            .then_with(|| {
+                let (cb, ci) = (obj.cost(best), obj.cost(i));
+                cb.partial_cmp(&ci).unwrap_or(Ordering::Equal)
+            });
+        if order == Ordering::Greater {
+            i
+        } else {
+            best
+        }
+    })
 }
 
 fn lazy_loop<O: BudgetedObjective>(
@@ -529,7 +418,7 @@ fn lazy_loop<O: BudgetedObjective>(
     // as of its group's last evaluation, or its first-value bound.
     let mut ratio: Vec<f64> = Vec::new();
     let mut bounded: Vec<u32> = Vec::new();
-    obj.first_values(cfg.parallel, scratch, &mut ratio, &mut bounded);
+    obj.first_values(scratch, &mut ratio, &mut bounded);
     assert_eq!(
         ratio.len(),
         m,
@@ -611,11 +500,10 @@ fn lazy_loop<O: BudgetedObjective>(
 
 /// Decision-log context for one committed pick. Emitted only when a tracer
 /// is ambiently installed; carrying it through [`commit_pick`] keeps the
-/// event emission in one place without touching the pick loops' hot paths.
+/// event emission in one place without touching the pick loop's hot path.
 struct PickTrace {
-    /// Exact second-best in eager mode; in lazy mode the better of the next
-    /// (stale upper-bound) heap key and the committed group's best remaining
-    /// member.
+    /// The better of the next (stale upper-bound) heap key and the committed
+    /// group's best remaining member.
     runner_up: Option<RunnerUp>,
     /// Lazy-heap group refreshes spent since the previous commit.
     reevals: u64,
@@ -823,41 +711,6 @@ mod tests {
     }
 
     #[test]
-    fn lazy_matches_eager() {
-        let (f, subsets, costs) = cover_instance();
-        let run = |lazy: bool| {
-            let mut obj = SetSystemObjective::new(&f, subsets.clone(), costs.clone());
-            let mut cfg = GreedyConfig::new(6.0, 1.0 / 7.0);
-            cfg.lazy = lazy;
-            budgeted_greedy(&mut obj, cfg)
-        };
-        let eager = run(false);
-        let lazy = run(true);
-        assert_eq!(eager.chosen, lazy.chosen);
-        assert_eq!(eager.utility, lazy.utility);
-        assert_eq!(eager.total_cost, lazy.total_cost);
-        assert!(
-            lazy.evaluations <= eager.evaluations,
-            "lazy should not evaluate more than eager"
-        );
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let (f, subsets, costs) = cover_instance();
-        let run = |parallel: bool| {
-            let mut obj = SetSystemObjective::new(&f, subsets.clone(), costs.clone());
-            let mut cfg = GreedyConfig::new(6.0, 1.0 / 7.0);
-            cfg.parallel = parallel;
-            budgeted_greedy(&mut obj, cfg)
-        };
-        let seq = run(false);
-        let par = run(true);
-        assert_eq!(seq.chosen, par.chosen);
-        assert_eq!(seq.total_cost, par.total_cost);
-    }
-
-    #[test]
     fn respects_cost_bound_on_planted_instances() {
         // plant an optimal cover of known cost B and verify cost <= 2*ceil(log2(1/eps))*B
         use rand::{Rng, SeedableRng};
@@ -892,7 +745,7 @@ mod tests {
             // ground elements are items; allowable subsets as generated
             let eps = 0.125;
             let mut obj = SetSystemObjective::new(&f, subsets, costs);
-            let out = budgeted_greedy(&mut obj, GreedyConfig::lazy(n as f64, eps));
+            let out = budgeted_greedy(&mut obj, GreedyConfig::new(n as f64, eps));
             assert!(out.reached_target);
             let bound = 2.0 * (1.0 / eps).log2().ceil() * b;
             assert!(

@@ -20,9 +20,8 @@
 //! * [`functions`] — a library of set functions (coverage, facility location,
 //!   budget-additive, cuts, …) with explicit monotonicity/submodularity
 //!   metadata, shared with the secretary crate;
-//! * [`budgeted`] — the Lemma 2.1.2 greedy (eager, lazy, and parallel
-//!   candidate scans) plus iteration traces for the phase-structure
-//!   experiments;
+//! * [`budgeted`] — the Lemma 2.1.2 greedy (lazy, from upper bounds) plus
+//!   iteration traces for the phase-structure experiments;
 //! * [`setcover`] — Set Cover / Max-k-Cover adapters and the classical greedy
 //!   guarantees.
 

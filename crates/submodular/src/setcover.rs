@@ -76,7 +76,7 @@ pub fn greedy_set_cover(inst: &SetCoverInstance) -> SetCoverSolution {
     // Ground elements are universe items; allowable subsets are the sets.
     let mut obj = SetSystemObjective::new(&f, inst.sets.clone(), inst.costs.clone());
     let eps = 1.0 / (n as f64 + 1.0);
-    let out = budgeted_greedy(&mut obj, GreedyConfig::lazy(n as f64, eps));
+    let out = budgeted_greedy(&mut obj, GreedyConfig::new(n as f64, eps));
     // Integral utility: (1 - 1/(n+1))·n > n-1 forces utility == n on success.
     let covered = out.utility.round() as usize;
     SetCoverSolution {

@@ -1,7 +1,8 @@
 //! Property tests for the budgeted greedy across objective implementations:
-//! lazy ≡ eager ≡ parallel, grouped lazy keys ≡ singleton keys, upper-bound
-//! first keys ≡ exact ones, fast coverage objective ≡ generic objective,
-//! trace/accounting invariants, and Lemma 2.1.1 (the paper's key lemma).
+//! the lazy greedy ≡ an eager full-scan reference, grouped lazy keys ≡
+//! singleton keys, upper-bound first keys ≡ exact ones, fast coverage
+//! objective ≡ generic objective, trace/accounting invariants, and Lemma
+//! 2.1.1 (the paper's key lemma).
 
 use proptest::prelude::*;
 use submodular::budgeted::SetSystemScratch;
@@ -76,7 +77,6 @@ impl BudgetedObjective for Grouped<'_> {
 
     fn first_values(
         &self,
-        _parallel: bool,
         scratch: &mut Self::Scratch,
         out: &mut Vec<f64>,
         bounded: &mut Vec<u32>,
@@ -98,6 +98,60 @@ impl BudgetedObjective for Grouped<'_> {
     }
 }
 
+/// What the eager reference picked.
+struct Eager {
+    chosen: Vec<usize>,
+    total_cost: f64,
+    utility: f64,
+    /// `m` per full scan.
+    evaluations: usize,
+}
+
+/// The eager reference: the Lemma 2.1.2 greedy as one full scan per pick,
+/// which the lazy loop must match pick for pick, ties included. Each round
+/// evaluates every subset's exact gain, clamps it to `target − F(S)`, and
+/// commits the best by clamped ratio (descending), then cost (ascending),
+/// then index (ascending). It stops at utility `(1−ε)·target` or when no
+/// subset has a positive clamped gain.
+fn eager_reference<O: BudgetedObjective>(obj: &mut O, target: f64, epsilon: f64) -> Eager {
+    let goal = (1.0 - epsilon) * target;
+    let mut scratch = O::Scratch::default();
+    let mut out = Eager {
+        chosen: Vec::new(),
+        total_cost: 0.0,
+        utility: obj.current(),
+        evaluations: 0,
+    };
+    while out.utility < goal {
+        // (ratio, cost, index) of the best subset so far; a later index
+        // replaces it only when strictly better, so index ascending breaks
+        // the last tie
+        let mut best: Option<(f64, f64, usize)> = None;
+        for i in 0..obj.num_subsets() {
+            let gain = obj.gain(i, &mut scratch).min(target - out.utility).max(0.0);
+            let (ratio, cost) = (gain / obj.cost(i), obj.cost(i));
+            if best.is_none_or(|(r, c, _)| ratio > r || (ratio == r && cost < c)) {
+                best = Some((ratio, cost, i));
+            }
+        }
+        out.evaluations += obj.num_subsets();
+        let Some((_, cost, i)) = best.filter(|&(ratio, _, _)| ratio > 0.0) else {
+            break; // stalled
+        };
+        obj.commit(i);
+        out.chosen.push(i);
+        out.total_cost += cost;
+        out.utility = obj.current();
+    }
+    out
+}
+
+/// [`eager_reference`] on the plain set system.
+fn run_eager(f: &CoverageFn, subsets: &[Vec<u32>], costs: &[f64], target: f64, eps: f64) -> Eager {
+    let mut obj = SetSystemObjective::new(f, subsets.to_vec(), costs.to_vec());
+    eager_reference(&mut obj, target, eps)
+}
+
 /// Splits `0..m` into consecutive groups, cutting after every `i` with
 /// `cuts[i]` set.
 fn groups_from_cuts(m: usize, cuts: &[bool]) -> Vec<(u32, u32)> {
@@ -112,9 +166,9 @@ fn groups_from_cuts(m: usize, cuts: &[bool]) -> Vec<(u32, u32)> {
     groups
 }
 
-/// Runs the greedy on `subsets`, eagerly or lazily, with the given groups
-/// (`None`: the plain set system, whose groups are singletons), bounding
-/// the first values of the groups flagged in `bounded`.
+/// Runs the greedy on `subsets` with the given groups (`None`: the plain
+/// set system, whose groups are singletons), bounding the first values of
+/// the groups flagged in `bounded`.
 fn run_grouped(
     f: &CoverageFn,
     subsets: &[Vec<u32>],
@@ -138,9 +192,9 @@ fn identity(items: usize) -> CoverageFn {
     CoverageFn::unweighted(items, (0..items).map(|i| vec![i as u32]).collect())
 }
 
-/// Runs one instance to full coverage eagerly, lazily with singleton
-/// groups, and lazily with `groups`, exact and with the `bounded` groups'
-/// first values bounded, and checks all four pick `expected`.
+/// Runs one instance to full coverage with the eager reference, lazily with
+/// singleton groups, and lazily with `groups`, exact and with the `bounded`
+/// groups' first values bounded, and checks all four pick `expected`.
 fn assert_tie_order(
     f: &CoverageFn,
     subsets: &[Vec<u32>],
@@ -151,15 +205,39 @@ fn assert_tie_order(
 ) {
     let target = f.eval(&BitSet::full(f.ground_size()));
     let eps = 0.5 / target;
-    let lazy = GreedyConfig::lazy(target, eps);
-    let grouped = run_grouped(f, subsets, costs, lazy, Some(groups.to_vec()), &[]);
-    let with_bounds = run_grouped(f, subsets, costs, lazy, Some(groups.to_vec()), bounded);
-    let singles = run_grouped(f, subsets, costs, lazy, None, &[]);
-    let eager = run_grouped(f, subsets, costs, GreedyConfig::new(target, eps), None, &[]);
+    let cfg = GreedyConfig::new(target, eps);
+    let grouped = run_grouped(f, subsets, costs, cfg, Some(groups.to_vec()), &[]);
+    let with_bounds = run_grouped(f, subsets, costs, cfg, Some(groups.to_vec()), bounded);
+    let singles = run_grouped(f, subsets, costs, cfg, None, &[]);
+    let eager = run_eager(f, subsets, costs, target, eps);
     assert_eq!(eager.chosen, expected, "eager");
     assert_eq!(singles.chosen, expected, "singleton groups");
     assert_eq!(grouped.chosen, expected, "declared groups");
     assert_eq!(with_bounds.chosen, expected, "declared groups with bounds");
+}
+
+#[test]
+fn lazy_matches_eager() {
+    // universe {0..5}, identity coverage: subsets are groups of items
+    let f = identity(6);
+    let subsets = [
+        vec![0, 1, 2],          // cost 3
+        vec![3, 4],             // cost 2
+        vec![5],                // cost 1
+        vec![0, 1, 2, 3, 4, 5], // cost 10 (bad deal)
+        vec![2, 3],             // cost 5 (bad deal)
+    ];
+    let costs = [3.0, 2.0, 1.0, 10.0, 5.0];
+    let eps = 1.0 / 7.0;
+    let eager = run_eager(&f, &subsets, &costs, 6.0, eps);
+    let lazy = run_grouped(&f, &subsets, &costs, GreedyConfig::new(6.0, eps), None, &[]);
+    assert_eq!(eager.chosen, lazy.chosen);
+    assert_eq!(eager.utility, lazy.utility);
+    assert_eq!(eager.total_cost, lazy.total_cost);
+    assert!(
+        lazy.evaluations <= eager.evaluations,
+        "lazy should not evaluate more than eager"
+    );
 }
 
 #[test]
@@ -252,7 +330,7 @@ fn decision_log_counts_group_refreshes_and_names_the_runner_up() {
         &f,
         &subsets,
         &[1.0, 2.0, 1.0],
-        GreedyConfig::lazy(5.0, 0.1),
+        GreedyConfig::new(5.0, 0.1),
         Some(vec![(0, 2), (2, 3)]),
         &[],
     );
@@ -325,7 +403,7 @@ fn decision_log_flags_a_runner_up_that_is_still_a_bound() {
         &f,
         &subsets,
         &[1.0, 3.0, 1.0],
-        GreedyConfig::lazy(5.0, 0.1),
+        GreedyConfig::new(5.0, 0.1),
         Some(vec![(0, 1), (1, 2), (2, 3)]),
         &[false, true, false],
     );
@@ -387,22 +465,16 @@ proptest! {
         let target = full * target_frac;
         let eps = 2f64.powi(-eps_exp);
 
-        let run = |lazy: bool, parallel: bool| {
-            let mut obj = SetSystemObjective::new(&f, inst.subsets.clone(), inst.costs.clone());
-            let cfg = GreedyConfig { target, epsilon: eps, lazy, parallel };
-            budgeted_greedy(&mut obj, cfg)
-        };
-        let eager = run(false, false);
-        let lazy = run(true, false);
-        let par = run(false, true);
+        let eager = run_eager(&f, &inst.subsets, &inst.costs, target, eps);
+        let mut obj = SetSystemObjective::new(&f, inst.subsets.clone(), inst.costs.clone());
+        let lazy = budgeted_greedy(&mut obj, GreedyConfig::new(target, eps));
         prop_assert_eq!(&eager.chosen, &lazy.chosen);
-        prop_assert_eq!(&eager.chosen, &par.chosen);
         prop_assert_eq!(eager.total_cost, lazy.total_cost);
         prop_assert!(lazy.evaluations <= eager.evaluations);
 
         // fast coverage objective makes identical picks too
         let mut fast = CoverageObjective::new(&f, inst.subsets.clone(), inst.costs.clone());
-        let fast_out = budgeted_greedy(&mut fast, GreedyConfig { target, epsilon: eps, lazy: false, parallel: false });
+        let fast_out = budgeted_greedy(&mut fast, GreedyConfig::new(target, eps));
         prop_assert_eq!(&eager.chosen, &fast_out.chosen);
         prop_assert!((eager.utility - fast_out.utility).abs() < 1e-9);
     }
@@ -420,13 +492,10 @@ proptest! {
         let eps = 2f64.powi(-eps_exp);
         let groups = groups_from_cuts(inst.subsets.len(), &cuts);
 
-        let run = |lazy: bool, groups: Option<Vec<(u32, u32)>>| {
-            let cfg = GreedyConfig { target, epsilon: eps, lazy, parallel: false };
-            run_grouped(&f, &inst.subsets, &inst.costs, cfg, groups, &[])
-        };
-        let eager = run(false, None);
-        let singles = run(true, None);
-        let grouped = run(true, Some(groups));
+        let cfg = GreedyConfig::new(target, eps);
+        let eager = run_eager(&f, &inst.subsets, &inst.costs, target, eps);
+        let singles = run_grouped(&f, &inst.subsets, &inst.costs, cfg, None, &[]);
+        let grouped = run_grouped(&f, &inst.subsets, &inst.costs, cfg, Some(groups), &[]);
         prop_assert_eq!(&grouped.chosen, &eager.chosen);
         prop_assert_eq!(&grouped.chosen, &singles.chosen);
         prop_assert_eq!(grouped.total_cost, eager.total_cost);
@@ -451,13 +520,10 @@ proptest! {
         let eps = 2f64.powi(-eps_exp);
         let groups = groups_from_cuts(inst.subsets.len(), &cuts);
 
-        let run = |lazy: bool, groups: Option<Vec<(u32, u32)>>, bounded: &[bool]| {
-            let cfg = GreedyConfig { target, epsilon: eps, lazy, parallel: false };
-            run_grouped(&f, &inst.subsets, &inst.costs, cfg, groups, bounded)
-        };
-        let eager = run(false, None, &[]);
-        let singles = run(true, None, &[]);
-        let bounds = run(true, Some(groups), &bounded);
+        let cfg = GreedyConfig::new(target, eps);
+        let eager = run_eager(&f, &inst.subsets, &inst.costs, target, eps);
+        let singles = run_grouped(&f, &inst.subsets, &inst.costs, cfg, None, &[]);
+        let bounds = run_grouped(&f, &inst.subsets, &inst.costs, cfg, Some(groups), &bounded);
         prop_assert_eq!(&bounds.chosen, &eager.chosen);
         prop_assert_eq!(&bounds.chosen, &singles.chosen);
         prop_assert_eq!(bounds.total_cost, eager.total_cost);

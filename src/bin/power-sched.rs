@@ -52,21 +52,52 @@ use power_scheduling::workloads::{
     ArrivalConfig, DvfsConfig, PlantedConfig, TraceKind,
 };
 use rand::SeedableRng;
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 use std::net::TcpListener;
 use std::process::ExitCode;
 
+/// Why a command stopped early: a message for stderr, or a failed write to
+/// stdout.
+enum Failure {
+    Msg(String),
+    Stdout(io::Error),
+}
+
+impl From<String> for Failure {
+    fn from(msg: String) -> Self {
+        Failure::Msg(msg)
+    }
+}
+
+impl From<&str> for Failure {
+    fn from(msg: &str) -> Self {
+        Failure::Msg(msg.into())
+    }
+}
+
+/// Every `io::Error` a command body propagates comes from its stdout
+/// writes: file and socket errors are turned into messages where they occur.
+impl From<io::Error> for Failure {
+    fn from(e: io::Error) -> Self {
+        Failure::Stdout(e)
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    // One locked writer for everything the commands print to stdout, so a
+    // failed write comes back as an error instead of a `println!` panic.
+    let mut lock = io::stdout().lock();
+    let stdout: &mut dyn Write = &mut lock;
     let result = match args.first().map(String::as_str) {
-        Some("generate") => cmd_generate(&args[1..]),
-        Some("solve") => cmd_solve(&args[1..]),
-        Some("explain") => cmd_explain(&args[1..]),
-        Some("validate") => cmd_validate(&args[1..]),
-        Some("batch") => cmd_batch(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("replay") => cmd_replay(&args[1..]),
-        Some("metrics") => cmd_metrics(&args[1..]),
+        Some("generate") => cmd_generate(&args[1..], stdout),
+        Some("solve") => cmd_solve(&args[1..], stdout),
+        Some("explain") => cmd_explain(&args[1..], stdout),
+        Some("validate") => cmd_validate(&args[1..], stdout),
+        Some("batch") => cmd_batch(&args[1..], stdout),
+        Some("serve") => cmd_serve(&args[1..], stdout),
+        Some("replay") => cmd_replay(&args[1..], stdout),
+        Some("metrics") => cmd_metrics(&args[1..], stdout),
         _ => {
             eprintln!(
                 "usage: power-sched <generate|solve|explain|validate|batch|serve|replay|metrics> ...\n\
@@ -93,9 +124,16 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    match result {
+    match result.and_then(|()| Ok(stdout.flush()?)) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
+        // The reader closed the pipe (`power-sched solve … | head -1`): it
+        // has read all it wanted, so there is nothing to report.
+        Err(Failure::Stdout(e)) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(Failure::Stdout(e)) => {
+            eprintln!("error: writing stdout: {e}");
+            ExitCode::FAILURE
+        }
+        Err(Failure::Msg(e)) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
@@ -176,13 +214,13 @@ fn write_metrics(path: &str, snapshot: &obs::Snapshot) -> Result<(), String> {
 /// own error takes precedence over a flush error.
 fn flush_metrics(
     metrics: Option<(String, std::sync::Arc<obs::Registry>)>,
-    result: Result<(), String>,
-) -> Result<(), String> {
+    result: Result<(), Failure>,
+) -> Result<(), Failure> {
     let flush = match &metrics {
         Some((path, registry)) => write_metrics(path, &registry.snapshot()),
         None => Ok(()),
     };
-    result.and(flush)
+    result.and(flush.map_err(Failure::from))
 }
 
 /// `--trace-out FILE`: installs the process-wide ambient tracer so every
@@ -280,7 +318,7 @@ fn dvfs_config(args: &[String]) -> Result<DvfsConfig, String> {
 /// write an offline instance (jobs carrying work requirements) and the
 /// ladder file `solve --freq-ladder` consumes. Trace and instance draw from
 /// the same seeded stream in that order, so the triple is reproducible.
-fn generate_dvfs(args: &[String], seed: u64) -> Result<(), String> {
+fn generate_dvfs(args: &[String], seed: u64, stdout: &mut dyn Write) -> Result<(), Failure> {
     let cfg = dvfs_config(args)?;
     let trace_out = flag(args, "--out");
     let instance_out = flag(args, "--instance-out");
@@ -300,7 +338,8 @@ fn generate_dvfs(args: &[String], seed: u64) -> Result<(), String> {
             .map_err(|e| format!("generated trace is invalid: {e}"))?;
         let json = serde_json::to_string_pretty(&trace).map_err(|e| e.to_string())?;
         std::fs::write(&out, json).map_err(|e| e.to_string())?;
-        println!(
+        writeln!(
+            stdout,
             "wrote {} ({}: {} jobs, {} processors, horizon {}, wake {}, ladder {:?})",
             out,
             trace.name,
@@ -309,7 +348,7 @@ fn generate_dvfs(args: &[String], seed: u64) -> Result<(), String> {
             trace.horizon,
             trace.restart,
             cfg.freqs
-        );
+        )?;
     }
     if let (Some(inst_out), Some(ladder_out)) = (instance_out, ladder_out) {
         let dvfs = dvfs_instance(&cfg, &mut rng);
@@ -323,28 +362,30 @@ fn generate_dvfs(args: &[String], seed: u64) -> Result<(), String> {
         let json = serde_json::to_string_pretty(&inst).map_err(|e| e.to_string())?;
         std::fs::write(&inst_out, json).map_err(|e| e.to_string())?;
         let total_work: u32 = dvfs.jobs.iter().map(Job::work_units).sum();
-        println!(
+        writeln!(
+            stdout,
             "wrote {} ({} jobs, {} work units, {} processors, horizon {})",
             inst_out,
             inst.num_jobs(),
             total_work,
             inst.num_processors,
             inst.horizon
-        );
+        )?;
         let json = serde_json::to_string_pretty(&dvfs.ladder).map_err(|e| e.to_string())?;
         std::fs::write(&ladder_out, json).map_err(|e| e.to_string())?;
-        println!(
+        writeln!(
+            stdout,
             "wrote {ladder_out} ({} levels, alpha {} beta {} gamma {})",
             cfg.freqs.len(),
             cfg.alpha,
             cfg.beta,
             cfg.gamma
-        );
+        )?;
     }
     Ok(())
 }
 
-fn cmd_generate(args: &[String]) -> Result<(), String> {
+fn cmd_generate(args: &[String], stdout: &mut dyn Write) -> Result<(), Failure> {
     let seed: u64 = parse_flag(args, "--seed", 0)?;
     let processors: u32 = parse_flag(args, "--processors", 2)?;
     let horizon: u32 = parse_flag(args, "--horizon", 16)?;
@@ -354,7 +395,7 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
         return Err("--processors and --horizon must be positive".into());
     }
     if args.iter().any(|a| a == "--dvfs") {
-        return generate_dvfs(args, seed);
+        return generate_dvfs(args, seed, stdout);
     }
     let out = flag(args, "--out").ok_or("--out FILE is required")?;
     let hetero: Option<u32> = parse_opt_flag(args, "--hetero")?;
@@ -374,7 +415,8 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
             .map_err(|e| format!("generated trace is invalid: {e}"))?;
         let json = serde_json::to_string_pretty(&trace).map_err(|e| e.to_string())?;
         std::fs::write(&out, json).map_err(|e| e.to_string())?;
-        println!(
+        writeln!(
+            stdout,
             "wrote {} ({}: {} jobs, {} processors, horizon {}, restart {}, rate {})",
             out,
             trace.name,
@@ -383,7 +425,7 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
             trace.horizon,
             trace.restart,
             trace.rate
-        );
+        )?;
         return Ok(());
     }
 
@@ -412,24 +454,26 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
     );
     let json = serde_json::to_string_pretty(&p.instance).map_err(|e| e.to_string())?;
     std::fs::write(&out, json).map_err(|e| e.to_string())?;
-    println!(
+    writeln!(
+        stdout,
         "wrote {} ({} jobs, {} processors, horizon {}; planted feasible cost {:.2})",
         out,
         p.instance.num_jobs(),
         p.instance.num_processors,
         p.instance.horizon,
         p.planted_cost
-    );
+    )?;
     if let (Some(levels), Some(profiles_out)) = (hetero, profiles_out) {
         // profiles are drawn from the same seeded stream, after the
         // instance, so (seed, sizing, levels) reproduces the pair
         let fleet = hetero_profiles(processors, levels, &mut rng);
         let json = serde_json::to_string_pretty(&fleet).map_err(|e| e.to_string())?;
         std::fs::write(&profiles_out, json).map_err(|e| e.to_string())?;
-        println!(
+        writeln!(
+            stdout,
             "wrote {profiles_out} ({processors} heterogeneous profiles, {levels} sleep level{})",
             if levels == 1 { "" } else { "s" }
-        );
+        )?;
     }
     Ok(())
 }
@@ -467,9 +511,9 @@ fn load_instance_and_cost(
     Ok((inst, cost))
 }
 
-fn cmd_solve(args: &[String]) -> Result<(), String> {
+fn cmd_solve(args: &[String], stdout: &mut dyn Write) -> Result<(), Failure> {
     let metrics = metrics_registry(args);
-    flush_metrics(metrics, solve_run(args))
+    flush_metrics(metrics, solve_run(args, stdout))
 }
 
 /// Loads and validates a `--freq-ladder FILE` JSON ladder.
@@ -487,7 +531,12 @@ fn load_ladder(path: &str) -> Result<FreqLadder, String> {
 /// work requirements; the solver picks per-interval frequency levels, paying
 /// `wake + (alpha·f^gamma + beta) · len` per awake interval. Mutually
 /// exclusive with `--profiles`/`--target` (DVFS is schedule-all only).
-fn solve_dvfs_run(args: &[String], inst_path: &str, ladder_path: &str) -> Result<(), String> {
+fn solve_dvfs_run(
+    args: &[String],
+    inst_path: &str,
+    ladder_path: &str,
+    stdout: &mut dyn Write,
+) -> Result<(), Failure> {
     if flag(args, "--profiles").is_some() {
         return Err("--freq-ladder and --profiles are mutually exclusive".into());
     }
@@ -515,32 +564,34 @@ fn solve_dvfs_run(args: &[String], inst_path: &str, ladder_path: &str) -> Result
         .zip(&dvfs.jobs)
         .filter(|(quanta, job)| quanta.len() == job.work_units() as usize)
         .count();
-    println!(
+    writeln!(
+        stdout,
         "scheduled {}/{} jobs (value {:.1}) at energy cost {:.2} with {} awake intervals",
         completed,
         dvfs.jobs.len(),
         schedule.scheduled_value,
         schedule.total_cost,
         schedule.awake.len()
-    );
+    )?;
     for iv in &schedule.awake {
-        println!(
+        writeln!(
+            stdout,
             "  proc {} [{}, {}) at freq {} (level {}): cost {:.2}",
             iv.proc, iv.start, iv.end, iv.freq, iv.level, iv.cost
-        );
+        )?;
     }
     if let Some(out) = flag(args, "--out") {
         let json = serde_json::to_string_pretty(&schedule).map_err(|e| e.to_string())?;
         std::fs::write(&out, json).map_err(|e| e.to_string())?;
-        println!("wrote {out}");
+        writeln!(stdout, "wrote {out}")?;
     }
     Ok(())
 }
 
-fn solve_run(args: &[String]) -> Result<(), String> {
+fn solve_run(args: &[String], stdout: &mut dyn Write) -> Result<(), Failure> {
     let path = args.first().ok_or("missing INSTANCE.json")?;
     if let Some(ladder_path) = flag(args, "--freq-ladder") {
-        return solve_dvfs_run(args, path, &ladder_path);
+        return solve_dvfs_run(args, path, &ladder_path, stdout);
     }
     let policy: CandidatePolicy = flag(args, "--policy")
         .unwrap_or_else(|| "all".into())
@@ -556,20 +607,21 @@ fn solve_run(args: &[String]) -> Result<(), String> {
     }
     .map_err(|e| e.to_string())?;
 
-    println!(
+    writeln!(
+        stdout,
         "scheduled {}/{} jobs (value {:.1}) at energy cost {:.2} with {} awake intervals",
         schedule.scheduled_count,
         inst.num_jobs(),
         schedule.scheduled_value,
         schedule.total_cost,
         schedule.awake.len()
-    );
-    print!("{}", simulate(&inst, &schedule).render());
+    )?;
+    write!(stdout, "{}", simulate(&inst, &schedule).render())?;
 
     if let Some(out) = flag(args, "--out") {
         let json = serde_json::to_string_pretty(&schedule).map_err(|e| e.to_string())?;
         std::fs::write(&out, json).map_err(|e| e.to_string())?;
-        println!("wrote {out}");
+        writeln!(stdout, "wrote {out}")?;
     }
     Ok(())
 }
@@ -596,7 +648,7 @@ fn event_num(e: &obs::trace::TraceEvent, key: &str) -> f64 {
 /// `ratio ≤ x (bound)`), lazy group refreshes, budget remaining — followed
 /// by a span-time summary. `--trace-out FILE` additionally exports the full
 /// timeline for Perfetto.
-fn cmd_explain(args: &[String]) -> Result<(), String> {
+fn cmd_explain(args: &[String], stdout: &mut dyn Write) -> Result<(), Failure> {
     let path = args.first().ok_or("missing INSTANCE.json")?;
     let tracer = std::sync::Arc::new(obs::trace::Tracer::new());
     obs::trace::install_global(std::sync::Arc::clone(&tracer));
@@ -619,12 +671,13 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
     .map_err(|e| e.to_string())?;
     obs::trace::set_trace_id(None);
 
-    println!(
+    writeln!(
+        stdout,
         "explain {path} [{trace_id}]: {} jobs, {} processors, horizon {}",
         inst.num_jobs(),
         inst.num_processors,
         inst.horizon
-    );
+    )?;
     // The greedy's indices are window subsets of the solver's reduction;
     // name the enumerated candidate each one stands for, and its interval.
     let red = solver.reduction();
@@ -637,7 +690,8 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
     let events = tracer.events();
     for e in events.iter().filter(|e| e.name == "submodular.greedy.pick") {
         let reevals = event_num(e, "reevals");
-        print!(
+        write!(
+            stdout,
             "  pick {:>3}: {} gain {:.3} cost {:.3} ratio {:.3}  utility {:.3} remaining {:.3}",
             event_num(e, "iter"),
             interval(event_num(e, "chosen")),
@@ -646,24 +700,24 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
             event_num(e, "ratio"),
             event_num(e, "utility_after"),
             event_num(e, "remaining"),
-        );
+        )?;
         if event_arg(e, "runner_up").is_some() {
             // A runner-up whose key is still a first-value bound was never
             // evaluated: its ratio is at most the key, not equal to it.
             let ru = interval(event_num(e, "runner_up"));
             let ratio = event_num(e, "runner_up_ratio");
             if event_num(e, "runner_up_bound") == 1.0 {
-                print!("  (runner-up {ru} ratio ≤ {ratio:.3} (bound))");
+                write!(stdout, "  (runner-up {ru} ratio ≤ {ratio:.3} (bound))")?;
             } else {
-                print!("  (runner-up {ru} ratio {ratio:.3})");
+                write!(stdout, "  (runner-up {ru} ratio {ratio:.3})")?;
             }
         }
         // `reevals` counts lazy-heap group refreshes (one pass over a
         // nested-prefix run each) spent on this pick.
         if reevals > 0.0 {
-            print!("  [{reevals} group refreshes]");
+            write!(stdout, "  [{reevals} group refreshes]")?;
         }
-        println!();
+        writeln!(stdout)?;
     }
     // Span-time summary: where the solve's wall time went, per span name.
     let mut spans: Vec<(&'static str, u64, u64)> = Vec::new();
@@ -681,19 +735,21 @@ fn cmd_explain(args: &[String]) -> Result<(), String> {
     }
     spans.sort_by_key(|&(_, _, total)| std::cmp::Reverse(total));
     for (name, count, total) in &spans {
-        println!(
+        writeln!(
+            stdout,
             "  span {name}: {count} x, total {:.3} ms",
             *total as f64 / 1e6
-        );
+        )?;
     }
-    println!(
+    writeln!(
+        stdout,
         "scheduled {}/{} jobs (value {:.1}) at energy cost {:.2} with {} awake intervals",
         schedule.scheduled_count,
         inst.num_jobs(),
         schedule.scheduled_value,
         schedule.total_cost,
         schedule.awake.len()
-    );
+    )?;
     if let Some(out) = flag(args, "--trace-out") {
         write_trace(&out, &tracer)?;
     }
@@ -718,7 +774,11 @@ fn read_requests(args: &[String]) -> Result<String, String> {
 }
 
 /// Writes response lines to `--out FILE`, or stdout for `-`/no flag.
-fn write_responses(args: &[String], lines: &[String]) -> Result<(), String> {
+fn write_responses(
+    args: &[String],
+    lines: &[String],
+    stdout: &mut dyn Write,
+) -> Result<(), Failure> {
     let body = if lines.is_empty() {
         String::new()
     } else {
@@ -726,11 +786,11 @@ fn write_responses(args: &[String], lines: &[String]) -> Result<(), String> {
     };
     match flag(args, "--out") {
         None => {
-            print!("{body}");
+            write!(stdout, "{body}")?;
             Ok(())
         }
         Some(ref out) if out == "-" => {
-            print!("{body}");
+            write!(stdout, "{body}")?;
             Ok(())
         }
         Some(out) => {
@@ -756,7 +816,7 @@ fn engine_config(args: &[String]) -> Result<EngineConfig, String> {
     Ok(cfg)
 }
 
-fn cmd_batch(args: &[String]) -> Result<(), String> {
+fn cmd_batch(args: &[String], stdout: &mut dyn Write) -> Result<(), Failure> {
     let text = read_requests(args)?;
     let metrics_out = flag(args, "--metrics-out");
     let out_lines = match flag(args, "--connect") {
@@ -803,7 +863,7 @@ fn cmd_batch(args: &[String]) -> Result<(), String> {
                 .collect::<Result<Vec<_>, _>>()?
         }
     };
-    write_responses(args, &out_lines)
+    write_responses(args, &out_lines, stdout)
 }
 
 /// Client mode: pipeline the request lines to a `power-sched serve`
@@ -835,14 +895,14 @@ fn batch_over_tcp(
         .collect()
 }
 
-fn cmd_serve(args: &[String]) -> Result<(), String> {
+fn cmd_serve(args: &[String], stdout: &mut dyn Write) -> Result<(), Failure> {
     let addr = flag(args, "--addr").unwrap_or_else(|| "127.0.0.1:0".into());
     let cfg = engine_config(args)?;
     let listener = TcpListener::bind(&addr).map_err(|e| format!("binding {addr}: {e}"))?;
     let local = listener.local_addr().map_err(|e| e.to_string())?;
     // Scripts wait for this exact line before connecting.
-    println!("power-sched serve: listening on {local}");
-    std::io::stdout().flush().ok();
+    writeln!(stdout, "power-sched serve: listening on {local}")?;
+    stdout.flush()?;
     let metrics_out = flag(args, "--metrics-out");
     let shed_policy: Option<ShedPolicy> = match flag(args, "--shed-policy") {
         Some(p) => Some(p.parse()?),
@@ -857,7 +917,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         },
     )
     .map_err(|e| format!("serve loop: {e}"))?;
-    println!("power-sched serve: shutdown complete");
+    writeln!(stdout, "power-sched serve: shutdown complete")?;
     Ok(())
 }
 
@@ -947,12 +1007,12 @@ fn replay_traces(args: &[String]) -> Result<Vec<ArrivalTrace>, String> {
     Ok(traces)
 }
 
-fn cmd_replay(args: &[String]) -> Result<(), String> {
+fn cmd_replay(args: &[String], stdout: &mut dyn Write) -> Result<(), Failure> {
     let metrics = metrics_registry(args);
-    flush_metrics(metrics, replay_run(args))
+    flush_metrics(metrics, replay_run(args, stdout))
 }
 
-fn replay_run(args: &[String]) -> Result<(), String> {
+fn replay_run(args: &[String], stdout: &mut dyn Write) -> Result<(), Failure> {
     let trace_out = trace_tracer(args);
     let traces = replay_traces(args)?;
     let policy: PolicyKind = flag(args, "--policy")
@@ -1009,7 +1069,7 @@ fn replay_run(args: &[String]) -> Result<(), String> {
         .iter()
         .map(|r| serde_json::to_string(r).map_err(|e| e.to_string()))
         .collect::<Result<Vec<_>, _>>()?;
-    write_responses(args, &lines)?;
+    write_responses(args, &lines, stdout)?;
 
     let mut table = bench::Table::new(&[
         "trace", "policy", "jobs", "sched", "drop", "online", "offline", "ref", "ratio",
@@ -1061,16 +1121,16 @@ fn replay_run(args: &[String]) -> Result<(), String> {
 
 /// Pretty-prints an `obs/v1` metrics snapshot file (as written by
 /// `--metrics-out` or the serve shutdown flush) as the human text table.
-fn cmd_metrics(args: &[String]) -> Result<(), String> {
+fn cmd_metrics(args: &[String], stdout: &mut dyn Write) -> Result<(), Failure> {
     let path = args.first().ok_or("usage: metrics SNAPSHOT.json")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let snapshot = obs::Snapshot::from_json(&text)
         .map_err(|e| format!("{path}: not an obs/v1 snapshot: {e}"))?;
-    print!("{}", snapshot.render_text());
+    write!(stdout, "{}", snapshot.render_text())?;
     Ok(())
 }
 
-fn cmd_validate(args: &[String]) -> Result<(), String> {
+fn cmd_validate(args: &[String], stdout: &mut dyn Write) -> Result<(), Failure> {
     let operands: Vec<&String> = {
         // the only validate flag, --freq-ladder, consumes one value operand
         let mut out = Vec::new();
@@ -1111,14 +1171,15 @@ fn cmd_validate(args: &[String]) -> Result<(), String> {
                 "schedule has {} assignments but the instance has {} jobs",
                 sched.assignments.len(),
                 dvfs.jobs.len()
-            ));
+            )
+            .into());
         }
         let violations = validate_dvfs_schedule(&dvfs, &sched);
         if violations.is_empty() {
-            println!("schedule is valid");
+            writeln!(stdout, "schedule is valid")?;
             return Ok(());
         }
-        return Err(format!("schedule invalid: {violations:?}"));
+        return Err(format!("schedule invalid: {violations:?}").into());
     }
     let sched: Schedule =
         serde_json::from_str(&std::fs::read_to_string(sched_path).map_err(|e| e.to_string())?)
@@ -1128,13 +1189,14 @@ fn cmd_validate(args: &[String]) -> Result<(), String> {
             "schedule has {} assignments but the instance has {} jobs",
             sched.assignments.len(),
             inst.num_jobs()
-        ));
+        )
+        .into());
     }
     let violations = validate_schedule(&inst, &sched);
     if violations.is_empty() {
-        println!("schedule is valid");
+        writeln!(stdout, "schedule is valid")?;
         Ok(())
     } else {
-        Err(format!("schedule invalid: {violations:?}"))
+        Err(format!("schedule invalid: {violations:?}").into())
     }
 }

@@ -12,8 +12,8 @@
 //!   arbitrary per-(processor, interval) energy costs and multi-interval
 //!   jobs;
 //! * [`submodular`] — submodular maximization with budget constraints
-//!   (Lemma 2.1.2 bicriteria greedy, lazy + parallel), set functions, Set
-//!   Cover;
+//!   (Lemma 2.1.2 bicriteria greedy, lazy from upper bounds), set functions,
+//!   Set Cover;
 //! * [`matching`] — bipartite matching substrate: Hopcroft–Karp and the
 //!   incremental matching-rank oracles (Lemmas 2.2.2, 2.3.2);
 //! * [`matroids`] — uniform / partition / graphic / transversal / laminar

@@ -3,8 +3,9 @@
 //! nonzero exit for `solve` and in-band error responses for `batch`.
 
 use power_scheduling::engine::{ErrorKind, SolveResponse};
+use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_power-sched"))
@@ -41,6 +42,42 @@ fn solve_rejects_truncated_json_without_panicking() {
         .expect("spawn solve");
     assert_clean_failure(&out);
     assert!(String::from_utf8_lossy(&out.stderr).contains("not a valid instance"));
+}
+
+#[test]
+fn solve_into_a_pipe_closed_early_exits_quietly() {
+    // `power-sched solve … | head -1`: the reader takes the first line and
+    // closes the pipe. 4096 processors × 24 slots print about 130 KB of
+    // timeline, more than the pipe buffer holds, so the solve is still
+    // writing when the pipe closes.
+    let dir = temp_dir("closed-pipe");
+    let path = dir.join("wide.json");
+    std::fs::write(
+        &path,
+        r#"{"num_processors":4096,"horizon":24,"jobs":[{"value":1,"allowed":[{"proc":0,"time":3}]},{"value":1,"allowed":[{"proc":1,"time":7}]}]}"#,
+    )
+    .unwrap();
+    let mut child = bin()
+        .args(["solve", path.to_str().unwrap(), "--policy", "single"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn solve");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut first)
+        .expect("first line");
+    // the reader was dropped with the statement above: the pipe is closed
+    assert!(first.starts_with("scheduled 2/2 jobs"), "got: {first}");
+    let out = child.wait_with_output().expect("solve exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "CLI must not panic: {stderr}");
+    assert_ne!(out.status.code(), Some(101), "{stderr}");
+    assert!(
+        out.status.success(),
+        "a closed pipe is not an error: {stderr}"
+    );
+    assert!(stderr.is_empty(), "nothing to report: {stderr}");
 }
 
 #[test]

@@ -184,13 +184,7 @@ fn two_hundred_requests_bit_identical_across_worker_counts() {
 #[test]
 fn batch_reads_stdin_and_reports_parallel_option_requests() {
     use std::io::Write;
-    let requests = {
-        let mut reqs = mixed_requests(6, 0x57D1);
-        for r in &mut reqs {
-            r.parallel = Some(true); // exercise SolveOptions.parallel through the pool
-        }
-        reqs
-    };
+    let requests = mixed_requests(6, 0x57D1);
     let mut child = Command::new(env!("CARGO_BIN_EXE_power-sched"))
         .args(["batch", "-", "--workers", "2"])
         .stdin(std::process::Stdio::piped())
@@ -199,9 +193,13 @@ fn batch_reads_stdin_and_reports_parallel_option_requests() {
         .spawn()
         .expect("spawn power-sched batch -");
     {
+        // every line carries the retired solver toggles, which the engine
+        // accepts and ignores
         let stdin = child.stdin.as_mut().unwrap();
         for r in &requests {
-            writeln!(stdin, "{}", serde_json::to_string(r).unwrap()).unwrap();
+            let json = serde_json::to_string(r).unwrap();
+            let body = json.strip_suffix('}').unwrap();
+            writeln!(stdin, "{body},\"lazy\":false,\"parallel\":true}}").unwrap();
         }
     }
     let output = child.wait_with_output().expect("batch over stdin");
@@ -218,7 +216,7 @@ fn batch_reads_stdin_and_reports_parallel_option_requests() {
         assert_eq!(
             resp.schedule.as_ref().unwrap().total_cost.to_bits(),
             direct.total_cost.to_bits(),
-            "parallel scans must not change results"
+            "the retired toggles must not change results"
         );
     }
 }

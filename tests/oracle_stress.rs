@@ -117,8 +117,9 @@ fn interleaved_gains_and_commits_stay_consistent() {
 
 #[test]
 fn gain_scratch_shared_across_different_oracles() {
-    // One scratch reused against two different oracles (the rayon pattern
-    // after a work-steal) must stay correct thanks to epoch/versioning.
+    // One scratch reused against two different oracles (as when a caller
+    // keeps one scratch across solves) must stay correct thanks to
+    // epoch/versioning.
     let mut rng = rand::rngs::StdRng::seed_from_u64(0xF00D);
     let g1 = random_graph(&mut rng, 80, 40, 4);
     let g2 = random_graph(&mut rng, 120, 60, 4);

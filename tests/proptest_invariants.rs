@@ -109,7 +109,7 @@ proptest! {
         let eps = 2f64.powi(-eps_exp);
         let mut obj = SetSystemObjective::new(&f, subsets, costs);
         let out = power_scheduling::submodular::budgeted_greedy(
-            &mut obj, GreedyConfig::lazy(n as f64, eps));
+            &mut obj, GreedyConfig::new(n as f64, eps));
         prop_assert!(out.reached_target);
         prop_assert!(out.utility >= (1.0 - eps) * n as f64 - 1e-9);
         let bound = 2.0 * (1.0 / eps).log2().ceil() * b;

@@ -266,6 +266,76 @@ fn protocol_version_matrix_v1_v2_v3_clients_against_one_server() {
     assert!(server.wait_for_exit().success());
 }
 
+/// The retired `lazy`/`parallel` request keys are accepted and ignored on
+/// both transports: a request that carries them gets the schedule, bit for
+/// bit, that the same request without them gets, in every solve mode.
+#[test]
+fn retired_lazy_and_parallel_keys_are_accepted_and_ignored() {
+    let mut server = ServerGuard::spawn(2);
+    let inst = Instance::new(
+        2,
+        8,
+        vec![
+            Job::window(1.0, 0, 0, 3),
+            Job::window(2.0, 0, 2, 6),
+            Job::window(1.0, 1, 1, 5),
+            Job::window(3.0, 1, 4, 8),
+        ],
+    );
+    let base = |id| SolveRequest::builder(id, inst.clone()).affine(3.0, 1.0);
+    let requests = [
+        base(1).build(),
+        base(2).prize_collecting(4.0).epsilon(0.25).build(),
+        base(3).prize_collecting_exact(4.0).build(),
+    ];
+    // each request as sent plain, then with the retired keys appended
+    let mut lines = Vec::new();
+    for req in &requests {
+        let json = serde_json::to_string(req).unwrap();
+        let body = json.strip_suffix('}').unwrap();
+        lines.push(format!("{body},\"lazy\":false,\"parallel\":true}}"));
+        lines.push(json);
+    }
+    for transport in [Transport::Jsonl, Transport::Binary] {
+        let mut client = EngineClient::connect(&*server.addr, transport).expect("connect");
+        let responses: Vec<SolveResponse> = client
+            .pipeline_lines(&lines, false)
+            .expect("one response per line")
+            .iter()
+            .map(|v| serde_json::from_str(&serde_json::to_string(v).unwrap()).unwrap())
+            .collect();
+        for (req, pair) in requests.iter().zip(responses.chunks(2)) {
+            let [with_keys, plain] = pair else {
+                panic!("{transport}: responses come in pairs")
+            };
+            assert!(with_keys.ok, "{transport}: {:?}", with_keys.error);
+            assert!(plain.ok, "{transport}: {:?}", plain.error);
+            let (a, b) = (
+                with_keys.schedule.as_ref().unwrap(),
+                plain.schedule.as_ref().unwrap(),
+            );
+            assert_eq!(a.awake, b.awake, "{transport}, request {}", req.id);
+            assert_eq!(
+                a.assignments, b.assignments,
+                "{transport}, request {}",
+                req.id
+            );
+            assert_eq!(
+                a.total_cost.to_bits(),
+                b.total_cost.to_bits(),
+                "{transport}, request {}",
+                req.id
+            );
+        }
+    }
+
+    let mut shutter = EngineClient::connect(&*server.addr, Transport::default()).unwrap();
+    shutter.send_control("shutdown").unwrap();
+    shutter.flush().unwrap();
+    assert!(shutter.recv().unwrap().expect("shutdown ack").ok);
+    assert!(server.wait_for_exit().success());
+}
+
 #[test]
 fn shutdown_is_not_blocked_by_an_idle_connection() {
     // Regression: serve() used to join every connection thread, so a client
