@@ -26,16 +26,19 @@
 //!   implementation retained in `sched_core::naive`, proven bit-identical
 //!   by the equivalence proptests), `warm`/`cold` re-solves, `off`/`on`
 //!   (a solve with no ambient registry or tracer installed, and with one),
-//!   or `binary`/`jsonl` (the same pipelined requests sent to one
-//!   in-process `serve` over v3 binary frames and over JSONL lines).
+//!   `binary`/`jsonl` (the same pipelined requests sent to one in-process
+//!   `serve` over v3 binary frames and over JSONL lines), or
+//!   `stream`/`tree` (n64 requests and their responses through the binary
+//!   codec: streamed encoding and typed decoding, against the value-tree
+//!   path it replaced, asserted byte- and value-equal before timing).
 //!   The in-process engine and replay workloads have no twin; their rows
 //!   read `n/a`.
-//! * `ops_per_sec` is the headline throughput (solves, requests, re-solves
-//!   or traces per second); `ns_per_op` its inverse; `peak_candidates` the
+//! * `ops_per_sec` is the headline throughput (solves, requests, re-solves,
+//!   traces or codec round trips per second); `ns_per_op` its inverse; `peak_candidates` the
 //!   largest candidate family any solve in the workload optimized over.
 //! * A ratio is `variant.ops_per_sec / baseline.ops_per_sec` within a
-//!   pair. `fast`/`naive`, `warm`/`cold` and `binary`/`jsonl` record one,
-//!   a speedup. `off`/`on` pairs sit near parity and record both
+//!   pair. `fast`/`naive`, `warm`/`cold`, `binary`/`jsonl` and
+//!   `stream`/`tree` record one, a speedup. `off`/`on` pairs sit near parity and record both
 //!   directions: `on`/`off` falls when recording gets costlier, `off`/`on`
 //!   when the bare path does.
 //!
@@ -57,6 +60,8 @@ use sched_core::{
     enumerate_candidates, schedule_all, solve_dvfs, solve_dvfs_naive, ArrivalTrace,
     CandidateInterval, CandidatePolicy, Instance, PowerProfile, ProfileCost, SolveOptions,
 };
+use sched_engine::codec::{self, WireFormat};
+use sched_engine::protocol::{parse_value, SolveResponse, WireRequest};
 use sched_engine::{serve, Engine, EngineClient, EngineConfig, SolveRequest, Transport};
 use sched_obs::trace::Tracer;
 use sched_obs::Registry;
@@ -82,9 +87,11 @@ pub struct WorkloadResult {
     /// Workload identifier (stable across runs).
     pub name: String,
     /// The side of its pair the row times (`fast`/`naive`, `warm`/`cold`,
-    /// `off`/`on`), or `n/a` for a workload without a twin.
+    /// `off`/`on`, `binary`/`jsonl`, `stream`/`tree`), or `n/a` for a
+    /// workload without a twin.
     pub variant: String,
-    /// Operations (solves / requests / re-solves / traces) per timed pass.
+    /// Operations (solves / requests / re-solves / traces / codec round
+    /// trips) per timed pass.
     pub ops: u64,
     /// Nanoseconds per operation (best pass).
     pub ns_per_op: f64,
@@ -250,18 +257,104 @@ fn resolve_pass(trace: &ArrivalTrace, period: u32, warm: bool) -> (u64, u64, u64
     (rs.count, rs.total_ns, out.schedule.total_cost.to_bits())
 }
 
-/// The timed side of a warm-vs-cold pair: one replay's re-solve
-/// nanoseconds, after checking that it reproduced the `pinned` re-solve
+/// Re-solves a warm-vs-cold pass times at least: it replays its trace until
+/// it holds this many, so a short replay's tick-sized noise averages out.
+const RESOLVES_PER_PASS: u64 = 256;
+
+/// The timed side of a warm-vs-cold pair: `replays` replays' re-solve
+/// nanoseconds, after checking that each reproduced the `pinned` re-solve
 /// count and cost bits.
-fn resolve_variant(trace: &ArrivalTrace, period: u32, warm: bool, pinned: (u64, u64)) -> Pass<'_> {
+fn resolve_variant(
+    trace: &ArrivalTrace,
+    period: u32,
+    warm: bool,
+    pinned: (u64, u64),
+    replays: u64,
+) -> Pass<'_> {
     Box::new(move || {
-        let (count, ns, bits) = resolve_pass(trace, period, warm);
-        assert_eq!(
-            (count, bits),
-            pinned,
-            "k={period} replay (warm: {warm}) diverged from the cold replay"
-        );
-        ns
+        (0..replays)
+            .map(|_| {
+                let (count, ns, bits) = resolve_pass(trace, period, warm);
+                assert_eq!(
+                    (count, bits),
+                    pinned,
+                    "k={period} replay (warm: {warm}) diverged from the cold replay"
+                );
+                ns
+            })
+            .sum()
+    })
+}
+
+/// Round trips per pass of the codec pair.
+const CODEC_OPS: u64 = 128;
+
+/// The codec pair's pinned pool: n64/p4/t32 planted requests, one per
+/// seed, each with the response a one-worker engine gives it.
+fn codec_pool() -> Vec<(SolveRequest, SolveResponse)> {
+    let requests: Vec<SolveRequest> = (0..16)
+        .map(|i| {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(0xC0DE + i);
+            let planted = planted_instance(
+                &PlantedConfig {
+                    num_processors: 4,
+                    horizon: 32,
+                    target_jobs: 64,
+                    decoy_prob: 0.3,
+                    max_value: 1,
+                    cost_model: PlantedCostModel::Affine { restart: 3.0 },
+                    policy: CandidatePolicy::All,
+                },
+                &mut rng,
+            );
+            SolveRequest::builder(i, planted.instance)
+                .affine(3.0, 1.0)
+                .build()
+        })
+        .collect();
+    let responses = Engine::new(EngineConfig::with_workers(1)).solve_batch(requests.clone());
+    assert!(responses.iter().all(|r| r.ok), "codec pool solves");
+    requests.into_iter().zip(responses).collect()
+}
+
+/// A request and its response through the binary codec, encoded and
+/// decoded: streamed with typed decoding as the server and client run it,
+/// or through the value tree (`tree`), the path they ran before. Returns
+/// both payloads and both decoded values.
+fn codec_round_trip(
+    req: &SolveRequest,
+    resp: &SolveResponse,
+    tree: bool,
+) -> ([Vec<u8>; 2], SolveRequest, SolveResponse) {
+    const OK: &str = "pinned codec pool decodes";
+    if tree {
+        let payloads = [
+            codec::encode_value(&req.to_value()),
+            codec::encode_value(&resp.to_value()),
+        ];
+        let req = match parse_value(&codec::decode_value(&payloads[0]).expect(OK)) {
+            Ok(WireRequest::Solve(req)) => *req,
+            other => panic!("{OK}: {other:?}"),
+        };
+        let resp = SolveResponse::from_value(&codec::decode_value(&payloads[1]).expect(OK));
+        (payloads, req, resp.expect(OK))
+    } else {
+        let payloads = [codec::to_binary(req), codec::to_binary(resp)];
+        let req = codec::decode_request(WireFormat::Binary, &payloads[0]).expect(OK);
+        let resp = codec::from_binary(&payloads[1]).expect(OK);
+        (payloads, req, resp)
+    }
+}
+
+/// The timed side of the codec pair: [`CODEC_OPS`] round trips over the
+/// pool, in order and wrapping around.
+fn codec_variant(pool: &[(SolveRequest, SolveResponse)], tree: bool) -> Pass<'_> {
+    Box::new(move || {
+        time(|| {
+            for (req, resp) in pool.iter().cycle().take(CODEC_OPS as usize) {
+                black_box(codec_round_trip(req, resp, tree));
+            }
+        })
     })
 }
 
@@ -383,6 +476,7 @@ fn run_rounds(rounds: u32) -> PerfReport {
     );
     let requests = &engine_workload(64);
     let framing = &framing_pool();
+    let codec_pool = &codec_pool();
     let cfg = ArrivalConfig::default();
     let replay_traces: &Vec<_> = &(0..8)
         .map(|i| {
@@ -501,17 +595,51 @@ fn run_rounds(rounds: u32) -> PerfReport {
     for &(period, ref trace) in &resolve_traces {
         let (resolves, _, cost_bits) = resolve_pass(trace, period, false);
         let pinned = (resolves, cost_bits);
+        let replays = RESOLVES_PER_PASS.div_ceil(resolves);
         table.push(Workload {
             name: format!("resolve_warm_vs_cold_k{period}"),
-            ops: resolves,
+            ops: resolves * replays,
             peak_candidates: all_intervals(trace.num_processors, trace.horizon),
             variants: vec![
-                ("warm", resolve_variant(trace, period, true, pinned)),
-                ("cold", resolve_variant(trace, period, false, pinned)),
+                (
+                    "warm",
+                    resolve_variant(trace, period, true, pinned, replays),
+                ),
+                (
+                    "cold",
+                    resolve_variant(trace, period, false, pinned, replays),
+                ),
             ],
             both_ways: false,
         });
     }
+    // Codec: the same n64 requests and responses streamed with typed
+    // decoding, and through the value tree, the retained baseline. Both
+    // sides must agree byte for byte and value for value before timing.
+    for (req, resp) in codec_pool {
+        let (stream, tree) = (
+            codec_round_trip(req, resp, false),
+            codec_round_trip(req, resp, true),
+        );
+        assert_eq!(
+            stream.0, tree.0,
+            "request {}: streamed bytes differ",
+            req.id
+        );
+        assert_eq!(format!("{:?}", stream.1), format!("{req:?}"));
+        assert_eq!(format!("{:?}", tree.1), format!("{req:?}"));
+        assert_eq!(format!("{:?}", stream.2), format!("{:?}", tree.2));
+    }
+    table.push(Workload {
+        name: format!("wire_codec_{n64_shape}"),
+        ops: CODEC_OPS,
+        peak_candidates: n64.candidates.len() as u64,
+        variants: vec![
+            ("stream", codec_variant(codec_pool, false)),
+            ("tree", codec_variant(codec_pool, true)),
+        ],
+        both_ways: false,
+    });
     // Telemetry overhead: the n64 solve with nothing installed (`off`:
     // spans disarm at creation, counters vanish in `with_active`) and with
     // a thread-local registry, then tracer, installed (`on`: every span,
@@ -938,14 +1066,15 @@ mod tests {
         };
         assert_eq!(rows(&report), rows(&baseline));
         assert_eq!(ratios(&report), ratios(&baseline));
-        // (3 solve shapes + hetero + DVFS + framing + 2 warm-vs-cold + 2
-        // overhead) pairs + 2 engine rows + 1 replay row; one ratio per
-        // pair, two per overhead pair
-        assert_eq!(report.workloads.len(), 23);
-        assert_eq!(report.ratios.len(), 12);
+        // (3 solve shapes + hetero + DVFS + framing + 2 warm-vs-cold +
+        // codec + 2 overhead) pairs + 2 engine rows + 1 replay row; one
+        // ratio per pair, two per overhead pair
+        assert_eq!(report.workloads.len(), 25);
+        assert_eq!(report.ratios.len(), 13);
         assert!(ratios(&report).contains(&"trace_overhead_n64_p4_t32 on/off".to_string()));
         assert!(ratios(&report).contains(&"obs_overhead_n64_p4_t32 off/on".to_string()));
         assert!(ratios(&report).contains(&"engine_framing_closed_loop binary/jsonl".to_string()));
+        assert!(ratios(&report).contains(&"wire_codec_n64_p4_t32 stream/tree".to_string()));
     }
 
     /// The message of the panic `pass` raises.

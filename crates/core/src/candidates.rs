@@ -139,6 +139,42 @@ pub fn enumerate_candidates(
     out
 }
 
+/// Intervals `enumerate_candidates` walks under `policy` on a
+/// `processors × horizon` grid, finite or not, in closed form.
+pub fn interval_count(policy: CandidatePolicy, processors: u32, horizon: u32) -> u64 {
+    let t = u64::from(horizon);
+    let per_proc = match policy {
+        CandidatePolicy::All => t * (t + 1) / 2,
+        CandidatePolicy::SingleSlots => t,
+        CandidatePolicy::MaxLength(k) => {
+            // starts `0..=t-k` reach k slots; the last k-1 starts reach
+            // k-1, …, 1
+            let k = u64::from(k).min(t);
+            k * (t - k + 1) + k * k.saturating_sub(1) / 2
+        }
+    };
+    u64::from(processors) * per_proc
+}
+
+/// How many candidates `enumerate_candidates(inst, cost, policy)` returns,
+/// without enumerating them, when `p` oracle calls can tell: under an
+/// [`inclusion_monotone`](EnergyCost::inclusion_monotone) cost every
+/// interval is finite exactly when each processor's whole horizon `[0, T)`
+/// is, and then the count is [`interval_count`]. `None` when the cost is
+/// not monotone or some horizon is infinite: only enumeration knows.
+///
+/// Like the enumeration's own check, this presumes finite prices are
+/// positive.
+pub fn count_candidates(
+    inst: &Instance,
+    cost: &dyn EnergyCost,
+    policy: CandidatePolicy,
+) -> Option<u64> {
+    let (p, t) = (inst.num_processors, inst.horizon);
+    let finite = t == 0 || (0..p).all(|proc| cost.cost(proc, 0, t).is_finite());
+    (cost.inclusion_monotone() && finite).then(|| interval_count(policy, p, t))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,5 +275,50 @@ mod tests {
         assert!(!iv.covers(0, 3));
         assert_eq!(iv.len(), 3);
         assert!(!iv.is_empty());
+    }
+
+    #[test]
+    fn interval_count_matches_enumeration() {
+        let cost = AffineCost::new(1.0, 1.0);
+        for t in 1..=9 {
+            let i = inst(2, t);
+            let policies = [
+                CandidatePolicy::All,
+                CandidatePolicy::SingleSlots,
+                CandidatePolicy::MaxLength(1),
+                CandidatePolicy::MaxLength(2),
+                CandidatePolicy::MaxLength(5),
+                CandidatePolicy::MaxLength(t),
+                CandidatePolicy::MaxLength(t + 1),
+                CandidatePolicy::MaxLength(u32::MAX),
+            ];
+            for policy in policies {
+                let enumerated = enumerate_candidates(&i, &cost, policy).len() as u64;
+                assert_eq!(interval_count(policy, 2, t), enumerated, "{policy} t={t}");
+                assert_eq!(
+                    count_candidates(&i, &cost, policy),
+                    Some(enumerated),
+                    "{policy} t={t}"
+                );
+            }
+        }
+        assert_eq!(interval_count(CandidatePolicy::All, 3, 0), 0);
+    }
+
+    #[test]
+    fn count_candidates_declines_what_only_enumeration_knows() {
+        let i = inst(2, 6);
+        // an unavailable slot makes some intervals of processor 0 infinite
+        let holes = UnavailableSlots::new(AffineCost::new(1.0, 1.0), 2, &[(0, 3)]);
+        assert!(holes.inclusion_monotone());
+        assert_eq!(count_candidates(&i, &holes, CandidatePolicy::All), None);
+        // a cost that is not monotone is never counted
+        struct Flat;
+        impl EnergyCost for Flat {
+            fn cost(&self, _proc: u32, _start: u32, _end: u32) -> f64 {
+                1.0
+            }
+        }
+        assert_eq!(count_candidates(&i, &Flat, CandidatePolicy::All), None);
     }
 }

@@ -89,7 +89,9 @@ pub mod solver;
 pub mod trace;
 pub mod warm;
 
-pub use candidates::{enumerate_candidates, CandidateInterval, CandidatePolicy};
+pub use candidates::{
+    count_candidates, enumerate_candidates, interval_count, CandidateInterval, CandidatePolicy,
+};
 pub use cost::{AffineCost, ConvexCost, EnergyCost, TableCost, TimeVaryingCost, UnavailableSlots};
 pub use dvfs::{
     solve_dvfs, solve_dvfs_naive, validate_dvfs_schedule, CompiledDvfs, DvfsCost, DvfsError,

@@ -141,11 +141,19 @@ impl EngineClient {
         recv_value_from(&mut self.reader, self.transport)
     }
 
-    /// Reads one typed response (`None` on clean EOF).
+    /// Reads one typed response (`None` on clean EOF). A binary frame is
+    /// decoded straight into the response ([`codec::from_binary`]); a JSONL
+    /// line goes through its value tree.
     pub fn recv(&mut self) -> io::Result<Option<SolveResponse>> {
-        match self.recv_value()? {
-            None => Ok(None),
-            Some(v) => SolveResponse::from_value(&v).map(Some).map_err(invalid),
+        match self.transport {
+            Transport::Jsonl => match self.recv_value()? {
+                None => Ok(None),
+                Some(v) => SolveResponse::from_value(&v).map(Some).map_err(invalid),
+            },
+            Transport::Binary => match read_payload(&mut self.reader)? {
+                None => Ok(None),
+                Some(payload) => codec::from_binary(&payload).map(Some).map_err(invalid),
+            },
         }
     }
 
@@ -252,14 +260,20 @@ fn recv_value_from<R: Read>(
             }
             serde_json::from_str(line.trim()).map(Some).map_err(invalid)
         }
-        Transport::Binary => match codec::read_frame(reader) {
-            Ok(None) => Ok(None),
-            Ok(Some((format, payload))) => codec::payload_to_value(format, &payload)
-                .map(Some)
-                .map_err(invalid),
-            Err(FrameError::Io(e)) => Err(e),
-            Err(e) => Err(invalid(e)),
+        Transport::Binary => match read_payload(reader)? {
+            None => Ok(None),
+            Some(payload) => codec::decode_value(&payload).map(Some).map_err(invalid),
         },
+    }
+}
+
+/// Reads one frame's payload (`None` on clean EOF before its first byte).
+fn read_payload<R: Read>(reader: &mut BufReader<R>) -> io::Result<Option<Vec<u8>>> {
+    match codec::read_frame(reader) {
+        Ok(None) => Ok(None),
+        Ok(Some((WireFormat::Binary, payload))) => Ok(Some(payload)),
+        Err(FrameError::Io(e)) => Err(e),
+        Err(e) => Err(invalid(e)),
     }
 }
 

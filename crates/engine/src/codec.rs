@@ -36,8 +36,45 @@
 //! depth-limited, and strings are UTF-8-validated — malformed payloads
 //! yield structured errors, never panics or unbounded allocation
 //! (fuzzed in `tests/frame_malformed.rs`).
+//!
+//! # Streaming encode, typed decode, and the tree
+//!
+//! The hot paths build no [`Value`] tree, whose one heap `String` per key
+//! cost more than a small solve:
+//!
+//! * **Encode.** [`to_binary`] streams a wire struct through
+//!   [`serde::Serialize::stream`] into the encoder, and so does everything
+//!   built on it: [`value_to_payload`], the server's writer and
+//!   [`EngineClient::send`](crate::EngineClient::send). The bytes are
+//!   exactly [`encode_value`]`(&x.to_value())`: the same varint/`f64`
+//!   rule, the same one-byte field ids (looked up in a table bucketed by
+//!   name length) and inline keys, null object fields left out and null
+//!   array elements kept. `encode_value` itself streams the tree.
+//! * **Decode.** [`decode_typed`] reads a payload straight into a wire
+//!   struct through [`serde::Deserialize::from_source`], over the same
+//!   hardened cursor and checks as [`decode_value`]: counts against the
+//!   remaining input before reserving, UTF-8 strings and inline keys,
+//!   unknown field ids refused, skipped unknown values checked at their
+//!   depth from the payload's top, trailing bytes refused, and the first of
+//!   duplicated keys kept, as [`Value::field`] keeps it. Whatever it accepts
+//!   the tree path accepts as the same value; it may refuse more. The
+//!   server's reader uses [`decode_request`], which also refuses a
+//!   top-level `control` key, and
+//!   [`EngineClient::recv`](crate::EngineClient::recv) uses [`from_binary`].
+//!   A refused payload is decoded again through the tree, so controls and
+//!   every error response — kind, message, and the correlated
+//!   `id`/`trace_id` — come from the tree path.
+//!
+//! The tree stays for what needs the whole value: control requests, error
+//! correlation ([`value_correlation`](crate::protocol::value_correlation)),
+//! [`payload_to_value`] for callers that re-serialize responses, the JSONL
+//! transport through `serde_json`, and the reference the equivalence tests
+//! (`tests/protocol_roundtrip.rs`, `tests/frame_malformed.rs`) and the
+//! `wire_codec` perf pair compare against.
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize, Sink, Source, Value};
+
+use crate::protocol::{SolveRequest, CONTROL_KEY};
 use std::io::{self, Read, Write};
 
 /// Frame preamble: `0xB3` (outside ASCII, so never the first byte of a
@@ -287,8 +324,62 @@ const INLINE_KEY: u8 = 0xFF;
 // Ids must stay one byte with 0xFF reserved for the inline escape.
 const _: () = assert!(FIELD_NAMES.len() < INLINE_KEY as usize);
 
+/// Length of the longest name in [`FIELD_NAMES`].
+const MAX_NAME_LEN: usize = {
+    let mut max = 0;
+    let mut i = 0;
+    while i < FIELD_NAMES.len() {
+        if FIELD_NAMES[i].len() > max {
+            max = FIELD_NAMES[i].len();
+        }
+        i += 1;
+    }
+    max
+};
+
+/// [`FIELD_NAMES`] ids bucketed by name length, built from the list itself:
+/// the ids of the length-`l` names are `ids[starts[l]..starts[l + 1]]`, in
+/// id order.
+const BY_LEN: ([u8; FIELD_NAMES.len()], [u8; MAX_NAME_LEN + 2]) = {
+    let mut starts = [0u8; MAX_NAME_LEN + 2];
+    let mut i = 0;
+    while i < FIELD_NAMES.len() {
+        starts[FIELD_NAMES[i].len() + 1] += 1;
+        i += 1;
+    }
+    let mut l = 1;
+    while l < starts.len() {
+        starts[l] += starts[l - 1];
+        l += 1;
+    }
+    let mut ids = [0u8; FIELD_NAMES.len()];
+    let mut next = starts;
+    let mut i = 0;
+    while i < FIELD_NAMES.len() {
+        let l = FIELD_NAMES[i].len();
+        ids[next[l] as usize] = i as u8;
+        next[l] += 1;
+        i += 1;
+    }
+    (ids, starts)
+};
+
+/// The one-byte id of a well-known field name: a scan of the names of the
+/// same length, first byte before the rest.
 fn field_id(name: &str) -> Option<u8> {
-    FIELD_NAMES.iter().position(|f| *f == name).map(|i| i as u8)
+    let (ids, starts) = &BY_LEN;
+    let len = name.len();
+    let first = *name.as_bytes().first()?;
+    if len > MAX_NAME_LEN {
+        return None;
+    }
+    ids[starts[len] as usize..starts[len + 1] as usize]
+        .iter()
+        .copied()
+        .find(|&id| {
+            let known = FIELD_NAMES[id as usize];
+            known.as_bytes()[0] == first && known == name
+        })
 }
 
 // Value type tags of the binary payload encoding.
@@ -304,7 +395,7 @@ const T_OBJ: u8 = 0x08;
 
 /// Nesting ceiling for the decoder (instances are ~4 deep; 64 leaves
 /// generous headroom while keeping hostile recursion bounded).
-const MAX_DEPTH: u32 = 64;
+pub const MAX_DEPTH: u32 = 64;
 
 /// Largest f64 whose integral values round-trip exactly through u64 (2⁵³).
 const EXACT_INT: f64 = 9_007_199_254_740_992.0;
@@ -321,6 +412,63 @@ fn put_varint(mut n: u64, out: &mut Vec<u8>) {
     }
 }
 
+/// The binary encoder: a [`serde::Sink`] appending payload bytes.
+struct Encoder<'o>(&'o mut Vec<u8>);
+
+impl Encoder<'_> {
+    fn bytes(&mut self, tag: u8, bytes: &[u8]) {
+        self.0.push(tag);
+        put_varint(bytes.len() as u64, self.0);
+        self.0.extend_from_slice(bytes);
+    }
+}
+
+impl Sink for Encoder<'_> {
+    fn null(&mut self) {
+        self.0.push(T_NULL);
+    }
+
+    fn bool(&mut self, b: bool) {
+        self.0.push(if b { T_TRUE } else { T_FALSE });
+    }
+
+    fn num(&mut self, n: f64) {
+        if n.fract() == 0.0 && n.abs() <= EXACT_INT {
+            if n >= 0.0 {
+                self.0.push(T_UINT);
+                put_varint(n as u64, self.0);
+            } else {
+                self.0.push(T_NEGINT);
+                put_varint(-n as u64, self.0);
+            }
+        } else {
+            self.0.push(T_F64);
+            self.0.extend_from_slice(&n.to_bits().to_le_bytes());
+        }
+    }
+
+    fn str(&mut self, s: &str) {
+        self.bytes(T_STR, s.as_bytes());
+    }
+
+    fn begin_array(&mut self, len: usize) {
+        self.0.push(T_ARR);
+        put_varint(len as u64, self.0);
+    }
+
+    fn begin_object(&mut self, len: usize) {
+        self.0.push(T_OBJ);
+        put_varint(len as u64, self.0);
+    }
+
+    fn key(&mut self, key: &str) {
+        match field_id(key) {
+            Some(id) => self.0.push(id),
+            None => self.bytes(INLINE_KEY, key.as_bytes()),
+        }
+    }
+}
+
 /// Encodes a value tree into the compact binary payload form.
 ///
 /// Object fields holding `Null` are *skipped* (the serde stub derives treat
@@ -328,67 +476,33 @@ fn put_varint(mut n: u64, out: &mut Vec<u8>) {
 /// which keeps sparse requests — most optional fields unset — tiny. `Null`
 /// inside arrays is preserved: `Schedule::assignments` is `Vec<Option<..>>`.
 pub fn encode_value(v: &Value) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64);
-    encode_into(v, &mut out);
-    out
+    to_binary(v)
 }
 
-fn encode_into(v: &Value, out: &mut Vec<u8>) {
-    match v {
-        Value::Null => out.push(T_NULL),
-        Value::Bool(false) => out.push(T_FALSE),
-        Value::Bool(true) => out.push(T_TRUE),
-        Value::Num(n) => {
-            if n.fract() == 0.0 && n.abs() <= EXACT_INT {
-                if *n >= 0.0 {
-                    out.push(T_UINT);
-                    put_varint(*n as u64, out);
-                } else {
-                    out.push(T_NEGINT);
-                    put_varint(-*n as u64, out);
-                }
-            } else {
-                out.push(T_F64);
-                out.extend_from_slice(&n.to_bits().to_le_bytes());
-            }
-        }
-        Value::Str(s) => {
-            out.push(T_STR);
-            put_varint(s.len() as u64, out);
-            out.extend_from_slice(s.as_bytes());
-        }
-        Value::Array(items) => {
-            out.push(T_ARR);
-            put_varint(items.len() as u64, out);
-            for item in items {
-                encode_into(item, out);
-            }
-        }
-        Value::Object(pairs) => {
-            out.push(T_OBJ);
-            let live = pairs.iter().filter(|(_, v)| *v != Value::Null);
-            put_varint(live.clone().count() as u64, out);
-            for (key, val) in live {
-                match field_id(key) {
-                    Some(id) => out.push(id),
-                    None => {
-                        out.push(INLINE_KEY);
-                        put_varint(key.len() as u64, out);
-                        out.extend_from_slice(key.as_bytes());
-                    }
-                }
-                encode_into(val, out);
-            }
-        }
-    }
-}
-
+/// A payload being decoded: the hardened reader behind both the tree
+/// decoder ([`decode_value`]) and the typed one (its [`serde::Source`]
+/// impl), so the two apply one set of checks.
 struct Cursor<'b> {
     bytes: &'b [u8],
     pos: usize,
+    /// Nesting depth of the next value the typed decoder reads (the tree
+    /// decoder passes its depth down instead).
+    depth: u32,
+    /// A key the typed decoder refuses on the top-level object, so that
+    /// payload takes the tree path.
+    refuse: Option<&'static str>,
 }
 
 impl<'b> Cursor<'b> {
+    fn new(bytes: &'b [u8]) -> Self {
+        Self {
+            bytes,
+            pos: 0,
+            depth: 0,
+            refuse: None,
+        }
+    }
+
     fn err(&self, what: &str) -> serde::Error {
         serde::Error(format!("binary payload: {what} at offset {}", self.pos))
     }
@@ -431,59 +545,76 @@ impl<'b> Cursor<'b> {
         Err(self.err("varint longer than 10 bytes"))
     }
 
-    fn string(&mut self) -> Result<String, serde::Error> {
+    /// A varint length followed by that many UTF-8 bytes.
+    fn string(&mut self) -> Result<&'b str, serde::Error> {
         let len = self.varint()?;
         if len > self.remaining() as u64 {
             return Err(self.err("string length runs past end of input"));
         }
         let bytes = self.take(len as usize)?;
-        String::from_utf8(bytes.to_vec())
+        std::str::from_utf8(bytes)
             .map_err(|_| serde::Error("binary payload: string is not UTF-8".into()))
     }
 
-    fn value(&mut self, depth: u32) -> Result<Value, serde::Error> {
+    /// An object key: a well-known field id or an inline string.
+    fn key_str(&mut self) -> Result<&'b str, serde::Error> {
+        match self.byte()? {
+            INLINE_KEY => self.string(),
+            id => FIELD_NAMES
+                .get(id as usize)
+                .copied()
+                .ok_or_else(|| self.err("unknown well-known field id")),
+        }
+    }
+
+    /// An array's element count, checked against the remaining input:
+    /// every element costs at least one byte.
+    fn array_len(&mut self) -> Result<usize, serde::Error> {
+        let count = self.varint()?;
+        if count > self.remaining() as u64 {
+            return Err(self.err("array count exceeds remaining input"));
+        }
+        Ok(count as usize)
+    }
+
+    /// An object's pair count, checked against the remaining input: every
+    /// pair costs at least two bytes (key byte + value tag).
+    fn object_len(&mut self) -> Result<usize, serde::Error> {
+        let count = self.varint()?;
+        if count.saturating_mul(2) > self.remaining() as u64 {
+            return Err(self.err("object count exceeds remaining input"));
+        }
+        Ok(count as usize)
+    }
+
+    fn check_depth(&self, depth: u32) -> Result<(), serde::Error> {
         if depth > MAX_DEPTH {
             return Err(self.err("nesting deeper than the decoder limit"));
         }
+        Ok(())
+    }
+
+    fn value(&mut self, depth: u32) -> Result<Value, serde::Error> {
+        self.check_depth(depth)?;
         match self.byte()? {
             T_NULL => Ok(Value::Null),
             T_FALSE => Ok(Value::Bool(false)),
             T_TRUE => Ok(Value::Bool(true)),
-            T_F64 => {
-                let bytes: [u8; 8] = self.take(8)?.try_into().expect("took 8");
-                Ok(Value::Num(f64::from_bits(u64::from_le_bytes(bytes))))
-            }
-            T_UINT => Ok(Value::Num(self.varint()? as f64)),
-            T_NEGINT => Ok(Value::Num(-(self.varint()? as f64))),
-            T_STR => Ok(Value::Str(self.string()?)),
+            tag @ (T_F64 | T_UINT | T_NEGINT) => self.num_body(tag).map(Value::Num),
+            T_STR => Ok(Value::Str(self.string()?.to_owned())),
             T_ARR => {
-                let count = self.varint()?;
-                // every element costs >= 1 byte, so a count beyond the
-                // remaining input is a lie — reject before reserving
-                if count > self.remaining() as u64 {
-                    return Err(self.err("array count exceeds remaining input"));
-                }
-                let mut items = Vec::with_capacity(count as usize);
+                let count = self.array_len()?;
+                let mut items = Vec::with_capacity(count);
                 for _ in 0..count {
                     items.push(self.value(depth + 1)?);
                 }
                 Ok(Value::Array(items))
             }
             T_OBJ => {
-                let count = self.varint()?;
-                // every pair costs >= 2 bytes (key byte + value tag)
-                if count.saturating_mul(2) > self.remaining() as u64 {
-                    return Err(self.err("object count exceeds remaining input"));
-                }
-                let mut pairs = Vec::with_capacity(count as usize);
+                let count = self.object_len()?;
+                let mut pairs = Vec::with_capacity(count);
                 for _ in 0..count {
-                    let key = match self.byte()? {
-                        INLINE_KEY => self.string()?,
-                        id => FIELD_NAMES
-                            .get(id as usize)
-                            .map(|s| (*s).to_string())
-                            .ok_or_else(|| self.err("unknown well-known field id"))?,
-                    };
+                    let key = self.key_str()?.to_owned();
                     pairs.push((key, self.value(depth + 1)?));
                 }
                 Ok(Value::Object(pairs))
@@ -491,28 +622,168 @@ impl<'b> Cursor<'b> {
             _ => Err(self.err("unknown value tag")),
         }
     }
+
+    /// The number after a number tag.
+    fn num_body(&mut self, tag: u8) -> Result<f64, serde::Error> {
+        match tag {
+            T_F64 => {
+                let bytes: [u8; 8] = self.take(8)?.try_into().expect("took 8");
+                Ok(f64::from_bits(u64::from_le_bytes(bytes)))
+            }
+            T_UINT => Ok(self.varint()? as f64),
+            _ => Ok(-(self.varint()? as f64)),
+        }
+    }
+
+    /// The tag of the next typed value, at the current depth.
+    fn tag(&mut self) -> Result<u8, serde::Error> {
+        self.check_depth(self.depth)?;
+        self.byte()
+    }
+
+    fn expected(&self, what: &str) -> serde::Error {
+        self.err(&format!("expected {what}"))
+    }
+
+    /// Refuses input left after the top-level value.
+    fn finish(&self) -> Result<(), serde::Error> {
+        if self.pos != self.bytes.len() {
+            return Err(self.err("trailing bytes after value"));
+        }
+        Ok(())
+    }
+}
+
+// The typed decoder: each read applies the tree decoder's checks at the
+// same depth, so whatever it accepts, `decode_value` accepts too.
+impl Source for Cursor<'_> {
+    fn take_null(&mut self) -> Result<bool, serde::Error> {
+        self.check_depth(self.depth)?;
+        let null = self.bytes.get(self.pos) == Some(&T_NULL);
+        self.pos += usize::from(null);
+        Ok(null)
+    }
+
+    fn bool(&mut self) -> Result<bool, serde::Error> {
+        match self.tag()? {
+            T_FALSE => Ok(false),
+            T_TRUE => Ok(true),
+            _ => Err(self.expected("bool")),
+        }
+    }
+
+    fn num(&mut self) -> Result<f64, serde::Error> {
+        match self.tag()? {
+            tag @ (T_F64 | T_UINT | T_NEGINT) => self.num_body(tag),
+            _ => Err(self.expected("number")),
+        }
+    }
+
+    fn str(&mut self) -> Result<&str, serde::Error> {
+        match self.tag()? {
+            T_STR => self.string(),
+            _ => Err(self.expected("string")),
+        }
+    }
+
+    fn begin_array(&mut self) -> Result<usize, serde::Error> {
+        match self.tag()? {
+            T_ARR => {
+                let count = self.array_len()?;
+                self.depth += 1;
+                Ok(count)
+            }
+            _ => Err(self.expected("array")),
+        }
+    }
+
+    fn begin_object(&mut self) -> Result<usize, serde::Error> {
+        match self.tag()? {
+            T_OBJ => {
+                let count = self.object_len()?;
+                self.depth += 1;
+                Ok(count)
+            }
+            _ => Err(self.expected("object")),
+        }
+    }
+
+    fn key(&mut self) -> Result<&str, serde::Error> {
+        let key = self.key_str()?;
+        if self.depth == 1 && self.refuse == Some(key) {
+            return Err(self.err(&format!("top-level `{key}` key")));
+        }
+        Ok(key)
+    }
+
+    fn end(&mut self) {
+        self.depth -= 1;
+    }
+
+    fn value(&mut self) -> Result<Value, serde::Error> {
+        self.value(self.depth)
+    }
 }
 
 /// Decodes a binary payload back into a value tree. Rejects trailing
 /// garbage, unknown tags, lying lengths/counts, non-UTF-8 strings, and
 /// over-deep nesting with structured errors — never a panic.
 pub fn decode_value(bytes: &[u8]) -> Result<Value, serde::Error> {
-    let mut cur = Cursor { bytes, pos: 0 };
+    let mut cur = Cursor::new(bytes);
     let v = cur.value(0)?;
-    if cur.pos != bytes.len() {
-        return Err(cur.err("trailing bytes after value"));
-    }
+    cur.finish()?;
     Ok(v)
 }
 
-/// Serializes any wire struct as a binary payload.
+/// Serializes any wire struct as a binary payload, streamed without a
+/// value tree: the bytes of `encode_value(&t.to_value())`.
 pub fn to_binary<T: Serialize + ?Sized>(t: &T) -> Vec<u8> {
-    encode_value(&t.to_value())
+    let mut out = Vec::with_capacity(256);
+    t.stream(&mut Encoder(&mut out));
+    out
 }
 
-/// Deserializes a binary payload into a wire struct.
+/// The typed decoder alone: reads a binary payload straight into `T`,
+/// building no value tree. Whatever it accepts, the tree path
+/// (`T::from_value` of [`decode_value`]) accepts as the same `T`; it may
+/// refuse what the tree accepts, so callers that need the tree's verdict
+/// and error message fall back to it ([`from_binary`]).
+pub fn decode_typed<T: Deserialize>(bytes: &[u8]) -> Result<T, serde::Error> {
+    decode_refusing(bytes, None)
+}
+
+/// [`decode_typed`], also refusing a top-level object that carries the key
+/// `refuse`.
+fn decode_refusing<T: Deserialize>(
+    bytes: &[u8],
+    refuse: Option<&'static str>,
+) -> Result<T, serde::Error> {
+    let mut cur = Cursor {
+        refuse,
+        ..Cursor::new(bytes)
+    };
+    let t = T::from_source(&mut cur)?;
+    cur.finish()?;
+    Ok(t)
+}
+
+/// Deserializes a binary payload into a wire struct: typed first, and
+/// through the value tree when the typed decoder refuses, so every verdict
+/// and error message is the tree's.
 pub fn from_binary<T: Deserialize>(bytes: &[u8]) -> Result<T, serde::Error> {
-    T::from_value(&decode_value(bytes)?)
+    decode_typed(bytes).or_else(|_| T::from_value(&decode_value(bytes)?))
+}
+
+/// The server's typed request decoder: a [`SolveRequest`] straight from a
+/// frame payload, refusing any payload with a top-level `control` key (which
+/// [`parse_value`] reads as a control request). A refused payload takes the
+/// tree path ([`payload_to_value`] → [`parse_value`]), which also words
+/// every failure.
+///
+/// [`parse_value`]: crate::protocol::parse_value
+pub fn decode_request(format: WireFormat, payload: &[u8]) -> Result<SolveRequest, serde::Error> {
+    let WireFormat::Binary = format;
+    decode_refusing(payload, Some(CONTROL_KEY))
 }
 
 /// Decodes a frame payload into a value tree per its format tag.
@@ -712,6 +983,80 @@ mod tests {
             ),
             "{err}"
         );
+    }
+
+    #[test]
+    fn field_ids_come_from_the_name_list() {
+        let unique: std::collections::HashSet<_> = FIELD_NAMES.iter().collect();
+        assert_eq!(unique.len(), FIELD_NAMES.len(), "field names are unique");
+        for (id, name) in FIELD_NAMES.iter().enumerate() {
+            assert_eq!(field_id(name), Some(id as u8), "{name}");
+        }
+        for unknown in [
+            "",
+            "x",
+            "Version",
+            "versio",
+            "versions",
+            "some_future_field",
+        ] {
+            assert_eq!(field_id(unknown), None, "{unknown:?}");
+        }
+        let longest = "x".repeat(MAX_NAME_LEN + 1);
+        assert_eq!(field_id(&longest), None);
+    }
+
+    #[test]
+    fn typed_decoding_applies_the_tree_checks() {
+        // the value tree's limits hold for values read typed or skipped
+        let nested = |levels: usize| {
+            let mut v = Value::Null;
+            for _ in 0..levels {
+                v = Value::Array(vec![v]);
+            }
+            v
+        };
+        for levels in [MAX_DEPTH as usize, MAX_DEPTH as usize + 1] {
+            let bytes = encode_value(&nested(levels));
+            assert_eq!(
+                decode_typed::<Value>(&bytes).is_ok(),
+                decode_value(&bytes).is_ok(),
+                "{levels} levels"
+            );
+        }
+        // a skipped field counts its depth from the top, not from itself
+        let deep_field = obj(&[("unknown", nested(MAX_DEPTH as usize))]);
+        let bytes = encode_value(&deep_field);
+        assert!(decode_value(&bytes).is_err());
+        assert!(decode_typed::<HelloCard>(&bytes).is_err());
+        // refused keys, trailing bytes and kind mismatches are errors:
+        // {"protocol": 3, "control": null}, by field id
+        let mut bytes = vec![T_OBJ, 2, 47, T_UINT, 3, 13, T_NULL];
+        let card = decode_typed::<HelloCard>(&bytes).unwrap();
+        assert_eq!(card.protocol, 3);
+        assert!(decode_refusing::<HelloCard>(&bytes, Some("control")).is_err());
+        bytes.push(T_NULL);
+        assert!(decode_typed::<HelloCard>(&bytes).is_err());
+        assert!(decode_typed::<HelloCard>(&[T_STR, 0]).is_err());
+    }
+
+    #[test]
+    fn hand_written_impls_stream_through_the_tree_defaults() {
+        // `SleepChoice` spells only `to_value`/`from_value`; the streaming
+        // defaults must write and read exactly what the tree does
+        use sched_core::SleepChoice;
+        let choices = vec![Some(SleepChoice::Off), None, Some(SleepChoice::State(3))];
+        let bytes = to_binary(&choices);
+        assert_eq!(bytes, encode_value(&choices.to_value()));
+        let back: Vec<Option<SleepChoice>> = decode_typed(&bytes).unwrap();
+        assert_eq!(back, choices);
+        assert!(!SleepChoice::Off.is_null());
+    }
+
+    /// A wire-shaped struct with one required field.
+    #[derive(Debug, Serialize, Deserialize)]
+    struct HelloCard {
+        protocol: u32,
     }
 
     #[test]

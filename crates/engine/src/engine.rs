@@ -15,18 +15,17 @@
 //! * **Retry hints** — shed responses carry `retry_after_ms`, estimated
 //!   from an EWMA of recent request latency times the current backlog per
 //!   worker — roughly "when will a queue slot exist again".
-//! * **Candidate reuse** — enumeration is the per-request cost that does not
-//!   depend on the jobs, only on `(processors, horizon, cost, policy)`.
-//!   Each worker keeps a small keyed cache of [`sched_core::WarmHandle`]s,
-//!   so a stream of requests over the same grid skips enumeration entirely —
-//!   [`SolveMetrics::cache_hit`] reports this per response. `schedule_all`
-//!   requests additionally ride the handle's incremental warm path (the
-//!   reduction rebuilt in place between consecutive requests on the same
-//!   grid — from the slot windows under affine and profiled pricing, from
-//!   the family under DVFS pricing — and an identical request answered
-//!   from the previous result; bit-identical to a cold solve by
-//!   construction); other goals borrow the family via
-//!   [`Solver::with_candidates`].
+//! * **Candidate reuse** — what a request can reuse depends only on
+//!   `(processors, horizon, cost, policy)`, not on the jobs. Each worker
+//!   keeps a small keyed cache of [`sched_core::WarmHandle`]s —
+//!   [`SolveMetrics::cache_hit`] reports a hit per response. `schedule_all`
+//!   requests ride the handle's incremental warm path (the reduction
+//!   rebuilt in place between consecutive requests on the same grid — from
+//!   the slot windows under affine and profiled pricing, which enumerate no
+//!   family at all, from the cached family under DVFS pricing — and an
+//!   identical request answered from the previous result; bit-identical to
+//!   a cold solve by construction); prize goals borrow the cached family
+//!   via [`Solver::with_candidates`].
 //! * **Ordering** — [`Engine::submit`] returns a [`Ticket`] per request;
 //!   [`Engine::solve_batch`] / [`Engine::process_lines`] collect tickets in
 //!   submission order, so batch output order always matches input order no
@@ -39,8 +38,9 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use sched_core::{
-    is_valid_target, validate_profiles, AffineCost, CandidatePolicy, CompiledDvfs, DvfsCost,
-    DvfsInstance, EnergyCost, FreqLadder, Instance, ProfileCost, Solver, WarmHandle,
+    count_candidates, is_valid_target, validate_profiles, AffineCost, CandidatePolicy,
+    CompiledDvfs, DvfsCost, DvfsInstance, EnergyCost, FreqLadder, Instance, ProfileCost, Solver,
+    WarmHandle,
 };
 use sched_obs::{Gauge, Registry, Snapshot};
 
@@ -895,12 +895,27 @@ fn serve_request_planned(
         cache.insert(key.clone(), WarmHandle::new(plan.policy));
     }
     let handle = cache.get_mut(&key).expect("just inserted");
-    // Identical cost bits are part of the key, so on a hit the handle's
-    // checksum always matches and this returns the cached family without
-    // re-enumerating. On the compiled DVFS grid, enumerating with
-    // `DvfsCost` reproduces the explicit compiled family bit for bit
-    // (proved in sched-core).
-    let family = handle.family(instance, cost.as_ref());
+    // Prize goals optimize over the family. Schedule-all runs the warm
+    // handle, which enumerates only under a price that is not inclusion-
+    // monotone (DVFS); otherwise its `candidates` metric is counted in
+    // closed form and no family is built. Identical cost bits are part of
+    // the key, so on a hit the handle's checksum always matches and
+    // `family` returns the cached family without re-enumerating. On the
+    // compiled DVFS grid, enumerating with `DvfsCost` reproduces the
+    // explicit compiled family bit for bit (proved in sched-core).
+    // Enumeration stays outside the solve timer either way.
+    let family = match plan.goal {
+        Goal::All => None,
+        Goal::Prize { .. } | Goal::PrizeExact { .. } => {
+            Some(handle.family(instance, cost.as_ref()))
+        }
+    };
+    let candidates = match &family {
+        Some(family) => family.len() as u64,
+        None => count_candidates(instance, cost.as_ref(), plan.policy)
+            .unwrap_or_else(|| handle.family(instance, cost.as_ref()).len() as u64),
+    };
+    let prize_family = || family.as_deref().expect("prize goals enumerate");
 
     let t0 = Instant::now();
     let outcome = match plan.goal {
@@ -908,10 +923,10 @@ fn serve_request_planned(
         // the reduction's buffers (and, under DVFS pricing, the family).
         Goal::All => handle.solve(instance, cost.as_ref()),
         Goal::Prize { target, epsilon } => {
-            Solver::with_candidates(instance, &family[..]).prize_collecting(target, epsilon)
+            Solver::with_candidates(instance, prize_family()).prize_collecting(target, epsilon)
         }
         Goal::PrizeExact { target } => {
-            Solver::with_candidates(instance, &family[..]).prize_collecting_exact(target)
+            Solver::with_candidates(instance, prize_family()).prize_collecting_exact(target)
         }
     };
     let solve_micros = t0.elapsed().as_micros() as u64;
@@ -927,7 +942,7 @@ fn serve_request_planned(
     };
     let metrics = SolveMetrics {
         solve_micros,
-        candidates: family.len() as u64,
+        candidates,
         worker: worker_id,
         cache_hit,
     };
@@ -1023,11 +1038,60 @@ mod tests {
             .iter()
             .map(|r| r.metrics.unwrap().cache_hit)
             .collect();
-        assert!(!hits[0], "first request must enumerate");
+        assert!(!hits[0], "first request misses the cache");
         assert!(
             hits[1..].iter().all(|&h| h),
-            "single worker must reuse the family: {hits:?}"
+            "single worker must reuse its warm handle: {hits:?}"
         );
+    }
+
+    #[test]
+    fn monotone_schedule_all_requests_enumerate_no_family() {
+        use sched_core::{enumerate_candidates, PowerProfile};
+        let engine = Engine::new(EngineConfig::with_workers(1));
+        let fleet = vec![
+            PowerProfile::affine(2.0, 1.0),
+            PowerProfile::affine(3.0, 0.5),
+        ];
+        let grid = |id: u64| {
+            let jobs = (0..6)
+                .map(|j| CoreJob::unit(vec![SlotRef::new(j % 2, (3 * j + id as u32) % 16)]))
+                .collect();
+            SolveRequest::builder(id, Instance::new(2, 16, jobs))
+        };
+        let requests: Vec<SolveRequest> = (0..8)
+            .map(|id| match id % 4 {
+                0 => grid(id).affine(4.0, 1.0).build(),
+                1 => grid(id).affine(4.0, 1.0).policy("maxlen:3").build(),
+                2 => grid(id).affine(4.0, 1.0).policy("single").build(),
+                _ => grid(id).profiles(fleet.clone()).build(),
+            })
+            .collect();
+        let responses = engine.solve_batch(requests.clone());
+        let enumerated = |engine: &Engine| {
+            engine
+                .metrics_snapshot()
+                .counters
+                .iter()
+                .find(|c| c.name == "worker0.core.enumerate.candidates")
+                .map_or(0, |c| c.value)
+        };
+        assert_eq!(enumerated(&engine), 0, "schedule-all built a family");
+        // the wire still reports the family's size
+        for (req, resp) in requests.iter().zip(&responses) {
+            assert!(resp.ok, "{:?}", resp.error);
+            let policy = plan(req).unwrap().policy;
+            let cost: Box<dyn EnergyCost> = match &req.profiles {
+                Some(fleet) => Box::new(ProfileCost::new(fleet)),
+                None => Box::new(AffineCost::new(req.restart, req.rate)),
+            };
+            let family = enumerate_candidates(&req.instance, cost.as_ref(), policy);
+            assert_eq!(resp.metrics.unwrap().candidates, family.len() as u64);
+        }
+        // a prize goal on the same grid does enumerate
+        let prize = grid(9).affine(4.0, 1.0).prize_collecting(2.0).build();
+        assert!(engine.submit(prize).wait().ok);
+        assert_eq!(enumerated(&engine), 272);
     }
 
     #[test]

@@ -363,12 +363,16 @@ impl std::fmt::Display for WireError {
 pub struct SolveMetrics {
     /// Wall-clock time of the solve call itself, microseconds.
     pub solve_micros: u64,
-    /// Candidate intervals the solver optimized over.
+    /// Finite-cost candidate intervals of the request's grid under its
+    /// policy: the family prize goals optimize over, and its size for
+    /// schedule-all requests, which count it in closed form when their
+    /// price is affine or profiled.
     pub candidates: u64,
     /// Worker index that served the request.
     pub worker: u32,
-    /// Whether the candidate family came from the worker's cross-request
-    /// cache (enumeration skipped).
+    /// Whether the worker already held a warm handle for the request's
+    /// grid, price and policy: its cached family, if any, and reduction
+    /// buffers were reused, and no enumeration ran.
     pub cache_hit: bool,
 }
 
@@ -501,6 +505,9 @@ impl SolveResponse {
     }
 }
 
+/// The key that makes a request object a [`ControlRequest`].
+pub(crate) const CONTROL_KEY: &str = "control";
+
 /// A parsed request: solve work or a control verb.
 #[derive(Clone, Debug)]
 pub enum WireRequest {
@@ -520,7 +527,7 @@ pub enum WireRequest {
 /// never be acted on. (Solve requests get the same version check
 /// engine-side, before solving.)
 pub fn parse_value(v: &Value) -> Result<WireRequest, WireError> {
-    let is_control = matches!(v, Value::Object(_)) && v.field("control").is_ok();
+    let is_control = matches!(v, Value::Object(_)) && v.field(CONTROL_KEY).is_ok();
     if is_control {
         let ctl = ControlRequest::from_value(v).map_err(|e| {
             WireError::new(ErrorKind::Parse, format!("malformed control request: {e}"))

@@ -36,6 +36,7 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
+use std::time::Instant;
 
 use crate::codec::{self, FrameError, WireFormat};
 use crate::engine::{AdmitResult, Engine, EngineConfig, ShedPolicy, Ticket};
@@ -43,6 +44,14 @@ use crate::protocol::{
     line_correlation, parse_line, parse_value, value_correlation, ErrorKind, SolveResponse,
     WireError, WireRequest,
 };
+
+/// Histogram of the reader's decode time per request (payload or line →
+/// request), in the engine's global registry.
+const DECODE_NS: &str = "engine.codec.decode_ns";
+
+/// Histogram of the writer's encode time per response (response → payload
+/// or line), in the engine's global registry.
+const ENCODE_NS: &str = "engine.codec.encode_ns";
 
 /// Serve-loop knobs beyond the engine sizing in [`EngineConfig`].
 #[derive(Clone, Copy, Debug, Default)]
@@ -285,17 +294,21 @@ fn handle_connection(
             // tx drops here: the writer drains what remains, then ends.
         });
 
+        let encode_ns = engine.registry().histogram(ENCODE_NS);
         for pending in rx {
             let response = match pending {
                 Pending::Ready(r) => *r,
                 Pending::InFlight(ticket) => ticket.wait(),
             };
+            let t0 = Instant::now();
             if framed {
                 let payload = codec::to_binary(&response);
+                encode_ns.record(t0.elapsed().as_nanos() as u64);
                 codec::write_frame(&mut writer, WireFormat::Binary, &payload)?;
             } else {
                 let line = serde_json::to_string(&response)
                     .unwrap_or_else(|e| format!("{{\"version\":1,\"id\":0,\"ok\":false,\"error\":{{\"kind\":\"Internal\",\"message\":\"serialize: {e}\"}}}}"));
+                encode_ns.record(t0.elapsed().as_nanos() as u64);
                 writeln!(writer, "{line}")?;
             }
             writer.flush()?;
@@ -319,6 +332,7 @@ fn read_lines(
     tx: &mpsc::SyncSender<Pending>,
 ) {
     let cap = u64::from(codec::MAX_FRAME_LEN);
+    let decode_ns = engine.registry().histogram(DECODE_NS);
     loop {
         let mut buf = Vec::new();
         match reader.by_ref().take(cap + 1).read_until(b'\n', &mut buf) {
@@ -340,14 +354,16 @@ fn read_lines(
         let line = line.strip_suffix(b"\r").unwrap_or(line);
         let dispatch = match std::str::from_utf8(line) {
             Ok(line) if line.trim().is_empty() => continue,
-            Ok(line) => dispatch_request(
-                parse_line(line),
-                line_correlation(line),
-                engine,
-                shutdown,
-                local,
-                shed_policy,
-            ),
+            Ok(line) => {
+                let t0 = Instant::now();
+                let parsed = parse_line(line);
+                let correlation = match parsed {
+                    Ok(_) => (0, None),
+                    Err(_) => line_correlation(line),
+                };
+                decode_ns.record(t0.elapsed().as_nanos() as u64);
+                dispatch_request(parsed, correlation, engine, shutdown, local, shed_policy)
+            }
             Err(e) => Dispatch {
                 pending: Pending::Ready(Box::new(SolveResponse::failure(
                     0,
@@ -378,20 +394,14 @@ fn read_frames(
     shed_policy: Option<ShedPolicy>,
     tx: &mpsc::SyncSender<Pending>,
 ) {
+    let decode_ns = engine.registry().histogram(DECODE_NS);
     loop {
         match codec::read_frame(&mut reader) {
             Ok(None) => break, // clean EOF between frames
             Ok(Some((format, payload))) => {
-                let (parsed, correlation) = match codec::payload_to_value(format, &payload) {
-                    Ok(value) => (parse_value(&value), value_correlation(&value)),
-                    Err(e) => (
-                        Err(WireError::new(
-                            ErrorKind::Parse,
-                            format!("undecodable frame payload: {e}"),
-                        )),
-                        (0, None),
-                    ),
-                };
+                let t0 = Instant::now();
+                let (parsed, correlation) = parse_frame(format, &payload);
+                decode_ns.record(t0.elapsed().as_nanos() as u64);
                 let dispatch =
                     dispatch_request(parsed, correlation, engine, shutdown, local, shed_policy);
                 if tx.send(dispatch.pending).is_err() {
@@ -409,5 +419,97 @@ fn read_frames(
                 break;
             }
         }
+    }
+}
+
+/// Decodes one frame payload: straight into a
+/// [`SolveRequest`](crate::protocol::SolveRequest) when the
+/// typed decoder accepts it, else through the value tree, which recognizes
+/// control verbs and words every failure. A failure carries the request's
+/// best-effort correlation keys.
+fn parse_frame(
+    format: WireFormat,
+    payload: &[u8],
+) -> (Result<WireRequest, WireError>, (u64, Option<String>)) {
+    if let Ok(req) = codec::decode_request(format, payload) {
+        return (Ok(WireRequest::Solve(Box::new(req))), (0, None));
+    }
+    match codec::payload_to_value(format, payload) {
+        Ok(value) => {
+            let parsed = parse_value(&value);
+            let correlation = match parsed {
+                Ok(_) => (0, None),
+                Err(_) => value_correlation(&value),
+            };
+            (parsed, correlation)
+        }
+        Err(e) => (
+            Err(WireError::new(
+                ErrorKind::Parse,
+                format!("undecodable frame payload: {e}"),
+            )),
+            (0, None),
+        ),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::{EngineClient, Transport};
+    use crate::protocol::SolveRequest;
+    use sched_core::{Instance, Job, SlotRef};
+    use sched_obs::Snapshot;
+
+    fn samples(snap: &Snapshot, name: &str) -> u64 {
+        snap.histograms
+            .iter()
+            .find(|h| h.name == name)
+            .map_or(0, |h| h.count)
+    }
+
+    #[test]
+    fn every_framed_request_records_one_decode_and_one_encode() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let path = std::env::temp_dir().join(format!("codec-metrics-{}.json", std::process::id()));
+        let out = path.clone();
+        let server = std::thread::spawn(move || {
+            let options = ServeOptions {
+                metrics_out: Some(&out),
+                shed_policy: None,
+            };
+            serve_with_options(listener, EngineConfig::with_workers(1), options)
+        });
+        let mut client = EngineClient::connect(addr, Transport::Binary).unwrap();
+        let inst = Instance::new(1, 4, vec![Job::unit(vec![SlotRef::new(0, 1)])]);
+        let solves = 5;
+        for id in 0..solves {
+            let req = SolveRequest::builder(id, inst.clone()).affine(3.0, 1.0);
+            client.send(&req.build()).unwrap();
+        }
+        client.flush().unwrap();
+        for _ in 0..solves {
+            assert!(client.recv().unwrap().expect("a response").ok);
+        }
+        // the verb's own decode is recorded before its snapshot, its
+        // encode after
+        client.send_control("metrics").unwrap();
+        client.flush().unwrap();
+        let ack = client.recv().unwrap().expect("metrics ack");
+        let obs = ack.obs.expect("metrics ack carries a snapshot");
+        assert_eq!(samples(&obs, DECODE_NS), solves + 1);
+        assert_eq!(samples(&obs, ENCODE_NS), solves);
+        client.send_control("shutdown").unwrap();
+        client.flush().unwrap();
+        assert!(client.recv().unwrap().expect("shutdown ack").ok);
+        server.join().unwrap().unwrap();
+        // the shutdown summary holds every frame of the connection
+        let text = std::fs::read_to_string(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        let summary: Snapshot = serde_json::from_str(&text).unwrap();
+        let frames = solves + 2;
+        assert_eq!(samples(&summary, DECODE_NS), frames);
+        assert_eq!(samples(&summary, ENCODE_NS), frames);
     }
 }

@@ -2,15 +2,20 @@
 //! truncated headers, lying length prefixes, unknown format tags, non-UTF-8
 //! or over-long lines, and random byte salads must all produce structured
 //! `Parse` failures (or a clean close) — never a panic, never a hung
-//! connection, and never a poisoned accept loop.
+//! connection, and never a poisoned accept loop. Mutated payloads check
+//! that the typed decoder never accepts what the value-tree path refuses.
 
 use proptest::{proptest, ProptestConfig};
-use sched_core::{Instance, Job, SlotRef};
-use sched_engine::codec::{read_frame, WireFormat, MAGIC, MAX_FRAME_LEN};
-use sched_engine::{
-    serve, EngineClient, EngineConfig, ErrorKind, SolveRequest, SolveResponse, Transport,
+use sched_core::{FreqLadder, Instance, Job, PowerProfile, SlotRef};
+use sched_engine::codec::{
+    self, read_frame, write_frame, WireFormat, MAGIC, MAX_DEPTH, MAX_FRAME_LEN,
 };
-use serde::Deserialize;
+use sched_engine::protocol::{parse_value, WireRequest};
+use sched_engine::{
+    serve, EngineClient, EngineConfig, ErrorKind, SolveMetrics, SolveRequest, SolveResponse,
+    Transport,
+};
+use serde::{Deserialize, Serialize, Value};
 use std::io::{BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::OnceLock;
@@ -232,4 +237,242 @@ proptest! {
         // ...and keep serving the next client.
         assert_server_alive(addr);
     }
+}
+
+/// Valid request and response payloads for the mutation test: every
+/// optional request field set somewhere, and responses of several shapes.
+fn seed_payloads() -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
+    let inst = || {
+        Instance::new(
+            2,
+            6,
+            vec![
+                Job::unit(vec![SlotRef::new(0, 1), SlotRef::new(1, 4)]),
+                Job::unit(vec![SlotRef::new(1, 2)]),
+            ],
+        )
+    };
+    let requests = [
+        tiny_request(1),
+        SolveRequest::builder(2, inst())
+            .profiles(vec![
+                PowerProfile::envelope_ladder(4.0, 1.0, 2),
+                PowerProfile::affine(2.5, 0.75),
+            ])
+            .policy("maxlen:3")
+            .trace_id("trace-2")
+            .build(),
+        SolveRequest::builder(3, inst())
+            .affine(3.0, 1.5)
+            .prize_collecting(1.5)
+            .epsilon(0.25)
+            .build(),
+        SolveRequest::builder(4, inst())
+            .affine(2.0, 0.0)
+            .freq_ladder(FreqLadder {
+                alpha: 1.0,
+                beta: 0.25,
+                gamma: 3.0,
+                freqs: vec![1, 2],
+            })
+            .build(),
+    ];
+    let mut success = SolveResponse::success(
+        5,
+        sched_core::Schedule {
+            awake: vec![sched_core::CandidateInterval {
+                proc: 0,
+                start: 1,
+                end: 3,
+                cost: 4.5,
+            }],
+            assignments: vec![Some(SlotRef::new(0, 1)), None],
+            total_cost: 4.5,
+            scheduled_value: 1.0,
+            scheduled_count: 1,
+        },
+        SolveMetrics {
+            solve_micros: 12,
+            candidates: 42,
+            worker: 1,
+            cache_hit: true,
+        },
+    );
+    success.freq_levels = Some(vec![1]);
+    let responses = [
+        success.with_trace_id("req-5"),
+        SolveResponse::overloaded(6, 3),
+        SolveResponse::hello_ack(),
+    ];
+    (
+        requests.iter().map(codec::to_binary).collect(),
+        responses.iter().map(codec::to_binary).collect(),
+    )
+}
+
+/// `bytes` after `edits`: each overwrites, inserts or removes the byte at
+/// its position (taken modulo the length), or truncates there.
+fn mutate(bytes: &[u8], edits: &[(u8, usize, u8)]) -> Vec<u8> {
+    let mut out = bytes.to_vec();
+    for &(kind, at, byte) in edits {
+        let at = at % (out.len() + 1);
+        match (kind, at < out.len()) {
+            (0, true) => out[at] = byte,
+            (1, _) => out.insert(at, byte),
+            (2, true) => {
+                out.remove(at);
+            }
+            (3, _) => out.truncate(at),
+            _ => {}
+        }
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2000))]
+
+    #[test]
+    fn typed_decoding_never_accepts_what_the_tree_refuses(
+        edits in proptest::collection::vec((0u8..4, 0usize..4096, 0u8..=255), 1..4),
+    ) {
+        let (requests, responses) = seed_payloads();
+        for payload in &requests {
+            let bytes = mutate(payload, &edits);
+            if let Ok(typed) = codec::decode_request(WireFormat::Binary, &bytes) {
+                let tree = codec::decode_value(&bytes)
+                    .map_err(|e| proptest::TestCaseError::fail(format!("tree refused: {e}")))?;
+                match parse_value(&tree) {
+                    Ok(WireRequest::Solve(tree)) => {
+                        proptest::prop_assert_eq!(format!("{typed:?}"), format!("{tree:?}"));
+                    }
+                    other => proptest::prop_assert!(false, "tree path read {other:?}"),
+                }
+            }
+        }
+        for payload in &responses {
+            let bytes = mutate(payload, &edits);
+            if let Ok(typed) = codec::decode_typed::<SolveResponse>(&bytes) {
+                let tree = codec::decode_value(&bytes)
+                    .map_err(|e| proptest::TestCaseError::fail(format!("tree refused: {e}")))?;
+                let tree = SolveResponse::from_value(&tree)
+                    .map_err(|e| proptest::TestCaseError::fail(format!("tree refused: {e}")))?;
+                proptest::prop_assert_eq!(format!("{typed:?}"), format!("{tree:?}"));
+            }
+        }
+    }
+}
+
+#[test]
+fn mutations_reach_the_typed_decoder() {
+    // the proptest above is vacuous unless some mutants decode: a varint
+    // bumped in place, for one, still reads as a request
+    let (requests, _) = seed_payloads();
+    let mut accepted = 0;
+    for payload in &requests {
+        assert!(codec::decode_request(WireFormat::Binary, payload).is_ok());
+        for at in 0..payload.len() {
+            let bumped = mutate(payload, &[(0, at, payload[at] ^ 1)]);
+            accepted += usize::from(codec::decode_request(WireFormat::Binary, &bumped).is_ok());
+        }
+    }
+    assert!(accepted > 20, "only {accepted} one-bit mutants decoded");
+}
+
+/// Frames `value`, sends it, and decodes every reply frame.
+fn send_value(addr: SocketAddr, value: &Value) -> Vec<SolveResponse> {
+    let mut bytes = Vec::new();
+    write_frame(&mut bytes, WireFormat::Binary, &codec::encode_value(value)).unwrap();
+    let reply = poke(addr, &bytes);
+    let mut cursor = reply.as_slice();
+    let mut responses = Vec::new();
+    while let Some((_, payload)) = read_frame(&mut cursor).expect("well-formed reply frames") {
+        responses.push(codec::from_binary(&payload).expect("reply decodes"));
+    }
+    responses
+}
+
+/// `req`'s value tree with `pairs` appended to its top-level object.
+fn with_pairs(req: &SolveRequest, pairs: Vec<(&str, Value)>) -> Value {
+    let mut value = req.to_value();
+    let Value::Object(fields) = &mut value else {
+        unreachable!("requests are objects")
+    };
+    fields.extend(pairs.into_iter().map(|(k, v)| (k.to_string(), v)));
+    value
+}
+
+#[test]
+fn a_solve_request_carrying_a_control_key_is_answered_as_the_control() {
+    let addr = spawn_server();
+    let ping = with_pairs(
+        &tiny_request(5),
+        vec![("control", Value::Str("ping".into()))],
+    );
+    let bytes = codec::encode_value(&ping);
+    assert!(codec::decode_request(WireFormat::Binary, &bytes).is_err());
+    let responses = send_value(addr, &ping);
+    assert_eq!(responses.len(), 1);
+    let ack = &responses[0];
+    assert!(ack.ok && ack.id == 0 && ack.schedule.is_none(), "{ack:?}");
+    assert_server_alive(addr);
+}
+
+#[test]
+fn an_unknown_field_nesting_past_the_depth_limit_is_refused() {
+    let addr = spawn_server();
+    let nested = |levels: u32| (0..levels).fold(Value::Null, |inner, _| Value::Array(vec![inner]));
+    // the field's value sits at depth 1, so its innermost null at depth
+    // 1 + levels: the limit counts from the payload's top
+    let deep = with_pairs(&tiny_request(6), vec![("future", nested(MAX_DEPTH))]);
+    let bytes = codec::encode_value(&deep);
+    assert!(codec::decode_value(&bytes).is_err());
+    assert!(codec::decode_request(WireFormat::Binary, &bytes).is_err());
+    let responses = send_value(addr, &deep);
+    let err = responses[0].error.as_ref().expect("refused");
+    assert_eq!(err.kind, ErrorKind::Parse);
+    assert!(err.message.contains("nesting deeper"), "{}", err.message);
+    // one level less is within the limit, typed or not
+    let within = with_pairs(&tiny_request(7), vec![("future", nested(MAX_DEPTH - 1))]);
+    let bytes = codec::encode_value(&within);
+    assert_eq!(
+        codec::decode_request(WireFormat::Binary, &bytes)
+            .unwrap()
+            .id,
+        7
+    );
+    let responses = send_value(addr, &within);
+    assert!(
+        responses[0].ok && responses[0].id == 7,
+        "{:?}",
+        responses[0]
+    );
+    assert_server_alive(addr);
+}
+
+#[test]
+fn a_duplicated_key_takes_its_first_value() {
+    let addr = spawn_server();
+    let twice = with_pairs(
+        &tiny_request(8),
+        vec![("id", Value::Num(9.0)), ("restart", Value::Str("x".into()))],
+    );
+    let bytes = codec::encode_value(&twice);
+    assert_eq!(
+        codec::decode_request(WireFormat::Binary, &bytes)
+            .unwrap()
+            .id,
+        8
+    );
+    match parse_value(&codec::decode_value(&bytes).unwrap()) {
+        Ok(WireRequest::Solve(req)) => assert_eq!(req.id, 8),
+        other => panic!("expected solve, got {other:?}"),
+    }
+    let responses = send_value(addr, &twice);
+    assert!(
+        responses[0].ok && responses[0].id == 8,
+        "{:?}",
+        responses[0]
+    );
+    assert_server_alive(addr);
 }

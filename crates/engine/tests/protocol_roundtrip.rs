@@ -1,15 +1,19 @@
-//! Property-based round-trip tests for the JSONL wire protocol: random
+//! Property-based round-trip tests for the wire protocol: random
 //! `SolveRequest`s and `SolveResponse`s must survive
 //! serialize → parse → serialize with byte-identical JSON (the stub
 //! serializer is deterministic, so string equality is the strongest
-//! round-trip check available without `PartialEq` on every wire struct).
+//! round-trip check available without `PartialEq` on every wire struct),
+//! and the binary codec's streamed encoding and typed decoding must agree
+//! with its value-tree path byte for byte and value for value.
 
 use proptest::prelude::*;
-use sched_core::{CandidateInterval, Instance, Job, Schedule, SlotRef};
+use sched_core::{CandidateInterval, FreqLadder, Instance, Job, Schedule, SlotRef};
+use sched_engine::codec::{self, WireFormat};
 use sched_engine::protocol::{
-    parse_line, ErrorKind, SolveMetrics, SolveMode, SolveRequest, SolveResponse, WireError,
-    WireRequest, PROTOCOL_VERSION,
+    parse_line, parse_value, ErrorKind, SolveMetrics, SolveMode, SolveRequest, SolveResponse,
+    WireError, WireRequest, PROTOCOL_VERSION,
 };
+use serde::{Deserialize, Serialize};
 
 /// Strategy: a structurally valid instance on a random grid (slots in range
 /// by construction; protocol round-trips do not require feasibility).
@@ -123,8 +127,118 @@ fn schedule_strategy() -> impl Strategy<Value = Schedule> {
         })
 }
 
+/// The request strategy, with a DVFS ladder and a work requirement on some
+/// draws.
+fn streamed_request_strategy() -> impl Strategy<Value = SolveRequest> {
+    (request_strategy(), any::<bool>()).prop_map(|(mut req, dvfs)| {
+        if dvfs {
+            req.freq_ladder = Some(FreqLadder {
+                alpha: 1.0,
+                beta: 0.5,
+                gamma: 3.0,
+                freqs: vec![1, 2, 4],
+            });
+            if let Some(job) = req.instance.jobs.first_mut() {
+                job.work = Some(3);
+            }
+        }
+        req
+    })
+}
+
+/// Responses of every shape: successes with metrics (and, on some draws,
+/// `freq_levels`), failures (overloaded ones with `retry_after_ms`), `hello`
+/// acks and `metrics` acks carrying an `obs` snapshot; some with a trace id.
+fn response_strategy() -> impl Strategy<Value = SolveResponse> {
+    (
+        schedule_strategy(),
+        (0u64..10_000, 0u32..5, any::<bool>()),
+        (0u64..1_000_000, 0u64..5_000, 0u32..8, any::<bool>()),
+        proptest::collection::vec(0u32..3, 0..4),
+        (0u64..4, 0u64..1_000),
+    )
+        .prop_map(
+            |(schedule, (id, shape, traced), (micros, cands, worker, hit), levels, (rows, n))| {
+                let metrics = SolveMetrics {
+                    solve_micros: micros,
+                    candidates: cands,
+                    worker,
+                    cache_hit: hit,
+                };
+                let mut resp = match shape {
+                    0 => SolveResponse::success(id, schedule, metrics),
+                    1 => SolveResponse::failure(
+                        id,
+                        WireError::new(ErrorKind::Infeasible, format!("nope {n} ✗")),
+                    ),
+                    2 => SolveResponse::overloaded(id, n),
+                    3 => SolveResponse::hello_ack(),
+                    _ => {
+                        let registry = sched_obs::Registry::new();
+                        for row in 0..rows {
+                            registry.counter(&format!("c{row}")).add(n + row);
+                            registry.gauge(&format!("g{row}")).add(row as i64 - 2);
+                            registry.histogram(&format!("h{row}")).record(n * row);
+                        }
+                        SolveResponse::metrics_ack(registry.snapshot())
+                    }
+                };
+                if shape == 0 && !levels.is_empty() {
+                    resp.freq_levels = Some(levels);
+                }
+                if traced {
+                    resp = resp.with_trace_id(format!("t-{id}"));
+                }
+                resp
+            },
+        )
+}
+
+/// Debug text: equal texts mean equal fields, `f64` bits included (up to
+/// NaN payloads), for wire structs that have no `PartialEq`.
+fn text(x: &impl std::fmt::Debug) -> String {
+    format!("{x:?}")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn streamed_requests_match_the_value_tree(req in streamed_request_strategy()) {
+        let bytes = codec::to_binary(&req);
+        prop_assert_eq!(&bytes, &codec::encode_value(&req.to_value()));
+        let typed = codec::decode_request(WireFormat::Binary, &bytes)
+            .map_err(|e| TestCaseError::fail(format!("typed decode refused: {e}")))?;
+        let tree = match parse_value(&codec::decode_value(&bytes).unwrap()) {
+            Ok(WireRequest::Solve(tree)) => tree,
+            other => return Err(TestCaseError::fail(format!("expected solve, got {other:?}"))),
+        };
+        prop_assert_eq!(text(&typed), text(&tree));
+        // the codec writes -0.0 as 0, so compare with the original as bytes
+        prop_assert_eq!(codec::to_binary(&typed), bytes);
+    }
+
+    #[test]
+    fn streamed_responses_match_the_value_tree(resp in response_strategy()) {
+        let bytes = codec::to_binary(&resp);
+        prop_assert_eq!(&bytes, &codec::encode_value(&resp.to_value()));
+        let typed: SolveResponse = codec::decode_typed(&bytes)
+            .map_err(|e| TestCaseError::fail(format!("typed decode refused: {e}")))?;
+        let tree = SolveResponse::from_value(&codec::decode_value(&bytes).unwrap()).unwrap();
+        prop_assert_eq!(text(&typed), text(&tree));
+        prop_assert_eq!(codec::to_binary(&typed), bytes);
+    }
+
+    #[test]
+    fn streamed_schedules_keep_null_assignments(schedule in schedule_strategy()) {
+        let bytes = codec::to_binary(&schedule);
+        prop_assert_eq!(&bytes, &codec::encode_value(&schedule.to_value()));
+        let typed: Schedule = codec::decode_typed(&bytes).unwrap();
+        let tree = Schedule::from_value(&codec::decode_value(&bytes).unwrap()).unwrap();
+        prop_assert_eq!(text(&typed), text(&tree));
+        prop_assert_eq!(typed.assignments.len(), schedule.assignments.len());
+        prop_assert_eq!(codec::to_binary(&typed), bytes);
+    }
 
     #[test]
     fn solve_request_round_trips(req in request_strategy()) {
