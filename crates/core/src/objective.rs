@@ -80,10 +80,26 @@
 //!   construction.
 //! * **Bounded first keys** — the greedy's first keys read the memo where a
 //!   run's memo is current. Every other subset's first key is an upper
-//!   bound read from its window: `|slots_of(k)|` times the oracle's largest
-//!   job value. So no solve runs a full gain scan, and a run is evaluated
-//!   only when its bound reaches the top of the lazy heap (see
-//!   `submodular::budgeted`, "Initial keys may be upper bounds").
+//!   bound, `min(|slots_of(k)|, J_k)` times the oracle's largest job value,
+//!   where `J_k` counts the jobs of the components subset `k`'s window
+//!   touches. Each successful augment saturates exactly one more job, in
+//!   the component of the slot it started from (an augmenting path never
+//!   leaves its component), so the window can saturate at most
+//!   `|slots_of(k)|` jobs and at most `J_k`. The build counts jobs per
+//!   component, and the component walk that records each subset's prefix
+//!   stores that minimum beside it, so a first key is one load. No solve
+//!   runs a full gain scan, and a run is evaluated only when its bound
+//!   reaches the top of the lazy heap (see `submodular::budgeted`, "Initial
+//!   keys may be upper bounds").
+//! * **Saturated runs** — [`ScheduleObjective`] counts each component's
+//!   unmatched jobs, decrementing on every committed slot whose augment
+//!   succeeds. Once every component a run touches has none left, no
+//!   augmenting path can start in the run's windows, now or after any
+//!   later commit (the matching only grows), so each member's gain is
+//!   exactly 0: a stale run in that state is answered without a pass and
+//!   stays current for the rest of the solve. The check runs only when some
+//!   component has saturated since the run's last evaluation, so a stale
+//!   run's common path stays `O(1)`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -145,8 +161,15 @@ pub struct ScheduleReduction {
     comp_arena: Vec<u32>,
     /// Per-subset prefix length into its run's component sequence.
     comp_len: Vec<u32>,
+    /// Per subset: the most jobs its window can newly saturate, the smaller
+    /// of its length and `J_k`, the jobs of the components it touches.
+    saturable: Vec<u32>,
     /// Number of distinct connected components.
     num_comps: u32,
+    /// Component id of each interesting slot, by its position in `islots`.
+    comp_of_islot: Vec<u32>,
+    /// Jobs per component (a job with no allowed slot is in none).
+    comp_jobs: Vec<u32>,
     /// Size of the candidate family the subsets were drawn from (0 after a
     /// window build).
     num_candidates: usize,
@@ -162,8 +185,6 @@ pub struct ScheduleReduction {
 struct RebuildScratch {
     uf: Vec<u32>,
     dense: Vec<u32>,
-    /// Component id of each interesting slot, by its position in `islots`.
-    comp_of_islot: Vec<u32>,
     /// Group epoch at which each component was last pushed to the arena.
     comp_seen: Vec<u32>,
     /// Window groups finished so far in this build: the next group's epoch.
@@ -176,8 +197,8 @@ struct RebuildScratch {
 }
 
 /// A subset row while its group is sorted: `(order key, span, cost,
-/// length, component prefix)`.
-type SortRow = (u64, (u32, u32), f64, u32, u32);
+/// length, component prefix, saturable jobs)`.
+type SortRow = (u64, (u32, u32), f64, u32, u32, u32);
 
 impl ScheduleReduction {
     /// A reduction of nothing, for the builds to fill.
@@ -195,7 +216,10 @@ impl ScheduleReduction {
             run_base: Vec::new(),
             comp_arena: Vec::new(),
             comp_len: Vec::new(),
+            saturable: Vec::new(),
             num_comps: 0,
+            comp_of_islot: Vec::new(),
+            comp_jobs: Vec::new(),
             num_candidates: 0,
             scratch: RebuildScratch::default(),
         }
@@ -263,6 +287,21 @@ impl ScheduleReduction {
         self.rebuild_windows(inst, cost, policy);
     }
 
+    /// The subset half of [`ScheduleReduction::apply_delta_windows`]: every
+    /// window re-priced through `cost`, keeping the graph, the slot arena
+    /// and the components. Only for `inst` equal to the instance this
+    /// reduction was last built for, whose job side they already are.
+    pub(crate) fn reprice_windows(
+        &mut self,
+        inst: &Instance,
+        cost: &dyn EnergyCost,
+        policy: CandidatePolicy,
+    ) {
+        let _span = sched_obs::span!("core.reduction.apply_delta_ns");
+        debug_assert_eq!(self.graph.ny() as usize, inst.num_jobs());
+        self.price_windows(inst.num_processors, cost, policy);
+    }
+
     /// The shared rebuild behind [`ScheduleReduction::build`] and
     /// [`ScheduleReduction::apply_delta`].
     fn rebuild(&mut self, inst: &Instance, candidates: &[CandidateInterval]) {
@@ -275,13 +314,23 @@ impl ScheduleReduction {
     /// The shared rebuild behind [`ScheduleReduction::build_windows`] and
     /// [`ScheduleReduction::apply_delta_windows`].
     fn rebuild_windows(&mut self, inst: &Instance, cost: &dyn EnergyCost, policy: CandidatePolicy) {
+        self.rebuild_graph(inst);
+        self.price_windows(inst.num_processors, cost, policy);
+    }
+
+    /// The subsets of a window build over the current job side.
+    fn price_windows(
+        &mut self,
+        num_processors: u32,
+        cost: &dyn EnergyCost,
+        policy: CandidatePolicy,
+    ) {
         assert!(
             cost.inclusion_monotone(),
             "the window build needs an inclusion-monotone cost"
         );
-        self.rebuild_graph(inst);
         self.num_candidates = 0;
-        let priced = self.build_window_subsets(inst.num_processors, cost, policy);
+        let priced = self.build_window_subsets(num_processors, cost, policy);
         self.record_build(priced);
     }
 
@@ -360,7 +409,7 @@ impl ScheduleReduction {
         let dense = &mut self.scratch.dense;
         dense.clear();
         dense.resize(nx, u32::MAX);
-        let comp_of_islot = &mut self.scratch.comp_of_islot;
+        let comp_of_islot = &mut self.comp_of_islot;
         comp_of_islot.clear();
         let mut num_comps = 0u32;
         for &x in &self.islots {
@@ -372,13 +421,24 @@ impl ScheduleReduction {
             comp_of_islot.push(dense[root as usize]);
         }
         self.num_comps = num_comps;
+
+        // jobs per component, by each job's first slot (an interesting one,
+        // so `prefix` gives its arena position)
+        self.comp_jobs.clear();
+        self.comp_jobs.resize(num_comps as usize, 0);
+        for y in 0..graph.ny() {
+            if let Some(&x) = graph.adj_y(y).first() {
+                let c = comp_of_islot[self.prefix[x as usize] as usize];
+                self.comp_jobs[c as usize] += 1;
+            }
+        }
     }
 
     /// Clears the subset columns for a new build and sizes the group
     /// buffers; `cap` reserves room for that many subsets.
     fn begin_subsets(&mut self, cap: usize) {
         let k = self.islots.len();
-        for col in [&mut self.len, &mut self.comp_len] {
+        for col in [&mut self.len, &mut self.comp_len, &mut self.saturable] {
             col.clear();
             col.reserve(cap);
         }
@@ -419,6 +479,7 @@ impl ScheduleReduction {
                 spans,
                 len: lens,
                 comp_len,
+                saturable,
                 scratch,
                 ..
             } = self;
@@ -442,6 +503,7 @@ impl ScheduleReduction {
                         spans.push((c.start, c.end));
                         lens.push(l);
                         comp_len.push(0);
+                        saturable.push(0);
                         max_len = max_len.max(l);
                     } else if c.cost < costs[*s as usize] {
                         cand[*s as usize] = i as u32;
@@ -525,6 +587,7 @@ impl ScheduleReduction {
                     self.spans.push((start, end));
                     self.len.push(l);
                     self.comp_len.push(0);
+                    self.saturable.push(0);
                 }
                 let len = (self.costs.len() - lo) as u32;
                 if len > 0 {
@@ -538,11 +601,11 @@ impl ScheduleReduction {
     /// Finishes the window group of subsets `lo..` (windows starting at
     /// `islots[off]`, the longest `max_len` interesting slots long, and
     /// `by_len` pointing each length at its subset). One walk over the
-    /// longest window records its component sequence and every subset's
-    /// prefix of it. A group whose subsets came out of candidate order
-    /// (costs that fall along a run, families with holes, ties that move a
-    /// representative's start left) is sorted and split into nested-prefix
-    /// runs; any other group is one run.
+    /// longest window records its component sequence, every subset's prefix
+    /// of it, and the jobs each subset can saturate. A group whose subsets
+    /// came out of candidate order (costs that fall along a run, families
+    /// with holes, ties that move a representative's start left) is sorted
+    /// and split into nested-prefix runs; any other group is one run.
     fn finish_group(&mut self, lo: usize, off: u32, max_len: u32) {
         let hi = self.costs.len();
         let Self {
@@ -554,11 +617,13 @@ impl ScheduleReduction {
             run_base,
             comp_arena,
             comp_len,
+            saturable,
+            comp_of_islot,
+            comp_jobs,
             scratch,
             ..
         } = self;
         let RebuildScratch {
-            comp_of_islot,
             comp_seen,
             groups,
             by_len,
@@ -579,16 +644,19 @@ impl ScheduleReduction {
         let comp_base = comp_arena.len() as u32;
         let mut next = lo;
         let mut in_order = true;
+        let mut jobs = 0;
         for p in 0..max_len {
             let c = comp_of_islot[(off + p) as usize];
             if comp_seen[c as usize] != *groups {
                 comp_seen[c as usize] = *groups;
                 comp_arena.push(c);
+                jobs += comp_jobs[c as usize];
             }
             let s = std::mem::replace(&mut by_len[p as usize + 1], u32::MAX);
             if s != u32::MAX {
                 let s = s as usize;
                 comp_len[s] = comp_arena.len() as u32 - comp_base;
+                saturable[s] = jobs.min(p + 1);
                 in_order &= s == next && (s == lo || key(s - 1) < key(s));
                 next += 1;
             }
@@ -601,9 +669,18 @@ impl ScheduleReduction {
             return;
         }
         sort_buf.clear();
-        sort_buf.extend((lo..hi).map(|s| (key(s), spans[s], costs[s], lens[s], comp_len[s])));
+        sort_buf.extend((lo..hi).map(|s| {
+            (
+                key(s),
+                spans[s],
+                costs[s],
+                lens[s],
+                comp_len[s],
+                saturable[s],
+            )
+        }));
         sort_buf.sort_unstable_by_key(|row| row.0);
-        for (s, &(k, span, cost, l, cl)) in (lo..hi).zip(sort_buf.iter()) {
+        for (s, &(k, span, cost, l, cl, sat)) in (lo..hi).zip(sort_buf.iter()) {
             if let Some(c) = cand.get_mut(s) {
                 *c = k as u32;
             }
@@ -611,6 +688,7 @@ impl ScheduleReduction {
             costs[s] = cost;
             lens[s] = l;
             comp_len[s] = cl;
+            saturable[s] = sat;
         }
         let mut run_lo = lo;
         for s in lo + 1..=hi {
@@ -649,7 +727,8 @@ impl ScheduleReduction {
 
     /// Every subset's interval ([`ScheduleReduction::interval_of`]), in
     /// subset order.
-    pub(crate) fn intervals(&self) -> impl Iterator<Item = CandidateInterval> + '_ {
+    #[cfg(test)]
+    fn intervals(&self) -> impl Iterator<Item = CandidateInterval> + '_ {
         self.runs
             .iter()
             .enumerate()
@@ -730,24 +809,61 @@ impl ScheduleReduction {
     }
 }
 
+/// A copy of a window-built reduction's subset columns — runs, run bases,
+/// window lengths, spans and cost bits — in buffers retained across
+/// solves. Over the same job side, equal columns mean an identical
+/// reduction and so an identical solve.
+#[derive(Debug, Default)]
+pub(crate) struct SubsetColumns {
+    runs: Vec<(u32, u32)>,
+    run_base: Vec<(u32, u32)>,
+    len: Vec<u32>,
+    spans: Vec<(u32, u32)>,
+    costs: Vec<f64>,
+}
+
+impl SubsetColumns {
+    /// Overwrites the copy with `red`'s columns.
+    pub(crate) fn record(&mut self, red: &ScheduleReduction) {
+        self.runs.clone_from(&red.runs);
+        self.run_base.clone_from(&red.run_base);
+        self.len.clone_from(&red.len);
+        self.spans.clone_from(&red.spans);
+        self.costs.clone_from(&red.costs);
+    }
+
+    /// Whether `red`'s columns equal the copy, costs bit for bit.
+    pub(crate) fn matches(&self, red: &ScheduleReduction) -> bool {
+        self.runs == red.runs
+            && self.run_base == red.run_base
+            && self.len == red.len
+            && self.spans == red.spans
+            && self.costs.len() == red.costs.len()
+            && (self.costs.iter().zip(&red.costs)).all(|(a, b)| a.to_bits() == b.to_bits())
+    }
+}
+
 /// Per-thread scratch for [`ScheduleObjective`]: overlay matching workspace
 /// plus the component-version gain memo.
 pub struct ObjectiveScratch {
     gain: GainScratch,
     /// Objective token the memo below was filled against.
     memo_token: u64,
-    /// Version at which run `r` was last evaluated (0 = never).
+    /// Version at which run `r` was last evaluated (0 = never), or
+    /// [`SATURATED`].
     run_eval: Vec<u64>,
     /// Cached raw gain of subset `k` (valid iff its run's `run_eval`
     /// covers the run's latest component stamp).
     memo_val: Vec<f64>,
     /// Cumulative-gain buffer for prefix scans.
     cum: Vec<f64>,
-    /// Memo telemetry: subsets served from the memo vs. recomputed, as
-    /// plain fields so the hot loops pay no atomics. Flushed to the
-    /// ambient registry once per solve by `schedule_all`.
+    /// Memo telemetry: subsets served from the memo, recomputed, or
+    /// answered 0 because their run saturated, as plain fields so the hot
+    /// loops pay no atomics. Flushed to the ambient registry once per solve
+    /// by `schedule_all`.
     memo_hits: u64,
     memo_misses: u64,
+    memo_saturated: u64,
 }
 
 impl Default for ObjectiveScratch {
@@ -760,6 +876,7 @@ impl Default for ObjectiveScratch {
             cum: Vec::new(),
             memo_hits: 0,
             memo_misses: 0,
+            memo_saturated: 0,
         }
     }
 }
@@ -769,6 +886,13 @@ impl ObjectiveScratch {
     /// replayed from the memo vs. recomputed through the oracle.
     pub fn memo_counts(&self) -> (u64, u64) {
         (self.memo_hits, self.memo_misses)
+    }
+
+    /// Lifetime count of subsets answered 0 without a pass because every
+    /// component their run touches had no unmatched job left (see
+    /// "Saturated runs" in the [module docs](self)).
+    pub fn memo_saturated(&self) -> u64 {
+        self.memo_saturated
     }
 
     /// Lifetime count of adjacency entries examined by the matching
@@ -807,7 +931,16 @@ pub struct ScheduleObjective<'r> {
     version: u64,
     /// Per-component version of the last mutating commit that touched it.
     comp_version: Vec<u64>,
+    /// Per-component count of jobs the committed matching leaves unmatched.
+    unmatched: Vec<u32>,
+    /// Version of the last commit that left a component with no unmatched
+    /// job (0 = none yet).
+    saturated_at: u64,
 }
+
+/// The `run_eval` of a run whose components have no unmatched job left: its
+/// gains are 0 for the rest of the solve, so its memo stays current.
+const SATURATED: u64 = u64::MAX;
 
 impl<'r> ScheduleObjective<'r> {
     /// Cardinality utility (Lemma 2.2.2): every job counts 1.
@@ -827,6 +960,8 @@ impl<'r> ScheduleObjective<'r> {
             token: OBJECTIVE_TOKENS.fetch_add(1, Ordering::Relaxed),
             version: 1,
             comp_version: vec![0; red.num_comps as usize],
+            unmatched: red.comp_jobs.clone(),
+            saturated_at: 0,
         }
     }
 
@@ -877,14 +1012,27 @@ impl<'r> ScheduleObjective<'r> {
         eval != 0 && eval >= self.stamp_of_run(r)
     }
 
+    /// Whether every component run `r` touches has no unmatched job left,
+    /// checked only when one saturated since the run's last evaluation.
+    #[inline]
+    fn run_saturated(&self, r: usize, scratch: &ObjectiveScratch) -> bool {
+        self.saturated_at > scratch.run_eval[r]
+            && (self.red.comps_of_run(r).iter()).all(|&c| self.unmatched[c as usize] == 0)
+    }
+
     /// Brings run `r`'s memoized gains up to date: replays them when no
-    /// component stamp on the run moved since its last pass, else runs one
-    /// pass. Every member counts as one memo hit or miss.
+    /// component stamp on the run moved since its last pass, writes 0 for
+    /// every member when the run saturated, else runs one pass. Every
+    /// member counts as one memo hit, saturated answer or miss.
     fn fresh_run(&self, r: usize, scratch: &mut ObjectiveScratch) {
         let (lo, hi) = self.red.runs()[r];
         let members = u64::from(hi - lo);
         if self.memo_current(r, scratch) {
             scratch.memo_hits += members;
+        } else if self.run_saturated(r, scratch) {
+            scratch.memo_saturated += members;
+            scratch.memo_val[lo as usize..hi as usize].fill(0.0);
+            scratch.run_eval[r] = SATURATED;
         } else {
             scratch.memo_misses += members;
             self.refresh_run(r, scratch);
@@ -962,7 +1110,21 @@ impl BudgetedObjective for ScheduleObjective<'_> {
     fn commit(&mut self, i: usize) -> f64 {
         let r = self.red.run_of(i);
         let before = self.oracle.revision();
-        let gain = self.oracle.commit(self.red.window_in_run(r, i));
+        // `MatchingOracle::commit`, slot by slot: a successful augment
+        // saturates one more job, in the component of the slot it started
+        // from
+        let off = self.red.run_base[r].0 as usize;
+        let mut gain = 0.0;
+        let mut saturated = false;
+        for (p, &x) in self.red.window_in_run(r, i).iter().enumerate() {
+            let g = self.oracle.add_slot(x);
+            if g > 0.0 {
+                let left = &mut self.unmatched[self.red.comp_of_islot[off + p] as usize];
+                *left -= 1;
+                saturated |= *left == 0;
+            }
+            gain += g;
+        }
         let mutated = self.oracle.revision() != before;
         let comps = self.red.comps_in_run(r, i);
         if mutated {
@@ -974,6 +1136,9 @@ impl BudgetedObjective for ScheduleObjective<'_> {
             self.version += 1;
             for &c in comps {
                 self.comp_version[c as usize] = self.version;
+            }
+            if saturated {
+                self.saturated_at = self.version;
             }
         }
         if sched_obs::trace::enabled() {
@@ -1009,9 +1174,10 @@ impl BudgetedObjective for ScheduleObjective<'_> {
     }
 
     /// Exact memoized gains for the runs whose memo is current, and
-    /// `|slots_of(k)| ×` [`MatchingOracle::max_value`] for every other
-    /// subset: each slot raises the matching rank by at most one job's
-    /// value. Reads no matching.
+    /// `min(|slots_of(k)|, J_k) ×` [`MatchingOracle::max_value`] for every
+    /// other subset, `J_k` being the jobs of the components its window
+    /// touches: each slot's augment saturates at most one more job, of its
+    /// own component. Reads no matching.
     fn first_values(
         &self,
         scratch: &mut Self::Scratch,
@@ -1029,7 +1195,8 @@ impl BudgetedObjective for ScheduleObjective<'_> {
                 scratch.memo_hits += (hi - lo) as u64;
                 out.extend_from_slice(&scratch.memo_val[lo..hi]);
             } else {
-                out.extend(self.red.len[lo..hi].iter().map(|&l| l as f64 * max_value));
+                let saturable = &self.red.saturable[lo..hi];
+                out.extend(saturable.iter().map(|&n| n as f64 * max_value));
                 bounded.push(r as u32);
             }
         }
@@ -1219,9 +1386,27 @@ mod tests {
         obj.first_values(&mut scratch, &mut vals, &mut bounded);
         let every_run: Vec<u32> = (0..red.runs().len() as u32).collect();
         assert_eq!(bounded, every_run, "a cold scratch has no memo");
+        // Processor 0's slots 0..5 form one component with 2 jobs, and
+        // processor 1's slots 1..4 one with 1 job, so each window's bound is
+        // min(its slots, its component's jobs) times the largest value, 3.
         for (k, &v) in vals.iter().enumerate() {
-            assert_eq!(v, red.slots_of(k).len() as f64 * 3.0, "subset {k}");
+            let iv = red.interval_of(k);
+            let jobs = if iv.proc == 0 { 2 } else { 1 };
+            let slots = red.slots_of(k).len();
+            assert_eq!(v, slots.min(jobs) as f64 * 3.0, "subset {k}");
         }
+        let bound_of = |proc, start, end| {
+            let k = (0..red.num_subsets())
+                .find(|&k| {
+                    let iv = red.interval_of(k);
+                    (iv.proc, iv.start, iv.end) == (proc, start, end)
+                })
+                .unwrap();
+            vals[k]
+        };
+        assert_eq!(bound_of(0, 0, 5), 6.0, "5 slots, 2 jobs");
+        assert_eq!(bound_of(0, 0, 1), 3.0, "1 slot");
+        assert_eq!(bound_of(1, 1, 4), 3.0, "3 slots, 1 job");
         assert_eq!(scratch.memo_counts(), (0, 0), "bounds evaluate nothing");
 
         // After a commit on processor 0, the run evaluated on processor 1
@@ -1246,6 +1431,69 @@ mod tests {
                 assert!(v >= obj.gain(i, &mut fresh), "subset {i}");
             }
         }
+    }
+
+    #[test]
+    fn saturated_runs_answer_zero_without_a_pass() {
+        // Processor 0 has one job on slots 0..3, processor 1 two jobs on
+        // slots 0..4: one component each.
+        let inst = Instance::new(
+            2,
+            4,
+            vec![
+                Job::window(1.0, 0, 0, 3),
+                Job::window(1.0, 1, 0, 4),
+                Job::window(1.0, 1, 1, 4),
+            ],
+        );
+        let cands = enumerate_candidates(&inst, &AffineCost::new(1.0, 1.0), CandidatePolicy::All);
+        let red = ScheduleReduction::build(&inst, &cands);
+        assert_eq!(red.num_comps, 2);
+        let on_proc = |p: u32| {
+            (0..red.num_subsets())
+                .filter(|&k| red.interval_of(k).proc == p)
+                .collect::<Vec<_>>()
+        };
+        let (on_p0, on_p1) = (on_proc(0), on_proc(1));
+        let truth = |obj: &ScheduleObjective<'_>| -> Vec<u64> {
+            (0..red.num_subsets())
+                .map(|k| {
+                    let g = obj
+                        .oracle()
+                        .gain_of(red.slots_of(k), &mut GainScratch::new());
+                    g.to_bits()
+                })
+                .collect()
+        };
+        let bits = |gains: &[f64]| gains.iter().map(|g| g.to_bits()).collect::<Vec<_>>();
+        let mut obj = ScheduleObjective::new_cardinality(&red);
+        let mut scratch = ObjectiveScratch::default();
+        let mut gains = Vec::new();
+        obj.scan_gains(false, &mut scratch, &mut gains);
+
+        // One processor-1 slot matches one of its two jobs: its component
+        // keeps an unmatched job, so its stale runs take a pass.
+        let single = *on_p1.iter().find(|&&k| red.slots_of(k).len() == 1).unwrap();
+        assert_eq!(obj.commit(single), 1.0);
+        let misses = scratch.memo_counts().1;
+        obj.scan_gains(false, &mut scratch, &mut gains);
+        assert_eq!(bits(&gains), truth(&obj));
+        assert_eq!(scratch.memo_saturated(), 0);
+        assert_eq!(scratch.memo_counts().1 - misses, on_p1.len() as u64);
+
+        // Matching processor 0's only job saturates its component: every
+        // processor-0 run is stale, answered 0 without a pass, and stays
+        // current from then on.
+        assert_eq!(obj.commit(on_p0[0]), 1.0);
+        let misses = scratch.memo_counts().1;
+        obj.scan_gains(false, &mut scratch, &mut gains);
+        assert_eq!(bits(&gains), truth(&obj));
+        assert!(on_p0.iter().all(|&k| gains[k] == 0.0));
+        assert_eq!(scratch.memo_saturated(), on_p0.len() as u64);
+        assert_eq!(scratch.memo_counts().1, misses, "no pass");
+        obj.scan_gains(false, &mut scratch, &mut gains);
+        assert_eq!(scratch.memo_saturated(), on_p0.len() as u64, "replayed");
+        assert_eq!(scratch.memo_counts().1, misses);
     }
 
     #[test]
@@ -1399,7 +1647,8 @@ mod window_build_tests {
 
     /// Asserts two reductions equal field for field: subset intervals with
     /// their cost bits, window lengths, runs and run bases, the component
-    /// arena and every subset's prefix of it, and the slot arena with its
+    /// arena and every subset's prefix of it, the jobs each subset can
+    /// saturate and each component holds, and the slot arena with its
     /// prefix counts.
     fn assert_same_layout(
         w: &ScheduleReduction,
@@ -1416,6 +1665,8 @@ mod window_build_tests {
         prop_assert_eq!(&w.run_base, &f.run_base, "run bases");
         prop_assert_eq!(&w.comp_arena, &f.comp_arena, "component arena");
         prop_assert_eq!(&w.comp_len, &f.comp_len, "component prefixes");
+        prop_assert_eq!(&w.saturable, &f.saturable, "saturable jobs");
+        prop_assert_eq!(&w.comp_jobs, &f.comp_jobs, "jobs per component");
         prop_assert_eq!(w.num_comps, f.num_comps);
         prop_assert_eq!(&w.islots, &f.islots, "interesting slots");
         prop_assert_eq!(&w.prefix, &f.prefix, "slot prefix counts");

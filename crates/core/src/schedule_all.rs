@@ -97,14 +97,21 @@ pub fn schedule_all_with(
     Ok(obj.extract_schedule(inst, &[], &out.chosen))
 }
 
-/// Flushes the per-solve batched counters (gain-memo hits/misses, oracle
-/// augments, search edge visits) to the ambient registry.
-/// The hot loops only bump plain integers; this is the single point where
-/// they become metrics.
+/// Flushes the per-solve batched counters (gain-memo hits, misses and
+/// saturated answers, oracle augments, search edge visits) to the ambient
+/// registry. The hot loops only bump plain integers; this is the single
+/// point where they become metrics. The three memo counters are added even
+/// when zero, so a snapshot of any solve names them: a solve whose runs
+/// all saturate or go unevaluated has no memo hit, and reads 0, not a
+/// missing row.
 fn flush_solve_telemetry(obj: &ScheduleObjective<'_>, scratch: &ObjectiveScratch) {
     let (hits, misses) = scratch.memo_counts();
-    sched_obs::counter_add("core.gain_memo.hits", hits);
-    sched_obs::counter_add("core.gain_memo.misses", misses);
+    sched_obs::with_active(|r| {
+        r.counter("core.gain_memo.hits").add(hits);
+        r.counter("core.gain_memo.misses").add(misses);
+        r.counter("core.gain_memo.saturated")
+            .add(scratch.memo_saturated());
+    });
     let (augments, _) = obj.oracle().op_counts();
     sched_obs::counter_add("matching.oracle.augments", augments);
     sched_obs::counter_add(

@@ -17,9 +17,18 @@
 //!   `O(Σₚ kₚ² + slots + edges)` for `kₚ` job-adjacent slots on processor
 //!   `p` instead of `O(p·T²)`. No candidate family is enumerated or kept,
 //!   so nothing cached can go stale: a changed price is read by the next
-//!   rebuild. The identical-instance path returns the previous result only
-//!   when the rebuilt subsets, intervals and cost bits, equal the previous
-//!   solve's.
+//!   rebuild.
+//! * **Identical-instance path** (window path only). When the instance
+//!   equals the previous solve's, the reduction's graph, slot arena and
+//!   components already belong to it: the windows are only re-priced
+//!   through the live oracle (the subset half of
+//!   [`ScheduleReduction::apply_delta_windows`]), and no graph is rebuilt.
+//!   The previous result is returned when the re-priced subset columns
+//!   (runs, run bases, window lengths, spans and cost bits) equal a copy
+//!   kept from the previous solve in retained buffers; otherwise a price
+//!   moved, and the greedy runs on the re-priced reduction. Each such
+//!   solve counts in `core.warm.repriced`, and its `core.warm.decision`
+//!   event reads `cached`/`identical-instance` or `warm`/`repriced`.
 //! * **Family path.** Any other cost enumerates the candidate family once
 //!   and rebuilds with [`ScheduleReduction::apply_delta`]; see "Checksum
 //!   fallback" below.
@@ -54,8 +63,8 @@ use std::sync::Arc;
 
 use crate::candidates::{enumerate_candidates, CandidateInterval, CandidatePolicy};
 use crate::cost::EnergyCost;
-use crate::model::{Instance, Schedule, ScheduleError};
-use crate::objective::ScheduleReduction;
+use crate::model::{Instance, Job, Schedule, ScheduleError};
+use crate::objective::{ScheduleReduction, SubsetColumns};
 use crate::schedule_all::schedule_all_with;
 
 /// Warm/cold re-solve counters kept by a [`WarmHandle`].
@@ -74,10 +83,10 @@ pub struct WarmStats {
 struct PrevSolve {
     /// The instance that was solved (owned; compared against the next one).
     instance: Instance,
-    /// The window path's subset intervals, compared bit for bit with the
-    /// next rebuild's; empty on the family path, whose checksum vouches for
-    /// the family.
-    subsets: Vec<CandidateInterval>,
+    /// The window path's subset columns, compared with a re-priced
+    /// rebuild of the same instance; not read on the family path, whose
+    /// checksum vouches for the family.
+    columns: SubsetColumns,
     /// The solve result, returned verbatim when the next solve would
     /// repeat it.
     result: Result<Schedule, ScheduleError>,
@@ -249,40 +258,52 @@ impl WarmHandle {
             sched_obs::counter_add("core.warm.solves.warm", 1);
             let prev = grid.prev.as_ref().filter(|p| p.instance == *inst);
             let (_, red) = grid.reduction.as_mut().expect("matched above");
-            let repeat = match built {
+            let repeat = match (built, prev) {
                 // the checksum vouches for the family, so the instance
                 // decides before any rebuild
-                Built::Family(_) => {
-                    let repeat = prev.is_some();
-                    if !repeat {
-                        red.apply_delta(inst, &grid.family.as_ref().expect("ensured").candidates);
-                    }
-                    repeat
+                (Built::Family(_), Some(_)) => true,
+                (Built::Family(_), None) => {
+                    red.apply_delta(inst, &grid.family.as_ref().expect("ensured").candidates);
+                    false
                 }
-                Built::Windows => {
+                // the job side is already this instance's: re-price only
+                (Built::Windows, Some(p)) => {
+                    red.reprice_windows(inst, cost, policy);
+                    sched_obs::counter_add("core.warm.repriced", 1);
+                    p.columns.matches(red)
+                }
+                (Built::Windows, None) => {
                     red.apply_delta_windows(inst, cost, policy);
-                    prev.is_some_and(|p| same_bits(&p.subsets, red))
+                    false
                 }
             };
             if repeat {
                 decision("cached", "identical-instance");
                 return prev.expect("repeat needs a previous solve").result.clone();
             }
-            decision("warm", "delta");
+            decision("warm", if prev.is_some() { "repriced" } else { "delta" });
         }
         let (_, red) = grid.reduction.as_ref().expect("built above");
         let result = {
             let _span = sched_obs::span!("core.solve.schedule_all_ns");
             schedule_all_with(inst, red)
         };
-        grid.prev = Some(PrevSolve {
-            instance: inst.clone(),
-            subsets: match built {
-                Built::Windows => red.intervals().collect(),
-                Built::Family(_) => Vec::new(),
-            },
-            result: result.clone(),
-        });
+        // the previous solve's buffers are overwritten in place
+        let prev = match &mut grid.prev {
+            Some(prev) => {
+                copy_instance(&mut prev.instance, inst);
+                prev.result = result.clone();
+                prev
+            }
+            none => none.insert(PrevSolve {
+                instance: inst.clone(),
+                columns: SubsetColumns::default(),
+                result: result.clone(),
+            }),
+        };
+        if built == Built::Windows {
+            prev.columns.record(red);
+        }
         result
     }
 }
@@ -306,11 +327,28 @@ fn grid_for<'g>(grid: &'g mut Option<GridState>, inst: &Instance) -> &'g mut Gri
     grid.as_mut().expect("just ensured")
 }
 
-/// Whether `red`'s subsets are `subsets`, costs compared bit for bit.
-fn same_bits(subsets: &[CandidateInterval], red: &ScheduleReduction) -> bool {
-    let key = |c: &CandidateInterval| (c.proc, c.start, c.end, c.cost.to_bits());
-    subsets.len() == red.num_subsets()
-        && red.intervals().zip(subsets).all(|(x, y)| key(&x) == key(y))
+/// Overwrites `dst` with `src`, reusing `dst`'s job and slot buffers.
+fn copy_instance(dst: &mut Instance, src: &Instance) {
+    let Instance {
+        num_processors,
+        horizon,
+        jobs,
+    } = src;
+    dst.num_processors = *num_processors;
+    dst.horizon = *horizon;
+    dst.jobs.truncate(jobs.len());
+    for (d, s) in dst.jobs.iter_mut().zip(jobs) {
+        let Job {
+            value,
+            allowed,
+            work,
+        } = s;
+        d.value = *value;
+        d.allowed.clone_from(allowed);
+        d.work = *work;
+    }
+    let kept = dst.jobs.len();
+    dst.jobs.extend_from_slice(&jobs[kept..]);
 }
 
 /// FNV-1a over grid dimensions, family size, and up to ~16 sampled candidate
@@ -472,6 +510,33 @@ mod tests {
         let first = h.solve(&i, &c);
         let second = h.solve(&i, &c);
         assert_same(&first, &second);
+        assert_eq!(h.stats(), WarmStats { warm: 1, cold: 1 });
+    }
+
+    #[test]
+    fn identical_instance_at_identical_prices_rebuilds_no_graph() {
+        use std::sync::Arc;
+        let c = cost();
+        let mut h = WarmHandle::new(CandidatePolicy::All);
+        let i = inst(vec![Job::window(1.0, 0, 0, 5), Job::window(1.0, 1, 1, 7)]);
+        let first = h.solve(&i, &c);
+        // A rebuilt graph is allocated while the old one is alive, so its
+        // adjacency cannot sit at the old address.
+        let graph_at = |h: &WarmHandle| {
+            let grid = h.grid.as_ref().expect("a grid after a solve");
+            let (_, red) = grid.reduction.as_ref().expect("a reduction after a solve");
+            red.graph.adj_y(0).as_ptr()
+        };
+        let before = graph_at(&h);
+        let registry = Arc::new(sched_obs::Registry::new());
+        sched_obs::set_thread(Some(Arc::clone(&registry)));
+        let second = h.solve(&i, &c);
+        sched_obs::set_thread(None);
+        assert_same(&first, &second);
+        assert_eq!(graph_at(&h), before, "the graph was not rebuilt");
+        assert_eq!(registry.counter("core.warm.repriced").get(), 1);
+        let solves = registry.histogram("core.solve.schedule_all_ns").count();
+        assert_eq!(solves, 0, "the previous result, without a greedy run");
         assert_eq!(h.stats(), WarmStats { warm: 1, cold: 1 });
     }
 

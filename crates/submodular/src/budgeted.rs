@@ -64,9 +64,10 @@
 //! top of the heap, and is never picked on a bound. The greedy makes only a
 //! handful of picks, so a group whose bound never reaches the top is never
 //! evaluated at all. `sched-core`'s scheduling objective bounds a
-//! candidate's matching-rank gain by its number of job-adjacent slots times
-//! the largest job value, which a cold solve reads straight from its slot
-//! windows instead of scanning every candidate.
+//! candidate's matching-rank gain by the smaller of its number of
+//! job-adjacent slots and the number of jobs in the connected components
+//! those slots touch, times the largest job value, which a cold solve reads
+//! straight from its slot windows instead of scanning every candidate.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
