@@ -8,7 +8,7 @@
 use crate::table::{section, Table};
 use baselines::exact_schedule_all;
 use rand::SeedableRng;
-use sched_core::{CandidatePolicy, Solver};
+use sched_core::{schedule_all, CandidatePolicy};
 use workloads::planted::PlantedCostModel;
 use workloads::{planted_instance, PlantedConfig};
 
@@ -67,8 +67,7 @@ pub fn run(seed: u64, quick: bool) {
             };
             let inst = planted_instance(&cfg, &mut rng);
             let nn = inst.instance.num_jobs() as f64;
-            let s = Solver::with_candidates(&inst.instance, &inst.candidates[..])
-                .schedule_all()
+            let s = schedule_all(&inst.instance, &inst.candidates, &Default::default())
                 .expect("planted instances are feasible");
             let ratio = s.total_cost / inst.planted_cost;
             let bound = 2.0 * (nn + 1.0).log2().ceil();

@@ -6,7 +6,9 @@
 
 use crate::table::{section, Table};
 use rand::{Rng, SeedableRng};
-use sched_core::{CandidatePolicy, Solver};
+use sched_core::{
+    prize_collecting_exact, prize_collecting_with, CandidatePolicy, ScheduleReduction,
+};
 use workloads::planted::PlantedCostModel;
 use workloads::{planted_instance, PlantedConfig};
 
@@ -29,14 +31,13 @@ pub fn run(seed: u64, quick: bool) {
     let p = planted_instance(&cfg, &mut rng);
     let total = p.instance.total_value();
     let z = 0.8 * total;
-    // one Solver for the whole ε sweep: candidates priced once, reused
-    let solver = Solver::with_candidates(&p.instance, &p.candidates[..]);
+    // one reduction for the whole ε sweep: built once, reused
+    let red = ScheduleReduction::build(&p.instance, &p.candidates);
     let mut t = Table::new(&["ε", "Z", "value", "≥(1−ε)Z", "cost", "bound 2⌈lg 1/ε⌉·B"]);
     for e in [1, 2, 4, 6, 8] {
         let eps = 2f64.powi(-e);
-        let s = solver
-            .prize_collecting(z, eps)
-            .expect("planted instance can reach Z");
+        let s =
+            prize_collecting_with(&p.instance, &red, z, eps).expect("planted instance can reach Z");
         assert!(
             s.scheduled_value >= (1.0 - eps) * z - 1e-9,
             "E3 value guarantee violated"
@@ -65,8 +66,7 @@ pub fn run(seed: u64, quick: bool) {
         let p = planted_instance(&cfg, &mut rng);
         let total = p.instance.total_value();
         let z = rng.gen_range(0.5..0.9) * total;
-        let s = Solver::with_candidates(&p.instance, &p.candidates[..])
-            .prize_collecting_exact(z)
+        let s = prize_collecting_exact(&p.instance, &p.candidates, z, &Default::default())
             .expect("planted instance can reach Z");
         assert!(
             s.scheduled_value >= z - 1e-9,

@@ -589,7 +589,7 @@ fn run_rounds(rounds: u32) -> PerfReport {
     });
     // Warm vs cold re-solves: both variants replay the whole trace, and a
     // row times the re-solves only (the policy's own per-re-solve wall
-    // clocks, summed), so the ratio isolates exactly what the warm handle
+    // clocks, summed), so the ratio isolates exactly what the warm solver
     // accelerates. One untimed cold replay pins the re-solve count and the
     // cost bits every timed pass must reproduce.
     for &(period, ref trace) in &resolve_traces {
@@ -736,7 +736,7 @@ fn advance_notice_trace(seed: u64) -> ArrivalTrace {
     // Releasing earlier only relaxes the instance, so the trace stays
     // feasible. A k=1 re-solver then sees long quiet stretches where the
     // pending set's windows are untouched — the memoized-solve fast path
-    // of the warm handle — interleaved with arrival/service ticks that
+    // of the warm solver — interleaved with arrival/service ticks that
     // exercise the delta path. This is the advance-reservation shape
     // warm-starting targets: re-solve every tick, change rarely.
     const LEAD: u32 = 24;

@@ -58,7 +58,7 @@ use crate::cost::EnergyCost;
 use crate::model::{Instance, InstanceError, Job, Schedule, ScheduleError, SlotRef, SolveOptions};
 use crate::naive::naive_schedule_all;
 use crate::profile::{FreqLadder, FreqLadderError};
-use crate::solver::Solver;
+use crate::schedule_all::schedule_all;
 
 /// A speed-scaling instance: work-requirement jobs, a frequency ladder, and
 /// a wake cost per awake interval.
@@ -257,8 +257,8 @@ impl DvfsInstance {
 /// is infinite (dropped by candidate enumeration). Running
 /// [`enumerate_candidates`](crate::candidates::enumerate_candidates) with
 /// this oracle on the compiled instance reproduces the explicit family of
-/// [`DvfsInstance::compile`] — which is what lets the warm-start and engine
-/// candidate caches treat DVFS solves like any other.
+/// [`DvfsInstance::compile`] — which is what lets a [`crate::Solver`] (and
+/// so the engine's per-grid cache) treat DVFS solves like any other.
 #[derive(Clone, Debug)]
 pub struct DvfsCost {
     wake: f64,
@@ -618,9 +618,12 @@ fn map_infeasible(compiled: &CompiledDvfs, e: ScheduleError) -> DvfsSolveError {
 /// `schedule_all` over the compiled candidates, decompile.
 pub fn solve_dvfs(dvfs: &DvfsInstance) -> Result<DvfsSchedule, DvfsSolveError> {
     let compiled = dvfs.compile().map_err(DvfsSolveError::Invalid)?;
-    let schedule = Solver::with_candidates(&compiled.instance, compiled.candidates.as_slice())
-        .schedule_all()
-        .map_err(|e| map_infeasible(&compiled, e))?;
+    let schedule = schedule_all(
+        &compiled.instance,
+        &compiled.candidates,
+        &SolveOptions::default(),
+    )
+    .map_err(|e| map_infeasible(&compiled, e))?;
     Ok(compiled.decompile(&schedule))
 }
 

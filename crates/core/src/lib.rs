@@ -32,16 +32,19 @@
 //!
 //! # Entry point
 //!
-//! Applications should use the [`Solver`] builder, which owns the instance,
-//! the cost oracle and the candidate policy in one place and exposes all
-//! three algorithms as goal methods:
+//! Applications should use a [`Solver`]: created once per solve stream
+//! under a candidate policy, handed the instance and the cost oracle on
+//! every call, with all three algorithms as goal methods. It owns the
+//! reduction between calls, so consecutive solves on one grid rebuild it in
+//! place, and it builds from the slot windows, enumerating no family, when
+//! the cost is inclusion-monotone:
 //!
 //! ```
-//! use sched_core::{AffineCost, Instance, Job, SlotRef, Solver};
+//! use sched_core::{AffineCost, CandidatePolicy, Instance, Job, SlotRef, Solver};
 //!
 //! let inst = Instance::new(1, 4, vec![Job::unit(vec![SlotRef::new(0, 1)])]);
 //! let cost = AffineCost::new(2.0, 1.0);
-//! let schedule = Solver::new(&inst, &cost).schedule_all().unwrap();
+//! let schedule = Solver::new(CandidatePolicy::All).schedule_all(&inst, &cost).unwrap();
 //! assert_eq!(schedule.scheduled_count, 1);
 //! ```
 //!
@@ -68,8 +71,8 @@
 //! * [`naive`] — the retained pre-overhaul solve path, kept as the
 //!   bit-identical reference for the equivalence proptests and the perf
 //!   harness;
-//! * [`solver`] — the [`Solver`] builder tying everything together (caches
-//!   both the candidate family and the reduction across goal calls);
+//! * [`solver`] — the [`Solver`] owning the reduction across calls: window
+//!   or family build, cold or warm, reuse or re-solve;
 //! * [`trace`] — timed arrival traces (release times) for the online replay
 //!   harness in the `sched-sim` crate;
 //! * [`mod@schedule_all`], [`mod@prize_collecting`] — the two headline
@@ -87,7 +90,6 @@ pub mod schedule_all;
 pub mod simulate;
 pub mod solver;
 pub mod trace;
-pub mod warm;
 
 pub use candidates::{
     count_candidates, enumerate_candidates, interval_count, CandidateInterval, CandidatePolicy,
@@ -109,6 +111,5 @@ pub use profile::{
 };
 pub use schedule_all::{schedule_all, schedule_all_with};
 pub use simulate::{profile_energy, simulate, PowerTrace, ProfileEnergy, SlotState};
-pub use solver::Solver;
+pub use solver::{Solver, WarmStats};
 pub use trace::{ArrivalTrace, TimedJob, TraceError};
-pub use warm::{WarmHandle, WarmStats};

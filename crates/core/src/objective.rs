@@ -118,8 +118,8 @@ static OBJECTIVE_TOKENS: AtomicU64 = AtomicU64::new(1);
 /// candidate window (see the [module docs](self) for the layout and the
 /// exactness argument).
 ///
-/// Built once per solve (or once per [`crate::Solver`], which caches it
-/// across goal calls), from an enumerated family
+/// Built once per solve (or kept by a [`crate::Solver`] and rebuilt in
+/// place from call to call), from an enumerated family
 /// ([`ScheduleReduction::build`]) or straight from the slot windows under
 /// an inclusion-monotone cost ([`ScheduleReduction::build_windows`]);
 /// borrowed by [`ScheduleObjective`].

@@ -34,7 +34,7 @@ pub fn is_valid_target(target: f64) -> bool {
 /// value present in the instance.
 ///
 /// Builds the bipartite reduction internally; repeated solves should go
-/// through [`crate::Solver`], which caches it and calls
+/// through [`crate::Solver`], which keeps it across calls and calls
 /// [`prize_collecting_with`]. `_opts` is ignored (see [`SolveOptions`]).
 pub fn prize_collecting(
     inst: &Instance,
@@ -43,13 +43,6 @@ pub fn prize_collecting(
     epsilon: f64,
     _opts: &SolveOptions,
 ) -> Result<Schedule, ScheduleError> {
-    let total = inst.total_value();
-    if target > total {
-        return Err(ScheduleError::TargetExceedsTotalValue { target, total });
-    }
-    if target <= 0.0 {
-        return Ok(empty_schedule(inst));
-    }
     let red = ScheduleReduction::build(inst, candidates);
     prize_collecting_with(inst, &red, target, epsilon)
 }
@@ -93,13 +86,6 @@ pub fn prize_collecting_exact(
     target: f64,
     _opts: &SolveOptions,
 ) -> Result<Schedule, ScheduleError> {
-    let total = inst.total_value();
-    if target > total {
-        return Err(ScheduleError::TargetExceedsTotalValue { target, total });
-    }
-    if target <= 0.0 {
-        return Ok(empty_schedule(inst));
-    }
     let red = ScheduleReduction::build(inst, candidates);
     prize_collecting_exact_with(inst, &red, target)
 }

@@ -23,10 +23,10 @@ use crate::objective::{ObjectiveScratch, ScheduleObjective, ScheduleReduction};
 /// (Feasibility is always relative to the candidate family; pass
 /// [`crate::candidates::CandidatePolicy::All`] for the unrestricted problem.)
 ///
-/// Builds the bipartite reduction internally; callers that solve the same
-/// instance + family repeatedly (or mix goal methods) should go through
-/// [`crate::Solver`], which builds the reduction once and passes it to
-/// [`schedule_all_with`]. `_opts` is ignored (see [`SolveOptions`]).
+/// Builds the bipartite reduction internally; callers that solve on one
+/// grid repeatedly (or mix goal methods) should go through
+/// [`crate::Solver`], which keeps the reduction across calls and passes it
+/// to [`schedule_all_with`]. `_opts` is ignored (see [`SolveOptions`]).
 pub fn schedule_all(
     inst: &Instance,
     candidates: &[CandidateInterval],
@@ -49,7 +49,7 @@ pub fn schedule_all(
 /// The greedy runs over the reduction's window subsets, starting its lazy
 /// heap from upper bounds, with no full gain scan; every chosen subset is
 /// reported as the interval it stands for. This is the one solve behind
-/// [`crate::Solver::schedule_all`], the warm handle and the engine.
+/// [`schedule_all`] and [`crate::Solver::schedule_all`].
 pub fn schedule_all_with(
     inst: &Instance,
     red: &ScheduleReduction,
@@ -73,9 +73,9 @@ pub fn schedule_all_with(
     }
 
     // No span here: the public entry points ([`schedule_all`],
-    // [`crate::Solver::schedule_all`], [`crate::WarmHandle::solve`]) each
-    // open the `core.solve.schedule_all_ns` span so it also covers their
-    // reduction builds; opening another one would double-count the solve.
+    // [`crate::Solver::schedule_all`]) each open the
+    // `core.solve.schedule_all_ns` span; opening another one would
+    // double-count the solve.
     let mut obj = ScheduleObjective::new_cardinality(red);
     let mut scratch = ObjectiveScratch::default();
 
@@ -245,6 +245,22 @@ mod tests {
             }
             other => panic!("unexpected error {other:?}"),
         }
+    }
+
+    #[test]
+    fn explicit_candidates_used_verbatim() {
+        // a family that cannot host the job: nothing is re-enumerated
+        let inst = Instance::new(1, 3, vec![Job::window(5.0, 0, 0, 1)]);
+        let family = [CandidateInterval {
+            proc: 0,
+            start: 1,
+            end: 3,
+            cost: 2.0,
+        }];
+        assert!(matches!(
+            schedule_all(&inst, &family, &SolveOptions::default()),
+            Err(ScheduleError::Infeasible { .. })
+        ));
     }
 
     #[test]

@@ -82,7 +82,7 @@ proptest! {
         }
 
         // And the solved schedules agree bit-for-bit, interval by interval.
-        let classical = Solver::new(&inst, &affine).schedule_all();
+        let classical = Solver::new(CandidatePolicy::All).schedule_all(&inst, &affine);
         let dvfs_sched = solve_dvfs(&dvfs);
         match (classical, dvfs_sched) {
             (Ok(c), Ok(d)) => {
@@ -189,7 +189,9 @@ fn legacy_instance_json_parses_and_solves_unchanged() {
     // The exact pre-refactor outcome: keeping the processor awake through
     // the gap beats a second wake (10 + 4·1 = 14 < 2·10 + 2).
     let cost = AffineCost::new(10.0, 1.0);
-    let s = Solver::new(&inst, &cost).schedule_all().expect("solves");
+    let s = Solver::new(CandidatePolicy::All)
+        .schedule_all(&inst, &cost)
+        .expect("solves");
     assert_eq!(s.awake.len(), 1);
     assert_eq!(s.total_cost, 14.0);
 

@@ -2,7 +2,7 @@
 //! retained naive (seed) implementation.
 //!
 //! Every hot-path trick — flat CSR slot lists, nested-prefix run scans,
-//! component-memoized gains, the cached reduction inside `Solver` — claims
+//! component-memoized gains, the reduction a `Solver` keeps across calls — claims
 //! to change *nothing* about what the greedy computes, only how fast it
 //! computes it. These proptests pin that claim across random instances and
 //! cost models, comparing full `Schedule` values (awake intervals with their
@@ -73,6 +73,16 @@ fn assert_identical(
         (f, n) => prop_assert!(false, "outcome mismatch: fast {f:?} vs naive {n:?}"),
     }
     Ok(())
+}
+
+/// Prices like its inner oracle without declaring itself
+/// inclusion-monotone, so a `Solver` takes the family path.
+struct Opaque<C>(C);
+
+impl<C: EnergyCost> EnergyCost for Opaque<C> {
+    fn cost(&self, proc: u32, start: u32, end: u32) -> f64 {
+        self.0.cost(proc, start, end)
+    }
 }
 
 /// One cost model per `pick` value, exercising all four oracle layouts
@@ -153,26 +163,35 @@ proptest! {
     #[test]
     fn solver_goal_sequence_matches_naive((p, t, jobs) in instance_strategy(),
                                           frac in 1u32..10) {
-        // the Solver reuses one cached reduction across goal calls; every
-        // call must still match a from-scratch naive solve
+        // One Solver serves every goal on one instance, first under a
+        // monotone cost (window build) and then under an opaque one
+        // (family build); every call must still match a from-scratch
+        // naive solve
         let inst = build_instance(p, t, &jobs);
-        let cost = AffineCost::new(2.0, 1.0);
-        let solver = Solver::new(&inst, &cost);
-        let cands = enumerate_candidates(&inst, &cost, CandidatePolicy::All);
-        let opts = SolveOptions::default();
+        let affine = AffineCost::new(2.0, 1.0);
+        let mut solver = Solver::new(CandidatePolicy::All);
         let target = inst.total_value() * frac as f64 / 10.0;
-
-        assert_identical(&solver.schedule_all(), &naive_schedule_all(&inst, &cands, &opts))?;
-        assert_identical(
-            &solver.prize_collecting(target, 0.25),
-            &naive_prize_collecting(&inst, &cands, target, 0.25, &opts),
-        )?;
-        assert_identical(
-            &solver.prize_collecting_exact(target),
-            &naive_prize_collecting_exact(&inst, &cands, target, &opts),
-        )?;
-        // repeat the first goal: the memo-warmed second run must not drift
-        assert_identical(&solver.schedule_all(), &naive_schedule_all(&inst, &cands, &opts))?;
+        let opts = SolveOptions::default();
+        for cost in [&affine as &dyn EnergyCost, &Opaque(affine)] {
+            let cands = enumerate_candidates(&inst, cost, CandidatePolicy::All);
+            assert_identical(
+                &solver.schedule_all(&inst, cost),
+                &naive_schedule_all(&inst, &cands, &opts),
+            )?;
+            assert_identical(
+                &solver.prize_collecting(&inst, cost, target, 0.25),
+                &naive_prize_collecting(&inst, &cands, target, 0.25, &opts),
+            )?;
+            assert_identical(
+                &solver.prize_collecting_exact(&inst, cost, target),
+                &naive_prize_collecting_exact(&inst, &cands, target, &opts),
+            )?;
+            // repeat the first goal: the memo-warmed second run must not drift
+            assert_identical(
+                &solver.schedule_all(&inst, cost),
+                &naive_schedule_all(&inst, &cands, &opts),
+            )?;
+        }
     }
 
     /// Heterogeneous instances: fully random per-processor profiles (wake,

@@ -393,9 +393,9 @@ const T_STR: u8 = 0x06;
 const T_ARR: u8 = 0x07;
 const T_OBJ: u8 = 0x08;
 
-/// Nesting ceiling for the decoder (instances are ~4 deep; 64 leaves
-/// generous headroom while keeping hostile recursion bounded).
-pub const MAX_DEPTH: u32 = 64;
+/// Nesting ceiling for the decoder, shared with the JSON parser (see
+/// [`serde::MAX_DEPTH`]).
+pub use serde::MAX_DEPTH;
 
 /// Largest f64 whose integral values round-trip exactly through u64 (2⁵³).
 const EXACT_INT: f64 = 9_007_199_254_740_992.0;

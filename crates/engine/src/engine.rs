@@ -15,17 +15,16 @@
 //! * **Retry hints** — shed responses carry `retry_after_ms`, estimated
 //!   from an EWMA of recent request latency times the current backlog per
 //!   worker — roughly "when will a queue slot exist again".
-//! * **Candidate reuse** — what a request can reuse depends only on
+//! * **Solver reuse** — what a request can reuse depends only on
 //!   `(processors, horizon, cost, policy)`, not on the jobs. Each worker
-//!   keeps a small keyed cache of [`sched_core::WarmHandle`]s —
-//!   [`SolveMetrics::cache_hit`] reports a hit per response. `schedule_all`
-//!   requests ride the handle's incremental warm path (the reduction
-//!   rebuilt in place between consecutive requests on the same grid — from
-//!   the slot windows under affine and profiled pricing, which enumerate no
-//!   family at all, from the cached family under DVFS pricing — and an
-//!   identical request answered from the previous result; bit-identical to
-//!   a cold solve by construction); prize goals borrow the cached family
-//!   via [`Solver::with_candidates`].
+//!   keeps a small keyed cache of [`Solver`]s — [`SolveMetrics::cache_hit`]
+//!   reports a hit per response. Every goal runs on its key's solver: the
+//!   reduction is rebuilt in place between consecutive requests on the same
+//!   grid — from the slot windows under affine and profiled pricing, which
+//!   enumerate no family at all, from the cached family under DVFS pricing
+//!   — and a request repeating the previous one (instance, prices and goal)
+//!   is answered from the previous result; bit-identical to a cold solve by
+//!   construction.
 //! * **Ordering** — [`Engine::submit`] returns a [`Ticket`] per request;
 //!   [`Engine::solve_batch`] / [`Engine::process_lines`] collect tickets in
 //!   submission order, so batch output order always matches input order no
@@ -40,7 +39,6 @@ use std::time::Instant;
 use sched_core::{
     count_candidates, is_valid_target, validate_profiles, AffineCost, CandidatePolicy,
     CompiledDvfs, DvfsCost, DvfsInstance, EnergyCost, FreqLadder, Instance, ProfileCost, Solver,
-    WarmHandle,
 };
 use sched_obs::{Gauge, Registry, Snapshot};
 
@@ -56,7 +54,7 @@ pub struct EngineConfig {
     pub workers: usize,
     /// Bounded request-queue depth. `0` means `2 × workers`.
     pub queue_depth: usize,
-    /// Per-worker candidate-cache capacity (distinct
+    /// Per-worker solver-cache capacity (distinct
     /// grid/cost/policy keys); the cache is cleared when full.
     pub cache_capacity: usize,
     /// Flight recorder: when set, the engine owns a small bounded
@@ -613,7 +611,7 @@ impl From<CandidatePolicy> for PolicyKey {
     }
 }
 
-type CandidateCache = HashMap<CacheKey, WarmHandle>;
+type SolverCache = HashMap<CacheKey, Solver>;
 
 fn worker_loop(
     worker_id: u32,
@@ -634,7 +632,7 @@ fn worker_loop(
     let queue_depth = global.gauge("engine.queue.depth");
     let requests = global.counter("engine.requests");
     let latency = global.histogram("engine.request.latency_ns");
-    let mut cache = CandidateCache::new();
+    let mut cache = SolverCache::new();
     while let Some(job) = queue.pop_blocking() {
         queue_depth.add(-1);
         requests.inc();
@@ -791,7 +789,7 @@ fn plan(req: &SolveRequest) -> Result<Plan, WireError> {
 fn serve_request(
     worker_id: u32,
     cache_capacity: usize,
-    cache: &mut CandidateCache,
+    cache: &mut SolverCache,
     req: &SolveRequest,
 ) -> SolveResponse {
     // Resolve the request's trace id (stamping a deterministic `req-<id>`
@@ -819,7 +817,7 @@ fn serve_request(
 fn serve_request_planned(
     worker_id: u32,
     cache_capacity: usize,
-    cache: &mut CandidateCache,
+    cache: &mut SolverCache,
     req: &SolveRequest,
 ) -> SolveResponse {
     let plan = match plan(req) {
@@ -892,41 +890,27 @@ fn serve_request_planned(
         if cache.len() >= cache_capacity {
             cache.clear(); // simplest bound; capacity is generous
         }
-        cache.insert(key.clone(), WarmHandle::new(plan.policy));
+        cache.insert(key.clone(), Solver::new(plan.policy));
     }
-    let handle = cache.get_mut(&key).expect("just inserted");
-    // Prize goals optimize over the family. Schedule-all runs the warm
-    // handle, which enumerates only under a price that is not inclusion-
-    // monotone (DVFS); otherwise its `candidates` metric is counted in
-    // closed form and no family is built. Identical cost bits are part of
-    // the key, so on a hit the handle's checksum always matches and
-    // `family` returns the cached family without re-enumerating. On the
-    // compiled DVFS grid, enumerating with `DvfsCost` reproduces the
-    // explicit compiled family bit for bit (proved in sched-core).
-    // Enumeration stays outside the solve timer either way.
-    let family = match plan.goal {
-        Goal::All => None,
-        Goal::Prize { .. } | Goal::PrizeExact { .. } => {
-            Some(handle.family(instance, cost.as_ref()))
-        }
-    };
-    let candidates = match &family {
-        Some(family) => family.len() as u64,
-        None => count_candidates(instance, cost.as_ref(), plan.policy)
-            .unwrap_or_else(|| handle.family(instance, cost.as_ref()).len() as u64),
-    };
-    let prize_family = || family.as_deref().expect("prize goals enumerate");
+    let solver = cache.get_mut(&key).expect("just inserted");
+    // The wire reports the family's size: in closed form under an
+    // inclusion-monotone price, else (DVFS) off the family the solve
+    // enumerates anyway, outside the solve timer. Identical cost bits are
+    // part of the key, so on a hit the solver's checksum matches and
+    // `family` returns the cached family without re-enumerating; on the
+    // compiled DVFS grid, `DvfsCost` enumerates the explicit compiled family
+    // bit for bit (proved in sched-core).
+    let candidates = count_candidates(instance, cost.as_ref(), plan.policy)
+        .unwrap_or_else(|| solver.family(instance, cost.as_ref()).len() as u64);
 
     let t0 = Instant::now();
     let outcome = match plan.goal {
-        // The warm path: consecutive schedule_all requests on one grid reuse
-        // the reduction's buffers (and, under DVFS pricing, the family).
-        Goal::All => handle.solve(instance, cost.as_ref()),
+        Goal::All => solver.schedule_all(instance, cost.as_ref()),
         Goal::Prize { target, epsilon } => {
-            Solver::with_candidates(instance, prize_family()).prize_collecting(target, epsilon)
+            solver.prize_collecting(instance, cost.as_ref(), target, epsilon)
         }
         Goal::PrizeExact { target } => {
-            Solver::with_candidates(instance, prize_family()).prize_collecting_exact(target)
+            solver.prize_collecting_exact(instance, cost.as_ref(), target)
         }
     };
     let solve_micros = t0.elapsed().as_micros() as u64;
@@ -979,7 +963,7 @@ fn compile_dvfs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sched_core::{Instance, Job as CoreJob, SlotRef};
+    use sched_core::{enumerate_candidates, Instance, Job as CoreJob, SlotRef};
 
     fn inst(t: u32) -> Instance {
         Instance::new(
@@ -1023,7 +1007,9 @@ mod tests {
             assert_eq!(resp.id, req.id, "order not preserved");
             assert!(resp.ok, "unexpected failure: {:?}", resp.error);
             let cost = AffineCost::new(req.restart, req.rate);
-            let direct = Solver::new(&req.instance, &cost).schedule_all().unwrap();
+            let family = enumerate_candidates(&req.instance, &cost, CandidatePolicy::All);
+            let direct =
+                sched_core::schedule_all(&req.instance, &family, &Default::default()).unwrap();
             let got = resp.schedule.as_ref().unwrap();
             assert_eq!(got.total_cost, direct.total_cost, "cost mismatch");
         }
@@ -1041,13 +1027,13 @@ mod tests {
         assert!(!hits[0], "first request misses the cache");
         assert!(
             hits[1..].iter().all(|&h| h),
-            "single worker must reuse its warm handle: {hits:?}"
+            "single worker must reuse its solver: {hits:?}"
         );
     }
 
     #[test]
     fn monotone_schedule_all_requests_enumerate_no_family() {
-        use sched_core::{enumerate_candidates, PowerProfile};
+        use sched_core::PowerProfile;
         let engine = Engine::new(EngineConfig::with_workers(1));
         let fleet = vec![
             PowerProfile::affine(2.0, 1.0),
@@ -1088,10 +1074,18 @@ mod tests {
             let family = enumerate_candidates(&req.instance, cost.as_ref(), policy);
             assert_eq!(resp.metrics.unwrap().candidates, family.len() as u64);
         }
-        // a prize goal on the same grid does enumerate
+        // prize goals on the same grid enumerate nothing either, and report
+        // the same family size
         let prize = grid(9).affine(4.0, 1.0).prize_collecting(2.0).build();
-        assert!(engine.submit(prize).wait().ok);
-        assert_eq!(enumerated(&engine), 272);
+        let exact = grid(10)
+            .affine(4.0, 1.0)
+            .prize_collecting_exact(2.0)
+            .build();
+        for resp in engine.solve_batch(vec![prize, exact]) {
+            assert!(resp.ok, "{:?}", resp.error);
+            assert_eq!(resp.metrics.unwrap().candidates, 272);
+        }
+        assert_eq!(enumerated(&engine), 0, "a prize goal built a family");
     }
 
     #[test]
@@ -1204,7 +1198,8 @@ mod tests {
         assert_eq!(hits, vec![false, true, false, false]);
         // matches a direct profiled solve
         let cost = ProfileCost::new(&cheap_p1);
-        let direct = Solver::new(&instance, &cost).schedule_all().unwrap();
+        let family = enumerate_candidates(&instance, &cost, CandidatePolicy::All);
+        let direct = sched_core::schedule_all(&instance, &family, &Default::default()).unwrap();
         assert_eq!(
             responses[0].schedule.as_ref().unwrap().total_cost,
             direct.total_cost
@@ -1387,13 +1382,12 @@ mod tests {
 
     #[test]
     fn all_three_modes_solve_through_the_pool() {
-        let engine = Engine::new(EngineConfig::with_workers(3));
         let instance = Instance::new(
             1,
             4,
             vec![CoreJob::window(2.0, 0, 0, 2), CoreJob::window(3.0, 0, 2, 4)],
         );
-        let responses = engine.solve_batch(vec![
+        let requests = vec![
             schedule_all(1, instance.clone(), 1.0, 1.0),
             SolveRequest::builder(2, instance.clone())
                 .affine(1.0, 1.0)
@@ -1404,10 +1398,29 @@ mod tests {
                 .affine(1.0, 1.0)
                 .prize_collecting_exact(5.0)
                 .build(),
-        ]);
-        assert!(responses.iter().all(|r| r.ok), "{responses:?}");
-        assert!(responses[1].schedule.as_ref().unwrap().scheduled_value >= 0.75 * 3.0 - 1e-9);
-        assert!(responses[2].schedule.as_ref().unwrap().scheduled_value >= 5.0 - 1e-9);
+        ];
+        let family =
+            enumerate_candidates(&instance, &AffineCost::new(1.0, 1.0), CandidatePolicy::All);
+        let opts = Default::default();
+        let want = [
+            sched_core::schedule_all(&instance, &family, &opts),
+            sched_core::prize_collecting(&instance, &family, 3.0, 0.25, &opts),
+            sched_core::prize_collecting_exact(&instance, &family, 5.0, &opts),
+        ];
+        // one worker runs the three goals in turn on one solver: each must
+        // still get its own goal's answer
+        for workers in [1, 3] {
+            let engine = Engine::new(EngineConfig::with_workers(workers));
+            let responses = engine.solve_batch(requests.clone());
+            assert!(responses.iter().all(|r| r.ok), "{responses:?}");
+            for (resp, want) in responses.iter().zip(&want) {
+                let (got, want) = (resp.schedule.as_ref().unwrap(), want.as_ref().unwrap());
+                assert_eq!(got.awake, want.awake, "request {}", resp.id);
+                assert_eq!(got.total_cost.to_bits(), want.total_cost.to_bits());
+            }
+        }
+        assert!(want[1].as_ref().unwrap().scheduled_value >= 0.75 * 3.0 - 1e-9);
+        assert!(want[2].as_ref().unwrap().scheduled_value >= 5.0 - 1e-9);
     }
 
     #[test]

@@ -3,16 +3,17 @@
 //! `sched-core` solves one instance per call. This crate turns that library
 //! into a *service*: a long-lived [`Engine`] that accepts a stream of
 //! [`SolveRequest`]s, shards them across a fixed pool of worker threads,
-//! reuses enumerated candidate families across requests, and reports
+//! keeps one [`Solver`] per grid, price and policy on each worker (so
+//! consecutive requests rebuild one reduction in place), and reports
 //! per-request [`SolveMetrics`]. It backs the `power-sched batch` and
 //! `power-sched serve` CLI modes.
 //!
 //! ```text
 //!                     ┌──────────────────────────────────────────────┐
 //!   v3 frames or ──►  │                 Engine                       │
-//!   JSONL lines       │  bounded queue ──┬── worker 0 ── Solver +    │
-//!   (file, stdin,     │  (backpressure   ├── worker 1    candidate   │
-//!    TCP socket)      │   or shedding)   └── worker N    cache (Arc) │
+//!   JSONL lines       │  bounded queue ──┬── worker 0 ── keyed       │
+//!   (file, stdin,     │  (backpressure   ├── worker 1    Solver      │
+//!    TCP socket)      │   or shedding)   └── worker N    cache       │
 //!                     └──────────────┬───────────────────────────────┘
 //!   responses ◄── tickets, resolved in submission order
 //! ```
@@ -70,8 +71,8 @@
 //!
 //! * **Determinism** — worker scheduling never affects results: each request
 //!   is solved by one worker with the same deterministic greedy the library
-//!   exposes, so batch output is bit-identical to sequential [`Solver`]
-//!   calls (asserted by integration tests).
+//!   exposes, so batch output is bit-identical to the free functions over
+//!   the enumerated family (asserted by integration tests).
 //! * **Order** — [`Engine::solve_batch`] and the server's per-connection
 //!   writer resolve tickets in submission order.
 //! * **Backpressure or shedding** — the request queue is bounded. By

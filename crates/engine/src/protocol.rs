@@ -364,15 +364,15 @@ pub struct SolveMetrics {
     /// Wall-clock time of the solve call itself, microseconds.
     pub solve_micros: u64,
     /// Finite-cost candidate intervals of the request's grid under its
-    /// policy: the family prize goals optimize over, and its size for
-    /// schedule-all requests, which count it in closed form when their
-    /// price is affine or profiled.
+    /// policy: the family every goal optimizes over, counted in closed form
+    /// when the price is affine or profiled and read off the enumerated
+    /// family under DVFS pricing.
     pub candidates: u64,
     /// Worker index that served the request.
     pub worker: u32,
-    /// Whether the worker already held a warm handle for the request's
-    /// grid, price and policy: its cached family, if any, and reduction
-    /// buffers were reused, and no enumeration ran.
+    /// Whether the worker already held a [`sched_core::Solver`] for the
+    /// request's grid, price and policy: its cached family, if any, and
+    /// reduction buffers were reused, and no enumeration ran.
     pub cache_hit: bool,
 }
 

@@ -18,7 +18,8 @@
 //!   [`sched_core::simulate`]'s [`PowerTrace`](sched_core::PowerTrace).
 //! * The ratio harness ([`replay_with_report`], [`replay_fleet`]) solves
 //!   the offline instance — exactly (branch-and-bound) for small traces,
-//!   with the greedy `O(log n)` [`Solver`](sched_core::Solver) otherwise —
+//!   with the greedy `O(log n)` [`schedule_all`](sched_core::schedule_all())
+//!   otherwise —
 //!   and emits JSON [`ReplayReport`]s; fleets parallelize across traces
 //!   with bit-identical output at any worker count.
 //!
@@ -28,7 +29,7 @@
 //! |---|---|---|
 //! | [`GreedyWake`] | `greedy` | wake on demand, sleep when idle |
 //! | [`ThresholdHiring`] | `hiring[:F]` | observe a demand prefix, commit via Dynkin's rule (`secretary`), then hold awake to the restart break-even |
-//! | [`PeriodicResolve`] | `resolve[:K]` | every `K` slots re-solve the revealed suffix through [`Solver`](sched_core::Solver) (optionally a shared [`sched_engine::Engine`]) and follow the plan |
+//! | [`PeriodicResolve`] | `resolve[:K[:warm]]` | every `K` slots re-solve the revealed suffix with `schedule_all` — over the enumerated family, through one [`Solver`](sched_core::Solver) kept across checkpoints (`:warm`), or through a shared [`sched_engine::Engine`] — and follow the plan |
 //!
 //! ## Quickstart
 //!

@@ -22,9 +22,11 @@
 //!   states).
 //! * [`PeriodicResolve`] — every `k` slots (and whenever a newly revealed
 //!   job would expire before the next checkpoint), re-solves the revealed
-//!   suffix through the offline [`sched_core::Solver`] and follows that
-//!   plan; optionally shares a [`sched_engine::Engine`] worker pool so
-//!   fleets of traces reuse one candidate-enumeration cache.
+//!   suffix with the offline `schedule_all` and follows that plan: over
+//!   the enumerated family, through its own [`sched_core::Solver`] carried
+//!   from checkpoint to checkpoint (`:warm`), or through a shared
+//!   [`sched_engine::Engine`] worker pool whose per-grid solvers fleets of
+//!   traces share.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -32,8 +34,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use sched_core::{
-    CandidateInterval, FreqLadder, Instance, Job, PowerProfile, ProfileCost, SlotRef, Solver,
-    TimedJob, WarmHandle,
+    enumerate_candidates, schedule_all, CandidateInterval, CandidatePolicy, FreqLadder, Instance,
+    Job, PowerProfile, ProfileCost, SlotRef, SolveOptions, Solver, TimedJob,
 };
 use sched_engine::{Engine, SolveRequest};
 use secretary::classic_secretary;
@@ -373,10 +375,18 @@ impl Policy for ThresholdHiring {
 
 /// How [`PeriodicResolve`] runs its suffix solves.
 enum Resolver {
-    /// Inline [`Solver`] call on the policy's thread.
-    Inline,
+    /// On the policy's thread: enumerate the suffix's candidate family and
+    /// run the free `schedule_all` over it, keeping nothing between
+    /// checkpoints.
+    Family,
+    /// On the policy's thread, through one [`Solver`] carried from
+    /// checkpoint to checkpoint: each re-solve rebuilds the reduction in
+    /// place from the slot windows (profile pricing is
+    /// inclusion-monotone), enumerating no family. Bit-identical to
+    /// [`Resolver::Family`] by construction.
+    Warm(Box<Solver>),
     /// Shared [`sched_engine::Engine`] worker pool: fleets of traces on the
-    /// same grid reuse one per-worker candidate-enumeration cache.
+    /// same grid share its per-worker solvers.
     Engine(Arc<Engine>),
 }
 
@@ -386,7 +396,7 @@ enum Resolver {
 /// At each checkpoint (and early, whenever a newly revealed job would expire
 /// before the next checkpoint while still having a future slot to plan) the
 /// policy builds an [`Instance`] from all pending jobs with their remaining
-/// windows and solves `schedule_all` over the full grid — either inline or
+/// windows and solves `schedule_all` over the full grid — inline, or
 /// through a shared [`Engine`]. The resulting schedule *is* the plan: awake
 /// intervals (clamped to the present) and per-job slot assignments, followed
 /// verbatim until the next re-solve. A forced-job rescue pass backstops
@@ -407,12 +417,6 @@ enum Resolver {
 pub struct PeriodicResolve {
     period: u32,
     resolver: Resolver,
-    /// Incremental warm-start state; when present, suffix solves go through
-    /// [`WarmHandle::solve`] (inline, bypassing any engine) so consecutive
-    /// re-solves rebuild the reduction in place from the slot windows
-    /// (profile pricing is inclusion-monotone), enumerating no family.
-    /// Bit-identical to the cold path by construction.
-    warm: Option<WarmHandle>,
     next_resolve: u32,
     plan_awake: Vec<CandidateInterval>,
     plan_assign: HashMap<usize, SlotRef>,
@@ -431,12 +435,12 @@ pub struct PeriodicResolve {
 static RESOLVE_REQUEST_IDS: AtomicU64 = AtomicU64::new(0);
 
 impl PeriodicResolve {
-    /// Re-solve every `period` slots (`period >= 1`), solving inline.
+    /// Re-solve every `period` slots (`period >= 1`), solving inline over
+    /// the enumerated family.
     pub fn new(period: u32) -> Self {
         Self {
             period: period.max(1),
-            resolver: Resolver::Inline,
-            warm: None,
+            resolver: Resolver::Family,
             next_resolve: 0,
             plan_awake: Vec::new(),
             plan_assign: HashMap::new(),
@@ -456,18 +460,21 @@ impl PeriodicResolve {
     }
 
     /// Same policy, with incremental warm-start re-solving: a private
-    /// [`WarmHandle`] carries the reduction's buffers from one checkpoint to
+    /// [`Solver`] carries the reduction's buffers from one checkpoint to
     /// the next. Decisions are bit-identical to [`PeriodicResolve::new`].
     pub fn new_warm(period: u32) -> Self {
         Self {
-            warm: Some(WarmHandle::new(sched_core::CandidatePolicy::All)),
+            resolver: Resolver::Warm(Box::new(Solver::new(CandidatePolicy::All))),
             ..Self::new(period)
         }
     }
 
-    /// Warm/cold solve counts of the warm handle, when warm-start is on.
+    /// Warm/cold solve counts of the private solver, when warm-start is on.
     pub fn warm_stats(&self) -> Option<sched_core::WarmStats> {
-        self.warm.as_ref().map(|h| h.stats())
+        match &self.resolver {
+            Resolver::Warm(solver) => Some(solver.stats()),
+            _ => None,
+        }
     }
 
     /// Number of suffix re-solves performed so far.
@@ -564,21 +571,20 @@ impl PeriodicResolve {
         };
 
         let started = Instant::now();
-        let solved = match (&mut self.warm, &self.resolver) {
-            (Some(handle), _) => {
-                // Warm path: solve through the handle so the reduction's
-                // buffers carry over from the previous checkpoint.
+        // Inline solves price per processor profile; bit-identical to the
+        // affine (restart, rate) oracle when the trace has no explicit
+        // profiles.
+        let solved = match &mut self.resolver {
+            Resolver::Family => {
                 let cost = ProfileCost::new(view.profiles);
-                handle.solve(&inst, &cost).ok()
+                let family = enumerate_candidates(&inst, &cost, CandidatePolicy::All);
+                schedule_all(&inst, &family, &SolveOptions::default()).ok()
             }
-            (None, Resolver::Inline) => {
-                // Per-processor profile pricing; bit-identical to the affine
-                // (restart, rate) oracle when the trace has no explicit
-                // profiles.
+            Resolver::Warm(solver) => {
                 let cost = ProfileCost::new(view.profiles);
-                Solver::new(&inst, &cost).schedule_all().ok()
+                solver.schedule_all(&inst, &cost).ok()
             }
-            (None, Resolver::Engine(engine)) => {
+            Resolver::Engine(engine) => {
                 let id = RESOLVE_REQUEST_IDS.fetch_add(1, Ordering::Relaxed);
                 let mut req = SolveRequest::builder(id, inst)
                     .affine(view.restart, view.rate)
@@ -595,13 +601,10 @@ impl PeriodicResolve {
         if sched_obs::trace::enabled() {
             // Per-resolve decision event: what was re-solved, through which
             // resolver, and whether the suffix came back feasible.
-            let resolver = if self.warm.is_some() {
-                "warm"
-            } else {
-                match self.resolver {
-                    Resolver::Inline => "inline",
-                    Resolver::Engine(_) => "engine",
-                }
+            let resolver = match self.resolver {
+                Resolver::Family => "family",
+                Resolver::Warm(_) => "warm",
+                Resolver::Engine(_) => "engine",
             };
             sched_obs::trace::instant(
                 "sim.policy.resolve",
@@ -639,7 +642,7 @@ impl PeriodicResolve {
 
 impl Policy for PeriodicResolve {
     fn name(&self) -> String {
-        if self.warm.is_some() {
+        if let Resolver::Warm(_) = self.resolver {
             format!("resolve:{}:warm", self.period)
         } else {
             format!("resolve:{}", self.period)
@@ -721,8 +724,8 @@ impl Policy for PeriodicResolve {
             Some(i) => sorted[i],
             None => 0,
         };
-        let (warm, cold) = match &self.warm {
-            Some(h) => (h.stats().warm, h.stats().cold),
+        let (warm, cold) = match self.warm_stats() {
+            Some(stats) => (stats.warm, stats.cold),
             None => (0, self.resolves),
         };
         Some(ResolveStats {
@@ -760,8 +763,8 @@ impl PolicyKind {
     /// Instantiates the policy. When `engine` is given and the kind is
     /// [`PolicyKind::Resolve`] without warm-start, suffix solves go through
     /// the shared pool; warm-start solves inline through its own
-    /// [`WarmHandle`] (whose cross-checkpoint reuse subsumes the engine's
-    /// per-grid enumeration cache).
+    /// [`Solver`] (whose cross-checkpoint reuse subsumes the engine's
+    /// per-grid solver cache).
     pub fn build(&self, engine: Option<&Arc<Engine>>) -> Box<dyn Policy> {
         match *self {
             PolicyKind::Greedy => Box::new(GreedyWake),

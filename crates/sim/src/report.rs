@@ -5,14 +5,16 @@
 //! the branch-and-bound solver from `baselines` (so `ratio >= 1` is a
 //! theorem, not an observation: the online schedule is itself a feasible
 //! offline schedule), and larger traces fall back to the `O(log n)` greedy
-//! [`Solver`] the paper's offline chapter provides. The report records
-//! which reference was used.
+//! [`schedule_all`](schedule_all()) the paper's offline chapter provides.
+//! The report records which reference was used.
 
 use serde::{Deserialize, Serialize};
 
 use baselines::exact_schedule_all;
 use sched_core::trace::ArrivalTrace;
-use sched_core::{enumerate_candidates, profile_energy, CandidatePolicy, Solver};
+use sched_core::{
+    enumerate_candidates, profile_energy, schedule_all, CandidatePolicy, SolveOptions,
+};
 
 use crate::policy::{Policy, ResolveStats};
 use crate::replay::{replay, ReplayOutcome, SimError};
@@ -20,10 +22,11 @@ use crate::replay::{replay, ReplayOutcome, SimError};
 /// Which offline baseline the competitive ratio is measured against.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum OfflineRef {
-    /// Exact branch-and-bound for small traces, greedy [`Solver`] otherwise.
+    /// Exact branch-and-bound for small traces, greedy
+    /// [`schedule_all`](schedule_all()) otherwise.
     #[default]
     Auto,
-    /// Always the greedy `O(log n)` [`Solver`].
+    /// Always the greedy `O(log n)` [`schedule_all`](schedule_all()).
     Greedy,
     /// Always exact (errors on traces too large for the node budget).
     Exact,
@@ -94,10 +97,13 @@ pub fn offline_reference(
                 ));
             }
         }
-        return Solver::with_candidates(&compiled.instance, compiled.candidates.as_slice())
-            .schedule_all()
-            .map(|s| (s.total_cost, "greedy"))
-            .map_err(|e| SimError::OfflineInfeasible(e.to_string()));
+        return schedule_all(
+            &compiled.instance,
+            &compiled.candidates,
+            &SolveOptions::default(),
+        )
+        .map(|s| (s.total_cost, "greedy"))
+        .map_err(|e| SimError::OfflineInfeasible(e.to_string()));
     }
     // Per-processor profile pricing — identical to the affine model for
     // traces without explicit profiles, so online and offline costs stay
@@ -122,8 +128,7 @@ pub fn offline_reference(
             ));
         }
     }
-    Solver::with_candidates(&inst, candidates.as_slice())
-        .schedule_all()
+    schedule_all(&inst, &candidates, &SolveOptions::default())
         .map(|s| (s.total_cost, "greedy"))
         .map_err(|e| SimError::OfflineInfeasible(e.to_string()))
 }

@@ -309,7 +309,7 @@ pub fn deadline_cliffs(cfg: &ArrivalConfig, rng: &mut impl Rng) -> ArrivalTrace 
 mod tests {
     use super::*;
     use rand::SeedableRng;
-    use sched_core::{enumerate_candidates, AffineCost, CandidatePolicy, Solver};
+    use sched_core::{enumerate_candidates, schedule_all, AffineCost, CandidatePolicy};
 
     fn kinds() -> [TraceKind; 3] {
         [
@@ -332,7 +332,7 @@ mod tests {
                 let inst = trace.to_instance();
                 let cost = AffineCost::new(trace.restart, trace.rate);
                 let cands = enumerate_candidates(&inst, &cost, CandidatePolicy::All);
-                let solved = Solver::with_candidates(&inst, cands.as_slice()).schedule_all();
+                let solved = schedule_all(&inst, &cands, &Default::default());
                 assert!(
                     solved.is_ok(),
                     "{kind} seed {seed}: planted trace offline-infeasible"

@@ -58,7 +58,7 @@ pub fn hetero_trace(
 mod tests {
     use super::*;
     use rand::SeedableRng;
-    use sched_core::{enumerate_candidates, CandidatePolicy, ProfileCost, Solver};
+    use sched_core::{enumerate_candidates, schedule_all, CandidatePolicy, ProfileCost};
 
     #[test]
     fn fleets_are_valid_and_distinct() {
@@ -96,9 +96,7 @@ mod tests {
                 let cost = ProfileCost::new(profiles);
                 let cands = enumerate_candidates(&inst, &cost, CandidatePolicy::All);
                 assert!(
-                    Solver::with_candidates(&inst, cands.as_slice())
-                        .schedule_all()
-                        .is_ok(),
+                    schedule_all(&inst, &cands, &Default::default()).is_ok(),
                     "{kind} seed {seed}: hetero trace offline-infeasible"
                 );
             }

@@ -33,8 +33,8 @@ fn main() {
     }
     let inst = Instance::new(procs, horizon, jobs);
 
-    let schedule = Solver::new(&inst, &cost)
-        .schedule_all()
+    let schedule = Solver::new(CandidatePolicy::All)
+        .schedule_all(&inst, &cost)
         .expect("feasible: windows are wide");
 
     println!("\nchosen awake intervals:");

@@ -35,15 +35,15 @@ fn main() {
     );
 
     let cost = AffineCost::new(3.0, 1.0);
-    // One Solver for the whole sweep: the candidate family is enumerated and
-    // priced once, then every target Z below reuses it.
-    let solver = Solver::new(&inst, &cost);
+    // One Solver for the whole sweep: the reduction is built once, then
+    // every target Z below runs on it.
+    let mut solver = Solver::new(CandidatePolicy::All);
 
     println!("\n  target Z | scheduled value | energy cost | jobs run");
     println!("  ---------+-----------------+-------------+---------");
     for frac in [0.25, 0.5, 0.75, 0.9] {
         let z = total * frac;
-        match solver.prize_collecting_exact(z) {
+        match solver.prize_collecting_exact(&inst, &cost, z) {
             Ok(s) => println!(
                 "  {z:>8.1} | {:>15.1} | {:>11.2} | {:>8}",
                 s.scheduled_value, s.total_cost, s.scheduled_count
@@ -56,7 +56,7 @@ fn main() {
     let z = total * 0.9;
     let eps = 0.1;
     let s = solver
-        .prize_collecting(z, eps)
+        .prize_collecting(&inst, &cost, z, eps)
         .expect("relaxed target reachable");
     println!(
         "\nbicriteria (Thm 2.3.1) at Z={z:.1}, ε={eps}: value {:.1} (≥ {:.1}), cost {:.2}",

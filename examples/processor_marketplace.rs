@@ -86,8 +86,8 @@ fn main() {
     // Reachable jobs can still contend for the same slot, so ask for exactly
     // the matching-rank value the hiring utility promised (prize-collecting,
     // Thm 2.3.3) rather than all reachable jobs.
-    let schedule = Solver::new(&sub, &cost)
-        .prize_collecting_exact(online_val)
+    let schedule = Solver::new(CandidatePolicy::All)
+        .prize_collecting_exact(&sub, &cost, online_val)
         .expect("the hiring utility certified this value is schedulable");
     println!(
         "\nphase 2 (Thm 2.3.3): scheduled {} tasks (value {}) at energy cost {:.1} using {} awake intervals",

@@ -26,18 +26,25 @@ fn main() {
     ];
     let inst = Instance::new(2, 12, jobs);
 
-    // One Solver owns the instance, the cost oracle, the candidate policy,
-    // and the solve options; candidates are enumerated once and cached.
-    let solver = Solver::new(&inst, &cost);
+    // Every interval of the grid is a candidate; under a price that grows
+    // with the interval (as profile pricing does) their number has a closed
+    // form, and the solver never enumerates them.
+    let candidates =
+        power_scheduling::scheduling::count_candidates(&inst, &cost, CandidatePolicy::All)
+            .expect("profile pricing is inclusion-monotone");
     println!(
-        "instance: {} jobs, {} processors, horizon {}, {} candidate intervals",
+        "instance: {} jobs, {} processors, horizon {}, {candidates} candidate intervals",
         inst.num_jobs(),
         inst.num_processors,
         inst.horizon,
-        solver.candidates().len()
     );
 
-    let schedule = solver.schedule_all().expect("instance is feasible");
+    // One Solver owns the reduction; it is handed the instance and the cost
+    // oracle on each call and builds from the slot windows.
+    let mut solver = Solver::new(CandidatePolicy::All);
+    let schedule = solver
+        .schedule_all(&inst, &cost)
+        .expect("instance is feasible");
 
     println!("\nawake intervals (greedy picks, O(B log n) guarantee):");
     for iv in &schedule.awake {

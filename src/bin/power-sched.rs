@@ -599,11 +599,10 @@ fn solve_run(args: &[String], stdout: &mut dyn Write) -> Result<(), Failure> {
     let target = target_flag(args)?;
 
     let (inst, cost) = load_instance_and_cost(path, args)?;
-    let solver = Solver::new(&inst, cost.as_ref()).policy(policy);
-
+    let mut solver = Solver::new(policy);
     let schedule = match target {
-        Some(z) => solver.prize_collecting_exact(z),
-        None => solver.schedule_all(),
+        Some(z) => solver.prize_collecting_exact(&inst, cost.as_ref(), z),
+        None => solver.schedule_all(&inst, cost.as_ref()),
     }
     .map_err(|e| e.to_string())?;
 
@@ -643,8 +642,8 @@ fn event_num(e: &obs::trace::TraceEvent, key: &str) -> f64 {
 
 /// `explain INSTANCE.json`: runs the same solve as `solve`, with the tracer
 /// installed, and narrates the greedy's decision log pick by pick — winner
-/// vs runner-up gains, each named as its enumerated candidate and interval
-/// (`cand 12 p0 [3,7)`; a runner-up never evaluated shows its upper bound as
+/// vs runner-up gains, each named by its processor and interval (`p0
+/// [3,7)`; a runner-up never evaluated shows its upper bound as
 /// `ratio ≤ x (bound)`), lazy group refreshes, budget remaining — followed
 /// by a span-time summary. `--trace-out FILE` additionally exports the full
 /// timeline for Perfetto.
@@ -663,10 +662,10 @@ fn cmd_explain(args: &[String], stdout: &mut dyn Write) -> Result<(), Failure> {
         .parse()?;
     let target = target_flag(args)?;
     let (inst, cost) = load_instance_and_cost(path, args)?;
-    let solver = Solver::new(&inst, cost.as_ref()).policy(policy);
+    let mut solver = Solver::new(policy);
     let schedule = match target {
-        Some(z) => solver.prize_collecting_exact(z),
-        None => solver.schedule_all(),
+        Some(z) => solver.prize_collecting_exact(&inst, cost.as_ref(), z),
+        None => solver.schedule_all(&inst, cost.as_ref()),
     }
     .map_err(|e| e.to_string())?;
     obs::trace::set_trace_id(None);
@@ -679,13 +678,11 @@ fn cmd_explain(args: &[String], stdout: &mut dyn Write) -> Result<(), Failure> {
         inst.horizon
     )?;
     // The greedy's indices are window subsets of the solver's reduction;
-    // name the enumerated candidate each one stands for, and its interval.
-    let red = solver.reduction();
-    let cands = solver.candidates();
+    // name the interval each one stands for.
+    let red = solver.reduction().expect("a reduction after a solve");
     let interval = |subset: f64| {
-        let k = red.candidate_of(subset as usize);
-        let iv = &cands[k];
-        format!("cand {k} p{} [{},{})", iv.proc, iv.start, iv.end)
+        let iv = red.interval_of(subset as usize);
+        format!("p{} [{},{})", iv.proc, iv.start, iv.end)
     };
     let events = tracer.events();
     for e in events.iter().filter(|e| e.name == "submodular.greedy.pick") {

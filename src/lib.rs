@@ -28,9 +28,10 @@
 //!
 //! ## Quickstart
 //!
-//! The [`Solver`](scheduling::Solver) builder is the entry point: it owns the
-//! instance, the cost oracle, the candidate policy, and the solve options,
-//! and exposes every algorithm of Chapter 2 as a goal method.
+//! A [`Solver`](scheduling::Solver) is the entry point: created under a
+//! candidate policy and handed the instance and the cost oracle on each
+//! call, it exposes every algorithm of Chapter 2 as a goal method and keeps
+//! its reduction from one call to the next.
 //!
 //! ```
 //! use power_scheduling::prelude::*;
@@ -42,7 +43,9 @@
 //! ]);
 //! // Classical cost model: waking the processor costs 10, each awake slot 1.
 //! let cost = AffineCost::new(10.0, 1.0);
-//! let schedule = Solver::new(&inst, &cost).schedule_all().unwrap();
+//! let schedule = Solver::new(CandidatePolicy::All)
+//!     .schedule_all(&inst, &cost)
+//!     .unwrap();
 //! // Expensive restarts ⇒ the algorithm keeps the processor awake through
 //! // the gap: one interval [0,4) at cost 14 instead of two restarts at 22.
 //! assert_eq!(schedule.awake.len(), 1);
@@ -122,7 +125,7 @@ pub mod prelude {
         ArrivalTrace, CandidateInterval, CandidatePolicy, ConvexCost, DvfsInstance, DvfsSchedule,
         EnergyCost, FreqLadder, Instance, Job, PowerProfile, ProfileCost, Schedule, ScheduleError,
         SleepChoice, SleepState, SlotRef, SolveOptions, Solver, TimeVaryingCost, TimedJob,
-        WarmHandle, WarmStats,
+        WarmStats,
     };
     pub use crate::sim::{
         replay_fleet, replay_with_report, FleetOptions, OfflineRef, Policy, PolicyKind,
@@ -139,10 +142,12 @@ mod tests {
     fn facade_compiles_and_solves() {
         let inst = Instance::new(1, 2, vec![Job::unit(vec![SlotRef::new(0, 0)])]);
         let cost = AffineCost::new(1.0, 1.0);
-        let s = Solver::new(&inst, &cost).schedule_all().unwrap();
+        let s = Solver::new(CandidatePolicy::All)
+            .schedule_all(&inst, &cost)
+            .unwrap();
         assert_eq!(s.scheduled_count, 1);
 
-        // The free-function path stays available and agrees with the builder.
+        // The free-function path stays available and agrees with the solver.
         let cands = enumerate_candidates(&inst, &cost, CandidatePolicy::All);
         let free = schedule_all(&inst, &cands, &SolveOptions::default()).unwrap();
         assert_eq!(free.total_cost, s.total_cost);
@@ -160,7 +165,9 @@ mod tests {
             ],
         );
         let cost = AffineCost::new(10.0, 1.0);
-        let schedule = Solver::new(&inst, &cost).schedule_all().unwrap();
+        let schedule = Solver::new(CandidatePolicy::All)
+            .schedule_all(&inst, &cost)
+            .unwrap();
         assert_eq!(schedule.awake.len(), 1);
         assert_eq!(schedule.total_cost, 14.0);
         assert_eq!((schedule.awake[0].start, schedule.awake[0].end), (0, 4));

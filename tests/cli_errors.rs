@@ -462,3 +462,25 @@ fn metrics_rejects_malformed_snapshot_files_with_nonzero_exit() {
         "parse failures must say what was wrong"
     );
 }
+
+#[test]
+fn deeply_nested_json_fails_cleanly_instead_of_overflowing_the_stack() {
+    // A megabyte of `[`: the parser refuses the nesting at the shared depth
+    // limit instead of recursing until the stack overflows.
+    let dir = temp_dir("deep");
+    let path = dir.join("deep.json");
+    std::fs::write(&path, "[".repeat(1 << 20)).unwrap();
+    for verb in ["solve", "metrics"] {
+        let out = bin()
+            .args([verb, path.to_str().unwrap()])
+            .output()
+            .expect("spawn power-sched");
+        assert_eq!(out.status.code(), Some(1), "{verb}: a clean error exit");
+        assert_clean_failure(&out);
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("nesting deeper than 64"),
+            "{verb}: the error names the limit"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -187,7 +187,7 @@ fn explain_marks_a_runner_up_that_is_still_a_bound() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     let runner_ups: Vec<&str> = stdout
         .lines()
-        .filter_map(|l| l.split_once("(runner-up cand ").map(|(_, r)| r))
+        .filter_map(|l| l.split_once("(runner-up ").map(|(_, r)| r))
         .collect();
     let bounds = runner_ups
         .iter()
@@ -211,9 +211,8 @@ fn explain_marks_a_runner_up_that_is_still_a_bound() {
 fn explain_names_enumerated_candidates_not_subset_indices() {
     // One processor, horizon 4, jobs only at slots 1 and 3. The greedy runs
     // over one subset per distinct window — {1}, {1,3} and {3}, standing
-    // for candidates 4 = [1,2), 6 = [1,4) and 9 = [3,4) — so its indices
-    // are 0, 1 and 2. `explain` must name the enumerated candidates and
-    // their intervals.
+    // for the candidate intervals [1,2), [1,4) and [3,4) — so its indices
+    // are 0, 1 and 2. `explain` must name the intervals.
     let dir = temp_dir("explain-subsets");
     let inst_path = dir.join("inst.json");
     let inst = Instance::new(
@@ -237,12 +236,12 @@ fn explain_names_enumerated_candidates_not_subset_indices() {
     let picks: Vec<&str> = stdout.lines().filter(|l| l.contains("pick ")).collect();
     assert_eq!(picks.len(), 1, "one pick covers both jobs: {stdout}");
     assert!(
-        picks[0].contains("pick   0: cand 6 p0 [1,4) gain 2.000 cost 6.000"),
-        "the pick is candidate 6, not subset 1: {stdout}"
+        picks[0].contains("pick   0: p0 [1,4) gain 2.000 cost 6.000"),
+        "the pick is p0 [1,4), not subset 1: {stdout}"
     );
     assert!(
-        picks[0].contains("(runner-up cand 4 p0 [1,2) ratio 0.250)"),
-        "the runner-up is candidate 4, not subset 0: {stdout}"
+        picks[0].contains("(runner-up p0 [1,2) ratio 0.250)"),
+        "the runner-up is p0 [1,2), not subset 0: {stdout}"
     );
     std::fs::remove_dir_all(&dir).ok();
 }

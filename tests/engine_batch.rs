@@ -54,9 +54,9 @@ fn mixed_requests(n: usize, seed: u64) -> Vec<SolveRequest> {
         .collect()
 }
 
-/// What the engine is specified to compute for `req`: a plain sequential
-/// `Solver` call with the same policy/options.
-fn direct_solve(req: &SolveRequest) -> Result<Schedule, ScheduleError> {
+/// The candidate family `req` is solved over: every finite-cost interval
+/// under its pricing and policy.
+fn family(req: &SolveRequest) -> Vec<CandidateInterval> {
     let cost = AffineCost::new(req.restart, req.rate);
     let policy: CandidatePolicy = req
         .policy
@@ -64,13 +64,26 @@ fn direct_solve(req: &SolveRequest) -> Result<Schedule, ScheduleError> {
         .unwrap_or("all")
         .parse()
         .expect("test policies are valid");
-    let solver = Solver::new(&req.instance, &cost).policy(policy);
+    enumerate_candidates(&req.instance, &cost, policy)
+}
+
+/// What the engine is specified to compute for `req`: the free function
+/// of its goal over [`family`].
+fn direct_solve(req: &SolveRequest) -> Result<Schedule, ScheduleError> {
+    let family = family(req);
+    let (inst, opts) = (&req.instance, &SolveOptions::default());
     match req.mode {
-        SolveMode::ScheduleAll => solver.schedule_all(),
-        SolveMode::PrizeCollecting => {
-            solver.prize_collecting(req.target.unwrap(), req.epsilon.unwrap_or(0.1))
+        SolveMode::ScheduleAll => schedule_all(inst, &family, opts),
+        SolveMode::PrizeCollecting => prize_collecting(
+            inst,
+            &family,
+            req.target.unwrap(),
+            req.epsilon.unwrap_or(0.1),
+            opts,
+        ),
+        SolveMode::PrizeCollectingExact => {
+            prize_collecting_exact(inst, &family, req.target.unwrap(), opts)
         }
-        SolveMode::PrizeCollectingExact => solver.prize_collecting_exact(req.target.unwrap()),
     }
 }
 
@@ -135,6 +148,8 @@ fn fifty_mixed_requests_in_order_matching_direct_solver_calls() {
                     direct.total_cost
                 );
                 assert_eq!(got.scheduled_count, direct.scheduled_count);
+                assert_eq!(got.awake, direct.awake, "request {}", req.id);
+                assert_eq!(got.assignments, direct.assignments, "request {}", req.id);
             }
             Err(_) => assert!(
                 !resp.ok,
@@ -144,6 +159,7 @@ fn fifty_mixed_requests_in_order_matching_direct_solver_calls() {
         }
         let metrics = resp.metrics.expect("success responses carry metrics");
         assert!(u64::from(metrics.worker) < 4);
+        assert_eq!(metrics.candidates, family(req).len() as u64);
     }
 }
 

@@ -12,7 +12,7 @@ use power_scheduling::matching::{hopcroft_karp, BipartiteGraph, GainScratch, Mat
 use power_scheduling::obs::{self, Registry};
 use power_scheduling::scheduling::dvfs::CompiledDvfs;
 use power_scheduling::scheduling::objective::ObjectiveScratch;
-use power_scheduling::scheduling::{ScheduleObjective, ScheduleReduction, Solver};
+use power_scheduling::scheduling::{schedule_all, ScheduleObjective, ScheduleReduction};
 use power_scheduling::sim::{replay, PolicyKind};
 use power_scheduling::submodular::BudgetedObjective;
 use power_scheduling::workloads::{
@@ -244,8 +244,11 @@ fn dvfs_whole_solve_edge_visits_stay_bounded() {
     let compiled = pinned_dvfs_shape();
     let registry = Arc::new(Registry::new());
     obs::set_thread(Some(Arc::clone(&registry)));
-    let solved =
-        Solver::with_candidates(&compiled.instance, compiled.candidates.as_slice()).schedule_all();
+    let solved = schedule_all(
+        &compiled.instance,
+        &compiled.candidates,
+        &Default::default(),
+    );
     obs::set_thread(None);
     solved.expect("the pinned shape is feasible");
 

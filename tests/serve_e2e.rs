@@ -141,6 +141,51 @@ fn pipelined_requests_ping_and_graceful_shutdown_over_raw_tcp() {
 }
 
 #[test]
+fn a_deeply_nested_line_gets_a_parse_failure_and_the_server_keeps_serving() {
+    // 20,000 `[` on one JSONL line: the parser refuses the nesting at the
+    // shared depth limit, so the connection gets one structured failure and
+    // the next request on it is served by the same process.
+    let mut server = ServerGuard::spawn(1);
+    let stream = TcpStream::connect(&server.addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut batch = "[".repeat(20_000);
+    batch.push('\n');
+    batch.push_str(&serde_json::to_string(&request(1, 2)).unwrap());
+    batch.push('\n');
+    batch.push_str(&format!(
+        "{{\"version\":{PROTOCOL_VERSION},\"control\":\"shutdown\"}}\n"
+    ));
+    writer.write_all(batch.as_bytes()).unwrap();
+    writer.flush().unwrap();
+
+    let mut responses = Vec::new();
+    for _ in 0..3 {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("read response line");
+        assert!(!line.is_empty(), "server closed early");
+        responses.push(serde_json::from_str::<SolveResponse>(line.trim()).unwrap());
+    }
+    let err = responses[0].error.as_ref().expect("the deep line fails");
+    assert_eq!(err.kind, ErrorKind::Parse);
+    assert!(err.message.contains("nesting deeper"), "{}", err.message);
+    assert!(
+        responses[1].ok,
+        "the next request: {:?}",
+        responses[1].error
+    );
+    assert!(responses[2].ok, "shutdown must be acknowledged");
+    let status = server.wait_for_exit();
+    assert!(
+        status.success(),
+        "graceful shutdown must exit 0: {status:?}"
+    );
+}
+
+#[test]
 fn metrics_verb_returns_an_obs_snapshot_over_binary_frames() {
     let mut server = ServerGuard::spawn(2);
     let mut client =

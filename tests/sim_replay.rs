@@ -325,7 +325,7 @@ proptest! {
 }
 
 /// Prices like `AffineCost` without declaring itself inclusion-monotone,
-/// so a warm handle takes the family path and its checksum.
+/// so a `Solver` takes the family path and its checksum.
 struct Opaque(AffineCost);
 
 impl EnergyCost for Opaque {
@@ -335,12 +335,12 @@ impl EnergyCost for Opaque {
 }
 
 /// On the family path, a cost-model change between re-solves must trip the
-/// structural checksum: the handle falls back to a full cold rebuild
+/// structural checksum: the solver falls back to a full cold rebuild
 /// (counted in `cold`) and the post-divergence results still match a
 /// from-scratch solve exactly.
 #[test]
 fn warm_handle_checksum_divergence_recovers_cold() {
-    let mut handle = WarmHandle::new(CandidatePolicy::All);
+    let mut solver = Solver::new(CandidatePolicy::All);
     let steps: Vec<Instance> = (0..6)
         .map(|i| {
             let jobs = vec![
@@ -355,9 +355,9 @@ fn warm_handle_checksum_divergence_recovers_cold() {
     for (i, inst) in steps.iter().enumerate() {
         // Swap the cost model mid-stream: the checksum must catch it.
         let cost: &dyn EnergyCost = if i < 3 { &cheap } else { &pricey };
-        let before = handle.stats();
-        let got = handle.solve(inst, cost).unwrap();
-        let after = handle.stats();
+        let before = solver.stats();
+        let got = solver.schedule_all(inst, cost).unwrap();
+        let after = solver.stats();
         if i == 0 || i == 3 {
             assert_eq!(
                 after.cold,
@@ -367,7 +367,8 @@ fn warm_handle_checksum_divergence_recovers_cold() {
         } else {
             assert_eq!(after.warm, before.warm + 1, "step {i}: delta path");
         }
-        let want = Solver::new(inst, cost).schedule_all().unwrap();
+        let family = enumerate_candidates(inst, cost, CandidatePolicy::All);
+        let want = schedule_all(inst, &family, &SolveOptions::default()).unwrap();
         assert_eq!(got.awake, want.awake, "step {i}");
         assert_eq!(got.assignments, want.assignments, "step {i}");
         assert_eq!(
@@ -376,5 +377,5 @@ fn warm_handle_checksum_divergence_recovers_cold() {
             "step {i}"
         );
     }
-    assert_eq!(handle.stats(), WarmStats { warm: 4, cold: 2 });
+    assert_eq!(solver.stats(), WarmStats { warm: 4, cold: 2 });
 }

@@ -117,7 +117,7 @@ fn warm_replay_chrome_trace_has_nested_spans_under_one_trace_id() {
 
     // Nesting: every reduction build and every in-place rebuild lies inside
     // some solve span on the same thread (`ph:"X"` complete events). Cold
-    // solves nest under `core.solve.schedule_all_ns`; the warm handle builds
+    // solves nest under `core.solve.schedule_all_ns`; a `Solver` builds
     // or rebuilds its reduction inside `core.warm.solve_ns` before entering
     // the solve, so both count as the enclosing solve.
     let solves: Vec<&ChromeEvent> = events
