@@ -14,7 +14,7 @@
 
 use crate::table::{section, Table};
 use rand::SeedableRng;
-use sched_core::{count_candidates, CandidatePolicy, Solver};
+use sched_core::{count_candidates, enumerate_candidates, CandidatePolicy, Solver};
 use sched_engine::{Engine, EngineConfig, SolveRequest};
 use std::time::Instant;
 use workloads::planted::PlantedCostModel;
@@ -47,11 +47,10 @@ pub fn run(seed: u64, quick: bool) {
         ("SingleSlots", CandidatePolicy::SingleSlots),
     ] {
         let (inst, cost) = (&p.instance, p.cost.as_ref());
-        let mut solver = Solver::new(policy);
         let n_cands = count_candidates(inst, cost, policy)
-            .unwrap_or_else(|| solver.family(inst, cost).len() as u64);
+            .unwrap_or_else(|| enumerate_candidates(inst, cost, policy).len() as u64);
         let t0 = Instant::now();
-        let s = solver
+        let s = Solver::new(policy)
             .schedule_all(inst, cost)
             .expect("planted instance feasible under every policy");
         let ms = t0.elapsed().as_secs_f64() * 1e3;

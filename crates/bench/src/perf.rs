@@ -816,16 +816,19 @@ pub fn render_table(report: &PerfReport) -> String {
 }
 
 /// Compares a fresh run against a committed baseline. Returns the list of
-/// regressions: ratios that fell below `baseline · (1 − tolerance)`, plus —
-/// unless `relative_only` is set — rows whose absolute throughput fell
-/// below the same floor. Reports of different schemas or rounds do not
-/// compare at all: a best of fewer rounds is noisier than its baseline.
+/// regressions: ratios that fell below `baseline · (1 − tolerance)` or are
+/// missing from the fresh run, plus — unless `relative_only` is set — rows
+/// whose absolute throughput fell below the same floor. Reports of
+/// different schemas or rounds do not compare at all: a best of fewer
+/// rounds is noisier than its baseline.
 ///
 /// The ratios are machine-portable (both rows of a pair ran on the same
 /// machine in the same process), so they are what CI gates on; absolute
 /// `ops_per_sec` comparisons are only meaningful when fresh run and
-/// baseline come from comparable hardware. Rows and ratios present in only
-/// one report are ignored (schemas must match, though).
+/// baseline come from comparable hardware. A committed ratio the fresh run
+/// lacks is a problem, so renaming or dropping a pinned pair cannot pass
+/// the gate unnoticed; rows present in only one report, and fresh ratios
+/// the baseline lacks, are ignored.
 pub fn compare(
     fresh: &PerfReport,
     baseline: &PerfReport,
@@ -872,6 +875,10 @@ pub fn compare(
         let Some(f) = fresh.ratios.iter().find(|f| {
             f.workload == b.workload && f.variant == b.variant && f.baseline == b.baseline
         }) else {
+            problems.push(format!(
+                "{} {}/{}: missing from the fresh run (baseline {:.2}x)",
+                b.workload, b.variant, b.baseline, b.ratio
+            ));
             continue;
         };
         if f.ratio < floor(b.ratio) {
@@ -983,12 +990,14 @@ mod tests {
             compare(&tiny_report(1000.0, 1.5), &base, 0.25, false).len(),
             1
         );
-        // missing workloads are ignored, schema and rounds mismatches are
-        // fatal
+        // a missing row is ignored, but a missing committed ratio is a
+        // problem; schema and rounds mismatches are fatal
         let mut other = tiny_report(100.0, 1.0);
         other.workloads[0].name = "other".into();
         other.ratios[0].workload = "other".into();
-        assert!(compare(&other, &base, 0.25, false).is_empty());
+        let problems = compare(&other, &base, 0.25, false);
+        assert_eq!(problems.len(), 1, "{problems:?}");
+        assert!(problems[0].contains("missing"), "{problems:?}");
         let mut bad = tiny_report(1000.0, 2.5);
         bad.schema = "bench-solver/v2".into();
         assert_eq!(compare(&bad, &base, 0.25, false).len(), 1);

@@ -43,18 +43,25 @@
 //! assignment: a job's work units may split across slots, levels, and
 //! processors, and a physical processor may notionally hold two levels awake
 //! in one slot (two virtual rows). In exchange, the fast/naive/exact solver
-//! stack, the warm-start cache, and every guarantee they carry apply
-//! verbatim to the compiled instance — in particular the exact
-//! branch-and-bound reference stays a lower bound within the same model, so
-//! small-instance `ratio ≥ 1` cross-checks remain theorems. Classical
+//! stack and every guarantee it carries apply verbatim to the compiled
+//! instance — in particular the exact branch-and-bound reference stays a
+//! lower bound within the same model, so small-instance `ratio ≥ 1`
+//! cross-checks remain theorems. Classical
 //! [`validate_schedule`](crate::model::validate_schedule) does **not** apply
 //! to decompiled schedules (lane sharing is legal here); use
 //! [`validate_dvfs_schedule`] instead.
+//!
+//! The compiled family is explicit, and its price is not
+//! inclusion-monotone (an interval that is not lane-aligned is no
+//! candidate), so it is solved by the free
+//! [`schedule_all`](crate::schedule_all()) over
+//! [`CompiledDvfs::candidates`], not by a [`crate::Solver`]:
+//! [`solve_dvfs_counted`] compiles, solves and decompiles, and the CLI, the
+//! engine and [`solve_dvfs`] all go through it.
 
 use serde::{Deserialize, Serialize};
 
 use crate::candidates::CandidateInterval;
-use crate::cost::EnergyCost;
 use crate::model::{Instance, InstanceError, Job, Schedule, ScheduleError, SlotRef, SolveOptions};
 use crate::naive::naive_schedule_all;
 use crate::profile::{FreqLadder, FreqLadderError};
@@ -217,8 +224,8 @@ impl DvfsInstance {
             jobs,
         };
 
-        // Explicit candidate family in exactly the (virtual proc, start,
-        // end) order enumerate_candidates would produce over DvfsCost.
+        // Explicit candidate family in (virtual proc, start, end) order,
+        // finite costs only, as enumerate_candidates lists a family.
         let mut candidates = Vec::new();
         for proc in 0..self.num_processors {
             for level in 0..levels {
@@ -228,6 +235,9 @@ impl DvfsInstance {
                     for end in (start + 1)..=self.horizon {
                         // Same float expression as AffineCost::cost.
                         let cost = self.wake_cost + power * (end - start) as f64;
+                        if cost.is_infinite() {
+                            continue;
+                        }
                         candidates.push(CandidateInterval {
                             proc: vproc,
                             start: start * f,
@@ -252,50 +262,6 @@ impl DvfsInstance {
     }
 }
 
-/// The [`EnergyCost`] oracle over the compiled virtual grid: lane-aligned
-/// intervals price as `wake + P(f_level) · physical-length`, everything else
-/// is infinite (dropped by candidate enumeration). Running
-/// [`enumerate_candidates`](crate::candidates::enumerate_candidates) with
-/// this oracle on the compiled instance reproduces the explicit family of
-/// [`DvfsInstance::compile`] — which is what lets a [`crate::Solver`] (and
-/// so the engine's per-grid cache) treat DVFS solves like any other.
-#[derive(Clone, Debug)]
-pub struct DvfsCost {
-    wake: f64,
-    levels: u32,
-    lane_factor: u32,
-    /// Power per level, indexed by `vproc % levels`.
-    power: Vec<f64>,
-}
-
-impl DvfsCost {
-    /// Oracle for a validated instance's compiled grid.
-    pub fn new(dvfs: &DvfsInstance) -> Self {
-        Self {
-            wake: dvfs.wake_cost,
-            levels: dvfs.ladder.num_levels() as u32,
-            lane_factor: dvfs.ladder.max_freq(),
-            power: dvfs
-                .ladder
-                .freqs
-                .iter()
-                .map(|&f| dvfs.ladder.power_of_freq(f))
-                .collect(),
-        }
-    }
-}
-
-impl EnergyCost for DvfsCost {
-    fn cost(&self, vproc: u32, vstart: u32, vend: u32) -> f64 {
-        let f = self.lane_factor;
-        if !vstart.is_multiple_of(f) || !vend.is_multiple_of(f) {
-            return f64::INFINITY;
-        }
-        let level = (vproc % self.levels) as usize;
-        self.wake + self.power[level] * ((vend - vstart) / f) as f64
-    }
-}
-
 /// A compiled DVFS instance: the virtual-grid [`Instance`] and candidate
 /// family the classical solvers run on, plus the bookkeeping to map
 /// schedules back to physical coordinates.
@@ -305,7 +271,7 @@ pub struct CompiledDvfs {
     /// work unit).
     pub instance: Instance,
     /// Candidate awake intervals over the virtual grid, lane-aligned, one
-    /// per (processor, level, physical interval).
+    /// per (processor, level, physical interval) of finite cost.
     pub candidates: Vec<CandidateInterval>,
     /// Number of frequency levels `L`.
     pub levels: usize,
@@ -369,53 +335,6 @@ impl CompiledDvfs {
             scheduled_value: s.scheduled_value,
         }
     }
-
-    /// Flattens a DVFS schedule into a classical [`Schedule`] over the
-    /// *physical* grid — awake intervals in physical coordinates, each job
-    /// assigned its first quantum's slot — plus the frequency level of every
-    /// awake interval, in order. This is the wire shape the engine returns:
-    /// lossy for multi-quantum jobs but enough for a dashboard; callers
-    /// needing the full placement use [`DvfsSchedule`] directly. The
-    /// flattened schedule must not be fed to classical
-    /// [`validate_schedule`](crate::model::validate_schedule) — lane sharing
-    /// is legal under DVFS and would be reported as slot collisions.
-    pub fn to_physical_schedule(&self, s: &DvfsSchedule) -> (Schedule, Vec<u32>) {
-        let awake = s
-            .awake
-            .iter()
-            .map(|iv| CandidateInterval {
-                proc: iv.proc,
-                start: iv.start,
-                end: iv.end,
-                cost: iv.cost,
-            })
-            .collect();
-        let freq_levels = s.awake.iter().map(|iv| iv.level as u32).collect();
-        let mut count = 0usize;
-        let assignments = s
-            .assignments
-            .iter()
-            .map(|quanta| {
-                quanta.first().map(|q| {
-                    count += 1;
-                    SlotRef {
-                        proc: q.proc,
-                        time: q.time,
-                    }
-                })
-            })
-            .collect();
-        (
-            Schedule {
-                awake,
-                assignments,
-                total_cost: s.total_cost,
-                scheduled_value: s.scheduled_value,
-                scheduled_count: count,
-            },
-            freq_levels,
-        )
-    }
 }
 
 /// One awake interval of a DVFS schedule: a physical processor held awake at
@@ -473,6 +392,53 @@ impl DvfsSchedule {
             .filter(|(j, quanta)| quanta.len() == dvfs.jobs[*j].work_units() as usize)
             .map(|(j, _)| j)
             .collect()
+    }
+
+    /// Flattens this schedule into a classical [`Schedule`] over the
+    /// *physical* grid — awake intervals in physical coordinates, each job
+    /// assigned its first quantum's slot — plus the frequency level of every
+    /// awake interval, in order. This is the wire shape the engine returns:
+    /// lossy for multi-quantum jobs but enough for a dashboard; callers
+    /// needing the full placement use [`DvfsSchedule`] directly. The
+    /// flattened schedule must not be fed to classical
+    /// [`validate_schedule`](crate::model::validate_schedule) — lane sharing
+    /// is legal under DVFS and would be reported as slot collisions.
+    pub fn to_physical(&self) -> (Schedule, Vec<u32>) {
+        let awake = self
+            .awake
+            .iter()
+            .map(|iv| CandidateInterval {
+                proc: iv.proc,
+                start: iv.start,
+                end: iv.end,
+                cost: iv.cost,
+            })
+            .collect();
+        let freq_levels = self.awake.iter().map(|iv| iv.level as u32).collect();
+        let mut count = 0usize;
+        let assignments = self
+            .assignments
+            .iter()
+            .map(|quanta| {
+                quanta.first().map(|q| {
+                    count += 1;
+                    SlotRef {
+                        proc: q.proc,
+                        time: q.time,
+                    }
+                })
+            })
+            .collect();
+        (
+            Schedule {
+                awake,
+                assignments,
+                total_cost: self.total_cost,
+                scheduled_value: self.scheduled_value,
+                scheduled_count: count,
+            },
+            freq_levels,
+        )
     }
 }
 
@@ -617,34 +583,47 @@ fn map_infeasible(compiled: &CompiledDvfs, e: ScheduleError) -> DvfsSolveError {
 /// Solves a DVFS instance end-to-end on the fast path: compile, greedy
 /// `schedule_all` over the compiled candidates, decompile.
 pub fn solve_dvfs(dvfs: &DvfsInstance) -> Result<DvfsSchedule, DvfsSolveError> {
-    let compiled = dvfs.compile().map_err(DvfsSolveError::Invalid)?;
-    let schedule = schedule_all(
-        &compiled.instance,
-        &compiled.candidates,
-        &SolveOptions::default(),
-    )
-    .map_err(|e| map_infeasible(&compiled, e))?;
-    Ok(compiled.decompile(&schedule))
+    solve_dvfs_counted(dvfs).map(|(schedule, _)| schedule)
+}
+
+/// [`solve_dvfs`], plus the size of the compiled family it solved over —
+/// what the engine reports as a DVFS request's `candidates`.
+pub fn solve_dvfs_counted(dvfs: &DvfsInstance) -> Result<(DvfsSchedule, usize), DvfsSolveError> {
+    compile_and_solve(dvfs, schedule_all)
 }
 
 /// The naive twin of [`solve_dvfs`]: identical compilation, solved through
 /// the retained seed path — the reference the DVFS equivalence proptests
 /// compare bits against.
 pub fn solve_dvfs_naive(dvfs: &DvfsInstance) -> Result<DvfsSchedule, DvfsSolveError> {
+    compile_and_solve(dvfs, naive_schedule_all).map(|(schedule, _)| schedule)
+}
+
+/// A schedule-all solver over an explicit family.
+type FamilySolve =
+    fn(&Instance, &[CandidateInterval], &SolveOptions) -> Result<Schedule, ScheduleError>;
+
+/// Compiles `dvfs`, runs `solve` over the compiled candidates and
+/// decompiles the answer; also returns the compiled family's size.
+fn compile_and_solve(
+    dvfs: &DvfsInstance,
+    solve: FamilySolve,
+) -> Result<(DvfsSchedule, usize), DvfsSolveError> {
     let compiled = dvfs.compile().map_err(DvfsSolveError::Invalid)?;
-    let schedule = naive_schedule_all(
+    let schedule = solve(
         &compiled.instance,
         &compiled.candidates,
         &SolveOptions::default(),
     )
     .map_err(|e| map_infeasible(&compiled, e))?;
-    Ok(compiled.decompile(&schedule))
+    Ok((compiled.decompile(&schedule), compiled.candidates.len()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::candidates::{enumerate_candidates, CandidatePolicy};
+    use crate::cost::AffineCost;
     use crate::profile::FreqLadder;
 
     fn two_level() -> DvfsInstance {
@@ -684,15 +663,50 @@ mod tests {
 
     #[test]
     fn explicit_candidates_match_oracle_enumeration() {
+        // Level ℓ of processor p is the physical row priced affine at
+        // (wake, P(f_ℓ)), stretched onto lanes: enumerating that price on
+        // the physical grid lists the compiled family row by row, bits
+        // included.
         let d = two_level();
         let c = d.compile().unwrap();
-        let oracle = DvfsCost::new(&d);
-        let enumerated = enumerate_candidates(&c.instance, &oracle, CandidatePolicy::All);
-        assert_eq!(c.candidates.len(), enumerated.len());
-        for (a, b) in c.candidates.iter().zip(&enumerated) {
-            assert_eq!((a.proc, a.start, a.end), (b.proc, b.start, b.end));
-            assert_eq!(a.cost.to_bits(), b.cost.to_bits());
+        let physical = Instance::new(d.num_processors, d.horizon, Vec::new());
+        let (l, f) = (d.ladder.num_levels() as u32, d.ladder.max_freq());
+        let mut expected = Vec::new();
+        for proc in 0..d.num_processors {
+            for (level, &freq) in d.ladder.freqs.iter().enumerate() {
+                let cost = AffineCost::new(d.wake_cost, d.ladder.power_of_freq(freq));
+                let row = enumerate_candidates(&physical, &cost, CandidatePolicy::All);
+                expected.extend(row.iter().filter(|iv| iv.proc == proc).map(|iv| {
+                    let vproc = proc * l + level as u32;
+                    (vproc, iv.start * f, iv.end * f, iv.cost.to_bits())
+                }));
+            }
         }
+        let compiled: Vec<_> = c
+            .candidates
+            .iter()
+            .map(|iv| (iv.proc, iv.start, iv.end, iv.cost.to_bits()))
+            .collect();
+        assert_eq!(compiled, expected);
+    }
+
+    #[test]
+    fn compile_drops_intervals_that_price_to_infinity() {
+        // P(1) = 1e308: one slot is finite, two overflow to ∞, and an
+        // infinite price is no candidate, as under enumerate_candidates.
+        let d = DvfsInstance {
+            num_processors: 1,
+            horizon: 2,
+            wake_cost: 0.0,
+            ladder: FreqLadder::new(1e308, 0.0, 1.0, vec![1]),
+            jobs: vec![Job::window(1.0, 0, 0, 2)],
+        };
+        let c = d.compile().unwrap();
+        let spans: Vec<_> = c.candidates.iter().map(|iv| (iv.start, iv.end)).collect();
+        assert_eq!(spans, vec![(0, 1), (1, 2)]);
+        let (s, candidates) = solve_dvfs_counted(&d).unwrap();
+        assert_eq!(candidates, 2);
+        assert_eq!(s.total_cost, 1e308);
     }
 
     #[test]
@@ -702,7 +716,7 @@ mod tests {
         assert!(validate_dvfs_schedule(&d, &s).is_empty());
         assert_eq!(s.completed(&d), vec![0, 1, 2]);
         assert_eq!(s.scheduled_value, 3.0);
-        let (phys, levels) = d.compile().unwrap().to_physical_schedule(&s);
+        let (phys, levels) = s.to_physical();
         assert_eq!(phys.scheduled_count, 3);
         assert_eq!(levels.len(), s.awake.len());
         assert!(phys.awake.iter().all(|iv| iv.end <= d.horizon));

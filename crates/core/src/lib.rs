@@ -33,11 +33,11 @@
 //! # Entry point
 //!
 //! Applications should use a [`Solver`]: created once per solve stream
-//! under a candidate policy, handed the instance and the cost oracle on
-//! every call, with all three algorithms as goal methods. It owns the
-//! reduction between calls, so consecutive solves on one grid rebuild it in
-//! place, and it builds from the slot windows, enumerating no family, when
-//! the cost is inclusion-monotone:
+//! under a candidate policy, handed the instance and an inclusion-monotone
+//! cost oracle on every call, with all three algorithms as goal methods. It
+//! owns the reduction between calls, so consecutive solves on one grid
+//! rebuild it in place, and it builds from the slot windows, enumerating no
+//! family:
 //!
 //! ```
 //! use sched_core::{AffineCost, CandidatePolicy, Instance, Job, SlotRef, Solver};
@@ -51,7 +51,10 @@
 //! The free functions [`schedule_all()`](schedule_all::schedule_all) and
 //! [`prize_collecting()`](prize_collecting::prize_collecting) /
 //! [`prize_collecting_exact()`](prize_collecting::prize_collecting_exact)
-//! remain available for callers that manage candidate families manually.
+//! serve explicit candidate families: a price that is not
+//! inclusion-monotone ([`TableCost`], a caller's oracle) enumerated with
+//! [`enumerate_candidates`], and the compiled DVFS family
+//! ([`solve_dvfs`]).
 //!
 //! # Crate layout
 //!
@@ -71,8 +74,8 @@
 //! * [`naive`] — the retained pre-overhaul solve path, kept as the
 //!   bit-identical reference for the equivalence proptests and the perf
 //!   harness;
-//! * [`solver`] — the [`Solver`] owning the reduction across calls: window
-//!   or family build, cold or warm, reuse or re-solve;
+//! * [`solver`] — the [`Solver`] owning the window-built reduction across
+//!   calls: cold or warm, reuse or re-solve;
 //! * [`trace`] — timed arrival traces (release times) for the online replay
 //!   harness in the `sched-sim` crate;
 //! * [`mod@schedule_all`], [`mod@prize_collecting`] — the two headline
@@ -96,8 +99,9 @@ pub use candidates::{
 };
 pub use cost::{AffineCost, ConvexCost, EnergyCost, TableCost, TimeVaryingCost, UnavailableSlots};
 pub use dvfs::{
-    solve_dvfs, solve_dvfs_naive, validate_dvfs_schedule, CompiledDvfs, DvfsCost, DvfsError,
-    DvfsInstance, DvfsInterval, DvfsQuantum, DvfsSchedule, DvfsSolveError, DvfsViolation,
+    solve_dvfs, solve_dvfs_counted, solve_dvfs_naive, validate_dvfs_schedule, CompiledDvfs,
+    DvfsError, DvfsInstance, DvfsInterval, DvfsQuantum, DvfsSchedule, DvfsSolveError,
+    DvfsViolation,
 };
 pub use model::{Instance, InstanceError, Job, Schedule, ScheduleError, SlotRef, SolveOptions};
 pub use objective::{ScheduleObjective, ScheduleReduction};

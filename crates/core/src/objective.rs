@@ -118,10 +118,10 @@ static OBJECTIVE_TOKENS: AtomicU64 = AtomicU64::new(1);
 /// candidate window (see the [module docs](self) for the layout and the
 /// exactness argument).
 ///
-/// Built once per solve (or kept by a [`crate::Solver`] and rebuilt in
-/// place from call to call), from an enumerated family
-/// ([`ScheduleReduction::build`]) or straight from the slot windows under
-/// an inclusion-monotone cost ([`ScheduleReduction::build_windows`]);
+/// Built once per solve from an explicit family
+/// ([`ScheduleReduction::build`]), or straight from the slot windows under
+/// an inclusion-monotone cost ([`ScheduleReduction::build_windows`]), which
+/// a [`crate::Solver`] keeps and rebuilds in place from call to call;
 /// borrowed by [`ScheduleObjective`].
 #[derive(Clone, Debug)]
 pub struct ScheduleReduction {
@@ -170,12 +170,8 @@ pub struct ScheduleReduction {
     comp_of_islot: Vec<u32>,
     /// Jobs per component (a job with no allowed slot is in none).
     comp_jobs: Vec<u32>,
-    /// Size of the candidate family the subsets were drawn from (0 after a
-    /// window build).
-    num_candidates: usize,
     /// Retained union-find, densification and grouping buffers, so
-    /// [`ScheduleReduction::apply_delta`] and
-    /// [`ScheduleReduction::apply_delta_windows`] reuse the allocations of
+    /// [`ScheduleReduction::apply_delta_windows`] reuses the allocations of
     /// the previous build.
     scratch: RebuildScratch,
 }
@@ -220,7 +216,6 @@ impl ScheduleReduction {
             num_comps: 0,
             comp_of_islot: Vec::new(),
             comp_jobs: Vec::new(),
-            num_candidates: 0,
             scratch: RebuildScratch::default(),
         }
     }
@@ -229,30 +224,10 @@ impl ScheduleReduction {
     pub fn build(inst: &Instance, candidates: &[CandidateInterval]) -> Self {
         let _span = sched_obs::span!("core.reduction.build_ns");
         let mut red = Self::empty();
-        red.rebuild(inst, candidates);
+        red.rebuild_graph(inst);
+        red.build_subsets(candidates);
+        red.record_build(candidates.len());
         red
-    }
-
-    /// Applies a job delta: rebuilds the reduction for the new instance
-    /// **in place**, reusing the retained allocations. Subsets depend on
-    /// which slots are job-adjacent, so every row is rebuilt; arrivals and
-    /// expiries are implied by the new instance.
-    ///
-    /// The result is field-for-field identical to
-    /// `ScheduleReduction::build(inst, candidates)` — both paths run the same
-    /// rebuild — so correctness never depends on the delta being small.
-    ///
-    /// # Panics
-    /// Panics (debug) if `candidates` is not the size of the family this
-    /// reduction was built with.
-    pub fn apply_delta(&mut self, inst: &Instance, candidates: &[CandidateInterval]) {
-        let _span = sched_obs::span!("core.reduction.apply_delta_ns");
-        debug_assert_eq!(
-            candidates.len(),
-            self.num_candidates,
-            "apply_delta requires the original candidate family"
-        );
-        self.rebuild(inst, candidates);
     }
 
     /// Builds the reduction straight from `inst`'s slot windows, pricing
@@ -273,10 +248,12 @@ impl ScheduleReduction {
         red
     }
 
-    /// [`ScheduleReduction::build_windows`] in place, reusing the retained
-    /// allocations: the window twin of [`ScheduleReduction::apply_delta`].
-    /// Every representative is re-priced through `cost`, so nothing from
-    /// the previous build can go stale.
+    /// Applies a job delta: [`ScheduleReduction::build_windows`] for the new
+    /// instance **in place**, reusing the retained allocations. Subsets
+    /// depend on which slots are job-adjacent, so every row is rebuilt, and
+    /// every representative is re-priced through `cost`, so nothing from
+    /// the previous build can go stale: the result is field-for-field
+    /// `build_windows(inst, cost, policy)`.
     pub fn apply_delta_windows(
         &mut self,
         inst: &Instance,
@@ -302,15 +279,6 @@ impl ScheduleReduction {
         self.price_windows(inst.num_processors, cost, policy);
     }
 
-    /// The shared rebuild behind [`ScheduleReduction::build`] and
-    /// [`ScheduleReduction::apply_delta`].
-    fn rebuild(&mut self, inst: &Instance, candidates: &[CandidateInterval]) {
-        self.rebuild_graph(inst);
-        self.num_candidates = candidates.len();
-        self.build_subsets(candidates);
-        self.record_build(candidates.len());
-    }
-
     /// The shared rebuild behind [`ScheduleReduction::build_windows`] and
     /// [`ScheduleReduction::apply_delta_windows`].
     fn rebuild_windows(&mut self, inst: &Instance, cost: &dyn EnergyCost, policy: CandidatePolicy) {
@@ -329,7 +297,6 @@ impl ScheduleReduction {
             cost.inclusion_monotone(),
             "the window build needs an inclusion-monotone cost"
         );
-        self.num_candidates = 0;
         let priced = self.build_window_subsets(num_processors, cost, policy);
         self.record_build(priced);
     }

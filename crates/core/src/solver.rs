@@ -21,53 +21,48 @@
 //! assert_eq!(schedule.total_cost, 14.0);
 //! ```
 //!
-//! Callers with an explicit candidate family (generators, experiments, the
-//! DVFS compiler) call the free functions ([`crate::schedule_all()`],
-//! [`crate::prize_collecting()`], [`crate::prize_collecting_exact()`])
-//! instead.
+//! # Which prices a solver takes
+//!
+//! A solver needs an
+//! [`inclusion_monotone`](EnergyCost::inclusion_monotone) price — affine,
+//! profiled, convex, time-varying, and [`crate::UnavailableSlots`] over
+//! those — and panics on any other. Under such a price each slot window's
+//! cheapest interval is its tightest (Lemma 2.2.2 needs no other), so
+//! [`ScheduleReduction::apply_delta_windows`] prices one interval per window
+//! through the live oracle, in `O(Σₚ kₚ² + slots + edges)` for `kₚ`
+//! job-adjacent slots on processor `p` instead of `O(p·T²)`. No family is
+//! enumerated or kept, so a changed price is read by the next rebuild.
+//!
+//! Any other price ([`crate::TableCost`], a caller's oracle) and every
+//! explicit candidate family (generators, experiments, the DVFS compiler's)
+//! go through the free functions ([`crate::schedule_all()`],
+//! [`crate::prize_collecting()`], [`crate::prize_collecting_exact()`]) over
+//! [`crate::enumerate_candidates`] or the family itself.
 //!
 //! # How a call updates the reduction
 //!
-//! * **Window path.** Under an
-//!   [`inclusion_monotone`](EnergyCost::inclusion_monotone) cost,
-//!   [`ScheduleReduction::apply_delta_windows`] prices each slot window's
-//!   tightest interval through the live oracle, in
-//!   `O(Σₚ kₚ² + slots + edges)` for `kₚ` job-adjacent slots on processor
-//!   `p` instead of `O(p·T²)`. No family is enumerated or kept, so a
-//!   changed price is read by the next rebuild.
-//! * **Identical instance** (window path only). When the instance equals
-//!   the previous call's, the graph, slot arena and components already
-//!   belong to it: the windows are only re-priced (`core.warm.repriced`).
-//! * **Family path.** Any other cost enumerates the candidate family once
-//!   and rebuilds with [`ScheduleReduction::apply_delta`]. Each call folds
-//!   the grid dimensions, the family size and the live prices of ~16
-//!   sampled candidates into a checksum, and re-enumerates when it differs
-//!   from the one recorded at enumeration
-//!   (`core.warm.checksum_divergence`). Drift confined to unsampled
-//!   intervals goes unseen, which is why monotone costs take the window
-//!   path.
+//! * **New grid.** The first call, and the first after a resize, builds
+//!   the reduction from scratch ([`WarmStats::cold`]).
+//! * **New instance.** The reduction is rebuilt in place, reusing its
+//!   buffers.
+//! * **Identical instance.** When the instance equals the previous call's,
+//!   the graph, slot arena and components already belong to it: the windows
+//!   are only re-priced (`core.warm.repriced`).
 //!
 //! The previous result is returned without a greedy run only when the
 //! instance, the prices and the goal (with its target and `ε`) all equal
 //! the previous call's. Prices match when the re-priced subset columns
 //! (runs, run bases, window lengths, spans and cost bits) equal a copy kept
-//! from the previous call (window path), or when the checksum vouches for
-//! the family (family path). Otherwise the goal runs on the reduction,
-//! which is current by then. Each call emits one `core.warm.decision`
-//! event naming its path and the reason.
+//! from the previous call. Otherwise the goal runs on the reduction, which
+//! is current by then. Each call emits one `core.warm.decision` event
+//! naming its path and the reason.
 //!
 //! Every goal runs the greedy a cold solve runs (first keys from upper
 //! bounds, no full gain scan), so every result is bit-identical to the free
 //! function over the enumerated family by construction: the window build
-//! reproduces the family build field for field, and `apply_delta` and
-//! `build` run the same rebuild. A call that builds the reduction from
-//! scratch counts in [`WarmStats::cold`]: the first call on a grid, a
-//! resized grid, a switch between the window and family paths, or a
-//! re-enumerated family.
+//! reproduces the family build field for field.
 
-use std::sync::Arc;
-
-use crate::candidates::{enumerate_candidates, CandidateInterval, CandidatePolicy};
+use crate::candidates::CandidatePolicy;
 use crate::cost::EnergyCost;
 use crate::model::{Instance, Job, Schedule, ScheduleError};
 use crate::objective::{ScheduleReduction, SubsetColumns};
@@ -77,12 +72,11 @@ use crate::schedule_all::schedule_all_with;
 /// Warm/cold call counters kept by a [`Solver`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WarmStats {
-    /// Calls that rebuilt the reduction in place, ran on it as it was, or
+    /// Calls that rebuilt the reduction in place, re-priced it, or
     /// returned the previous result.
     pub warm: u64,
     /// Calls that built the reduction from scratch: the first call on a
-    /// grid, a resized grid, a switch between the window and family paths,
-    /// or a family re-enumerated after a checksum divergence.
+    /// grid or a resized grid.
     pub cold: u64,
 }
 
@@ -101,79 +95,24 @@ struct PrevSolve {
     instance: Instance,
     /// The goal that was run.
     goal: Goal,
-    /// The window path's subset columns, compared with a re-priced
-    /// rebuild of the same instance; not read on the family path, whose
-    /// checksum vouches for the family.
+    /// The subset columns it ran on, compared with a re-priced rebuild of
+    /// the same instance.
     columns: SubsetColumns,
     /// The result, returned verbatim when the next call would repeat it.
     result: Result<Schedule, ScheduleError>,
-}
-
-/// How a cached reduction was built.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Built {
-    /// From the slot windows, under an inclusion-monotone cost.
-    Windows,
-    /// From the cached family of this enumeration epoch.
-    Family(u64),
-}
-
-/// An enumerated candidate family and its checksum.
-struct CachedFamily {
-    /// Structural checksum recorded at enumeration; see [`family_checksum`].
-    checksum: u64,
-    candidates: Arc<[CandidateInterval]>,
 }
 
 /// Per-grid cached state.
 struct GridState {
     num_processors: u32,
     horizon: u32,
-    /// The family, enumerated only for a family-path call or a
-    /// [`Solver::family`] call.
-    family: Option<CachedFamily>,
-    /// Enumerations of `family` so far, so a family-built reduction can
-    /// tell it was built from an older one.
-    family_epoch: u64,
-    /// The last call's reduction and how it was built.
-    reduction: Option<(Built, ScheduleReduction)>,
+    /// The last call's reduction, rebuilt in place by the next.
+    reduction: ScheduleReduction,
     prev: Option<PrevSolve>,
 }
 
-impl GridState {
-    /// Ensures the cached family matches `cost`'s pricing, enumerating (or
-    /// re-enumerating after a checksum divergence) if needed.
-    fn ensure_family(&mut self, inst: &Instance, cost: &dyn EnergyCost, policy: CandidatePolicy) {
-        if let Some(f) = &self.family {
-            let live = family_checksum(inst.num_processors, inst.horizon, &f.candidates, |c| {
-                cost.cost(c.proc, c.start, c.end).to_bits()
-            });
-            if live == f.checksum {
-                return;
-            }
-            // Worth surfacing: a noisy cost oracle can silently turn every
-            // family-path call cold.
-            sched_obs::counter_add("core.warm.checksum_divergence", 1);
-        }
-        let candidates: Arc<[CandidateInterval]> = enumerate_candidates(inst, cost, policy).into();
-        let checksum = family_checksum(inst.num_processors, inst.horizon, &candidates, |c| {
-            c.cost.to_bits()
-        });
-        self.family = Some(CachedFamily {
-            checksum,
-            candidates,
-        });
-        self.family_epoch += 1;
-    }
-
-    fn candidates(&self) -> &Arc<[CandidateInterval]> {
-        &self.family.as_ref().expect("family ensured").candidates
-    }
-}
-
 /// The solve owner for the three goals of Chapter 2: keeps the reduction
-/// (and, on the family path, the candidate family) of the last call alive
-/// for the next. See the [module docs](self).
+/// of the last call alive for the next. See the [module docs](self).
 pub struct Solver {
     policy: CandidatePolicy,
     grid: Option<GridState>,
@@ -181,7 +120,7 @@ pub struct Solver {
 }
 
 impl Solver {
-    /// New solver enumerating candidates (or slot windows) under `policy`.
+    /// New solver building slot windows under `policy`.
     pub fn new(policy: CandidatePolicy) -> Self {
         Self {
             policy,
@@ -195,24 +134,9 @@ impl Solver {
         self.stats
     }
 
-    /// Structural checksum of the cached family, if one is cached (for
-    /// diagnostics).
-    pub fn checksum(&self) -> Option<u64> {
-        self.grid.as_ref()?.family.as_ref().map(|f| f.checksum)
-    }
-
     /// Drops every cached artifact; the next call is cold.
     pub fn reset(&mut self) {
         self.grid = None;
-    }
-
-    /// The candidate family for `inst`'s grid under `cost`, enumerating (or
-    /// re-enumerating after a checksum divergence) if needed. Builds no
-    /// reduction; a window-path call never reads the family.
-    pub fn family(&mut self, inst: &Instance, cost: &dyn EnergyCost) -> Arc<[CandidateInterval]> {
-        let grid = grid_for(&mut self.grid, inst);
-        grid.ensure_family(inst, cost, self.policy);
-        Arc::clone(grid.candidates())
     }
 
     /// The reduction the last call ran on, if any.
@@ -221,14 +145,18 @@ impl Solver {
     /// decision log (`submodular.greedy.pick`'s `chosen` and `runner_up`)
     /// names its interval through [`ScheduleReduction::interval_of`].
     pub fn reduction(&self) -> Option<&ScheduleReduction> {
-        let (_, red) = self.grid.as_ref()?.reduction.as_ref()?;
-        Some(red)
+        Some(&self.grid.as_ref()?.reduction)
     }
 
     /// Theorem 2.2.1: schedules **every** job of `inst` at cost within
     /// `O(log n)` of the cheapest all-jobs schedule. Bit-identical to
     /// [`crate::schedule_all()`] over
     /// `enumerate_candidates(inst, cost, policy)`.
+    ///
+    /// # Panics
+    /// Panics if `cost` is not
+    /// [`inclusion_monotone`](EnergyCost::inclusion_monotone) (see the
+    /// [module docs](self)), as do the two prize goals.
     pub fn schedule_all(
         &mut self,
         inst: &Instance,
@@ -271,13 +199,6 @@ impl Solver {
     ) -> Result<Schedule, ScheduleError> {
         let _span = sched_obs::span!("core.warm.solve_ns");
         let policy = self.policy;
-        let grid = grid_for(&mut self.grid, inst);
-        let built = if cost.inclusion_monotone() {
-            Built::Windows
-        } else {
-            grid.ensure_family(inst, cost, policy);
-            Built::Family(grid.family_epoch)
-        };
 
         // One decision event per call: which of the warm/cold paths it took
         // and why, so a trace can narrate the solver's behavior next to the
@@ -291,56 +212,52 @@ impl Solver {
             }
         };
 
-        let cold = match grid.reduction.as_ref().map(|(b, _)| *b) {
-            None => Some("new-grid"),
-            Some(b) if b == built => None,
-            Some(Built::Family(_)) if built != Built::Windows => Some("family-rebuilt"),
-            Some(_) => Some("path-switch"),
-        };
-        if let Some(reason) = cold {
-            self.stats.cold += 1;
-            sched_obs::counter_add("core.warm.solves.cold", 1);
-            decision("cold", reason);
-            let red = match built {
-                Built::Windows => ScheduleReduction::build_windows(inst, cost, policy),
-                Built::Family(_) => ScheduleReduction::build(inst, grid.candidates()),
-            };
-            grid.reduction = Some((built, red));
-        } else {
-            self.stats.warm += 1;
-            sched_obs::counter_add("core.warm.solves.warm", 1);
-            let prev = grid.prev.as_ref().filter(|p| p.instance == *inst);
-            let (_, red) = grid.reduction.as_mut().expect("matched above");
-            let same_prices = match (built, prev) {
-                // the checksum vouches for the family, so the instance
-                // decides before any rebuild
-                (Built::Family(_), Some(_)) => true,
-                (Built::Family(_), None) => {
-                    red.apply_delta(inst, &grid.family.as_ref().expect("ensured").candidates);
-                    false
+        let fits = self
+            .grid
+            .as_ref()
+            .is_some_and(|g| g.num_processors == inst.num_processors && g.horizon == inst.horizon);
+        let grid = match &mut self.grid {
+            Some(grid) if fits => {
+                self.stats.warm += 1;
+                sched_obs::counter_add("core.warm.solves.warm", 1);
+                let prev = grid.prev.as_ref().filter(|p| p.instance == *inst);
+                let red = &mut grid.reduction;
+                let same_prices = match prev {
+                    // the job side is already this instance's: re-price only
+                    Some(p) => {
+                        red.reprice_windows(inst, cost, policy);
+                        sched_obs::counter_add("core.warm.repriced", 1);
+                        p.columns.matches(red)
+                    }
+                    None => {
+                        red.apply_delta_windows(inst, cost, policy);
+                        false
+                    }
+                };
+                match prev {
+                    Some(p) if same_prices && p.goal == goal => {
+                        decision("cached", "identical-instance");
+                        return p.result.clone();
+                    }
+                    Some(_) if same_prices => decision("warm", "new-goal"),
+                    Some(_) => decision("warm", "repriced"),
+                    None => decision("warm", "delta"),
                 }
-                // the job side is already this instance's: re-price only
-                (Built::Windows, Some(p)) => {
-                    red.reprice_windows(inst, cost, policy);
-                    sched_obs::counter_add("core.warm.repriced", 1);
-                    p.columns.matches(red)
-                }
-                (Built::Windows, None) => {
-                    red.apply_delta_windows(inst, cost, policy);
-                    false
-                }
-            };
-            match prev {
-                Some(p) if same_prices && p.goal == goal => {
-                    decision("cached", "identical-instance");
-                    return p.result.clone();
-                }
-                Some(_) if same_prices => decision("warm", "new-goal"),
-                Some(_) => decision("warm", "repriced"),
-                None => decision("warm", "delta"),
+                grid
             }
-        }
-        let (_, red) = grid.reduction.as_ref().expect("built above");
+            slot => {
+                self.stats.cold += 1;
+                sched_obs::counter_add("core.warm.solves.cold", 1);
+                decision("cold", "new-grid");
+                slot.insert(GridState {
+                    num_processors: inst.num_processors,
+                    horizon: inst.horizon,
+                    reduction: ScheduleReduction::build_windows(inst, cost, policy),
+                    prev: None,
+                })
+            }
+        };
+        let red = &grid.reduction;
         let result = match goal {
             Goal::All => {
                 let _span = sched_obs::span!("core.solve.schedule_all_ns");
@@ -364,30 +281,9 @@ impl Solver {
                 result: result.clone(),
             }),
         };
-        if built == Built::Windows {
-            prev.columns.record(red);
-        }
+        prev.columns.record(red);
         result
     }
-}
-
-/// The cached state for `inst`'s grid, started afresh when there is none
-/// or the grid was resized.
-fn grid_for<'g>(grid: &'g mut Option<GridState>, inst: &Instance) -> &'g mut GridState {
-    let fits = grid
-        .as_ref()
-        .is_some_and(|g| g.num_processors == inst.num_processors && g.horizon == inst.horizon);
-    if !fits {
-        *grid = Some(GridState {
-            num_processors: inst.num_processors,
-            horizon: inst.horizon,
-            family: None,
-            family_epoch: 0,
-            reduction: None,
-            prev: None,
-        });
-    }
-    grid.as_mut().expect("just ensured")
 }
 
 /// Overwrites `dst` with `src`, reusing `dst`'s job and slot buffers.
@@ -414,45 +310,11 @@ fn copy_instance(dst: &mut Instance, src: &Instance) {
     dst.jobs.extend_from_slice(&jobs[kept..]);
 }
 
-/// FNV-1a over grid dimensions, family size, and up to ~16 sampled candidate
-/// costs priced through `price`. At enumeration time `price` reads the stored
-/// cost; at check time it re-prices through the live cost oracle, so drift in
-/// the cost model at a sampled interval (or a resized family) changes the sum.
-fn family_checksum(
-    num_processors: u32,
-    horizon: u32,
-    candidates: &[CandidateInterval],
-    price: impl Fn(&CandidateInterval) -> u64,
-) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x100_0000_01b3;
-    let mut h = FNV_OFFSET;
-    let mut mix = |v: u64| {
-        h ^= v;
-        h = h.wrapping_mul(FNV_PRIME);
-    };
-    mix(num_processors as u64);
-    mix(horizon as u64);
-    mix(candidates.len() as u64);
-    let m = candidates.len();
-    if m > 0 {
-        let stride = (m / 16).max(1);
-        let mut i = 0;
-        while i < m {
-            mix(i as u64);
-            mix(price(&candidates[i]));
-            i += stride;
-        }
-        mix((m - 1) as u64);
-        mix(price(&candidates[m - 1]));
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::AffineCost;
+    use crate::candidates::enumerate_candidates;
+    use crate::cost::{AffineCost, TableCost};
     use crate::model::{SlotRef, SolveOptions};
     use crate::naive::naive_schedule_all;
     use crate::prize_collecting::{prize_collecting, prize_collecting_exact};
@@ -460,16 +322,6 @@ mod tests {
 
     fn cost() -> AffineCost {
         AffineCost::new(3.0, 1.0)
-    }
-
-    /// An oracle that prices like its inner one but does not declare
-    /// itself inclusion-monotone, so a solver takes the family path.
-    struct Opaque<C>(C);
-
-    impl<C: EnergyCost> EnergyCost for Opaque<C> {
-        fn cost(&self, proc: u32, start: u32, end: u32) -> f64 {
-            self.0.cost(proc, start, end)
-        }
     }
 
     fn inst(jobs: Vec<Job>) -> Instance {
@@ -520,9 +372,10 @@ mod tests {
     #[test]
     fn candidates_cached_and_shared_across_goals() {
         // Schedule-all, prize and exact, twice each on one instance: one
-        // cold build serves all six calls, a repeated goal is answered from
-        // the previous result only when the goal is the previous call's, and
-        // every answer equals the free function over the enumerated family.
+        // cold window build serves all six calls, a repeated goal is
+        // answered from the previous result only when the goal is the
+        // previous call's, and every answer equals the free function over
+        // the enumerated family.
         use std::sync::Arc;
         let i = Instance::new(
             2,
@@ -535,40 +388,31 @@ mod tests {
             ],
         );
         let (target, epsilon) = (6.0, 0.5);
-        let monotone = cost();
-        let opaque = Opaque(cost());
-        for c in [&monotone as &dyn EnergyCost, &opaque] {
-            let cands = enumerate_candidates(&i, c, CandidatePolicy::All);
-            let opts = SolveOptions::default();
-            let want = [
-                schedule_all(&i, &cands, &opts),
-                prize_collecting(&i, &cands, target, epsilon, &opts),
-                prize_collecting_exact(&i, &cands, target, &opts),
-            ];
-            // distinct answers, so a goal served another goal's is caught
-            let awake = |k: usize| want[k].as_ref().expect("feasible").awake.clone();
-            assert!(awake(0) != awake(1) && awake(1) != awake(2) && awake(0) != awake(2));
-            let mut s = Solver::new(CandidatePolicy::All);
-            let registry = Arc::new(sched_obs::Registry::new());
-            sched_obs::set_thread(Some(Arc::clone(&registry)));
-            for _ in 0..2 {
-                assert_same(&s.schedule_all(&i, c), &want[0]);
-                assert_same(&s.prize_collecting(&i, c, target, epsilon), &want[1]);
-                assert_same(&s.prize_collecting_exact(&i, c, target), &want[2]);
-            }
-            // a repeat of the last goal is the previous result
-            assert_same(&s.prize_collecting_exact(&i, c, target), &want[2]);
-            sched_obs::set_thread(None);
-            assert_eq!(s.stats(), WarmStats { warm: 6, cold: 1 });
-            let enumerated = registry.counter("core.enumerate.candidates").get();
-            if c.inclusion_monotone() {
-                assert_eq!(enumerated, 0, "the window path enumerates nothing");
-            } else {
-                // the family path enumerates once and shares the family
-                assert_eq!(enumerated, cands.len() as u64);
-                assert!(Arc::ptr_eq(&s.family(&i, c), &s.family(&i, c)));
-            }
+        let c = cost();
+        let cands = enumerate_candidates(&i, &c, CandidatePolicy::All);
+        let opts = SolveOptions::default();
+        let want = [
+            schedule_all(&i, &cands, &opts),
+            prize_collecting(&i, &cands, target, epsilon, &opts),
+            prize_collecting_exact(&i, &cands, target, &opts),
+        ];
+        // distinct answers, so a goal served another goal's is caught
+        let awake = |k: usize| want[k].as_ref().expect("feasible").awake.clone();
+        assert!(awake(0) != awake(1) && awake(1) != awake(2) && awake(0) != awake(2));
+        let mut s = Solver::new(CandidatePolicy::All);
+        let registry = Arc::new(sched_obs::Registry::new());
+        sched_obs::set_thread(Some(Arc::clone(&registry)));
+        for _ in 0..2 {
+            assert_same(&s.schedule_all(&i, &c), &want[0]);
+            assert_same(&s.prize_collecting(&i, &c, target, epsilon), &want[1]);
+            assert_same(&s.prize_collecting_exact(&i, &c, target), &want[2]);
         }
+        // a repeat of the last goal is the previous result
+        assert_same(&s.prize_collecting_exact(&i, &c, target), &want[2]);
+        sched_obs::set_thread(None);
+        assert_eq!(s.stats(), WarmStats { warm: 6, cold: 1 });
+        let enumerated = registry.counter("core.enumerate.candidates").get();
+        assert_eq!(enumerated, 0, "the window build enumerates nothing");
     }
 
     #[test]
@@ -582,15 +426,12 @@ mod tests {
             ],
         );
         let cost = AffineCost::new(0.5, 1.0);
-        for c in [&cost as &dyn EnergyCost, &Opaque(cost)] {
-            let mut s = Solver::new(CandidatePolicy::SingleSlots);
-            assert!(s.family(&inst, c).iter().all(|iv| iv.len() == 1));
-            let schedule = s.schedule_all(&inst, c).unwrap();
-            assert_eq!(schedule.awake.len(), 2);
-            assert_eq!(schedule.total_cost, 3.0);
-            let red = s.reduction().expect("a reduction after a solve");
-            assert!((0..red.num_subsets()).all(|k| red.interval_of(k).len() == 1));
-        }
+        let mut s = Solver::new(CandidatePolicy::SingleSlots);
+        let schedule = s.schedule_all(&inst, &cost).unwrap();
+        assert_eq!(schedule.awake.len(), 2);
+        assert_eq!(schedule.total_cost, 3.0);
+        let red = s.reduction().expect("a reduction after a solve");
+        assert!((0..red.num_subsets()).all(|k| red.interval_of(k).len() == 1));
     }
 
     #[test]
@@ -702,34 +543,12 @@ mod tests {
     }
 
     #[test]
-    fn cost_model_change_forces_cold_rebuild() {
-        // The family path: an oracle that does not declare itself
-        // inclusion-monotone is priced through the cached family.
-        let c = Opaque(cost());
-        let mut h = Solver::new(CandidatePolicy::All);
-        let i = inst(vec![Job::window(1.0, 0, 0, 5)]);
-        let sum0 = {
-            h.schedule_all(&i, &c).expect("feasible");
-            h.checksum().expect("family cached")
-        };
-        // Same grid, different pricing: checksum must diverge and the solver
-        // must fall back to a cold rebuild — with the correct new costs.
-        let c2 = Opaque(AffineCost::new(5.0, 2.0));
-        let i2 = inst(vec![Job::window(1.0, 0, 0, 5), Job::window(1.0, 1, 3, 8)]);
-        let warm = h.schedule_all(&i2, &c2);
-        assert_ne!(h.checksum().expect("family cached"), sum0);
-        assert_same(&warm, &cold_with(&i2, &c2));
-        assert_eq!(h.stats(), WarmStats { warm: 0, cold: 2 });
-    }
-
-    #[test]
     fn window_path_prices_a_changed_cost_model_warm() {
-        // A monotone oracle takes the window path: no family is cached, and
-        // a changed model is simply priced by the in-place rebuild.
+        // No family is cached, so a changed model is simply priced by the
+        // in-place rebuild.
         let mut h = Solver::new(CandidatePolicy::All);
         let i = inst(vec![Job::window(1.0, 0, 0, 5)]);
         h.schedule_all(&i, &cost()).expect("feasible");
-        assert_eq!(h.checksum(), None, "the window path caches no family");
         let c2 = AffineCost::new(5.0, 2.0);
         let i2 = inst(vec![Job::window(1.0, 0, 0, 5), Job::window(1.0, 1, 3, 8)]);
         assert_same(&h.schedule_all(&i2, &c2), &cold_with(&i2, &c2));
@@ -760,10 +579,9 @@ mod tests {
 
     #[test]
     fn warm_resolve_never_serves_a_stale_price() {
-        // A price change that a sampled checksum cannot see: none of the
-        // ~16 intervals it re-prices on a 2×16 family covers (0, 15). A
-        // solver that reused the family priced under the plain oracle would
-        // pick p0 [15,16) at the stale 4.0, where the live price is 14.0.
+        // A price change confined to the intervals that cover (0, 15): a
+        // solver that reused prices from the plain oracle would pick
+        // p0 [15,16) at the stale 4.0, where the live price is 14.0.
         let mut h = Solver::new(CandidatePolicy::All);
         let plain = LastSlotSurcharge { surcharge: 0.0 };
         let first = Instance::new(2, 16, vec![Job::window(1.0, 0, 2, 6)]);
@@ -786,36 +604,13 @@ mod tests {
     }
 
     #[test]
-    fn switching_between_window_and_family_paths_rebuilds_cold() {
-        let mut h = Solver::new(CandidatePolicy::All);
-        let monotone = cost();
-        let opaque = Opaque(cost());
-        let steps: [(&dyn EnergyCost, Vec<Job>, bool); 6] = [
-            (&monotone, vec![Job::window(1.0, 0, 0, 4)], true),
-            (&monotone, vec![Job::window(1.0, 0, 1, 5)], false),
-            (&opaque, vec![Job::window(1.0, 0, 1, 5)], true),
-            (&opaque, vec![Job::window(1.0, 1, 2, 7)], false),
-            (&opaque, vec![Job::window(1.0, 1, 2, 7)], false),
-            (&monotone, vec![Job::window(1.0, 1, 2, 7)], true),
-        ];
-        for (k, (c, jobs, is_cold)) in steps.into_iter().enumerate() {
-            let i = inst(jobs);
-            let before = h.stats();
-            assert_same(&h.schedule_all(&i, c), &cold(&i));
-            let after = h.stats();
-            assert_eq!(after.cold - before.cold, u64::from(is_cold), "step {k}");
-            assert_eq!(after.warm - before.warm, u64::from(!is_cold), "step {k}");
-        }
-        // The family the opaque steps enumerated stays cached for
-        // `family()` callers; the window steps never read it.
-        assert!(h.checksum().is_some());
-        let i = inst(vec![Job::window(1.0, 0, 0, 4)]);
-        assert_eq!(
-            &h.family(&i, &monotone)[..],
-            &enumerate_candidates(&i, &monotone, CandidatePolicy::All)[..]
-        );
-        assert_same(&h.schedule_all(&i, &monotone), &cold(&i));
-        assert_eq!(h.stats(), WarmStats { warm: 4, cold: 3 });
+    #[should_panic(expected = "inclusion-monotone")]
+    fn refuses_a_table_cost() {
+        // An explicit table is not inclusion-monotone: its callers solve
+        // the enumerated family with the free functions instead.
+        let table = TableCost::new([((0, 0, 1), 1.0), ((0, 0, 2), 0.5)], f64::INFINITY);
+        let i = Instance::new(1, 2, vec![Job::unit(vec![SlotRef::new(0, 0)])]);
+        let _ = Solver::new(CandidatePolicy::All).schedule_all(&i, &table);
     }
 
     #[test]

@@ -75,16 +75,6 @@ fn assert_identical(
     Ok(())
 }
 
-/// Prices like its inner oracle without declaring itself
-/// inclusion-monotone, so a `Solver` takes the family path.
-struct Opaque<C>(C);
-
-impl<C: EnergyCost> EnergyCost for Opaque<C> {
-    fn cost(&self, proc: u32, start: u32, end: u32) -> f64 {
-        self.0.cost(proc, start, end)
-    }
-}
-
 /// One cost model per `pick` value, exercising all four oracle layouts
 /// (uniform affine, time-varying arenas, unavailability wrappers, and
 /// heterogeneous per-processor profiles).
@@ -163,16 +153,17 @@ proptest! {
     #[test]
     fn solver_goal_sequence_matches_naive((p, t, jobs) in instance_strategy(),
                                           frac in 1u32..10) {
-        // One Solver serves every goal on one instance, first under a
-        // monotone cost (window build) and then under an opaque one
-        // (family build); every call must still match a from-scratch
-        // naive solve
+        // One Solver serves every goal on one instance, under each of the
+        // four cost models in turn (so the later models re-price the
+        // previous one's windows); every call must still match a
+        // from-scratch naive solve
         let inst = build_instance(p, t, &jobs);
-        let affine = AffineCost::new(2.0, 1.0);
         let mut solver = Solver::new(CandidatePolicy::All);
         let target = inst.total_value() * frac as f64 / 10.0;
         let opts = SolveOptions::default();
-        for cost in [&affine as &dyn EnergyCost, &Opaque(affine)] {
+        for pick in 0..4 {
+            let model = cost_model(pick, p, t);
+            let cost = model.as_ref();
             let cands = enumerate_candidates(&inst, cost, CandidatePolicy::All);
             assert_identical(
                 &solver.schedule_all(&inst, cost),

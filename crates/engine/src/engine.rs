@@ -15,16 +15,17 @@
 //! * **Retry hints** — shed responses carry `retry_after_ms`, estimated
 //!   from an EWMA of recent request latency times the current backlog per
 //!   worker — roughly "when will a queue slot exist again".
-//! * **Solver reuse** — what a request can reuse depends only on
-//!   `(processors, horizon, cost, policy)`, not on the jobs. Each worker
-//!   keeps a small keyed cache of [`Solver`]s — [`SolveMetrics::cache_hit`]
+//! * **Solver reuse** — what an affine or profiled request can reuse
+//!   depends only on `(processors, horizon, cost, policy)`, not on the
+//!   jobs. Each worker keeps a keyed cache of up to 64 [`Solver`]s
+//!   (`SOLVER_CACHE_CAPACITY`) — [`SolveMetrics::cache_hit`]
 //!   reports a hit per response. Every goal runs on its key's solver: the
-//!   reduction is rebuilt in place between consecutive requests on the same
-//!   grid — from the slot windows under affine and profiled pricing, which
-//!   enumerate no family at all, from the cached family under DVFS pricing
-//!   — and a request repeating the previous one (instance, prices and goal)
-//!   is answered from the previous result; bit-identical to a cold solve by
-//!   construction.
+//!   reduction is rebuilt in place from the slot windows between
+//!   consecutive requests on the same grid, enumerating no family, and a
+//!   request repeating the previous one (instance, prices and goal) is
+//!   answered from the previous result; bit-identical to a cold solve by
+//!   construction. A DVFS request reuses nothing: it compiles its own
+//!   family and solves it as [`sched_core::solve_dvfs`] does.
 //! * **Ordering** — [`Engine::submit`] returns a [`Ticket`] per request;
 //!   [`Engine::solve_batch`] / [`Engine::process_lines`] collect tickets in
 //!   submission order, so batch output order always matches input order no
@@ -37,8 +38,9 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use sched_core::{
-    count_candidates, is_valid_target, validate_profiles, AffineCost, CandidatePolicy,
-    CompiledDvfs, DvfsCost, DvfsInstance, EnergyCost, FreqLadder, Instance, ProfileCost, Solver,
+    count_candidates, enumerate_candidates, is_valid_target, solve_dvfs_counted, validate_profiles,
+    AffineCost, CandidatePolicy, DvfsInstance, DvfsSolveError, EnergyCost, FreqLadder, ProfileCost,
+    Solver,
 };
 use sched_obs::{Gauge, Registry, Snapshot};
 
@@ -47,16 +49,14 @@ use crate::protocol::{
     SolveRequest, SolveResponse, WireError, WireRequest, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
 };
 
-/// Sizing knobs for [`Engine::new`].
-#[derive(Clone, Copy, Debug)]
+/// Sizing knobs for [`Engine::new`]; the default is one worker per core,
+/// a queue of twice that depth, and no flight recorder.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct EngineConfig {
     /// Worker threads. `0` means "one per available core".
     pub workers: usize,
     /// Bounded request-queue depth. `0` means `2 × workers`.
     pub queue_depth: usize,
-    /// Per-worker solver-cache capacity (distinct
-    /// grid/cost/policy keys); the cache is cleared when full.
-    pub cache_capacity: usize,
     /// Flight recorder: when set, the engine owns a small bounded
     /// [`Tracer`](sched_obs::trace::Tracer) ring (last
     /// [`sched_obs::trace::FLIGHT_CAPACITY`] events per thread), every
@@ -64,17 +64,6 @@ pub struct EngineConfig {
     /// events are dumped to stderr on request failure, accept-loop error
     /// bursts, and graceful shutdown. Shed events are recorded into it too.
     pub flight_recorder: bool,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        Self {
-            workers: 0,
-            queue_depth: 0,
-            cache_capacity: 64,
-            flight_recorder: false,
-        }
-    }
 }
 
 impl EngineConfig {
@@ -330,7 +319,6 @@ impl Engine {
         let handles = (0..workers)
             .map(|worker_id| {
                 let queue = Arc::clone(&queue);
-                let cache_capacity = config.cache_capacity.max(1);
                 let global = Arc::clone(&registry);
                 let local = Arc::clone(&worker_registries[worker_id]);
                 let tracer = tracer.clone();
@@ -338,15 +326,7 @@ impl Engine {
                 std::thread::Builder::new()
                     .name(format!("sched-engine-worker-{worker_id}"))
                     .spawn(move || {
-                        worker_loop(
-                            worker_id as u32,
-                            cache_capacity,
-                            &queue,
-                            global,
-                            local,
-                            tracer,
-                            &ewma,
-                        )
+                        worker_loop(worker_id as u32, &queue, global, local, tracer, &ewma)
                     })
                     .expect("spawn engine worker")
             })
@@ -570,11 +550,15 @@ impl Drop for Engine {
     }
 }
 
-/// Candidate-cache key: everything enumeration depends on. Note the job set
-/// is *not* part of the key — enumeration walks the processor × horizon
-/// grid only. Heterogeneous requests key on the exact per-processor
-/// `(wake, busy)` parameter bits (full equality, not a hash fingerprint, so
-/// a collision can never serve another fleet's prices).
+/// Distinct grid/cost/policy keys a worker's solver cache holds; the cache
+/// is cleared when a new key finds it full.
+const SOLVER_CACHE_CAPACITY: usize = 64;
+
+/// Solver-cache key: everything a window build's prices depend on. Note
+/// the job set is *not* part of the key — the grid is. Heterogeneous
+/// requests key on the exact per-processor `(wake, busy)` parameter bits
+/// (full equality, not a hash fingerprint, so a collision can never serve
+/// another fleet's prices).
 #[derive(Clone, PartialEq, Eq, Hash)]
 struct CacheKey {
     processors: u32,
@@ -585,12 +569,6 @@ struct CacheKey {
     /// (sleep ladders never affect interval pricing, so they stay out of
     /// the key); `None` for the affine default.
     profile_bits: Option<Vec<(u64, u64)>>,
-    /// `(alpha, beta, gamma)` bits plus the frequency rungs for DVFS
-    /// requests — every parameter the compiled candidate family's prices
-    /// depend on. `None` for ladder-free requests, so a DVFS family can
-    /// never be served where fixed-shape pricing was asked (or vice
-    /// versa), even on an identical physical grid.
-    ladder_bits: Option<(u64, u64, u64, Vec<u32>)>,
     policy: PolicyKey,
 }
 
@@ -615,7 +593,6 @@ type SolverCache = HashMap<CacheKey, Solver>;
 
 fn worker_loop(
     worker_id: u32,
-    cache_capacity: usize,
     queue: &SharedQueue,
     global: Arc<Registry>,
     local: Arc<Registry>,
@@ -637,7 +614,7 @@ fn worker_loop(
         queue_depth.add(-1);
         requests.inc();
         let t0 = Instant::now();
-        let response = serve_request(worker_id, cache_capacity, &mut cache, &job.req);
+        let response = serve_request(worker_id, &mut cache, &job.req);
         let elapsed_ns = t0.elapsed().as_nanos() as u64;
         latency.record(elapsed_ns);
         // racy read-modify-write is fine: this feeds a hint, not a metric
@@ -786,12 +763,7 @@ fn plan(req: &SolveRequest) -> Result<Plan, WireError> {
     Ok(Plan { policy, goal })
 }
 
-fn serve_request(
-    worker_id: u32,
-    cache_capacity: usize,
-    cache: &mut SolverCache,
-    req: &SolveRequest,
-) -> SolveResponse {
+fn serve_request(worker_id: u32, cache: &mut SolverCache, req: &SolveRequest) -> SolveResponse {
     // Resolve the request's trace id (stamping a deterministic `req-<id>`
     // when the caller sent none) and make it this thread's ambient id for
     // the duration of the request, so every span and decision event the
@@ -803,7 +775,7 @@ fn serve_request(
     sched_obs::trace::set_trace_id(Some(&trace_id));
     let response = {
         let _span = sched_obs::span!("engine.request_ns");
-        serve_request_planned(worker_id, cache_capacity, cache, req)
+        serve_request_planned(worker_id, cache, req)
     };
     if !response.ok {
         if let Some(t) = sched_obs::trace::active_tracer() {
@@ -816,7 +788,6 @@ fn serve_request(
 
 fn serve_request_planned(
     worker_id: u32,
-    cache_capacity: usize,
     cache: &mut SolverCache,
     req: &SolveRequest,
 ) -> SolveResponse {
@@ -824,22 +795,14 @@ fn serve_request_planned(
         Ok(p) => p,
         Err(e) => return SolveResponse::failure(req.id, e),
     };
-    // A DVFS request solves its compiled speed-scaling virtual grid, priced
-    // by `DvfsCost`; every other request solves its own instance.
-    let dvfs = match req
-        .freq_ladder
-        .as_ref()
-        .map(|l| compile_dvfs(req, l))
-        .transpose()
-    {
-        Ok(dvfs) => dvfs,
-        Err(e) => return SolveResponse::failure(req.id, e),
-    };
+    if let Some(ladder) = &req.freq_ladder {
+        return serve_dvfs(worker_id, req, ladder);
+    }
 
     // Pricing parameters a request's model ignores are normalized out of
-    // the key — profiled requests ignore restart/rate, DVFS requests ignore
-    // rate — otherwise two clients sending the same family with different
-    // ignored fields would re-enumerate and double-occupy the bounded cache.
+    // the key — profiled requests ignore restart/rate — otherwise two
+    // clients sending the same prices with different ignored fields would
+    // double-occupy the bounded cache.
     let key = CacheKey {
         processors: req.instance.num_processors,
         horizon: req.instance.horizon,
@@ -848,7 +811,7 @@ fn serve_request_planned(
         } else {
             req.restart.to_bits()
         },
-        rate_bits: if req.profiles.is_some() || req.freq_ladder.is_some() {
+        rate_bits: if req.profiles.is_some() {
             0
         } else {
             req.rate.to_bits()
@@ -858,24 +821,12 @@ fn serve_request_planned(
                 .map(|p| (p.wake_cost.to_bits(), p.busy_rate.to_bits()))
                 .collect()
         }),
-        ladder_bits: req.freq_ladder.as_ref().map(|ladder| {
-            (
-                ladder.alpha.to_bits(),
-                ladder.beta.to_bits(),
-                ladder.gamma.to_bits(),
-                ladder.freqs.clone(),
-            )
-        }),
         policy: plan.policy.into(),
     };
     // plan() has vetted the parameters, so neither constructor can assert
-    let (instance, cost): (&Instance, Box<dyn EnergyCost>) = match (&dvfs, &req.profiles) {
-        (Some((dvfs, compiled)), _) => (&compiled.instance, Box::new(DvfsCost::new(dvfs))),
-        (None, Some(profiles)) => (&req.instance, Box::new(ProfileCost::new(profiles))),
-        (None, None) => (
-            &req.instance,
-            Box::new(AffineCost::new(req.restart, req.rate)),
-        ),
+    let cost: Box<dyn EnergyCost> = match &req.profiles {
+        Some(profiles) => Box::new(ProfileCost::new(profiles)),
+        None => Box::new(AffineCost::new(req.restart, req.rate)),
     };
     let cache_hit = cache.contains_key(&key);
     sched_obs::counter_add(
@@ -887,21 +838,18 @@ fn serve_request_planned(
         1,
     );
     if !cache_hit {
-        if cache.len() >= cache_capacity {
+        if cache.len() >= SOLVER_CACHE_CAPACITY {
             cache.clear(); // simplest bound; capacity is generous
         }
         cache.insert(key.clone(), Solver::new(plan.policy));
     }
     let solver = cache.get_mut(&key).expect("just inserted");
-    // The wire reports the family's size: in closed form under an
-    // inclusion-monotone price, else (DVFS) off the family the solve
-    // enumerates anyway, outside the solve timer. Identical cost bits are
-    // part of the key, so on a hit the solver's checksum matches and
-    // `family` returns the cached family without re-enumerating; on the
-    // compiled DVFS grid, `DvfsCost` enumerates the explicit compiled family
-    // bit for bit (proved in sched-core).
+    // The wire reports the family's size, in closed form; where a horizon
+    // prices to ∞ the closed form declines and enumeration counts it,
+    // outside the solve timer.
+    let instance = &req.instance;
     let candidates = count_candidates(instance, cost.as_ref(), plan.policy)
-        .unwrap_or_else(|| solver.family(instance, cost.as_ref()).len() as u64);
+        .unwrap_or_else(|| enumerate_candidates(instance, cost.as_ref(), plan.policy).len() as u64);
 
     let t0 = Instant::now();
     let outcome = match plan.goal {
@@ -915,38 +863,28 @@ fn serve_request_planned(
     };
     let solve_micros = t0.elapsed().as_micros() as u64;
 
-    let schedule = match outcome {
-        Ok(schedule) => schedule,
+    match outcome {
+        Ok(schedule) => SolveResponse::success(
+            req.id,
+            schedule,
+            SolveMetrics {
+                solve_micros,
+                candidates,
+                worker: worker_id,
+                cache_hit,
+            },
+        ),
         Err(e) => {
-            return SolveResponse::failure(
-                req.id,
-                WireError::new(ErrorKind::Infeasible, e.to_string()),
-            )
-        }
-    };
-    let metrics = SolveMetrics {
-        solve_micros,
-        candidates,
-        worker: worker_id,
-        cache_hit,
-    };
-    match &dvfs {
-        None => SolveResponse::success(req.id, schedule, metrics),
-        Some((_, compiled)) => {
-            let (physical, freq_levels) =
-                compiled.to_physical_schedule(&compiled.decompile(&schedule));
-            let mut resp = SolveResponse::success(req.id, physical, metrics);
-            resp.freq_levels = Some(freq_levels);
-            resp
+            SolveResponse::failure(req.id, WireError::new(ErrorKind::Infeasible, e.to_string()))
         }
     }
 }
 
-/// Compiles a DVFS request onto the speed-scaling virtual grid.
-fn compile_dvfs(
-    req: &SolveRequest,
-    ladder: &FreqLadder,
-) -> Result<(DvfsInstance, CompiledDvfs), WireError> {
+/// Serves a DVFS request as [`sched_core::solve_dvfs`] solves its
+/// instance: compile, the free `schedule_all` over the compiled family,
+/// decompile. An instance the compiler refuses is a bad request, and an
+/// infeasible one names the request's own jobs.
+fn serve_dvfs(worker_id: u32, req: &SolveRequest, ladder: &FreqLadder) -> SolveResponse {
     let dvfs = DvfsInstance {
         num_processors: req.instance.num_processors,
         horizon: req.instance.horizon,
@@ -954,10 +892,29 @@ fn compile_dvfs(
         ladder: ladder.clone(),
         jobs: req.instance.jobs.clone(),
     };
-    let compiled = dvfs
-        .compile()
-        .map_err(|e| WireError::new(ErrorKind::BadRequest, e.to_string()))?;
-    Ok((dvfs, compiled))
+    let t0 = Instant::now();
+    let outcome = solve_dvfs_counted(&dvfs);
+    let solve_micros = t0.elapsed().as_micros() as u64;
+    let (schedule, candidates) = match outcome {
+        Ok(solved) => solved,
+        Err(e) => {
+            let kind = match e {
+                DvfsSolveError::Invalid(_) => ErrorKind::BadRequest,
+                DvfsSolveError::Infeasible { .. } => ErrorKind::Infeasible,
+            };
+            return SolveResponse::failure(req.id, WireError::new(kind, e.to_string()));
+        }
+    };
+    let (physical, freq_levels) = schedule.to_physical();
+    let metrics = SolveMetrics {
+        solve_micros,
+        candidates: candidates as u64,
+        worker: worker_id,
+        cache_hit: false,
+    };
+    let mut resp = SolveResponse::success(req.id, physical, metrics);
+    resp.freq_levels = Some(freq_levels);
+    resp
 }
 
 #[cfg(test)]
@@ -1273,8 +1230,7 @@ mod tests {
                 .freq_ladder(ladder.clone())
                 .build()
         };
-        // Same grid and restart, no ladder: rate 0 makes every affine key
-        // field equal to the DVFS key's, so only the ladder tells them apart.
+        // Same grid and restart, no ladder.
         let affine = schedule_all(
             4,
             Instance::new(1, 3, instance.jobs[1..].to_vec()),
@@ -1293,14 +1249,14 @@ mod tests {
         }
         assert!(responses[3].ok, "{:?}", responses[3].error);
         assert!(responses[3].freq_levels.is_none());
-        // identical grid + ladder: the compiled family is cached, whatever
-        // the (ignored) rate; a ladder-free request never shares it
+        // a DVFS request compiles its own family and reuses nothing, and a
+        // ladder-free request on the same grid and restart is a new key
         let hits: Vec<bool> = responses
             .iter()
             .map(|r| r.metrics.unwrap().cache_hit)
             .collect();
-        assert_eq!(hits, vec![false, true, true, false]);
-        // direct solve agrees with the engine's decompiled answer
+        assert_eq!(hits, vec![false; 4]);
+        // each DVFS answer is the direct solve's, flattened to the wire
         let dvfs = DvfsInstance {
             num_processors: 1,
             horizon: 3,
@@ -1310,6 +1266,62 @@ mod tests {
         };
         let direct = sched_core::solve_dvfs(&dvfs).unwrap();
         assert_eq!(direct.total_cost, 9.0);
+        let (physical, levels) = direct.to_physical();
+        for resp in &responses[..3] {
+            let got = resp.schedule.as_ref().unwrap();
+            assert_eq!(got.awake, physical.awake);
+            assert_eq!(got.assignments, physical.assignments);
+            assert_eq!(resp.freq_levels.as_ref(), Some(&levels));
+            // 1 processor × 2 levels × T(T+1)/2 intervals
+            assert_eq!(resp.metrics.unwrap().candidates, 12);
+        }
+    }
+
+    #[test]
+    fn dvfs_infeasibility_names_the_request_jobs() {
+        use sched_core::FreqLadder;
+        // One job of work 4 with two allowed slots at frequency 1: two of
+        // its four work units fit (the achieved value counts matched
+        // units). The violator is that one job, not its compiled work
+        // units, as `power-sched solve --freq-ladder` words it.
+        let engine = Engine::new(EngineConfig::with_workers(1));
+        let instance = Instance::new(1, 2, vec![CoreJob::window(1.0, 0, 0, 2).with_work(4)]);
+        let req = SolveRequest::builder(1, instance)
+            .affine(1.0, 0.0)
+            .freq_ladder(FreqLadder::new(1.0, 0.0, 1.0, vec![1]))
+            .build();
+        let resp = engine.solve_batch(vec![req]).remove(0);
+        let error = resp.error.expect("infeasible");
+        assert_eq!(error.kind, ErrorKind::Infeasible);
+        assert_eq!(
+            error.message,
+            "infeasible DVFS instance (achieved value 2; Hall violator of 1 jobs)"
+        );
+    }
+
+    #[test]
+    fn full_solver_cache_is_cleared_for_a_new_key() {
+        // One worker, one grid per horizon: the 65th distinct grid finds
+        // the cache full and clears it, so the first grid misses again and
+        // the 65th, cached after the clear, still hits.
+        let engine = Engine::new(EngineConfig::with_workers(1));
+        let horizons: Vec<u32> = (0..=SOLVER_CACHE_CAPACITY as u32)
+            .map(|k| 2 + k)
+            .chain([2, 2 + SOLVER_CACHE_CAPACITY as u32])
+            .collect();
+        let requests: Vec<SolveRequest> = horizons
+            .iter()
+            .enumerate()
+            .map(|(id, &t)| schedule_all(id as u64, inst(t), 3.0, 1.0))
+            .collect();
+        let hits: Vec<bool> = engine
+            .solve_batch(requests)
+            .iter()
+            .map(|r| r.metrics.expect("solved").cache_hit)
+            .collect();
+        let mut want = vec![false; SOLVER_CACHE_CAPACITY + 2];
+        want.push(true);
+        assert_eq!(hits, want);
     }
 
     #[test]
@@ -1428,7 +1440,6 @@ mod tests {
         let engine = Engine::new(EngineConfig {
             workers: 2,
             queue_depth: 1,
-            cache_capacity: 4,
             ..Default::default()
         });
         let responses = engine
@@ -1481,7 +1492,6 @@ mod tests {
         let engine = Engine::new(EngineConfig {
             workers: 1,
             queue_depth: 1,
-            cache_capacity: 4,
             ..Default::default()
         });
         // occupy the single worker for a while
@@ -1525,7 +1535,6 @@ mod tests {
         let engine = Engine::new(EngineConfig {
             workers: 1,
             queue_depth: 1,
-            cache_capacity: 4,
             ..Default::default()
         });
         let stall = engine.submit(stall_request(0));

@@ -361,18 +361,21 @@ impl std::fmt::Display for WireError {
 /// Per-request engine measurements, reported on success.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct SolveMetrics {
-    /// Wall-clock time of the solve call itself, microseconds.
+    /// Wall-clock time of the solve call itself, microseconds: the
+    /// solver's goal method, or for a DVFS request the compile, solve and
+    /// decompile of [`sched_core::solve_dvfs_counted`].
     pub solve_micros: u64,
     /// Finite-cost candidate intervals of the request's grid under its
-    /// policy: the family every goal optimizes over, counted in closed form
-    /// when the price is affine or profiled and read off the enumerated
-    /// family under DVFS pricing.
+    /// policy: the family every goal optimizes over. Counted in closed form
+    /// when the price is affine or profiled (by enumeration where a horizon
+    /// prices to ∞), and the compiled family's size for a DVFS request.
     pub candidates: u64,
     /// Worker index that served the request.
     pub worker: u32,
     /// Whether the worker already held a [`sched_core::Solver`] for the
-    /// request's grid, price and policy: its cached family, if any, and
-    /// reduction buffers were reused, and no enumeration ran.
+    /// request's grid, price and policy, whose reduction buffers were
+    /// reused. Always `false` for a DVFS request, which compiles and solves
+    /// its own family and reuses nothing.
     pub cache_hit: bool,
 }
 

@@ -186,7 +186,7 @@ pub struct ResolveStats {
     /// instance-identity); always 0 when warm-start is off.
     pub warm: u64,
     /// Re-solves that rebuilt solver state from scratch (every re-solve when
-    /// warm-start is off; first solve and checksum fallbacks when on).
+    /// warm-start is off; the first solve and any resized grid when on).
     pub cold: u64,
     /// Total timed re-solves (`warm + cold`).
     pub count: u64,

@@ -27,7 +27,6 @@
 
 pub mod bitset;
 pub mod budgeted;
-pub mod coverage_objective;
 pub mod functions;
 pub mod setcover;
 
@@ -36,5 +35,4 @@ pub use budgeted::{
     budgeted_greedy, budgeted_greedy_with, BudgetedObjective, GreedyConfig, GreedyOutcome,
     IterRecord, SetSystemObjective,
 };
-pub use coverage_objective::{CoverageObjective, CoverageScratch};
 pub use functions::SetFn;

@@ -236,3 +236,80 @@ fn batch_reads_stdin_and_reports_parallel_option_requests() {
         );
     }
 }
+
+/// Every DVFS request is served as `solve_dvfs` solves its instance:
+/// seeded `dvfs_instance`s of the default shape and of the n64/p4/t32 one,
+/// some made infeasible, through a two-worker engine. Each response is
+/// `solve_dvfs` followed by `DvfsSchedule::to_physical`, field for field
+/// and cost bits included, and an infeasible one carries `solve_dvfs`'s
+/// error, worded in the request's own jobs.
+#[test]
+fn dvfs_requests_match_solve_dvfs_field_for_field() {
+    use power_scheduling::workloads::{dvfs_instance, DvfsConfig};
+    let configs = [
+        DvfsConfig::default(),
+        DvfsConfig {
+            num_processors: 4,
+            horizon: 32,
+            target_jobs: 64,
+            ..DvfsConfig::default()
+        },
+    ];
+    let mut rng = rand::rngs::StdRng::seed_from_u64(27);
+    let instances: Vec<DvfsInstance> = (0..60)
+        .map(|k| {
+            let mut d = dvfs_instance(&configs[k % 2], &mut rng);
+            if k % 10 == 7 {
+                // more work than every lane of every level of its slots
+                let job = &mut d.jobs[0];
+                let lanes: u32 = d.ladder.freqs.iter().sum();
+                job.work = Some(lanes * job.allowed.len() as u32 + 1);
+            }
+            d
+        })
+        .collect();
+    let requests: Vec<SolveRequest> = instances
+        .iter()
+        .enumerate()
+        .map(|(id, d)| {
+            let inst = Instance::new(d.num_processors, d.horizon, d.jobs.clone());
+            SolveRequest::builder(id as u64, inst)
+                .affine(d.wake_cost, 1.0)
+                .freq_ladder(d.ladder.clone())
+                .build()
+        })
+        .collect();
+    let engine = Engine::new(EngineConfig::with_workers(2));
+    let responses = engine.solve_batch(requests);
+    let mut infeasible = 0;
+    for (d, resp) in instances.iter().zip(&responses) {
+        match solve_dvfs(d) {
+            Ok(direct) => {
+                assert!(resp.ok, "request {}: {:?}", resp.id, resp.error);
+                let (want, levels) = direct.to_physical();
+                let got = resp.schedule.as_ref().expect("schedule");
+                assert_eq!(got.awake, want.awake, "request {}", resp.id);
+                assert_eq!(got.assignments, want.assignments);
+                assert_eq!(got.total_cost.to_bits(), want.total_cost.to_bits());
+                assert_eq!(
+                    got.scheduled_value.to_bits(),
+                    want.scheduled_value.to_bits()
+                );
+                assert_eq!(got.scheduled_count, want.scheduled_count);
+                assert_eq!(resp.freq_levels.as_ref(), Some(&levels));
+                let metrics = resp.metrics.expect("metrics");
+                let compiled = d.compile().expect("compiles");
+                assert_eq!(metrics.candidates, compiled.candidates.len() as u64);
+                assert!(!metrics.cache_hit, "a DVFS request reuses nothing");
+            }
+            Err(e) => {
+                infeasible += 1;
+                let error = resp.error.as_ref().expect("an error response");
+                assert_eq!(error.kind, power_scheduling::engine::ErrorKind::Infeasible);
+                assert_eq!(error.message, e.to_string());
+                assert!(resp.schedule.is_none() && resp.freq_levels.is_none());
+            }
+        }
+    }
+    assert_eq!(infeasible, 6, "every planted overload is infeasible");
+}

@@ -323,59 +323,3 @@ proptest! {
         prop_assert_eq!(warm.events, cold.events);
     }
 }
-
-/// Prices like `AffineCost` without declaring itself inclusion-monotone,
-/// so a `Solver` takes the family path and its checksum.
-struct Opaque(AffineCost);
-
-impl EnergyCost for Opaque {
-    fn cost(&self, proc: u32, start: u32, end: u32) -> f64 {
-        self.0.cost(proc, start, end)
-    }
-}
-
-/// On the family path, a cost-model change between re-solves must trip the
-/// structural checksum: the solver falls back to a full cold rebuild
-/// (counted in `cold`) and the post-divergence results still match a
-/// from-scratch solve exactly.
-#[test]
-fn warm_handle_checksum_divergence_recovers_cold() {
-    let mut solver = Solver::new(CandidatePolicy::All);
-    let steps: Vec<Instance> = (0..6)
-        .map(|i| {
-            let jobs = vec![
-                Job::window(1.0, 0, i, i + 4),
-                Job::window(1.0, 1, i + 2, i + 7),
-            ];
-            Instance::new(2, 16, jobs)
-        })
-        .collect();
-    let cheap = Opaque(AffineCost::new(3.0, 1.0));
-    let pricey = Opaque(AffineCost::new(7.0, 2.0));
-    for (i, inst) in steps.iter().enumerate() {
-        // Swap the cost model mid-stream: the checksum must catch it.
-        let cost: &dyn EnergyCost = if i < 3 { &cheap } else { &pricey };
-        let before = solver.stats();
-        let got = solver.schedule_all(inst, cost).unwrap();
-        let after = solver.stats();
-        if i == 0 || i == 3 {
-            assert_eq!(
-                after.cold,
-                before.cold + 1,
-                "step {i}: rebuild must be counted cold"
-            );
-        } else {
-            assert_eq!(after.warm, before.warm + 1, "step {i}: delta path");
-        }
-        let family = enumerate_candidates(inst, cost, CandidatePolicy::All);
-        let want = schedule_all(inst, &family, &SolveOptions::default()).unwrap();
-        assert_eq!(got.awake, want.awake, "step {i}");
-        assert_eq!(got.assignments, want.assignments, "step {i}");
-        assert_eq!(
-            got.total_cost.to_bits(),
-            want.total_cost.to_bits(),
-            "step {i}"
-        );
-    }
-    assert_eq!(solver.stats(), WarmStats { warm: 4, cold: 2 });
-}
