@@ -46,7 +46,7 @@ impl CandidateInterval {
 }
 
 /// Which intervals to enumerate.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum CandidatePolicy {
     /// Every interval `[s, e)` with `0 ≤ s < e ≤ T`, per processor
     /// (`O(p·T²)` candidates).
@@ -59,7 +59,7 @@ pub enum CandidatePolicy {
 }
 
 impl std::fmt::Display for CandidatePolicy {
-    /// The textual form accepted back by [`CandidatePolicy::from_str`]
+    /// The textual form accepted back by [`CandidatePolicy`]'s [`FromStr`](std::str::FromStr)
     /// (`all`, `single`, `maxlen:K`) — used by the CLI and the wire
     /// protocol.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

@@ -189,7 +189,7 @@ impl Instance {
     }
 }
 
-/// Accepted by the free solver functions ([`crate::schedule_all`] and its
+/// Accepted by the free solver functions ([`crate::schedule_all()`] and its
 /// siblings) and ignored: every solve runs the one lazy greedy,
 /// sequentially. Both fields are kept only so existing callers keep
 /// compiling; setting them changes no pick and no cost bit.

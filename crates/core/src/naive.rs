@@ -138,7 +138,7 @@ impl BudgetedObjective for NaiveObjective<'_> {
 }
 
 /// Seed implementation of Theorem 2.2.1 (schedule **all** jobs); the fast
-/// path's [`crate::schedule_all`] must stay bit-identical to this.
+/// path's [`crate::schedule_all()`] must stay bit-identical to this.
 pub fn naive_schedule_all(
     inst: &Instance,
     candidates: &[CandidateInterval],

@@ -569,24 +569,7 @@ struct CacheKey {
     /// (sleep ladders never affect interval pricing, so they stay out of
     /// the key); `None` for the affine default.
     profile_bits: Option<Vec<(u64, u64)>>,
-    policy: PolicyKey,
-}
-
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
-enum PolicyKey {
-    All,
-    Single,
-    MaxLen(u32),
-}
-
-impl From<CandidatePolicy> for PolicyKey {
-    fn from(p: CandidatePolicy) -> Self {
-        match p {
-            CandidatePolicy::All => PolicyKey::All,
-            CandidatePolicy::SingleSlots => PolicyKey::Single,
-            CandidatePolicy::MaxLength(k) => PolicyKey::MaxLen(k),
-        }
-    }
+    policy: CandidatePolicy,
 }
 
 type SolverCache = HashMap<CacheKey, Solver>;
@@ -777,6 +760,26 @@ fn serve_request(worker_id: u32, cache: &mut SolverCache, req: &SolveRequest) ->
         let _span = sched_obs::span!("engine.request_ns");
         serve_request_planned(worker_id, cache, req)
     };
+    // Finite prices and values can still sum past `f64::MAX`. JSON has no
+    // infinity, so such a schedule could not be written, and one
+    // unwritable response would lose the rest of its batch: answer it as
+    // a bad request, like any other input out of range.
+    let response = match &response.schedule {
+        Some(s) if !(s.total_cost.is_finite() && s.scheduled_value.is_finite()) => {
+            SolveResponse::failure(
+                req.id,
+                WireError::new(
+                    ErrorKind::BadRequest,
+                    format!(
+                        "the schedule's total_cost ({}) or scheduled_value ({}) is not \
+                         finite: the request's prices or values are too large to sum",
+                        s.total_cost, s.scheduled_value
+                    ),
+                ),
+            )
+        }
+        _ => response,
+    };
     if !response.ok {
         if let Some(t) = sched_obs::trace::active_tracer() {
             t.dump_to_stderr(&format!("request {} failed, trace_id={trace_id}", req.id));
@@ -821,7 +824,7 @@ fn serve_request_planned(
                 .map(|p| (p.wake_cost.to_bits(), p.busy_rate.to_bits()))
                 .collect()
         }),
-        policy: plan.policy.into(),
+        policy: plan.policy,
     };
     // plan() has vetted the parameters, so neither constructor can assert
     let cost: Box<dyn EnergyCost> = match &req.profiles {

@@ -576,7 +576,7 @@ pub fn record_ns(name: &str, ns: u64) {
     with_active(|r| r.histogram(name).record(ns));
 }
 
-/// RAII timer from [`span`] / [`span!`]: on drop, records the elapsed
+/// RAII timer from [`span()`] / [`span!`]: on drop, records the elapsed
 /// nanoseconds into the ambient histogram it was created for.
 #[must_use = "a span records on drop; binding it to _ drops immediately"]
 #[derive(Debug)]

@@ -7,7 +7,7 @@
 //! `capacity` events; older ones are dropped and counted). Events arrive
 //! from two sources:
 //!
-//! * the existing [`span!`](crate::span) RAII timers, which emit a
+//! * the existing [`span!`](crate::span!) RAII timers, which emit a
 //!   `span` event on drop whenever a tracer is ambiently installed
 //!   (thread tracer from [`set_thread`], else the process-global one from
 //!   [`install_global`] — mirroring the metrics registry exactly), and

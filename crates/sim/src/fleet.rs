@@ -1,33 +1,31 @@
 //! Deterministic parallel replay of trace fleets.
 //!
-//! [`replay_fleet`] replays every trace through a fresh instance of the
-//! selected policy, fanning the traces across `workers` threads. Each
-//! replay is a pure deterministic function of its trace and the policy
-//! configuration, and results are returned in input order — so the output
-//! is **bit-identical at any worker count** (the property the acceptance
-//! tests pin down).
-//!
-//! For [`PolicyKind::Resolve`] the fleet shares one [`sched_engine::Engine`]
-//! across all replays: every suffix re-solve of every trace goes through the
-//! same worker pool, whose per-worker candidate caches are keyed by
-//! (grid × cost × policy) — a fleet of traces on one grid enumerates
-//! candidate intervals a handful of times instead of once per re-solve.
+//! [`replay_fleet`] is the crate's one replay loop: it runs every trace
+//! through a fresh `kind.build(None)` policy, fanning the traces across
+//! `workers` threads, of which the calling thread is the first. Each trace
+//! replays under the ambient trace id `replay-<trace name>`, so the
+//! process-global tracer keeps every trace's events apart at any worker
+//! count, and every solver span lands in the process-global registry (the
+//! spawned threads install none of their own). Each replay is a
+//! pure deterministic function of its trace and the policy configuration,
+//! and results are returned in input order — so the output is
+//! **bit-identical at any worker count**, apart from re-solve wall times
+//! (the property the acceptance tests pin down).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::OnceLock;
 
 use sched_core::trace::ArrivalTrace;
-use sched_engine::{Engine, EngineConfig};
 
 use crate::policy::PolicyKind;
-use crate::replay::SimError;
+use crate::replay::{ReplayOutcome, SimError};
 use crate::report::{replay_with_report, OfflineRef, ReplayReport};
 
 /// Fleet configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct FleetOptions {
-    /// Replay threads (and, for `resolve`, engine workers). `0` means one
-    /// per available core.
+    /// Replay threads, the calling thread included, so `1` spawns none.
+    /// `0` means one per available core.
     pub workers: usize,
     /// Offline reference selection.
     pub offline: OfflineRef,
@@ -42,69 +40,44 @@ impl Default for FleetOptions {
     }
 }
 
+/// One trace's replay: the report and the full outcome, as
+/// [`replay_with_report`] returns them.
+pub type FleetResult = Result<(ReplayReport, ReplayOutcome), SimError>;
+
 /// Replays every trace under a fresh `kind` policy; one result per trace,
 /// in input order, bit-identical at any worker count.
 pub fn replay_fleet(
     traces: &[ArrivalTrace],
     kind: &PolicyKind,
     options: &FleetOptions,
-) -> Vec<Result<ReplayReport, SimError>> {
+) -> Vec<FleetResult> {
     let workers = if options.workers > 0 {
         options.workers
     } else {
         std::thread::available_parallelism().map_or(1, |n| n.get())
     };
-    let engine = match kind {
-        PolicyKind::Resolve { .. } => {
-            Some(Arc::new(Engine::new(EngineConfig::with_workers(workers))))
-        }
-        _ => None,
+    // Work stealing over a shared index counter; each slot is written by
+    // exactly one worker.
+    let next = AtomicUsize::new(0);
+    let slots: Vec<OnceLock<FleetResult>> = traces.iter().map(|_| OnceLock::new()).collect();
+    let work = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        let Some(trace) = traces.get(i) else { break };
+        sched_obs::trace::set_trace_id(Some(&format!("replay-{}", trace.name)));
+        let mut policy = kind.build(None);
+        let _ = slots[i].set(replay_with_report(trace, policy.as_mut(), options.offline));
     };
-
-    let mut results: Vec<Option<Result<ReplayReport, SimError>>> = Vec::new();
-    results.resize_with(traces.len(), || None);
-    if traces.is_empty() {
-        return Vec::new();
-    }
-
-    if workers <= 1 {
-        for (i, trace) in traces.iter().enumerate() {
-            let mut policy = kind.build(engine.as_ref());
-            results[i] = Some(
-                replay_with_report(trace, policy.as_mut(), options.offline)
-                    .map(|(report, _)| report),
-            );
+    let caller_trace_id = sched_obs::trace::current_trace_id();
+    std::thread::scope(|scope| {
+        for _ in 1..workers.min(traces.len()) {
+            scope.spawn(work);
         }
-    } else {
-        // Work stealing over a shared index counter; each slot of `results`
-        // is written by exactly one worker, then reassembled in order.
-        let next = AtomicUsize::new(0);
-        let slots: Vec<std::sync::Mutex<Option<Result<ReplayReport, SimError>>>> = (0..traces
-            .len())
-            .map(|_| std::sync::Mutex::new(None))
-            .collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers.min(traces.len()) {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= traces.len() {
-                        break;
-                    }
-                    let mut policy = kind.build(engine.as_ref());
-                    let result = replay_with_report(&traces[i], policy.as_mut(), options.offline)
-                        .map(|(report, _)| report);
-                    *slots[i].lock().unwrap() = Some(result);
-                });
-            }
-        });
-        for (i, slot) in slots.into_iter().enumerate() {
-            results[i] = slot.into_inner().unwrap();
-        }
-    }
-
-    results
+        work();
+    });
+    sched_obs::trace::set_trace_id(caller_trace_id.as_deref());
+    slots
         .into_iter()
-        .map(|r| r.expect("every trace replayed"))
+        .map(|slot| slot.into_inner().expect("every trace replayed"))
         .collect()
 }
 
@@ -135,66 +108,93 @@ mod tests {
             .collect()
     }
 
+    fn options(workers: usize) -> FleetOptions {
+        FleetOptions {
+            workers,
+            offline: OfflineRef::Auto,
+        }
+    }
+
     #[test]
     fn fleet_results_bit_identical_across_worker_counts() {
         let traces = fleet(7);
-        for kind in ["greedy", "hiring", "resolve:3"] {
-            let kind: PolicyKind = kind.parse().unwrap();
-            let base = replay_fleet(
-                &traces,
-                &kind,
-                &FleetOptions {
-                    workers: 1,
-                    offline: OfflineRef::Auto,
-                },
-            );
-            for workers in [2, 4] {
-                let other = replay_fleet(
-                    &traces,
-                    &kind,
-                    &FleetOptions {
-                        workers,
-                        offline: OfflineRef::Auto,
-                    },
-                );
-                // Wall-clock re-solve timings are legitimately run-dependent;
-                // everything else (decisions, energy, warm/cold counts) must
-                // be bit-identical.
-                let normalize = |r: &crate::report::ReplayReport| {
-                    let mut r = r.clone();
-                    if let Some(rs) = &mut r.resolve_stats {
+        // Wall-clock re-solve timings are legitimately run-dependent;
+        // everything else (decisions, energy, warm/cold counts) must be
+        // bit-identical.
+        let render = |kind: &PolicyKind, workers: usize| -> Vec<String> {
+            replay_fleet(&traces, kind, &options(workers))
+                .into_iter()
+                .map(|r| {
+                    let (mut report, _) = r.unwrap();
+                    if let Some(rs) = &mut report.resolve_stats {
                         rs.total_ns = 0;
                         rs.p50_ns = 0;
                         rs.p99_ns = 0;
                     }
-                    serde_json::to_string(&r).unwrap()
-                };
-                let a: Vec<String> = base
-                    .iter()
-                    .map(|r| normalize(r.as_ref().unwrap()))
-                    .collect();
-                let b: Vec<String> = other
-                    .iter()
-                    .map(|r| normalize(r.as_ref().unwrap()))
-                    .collect();
-                assert_eq!(a, b, "{kind} differs at {workers} workers");
+                    serde_json::to_string(&report).unwrap()
+                })
+                .collect()
+        };
+        for kind in ["greedy", "hiring", "resolve:3"] {
+            let kind: PolicyKind = kind.parse().unwrap();
+            let base = render(&kind, 1);
+            for workers in [2, 4] {
+                assert_eq!(
+                    base,
+                    render(&kind, workers),
+                    "{kind} differs at {workers} workers"
+                );
             }
         }
     }
 
     #[test]
-    fn resolve_fleet_shares_an_engine() {
+    fn resolve_fleet_replays_drop_free_above_the_optimum() {
         let traces = fleet(5);
         let kind = PolicyKind::Resolve {
             period: 3,
             warm: false,
         };
-        let reports = replay_fleet(&traces, &kind, &FleetOptions::default());
-        for r in reports {
-            let r = r.unwrap();
-            assert_eq!(r.dropped, 0);
-            assert!(r.ratio >= 1.0 - 1e-9, "ratio {}", r.ratio);
-            assert!(r.events >= 1);
+        for workers in [1, 3] {
+            for (r, trace) in replay_fleet(&traces, &kind, &options(workers))
+                .into_iter()
+                .zip(&traces)
+            {
+                let (report, outcome) = r.unwrap();
+                assert_eq!(report.trace, trace.name, "results come back in input order");
+                assert_eq!(report.dropped, 0);
+                assert!(outcome.dropped.is_empty());
+                assert!(report.ratio >= 1.0 - 1e-9, "ratio {}", report.ratio);
+                assert!(report.events >= 1);
+                assert_eq!(report.online_cost, outcome.online_cost());
+            }
+        }
+    }
+
+    #[test]
+    fn every_trace_replays_under_its_own_trace_id() {
+        let traces = fleet(4);
+        let tracer = std::sync::Arc::new(sched_obs::trace::Tracer::new());
+        sched_obs::trace::set_thread(Some(std::sync::Arc::clone(&tracer)));
+        sched_obs::trace::set_trace_id(Some("caller"));
+        // One worker: every replay runs on this thread, under this
+        // thread's tracer, and the caller's own id comes back afterwards.
+        let reports = replay_fleet(&traces, &PolicyKind::Greedy, &options(1));
+        assert_eq!(
+            sched_obs::trace::current_trace_id().as_deref(),
+            Some("caller")
+        );
+        sched_obs::trace::set_thread(None);
+        sched_obs::trace::set_trace_id(None);
+        assert!(reports.iter().all(Result::is_ok));
+        let events = tracer.events();
+        for trace in &traces {
+            let id = format!("replay-{}", trace.name);
+            let slots = events
+                .iter()
+                .filter(|e| e.name == "sim.slot.decision" && *e.trace_id == *id)
+                .count();
+            assert_eq!(slots, trace.horizon as usize, "{id}");
         }
     }
 

@@ -7,7 +7,7 @@
 //! solver stack, connecting the online half of the codebase (the secretary
 //! algorithms) to the exact machinery of Chapter 2.
 //!
-//! * The simulator ([`replay`]) owns the clock and enforces causality: a
+//! * The simulator ([`replay()`]) owns the clock and enforces causality: a
 //!   [`Policy`] sees only released jobs through its [`SlotView`], and every
 //!   [`SlotDecision`] is validated (no double-booking, no running on
 //!   sleeping processors, no unreleased jobs).
@@ -15,13 +15,15 @@
 //!   costed by the trace's affine model exactly as candidate intervals
 //!   would be, and the finished replay is an ordinary
 //!   [`sched_core::Schedule`] cross-checked through
-//!   [`sched_core::simulate`]'s [`PowerTrace`](sched_core::PowerTrace).
-//! * The ratio harness ([`replay_with_report`], [`replay_fleet`]) solves
-//!   the offline instance — exactly (branch-and-bound) for small traces,
-//!   with the greedy `O(log n)` [`schedule_all`](sched_core::schedule_all())
-//!   otherwise —
-//!   and emits JSON [`ReplayReport`]s; fleets parallelize across traces
-//!   with bit-identical output at any worker count.
+//!   [`sched_core::simulate()`]'s [`PowerTrace`](sched_core::PowerTrace).
+//! * The ratio harness ([`replay_with_report`]) solves the offline
+//!   instance — exactly (branch-and-bound) for small traces, with the
+//!   greedy `O(log n)` [`schedule_all`](sched_core::schedule_all())
+//!   otherwise — and emits a JSON [`ReplayReport`] next to the outcome.
+//! * [`replay_fleet`] is the one loop that runs it over many traces, each
+//!   under its own trace id, spread across worker threads (the calling
+//!   thread among them) with bit-identical output at any worker count;
+//!   `power-sched replay` calls it in every mode.
 //!
 //! ## Policies
 //!
@@ -29,7 +31,7 @@
 //! |---|---|---|
 //! | [`GreedyWake`] | `greedy` | wake on demand, sleep when idle |
 //! | [`ThresholdHiring`] | `hiring[:F]` | observe a demand prefix, commit via Dynkin's rule (`secretary`), then hold awake to the restart break-even |
-//! | [`PeriodicResolve`] | `resolve[:K[:warm]]` | every `K` slots re-solve the revealed suffix with `schedule_all` — over the enumerated family, through one [`Solver`](sched_core::Solver) kept across checkpoints (`:warm`), or through a shared [`sched_engine::Engine`] — and follow the plan |
+//! | [`PeriodicResolve`] | `resolve[:K[:warm]]` | every `K` slots re-solve the revealed suffix with `schedule_all` — over the enumerated family, or through one [`Solver`](sched_core::Solver) kept across checkpoints (`:warm`) — and follow the plan |
 //!
 //! ## Quickstart
 //!

@@ -4,7 +4,7 @@
 //! causality-restricted window onto the trace (only released jobs are
 //! visible) — and answers with a [`SlotDecision`]: which processors to keep
 //! awake during the slot and which pending jobs to run on them. The
-//! simulator in [`crate::replay`] validates every decision, so a policy
+//! simulator in [`crate::replay()`] validates every decision, so a policy
 //! cannot cheat (run an unreleased job, double-book a slot, run a job on a
 //! sleeping processor).
 //!
@@ -23,13 +23,10 @@
 //! * [`PeriodicResolve`] — every `k` slots (and whenever a newly revealed
 //!   job would expire before the next checkpoint), re-solves the revealed
 //!   suffix with the offline `schedule_all` and follows that plan: over
-//!   the enumerated family, through its own [`sched_core::Solver`] carried
-//!   from checkpoint to checkpoint (`:warm`), or through a shared
-//!   [`sched_engine::Engine`] worker pool whose per-grid solvers fleets of
-//!   traces share.
+//!   the enumerated family, or through its own [`sched_core::Solver`]
+//!   carried from checkpoint to checkpoint (`:warm`).
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -37,7 +34,7 @@ use sched_core::{
     enumerate_candidates, schedule_all, CandidateInterval, CandidatePolicy, FreqLadder, Instance,
     Job, PowerProfile, ProfileCost, SlotRef, SolveOptions, Solver, TimedJob,
 };
-use sched_engine::{Engine, SolveRequest};
+use sched_engine::Engine;
 use secretary::classic_secretary;
 use serde::{Deserialize, Serialize};
 
@@ -64,9 +61,6 @@ pub struct SlotView<'a> {
     /// One power profile per processor (the trace's, or the affine default
     /// cloned fleet-wide).
     pub(crate) profiles: &'a [PowerProfile],
-    /// Did the trace carry explicit profiles? (Engine-mode re-solves only
-    /// ship profiles over the wire when they are explicit.)
-    pub(crate) explicit_profiles: bool,
     /// The trace's frequency ladder, when it is a DVFS trace. Awake runs
     /// are then re-priced by the simulator at the lowest level covering the
     /// heaviest job in the run, and idle holds burn the bottom level's
@@ -385,9 +379,6 @@ enum Resolver {
     /// inclusion-monotone), enumerating no family. Bit-identical to
     /// [`Resolver::Family`] by construction.
     Warm(Box<Solver>),
-    /// Shared [`sched_engine::Engine`] worker pool: fleets of traces on the
-    /// same grid share its per-worker solvers.
-    Engine(Arc<Engine>),
 }
 
 /// Re-solve the revealed suffix every `period` slots through the offline
@@ -396,10 +387,10 @@ enum Resolver {
 /// At each checkpoint (and early, whenever a newly revealed job would expire
 /// before the next checkpoint while still having a future slot to plan) the
 /// policy builds an [`Instance`] from all pending jobs with their remaining
-/// windows and solves `schedule_all` over the full grid — inline, or
-/// through a shared [`Engine`]. The resulting schedule *is* the plan: awake
-/// intervals (clamped to the present) and per-job slot assignments, followed
-/// verbatim until the next re-solve. A forced-job rescue pass backstops
+/// windows and solves `schedule_all` over the full grid on the replaying
+/// thread. The resulting schedule *is* the plan: awake intervals (clamped
+/// to the present) and per-job slot assignments, followed verbatim until
+/// the next re-solve. A forced-job rescue pass backstops
 /// arrivals the plan missed — a job revealed at its very last opportunity
 /// is placed directly on a free allowed processor when a dry run proves the
 /// rescue will succeed (skipping a suffix re-solve it would not need), and
@@ -430,10 +421,6 @@ pub struct PeriodicResolve {
     solve_ns: Vec<u64>,
 }
 
-/// Ids for engine-mode solve requests; global so concurrent fleet replays
-/// sharing one engine never collide (ids are only used for diagnostics).
-static RESOLVE_REQUEST_IDS: AtomicU64 = AtomicU64::new(0);
-
 impl PeriodicResolve {
     /// Re-solve every `period` slots (`period >= 1`), solving inline over
     /// the enumerated family.
@@ -451,14 +438,6 @@ impl PeriodicResolve {
         }
     }
 
-    /// Same policy, but suffix solves go through `engine`'s worker pool.
-    pub fn with_engine(period: u32, engine: Arc<Engine>) -> Self {
-        Self {
-            resolver: Resolver::Engine(engine),
-            ..Self::new(period)
-        }
-    }
-
     /// Same policy, with incremental warm-start re-solving: a private
     /// [`Solver`] carries the reduction's buffers from one checkpoint to
     /// the next. Decisions are bit-identical to [`PeriodicResolve::new`].
@@ -473,7 +452,7 @@ impl PeriodicResolve {
     pub fn warm_stats(&self) -> Option<sched_core::WarmStats> {
         match &self.resolver {
             Resolver::Warm(solver) => Some(solver.stats()),
-            _ => None,
+            Resolver::Family => None,
         }
     }
 
@@ -571,29 +550,16 @@ impl PeriodicResolve {
         };
 
         let started = Instant::now();
-        // Inline solves price per processor profile; bit-identical to the
+        // Re-solves price per processor profile; bit-identical to the
         // affine (restart, rate) oracle when the trace has no explicit
         // profiles.
+        let cost = ProfileCost::new(view.profiles);
         let solved = match &mut self.resolver {
             Resolver::Family => {
-                let cost = ProfileCost::new(view.profiles);
                 let family = enumerate_candidates(&inst, &cost, CandidatePolicy::All);
                 schedule_all(&inst, &family, &SolveOptions::default()).ok()
             }
-            Resolver::Warm(solver) => {
-                let cost = ProfileCost::new(view.profiles);
-                solver.schedule_all(&inst, &cost).ok()
-            }
-            Resolver::Engine(engine) => {
-                let id = RESOLVE_REQUEST_IDS.fetch_add(1, Ordering::Relaxed);
-                let mut req = SolveRequest::builder(id, inst)
-                    .affine(view.restart, view.rate)
-                    .build();
-                if view.explicit_profiles {
-                    req.profiles = Some(view.profiles.to_vec());
-                }
-                engine.submit(req).wait().schedule
-            }
+            Resolver::Warm(solver) => solver.schedule_all(&inst, &cost).ok(),
         };
         let elapsed_ns = started.elapsed().as_nanos() as u64;
         self.solve_ns.push(elapsed_ns);
@@ -604,7 +570,6 @@ impl PeriodicResolve {
             let resolver = match self.resolver {
                 Resolver::Family => "family",
                 Resolver::Warm(_) => "warm",
-                Resolver::Engine(_) => "engine",
             };
             sched_obs::trace::instant(
                 "sim.policy.resolve",
@@ -760,12 +725,10 @@ pub enum PolicyKind {
 }
 
 impl PolicyKind {
-    /// Instantiates the policy. When `engine` is given and the kind is
-    /// [`PolicyKind::Resolve`] without warm-start, suffix solves go through
-    /// the shared pool; warm-start solves inline through its own
-    /// [`Solver`] (whose cross-checkpoint reuse subsumes the engine's
-    /// per-grid solver cache).
-    pub fn build(&self, engine: Option<&Arc<Engine>>) -> Box<dyn Policy> {
+    /// Instantiates the policy. Every re-solve runs on the replaying
+    /// thread. The `engine` argument is ignored; it survives only because
+    /// `perfbench/` spells `build(None)`.
+    pub fn build(&self, _engine: Option<&Arc<Engine>>) -> Box<dyn Policy> {
         match *self {
             PolicyKind::Greedy => Box::new(GreedyWake),
             PolicyKind::Hiring { observe_frac } => Box::new(ThresholdHiring::new(observe_frac)),
@@ -775,10 +738,7 @@ impl PolicyKind {
             PolicyKind::Resolve {
                 period,
                 warm: false,
-            } => match engine {
-                Some(e) => Box::new(PeriodicResolve::with_engine(period, Arc::clone(e))),
-                None => Box::new(PeriodicResolve::new(period)),
-            },
+            } => Box::new(PeriodicResolve::new(period)),
         }
     }
 }
@@ -953,7 +913,6 @@ mod tests {
             pending: &pending,
             awake_prev: &awake_prev,
             profiles: &profiles,
-            explicit_profiles: false,
             freq_ladder: None,
         };
         // each job is single-processor here, so both procs get used
@@ -979,7 +938,6 @@ mod tests {
             pending: &pending,
             awake_prev: &awake_prev,
             profiles: &profiles,
-            explicit_profiles: false,
             freq_ladder: None,
         };
         let d = greedy_decision(&view, false);
@@ -1003,7 +961,6 @@ mod tests {
             pending: &pending,
             awake_prev: &awake_prev,
             profiles: &profiles,
-            explicit_profiles: false,
             freq_ladder: None,
         };
         let _ = view.job(0);

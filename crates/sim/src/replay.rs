@@ -15,7 +15,7 @@
 //! which keeps every run a feasible awake interval of the compiled
 //! offline DVFS problem. The finished replay is packaged as an ordinary
 //! [`Schedule`] plus the [`PowerTrace`] machine-state timeline from
-//! [`sched_core::simulate`].
+//! [`sched_core::simulate()`].
 
 use sched_core::simulate::{simulate, PowerTrace};
 use sched_core::trace::{ArrivalTrace, TraceError};
@@ -67,7 +67,7 @@ pub struct ReplayOutcome {
     /// candidates) and per-job assignments, indexed like the trace's jobs.
     pub schedule: Schedule,
     /// Machine-state timeline, restarts, and utilization — from
-    /// [`sched_core::simulate`] on the online schedule.
+    /// [`sched_core::simulate()`] on the online schedule.
     pub power: PowerTrace,
     /// Jobs whose windows expired unscheduled (trace job ids, ascending).
     pub dropped: Vec<usize>,
@@ -135,7 +135,6 @@ pub fn replay(trace: &ArrivalTrace, policy: &mut dyn Policy) -> Result<ReplayOut
                 pending: &pending,
                 awake_prev: &awake_prev,
                 profiles: &profiles,
-                explicit_profiles: trace.profiles.is_some(),
                 freq_ladder: ladder,
             };
             policy.decide(&view)

@@ -13,7 +13,8 @@ use serde::{Deserialize, Serialize};
 use baselines::exact_schedule_all;
 use sched_core::trace::ArrivalTrace;
 use sched_core::{
-    enumerate_candidates, profile_energy, schedule_all, CandidatePolicy, SolveOptions,
+    enumerate_candidates, profile_energy, schedule_all, CandidateInterval, CandidatePolicy,
+    Instance, SolveOptions,
 };
 
 use crate::policy::{Policy, ResolveStats};
@@ -71,46 +72,28 @@ pub fn offline_reference(
     // The online replay's priced runs are feasible awake intervals of that
     // relaxation, so `ratio >= 1` stays a theorem for drop-free replays.
     if trace.freq_ladder.is_some() {
-        let dvfs = trace
+        let compiled = trace
             .to_dvfs_instance()
-            .expect("freq_ladder is present, so the trace converts");
-        let compiled = dvfs
+            .expect("freq_ladder is present, so the trace converts")
             .compile()
             .map_err(|e| SimError::OfflineInfeasible(e.to_string()))?;
-        let try_exact = match which {
-            OfflineRef::Exact => true,
-            OfflineRef::Greedy => false,
-            OfflineRef::Auto => {
-                compiled.candidates.len() <= EXACT_MAX_CANDIDATES
-                    && compiled.instance.num_jobs() <= EXACT_MAX_JOBS
-            }
-        };
-        if try_exact {
-            if let Some(exact) =
-                exact_schedule_all(&compiled.instance, &compiled.candidates, EXACT_NODE_BUDGET)
-            {
-                return Ok((exact.cost, "exact"));
-            }
-            if which == OfflineRef::Exact {
-                return Err(SimError::OfflineInfeasible(
-                    "exact reference infeasible or out of node budget".into(),
-                ));
-            }
-        }
-        return schedule_all(
-            &compiled.instance,
-            &compiled.candidates,
-            &SolveOptions::default(),
-        )
-        .map(|s| (s.total_cost, "greedy"))
-        .map_err(|e| SimError::OfflineInfeasible(e.to_string()));
+        return reference_over(&compiled.instance, &compiled.candidates, which);
     }
     // Per-processor profile pricing — identical to the affine model for
     // traces without explicit profiles, so online and offline costs stay
     // directly comparable either way.
-    let cost = trace.cost_model();
-    let candidates = enumerate_candidates(&inst, &cost, CandidatePolicy::All);
+    let candidates = enumerate_candidates(&inst, &trace.cost_model(), CandidatePolicy::All);
+    reference_over(&inst, &candidates, which)
+}
 
+/// Exact branch-and-bound over `candidates` when `which` asks for it (or,
+/// under [`OfflineRef::Auto`], when the instance is small enough), else
+/// the greedy [`schedule_all`](schedule_all()).
+fn reference_over(
+    inst: &Instance,
+    candidates: &[CandidateInterval],
+    which: OfflineRef,
+) -> Result<(f64, &'static str), SimError> {
     let try_exact = match which {
         OfflineRef::Exact => true,
         OfflineRef::Greedy => false,
@@ -119,7 +102,7 @@ pub fn offline_reference(
         }
     };
     if try_exact {
-        if let Some(exact) = exact_schedule_all(&inst, &candidates, EXACT_NODE_BUDGET) {
+        if let Some(exact) = exact_schedule_all(inst, candidates, EXACT_NODE_BUDGET) {
             return Ok((exact.cost, "exact"));
         }
         if which == OfflineRef::Exact {
@@ -128,7 +111,7 @@ pub fn offline_reference(
             ));
         }
     }
-    schedule_all(&inst, &candidates, &SolveOptions::default())
+    schedule_all(inst, candidates, &SolveOptions::default())
         .map(|s| (s.total_cost, "greedy"))
         .map_err(|e| SimError::OfflineInfeasible(e.to_string()))
 }

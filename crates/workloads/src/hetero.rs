@@ -4,7 +4,7 @@
 //! efficient new one, each with firmware exposing several sleep depths.
 //! These generators produce random [`PowerProfile`] fleets — distinct wake
 //! costs and busy rates per processor, optionally with a monotone
-//! [`SleepState`] ladder — and attach them to the timed arrival traces from
+//! [`SleepState`](sched_core::SleepState) ladder — and attach them to the timed arrival traces from
 //! [`crate::arrivals`], giving the online replay harness and the CLI
 //! (`generate --hetero`) reproducible heterogeneous scenarios. All
 //! randomness comes from the caller's RNG, so every fleet is reproducible

@@ -163,6 +163,68 @@ where
     Ok(parse_opt_flag(args, name)?.unwrap_or(default))
 }
 
+/// The operands among `args`: every argument that is neither a flag nor a
+/// flag's value. Every flag takes one value, except the bare `--verbose`
+/// and `--gen`, whose KIND is optional (defaulting to poisson), so it may
+/// sit directly before another flag.
+fn operands(args: &[String]) -> Vec<&String> {
+    let mut out = Vec::new();
+    let mut i = 0;
+    while i < args.len() {
+        if args[i].starts_with("--") {
+            let has_value = match args[i].as_str() {
+                "--verbose" => false,
+                "--gen" => args.get(i + 1).is_some_and(|v| !v.starts_with("--")),
+                _ => true,
+            };
+            i += if has_value { 2 } else { 1 };
+        } else {
+            out.push(&args[i]);
+            i += 1;
+        }
+    }
+    out
+}
+
+/// Reads a whole file; the error names it.
+fn read_text(path: impl AsRef<std::path::Path>) -> Result<String, String> {
+    let path = path.as_ref();
+    std::fs::read_to_string(path).map_err(|e| format!("reading {}: {e}", path.display()))
+}
+
+/// Writes a whole file; the error names it.
+fn write_text(path: &str, body: &str) -> Result<(), String> {
+    std::fs::write(path, body).map_err(|e| format!("writing {path}: {e}"))
+}
+
+/// Reads `path` as the JSON of a `T`; `what` names a `T` in the error.
+fn read_json<T: serde::Deserialize>(
+    path: impl AsRef<std::path::Path>,
+    what: &str,
+) -> Result<T, String> {
+    let path = path.as_ref();
+    serde_json::from_str(&read_text(path)?)
+        .map_err(|e| format!("{} is not a valid {what}: {e}", path.display()))
+}
+
+/// Writes `value` to `path` as pretty-printed JSON.
+fn write_json<T: serde::Serialize>(path: &str, value: &T) -> Result<(), String> {
+    write_text(
+        path,
+        &serde_json::to_string_pretty(value).map_err(|e| e.to_string())?,
+    )
+}
+
+/// Reads and validates an instance file. Deserialization builds the
+/// struct without running `Instance::new`'s checks, so validate before
+/// any solver indexes slots by id.
+fn read_instance(path: &str) -> Result<Instance, String> {
+    let inst: Instance = read_json(path, "instance")?;
+    inst.validate()
+        .map_err(|e| format!("{path} is not a valid instance: {e}"))?;
+    Ok(inst)
+}
+
 /// The range `AffineCost::new` asserts (NaN fails it too), checked before
 /// any flag value reaches it.
 fn check_restart_rate(restart: f64, rate: f64) -> Result<(), String> {
@@ -203,7 +265,7 @@ fn metrics_registry(args: &[String]) -> Option<(String, std::sync::Arc<obs::Regi
 
 /// Writes one `obs/v1` snapshot as compact JSON (newline-terminated).
 fn write_metrics(path: &str, snapshot: &obs::Snapshot) -> Result<(), String> {
-    std::fs::write(path, snapshot.to_json() + "\n").map_err(|e| format!("writing {path}: {e}"))?;
+    write_text(path, &(snapshot.to_json() + "\n"))?;
     eprintln!("wrote metrics snapshot to {path}");
     Ok(())
 }
@@ -242,7 +304,7 @@ fn write_trace(path: &str, tracer: &obs::trace::Tracer) -> Result<(), String> {
     } else {
         tracer.to_chrome_json() + "\n"
     };
-    std::fs::write(path, body).map_err(|e| format!("writing {path}: {e}"))?;
+    write_text(path, &body)?;
     eprintln!("wrote {} trace events to {path}", tracer.len());
     Ok(())
 }
@@ -336,8 +398,7 @@ fn generate_dvfs(args: &[String], seed: u64, stdout: &mut dyn Write) -> Result<(
         trace
             .validate()
             .map_err(|e| format!("generated trace is invalid: {e}"))?;
-        let json = serde_json::to_string_pretty(&trace).map_err(|e| e.to_string())?;
-        std::fs::write(&out, json).map_err(|e| e.to_string())?;
+        write_json(&out, &trace)?;
         writeln!(
             stdout,
             "wrote {} ({}: {} jobs, {} processors, horizon {}, wake {}, ladder {:?})",
@@ -359,8 +420,7 @@ fn generate_dvfs(args: &[String], seed: u64, stdout: &mut dyn Write) -> Result<(
             horizon: dvfs.horizon,
             jobs: dvfs.jobs.clone(),
         };
-        let json = serde_json::to_string_pretty(&inst).map_err(|e| e.to_string())?;
-        std::fs::write(&inst_out, json).map_err(|e| e.to_string())?;
+        write_json(&inst_out, &inst)?;
         let total_work: u32 = dvfs.jobs.iter().map(Job::work_units).sum();
         writeln!(
             stdout,
@@ -371,8 +431,7 @@ fn generate_dvfs(args: &[String], seed: u64, stdout: &mut dyn Write) -> Result<(
             inst.num_processors,
             inst.horizon
         )?;
-        let json = serde_json::to_string_pretty(&dvfs.ladder).map_err(|e| e.to_string())?;
-        std::fs::write(&ladder_out, json).map_err(|e| e.to_string())?;
+        write_json(&ladder_out, &dvfs.ladder)?;
         writeln!(
             stdout,
             "wrote {ladder_out} ({} levels, alpha {} beta {} gamma {})",
@@ -413,8 +472,7 @@ fn cmd_generate(args: &[String], stdout: &mut dyn Write) -> Result<(), Failure> 
         trace
             .validate()
             .map_err(|e| format!("generated trace is invalid: {e}"))?;
-        let json = serde_json::to_string_pretty(&trace).map_err(|e| e.to_string())?;
-        std::fs::write(&out, json).map_err(|e| e.to_string())?;
+        write_json(&out, &trace)?;
         writeln!(
             stdout,
             "wrote {} ({}: {} jobs, {} processors, horizon {}, restart {}, rate {})",
@@ -452,8 +510,7 @@ fn cmd_generate(args: &[String], stdout: &mut dyn Write) -> Result<(), Failure> 
         },
         &mut rng,
     );
-    let json = serde_json::to_string_pretty(&p.instance).map_err(|e| e.to_string())?;
-    std::fs::write(&out, json).map_err(|e| e.to_string())?;
+    write_json(&out, &p.instance)?;
     writeln!(
         stdout,
         "wrote {} ({} jobs, {} processors, horizon {}; planted feasible cost {:.2})",
@@ -467,8 +524,7 @@ fn cmd_generate(args: &[String], stdout: &mut dyn Write) -> Result<(), Failure> 
         // profiles are drawn from the same seeded stream, after the
         // instance, so (seed, sizing, levels) reproduces the pair
         let fleet = hetero_profiles(processors, levels, &mut rng);
-        let json = serde_json::to_string_pretty(&fleet).map_err(|e| e.to_string())?;
-        std::fs::write(&profiles_out, json).map_err(|e| e.to_string())?;
+        write_json(&profiles_out, &fleet)?;
         writeln!(
             stdout,
             "wrote {profiles_out} ({processors} heterogeneous profiles, {levels} sleep level{})",
@@ -478,27 +534,22 @@ fn cmd_generate(args: &[String], stdout: &mut dyn Write) -> Result<(), Failure> 
     Ok(())
 }
 
-/// Loads the instance plus the cost oracle shared by `solve` and `explain`:
-/// `--profiles FILE` switches pricing from the uniform affine model to an
-/// explicit per-processor fleet (validated before the oracle asserts).
-fn load_instance_and_cost(
-    path: &str,
-    args: &[String],
-) -> Result<(Instance, Box<dyn EnergyCost>), String> {
+/// The solve `solve` and `explain` share: `--policy` and `--target`, the
+/// instance, its pricing, and the goal. `--profiles FILE` switches pricing
+/// from the uniform affine model to an explicit per-processor fleet
+/// (validated before the oracle asserts). Returns the solver too, which
+/// keeps the reduction `explain` names picks by.
+fn solve_instance(path: &str, args: &[String]) -> Result<(Instance, Solver, Schedule), String> {
+    let policy: CandidatePolicy = flag(args, "--policy")
+        .unwrap_or_else(|| "all".into())
+        .parse()?;
+    let target = target_flag(args)?;
     let restart: f64 = parse_flag(args, "--restart", 3.0)?;
     let rate: f64 = parse_flag(args, "--rate", 1.0)?;
-    let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-    let inst: Instance =
-        serde_json::from_str(&text).map_err(|e| format!("{path} is not a valid instance: {e}"))?;
-    // Deserialization builds the struct without running Instance::new's
-    // checks; validate before the solver indexes slots by id.
-    inst.validate()
-        .map_err(|e| format!("{path} is not a valid instance: {e}"))?;
+    let inst = read_instance(path)?;
     let cost: Box<dyn EnergyCost> = match flag(args, "--profiles") {
         Some(pp) => {
-            let text = std::fs::read_to_string(&pp).map_err(|e| format!("reading {pp}: {e}"))?;
-            let fleet: Vec<PowerProfile> = serde_json::from_str(&text)
-                .map_err(|e| format!("{pp} is not a valid profile fleet: {e}"))?;
+            let fleet: Vec<PowerProfile> = read_json(&pp, "profile fleet")?;
             validate_profiles(&fleet, inst.num_processors)
                 .map_err(|e| format!("{pp} does not fit {path}: {e}"))?;
             Box::new(ProfileCost::new(&fleet))
@@ -508,7 +559,13 @@ fn load_instance_and_cost(
             Box::new(AffineCost::new(restart, rate))
         }
     };
-    Ok((inst, cost))
+    let mut solver = Solver::new(policy);
+    let schedule = match target {
+        Some(z) => solver.prize_collecting_exact(&inst, cost.as_ref(), z),
+        None => solver.schedule_all(&inst, cost.as_ref()),
+    }
+    .map_err(|e| e.to_string())?;
+    Ok((inst, solver, schedule))
 }
 
 fn cmd_solve(args: &[String], stdout: &mut dyn Write) -> Result<(), Failure> {
@@ -516,15 +573,27 @@ fn cmd_solve(args: &[String], stdout: &mut dyn Write) -> Result<(), Failure> {
     flush_metrics(metrics, solve_run(args, stdout))
 }
 
-/// Loads and validates a `--freq-ladder FILE` JSON ladder.
-fn load_ladder(path: &str) -> Result<FreqLadder, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let ladder: FreqLadder = serde_json::from_str(&text)
-        .map_err(|e| format!("{path} is not a valid frequency ladder: {e}"))?;
+/// The speed-scaling instance `solve` and `validate` share: `inst`'s jobs
+/// under the `--freq-ladder FILE` ladder, waking at `--restart`.
+fn dvfs_instance_of(
+    inst: Instance,
+    ladder_path: &str,
+    args: &[String],
+) -> Result<DvfsInstance, String> {
+    let restart: f64 = parse_flag(args, "--restart", 3.0)?;
+    let ladder: FreqLadder = read_json(ladder_path, "frequency ladder")?;
     ladder
         .validate()
-        .map_err(|e| format!("{path} is not a valid frequency ladder: {e}"))?;
-    Ok(ladder)
+        .map_err(|e| format!("{ladder_path} is not a valid frequency ladder: {e}"))?;
+    let dvfs = DvfsInstance {
+        num_processors: inst.num_processors,
+        horizon: inst.horizon,
+        wake_cost: restart,
+        ladder,
+        jobs: inst.jobs,
+    };
+    dvfs.validate().map_err(|e| e.to_string())?;
+    Ok(dvfs)
 }
 
 /// `solve INSTANCE --freq-ladder FILE`: the speed-scaling solve. Jobs carry
@@ -543,20 +612,7 @@ fn solve_dvfs_run(
     if flag(args, "--target").is_some() {
         return Err("--freq-ladder supports schedule-all only (no --target)".into());
     }
-    let restart: f64 = parse_flag(args, "--restart", 3.0)?;
-    let text = std::fs::read_to_string(inst_path).map_err(|e| e.to_string())?;
-    let inst: Instance = serde_json::from_str(&text)
-        .map_err(|e| format!("{inst_path} is not a valid instance: {e}"))?;
-    inst.validate()
-        .map_err(|e| format!("{inst_path} is not a valid instance: {e}"))?;
-    let dvfs = DvfsInstance {
-        num_processors: inst.num_processors,
-        horizon: inst.horizon,
-        wake_cost: restart,
-        ladder: load_ladder(ladder_path)?,
-        jobs: inst.jobs,
-    };
-    dvfs.validate().map_err(|e| e.to_string())?;
+    let dvfs = dvfs_instance_of(read_instance(inst_path)?, ladder_path, args)?;
     let schedule = solve_dvfs(&dvfs).map_err(|e| e.to_string())?;
     let completed = schedule
         .assignments
@@ -581,8 +637,7 @@ fn solve_dvfs_run(
         )?;
     }
     if let Some(out) = flag(args, "--out") {
-        let json = serde_json::to_string_pretty(&schedule).map_err(|e| e.to_string())?;
-        std::fs::write(&out, json).map_err(|e| e.to_string())?;
+        write_json(&out, &schedule)?;
         writeln!(stdout, "wrote {out}")?;
     }
     Ok(())
@@ -593,19 +648,7 @@ fn solve_run(args: &[String], stdout: &mut dyn Write) -> Result<(), Failure> {
     if let Some(ladder_path) = flag(args, "--freq-ladder") {
         return solve_dvfs_run(args, path, &ladder_path, stdout);
     }
-    let policy: CandidatePolicy = flag(args, "--policy")
-        .unwrap_or_else(|| "all".into())
-        .parse()?;
-    let target = target_flag(args)?;
-
-    let (inst, cost) = load_instance_and_cost(path, args)?;
-    let mut solver = Solver::new(policy);
-    let schedule = match target {
-        Some(z) => solver.prize_collecting_exact(&inst, cost.as_ref(), z),
-        None => solver.schedule_all(&inst, cost.as_ref()),
-    }
-    .map_err(|e| e.to_string())?;
-
+    let (inst, _, schedule) = solve_instance(path, args)?;
     writeln!(
         stdout,
         "scheduled {}/{} jobs (value {:.1}) at energy cost {:.2} with {} awake intervals",
@@ -618,8 +661,7 @@ fn solve_run(args: &[String], stdout: &mut dyn Write) -> Result<(), Failure> {
     write!(stdout, "{}", simulate(&inst, &schedule).render())?;
 
     if let Some(out) = flag(args, "--out") {
-        let json = serde_json::to_string_pretty(&schedule).map_err(|e| e.to_string())?;
-        std::fs::write(&out, json).map_err(|e| e.to_string())?;
+        write_json(&out, &schedule)?;
         writeln!(stdout, "wrote {out}")?;
     }
     Ok(())
@@ -657,17 +699,7 @@ fn cmd_explain(args: &[String], stdout: &mut dyn Write) -> Result<(), Failure> {
     let trace_id = format!("explain-{stem}");
     obs::trace::set_trace_id(Some(&trace_id));
 
-    let policy: CandidatePolicy = flag(args, "--policy")
-        .unwrap_or_else(|| "all".into())
-        .parse()?;
-    let target = target_flag(args)?;
-    let (inst, cost) = load_instance_and_cost(path, args)?;
-    let mut solver = Solver::new(policy);
-    let schedule = match target {
-        Some(z) => solver.prize_collecting_exact(&inst, cost.as_ref(), z),
-        None => solver.schedule_all(&inst, cost.as_ref()),
-    }
-    .map_err(|e| e.to_string())?;
+    let (inst, solver, schedule) = solve_instance(path, args)?;
     obs::trace::set_trace_id(None);
 
     writeln!(
@@ -766,7 +798,7 @@ fn read_requests(args: &[String]) -> Result<String, String> {
         Some(path) if path.starts_with("--") => Err(format!(
             "batch expects the requests file before flags, found '{path}'"
         )),
-        Some(path) => std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}")),
+        Some(path) => read_text(path),
     }
 }
 
@@ -791,7 +823,7 @@ fn write_responses(
             Ok(())
         }
         Some(out) => {
-            std::fs::write(&out, body).map_err(|e| format!("writing {out}: {e}"))?;
+            write_text(&out, &body)?;
             eprintln!("wrote {} responses to {out}", lines.len());
             Ok(())
         }
@@ -922,28 +954,9 @@ fn cmd_serve(args: &[String], stdout: &mut dyn Write) -> Result<(), Failure> {
 /// plus `--gen KIND --count N` generated traces.
 fn replay_traces(args: &[String]) -> Result<Vec<ArrivalTrace>, String> {
     let mut traces: Vec<ArrivalTrace> = Vec::new();
-
-    // Positional operands may appear anywhere among the flags; every flag
-    // of `replay` consumes one value operand, except --verbose (bare) and
-    // --gen (whose KIND is optional, defaulting to poisson, so it may sit
-    // directly before another flag).
-    let mut operands: Vec<&String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        if args[i].starts_with("--") {
-            let has_value = match args[i].as_str() {
-                "--verbose" => false,
-                "--gen" => args.get(i + 1).is_some_and(|v| !v.starts_with("--")),
-                _ => true,
-            };
-            i += if has_value { 2 } else { 1 };
-        } else {
-            operands.push(&args[i]);
-            i += 1;
-        }
-    }
+    // Positional operands may appear anywhere among the flags.
     let mut paths: Vec<std::path::PathBuf> = Vec::new();
-    for a in operands {
+    for a in operands(args) {
         let path = std::path::Path::new(a);
         if path.is_dir() {
             let mut entries: Vec<std::path::PathBuf> = std::fs::read_dir(path)
@@ -958,10 +971,7 @@ fn replay_traces(args: &[String]) -> Result<Vec<ArrivalTrace>, String> {
         }
     }
     for path in paths {
-        let text = std::fs::read_to_string(&path)
-            .map_err(|e| format!("reading {}: {e}", path.display()))?;
-        let mut trace: ArrivalTrace = serde_json::from_str(&text)
-            .map_err(|e| format!("{} is not a valid trace: {e}", path.display()))?;
+        let mut trace: ArrivalTrace = read_json(&path, "trace")?;
         trace
             .validate()
             .map_err(|e| format!("{} is not a valid trace: {e}", path.display()))?;
@@ -1021,46 +1031,30 @@ fn replay_run(args: &[String], stdout: &mut dyn Write) -> Result<(), Failure> {
     let workers: usize = parse_flag(args, "--workers", 1)?;
     let verbose = args.iter().any(|a| a == "--verbose");
 
-    let reports: Vec<ReplayReport> = if verbose || trace_out.is_some() {
-        // Sequential so each report can be narrated with its machine-state
-        // timeline, and so each trace gets its own `trace_id` on one
-        // thread; the reports themselves are identical to the parallel
-        // path (replay is deterministic).
-        let mut out = Vec::with_capacity(traces.len());
-        for trace in &traces {
-            if trace_out.is_some() {
-                obs::trace::set_trace_id(Some(&format!("replay-{}", trace.name)));
+    // One fleet in every mode: reports, narration and trace ids do not
+    // depend on the worker count.
+    let mut reports: Vec<ReplayReport> = Vec::with_capacity(traces.len());
+    let fleet = replay_fleet(&traces, &policy, &FleetOptions { workers, offline });
+    for (result, trace) in fleet.into_iter().zip(&traces) {
+        let (report, outcome) = result.map_err(|e| format!("replaying {}: {e}", trace.name))?;
+        if verbose {
+            eprintln!("{} [{}]:", trace.name, report.policy);
+            eprint!("{}", outcome.power);
+            if let Some(rs) = report.resolve_stats {
+                eprintln!(
+                    "  re-solves: {} ({} warm, {} cold), total {:.2} ms, \
+                     p50 {:.1} us, p99 {:.1} us",
+                    rs.count,
+                    rs.warm,
+                    rs.cold,
+                    rs.total_ns as f64 / 1e6,
+                    rs.p50_ns as f64 / 1e3,
+                    rs.p99_ns as f64 / 1e3,
+                );
             }
-            let mut p = policy.build(None);
-            let (report, outcome) = replay_with_report(trace, p.as_mut(), offline)
-                .map_err(|e| format!("replaying {}: {e}", trace.name))?;
-            if verbose {
-                eprintln!("{} [{}]:", trace.name, report.policy);
-                eprint!("{}", outcome.power);
-                if let Some(rs) = report.resolve_stats {
-                    eprintln!(
-                        "  re-solves: {} ({} warm, {} cold), total {:.2} ms, \
-                         p50 {:.1} us, p99 {:.1} us",
-                        rs.count,
-                        rs.warm,
-                        rs.cold,
-                        rs.total_ns as f64 / 1e6,
-                        rs.p50_ns as f64 / 1e3,
-                        rs.p99_ns as f64 / 1e3,
-                    );
-                }
-            }
-            out.push(report);
         }
-        obs::trace::set_trace_id(None);
-        out
-    } else {
-        replay_fleet(&traces, &policy, &FleetOptions { workers, offline })
-            .into_iter()
-            .zip(&traces)
-            .map(|(r, t)| r.map_err(|e| format!("replaying {}: {e}", t.name)))
-            .collect::<Result<Vec<_>, _>>()?
-    };
+        reports.push(report);
+    }
 
     let lines: Vec<String> = reports
         .iter()
@@ -1120,80 +1114,44 @@ fn replay_run(args: &[String], stdout: &mut dyn Write) -> Result<(), Failure> {
 /// `--metrics-out` or the serve shutdown flush) as the human text table.
 fn cmd_metrics(args: &[String], stdout: &mut dyn Write) -> Result<(), Failure> {
     let path = args.first().ok_or("usage: metrics SNAPSHOT.json")?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let snapshot = obs::Snapshot::from_json(&text)
+    let snapshot = obs::Snapshot::from_json(&read_text(path)?)
         .map_err(|e| format!("{path}: not an obs/v1 snapshot: {e}"))?;
     write!(stdout, "{}", snapshot.render_text())?;
     Ok(())
 }
 
 fn cmd_validate(args: &[String], stdout: &mut dyn Write) -> Result<(), Failure> {
-    let operands: Vec<&String> = {
-        // the only validate flag, --freq-ladder, consumes one value operand
-        let mut out = Vec::new();
-        let mut i = 0;
-        while i < args.len() {
-            if args[i].starts_with("--") {
-                i += 2;
-            } else {
-                out.push(&args[i]);
-                i += 1;
-            }
-        }
-        out
-    };
-    let [inst_path, sched_path] = operands[..] else {
+    let [inst_path, sched_path] = operands(args)[..] else {
         return Err("usage: validate INSTANCE.json SCHEDULE.json [--freq-ladder FILE]".into());
     };
-    let inst: Instance =
-        serde_json::from_str(&std::fs::read_to_string(inst_path).map_err(|e| e.to_string())?)
-            .map_err(|e| e.to_string())?;
-    inst.validate()
-        .map_err(|e| format!("{inst_path} is not a valid instance: {e}"))?;
-    if let Some(ladder_path) = flag(args, "--freq-ladder") {
-        let restart: f64 = parse_flag(args, "--restart", 3.0)?;
-        let dvfs = DvfsInstance {
-            num_processors: inst.num_processors,
-            horizon: inst.horizon,
-            wake_cost: restart,
-            ladder: load_ladder(&ladder_path)?,
-            jobs: inst.jobs,
-        };
-        dvfs.validate().map_err(|e| e.to_string())?;
-        let sched: DvfsSchedule =
-            serde_json::from_str(&std::fs::read_to_string(sched_path).map_err(|e| e.to_string())?)
-                .map_err(|e| e.to_string())?;
-        if sched.assignments.len() != dvfs.jobs.len() {
-            return Err(format!(
-                "schedule has {} assignments but the instance has {} jobs",
-                sched.assignments.len(),
-                dvfs.jobs.len()
-            )
-            .into());
+    let inst = read_instance(inst_path)?;
+    // A schedule names one assignment per job, and validation indexes them
+    // by job, so the counts are checked first.
+    let count_mismatch = |assignments: usize, jobs: usize| {
+        format!("schedule has {assignments} assignments but the instance has {jobs} jobs")
+    };
+    let violations: Vec<String> = match flag(args, "--freq-ladder") {
+        Some(ladder_path) => {
+            let dvfs = dvfs_instance_of(inst, &ladder_path, args)?;
+            let sched: DvfsSchedule = read_json(sched_path, "DVFS schedule")?;
+            if sched.assignments.len() != dvfs.jobs.len() {
+                return Err(count_mismatch(sched.assignments.len(), dvfs.jobs.len()).into());
+            }
+            let violations = validate_dvfs_schedule(&dvfs, &sched);
+            violations.iter().map(|v| format!("{v:?}")).collect()
         }
-        let violations = validate_dvfs_schedule(&dvfs, &sched);
-        if violations.is_empty() {
-            writeln!(stdout, "schedule is valid")?;
-            return Ok(());
+        None => {
+            let sched: Schedule = read_json(sched_path, "schedule")?;
+            if sched.assignments.len() != inst.num_jobs() {
+                return Err(count_mismatch(sched.assignments.len(), inst.num_jobs()).into());
+            }
+            let violations = validate_schedule(&inst, &sched);
+            violations.iter().map(|v| format!("{v:?}")).collect()
         }
-        return Err(format!("schedule invalid: {violations:?}").into());
+    };
+    if !violations.is_empty() {
+        return Err(format!("schedule invalid: [{}]", violations.join(", ")).into());
     }
-    let sched: Schedule =
-        serde_json::from_str(&std::fs::read_to_string(sched_path).map_err(|e| e.to_string())?)
-            .map_err(|e| e.to_string())?;
-    if sched.assignments.len() != inst.num_jobs() {
-        return Err(format!(
-            "schedule has {} assignments but the instance has {} jobs",
-            sched.assignments.len(),
-            inst.num_jobs()
-        )
-        .into());
-    }
-    let violations = validate_schedule(&inst, &sched);
-    if violations.is_empty() {
-        writeln!(stdout, "schedule is valid")?;
-        Ok(())
-    } else {
-        Err(format!("schedule invalid: {violations:?}").into())
-    }
+    writeln!(stdout, "schedule is valid")?;
+    Ok(())
 }

@@ -313,3 +313,134 @@ fn dvfs_requests_match_solve_dvfs_field_for_field() {
     }
     assert_eq!(infeasible, 6, "every planted overload is infeasible");
 }
+
+/// A `power-sched serve` on an ephemeral port, killed on drop.
+struct Server {
+    child: std::process::Child,
+    addr: String,
+}
+
+impl Server {
+    fn spawn() -> Self {
+        use std::io::BufRead;
+        let mut child = Command::new(env!("CARGO_BIN_EXE_power-sched"))
+            .args(["serve", "--addr", "127.0.0.1:0", "--workers", "1"])
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::null())
+            .spawn()
+            .expect("spawn power-sched serve");
+        let mut banner = String::new();
+        std::io::BufReader::new(child.stdout.as_mut().expect("piped stdout"))
+            .read_line(&mut banner)
+            .expect("read listen banner");
+        assert!(banner.contains("listening on"), "banner: {banner}");
+        let addr = banner.trim().rsplit(' ').next().unwrap().to_string();
+        Self { child, addr }
+    }
+}
+
+impl Drop for Server {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
+/// Finite prices and values can sum past `f64::MAX`, and JSON cannot
+/// write the infinite total. Each such request is answered alone with a
+/// `BadRequest` that keeps its id and trace id, and the rest of the batch
+/// is still answered: locally and over both transports, one line per
+/// request and exit 0.
+#[test]
+fn an_unwritable_schedule_fails_alone_on_every_transport() {
+    let split = || {
+        Instance::new(
+            2,
+            2,
+            vec![
+                Job::unit(vec![SlotRef::new(0, 0)]),
+                Job::unit(vec![SlotRef::new(1, 1)]),
+            ],
+        )
+    };
+    let huge_values = Instance::new(
+        1,
+        4,
+        (0..2)
+            .map(|t| Job {
+                value: 1e308,
+                allowed: vec![SlotRef::new(0, t)],
+                work: None,
+            })
+            .collect(),
+    );
+    let plain = Instance::new(1, 4, vec![Job::unit(vec![SlotRef::new(0, 1)])]);
+    let requests = vec![
+        // two wakes at 1e308 each: the total overflows
+        SolveRequest::builder(7, split())
+            .affine(1e308, 0.0)
+            .trace_id("overflow-7")
+            .build(),
+        SolveRequest::builder(8, plain).affine(3.0, 1.0).build(),
+        // two values of 1e308: scheduled_value overflows
+        SolveRequest::builder(9, huge_values)
+            .affine(3.0, 1.0)
+            .build(),
+        // the DVFS path: one slot at level 0 costs 1e308
+        SolveRequest::builder(10, split())
+            .affine(0.0, 1.0)
+            .freq_ladder(FreqLadder::new(1e308, 0.0, 1.0, vec![1]))
+            .build(),
+    ];
+    let dir = temp_dir("unwritable");
+    let input = write_requests(&dir, "requests.jsonl", &requests);
+    let server = Server::spawn();
+    let transports: [&[&str]; 3] = [
+        &[],
+        &["--connect", &server.addr, "--format", "jsonl"],
+        &["--connect", &server.addr],
+    ];
+    for (k, extra) in transports.iter().enumerate() {
+        let out = dir.join(format!("responses-{k}.jsonl"));
+        let output = Command::new(env!("CARGO_BIN_EXE_power-sched"))
+            .args([
+                "batch",
+                input.to_str().unwrap(),
+                "--out",
+                out.to_str().unwrap(),
+            ])
+            .args(*extra)
+            .output()
+            .expect("spawn power-sched batch");
+        assert!(
+            output.status.success(),
+            "batch {extra:?} failed: {}",
+            String::from_utf8_lossy(&output.stderr)
+        );
+        let responses: Vec<SolveResponse> = std::fs::read_to_string(&out)
+            .expect("responses written")
+            .lines()
+            .map(|l| serde_json::from_str(l).expect("every line is a SolveResponse"))
+            .collect();
+        let ids: Vec<u64> = responses.iter().map(|r| r.id).collect();
+        assert_eq!(ids, [7, 8, 9, 10], "{extra:?}");
+        for r in &responses {
+            if r.id == 8 {
+                assert!(r.ok, "{extra:?}: {:?}", r.error);
+                continue;
+            }
+            let error = r.error.as_ref().expect("an error response");
+            assert_eq!(
+                error.kind,
+                power_scheduling::engine::ErrorKind::BadRequest,
+                "{extra:?} request {}: {}",
+                r.id,
+                error.message
+            );
+            assert!(error.message.contains("not finite"), "{}", error.message);
+            assert!(r.schedule.is_none());
+        }
+        assert_eq!(responses[0].trace_id.as_deref(), Some("overflow-7"));
+        assert_eq!(responses[2].trace_id.as_deref(), Some("req-9"));
+    }
+}

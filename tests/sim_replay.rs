@@ -89,7 +89,7 @@ proptest! {
                 .map(|r| {
                     // Re-solve wall times are legitimately run-dependent;
                     // everything else must be bit-identical.
-                    let mut r = r.unwrap();
+                    let (mut r, _) = r.unwrap();
                     if let Some(rs) = &mut r.resolve_stats {
                         rs.total_ns = 0;
                         rs.p50_ns = 0;
@@ -234,7 +234,7 @@ fn prelude_replay_surface() {
         },
         &FleetOptions::default(),
     );
-    let report: &ReplayReport = reports[0].as_ref().unwrap();
+    let (report, _): &(ReplayReport, _) = reports[0].as_ref().unwrap();
     assert!(report.events >= 1, "periodic resolve never re-solved");
     assert!(report.ratio >= 1.0 - 1e-9);
 }
