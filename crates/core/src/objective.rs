@@ -13,11 +13,23 @@
 //! The reduction is built for the greedy's access pattern, not for
 //! readability of the intermediate state:
 //!
+//! * **Live-span slot ids** — the graph's slots are numbered
+//!   `proc · span + (time − first)`, where `first` is the instance's first
+//!   allowed time and `span` runs to its last, one offset for every row.
+//!   Only those slots can be job-adjacent, so the graph, the prefix counts,
+//!   the components and the oracle's slot side grow with the instance's
+//!   live span, not with its horizon: an online re-solve over the jobs
+//!   pending in a 4,096-slot trace touches a few dozen slots per processor.
+//!   Ids stay monotone in `(proc, time)`, so every search order and
+//!   tie-break is the one full-horizon ids give. These ids are **not**
+//!   [`Instance::slot_id`]: [`ScheduleReduction::slot_ref`] maps one back to
+//!   its slot. Interval times, spans and every cost call stay in absolute
+//!   time; an interval reaching past the span is clamped into it.
 //! * **Windows of one slot arena** — the *interesting* slots (adjacent to at
 //!   least one job) live in one increasing arena, and a prefix count over
-//!   dense slot ids maps an interval `[s, e)` to its window of that arena
-//!   with two loads. Degree-0 slots can never change the matching, so they
-//!   are never evaluated; an interval's *cost* still covers them.
+//!   live-span slot ids maps an interval `[s, e)` to its window of that
+//!   arena with two loads. Degree-0 slots can never change the matching, so
+//!   they are never evaluated; an interval's *cost* still covers them.
 //! * **Window subsets** — the greedy's index space is not the candidate
 //!   family but one *subset* per distinct nonempty window. By Lemma 2.2.2 a
 //!   candidate's marginal gain is the matching rank its window adds, so
@@ -103,12 +115,12 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use bmatch::{BipartiteGraph, BipartiteGraphBuilder, GainScratch, MatchingOracle};
-use submodular::BudgetedObjective;
+use bmatch::{BipartiteGraph, BipartiteGraphBuilder, GainScratch, MatchingOracle, OracleBuffers};
+use submodular::{BudgetedObjective, GreedyBuffers};
 
 use crate::candidates::{CandidateInterval, CandidatePolicy};
 use crate::cost::EnergyCost;
-use crate::model::{Instance, Schedule};
+use crate::model::{Instance, Schedule, SlotRef};
 
 /// Distinguishes objectives so a reused scratch never replays memoized gains
 /// computed against a different objective.
@@ -125,16 +137,23 @@ static OBJECTIVE_TOKENS: AtomicU64 = AtomicU64::new(1);
 /// borrowed by [`ScheduleObjective`].
 #[derive(Clone, Debug)]
 pub struct ScheduleReduction {
-    /// `X` = dense slot ids (`proc · horizon + time`), `Y` = jobs.
+    /// `X` = live-span slot ids (`proc · span + (time − first)`; see
+    /// [`ScheduleReduction::slot_ref`], and "Live-span slot ids" in the
+    /// [module docs](self)), not [`Instance::slot_id`]; `Y` = jobs.
     pub graph: BipartiteGraph,
-    /// Slots per processor row of the dense slot ids.
+    /// The instance's horizon: the longest interval `All` allows.
     horizon: u32,
+    /// The instance's first allowed time: column 0 of every row.
+    first: u32,
+    /// Slots per processor row: the first through the last allowed time.
+    span: u32,
     /// All *interesting* slot ids (degree > 0) in increasing dense order —
     /// the single shared arena every window is a range of.
     islots: Vec<u32>,
     /// `prefix[x]` = number of interesting slots with dense id `< x`, for
     /// `x` in `0..=nx`: interval `[s, e)` on processor `p` has the window
-    /// `prefix[p·T + s]..prefix[p·T + e]` of `islots`.
+    /// `prefix[p·span + col(s)]..prefix[p·span + col(e)]` of `islots`, where
+    /// `col` clamps a time into the span.
     prefix: Vec<u32>,
     /// After a family build, the candidate index of each subset: the
     /// cheapest, then lowest-index, candidate with the subset's window.
@@ -179,6 +198,8 @@ pub struct ScheduleReduction {
 /// Working buffers for the rebuild, retained across deltas.
 #[derive(Clone, Debug, Default)]
 struct RebuildScratch {
+    /// The edge list the graph is rebuilt from.
+    builder: BipartiteGraphBuilder,
     uf: Vec<u32>,
     dense: Vec<u32>,
     /// Group epoch at which each component was last pushed to the arena.
@@ -202,6 +223,8 @@ impl ScheduleReduction {
         Self {
             graph: BipartiteGraphBuilder::new(0, 0).build(),
             horizon: 0,
+            first: 0,
+            span: 0,
             islots: Vec::new(),
             prefix: Vec::new(),
             cand: Vec::new(),
@@ -317,19 +340,29 @@ impl ScheduleReduction {
         }
     }
 
-    /// The job side of every build: graph, interesting slots and their
-    /// prefix counts, and connected components, written into the retained
-    /// buffers.
+    /// The job side of every build: the live span, graph, interesting slots
+    /// and their prefix counts, and connected components, written into the
+    /// retained buffers. Counts the graph's slots as
+    /// `core.reduction.dense_slots`.
     fn rebuild_graph(&mut self, inst: &Instance) {
-        let mut b = BipartiteGraphBuilder::new(inst.num_slots(), inst.num_jobs() as u32);
+        let (lo, hi) = (inst.jobs.iter().flat_map(|j| &j.allowed))
+            .fold((u32::MAX, 0), |(lo, hi), s| {
+                (lo.min(s.time), hi.max(s.time + 1))
+            });
+        let (first, span) = if lo < hi { (lo, hi - lo) } else { (0, 0) };
+        self.horizon = inst.horizon;
+        self.first = first;
+        self.span = span;
+        let b = &mut self.scratch.builder;
+        b.reset(inst.num_processors * span, inst.num_jobs() as u32);
         for (jid, job) in inst.jobs.iter().enumerate() {
             for &s in &job.allowed {
-                b.add_edge(inst.slot_id(s), jid as u32);
+                b.add_edge(s.proc * span + (s.time - first), jid as u32);
             }
         }
-        self.graph = b.build();
-        self.horizon = inst.horizon;
+        b.build_into(&mut self.graph);
         let graph = &self.graph;
+        sched_obs::counter_add("core.reduction.dense_slots", u64::from(graph.nx()));
 
         // interesting slots (degree > 0) and their prefix counts
         let nx = graph.nx() as usize;
@@ -436,10 +469,11 @@ impl ScheduleReduction {
         let cap = candidates.len().min(k * (k + 1) / 2);
         self.begin_subsets(cap);
         self.cand.reserve(cap);
+        let (t0, span) = (self.first, self.span);
+        let col = |time: u32| time.saturating_sub(t0).min(span) as usize;
         let mut i = 0;
         while i < candidates.len() {
             let Self {
-                horizon,
                 prefix,
                 cand,
                 costs,
@@ -452,15 +486,15 @@ impl ScheduleReduction {
             } = self;
             let by_len = &mut scratch.by_len;
             let first = &candidates[i];
-            let prefix = &prefix[(first.proc * *horizon) as usize..];
-            let off = prefix[first.start as usize];
+            let prefix = &prefix[(first.proc * span) as usize..];
+            let off = prefix[col(first.start)];
             let lo = costs.len();
             let mut max_len = 0;
             while let Some(c) = candidates.get(i) {
-                if c.proc != first.proc || prefix[c.start as usize] != off {
+                if c.proc != first.proc || prefix[col(c.start)] != off {
                     break;
                 }
-                let l = prefix[c.end as usize] - off;
+                let l = prefix[col(c.end)] - off;
                 if l > 0 {
                     let s = &mut by_len[l as usize];
                     if *s == u32::MAX {
@@ -496,10 +530,10 @@ impl ScheduleReduction {
         cost: &dyn EnergyCost,
         policy: CandidatePolicy,
     ) -> usize {
-        let t = self.horizon;
+        let (t0, span) = (self.first, self.span);
         // the longest interval the policy allows, in slots
         let cap = match policy {
-            CandidatePolicy::All => t,
+            CandidatePolicy::All => self.horizon,
             CandidatePolicy::MaxLength(k) => k,
             CandidatePolicy::SingleSlots => 1,
         };
@@ -510,20 +544,23 @@ impl ScheduleReduction {
             cost.cost(proc, start, end)
         };
         for proc in 0..num_processors {
-            let row = proc * t;
+            // `row` maps a live-span slot id to its time
+            let row = proc * span;
+            let time = |x: u32| x - row + t0;
             let first = self.prefix[row as usize];
-            let last = self.prefix[(row + t) as usize];
+            let last = self.prefix[(row + span) as usize];
             for a in first..last {
-                let start_a = self.islots[a as usize] - row;
-                // the window's class starts past the previous interesting slot
+                let start_a = time(self.islots[a as usize]);
+                // the window's class starts past the previous interesting
+                // slot, or at time 0 for the row's first
                 let lowest_start = if a > first {
-                    self.islots[a as usize - 1] - row + 1
+                    time(self.islots[a as usize - 1]) + 1
                 } else {
                     0
                 };
                 let lo = self.costs.len();
                 for b in a..last {
-                    let end = self.islots[b as usize] - row + 1;
+                    let end = time(self.islots[b as usize]) + 1;
                     // Every member of this window's class, and of every
                     // longer window's, contains [start_a, end).
                     if end - start_a > cap {
@@ -709,7 +746,7 @@ impl ScheduleReduction {
     fn interval_in_run(&self, r: usize, k: usize) -> CandidateInterval {
         let (start, end) = self.spans[k];
         CandidateInterval {
-            proc: self.islots[self.run_base[r].0 as usize] / self.horizon,
+            proc: self.islots[self.run_base[r].0 as usize] / self.span,
             start,
             end,
             cost: self.costs[k],
@@ -735,10 +772,23 @@ impl ScheduleReduction {
     /// that index the candidate family rather than the subsets.
     #[inline]
     pub fn interval_slots(&self, iv: &CandidateInterval) -> &[u32] {
-        let row = (iv.proc * self.horizon) as usize;
-        let lo = self.prefix[row + iv.start as usize] as usize;
-        let hi = self.prefix[row + iv.end as usize] as usize;
+        let row = (iv.proc * self.span) as usize;
+        let lo = self.prefix[row + self.col(iv.start)] as usize;
+        let hi = self.prefix[row + self.col(iv.end)] as usize;
         &self.islots[lo..hi]
+    }
+
+    /// The slot a graph slot id stands for: the inverse of the live-span
+    /// numbering (see "Live-span slot ids" in the [module docs](self)).
+    #[inline]
+    pub fn slot_ref(&self, x: u32) -> SlotRef {
+        SlotRef::new(x / self.span, self.first + x % self.span)
+    }
+
+    /// The column of absolute time `time` in a row, clamped into the span.
+    #[inline]
+    fn col(&self, time: u32) -> usize {
+        time.saturating_sub(self.first).min(self.span) as usize
     }
 
     /// Maximal nested-prefix subset ranges (see the module docs).
@@ -869,6 +919,17 @@ impl ObjectiveScratch {
         self.gain.edge_visits()
     }
 
+    /// The lifetime counters `[hits, misses, saturated, edge visits]`, so a
+    /// solve on a reused scratch can report its own share.
+    pub(crate) fn tallies(&self) -> [u64; 4] {
+        [
+            self.memo_hits,
+            self.memo_misses,
+            self.memo_saturated,
+            self.edge_visits(),
+        ]
+    }
+
     /// Sizes the memo for `red` and forgets it if it was filled against
     /// another objective.
     fn ensure(&mut self, token: u64, red: &ScheduleReduction) {
@@ -882,6 +943,48 @@ impl ObjectiveScratch {
             self.memo_val.clear();
             self.memo_val.resize(red.num_subsets(), 0.0);
         }
+    }
+}
+
+/// Everything one solve writes besides its reduction: the oracle's slot and
+/// job arrays, the objective's component arrays, the gain scratch with its
+/// memo, and the greedy's working arrays. A [`crate::Solver`] keeps one and
+/// rebuilds it in place on every call, so a re-solve allocates none of them
+/// once they have grown to its instance; the free functions start each
+/// solve from an empty one.
+#[derive(Default)]
+pub(crate) struct SolveWorkspace {
+    oracle: OracleBuffers,
+    comp_version: Vec<u64>,
+    unmatched: Vec<u32>,
+    scratch: ObjectiveScratch,
+    greedy: GreedyBuffers,
+}
+
+impl SolveWorkspace {
+    /// Runs `solve` on an objective over `red` in which job `y` is worth the
+    /// `y`-th of `values`, with the objective's arrays, the scratch and the
+    /// greedy buffers taken from this workspace, and takes the arrays back
+    /// afterwards.
+    pub(crate) fn run<'r, T>(
+        &mut self,
+        red: &'r ScheduleReduction,
+        values: impl IntoIterator<Item = f64>,
+        solve: impl FnOnce(&mut ScheduleObjective<'r>, &mut ObjectiveScratch, &mut GreedyBuffers) -> T,
+    ) -> T {
+        let oracle =
+            MatchingOracle::with_buffers(&red.graph, values, std::mem::take(&mut self.oracle));
+        let mut obj = ScheduleObjective::with_oracle(
+            red,
+            oracle,
+            std::mem::take(&mut self.comp_version),
+            std::mem::take(&mut self.unmatched),
+        );
+        let out = solve(&mut obj, &mut self.scratch, &mut self.greedy);
+        self.oracle = obj.oracle.into_buffers();
+        self.comp_version = obj.comp_version;
+        self.unmatched = obj.unmatched;
+        out
     }
 }
 
@@ -912,22 +1015,34 @@ const SATURATED: u64 = u64::MAX;
 impl<'r> ScheduleObjective<'r> {
     /// Cardinality utility (Lemma 2.2.2): every job counts 1.
     pub fn new_cardinality(red: &'r ScheduleReduction) -> Self {
-        Self::with_oracle(red, MatchingOracle::new_cardinality(&red.graph))
+        let oracle = MatchingOracle::new_cardinality(&red.graph);
+        Self::with_oracle(red, oracle, Vec::new(), Vec::new())
     }
 
     /// Weighted utility (Lemma 2.3.2): job `j` counts `values[j] > 0`.
     pub fn new_weighted(red: &'r ScheduleReduction, values: Vec<f64>) -> Self {
-        Self::with_oracle(red, MatchingOracle::new(&red.graph, values))
+        let oracle = MatchingOracle::new(&red.graph, values);
+        Self::with_oracle(red, oracle, Vec::new(), Vec::new())
     }
 
-    fn with_oracle(red: &'r ScheduleReduction, oracle: MatchingOracle<'r>) -> Self {
+    /// The objective over `oracle`, writing its per-component arrays into
+    /// `comp_version` and `unmatched`.
+    fn with_oracle(
+        red: &'r ScheduleReduction,
+        oracle: MatchingOracle<'r>,
+        mut comp_version: Vec<u64>,
+        mut unmatched: Vec<u32>,
+    ) -> Self {
+        comp_version.clear();
+        comp_version.resize(red.num_comps as usize, 0);
+        unmatched.clone_from(&red.comp_jobs);
         Self {
             red,
             oracle,
             token: OBJECTIVE_TOKENS.fetch_add(1, Ordering::Relaxed),
             version: 1,
-            comp_version: vec![0; red.num_comps as usize],
-            unmatched: red.comp_jobs.clone(),
+            comp_version,
+            unmatched,
             saturated_at: 0,
         }
     }
@@ -1026,7 +1141,7 @@ impl<'r> ScheduleObjective<'r> {
         let mut value = 0.0;
         let mut count = 0usize;
         for (slot_id, job) in self.oracle.matching() {
-            assignments[job as usize] = Some(inst.slot_ref(slot_id));
+            assignments[job as usize] = Some(self.red.slot_ref(slot_id));
             value += inst.jobs[job as usize].value;
             count += 1;
         }
@@ -1066,9 +1181,10 @@ impl BudgetedObjective for ScheduleObjective<'_> {
         self.red.runs()
     }
 
-    fn group_gains(&self, lo: usize, scratch: &mut Self::Scratch, out: &mut [f64]) {
+    /// Group `r` is run `r`: the greedy's groups are
+    /// [`ScheduleReduction::runs`].
+    fn group_gains(&self, r: usize, lo: usize, scratch: &mut Self::Scratch, out: &mut [f64]) {
         scratch.ensure(self.token, self.red);
-        let r = self.red.run_of(lo);
         debug_assert_eq!(self.red.runs()[r], (lo as u32, (lo + out.len()) as u32));
         self.fresh_run(r, scratch);
         out.copy_from_slice(&scratch.memo_val[lo..lo + out.len()]);
@@ -1320,10 +1436,10 @@ mod tests {
         assert_eq!(obj.groups(), red.runs());
         let mut scratch = ObjectiveScratch::default();
         for round in 0..3 {
-            for &(lo, hi) in red.runs() {
+            for (r, &(lo, hi)) in red.runs().iter().enumerate() {
                 let (lo, hi) = (lo as usize, hi as usize);
                 let mut group = vec![0.0; hi - lo];
-                obj.group_gains(lo, &mut scratch, &mut group);
+                obj.group_gains(r, lo, &mut scratch, &mut group);
                 let mut fresh = ObjectiveScratch::default();
                 for (k, &g) in group.iter().enumerate() {
                     assert_eq!(g, obj.gain(lo + k, &mut fresh), "round {round}");
@@ -1638,6 +1754,7 @@ mod window_build_tests {
         prop_assert_eq!(&w.islots, &f.islots, "interesting slots");
         prop_assert_eq!(&w.prefix, &f.prefix, "slot prefix counts");
         prop_assert_eq!(w.horizon, f.horizon);
+        prop_assert_eq!((w.first, w.span), (f.first, f.span), "live span");
         Ok(())
     }
 

@@ -12,11 +12,11 @@
 //!   `Z − F(S)`, one final cheapest positive-gain interval closes the gap.
 
 use bmatch::hall_violator;
-use submodular::{budgeted_greedy, BudgetedObjective, GreedyConfig};
+use submodular::{budgeted_greedy_in, BudgetedObjective, GreedyConfig};
 
 use crate::candidates::CandidateInterval;
 use crate::model::{Instance, Schedule, ScheduleError, SolveOptions};
-use crate::objective::{ScheduleObjective, ScheduleReduction};
+use crate::objective::{ObjectiveScratch, ScheduleObjective, ScheduleReduction, SolveWorkspace};
 
 /// Whether an entry point accepts `target` as a prize-collecting goal:
 /// finite and positive. The solvers answer a target of zero or below with
@@ -55,6 +55,17 @@ pub fn prize_collecting_with(
     target: f64,
     epsilon: f64,
 ) -> Result<Schedule, ScheduleError> {
+    prize_collecting_in(inst, red, target, epsilon, &mut SolveWorkspace::default())
+}
+
+/// [`prize_collecting_with`] on the arrays of `ws`.
+pub(crate) fn prize_collecting_in(
+    inst: &Instance,
+    red: &ScheduleReduction,
+    target: f64,
+    epsilon: f64,
+    ws: &mut SolveWorkspace,
+) -> Result<Schedule, ScheduleError> {
     let total = inst.total_value();
     if target > total {
         return Err(ScheduleError::TargetExceedsTotalValue { target, total });
@@ -63,18 +74,18 @@ pub fn prize_collecting_with(
         return Ok(empty_schedule(inst));
     }
 
-    let values: Vec<f64> = inst.jobs.iter().map(|j| j.value).collect();
-    let mut obj = ScheduleObjective::new_weighted(red, values);
-
-    let out = budgeted_greedy(&mut obj, GreedyConfig::new(target, epsilon));
-    if !out.reached_target {
-        let certificate = hall_violator(obj.oracle()).unwrap_or_default();
-        return Err(ScheduleError::Infeasible {
-            certificate,
-            achieved_value: out.utility,
-        });
-    }
-    Ok(obj.extract_schedule(inst, &[], &out.chosen))
+    let values = inst.jobs.iter().map(|j| j.value);
+    ws.run(red, values, |obj, scratch, greedy| {
+        let out = budgeted_greedy_in(obj, GreedyConfig::new(target, epsilon), scratch, greedy);
+        if !out.reached_target {
+            let certificate = hall_violator(obj.oracle()).unwrap_or_default();
+            return Err(ScheduleError::Infeasible {
+                certificate,
+                achieved_value: out.utility,
+            });
+        }
+        Ok(obj.extract_schedule(inst, &[], &out.chosen))
+    })
 }
 
 /// Schedules jobs of total value at least `target` — no `(1−ε)` slack — at
@@ -97,6 +108,16 @@ pub fn prize_collecting_exact_with(
     red: &ScheduleReduction,
     target: f64,
 ) -> Result<Schedule, ScheduleError> {
+    prize_collecting_exact_in(inst, red, target, &mut SolveWorkspace::default())
+}
+
+/// [`prize_collecting_exact_with`] on the arrays of `ws`.
+pub(crate) fn prize_collecting_exact_in(
+    inst: &Instance,
+    red: &ScheduleReduction,
+    target: f64,
+    ws: &mut SolveWorkspace,
+) -> Result<Schedule, ScheduleError> {
     let total = inst.total_value();
     if target > total {
         return Err(ScheduleError::TargetExceedsTotalValue { target, total });
@@ -114,23 +135,31 @@ pub fn prize_collecting_exact_with(
     // 1 for the degenerate n = 1 case.
     let eps = (v_min / (n * v_max)).min(0.5);
 
-    let values: Vec<f64> = inst.jobs.iter().map(|j| j.value).collect();
-    let mut obj = ScheduleObjective::new_weighted(red, values);
+    let values = inst.jobs.iter().map(|j| j.value);
+    ws.run(red, values, |obj, scratch, greedy| {
+        let out = budgeted_greedy_in(obj, GreedyConfig::new(target, eps), scratch, greedy);
+        if !out.reached_target {
+            let certificate = hall_violator(obj.oracle()).unwrap_or_default();
+            return Err(ScheduleError::Infeasible {
+                certificate,
+                achieved_value: out.utility,
+            });
+        }
+        top_up(inst, obj, target, out.chosen)
+    })
+}
 
-    let out = budgeted_greedy(&mut obj, GreedyConfig::new(target, eps));
-    if !out.reached_target {
-        let certificate = hall_violator(obj.oracle()).unwrap_or_default();
-        return Err(ScheduleError::Infeasible {
-            certificate,
-            achieved_value: out.utility,
-        });
-    }
-
-    let mut chosen = out.chosen.clone();
-    // Top-up phase: while short of Z, commit the cheapest candidate with any
-    // positive gain. Any positive gain of the weighted rank is ≥ v_min ≥ the
-    // residual, so mathematically one round suffices; the loop is defensive.
-    let mut scratch = <ScheduleObjective<'_> as BudgetedObjective>::Scratch::default();
+/// The top-up phase of [`prize_collecting_exact`] after its greedy picked
+/// `chosen`: while short of `target`, commit the cheapest subset with any
+/// positive gain. Any positive gain of the weighted rank is ≥ v_min ≥ the
+/// residual, so mathematically one round suffices; the loop is defensive.
+fn top_up(
+    inst: &Instance,
+    obj: &mut ScheduleObjective<'_>,
+    target: f64,
+    mut chosen: Vec<usize>,
+) -> Result<Schedule, ScheduleError> {
+    let mut scratch = ObjectiveScratch::default();
     let mut in_chosen = vec![false; obj.num_subsets()];
     for &i in &chosen {
         in_chosen[i] = true;

@@ -360,15 +360,30 @@ impl ProfileCost {
     /// Panics if any profile fails [`PowerProfile::validate`]; untrusted
     /// fleets must pass [`validate_profiles`] first.
     pub fn new(profiles: &[PowerProfile]) -> Self {
+        let mut cost = Self {
+            wake: Vec::new(),
+            busy: Vec::new(),
+        };
+        cost.set_profiles(profiles);
+        cost
+    }
+
+    /// Rewrites the oracle for `profiles` in place, keeping its buffers:
+    /// [`ProfileCost::new`] for a caller that re-prices one fleet again and
+    /// again.
+    ///
+    /// # Panics
+    /// As [`ProfileCost::new`].
+    pub fn set_profiles(&mut self, profiles: &[PowerProfile]) {
         for (proc, p) in profiles.iter().enumerate() {
             if let Err(e) = p.validate(proc as u32) {
                 panic!("{e}");
             }
         }
-        Self {
-            wake: profiles.iter().map(|p| p.wake_cost).collect(),
-            busy: profiles.iter().map(|p| p.busy_rate).collect(),
-        }
+        self.wake.clear();
+        self.wake.extend(profiles.iter().map(|p| p.wake_cost));
+        self.busy.clear();
+        self.busy.extend(profiles.iter().map(|p| p.busy_rate));
     }
 
     /// Homogeneous fleet: every processor gets `(wake_cost, busy_rate)` —

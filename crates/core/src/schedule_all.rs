@@ -8,11 +8,11 @@
 //! is read straight out of the incremental oracle.
 
 use bmatch::hall_violator;
-use submodular::{budgeted_greedy_with, GreedyConfig};
+use submodular::{budgeted_greedy_in, GreedyConfig};
 
 use crate::candidates::CandidateInterval;
 use crate::model::{Instance, Schedule, ScheduleError, SolveOptions};
-use crate::objective::{ObjectiveScratch, ScheduleObjective, ScheduleReduction};
+use crate::objective::{ObjectiveScratch, ScheduleObjective, ScheduleReduction, SolveWorkspace};
 
 /// Schedules every job of `inst` using awake intervals drawn from
 /// `candidates`, with total cost within `O(log n)` of the cheapest such
@@ -54,6 +54,15 @@ pub fn schedule_all_with(
     inst: &Instance,
     red: &ScheduleReduction,
 ) -> Result<Schedule, ScheduleError> {
+    schedule_all_in(inst, red, &mut SolveWorkspace::default())
+}
+
+/// [`schedule_all_with`] on the arrays of `ws`.
+pub(crate) fn schedule_all_in(
+    inst: &Instance,
+    red: &ScheduleReduction,
+    ws: &mut SolveWorkspace,
+) -> Result<Schedule, ScheduleError> {
     let n = inst.num_jobs();
     if n == 0 {
         return Ok(empty_schedule());
@@ -76,47 +85,48 @@ pub fn schedule_all_with(
     // [`crate::Solver::schedule_all`]) each open the
     // `core.solve.schedule_all_ns` span; opening another one would
     // double-count the solve.
-    let mut obj = ScheduleObjective::new_cardinality(red);
-    let mut scratch = ObjectiveScratch::default();
-
     let x = n as f64;
     let cfg = GreedyConfig::new(x, 1.0 / (x + 1.0));
-    let out = budgeted_greedy_with(&mut obj, cfg, &mut scratch);
-    flush_solve_telemetry(&obj, &scratch);
+    ws.run(red, std::iter::repeat_n(1.0, n), |obj, scratch, greedy| {
+        let since = scratch.tallies();
+        let out = budgeted_greedy_in(obj, cfg, scratch, greedy);
+        flush_solve_telemetry(obj, scratch, since);
 
-    // Integral utility: reaching (1 − 1/(n+1))·n > n−1 means all n jobs.
-    if !out.reached_target {
-        let certificate = hall_violator(obj.oracle()).unwrap_or_default();
-        return Err(ScheduleError::Infeasible {
-            certificate,
-            achieved_value: out.utility,
-        });
-    }
-    debug_assert_eq!(out.utility, x, "integral utility must hit n exactly");
+        // Integral utility: reaching (1 − 1/(n+1))·n > n−1 means all n jobs.
+        if !out.reached_target {
+            let certificate = hall_violator(obj.oracle()).unwrap_or_default();
+            return Err(ScheduleError::Infeasible {
+                certificate,
+                achieved_value: out.utility,
+            });
+        }
+        debug_assert_eq!(out.utility, x, "integral utility must hit n exactly");
 
-    Ok(obj.extract_schedule(inst, &[], &out.chosen))
+        Ok(obj.extract_schedule(inst, &[], &out.chosen))
+    })
 }
 
 /// Flushes the per-solve batched counters (gain-memo hits, misses and
 /// saturated answers, oracle augments, search edge visits) to the ambient
-/// registry. The hot loops only bump plain integers; this is the single
-/// point where they become metrics. The three memo counters are added even
-/// when zero, so a snapshot of any solve names them: a solve whose runs
-/// all saturate or go unevaluated has no memo hit, and reads 0, not a
-/// missing row.
-fn flush_solve_telemetry(obj: &ScheduleObjective<'_>, scratch: &ObjectiveScratch) {
-    let (hits, misses) = scratch.memo_counts();
+/// registry: the scratch's growth past `since`, its
+/// [`ObjectiveScratch::tallies`] when the solve began. The hot loops only
+/// bump plain integers; this is the single point where they become
+/// metrics. The three memo counters are added even when zero, so a snapshot
+/// of any solve names them: a solve whose runs all saturate or go
+/// unevaluated has no memo hit, and reads 0, not a missing row.
+fn flush_solve_telemetry(obj: &ScheduleObjective<'_>, scratch: &ObjectiveScratch, since: [u64; 4]) {
+    let now = scratch.tallies();
+    let [hits, misses, saturated, visits] = std::array::from_fn(|k| now[k] - since[k]);
     sched_obs::with_active(|r| {
         r.counter("core.gain_memo.hits").add(hits);
         r.counter("core.gain_memo.misses").add(misses);
-        r.counter("core.gain_memo.saturated")
-            .add(scratch.memo_saturated());
+        r.counter("core.gain_memo.saturated").add(saturated);
     });
     let (augments, _) = obj.oracle().op_counts();
     sched_obs::counter_add("matching.oracle.augments", augments);
     sched_obs::counter_add(
         "matching.oracle.edge_visits",
-        scratch.edge_visits() + obj.oracle().edge_visits(),
+        visits + obj.oracle().edge_visits(),
     );
 }
 

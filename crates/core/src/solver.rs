@@ -61,13 +61,30 @@
 //! bounds, no full gain scan), so every result is bit-identical to the free
 //! function over the enumerated family by construction: the window build
 //! reproduces the family build field for field.
+//!
+//! # One workspace
+//!
+//! Besides the reduction (graph, slot arena, components, subset columns,
+//! each rebuilt in its retained buffers), a solver owns one workspace that
+//! every call rebuilds in place: the matching oracle's slot and job arrays,
+//! the objective's per-component arrays, the gain scratch with its memo,
+//! and the greedy's ratio, heap, group and first-round buffers. The greedy
+//! hands the objective each stale group's index, so a refresh finds its
+//! run without a search. Slot ids span only the instance's live slots (see
+//! "Live-span slot ids" in [`crate::objective`]), so every buffer is sized
+//! by the pending jobs, not by the horizon. Once the buffers have grown to
+//! an instance's size, a re-solve of a changed instance allocates only what
+//! it hands out: the returned schedule's two vectors, the greedy outcome's
+//! two and the two of the copy kept for the identical-instance path
+//! (`tests/solver_allocations.rs` pins the count). The free functions
+//! start every solve from an empty workspace.
 
 use crate::candidates::CandidatePolicy;
 use crate::cost::EnergyCost;
 use crate::model::{Instance, Job, Schedule, ScheduleError};
-use crate::objective::{ScheduleReduction, SubsetColumns};
-use crate::prize_collecting::{prize_collecting_exact_with, prize_collecting_with};
-use crate::schedule_all::schedule_all_with;
+use crate::objective::{ScheduleReduction, SolveWorkspace, SubsetColumns};
+use crate::prize_collecting::{prize_collecting_exact_in, prize_collecting_in};
+use crate::schedule_all::schedule_all_in;
 
 /// Warm/cold call counters kept by a [`Solver`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -116,6 +133,8 @@ struct GridState {
 pub struct Solver {
     policy: CandidatePolicy,
     grid: Option<GridState>,
+    /// The oracle, objective, scratch and greedy arrays every call reuses.
+    workspace: SolveWorkspace,
     stats: WarmStats,
 }
 
@@ -125,6 +144,7 @@ impl Solver {
         Self {
             policy,
             grid: None,
+            workspace: SolveWorkspace::default(),
             stats: WarmStats::default(),
         }
     }
@@ -258,13 +278,14 @@ impl Solver {
             }
         };
         let red = &grid.reduction;
+        let ws = &mut self.workspace;
         let result = match goal {
             Goal::All => {
                 let _span = sched_obs::span!("core.solve.schedule_all_ns");
-                schedule_all_with(inst, red)
+                schedule_all_in(inst, red, ws)
             }
-            Goal::Prize { target, epsilon } => prize_collecting_with(inst, red, target, epsilon),
-            Goal::PrizeExact { target } => prize_collecting_exact_with(inst, red, target),
+            Goal::Prize { target, epsilon } => prize_collecting_in(inst, red, target, epsilon, ws),
+            Goal::PrizeExact { target } => prize_collecting_exact_in(inst, red, target, ws),
         };
         // the previous call's buffers are overwritten in place
         let prev = match &mut grid.prev {
@@ -523,19 +544,15 @@ mod tests {
         let mut h = Solver::new(CandidatePolicy::All);
         let i = inst(vec![Job::window(1.0, 0, 0, 5), Job::window(1.0, 1, 1, 7)]);
         let first = h.schedule_all(&i, &c);
-        // A rebuilt graph is allocated while the old one is alive, so its
-        // adjacency cannot sit at the old address.
-        let graph_at = |h: &Solver| {
-            let red = h.reduction().expect("a reduction after a solve");
-            red.graph.adj_y(0).as_ptr()
-        };
-        let before = graph_at(&h);
+        // Every graph build counts its slots; a rebuild writes into the
+        // old graph's buffers, so their addresses cannot tell.
         let registry = Arc::new(sched_obs::Registry::new());
         sched_obs::set_thread(Some(Arc::clone(&registry)));
         let second = h.schedule_all(&i, &c);
         sched_obs::set_thread(None);
         assert_same(&first, &second);
-        assert_eq!(graph_at(&h), before, "the graph was not rebuilt");
+        let rebuilt = registry.counter("core.reduction.dense_slots").get();
+        assert_eq!(rebuilt, 0, "the graph was not rebuilt");
         assert_eq!(registry.counter("core.warm.repriced").get(), 1);
         let solves = registry.histogram("core.solve.schedule_all_ns").count();
         assert_eq!(solves, 0, "the previous result, without a greedy run");

@@ -94,8 +94,8 @@ fn falling_costs(p: u32, t: u32) -> TableCost {
     TableCost::new(entries, f64::INFINITY)
 }
 
-/// Per-candidate job-adjacent slot ids, built as the naive reduction does.
-fn naive_slot_lists(inst: &Instance, cands: &[CandidateInterval]) -> Vec<Vec<u32>> {
+/// Per-candidate job-adjacent slots, built as the naive reduction does.
+fn naive_slot_lists(inst: &Instance, cands: &[CandidateInterval]) -> Vec<Vec<SlotRef>> {
     let mut adjacent = vec![false; inst.num_slots() as usize];
     for job in &inst.jobs {
         for &s in &job.allowed {
@@ -106,11 +106,17 @@ fn naive_slot_lists(inst: &Instance, cands: &[CandidateInterval]) -> Vec<Vec<u32
         .iter()
         .map(|iv| {
             (iv.start..iv.end)
-                .map(|time| inst.slot_id(SlotRef::new(iv.proc, time)))
-                .filter(|&sid| adjacent[sid as usize])
+                .map(|time| SlotRef::new(iv.proc, time))
+                .filter(|&s| adjacent[inst.slot_id(s) as usize])
                 .collect()
         })
         .collect()
+}
+
+/// The slots of the reduction's slot ids `ids` (the reduction numbers
+/// slots over its live span, not as [`Instance::slot_id`] does).
+fn slot_refs(red: &ScheduleReduction, ids: &[u32]) -> Vec<SlotRef> {
+    ids.iter().map(|&x| red.slot_ref(x)).collect()
 }
 
 fn assert_subsets_exact(inst: &Instance, cands: &[CandidateInterval]) -> Result<(), TestCaseError> {
@@ -118,7 +124,7 @@ fn assert_subsets_exact(inst: &Instance, cands: &[CandidateInterval]) -> Result<
     let lists = naive_slot_lists(inst, cands);
 
     // brute force: every class's minimum (cost, index) member
-    let mut best: HashMap<&[u32], usize> = HashMap::new();
+    let mut best: HashMap<&[SlotRef], usize> = HashMap::new();
     for (i, list) in lists.iter().enumerate() {
         if list.is_empty() {
             continue;
@@ -131,13 +137,15 @@ fn assert_subsets_exact(inst: &Instance, cands: &[CandidateInterval]) -> Result<
     prop_assert_eq!(red.num_subsets(), best.len(), "one subset per window");
 
     for (i, list) in lists.iter().enumerate() {
-        prop_assert_eq!(red.interval_slots(&cands[i]), list.as_slice(), "cand {}", i);
+        let slots = slot_refs(&red, red.interval_slots(&cands[i]));
+        prop_assert_eq!(&slots, list, "cand {}", i);
     }
     for k in 0..red.num_subsets() {
         let c = red.candidate_of(k);
-        prop_assert_eq!(red.slots_of(k), lists[c].as_slice(), "subset {}", k);
+        let slots = slot_refs(&red, red.slots_of(k));
+        prop_assert_eq!(&slots, &lists[c], "subset {}", k);
         prop_assert_eq!(
-            best[red.slots_of(k)],
+            best[slots.as_slice()],
             c,
             "subset {} is its class minimum",
             k

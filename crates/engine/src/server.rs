@@ -306,14 +306,25 @@ fn handle_connection(
                 encode_ns.record(t0.elapsed().as_nanos() as u64);
                 codec::write_frame(&mut writer, WireFormat::Binary, &payload)?;
             } else {
-                let line = serde_json::to_string(&response)
-                    .unwrap_or_else(|e| format!("{{\"version\":1,\"id\":0,\"ok\":false,\"error\":{{\"kind\":\"Internal\",\"message\":\"serialize: {e}\"}}}}"));
+                let line = jsonl_line(&response);
                 encode_ns.record(t0.elapsed().as_nanos() as u64);
                 writeln!(writer, "{line}")?;
             }
             writer.flush()?;
         }
         Ok(())
+    })
+}
+
+/// `response` as one JSONL line. A response JSON cannot write (a
+/// non-finite number) is answered with an `Internal` failure under the
+/// same id and trace id, so the client still knows which request failed.
+fn jsonl_line(response: &SolveResponse) -> String {
+    serde_json::to_string(response).unwrap_or_else(|e| {
+        let error = WireError::new(ErrorKind::Internal, format!("serialize: {e}"));
+        let mut failure = SolveResponse::failure(response.id, error);
+        failure.trace_id.clone_from(&response.trace_id);
+        serde_json::to_string(&failure).expect("a failure response holds no number")
     })
 }
 
@@ -460,6 +471,37 @@ mod tests {
     use crate::protocol::SolveRequest;
     use sched_core::{Instance, Job, SlotRef};
     use sched_obs::Snapshot;
+
+    #[test]
+    fn an_unwritable_response_fails_under_its_own_id_and_trace_id() {
+        let schedule = sched_core::Schedule {
+            awake: Vec::new(),
+            assignments: vec![None],
+            total_cost: f64::INFINITY,
+            scheduled_value: 0.0,
+            scheduled_count: 0,
+        };
+        let metrics = crate::protocol::SolveMetrics {
+            solve_micros: 1,
+            candidates: 0,
+            worker: 0,
+            cache_hit: false,
+        };
+        let mut response = SolveResponse::success(41, schedule, metrics);
+        response.trace_id = Some("t-41".into());
+        assert!(serde_json::to_string(&response).is_err(), "inf is not JSON");
+        let back: SolveResponse = serde_json::from_str(&jsonl_line(&response)).unwrap();
+        assert_eq!((back.id, back.ok), (41, false));
+        assert_eq!(back.trace_id.as_deref(), Some("t-41"));
+        let error = back.error.expect("a failure");
+        assert_eq!(error.kind, ErrorKind::Internal);
+        assert!(
+            error.message.starts_with("serialize: "),
+            "{}",
+            error.message
+        );
+        assert!(back.schedule.is_none() && back.metrics.is_none());
+    }
 
     fn samples(snap: &Snapshot, name: &str) -> u64 {
         snap.histograms

@@ -88,7 +88,12 @@ impl BipartiteGraph {
 }
 
 /// Streaming builder for [`BipartiteGraph`].
-#[derive(Clone, Debug)]
+///
+/// A builder can be emptied and refilled ([`BipartiteGraphBuilder::reset`])
+/// and can write into an existing graph
+/// ([`BipartiteGraphBuilder::build_into`]), so a caller that rebuilds one
+/// graph per solve reuses the edge list and every CSR buffer.
+#[derive(Clone, Debug, Default)]
 pub struct BipartiteGraphBuilder {
     nx: u32,
     ny: u32,
@@ -103,6 +108,14 @@ impl BipartiteGraphBuilder {
             ny,
             edges: Vec::new(),
         }
+    }
+
+    /// Empties the builder for a graph with `nx` slots and `ny` jobs,
+    /// keeping the edge list's allocation.
+    pub fn reset(&mut self, nx: u32, ny: u32) {
+        self.nx = nx;
+        self.ny = ny;
+        self.edges.clear();
     }
 
     /// Adds the edge `(x, y)`.
@@ -122,43 +135,68 @@ impl BipartiteGraphBuilder {
 
     /// Finalizes into CSR form. O(V + E), no sorting.
     pub fn build(self) -> BipartiteGraph {
-        let nx = self.nx as usize;
-        let ny = self.ny as usize;
-        let m = self.edges.len();
-
-        let mut x_off = vec![0u32; nx + 1];
-        let mut y_off = vec![0u32; ny + 1];
-        for &(x, y) in &self.edges {
-            x_off[x as usize + 1] += 1;
-            y_off[y as usize + 1] += 1;
-        }
-        for i in 0..nx {
-            x_off[i + 1] += x_off[i];
-        }
-        for i in 0..ny {
-            y_off[i + 1] += y_off[i];
-        }
-
-        let mut x_adj = vec![0u32; m];
-        let mut y_adj = vec![0u32; m];
-        let mut x_cur = x_off.clone();
-        let mut y_cur = y_off.clone();
-        for &(x, y) in &self.edges {
-            x_adj[x_cur[x as usize] as usize] = y;
-            x_cur[x as usize] += 1;
-            y_adj[y_cur[y as usize] as usize] = x;
-            y_cur[y as usize] += 1;
-        }
-
-        BipartiteGraph {
-            nx: self.nx,
-            ny: self.ny,
-            x_off,
-            x_adj,
-            y_off,
-            y_adj,
-        }
+        let mut g = BipartiteGraph {
+            nx: 0,
+            ny: 0,
+            x_off: Vec::new(),
+            x_adj: Vec::new(),
+            y_off: Vec::new(),
+            y_adj: Vec::new(),
+        };
+        self.build_into(&mut g);
+        g
     }
+
+    /// Overwrites `g` with the graph built so far, reusing its buffers:
+    /// [`BipartiteGraphBuilder::build`] without allocating once `g`'s
+    /// buffers are large enough. O(V + E), no sorting; each adjacency list
+    /// keeps insertion order.
+    pub fn build_into(&self, g: &mut BipartiteGraph) {
+        g.nx = self.nx;
+        g.ny = self.ny;
+        let edges = self.edges.iter().copied();
+        fill_csr(self.nx, edges.clone(), &mut g.x_off, &mut g.x_adj);
+        fill_csr(
+            self.ny,
+            edges.map(|(x, y)| (y, x)),
+            &mut g.y_off,
+            &mut g.y_adj,
+        );
+    }
+}
+
+/// Rewrites `off` and `adj` as the CSR rows of `n` vertices over the
+/// `(row, neighbor)` pairs of `edges`, each row in insertion order.
+fn fill_csr(
+    n: u32,
+    edges: impl Iterator<Item = (u32, u32)> + Clone,
+    off: &mut Vec<u32>,
+    adj: &mut Vec<u32>,
+) {
+    let n = n as usize;
+    off.clear();
+    off.resize(n + 1, 0);
+    let mut m = 0;
+    for (r, _) in edges.clone() {
+        off[r as usize + 1] += 1;
+        m += 1;
+    }
+    for i in 0..n {
+        off[i + 1] += off[i];
+    }
+    adj.clear();
+    adj.resize(m, 0);
+    // `off[r]` serves as row r's cursor and ends at row r + 1's start, so
+    // shift the offsets back by one row afterwards.
+    for (r, nb) in edges {
+        let at = &mut off[r as usize];
+        adj[*at as usize] = nb;
+        *at += 1;
+    }
+    for i in (1..=n).rev() {
+        off[i] = off[i - 1];
+    }
+    off[0] = 0;
 }
 
 #[cfg(test)]
@@ -221,6 +259,28 @@ mod tests {
     fn out_of_range_edge_panics() {
         let mut b = BipartiteGraphBuilder::new(2, 2);
         b.add_edge(2, 0);
+    }
+
+    #[test]
+    fn build_into_overwrites_a_larger_graph_in_insertion_order() {
+        let mut g = BipartiteGraph::from_edges(4, 3, &[(0, 0), (3, 2), (1, 1), (3, 0)]);
+        let mut b = BipartiteGraphBuilder::new(2, 2);
+        for &(x, y) in &[(1, 1), (0, 1), (1, 0)] {
+            b.add_edge(x, y);
+        }
+        b.build_into(&mut g);
+        assert_eq!((g.nx(), g.ny(), g.num_edges()), (2, 2, 3));
+        assert_eq!(g.adj_x(0), &[1]);
+        assert_eq!(g.adj_x(1), &[1, 0]);
+        assert_eq!(g.adj_y(0), &[1]);
+        assert_eq!(g.adj_y(1), &[1, 0]);
+        // a reset builder leaves no edge behind
+        b.reset(3, 1);
+        b.add_edge(2, 0);
+        b.build_into(&mut g);
+        assert_eq!((g.nx(), g.ny(), g.num_edges()), (3, 1, 1));
+        assert_eq!((g.deg_x(0), g.deg_x(1), g.adj_x(2)), (0, 0, &[0][..]));
+        assert_eq!(g.adj_y(0), &[2]);
     }
 
     #[test]

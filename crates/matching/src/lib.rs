@@ -39,4 +39,4 @@ pub mod oracle;
 pub use graph::{BipartiteGraph, BipartiteGraphBuilder};
 pub use hall::hall_violator;
 pub use hopcroft_karp::hopcroft_karp;
-pub use oracle::{GainScratch, MatchingOracle, NONE};
+pub use oracle::{GainScratch, MatchingOracle, OracleBuffers, NONE};

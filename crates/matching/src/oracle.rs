@@ -74,11 +74,17 @@ struct BfsScratch {
     edge_visits: u64,
 }
 
+/// Overwrites `v` with `n` copies of `x`, keeping its allocation.
+fn refill<T: Copy>(v: &mut Vec<T>, n: usize, x: T) {
+    v.clear();
+    v.resize(n, x);
+}
+
 impl BfsScratch {
     fn ensure(&mut self, nx: usize, ny: usize) {
         if self.job_seen.len() != ny {
-            self.job_seen = vec![0; ny];
-            self.prev_slot = vec![NONE; ny];
+            refill(&mut self.job_seen, ny, 0);
+            refill(&mut self.prev_slot, ny, NONE);
             self.epoch = 0;
         }
         self.queue.reserve(nx.saturating_sub(self.queue.capacity()));
@@ -175,12 +181,12 @@ impl GainScratch {
         // Restarting the epoch must clear *every* stamp array: a surviving
         // stamp from the old epochs would read as current again.
         if self.mx_ver.len() != nx || self.my_ver.len() != ny {
-            self.mx_ov = vec![NONE; nx];
-            self.mx_ver = vec![0; nx];
-            self.added_ver = vec![0; nx];
-            self.my_ov = vec![NONE; ny];
-            self.my_ver = vec![0; ny];
-            self.dead_ver = vec![0; ny];
+            refill(&mut self.mx_ov, nx, NONE);
+            refill(&mut self.mx_ver, nx, 0);
+            refill(&mut self.added_ver, nx, 0);
+            refill(&mut self.my_ov, ny, NONE);
+            refill(&mut self.my_ver, ny, 0);
+            refill(&mut self.dead_ver, ny, 0);
             self.ep = 0;
         }
         self.bfs.ensure(nx, ny);
@@ -256,6 +262,20 @@ impl MatchView for OverlayView<'_> {
     }
 }
 
+/// The arrays a [`MatchingOracle`] owns, handed back by
+/// [`MatchingOracle::into_buffers`] so that the next oracle
+/// ([`MatchingOracle::with_buffers`]) reuses their allocations instead of
+/// making its own.
+#[derive(Clone, Debug, Default)]
+pub struct OracleBuffers {
+    values: Vec<f64>,
+    allowed: Vec<bool>,
+    dead: Vec<bool>,
+    match_x: Vec<u32>,
+    match_y: Vec<u32>,
+    bfs: BfsScratch,
+}
+
 /// Incremental maximum-weight matching-rank oracle over a fixed bipartite
 /// graph; see the module docs for the invariants it maintains.
 #[derive(Clone, Debug)]
@@ -289,6 +309,41 @@ impl<'g> MatchingOracle<'g> {
     /// Panics if `values.len() != g.ny()` or any value is not strictly
     /// positive and finite.
     pub fn new(g: &'g BipartiteGraph, values: Vec<f64>) -> Self {
+        Self::from_buffers(
+            g,
+            OracleBuffers {
+                values,
+                ..OracleBuffers::default()
+            },
+        )
+    }
+
+    /// [`MatchingOracle::new`] over `buffers`: job `y` is worth the `y`-th
+    /// of `values`, and every array is written into `buffers`' allocations,
+    /// so an oracle built from the buffers of one of the same size or
+    /// larger allocates nothing.
+    ///
+    /// # Panics
+    /// As [`MatchingOracle::new`].
+    pub fn with_buffers(
+        g: &'g BipartiteGraph,
+        values: impl IntoIterator<Item = f64>,
+        mut buffers: OracleBuffers,
+    ) -> Self {
+        buffers.values.clear();
+        buffers.values.extend(values);
+        Self::from_buffers(g, buffers)
+    }
+
+    fn from_buffers(g: &'g BipartiteGraph, buffers: OracleBuffers) -> Self {
+        let OracleBuffers {
+            values,
+            mut allowed,
+            mut dead,
+            mut match_x,
+            mut match_y,
+            mut bfs,
+        } = buffers;
         assert_eq!(values.len(), g.ny() as usize, "one value per job required");
         for (y, &v) in values.iter().enumerate() {
             assert!(
@@ -296,22 +351,40 @@ impl<'g> MatchingOracle<'g> {
                 "job {y} has non-positive or non-finite value {v}"
             );
         }
-        let mut bfs = BfsScratch::default();
-        bfs.ensure(g.nx() as usize, g.ny() as usize);
+        let (nx, ny) = (g.nx() as usize, g.ny() as usize);
+        bfs.ensure(nx, ny);
+        bfs.edge_visits = 0;
+        refill(&mut allowed, nx, false);
+        refill(&mut dead, ny, false);
+        refill(&mut match_x, nx, NONE);
+        refill(&mut match_y, ny, NONE);
         let max_value = values.iter().copied().fold(0.0, f64::max);
         Self {
             g,
             values,
             max_value,
-            allowed: vec![false; g.nx() as usize],
-            dead: vec![false; g.ny() as usize],
-            match_x: vec![NONE; g.nx() as usize],
-            match_y: vec![NONE; g.ny() as usize],
+            allowed,
+            dead,
+            match_x,
+            match_y,
             total: 0.0,
             n_allowed: 0,
             revision: 0,
             augment_ops: 0,
             bfs,
+        }
+    }
+
+    /// Gives up the oracle's arrays for the next
+    /// [`MatchingOracle::with_buffers`].
+    pub fn into_buffers(self) -> OracleBuffers {
+        OracleBuffers {
+            values: self.values,
+            allowed: self.allowed,
+            dead: self.dead,
+            match_x: self.match_x,
+            match_y: self.match_y,
+            bfs: self.bfs,
         }
     }
 
@@ -1155,6 +1228,31 @@ mod tests {
         assert_eq!(s.dead_ver[0], 1);
         s.ep = u32::MAX;
         assert_eq!(o.gain_of(&[1], &mut s), 1.0);
+    }
+
+    #[test]
+    fn an_oracle_on_recycled_buffers_matches_a_fresh_one() {
+        // Buffers handed down from oracles of other sizes, with committed
+        // slots, matches and dead jobs, must start the next oracle clean.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xB0F);
+        let mut buffers = OracleBuffers::default();
+        for trial in 0..40 {
+            let nx = rng.gen_range(1..=14u32);
+            let ny = rng.gen_range(1..=10u32);
+            let g = random_graph(&mut rng, nx, ny, 0.35);
+            let values: Vec<f64> = (0..ny).map(|_| rng.gen_range(1..=6) as f64).collect();
+            let mut fresh = MatchingOracle::new(&g, values.clone());
+            let mut reused = MatchingOracle::with_buffers(&g, values, buffers);
+            for v in (0..nx).filter(|_| rng.gen_bool(0.6)) {
+                let (a, b) = (fresh.add_slot(v), reused.add_slot(v));
+                assert_eq!(a.to_bits(), b.to_bits(), "trial {trial}, slot {v}");
+            }
+            assert_eq!(fresh.match_x, reused.match_x, "trial {trial}");
+            assert_eq!(fresh.match_y, reused.match_y, "trial {trial}");
+            assert_eq!(fresh.dead, reused.dead, "trial {trial}");
+            assert_eq!(fresh.edge_visits(), reused.edge_visits(), "trial {trial}");
+            buffers = reused.into_buffers();
+        }
     }
 
     #[test]

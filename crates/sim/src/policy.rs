@@ -419,6 +419,13 @@ pub struct PeriodicResolve {
     fallbacks: u64,
     /// Wall time of each suffix re-solve, nanoseconds, in call order.
     solve_ns: Vec<u64>,
+    /// The last re-solve's suffix instance, its jobs' trace ids and its
+    /// price, rewritten in place by the next re-solve.
+    suffix: Instance,
+    ids: Vec<usize>,
+    cost: ProfileCost,
+    /// Jobs past the pending count, kept for their slot buffers.
+    spare: Vec<Job>,
 }
 
 impl PeriodicResolve {
@@ -435,6 +442,10 @@ impl PeriodicResolve {
             resolves: 0,
             fallbacks: 0,
             solve_ns: Vec::new(),
+            suffix: Instance::new(0, 0, Vec::new()),
+            ids: Vec::new(),
+            cost: ProfileCost::new(&[]),
+            spare: Vec::new(),
         }
     }
 
@@ -516,6 +527,31 @@ impl PeriodicResolve {
         used
     }
 
+    /// Rewrites the suffix instance as every pending job with its allowed
+    /// slots from `view.now` on, and `ids` as their trace ids, in the
+    /// buffers of the previous re-solve.
+    fn fill_suffix(&mut self, view: &SlotView<'_>) {
+        self.ids.clear();
+        self.ids.extend_from_slice(view.pending());
+        let inst = &mut self.suffix;
+        inst.num_processors = view.num_processors;
+        inst.horizon = view.horizon;
+        let jobs = &mut inst.jobs;
+        let n = self.ids.len();
+        self.spare.extend(jobs.drain(n.min(jobs.len())..));
+        while jobs.len() < n {
+            jobs.push(self.spare.pop().unwrap_or_else(|| Job::unit(Vec::new())));
+        }
+        for (job, &id) in jobs.iter_mut().zip(&self.ids) {
+            let j = view.job(id);
+            job.value = j.value;
+            job.allowed.clear();
+            let future = j.allowed.iter().filter(|s| s.time >= view.now);
+            job.allowed.extend(future);
+            job.work = None;
+        }
+    }
+
     fn resolve(&mut self, view: &SlotView<'_>) {
         self.plan_awake.clear();
         self.plan_assign.clear();
@@ -526,40 +562,21 @@ impl PeriodicResolve {
         }
         self.resolves += 1;
 
-        let ids: Vec<usize> = view.pending().to_vec();
-        let jobs: Vec<Job> = ids
-            .iter()
-            .map(|&id| {
-                let j = view.job(id);
-                Job {
-                    value: j.value,
-                    allowed: j
-                        .allowed
-                        .iter()
-                        .copied()
-                        .filter(|s| s.time >= view.now)
-                        .collect(),
-                    work: None,
-                }
-            })
-            .collect();
-        let inst = Instance {
-            num_processors: view.num_processors,
-            horizon: view.horizon,
-            jobs,
-        };
+        self.fill_suffix(view);
+        let (inst, ids) = (&self.suffix, &self.ids);
 
         let started = Instant::now();
         // Re-solves price per processor profile; bit-identical to the
         // affine (restart, rate) oracle when the trace has no explicit
         // profiles.
-        let cost = ProfileCost::new(view.profiles);
+        let cost = &mut self.cost;
+        cost.set_profiles(view.profiles);
         let solved = match &mut self.resolver {
             Resolver::Family => {
-                let family = enumerate_candidates(&inst, &cost, CandidatePolicy::All);
-                schedule_all(&inst, &family, &SolveOptions::default()).ok()
+                let family = enumerate_candidates(inst, cost, CandidatePolicy::All);
+                schedule_all(inst, &family, &SolveOptions::default()).ok()
             }
-            Resolver::Warm(solver) => solver.schedule_all(&inst, &cost).ok(),
+            Resolver::Warm(solver) => solver.schedule_all(inst, cost).ok(),
         };
         let elapsed_ns = started.elapsed().as_nanos() as u64;
         self.solve_ns.push(elapsed_ns);

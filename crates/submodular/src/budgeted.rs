@@ -128,11 +128,13 @@ pub trait BudgetedObjective {
         &[]
     }
 
-    /// Raw marginal gains of the group members `lo..lo + out.len()` against
-    /// the current solution, written into `out`. The default calls
+    /// Raw marginal gains of the members `lo..lo + out.len()` of group
+    /// `group` (an index into [`BudgetedObjective::groups`], or the subset
+    /// index when the objective declares none) against the current
+    /// solution, written into `out`. The default calls
     /// [`BudgetedObjective::gain`] once per member; overrides must return
     /// bit-identical values.
-    fn group_gains(&self, lo: usize, scratch: &mut Self::Scratch, out: &mut [f64]) {
+    fn group_gains(&self, _group: usize, lo: usize, scratch: &mut Self::Scratch, out: &mut [f64]) {
         for (k, g) in out.iter_mut().enumerate() {
             *g = self.gain(lo + k, scratch);
         }
@@ -225,6 +227,22 @@ pub struct GreedyOutcome {
     pub trace: Vec<IterRecord>,
 }
 
+/// The lazy loop's working arrays: group ranges, ratios, first-value
+/// rounds, the heap, and the picks with their trace. [`budgeted_greedy_in`]
+/// clears and refills them, so a caller that runs one greedy after another
+/// on one set of buffers allocates nothing for them once they are large
+/// enough.
+#[derive(Default)]
+pub struct GreedyBuffers {
+    groups: Vec<(usize, usize)>,
+    ratio: Vec<f64>,
+    bounded: Vec<u32>,
+    first_round: Vec<usize>,
+    heap: BinaryHeap<HeapEntry>,
+    chosen: Vec<usize>,
+    trace: Vec<IterRecord>,
+}
+
 /// Runs the Lemma 2.1.2 bicriteria greedy to utility `(1−ε)·target`.
 ///
 /// Returns with `reached_target == false` if the greedy stalls (no candidate
@@ -251,6 +269,18 @@ pub fn budgeted_greedy_with<O: BudgetedObjective>(
     obj: &mut O,
     cfg: GreedyConfig,
     scratch: &mut O::Scratch,
+) -> GreedyOutcome {
+    budgeted_greedy_in(obj, cfg, scratch, &mut GreedyBuffers::default())
+}
+
+/// [`budgeted_greedy_with`] on caller-kept [`GreedyBuffers`]: the same
+/// picks, with the loop's arrays written into `bufs`. The outcome's `chosen`
+/// and `trace` are exact-size copies of the buffers' picks.
+pub fn budgeted_greedy_in<O: BudgetedObjective>(
+    obj: &mut O,
+    cfg: GreedyConfig,
+    scratch: &mut O::Scratch,
+    bufs: &mut GreedyBuffers,
 ) -> GreedyOutcome {
     assert!(
         cfg.epsilon > 0.0 && cfg.epsilon < 1.0,
@@ -284,7 +314,11 @@ pub fn budgeted_greedy_with<O: BudgetedObjective>(
         return out;
     }
 
-    lazy_loop(obj, cfg, goal, scratch, &mut out);
+    bufs.chosen.clear();
+    bufs.trace.clear();
+    lazy_loop(obj, cfg, goal, scratch, bufs, &mut out);
+    out.chosen = bufs.chosen.clone();
+    out.trace = bufs.trace.clone();
     sched_obs::counter_add("submodular.greedy.iterations", out.trace.len() as u64);
     sched_obs::counter_add("submodular.greedy.evaluations", out.evaluations as u64);
     out
@@ -337,17 +371,19 @@ impl PartialOrd for HeapEntry {
     }
 }
 
-/// The objective's groups as `[lo, hi)` ranges; singletons when it declares
-/// none.
+/// Writes the objective's groups into `out` as `[lo, hi)` ranges;
+/// singletons when it declares none.
 ///
 /// # Panics
 /// Panics if the declared groups do not partition `0..m` into consecutive
 /// non-empty ranges.
-fn group_ranges<O: BudgetedObjective>(obj: &O) -> Vec<(usize, usize)> {
+fn group_ranges<O: BudgetedObjective>(obj: &O, out: &mut Vec<(usize, usize)>) {
     let m = obj.num_subsets();
     let declared = obj.groups();
+    out.clear();
     if declared.is_empty() {
-        return (0..m).map(|i| (i, i + 1)).collect();
+        out.extend((0..m).map(|i| (i, i + 1)));
+        return;
     }
     let mut next = 0;
     for &(lo, hi) in declared {
@@ -358,10 +394,7 @@ fn group_ranges<O: BudgetedObjective>(obj: &O) -> Vec<(usize, usize)> {
         next = hi as usize;
     }
     assert_eq!(next, m, "groups must cover all {m} subsets");
-    declared
-        .iter()
-        .map(|&(lo, hi)| (lo as usize, hi as usize))
-        .collect()
+    out.extend(declared.iter().map(|&(lo, hi)| (lo as usize, hi as usize)));
 }
 
 /// The best member of the non-empty range `lo..hi` under the greedy's
@@ -388,10 +421,21 @@ fn lazy_loop<O: BudgetedObjective>(
     cfg: GreedyConfig,
     goal: f64,
     scratch: &mut O::Scratch,
+    bufs: &mut GreedyBuffers,
     out: &mut GreedyOutcome,
 ) {
     let m = obj.num_subsets();
-    let groups = group_ranges(obj);
+    let GreedyBuffers {
+        groups,
+        ratio,
+        bounded,
+        first_round,
+        heap,
+        chosen,
+        trace,
+    } = bufs;
+    group_ranges(obj, groups);
+    let groups = &*groups;
     // Raw gains -> clamped ratios, in place, for the members from `lo` on.
     let to_ratios = |obj: &O, ratio: &mut [f64], lo: usize, current: f64| {
         for (k, r) in ratio.iter_mut().enumerate() {
@@ -417,28 +461,29 @@ fn lazy_loop<O: BudgetedObjective>(
     // group with a bounded member starts stale and stays so until it is
     // refreshed. From here on `ratio[i]` holds candidate i's clamped ratio
     // as of its group's last evaluation, or its first-value bound.
-    let mut ratio: Vec<f64> = Vec::new();
-    let mut bounded: Vec<u32> = Vec::new();
-    obj.first_values(scratch, &mut ratio, &mut bounded);
+    obj.first_values(scratch, ratio, bounded);
     assert_eq!(
         ratio.len(),
         m,
         "first_values must give one value per subset"
     );
-    let mut first_round = vec![0; groups.len()];
-    for &g in &bounded {
+    first_round.clear();
+    first_round.resize(groups.len(), 0);
+    for &g in bounded.iter() {
         first_round[g as usize] = NEVER_EVALUATED;
     }
     out.evaluations += groups
         .iter()
-        .zip(&first_round)
+        .zip(first_round.iter())
         .filter(|&(_, &r)| r == 0)
         .map(|(&(lo, hi), _)| hi - lo)
         .sum::<usize>();
-    to_ratios(obj, &mut ratio, 0, out.utility);
-    let mut heap: BinaryHeap<HeapEntry> = (0..groups.len())
-        .filter_map(|g| key(obj, &ratio, g, first_round[g]))
-        .collect();
+    to_ratios(obj, ratio, 0, out.utility);
+    // Heapify the first keys in place of the buffer's old entries.
+    let mut entries = std::mem::take(heap).into_vec();
+    entries.clear();
+    entries.extend((0..groups.len()).filter_map(|g| key(obj, ratio, g, first_round[g])));
+    *heap = BinaryHeap::from(entries);
 
     let mut round = 0usize;
     // Group refreshes since the last commit; reported in the decision log so
@@ -452,11 +497,11 @@ fn lazy_loop<O: BudgetedObjective>(
             top
         } else {
             // stale: refresh the whole group in one pass and re-key it
-            obj.group_gains(lo, scratch, &mut ratio[lo..hi]);
+            obj.group_gains(top.group, lo, scratch, &mut ratio[lo..hi]);
             to_ratios(obj, &mut ratio[lo..hi], lo, out.utility);
             out.evaluations += 1;
             refreshes_since_commit += 1;
-            let Some(fresh) = key(obj, &ratio, top.group, round) else {
+            let Some(fresh) = key(obj, ratio, top.group, round) else {
                 continue;
             };
             // Every other group's members are bounded above by its stale
@@ -472,7 +517,7 @@ fn lazy_loop<O: BudgetedObjective>(
         // The committed member's gain is now exactly 0; the rest of its
         // group keeps its (now stale) ratios.
         ratio[pick.idx] = 0.0;
-        let rest = key(obj, &ratio, pick.group, round);
+        let rest = key(obj, ratio, pick.group, round);
         // The runner-up is the better of the next heap key (a stale upper
         // bound on its group, which is the certificate the lazy rule used)
         // and the committed group's best remaining member.
@@ -487,11 +532,11 @@ fn lazy_loop<O: BudgetedObjective>(
                 gain: e.ratio * e.cost,
                 bound: e.round == NEVER_EVALUATED,
             });
-        let trace = PickTrace {
+        let log = PickTrace {
             runner_up,
             reevals: refreshes_since_commit,
         };
-        commit_pick(obj, cfg, pick.idx, out, trace);
+        commit_pick(obj, cfg, pick.idx, out, (chosen, trace), log);
         heap.extend(rest);
         refreshes_since_commit = 0;
         round += 1;
@@ -520,12 +565,14 @@ struct RunnerUp {
     bound: bool,
 }
 
+/// Commits pick `idx`, appending it to the run's picks and their trace.
 fn commit_pick<O: BudgetedObjective>(
     obj: &mut O,
     cfg: GreedyConfig,
     idx: usize,
     out: &mut GreedyOutcome,
-    trace: PickTrace,
+    (chosen, trace): (&mut Vec<usize>, &mut Vec<IterRecord>),
+    log: PickTrace,
 ) {
     let before = out.utility;
     let raw = obj.commit(idx);
@@ -533,9 +580,9 @@ fn commit_pick<O: BudgetedObjective>(
     out.utility = obj.current();
     debug_assert!((out.utility - (before + raw)).abs() < 1e-6);
     out.total_cost += cost;
-    out.chosen.push(idx);
+    chosen.push(idx);
     let gain = clamp_gain(raw, before, cfg.target);
-    out.trace.push(IterRecord {
+    trace.push(IterRecord {
         chosen: idx,
         gain,
         cost,
@@ -543,16 +590,16 @@ fn commit_pick<O: BudgetedObjective>(
     });
     if sched_obs::trace::enabled() {
         let mut args: Vec<(&'static str, sched_obs::trace::ArgValue)> = vec![
-            ("iter", (out.chosen.len() as u64 - 1).into()),
+            ("iter", (chosen.len() as u64 - 1).into()),
             ("chosen", idx.into()),
             ("gain", gain.into()),
             ("cost", cost.into()),
             ("ratio", (gain / cost).into()),
             ("utility_after", out.utility.into()),
             ("remaining", (cfg.target - out.utility).max(0.0).into()),
-            ("reevals", trace.reevals.into()),
+            ("reevals", log.reevals.into()),
         ];
-        if let Some(ru) = trace.runner_up {
+        if let Some(ru) = log.runner_up {
             args.push(("runner_up", ru.idx.into()));
             args.push(("runner_up_ratio", ru.ratio.into()));
             args.push(("runner_up_gain", ru.gain.into()));

@@ -32,7 +32,7 @@ pub mod setcover;
 
 pub use bitset::BitSet;
 pub use budgeted::{
-    budgeted_greedy, budgeted_greedy_with, BudgetedObjective, GreedyConfig, GreedyOutcome,
-    IterRecord, SetSystemObjective,
+    budgeted_greedy, budgeted_greedy_in, budgeted_greedy_with, BudgetedObjective, GreedyBuffers,
+    GreedyConfig, GreedyOutcome, IterRecord, SetSystemObjective,
 };
 pub use functions::SetFn;

@@ -7,8 +7,8 @@ use proptest::prelude::*;
 use submodular::budgeted::SetSystemScratch;
 use submodular::functions::CoverageFn;
 use submodular::{
-    budgeted_greedy, BitSet, BudgetedObjective, GreedyConfig, GreedyOutcome, SetFn,
-    SetSystemObjective,
+    budgeted_greedy, budgeted_greedy_in, BitSet, BudgetedObjective, GreedyBuffers, GreedyConfig,
+    GreedyOutcome, SetFn, SetSystemObjective,
 };
 
 /// A set system that declares consecutive groups of its subsets, so the
@@ -516,11 +516,22 @@ proptest! {
         let cfg = GreedyConfig::new(target, eps);
         let eager = run_eager(&f, &inst.subsets, &inst.costs, target, eps);
         let singles = run_grouped(&f, &inst.subsets, &inst.costs, cfg, None, &[]);
-        let bounds = run_grouped(&f, &inst.subsets, &inst.costs, cfg, Some(groups), &bounded);
+        let bounds =
+            run_grouped(&f, &inst.subsets, &inst.costs, cfg, Some(groups.clone()), &bounded);
         prop_assert_eq!(&bounds.chosen, &eager.chosen);
         prop_assert_eq!(&bounds.chosen, &singles.chosen);
         prop_assert_eq!(bounds.total_cost, eager.total_cost);
         prop_assert_eq!(bounds.utility, eager.utility);
+
+        // the same run on buffers a run with other groups filled first
+        let mut bufs = GreedyBuffers::default();
+        let mut plain = SetSystemObjective::new(&f, inst.subsets.clone(), inst.costs.clone());
+        budgeted_greedy_in(&mut plain, cfg, &mut Default::default(), &mut bufs);
+        let mut obj = Grouped::new(&f, &inst.subsets, &inst.costs, groups, &bounded);
+        let reused = budgeted_greedy_in(&mut obj, cfg, &mut Default::default(), &mut bufs);
+        prop_assert_eq!(&reused.chosen, &bounds.chosen);
+        prop_assert_eq!(&reused.trace, &bounds.trace);
+        prop_assert_eq!(reused.evaluations, bounds.evaluations);
     }
 
     #[test]

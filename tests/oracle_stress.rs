@@ -3,7 +3,8 @@
 //! of random insertion schedules against Hopcroft–Karp and the weighted
 //! reference at sizes well beyond the unit tests, checks scratch reuse
 //! across oracles, and bounds the search work of a pinned DVFS gain scan,
-//! of a whole cold solve of the same shape, and of a warm online replay.
+//! of a whole cold solve of the same shape, and of a warm online replay,
+//! and the slots a warm replay's rebuilds number on a long horizon.
 
 use std::sync::Arc;
 
@@ -360,5 +361,60 @@ fn warm_replay_edge_visits_stay_bounded() {
     assert!(
         intervals <= WARM_REPLAY_INTERVALS_MAX,
         "the replay's builds examined {intervals} intervals, bound {WARM_REPLAY_INTERVALS_MAX}"
+    );
+}
+
+/// Upper bound on the slots the reduction numbers per graph build during
+/// one `resolve:1:warm` replay of a 4,096-slot trace: four processors times
+/// 64 slots, a bound on the live span of the jobs pending at one time (each
+/// window is a few slots long and announced 24 slots early), not on the
+/// horizon. Slot ids over the whole horizon read 16,384 per build here.
+const WARM_REPLAY_DENSE_SLOTS_PER_BUILD_MAX: u64 = 4 * 64;
+
+#[test]
+fn warm_replay_dense_slots_stay_bounded() {
+    // The `online_replay` shape stretched to T=4096 at the same density:
+    // 96 jobs per 256 slots, each released 24 slots before its window
+    // opens.
+    let arrivals = ArrivalConfig {
+        num_processors: 4,
+        horizon: 4096,
+        target_jobs: 96 * 16,
+        ..ArrivalConfig::default()
+    };
+    let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+    let mut trace = generate_trace(TraceKind::PoissonBursts, &arrivals, &mut rng);
+    for job in &mut trace.jobs {
+        job.release = job.release.saturating_sub(24);
+    }
+
+    let registry = Arc::new(Registry::new());
+    obs::set_thread(Some(Arc::clone(&registry)));
+    let warm = replay(
+        &trace,
+        PolicyKind::Resolve {
+            period: 1,
+            warm: true,
+        }
+        .build(None)
+        .as_mut(),
+    );
+    obs::set_thread(None);
+    warm.expect("the pinned trace replays");
+
+    let solves = registry.counter("core.warm.solves.warm").get()
+        + registry.counter("core.warm.solves.cold").get();
+    // a re-solve of an unchanged instance re-prices without a graph build
+    let builds = solves - registry.counter("core.warm.repriced").get();
+    let dense = registry.counter("core.reduction.dense_slots").get();
+    assert!(
+        builds > 0 && dense > 0,
+        "the replay rebuilt its reduction and counted its slots"
+    );
+    let per_build = dense / builds;
+    assert!(
+        per_build <= WARM_REPLAY_DENSE_SLOTS_PER_BUILD_MAX,
+        "the replay numbered {dense} slots over {builds} graph builds, {per_build} per build, \
+         bound {WARM_REPLAY_DENSE_SLOTS_PER_BUILD_MAX}"
     );
 }
